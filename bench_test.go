@@ -272,7 +272,7 @@ func BenchmarkCertifierThroughput(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			tx, err := db.Begin(0)
+			tx, err := db.Cluster().Begin(0)
 			if err != nil {
 				b.Error(err)
 				return

@@ -28,8 +28,8 @@
 // certification throughput vs keyspace partition count at a fixed
 // replica count — the first value of -replicas — with per-group
 // batching and disk-utilization breakdown), applyscale (parallel
-// dependency-tracked writeset apply: worker sweep over a pre-labeled
-// disjoint stream vs the serial-gate baseline, a zipfian hot-key
+// dependency-tracked writeset apply: pool-size sweep over a pre-labeled
+// disjoint stream from the one-worker serial gate up, a zipfian hot-key
 // conflicted stream, and apply-lag profiling under a 4-group
 // partitioned merged stream — the experiment behind BENCH_apply.json),
 // wire (the same update-heavy and read-mostly sweeps over the

@@ -2,9 +2,9 @@
 // certd group. It exposes a small key-value transaction API over the
 // same framed transport the internal components use:
 //
-//	method "kv.get"    request: gob(GetReq)    response: gob(GetResp)
-//	method "kv.put"    request: gob(PutReq)    response: gob(PutResp)
-//	method "kv.txn"    request: gob(TxnReq)    response: gob(TxnResp)
+//	method "kv.get"    request: gob(kvwire.GetReq)    response: gob(kvwire.GetResp)
+//	method "kv.put"    request: gob(kvwire.PutReq)    response: gob(kvwire.PutResp)
+//	method "kv.txn"    request: gob(kvwire.TxnReq)    response: gob(kvwire.TxnResp)
 //
 // kv.txn executes a multi-operation read/update transaction atomically
 // through the full replication protocol (certification, global
@@ -13,8 +13,8 @@
 // Two admin methods (empty request payload) support multi-process
 // smoke tests and operations:
 //
-//	method "admin.stat"  response: gob(StatResp)   replication state
-//	method "admin.pull"  response: gob(PullResp)   one pull round
+//	method "admin.stat"  response: gob(kvwire.StatResp)   replication state
+//	method "admin.pull"  response: gob(kvwire.PullResp)   one pull round
 //
 // Like the embedded client's RunTx executor, write requests absorb the
 // benign certification aborts of generalized snapshot isolation: the
@@ -43,58 +43,12 @@ import (
 
 	"tashkent"
 	"tashkent/internal/certifier"
+	"tashkent/internal/kvwire"
 	"tashkent/internal/proxy"
 	"tashkent/internal/replica"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/transport"
 )
-
-// GetReq reads one column.
-type GetReq struct{ Table, Key, Col string }
-
-// GetResp carries the value.
-type GetResp struct {
-	Value []byte
-	Found bool
-}
-
-// PutReq updates one column in its own transaction.
-type PutReq struct {
-	Table, Key, Col string
-	Value           []byte
-}
-
-// PutResp reports the outcome.
-type PutResp struct{ Aborted bool }
-
-// TxnOp is one operation inside a kv.txn request.
-type TxnOp struct {
-	// Kind: "read", "update", "insert", "delete".
-	Kind  string
-	Table string
-	Key   string
-	Cols  map[string][]byte
-}
-
-// TxnReq executes ops atomically.
-type TxnReq struct{ Ops []TxnOp }
-
-// TxnResp returns read results in op order (nil for writes).
-type TxnResp struct {
-	Reads   []map[string][]byte
-	Aborted bool
-}
-
-// StatResp reports one replica's replication state. Fingerprints are
-// comparable across replicas only at equal Version.
-type StatResp struct {
-	Replica     int
-	Version     uint64 // announced (readable) global version
-	Fingerprint uint32 // CRC-32 over latest committed state
-}
-
-// PullResp reports the announced version after one pull round.
-type PullResp struct{ Version uint64 }
 
 func main() {
 	var (
@@ -163,14 +117,14 @@ func handler(rep *replica.Replica, id int, txnTimeout time.Duration) transport.H
 		switch method {
 		case "admin.stat":
 			st := rep.Store()
-			return enc(StatResp{Replica: id, Version: st.AnnouncedVersion(), Fingerprint: st.Fingerprint()})
+			return enc(kvwire.StatResp{Replica: id, Version: st.AnnouncedVersion(), Fingerprint: st.Fingerprint()})
 		case "admin.pull":
 			if err := rep.Proxy().PullOnce(); err != nil {
 				return nil, err
 			}
-			return enc(PullResp{Version: rep.Store().AnnouncedVersion()})
+			return enc(kvwire.PullResp{Version: rep.Store().AnnouncedVersion()})
 		case "kv.get":
-			var r GetReq
+			var r kvwire.GetReq
 			if err := dec(req, &r); err != nil {
 				return nil, err
 			}
@@ -183,9 +137,9 @@ func handler(rep *replica.Replica, id int, txnTimeout time.Duration) transport.H
 			if err != nil {
 				return nil, err
 			}
-			return enc(GetResp{Value: v, Found: ok})
+			return enc(kvwire.GetResp{Value: v, Found: ok})
 		case "kv.put":
-			var r PutReq
+			var r kvwire.PutReq
 			if err := dec(req, &r); err != nil {
 				return nil, err
 			}
@@ -195,9 +149,9 @@ func handler(rep *replica.Replica, id int, txnTimeout time.Duration) transport.H
 			if err != nil {
 				return nil, err
 			}
-			return enc(PutResp{Aborted: aborted})
+			return enc(kvwire.PutResp{Aborted: aborted})
 		case "kv.txn":
-			var r TxnReq
+			var r kvwire.TxnReq
 			if err := dec(req, &r); err != nil {
 				return nil, err
 			}
@@ -208,7 +162,7 @@ func handler(rep *replica.Replica, id int, txnTimeout time.Duration) transport.H
 	}
 }
 
-func runTxn(ctx context.Context, rep *replica.Replica, r TxnReq) ([]byte, error) {
+func runTxn(ctx context.Context, rep *replica.Replica, r kvwire.TxnReq) ([]byte, error) {
 	for _, op := range r.Ops {
 		switch op.Kind {
 		case "read", "update", "insert", "delete":
@@ -216,9 +170,9 @@ func runTxn(ctx context.Context, rep *replica.Replica, r TxnReq) ([]byte, error)
 			return nil, fmt.Errorf("tashd: bad op kind %q", op.Kind)
 		}
 	}
-	var resp TxnResp
+	var resp kvwire.TxnResp
 	aborted, err := commitRetried(ctx, rep, func(tx *proxy.Tx) error {
-		resp = TxnResp{Reads: make([]map[string][]byte, len(r.Ops))}
+		resp = kvwire.TxnResp{Reads: make([]map[string][]byte, len(r.Ops))}
 		for i, op := range r.Ops {
 			var err error
 			switch op.Kind {

@@ -16,37 +16,9 @@ import (
 	"os"
 	"strings"
 
+	"tashkent/internal/kvwire"
 	"tashkent/internal/transport"
 )
-
-// Request/response shapes mirror cmd/tashd (gob matches by field).
-type getReq struct{ Table, Key, Col string }
-type getResp struct {
-	Value []byte
-	Found bool
-}
-type putReq struct {
-	Table, Key, Col string
-	Value           []byte
-}
-type putResp struct{ Aborted bool }
-type txnOp struct {
-	Kind  string
-	Table string
-	Key   string
-	Cols  map[string][]byte
-}
-type txnReq struct{ Ops []txnOp }
-type txnResp struct {
-	Reads   []map[string][]byte
-	Aborted bool
-}
-type statResp struct {
-	Replica     int
-	Version     uint64
-	Fingerprint uint32
-}
-type pullResp struct{ Version uint64 }
 
 func main() {
 	addr := flag.String("addr", "localhost:7200", "tashd address")
@@ -66,8 +38,8 @@ func main() {
 			err = fmt.Errorf("usage: get <table> <key> <col>")
 			break
 		}
-		var resp getResp
-		if err = call(c, "kv.get", getReq{args[1], args[2], args[3]}, &resp); err == nil {
+		var resp kvwire.GetResp
+		if err = call(c, "kv.get", kvwire.GetReq{Table: args[1], Key: args[2], Col: args[3]}, &resp); err == nil {
 			fmt.Printf("found=%v value=%s\n", resp.Found, resp.Value)
 		}
 	case "put":
@@ -75,8 +47,8 @@ func main() {
 			err = fmt.Errorf("usage: put <table> <key> <col> <value>")
 			break
 		}
-		var resp putResp
-		if err = call(c, "kv.put", putReq{args[1], args[2], args[3], []byte(args[4])}, &resp); err == nil {
+		var resp kvwire.PutResp
+		if err = call(c, "kv.put", kvwire.PutReq{Table: args[1], Key: args[2], Col: args[3], Value: []byte(args[4])}, &resp); err == nil {
 			fmt.Printf("aborted=%v\n", resp.Aborted)
 		}
 	case "txn":
@@ -85,8 +57,8 @@ func main() {
 			err = perr
 			break
 		}
-		var resp txnResp
-		if err = call(c, "kv.txn", txnReq{Ops: ops}, &resp); err == nil {
+		var resp kvwire.TxnResp
+		if err = call(c, "kv.txn", kvwire.TxnReq{Ops: ops}, &resp); err == nil {
 			fmt.Printf("aborted=%v\n", resp.Aborted)
 			for i, rd := range resp.Reads {
 				if ops[i].Kind == "read" {
@@ -95,12 +67,12 @@ func main() {
 			}
 		}
 	case "stat":
-		var resp statResp
+		var resp kvwire.StatResp
 		if err = adminCall(c, "admin.stat", &resp); err == nil {
 			fmt.Printf("replica=%d version=%d fingerprint=%08x\n", resp.Replica, resp.Version, resp.Fingerprint)
 		}
 	case "pull":
-		var resp pullResp
+		var resp kvwire.PullResp
 		if err = adminCall(c, "admin.pull", &resp); err == nil {
 			fmt.Printf("version=%d\n", resp.Version)
 		}
@@ -114,14 +86,14 @@ func main() {
 }
 
 // parseOps turns kind:table:key[:col=val,...] words into txn ops.
-func parseOps(words []string) ([]txnOp, error) {
-	var ops []txnOp
+func parseOps(words []string) ([]kvwire.TxnOp, error) {
+	var ops []kvwire.TxnOp
 	for _, w := range words {
 		parts := strings.SplitN(w, ":", 4)
 		if len(parts) < 3 {
 			return nil, fmt.Errorf("bad op %q (want kind:table:key[:col=val,...])", w)
 		}
-		op := txnOp{Kind: parts[0], Table: parts[1], Key: parts[2]}
+		op := kvwire.TxnOp{Kind: parts[0], Table: parts[1], Key: parts[2]}
 		if len(parts) == 4 && parts[3] != "" {
 			op.Cols = map[string][]byte{}
 			for _, kv := range strings.Split(parts[3], ",") {

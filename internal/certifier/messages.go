@@ -53,17 +53,6 @@ type Request struct {
 	Deadline int64
 }
 
-// MustWriteset decodes the request's writeset. It panics on a decode
-// failure, which is impossible for a request the caller encoded
-// itself.
-func (r *Request) MustWriteset() *core.Writeset {
-	ws, _, err := core.DecodeWriteset(r.WSBytes)
-	if err != nil {
-		panic(fmt.Sprintf("certifier: undecodable own writeset: %v", err))
-	}
-	return ws
-}
-
 // RemoteWS is one remote writeset shipped to a replica.
 type RemoteWS struct {
 	Version uint64

@@ -90,8 +90,8 @@ type Config struct {
 	LocalCertification bool
 	EagerPreCert       bool
 	StalenessBound     time.Duration
-	// ApplyWorkers enables the parallel dependency-tracked remote
-	// applier on every replica (see proxy.Config.ApplyWorkers).
+	// ApplyWorkers is the pool size of every replica's dependency-
+	// tracked remote applier, 0 = 8 (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
 	// Seed makes disk jitter and elections deterministic.
 	Seed int64

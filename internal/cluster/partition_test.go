@@ -136,6 +136,73 @@ func TestPartitionedOrderingUnderConcurrency(t *testing.T) {
 	}
 }
 
+// TestPartitionedApplyBurst is the applier's acceptance drill: one
+// replica commits a few hundred transactions while the other hears
+// nothing, then a single pull releases the whole merged stream into the
+// idle replica's four-worker pool at once. The burst must drain without
+// an entry given up, well inside the version-wait and order timeouts,
+// and leave both replicas identical.
+func TestPartitionedApplyBurst(t *testing.T) {
+	const parts, clients, perClient = 2, 10, 30
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+		cfg.ApplyWorkers = 4
+	})
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	committed := 0
+	for cl := 0; cl < clients; cl++ {
+		cl := cl
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				var err error
+				switch i % 5 {
+				case 3: // same-key chain through the scheduler
+					err = clusterCommit(t, c, 0, keyInPartition(parts, cl%parts, 5000+cl), fmt.Sprintf("h%d", i))
+				case 4:
+					err = crossCommit(t, c, 0, parts, []int{0, 1}, 6000+cl*100+i, fmt.Sprintf("x%d", i))
+				default:
+					err = clusterCommit(t, c, 0, keyInPartition(parts, i%parts, 7000+cl*100+i), fmt.Sprintf("v%d", i))
+				}
+				if err == nil {
+					mu.Lock()
+					committed++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if committed < 250 {
+		t.Fatalf("only %d of %d commits succeeded; the burst is too small to mean anything", committed, clients*perClient)
+	}
+	idle := c.Replica(1)
+	if v := idle.Store().AnnouncedVersion(); v != 0 {
+		t.Fatalf("replica 1 already at version %d before the burst was released", v)
+	}
+	start := time.Now()
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("burst took %v to drain; a version wait or order wait expired on the way", d)
+	}
+	for i := 0; i < 2; i++ {
+		st := c.Replica(i).Proxy().ApplyStats()
+		if st.GaveUp != 0 {
+			t.Errorf("replica %d gave up %d entries", i, st.GaveUp)
+		}
+		if i == 1 && st.Published+st.Superseded < int64(committed) {
+			t.Errorf("replica 1 resolved %d entries for %d commits", st.Published+st.Superseded, committed)
+		}
+	}
+	if fps := c.Fingerprints(); fps[0] != fps[1] {
+		t.Fatalf("replicas diverged after the burst: %v", fps)
+	}
+}
+
 // TestPartitionedGroupLeaderFailover kills one group's leader under
 // load: acked commits must survive the failover (present on every
 // replica afterward) and the merged order must stay identical.

@@ -19,7 +19,7 @@ import (
 // ApplyScalePoint is one measured worker-count sample of the
 // parallel-apply sweep.
 type ApplyScalePoint struct {
-	Workers  int // 0 = the serial-gate baseline path
+	Workers  int // pool size; 1 is the serial-gate baseline
 	Entries  int
 	Duration time.Duration
 	PerSec   float64
@@ -38,8 +38,8 @@ type ApplyLagPoint struct {
 
 // ApplyScaleResult collects the applyscale experiment's measurements.
 type ApplyScaleResult struct {
-	// Disjoint sweeps worker counts over a conflict-free labeled
-	// stream; Speedup8 is workers=8 throughput over the serial gate.
+	// Disjoint sweeps pool sizes over a conflict-free labeled stream;
+	// Speedup8 is workers=8 throughput over the one-worker serial gate.
 	Disjoint []ApplyScalePoint
 	Speedup8 float64
 	// Zipf is the conflicted stream (hot keys force dependency chains)
@@ -52,9 +52,9 @@ type ApplyScaleResult struct {
 }
 
 // applyScaleFsync is the simulated log-disk fsync latency of the
-// phase-A stream. The serial baseline commits one labeled writeset per
-// fsync, so its throughput is fsync-bound (~1/250 µs); the parallel
-// applier's concurrent installers share group-committed fsyncs. That
+// phase-A stream. One worker commits one labeled writeset per fsync,
+// so its throughput is fsync-bound (~1/250 µs); a larger pool's
+// concurrent installers share group-committed fsyncs. That
 // makes the speedup a property of the apply architecture, not of how
 // many host cores the test machine happens to have.
 const applyScaleFsync = 200 * time.Microsecond
@@ -62,9 +62,9 @@ const applyScaleFsync = 200 * time.Microsecond
 // applyScaleEntries is the phase-A stream length.
 const applyScaleEntries = 2000
 
-// DefaultApplyWorkerSweep is the worker sweep of phase A; 0 is the
-// serial-gate baseline.
-var DefaultApplyWorkerSweep = []int{0, 2, 4, 8}
+// DefaultApplyWorkerSweep is the pool-size sweep of phase A; one
+// worker is the serial-gate baseline.
+var DefaultApplyWorkerSweep = []int{1, 2, 4, 8}
 
 // applyScaleStream builds a labeled remote stream of single-row
 // updates, versions 1..n. Disjoint streams touch a fresh key per
@@ -139,12 +139,12 @@ func runApplyStream(workers int, entries []proxy.RemoteEntry, seed int64) (Apply
 	return pt, nil
 }
 
-// RunApplyScaleExperiment measures the dependency-tracked parallel
-// applier (see internal/proxy/schedule.go) against the serial-gate
-// baseline it replaced. Phase A drives a pre-labeled remote stream —
-// no certification round trip, apply path only — through one replica
-// with synchronous WAL commits on a 200 µs-fsync log disk: the serial
-// path pays one unsharable fsync per writeset, while the worker pool's
+// RunApplyScaleExperiment measures the dependency scheduler (see
+// internal/proxy/schedule.go) across pool sizes, one worker being the
+// serial gate. Phase A drives a pre-labeled remote stream — no
+// certification round trip, apply path only — through one replica
+// with synchronous WAL commits on a 200 µs-fsync log disk: one worker
+// pays one unsharable fsync per writeset, while a larger pool's
 // concurrent installers group-commit, so throughput scales with
 // install parallelism until the log channel saturates. A zipfian
 // hot-key stream then shows the conflicted case, where same-key
@@ -160,7 +160,7 @@ func RunApplyScaleExperiment(o Options) (ApplyScaleResult, error) {
 	fmt.Fprintf(o.Out, "\n=== applyscale: parallel dependency-tracked writeset apply, single replica ===\n")
 	fmt.Fprintf(o.Out, "stream=%d labeled single-row updates  fsync=%v  sync WAL commits\n",
 		applyScaleEntries, applyScaleFsync)
-	fmt.Fprintf(o.Out, "workers\tapplies/s\tspeedup\tfsyncs\tpar(max)\tlag p99(ms)\n")
+	fmt.Fprintf(o.Out, "workers (1 = serial gate)\tapplies/s\tspeedup\tfsyncs\tpar(max)\tlag p99(ms)\n")
 
 	var serial, eight ApplyScalePoint
 	for _, w := range DefaultApplyWorkerSweep {
@@ -170,14 +170,14 @@ func RunApplyScaleExperiment(o Options) (ApplyScaleResult, error) {
 			return res, fmt.Errorf("applyscale disjoint @%d workers: %w", w, err)
 		}
 		res.Disjoint = append(res.Disjoint, pt)
-		if w == 0 {
+		if w == 1 {
 			serial = pt
 		}
 		if w == 8 {
 			eight = pt
 		}
 		speedup := "-"
-		if serial.PerSec > 0 && w != 0 {
+		if serial.PerSec > 0 && w != 1 {
 			speedup = fmt.Sprintf("%.2fx", pt.PerSec/serial.PerSec)
 		}
 		fmt.Fprintf(o.Out, "%d\t%.0f\t%s\t%d\t%d\t%.2f\n",

@@ -268,8 +268,8 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 		SeqTimeout:         300 * time.Millisecond,
 		StalenessBound:     100 * time.Millisecond,
 		SeqObserver:        checker.SeqObserver,
-		// Parallel dependency-tracked apply, active in API/partitioned
-		// plans — the chaos suite doubles as its crash/resync soak.
+		// The chaos suite doubles as the dependency scheduler's
+		// crash/resync soak.
 		ApplyWorkers: 8,
 		Seed:         seed,
 	})

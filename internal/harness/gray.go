@@ -241,6 +241,11 @@ func RunSlowDiskDrill(seed int64, o Options) (SlowDiskDrillResult, error) {
 	hook := func(simdisk.Op, int, int) { time.Sleep(grayDiskStall) }
 	r.DataDisk().SetHook(hook)
 	r.LogDisk().SetHook(hook)
+	heal := func() {
+		r.DataDisk().SetHook(nil)
+		r.LogDisk().SetHook(nil)
+	}
+	defer heal() // a failed drill must not shut down through the stalled disk
 	t0 := time.Now()
 	ejected := chaos.WaitUntil(10*time.Second, func() bool {
 		state, _, _ := db.RouterCounters().Health(slowReplica)
@@ -264,8 +269,7 @@ func RunSlowDiskDrill(seed int64, o Options) (SlowDiskDrillResult, error) {
 	}
 
 	// Heal the disk; a half-open probe should fold the replica back.
-	r.DataDisk().SetHook(nil)
-	r.LogDisk().SetHook(nil)
+	heal()
 	res.Recovered = chaos.WaitUntil(10*time.Second, func() bool {
 		state, _, _ := db.RouterCounters().Health(slowReplica)
 		return state == "closed"

@@ -129,8 +129,8 @@ func TestGrayDegradedReadOnly(t *testing.T) {
 // saturation offered load holds near the closed-loop peak instead of
 // collapsing, and the excess is answered by explicit shedding.
 func TestOverloadKnee(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overload ladder is load-bearing wall-clock; skipped in -short")
+	if testing.Short() || os.Getenv("CHAOS_FULL") == "" {
+		t.Skip("overload ladder is load-bearing wall-clock; runs in the CI gray job (CHAOS_FULL=1), not in tier-1")
 	}
 	// Longer windows than the tashbench default: each ladder point
 	// needs enough committed transactions for a stable rate estimate.

@@ -131,13 +131,15 @@ type Series struct {
 	Points []Point
 }
 
-// clusterFor builds the cluster for one system variant.
-func clusterFor(sys System, replicas int, dedicated bool, o Options, wl workload.Generator) (*cluster.Cluster, error) {
+// clusterFor builds the cluster for one system variant; abortRate is
+// the certifier's forced abort rate (Fig 14), 0 elsewhere.
+func clusterFor(sys System, replicas int, dedicated bool, abortRate float64, o Options, wl workload.Generator) (*cluster.Cluster, error) {
 	cfg := cluster.Config{
 		Replicas:           replicas,
 		Certifiers:         3,
 		IOProfile:          o.profile(),
 		DedicatedIO:        dedicated,
+		AbortRate:          abortRate,
 		CertMaxBatch:       o.CertMaxBatch,
 		CertMaxWait:        o.CertMaxWait,
 		LocalCertification: true,
@@ -168,7 +170,7 @@ func clusterFor(sys System, replicas int, dedicated bool, o Options, wl workload
 
 // runPoint measures one (system, replicas) sample.
 func runPoint(sys System, replicas int, dedicated bool, wl workload.Generator, o Options) (Point, error) {
-	c, err := clusterFor(sys, replicas, dedicated, o, wl)
+	c, err := clusterFor(sys, replicas, dedicated, 0, o, wl)
 	if err != nil {
 		return Point{}, err
 	}
@@ -390,7 +392,7 @@ func Fig14(o Options) (map[string]Series, error) {
 			s := Series{Name: key}
 			for _, n := range o.ReplicaCounts {
 				wl := &workload.AllUpdates{}
-				c, err := clusterForWithAbort(sys, n, rate, o)
+				c, err := clusterFor(sys, n, true, rate, o, wl)
 				if err != nil {
 					return out, err
 				}
@@ -431,30 +433,6 @@ func Fig14(o Options) (map[string]Series, error) {
 		fmt.Fprintln(o.Out)
 	}
 	return out, nil
-}
-
-func clusterForWithAbort(sys System, replicas int, rate float64, o Options) (*cluster.Cluster, error) {
-	cfg := cluster.Config{
-		Replicas:           replicas,
-		Certifiers:         3,
-		IOProfile:          o.profile(),
-		DedicatedIO:        true,
-		AbortRate:          rate,
-		LocalCertification: true,
-		EagerPreCert:       true,
-		LockTimeout:        5 * time.Second,
-		OrderTimeout:       10 * time.Second,
-		Seed:               o.Seed,
-	}
-	switch sys {
-	case SysBase:
-		cfg.Mode = proxy.Base
-	case SysMW:
-		cfg.Mode = proxy.TashkentMW
-	case SysAPI:
-		cfg.Mode = proxy.TashkentAPI
-	}
-	return cluster.New(cfg)
 }
 
 // StandaloneComparison reproduces the §9.2 text numbers: a standalone

@@ -58,7 +58,7 @@ func RunRecoveryExperiment(o Options) (RecoveryReport, error) {
 	fmt.Fprintf(o.Out, "\n=== §9.6 recovery costs ===\n")
 
 	// --- Tashkent-MW: dump while processing, crash, restore, resync.
-	mw, err := clusterFor(SysMW, 2, false, o, &workload.TPCW{})
+	mw, err := clusterFor(SysMW, 2, false, 0, o, &workload.TPCW{})
 	if err != nil {
 		return rep, err
 	}
@@ -108,7 +108,7 @@ func RunRecoveryExperiment(o Options) (RecoveryReport, error) {
 	mw.Close()
 
 	// --- Base: WAL recovery.
-	base, err := clusterFor(SysBase, 1, false, o, &workload.AllUpdates{})
+	base, err := clusterFor(SysBase, 1, false, 0, o, &workload.AllUpdates{})
 	if err != nil {
 		return rep, err
 	}
@@ -156,7 +156,7 @@ func RunRecoveryExperiment(o Options) (RecoveryReport, error) {
 // measureApplyRate commits a batch of updates on replica 0 and times
 // how fast a lagging replica 1 re-applies them during resync.
 func measureApplyRate(o Options) (float64, error) {
-	c, err := clusterFor(SysMW, 2, true, o, &workload.AllUpdates{})
+	c, err := clusterFor(SysMW, 2, true, 0, o, &workload.AllUpdates{})
 	if err != nil {
 		return 0, err
 	}

@@ -12,6 +12,7 @@ import (
 
 	"tashkent/internal/certifier"
 	"tashkent/internal/cluster"
+	"tashkent/internal/kvwire"
 	"tashkent/internal/proxy"
 	"tashkent/internal/transport"
 	"tashkent/internal/workload"
@@ -268,24 +269,6 @@ func (r *WireReport) WriteJSON(path, command string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// Wire shapes of the tashd kv/admin API (gob matches by field name).
-type wirePutReq struct {
-	Table, Key, Col string
-	Value           []byte
-}
-type wirePutResp struct{ Aborted bool }
-type wireGetReq struct{ Table, Key, Col string }
-type wireGetResp struct {
-	Value []byte
-	Found bool
-}
-type wireStatResp struct {
-	Replica     int
-	Version     uint64
-	Fingerprint uint32
-}
-type wirePullResp struct{ Version uint64 }
-
 // RunWireSmoke drives an externally launched multi-process cluster: it
 // commits update transactions round-robin across the given tashd
 // daemon addresses, reads one back from every daemon, then pulls every
@@ -307,8 +290,8 @@ func RunWireSmoke(daemons []string, o Options) error {
 	fmt.Fprintf(o.Out, "wire smoke: %d commits across %d daemons\n", commits, len(daemons))
 	for i := 0; i < commits; i++ {
 		c := clients[i%len(clients)]
-		var resp wirePutResp
-		req := wirePutReq{Table: "smoke", Key: fmt.Sprintf("k%d", i), Col: "v", Value: []byte(fmt.Sprintf("v%d", i))}
+		var resp kvwire.PutResp
+		req := kvwire.PutReq{Table: "smoke", Key: fmt.Sprintf("k%d", i), Col: "v", Value: []byte(fmt.Sprintf("v%d", i))}
 		if err := wireCall(c, "kv.put", req, &resp); err != nil {
 			return fmt.Errorf("wire smoke: put k%d via %s: %w", i, daemons[i%len(clients)], err)
 		}
@@ -319,8 +302,8 @@ func RunWireSmoke(daemons []string, o Options) error {
 
 	// Every daemon must serve a committed key (possibly after pulling).
 	for i, c := range clients {
-		var get wireGetResp
-		if err := wireCall(c, "kv.get", wireGetReq{Table: "smoke", Key: fmt.Sprintf("k%d", i%commits), Col: "v"}, &get); err != nil {
+		var get kvwire.GetResp
+		if err := wireCall(c, "kv.get", kvwire.GetReq{Table: "smoke", Key: fmt.Sprintf("k%d", i%commits), Col: "v"}, &get); err != nil {
 			return fmt.Errorf("wire smoke: get via %s: %w", daemons[i], err)
 		}
 	}
@@ -329,10 +312,10 @@ func RunWireSmoke(daemons []string, o Options) error {
 	// fingerprints at that common version.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		stats := make([]wireStatResp, len(clients))
+		stats := make([]kvwire.StatResp, len(clients))
 		same := true
 		for i, c := range clients {
-			var pull wirePullResp
+			var pull kvwire.PullResp
 			if err := wireAdmin(c, "admin.pull", &pull); err != nil {
 				return fmt.Errorf("wire smoke: pull via %s: %w", daemons[i], err)
 			}

@@ -74,6 +74,9 @@ var (
 	ErrTxKilled = errors.New("mvstore: transaction killed")
 	// ErrCrashed reports an operation against a crashed store.
 	ErrCrashed = errors.New("mvstore: database has crashed")
+	// ErrWaitInterrupted reports a WaitAnnouncedOr cut short by its
+	// caller's interrupt channel.
+	ErrWaitInterrupted = errors.New("mvstore: announce wait interrupted")
 	// ErrCommitRejected models the database unilaterally aborting a
 	// COMMIT (paper §8.1 "soft recovery": out of disk space, garbage
 	// collection, backend crash). Injected by tests via FailNextCommit.
@@ -132,8 +135,8 @@ type lockState struct {
 	waiters []lockWaiter
 }
 
-// orderWaiter is a CommitOrdered call blocked on the announce
-// semaphore.
+// orderWaiter is one WaitAnnouncedOr call (a CommitOrdered among them)
+// blocked on the announce semaphore.
 type orderWaiter struct {
 	from uint64
 	ch   chan struct{} // closed when announced >= from
@@ -677,10 +680,18 @@ func (s *Store) ConflictingActiveTxns(ws *core.Writeset, excludeTx uint64) []uin
 }
 
 // WaitAnnounced blocks until the commit-order semaphore reaches at
-// least v (or the timeout elapses, or the store crashes). The proxy
-// uses it to delay an artificially conflicting remote writeset until
-// the writeset it conflicts with has committed (paper §5.2.1).
+// least v (or the timeout elapses, or the store crashes). CommitOrdered
+// waits for its turn here, and the proxy for the versions its appliers
+// depend on (paper §5.2.1).
 func (s *Store) WaitAnnounced(v uint64, timeout time.Duration) error {
+	return s.WaitAnnouncedOr(v, timeout, nil)
+}
+
+// WaitAnnouncedOr is WaitAnnounced with a way out: a receive from
+// interrupt ends the wait with ErrWaitInterrupted. The proxy's apply
+// scheduler parks its one version waiter here and interrupts it when
+// the set of versions it watches changes.
+func (s *Store) WaitAnnouncedOr(v uint64, timeout time.Duration, interrupt <-chan struct{}) error {
 	deadline := time.Now().Add(timeout)
 	var timer *time.Timer
 	defer func() {
@@ -718,6 +729,11 @@ func (s *Store) WaitAnnounced(v uint64, timeout time.Duration) error {
 			s.removeOrderWaiterLocked(w)
 			s.orderMu.Unlock()
 			return ErrCrashed
+		case <-interrupt:
+			s.orderMu.Lock()
+			s.removeOrderWaiterLocked(w)
+			s.orderMu.Unlock()
+			return ErrWaitInterrupted
 		case <-timer.C:
 			s.orderMu.Lock()
 			s.removeOrderWaiterLocked(w)

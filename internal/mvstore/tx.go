@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tashkent/internal/core"
 )
@@ -305,57 +304,10 @@ func (tx *Tx) CommitOrdered(from, to uint64) error {
 		return ErrCrashed
 	}
 
-	s := tx.store
-	deadline := time.Now().Add(s.cfg.OrderTimeout)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		if s.crashed.Load() {
-			return ErrCrashed
-		}
-		if tx.state.Load() == txKilled {
-			return ErrTxKilled
-		}
-		s.orderMu.Lock()
-		if s.announced.Load() >= from {
-			s.orderMu.Unlock()
-			break
-		}
-		w := orderWaiter{from: from, ch: make(chan struct{})}
-		s.orderWait = append(s.orderWait, w)
-		s.orderMu.Unlock()
-		if timer == nil {
-			timer = time.NewTimer(time.Until(deadline))
-		} else {
-			timer.Reset(time.Until(deadline))
-		}
-		select {
-		case <-w.ch:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case <-s.crashCh:
-			// Crash may have swept the waiter list before we
-			// registered; without this case we would sleep out the
-			// full timeout on a dead store.
-			s.orderMu.Lock()
-			s.removeOrderWaiterLocked(w)
-			s.orderMu.Unlock()
-			return ErrCrashed
-		case <-timer.C:
-			s.orderMu.Lock()
-			s.removeOrderWaiterLocked(w)
-			s.orderMu.Unlock()
-			if s.crashed.Load() {
-				return ErrCrashed
-			}
-			return fmt.Errorf("%w: waited for version %d, announced stuck at %d",
-				ErrOrderTimeout, from, s.AnnouncedVersion())
-		}
+	// A kill or crash during the wait surfaces in applyCommit, which
+	// latches the state against both.
+	if err := tx.store.WaitAnnounced(from, tx.store.cfg.OrderTimeout); err != nil {
+		return err
 	}
 	return tx.applyCommit(to)
 }

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -70,6 +69,27 @@ func (s *sequencer) enter(epoch, seq uint64, timeout time.Duration) (uint64, err
 	deadline := time.Now().Add(timeout)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// cond.Wait has no deadline. Every state change a waiter cares about
+	// broadcasts (exit, skipTo, epoch advance), so only the deadline
+	// needs a wake-up of its own: one timer per call, armed on the first
+	// wait. It broadcasts under mu, so it cannot fire between a waiter's
+	// deadline check and its Wait.
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	wait := func() {
+		if timer == nil {
+			timer = time.AfterFunc(time.Until(deadline), func() {
+				s.mu.Lock()
+				s.cond.Broadcast()
+				s.mu.Unlock()
+			})
+		}
+		s.cond.Wait()
+	}
 	for epoch != 0 && epoch != s.epoch {
 		if epoch < s.epoch {
 			return s.gen, errEpochReset
@@ -79,14 +99,10 @@ func (s *sequencer) enter(epoch, seq uint64, timeout time.Duration) (uint64, err
 		// the new epoch's first one starts. Re-evaluate after every
 		// wakeup — the epoch may have moved again while waiting.
 		if s.active {
-			if time.Now().After(deadline) {
+			if !time.Now().Before(deadline) {
 				return s.gen, errSeqTimeout
 			}
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				s.cond.Broadcast()
-			}()
-			s.cond.Wait()
+			wait()
 			continue
 		}
 		s.epoch = epoch
@@ -105,15 +121,10 @@ func (s *sequencer) enter(epoch, seq uint64, timeout time.Duration) (uint64, err
 		if s.next > seq {
 			return gen, errStaleSeq
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return gen, errSeqTimeout
 		}
-		// cond.Wait has no deadline; poke the condition periodically.
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			s.cond.Broadcast()
-		}()
-		s.cond.Wait()
+		wait()
 	}
 	if s.gen != gen {
 		return gen, errEpochReset
@@ -165,249 +176,175 @@ func (p *Proxy) enterSeq(epoch, seq uint64) (uint64, error) {
 	return gen, err
 }
 
-// --- Serial strategy (Base and Tashkent-MW) ---
-
-// commitSerial implements steps C4/C5 of §6.2 with the serial
-// discipline: the grouped remote writesets commit first (one WAL
-// flush in Base, an in-memory action in Tashkent-MW), then the local
-// transaction commits (another flush in Base). Certification itself is
-// concurrent across client sessions; only application is serialized,
-// which is exactly what makes Base pay two unsharable fsyncs per
-// update transaction.
-func (p *Proxy) commitSerial(ctx context.Context, t *Tx, req certifier.Request) error {
-	resp, err := p.certify(ctx, t, req)
-	if err != nil {
-		return err
+// settle resolves one sequenced certifier response; it is the only
+// place a response takes its slot in the replica sequence. tx and ws
+// are what the caller still holds of the local transaction: a live
+// handle and its writeset (a client commit), the writeset alone (the
+// client abandoned the commit mid-round-trip), or neither (a pull).
+//
+// The paper's three systems differ in two policies, both chosen from
+// cfg.Mode here and nowhere else:
+//
+//   - how the remote writesets are installed: Base and Tashkent-MW
+//     (§6.2 step C4) as one merged, synchronous labeled commit inside
+//     the slot — an unsharable WAL flush in Base, a memory operation in
+//     Tashkent-MW; Tashkent-API (§5.2) as chunks handed to the
+//     dependency scheduler, the slot released before any disk work.
+//   - how the local transaction commits: Base and Tashkent-MW (C5) by
+//     CommitLabeled inside the slot, after the remote batch (Base's
+//     second unsharable flush); Tashkent-API by CommitOrdered outside
+//     it, concurrent with the chunks and sharing their fsyncs.
+//
+// It returns nil for a committed (or absent) local transaction,
+// ErrCertificationAbort for an aborted one, and any other error when
+// the response could not be applied.
+func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) error {
+	seq, cv := resp.ReplicaSeq, resp.CommitVersion
+	own := ws != nil && resp.Committed
+	abortHandle := func() {
+		if tx != nil {
+			tx.Abort()
+		}
 	}
-	gen, err := p.enterSeq(resp.SeqEpoch, resp.ReplicaSeq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, resp.ReplicaSeq)
-		// After a resync every remote writeset is applied; the local
-		// transaction's fate follows the certifier decision below, but
-		// its writes were certified against a version we have already
-		// passed, so apply-by-writeset keeps state correct.
-		if resp.Committed {
-			p.applyLocalByWriteset(t, resp.CommitVersion)
-			t.commitVersion = resp.CommitVersion
+	verdict := func() error {
+		if ws == nil || resp.Committed {
 			return nil
 		}
-		t.inner.Abort()
 		p.addStat(func(st *Stats) { st.CertAborts++ })
 		return ErrCertificationAbort
 	}
-	defer p.seq.exit(gen, resp.ReplicaSeq)
 
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
+	gen, err := p.enterSeq(resp.SeqEpoch, seq)
+	if err != nil {
+		// Broken sequence: after the resync every remote writeset is
+		// applied. The local transaction's fate still follows the
+		// certifier's decision, but it was certified against a version
+		// this replica has already passed, so it lands by writeset.
+		p.handleSeqFailure(err, gen, seq)
+		abortHandle()
+		if own && p.applyOwnCommit(ws, cv) {
+			p.advanceRV(cv)
+			p.addStat(func(st *Stats) { st.Commits++ })
+		}
+		return verdict()
+	}
+	exit := sync.OnceFunc(func() { p.seq.exit(gen, seq) })
+	defer exit()
+
+	ordered := p.cfg.Mode == TashkentAPI
+	basis := p.ReplicaVersion()
 	remotes, err := p.decodeRemotes(resp.Remote, basis)
 	if err != nil {
-		t.inner.Abort()
+		abortHandle()
 		return err
 	}
-
-	// Apply the grouped remote writesets in their own transaction.
+	// maxRemote is where the remote batch leaves the replica; top is
+	// where the whole response does.
 	maxRemote := basis
-	if len(remotes) > 0 {
-		merged := &core.Writeset{}
-		for _, r := range remotes {
-			merged.Merge(r.ws)
-			if r.version > maxRemote {
-				maxRemote = r.version
-			}
-		}
-		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
-			t.inner.Abort()
-			return err
-		}
+	if n := len(remotes); n > 0 {
+		maxRemote = remotes[n-1].Version
+	}
+	top := maxRemote
+	if own && cv > top {
+		top = cv
+	}
+	noteRemotes := func(chunks int) {
 		p.recordRemotes(remotes)
 		p.addStat(func(st *Stats) {
 			st.RemoteApplied += int64(len(remotes))
-			st.RemoteChunks++
+			st.RemoteChunks += int64(chunks)
 		})
 	}
 
-	if !resp.Committed {
-		t.inner.Abort()
-		p.advanceRV(maxRemote)
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-
-	// Commit the local transaction at its global version.
-	from := maxRemote
-	if err := t.inner.CommitLabeled(from, resp.CommitVersion); err != nil {
-		// Soft recovery (§8.1): the database refused the commit, but
-		// the transaction is globally committed — re-apply its
-		// writeset as a fresh transaction.
-		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-		if err := p.applyBatchWithRecovery(req.MustWriteset(), from, resp.CommitVersion, false); err != nil {
+	// Policy 1: install the remote writesets.
+	if ordered {
+		chunks := buildChunks(basis, p.cfg.Store.AnnouncedVersion(), remotes)
+		p.advanceRV(top)
+		if len(remotes) > 0 {
+			noteRemotes(len(chunks))
+		}
+		// Submit inside the slot: the scheduler's dependency analysis
+		// needs its windows in ascending version order.
+		p.sched.submit(chunks)
+		exit()
+	} else if len(remotes) > 0 {
+		merged := &core.Writeset{}
+		for _, r := range remotes {
+			merged.Merge(r.WS)
+		}
+		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
+			abortHandle()
 			return err
 		}
+		noteRemotes(1)
 	}
-	p.advanceRV(resp.CommitVersion)
-	t.commitVersion = resp.CommitVersion
-	p.addStat(func(st *Stats) { st.Commits++ })
-	return nil
-}
 
-// --- Ordered strategy (Tashkent-API) ---
-
-// commitOrdered implements §5.2: remote writesets and the local commit
-// are submitted to the database *concurrently*, each carrying its
-// global version range; the database groups their commit records into
-// shared fsyncs and the ordering semaphore announces them in global
-// order. Artificial conflicts split the remote writesets into chunks
-// that wait for the conflicting version to be announced first.
-func (p *Proxy) commitOrdered(ctx context.Context, t *Tx, req certifier.Request) error {
-	resp, err := p.certify(ctx, t, req)
-	if err != nil {
-		return err
+	if !own {
+		abortHandle()
+		p.advanceRV(top)
+		return verdict()
 	}
-	gen, err := p.enterSeq(resp.SeqEpoch, resp.ReplicaSeq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, resp.ReplicaSeq)
-		if resp.Committed {
-			p.applyLocalByWriteset(t, resp.CommitVersion)
-			t.commitVersion = resp.CommitVersion
-			return nil
+
+	// Policy 2: commit the local transaction at its global version.
+	from := maxRemote
+	if ordered {
+		from = cv - 1
+	}
+	var cerr error
+	if tx != nil {
+		if ordered {
+			cerr = tx.CommitOrdered(from, cv)
+		} else {
+			cerr = tx.CommitLabeled(from, cv)
 		}
-		t.inner.Abort()
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
-	remotes, err := p.decodeRemotes(resp.Remote, basis)
-	if err != nil {
-		p.seq.exit(gen, resp.ReplicaSeq)
-		t.inner.Abort()
-		return err
-	}
-	chunks := buildChunks(basis, p.cfg.Store.AnnouncedVersion(), remotes)
-
-	// Advance the planning cursor and release the sequencer: the
-	// actual disk work proceeds concurrently, ordered by the store's
-	// announce semaphore.
-	top := basis
-	for _, c := range chunks {
-		if c.to > top {
-			top = c.to
+		if cerr != nil {
+			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
 		}
 	}
-	if resp.Committed && resp.CommitVersion > top {
-		top = resp.CommitVersion
+	if tx == nil || cerr != nil {
+		// Soft recovery (§8.1): the database refused the commit (or the
+		// client took its handle away), but the transaction is globally
+		// committed — re-apply its writeset as a fresh transaction.
+		if err := p.applyBatchWithRecovery(ws, from, cv, ordered); err != nil {
+			return fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", cv, cerr, err)
+		}
 	}
 	p.advanceRV(top)
-	p.recordRemotes(remotes)
-	if n := int64(len(remotes)); n > 0 {
-		p.addStat(func(st *Stats) {
-			st.RemoteApplied += n
-			st.RemoteChunks += int64(len(chunks))
-		})
-	}
-	if p.sched != nil {
-		// Parallel applier: submit before releasing the sequencer, so
-		// scheduler windows arrive in ascending version order (the
-		// dependency analysis relies on it).
-		p.sched.submitChunks(chunks)
-		p.seq.exit(gen, resp.ReplicaSeq)
-	} else {
-		p.seq.exit(gen, resp.ReplicaSeq)
-		// Launch chunk applications concurrently.
-		for _, c := range chunks {
-			c := c
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.applyChunk(c)
-			}()
-		}
-	}
-
-	if !resp.Committed {
-		t.inner.Abort()
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-	// The local commit: concurrent with the chunks, ordered by the
-	// semaphore, groupable with everything in flight.
-	if err := t.inner.CommitOrdered(resp.CommitVersion-1, resp.CommitVersion); err != nil {
-		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-		if err2 := p.applyBatchWithRecovery(req.MustWriteset(), resp.CommitVersion-1, resp.CommitVersion, true); err2 != nil {
-			return fmt.Errorf("proxy: local commit failed (%v) and soft recovery failed: %w", err, err2)
-		}
-	}
-	t.commitVersion = resp.CommitVersion
 	p.addStat(func(st *Stats) { st.Commits++ })
 	return nil
 }
 
-// chunk is one group of remote writesets applied as a single
-// transaction covering global versions (From, To].
-type chunk struct {
-	from, to uint64
-	ws       *core.Writeset
-	// waitFor, when nonzero, is the version that must be announced
-	// before this chunk may take its locks (artificial conflict,
-	// §5.2.1).
-	waitFor uint64
-	split   bool // split caused by an artificial conflict (stats)
-}
-
-// buildChunks groups the remote writesets of one response. Writesets
-// with consecutive versions and no unresolved conflicts share a chunk
-// (one commit record, groupable); a version gap (caused by this
-// replica's own in-flight commits) or an artificial conflict starts a
-// new chunk. basis is the highest version already *scheduled* at this
-// replica; announced is the highest version already *visible*. A
-// writeset whose safe-back bound lies above announced must wait for
-// the conflicting version to commit before taking locks (§5.2.1 —
-// "the proxy delays submitting W45 until the conflicting transaction
-// T43 commits").
-func buildChunks(basis, announced uint64, remotes []appliedRemote) []chunk {
-	var out []chunk
-	var cur *chunk
+// buildChunks groups the remote writesets of one response into
+// scheduler entries, each applied as a single transaction covering
+// global versions (from, to]. Writesets with consecutive versions and
+// no unresolved conflicts share a chunk (one commit record, groupable);
+// a version gap (caused by this replica's own in-flight commits) or an
+// artificial conflict starts a new chunk. basis is the highest version
+// already *scheduled* at this replica; announced is the highest version
+// already *visible*. A writeset whose safe-back bound lies above
+// announced must wait for the conflicting version to commit before
+// taking locks (§5.2.1 — "the proxy delays submitting W45 until the
+// conflicting transaction T43 commits"): its chunk carries that version
+// as waitFor.
+func buildChunks(basis, announced uint64, remotes []RemoteEntry) []*applyEntry {
+	var out []*applyEntry
+	var cur *applyEntry
 	for i := range remotes {
 		r := &remotes[i]
-		conflict := r.safeBack > announced
-		startNew := cur == nil || r.version != cur.to+1 || conflict
-		if startNew {
-			if cur != nil {
-				out = append(out, *cur)
-			}
-			c := chunk{from: r.version - 1, to: r.version, ws: r.ws.Clone()}
-			if conflict {
-				c.waitFor = r.safeBack
-				c.split = r.safeBack > basis // a true in-window artificial conflict
-			}
-			cur = &c
+		conflict := r.SafeBack > announced
+		if cur != nil && r.Version == cur.to+1 && !conflict {
+			cur.ws.Merge(r.WS)
+			cur.to = r.Version
 			continue
 		}
-		cur.ws.Merge(r.ws)
-		cur.to = r.version
-	}
-	if cur != nil {
-		out = append(out, *cur)
+		cur = &applyEntry{from: r.Version - 1, to: r.Version, ws: r.WS.Clone()}
+		if conflict {
+			cur.waitFor = r.SafeBack
+			cur.split = r.SafeBack > basis // a true in-window artificial conflict
+		}
+		out = append(out, cur)
 	}
 	return out
-}
-
-// applyChunk applies one remote chunk with retries (soft recovery).
-func (p *Proxy) applyChunk(c chunk) {
-	if c.split {
-		p.addStat(func(st *Stats) { st.ArtificialConflicts++ })
-	}
-	if c.waitFor > 0 {
-		if err := p.cfg.Store.WaitAnnounced(c.waitFor, p.cfg.ChunkWaitTimeout); err != nil {
-			// Predecessor never announced (crash path); give up — the
-			// recovery machinery re-applies from the certifier log.
-			return
-		}
-	}
-	p.applyBatchWithRecovery(c.ws, c.from, c.to, true)
 }
 
 // applyBatchWithRecovery applies a merged writeset as one transaction,
@@ -418,7 +355,7 @@ func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, order
 	p.markInFlight(ws, true)
 	defer p.markInFlight(ws, false)
 	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
+	for attempt := 0; attempt < maxInstallAttempts; attempt++ {
 		if attempt > 0 {
 			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
 			// Let predecessors finish so conflicting locks drain.
@@ -449,38 +386,31 @@ func (p *Proxy) applyBatchOnce(ws *core.Writeset, from, to uint64, ordered bool)
 		p.cfg.Store.SetAnnounced(to)
 		return nil
 	}
+	return p.applyOnce(ws, func(tx *mvstore.Tx) error {
+		if ordered {
+			return tx.CommitOrdered(from, to)
+		}
+		return tx.CommitLabeled(from, to)
+	})
+}
+
+// applyOnce is one attempt at installing committed global state: a
+// fresh applier transaction takes ws's locks and finishes through
+// commit. On error nothing was committed and the caller may retry.
+func (p *Proxy) applyOnce(ws *core.Writeset, commit func(*mvstore.Tx) error) error {
 	tx, err := p.cfg.Store.Begin()
 	if err != nil {
 		return err
 	}
 	p.markApplier(tx.ID(), true)
 	defer p.markApplier(tx.ID(), false)
-	if err := tx.ApplyWriteset(ws); err != nil {
-		tx.Abort()
-		return err
-	}
-	if ordered {
-		err = tx.CommitOrdered(from, to)
-	} else {
-		err = tx.CommitLabeled(from, to)
+	if err = tx.ApplyWriteset(ws); err == nil {
+		err = commit(tx)
 	}
 	if err != nil {
 		tx.Abort()
-		return err
 	}
-	return nil
-}
-
-// applyLocalByWriteset commits a certified local transaction by
-// re-applying its writeset (used on the degraded post-resync path
-// where the original handle cannot follow the normal pipeline).
-func (p *Proxy) applyLocalByWriteset(t *Tx, commitVersion uint64) {
-	ws := t.inner.Writeset().Clone()
-	t.inner.Abort()
-	if p.applyOwnCommit(ws, commitVersion) {
-		p.advanceRV(commitVersion)
-		p.addStat(func(st *Stats) { st.Commits++ })
-	}
+	return err
 }
 
 // applyOwnCommit installs a certified local writeset on the degraded
@@ -523,71 +453,6 @@ func (p *Proxy) applyOwnCommit(ws *core.Writeset, commitVersion uint64) bool {
 	return false
 }
 
-// finishDetached resolves a certification response whose client
-// abandoned the commit (context cancellation mid-round-trip): it takes
-// the response's slot in the replica sequence, applies the grouped
-// remote writesets, and — if the certifier committed the transaction —
-// re-applies the local writeset from its encoded form, exactly like
-// the soft-recovery path. Serial labeled application is used in every
-// mode; this is the degraded path, correctness over pipelining.
-func (p *Proxy) finishDetached(resp certifier.Response, ws *core.Writeset) {
-	gen, err := p.enterSeq(resp.SeqEpoch, resp.ReplicaSeq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, resp.ReplicaSeq)
-		if resp.Committed {
-			if p.applyOwnCommit(ws, resp.CommitVersion) {
-				p.advanceRV(resp.CommitVersion)
-				p.addStat(func(st *Stats) { st.Commits++ })
-			}
-		} else {
-			p.addStat(func(st *Stats) { st.CertAborts++ })
-		}
-		return
-	}
-	defer p.seq.exit(gen, resp.ReplicaSeq)
-
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
-	remotes, err := p.decodeRemotes(resp.Remote, basis)
-	if err != nil {
-		// Nobody observes a detached failure: resync (IncludeOwn) or
-		// this replica permanently loses the response's writesets.
-		p.Resync()
-		return
-	}
-	maxRemote := basis
-	if len(remotes) > 0 {
-		merged := &core.Writeset{}
-		for _, r := range remotes {
-			merged.Merge(r.ws)
-			if r.version > maxRemote {
-				maxRemote = r.version
-			}
-		}
-		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
-			p.Resync()
-			return
-		}
-		p.recordRemotes(remotes)
-		p.addStat(func(st *Stats) {
-			st.RemoteApplied += int64(len(remotes))
-			st.RemoteChunks++
-		})
-	}
-	if !resp.Committed {
-		p.advanceRV(maxRemote)
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return
-	}
-	if err := p.applyBatchWithRecovery(ws, maxRemote, resp.CommitVersion, false); err != nil {
-		p.Resync()
-		return
-	}
-	p.advanceRV(resp.CommitVersion)
-	p.addStat(func(st *Stats) { st.Commits++ })
-}
-
 // SetReplicaVersion initializes the planning cursor after recovery
 // (the database state already covers versions up to v).
 func (p *Proxy) SetReplicaVersion(v uint64) { p.advanceRV(v) }
@@ -615,15 +480,13 @@ func (p *Proxy) handleSeqFailure(cause error, gen, seq uint64) {
 	if errors.Is(cause, errStaleSeq) {
 		return // slot skipped by a resync; that resync already applied the state
 	}
-	if errors.Is(cause, errEpochReset) {
-		// The response's remote writesets belong to a superseded
-		// numbering and nothing else will apply them: pull the gap from
-		// the new leader before the caller applies its own writeset and
-		// announces past the hole.
-		p.Resync()
-		return
+	// An epoch reset leaves the cursor to the new numbering; either way
+	// nothing else will apply the response's remote writesets, so pull
+	// the gap before the caller applies its own writeset and announces
+	// past the hole.
+	if !errors.Is(cause, errEpochReset) {
+		p.seq.skipTo(gen, seq+1)
 	}
-	p.seq.skipTo(gen, seq+1)
 	p.Resync()
 }
 
@@ -643,13 +506,11 @@ func (p *Proxy) Resync() error {
 		return p.resyncPartitioned()
 	}
 	p.addStat(func(st *Stats) { st.Resyncs++ })
-	if p.sched != nil {
-		// Withdraw installed-but-unpublished commits first: stuck
-		// pendings hold row locks without a timeout, and this serial
-		// catch-up needs those rows. Their ranges lie above the
-		// announce cursor, so the pull below re-fetches them.
-		p.cfg.Store.CancelPendings()
-	}
+	// Withdraw installed-but-unpublished commits first: stuck pendings
+	// hold row locks without a timeout, and this serial catch-up needs
+	// those rows. Their ranges lie above the announce cursor, so the
+	// pull below re-fetches them.
+	p.cfg.Store.CancelPendings()
 	basis := p.cfg.Store.AnnouncedVersion()
 	resp, err := p.cfg.Cert.Pull(certifier.PullRequest{
 		Origin:         p.cfg.ReplicaID,
@@ -675,73 +536,15 @@ func (p *Proxy) Resync() error {
 	}
 	cur := basis
 	for _, r := range remotes {
-		if err := p.applyBatchWithRecovery(r.ws, cur, r.version, false); err != nil {
+		if err := p.applyBatchWithRecovery(r.WS, cur, r.Version, false); err != nil {
 			return err
 		}
-		cur = r.version
+		cur = r.Version
 		p.addStat(func(st *Stats) { st.RemoteApplied++ })
 	}
 	// The announce semaphore advanced with each applied entry; never
 	// jump it past versions that were not applied here.
 	p.advanceRV(cur)
 	p.recordRemotes(remotes)
-	return nil
-}
-
-// applyResponse is the sequenced application path shared by PullOnce.
-func (p *Proxy) applyResponse(epoch, seq uint64, remote []certifier.RemoteWS) error {
-	gen, err := p.enterSeq(epoch, seq)
-	if err != nil {
-		p.handleSeqFailure(err, gen, seq)
-		return nil
-	}
-	defer p.seq.exit(gen, seq)
-	p.mu.Lock()
-	basis := p.rvPlanned
-	p.mu.Unlock()
-	remotes, err := p.decodeRemotes(remote, basis)
-	if err != nil {
-		return err
-	}
-	if len(remotes) == 0 {
-		return nil
-	}
-	maxRemote := basis
-	if p.cfg.Mode == TashkentAPI {
-		chunks := buildChunks(basis, p.cfg.Store.AnnouncedVersion(), remotes)
-		for _, c := range chunks {
-			if c.to > maxRemote {
-				maxRemote = c.to
-			}
-		}
-		p.advanceRV(maxRemote)
-		p.recordRemotes(remotes)
-		if p.sched != nil {
-			p.sched.submitChunks(chunks) // still inside the sequencer slot
-			return nil
-		}
-		for _, c := range chunks {
-			c := c
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.applyChunk(c)
-			}()
-		}
-		return nil
-	}
-	merged := &core.Writeset{}
-	for _, r := range remotes {
-		merged.Merge(r.ws)
-		if r.version > maxRemote {
-			maxRemote = r.version
-		}
-	}
-	if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
-		return err
-	}
-	p.advanceRV(maxRemote)
-	p.recordRemotes(remotes)
-	p.addStat(func(st *Stats) { st.RemoteApplied += int64(len(remotes)); st.RemoteChunks++ })
 	return nil
 }

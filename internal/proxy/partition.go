@@ -20,13 +20,14 @@ import (
 // group; a cross-partition writeset runs the prepare/resolve protocol
 // across its groups. All application goes through one merger
 // goroutine that interleaves the per-group committed streams into the
-// deterministic merged order and is the replica's only announcer, so
-// every replica installs the same state at the same merged version.
+// deterministic merged order and feeds it to the dependency scheduler,
+// which publishes in that order, so every replica installs the same
+// state at the same merged version.
 //
 // The per-replica response sequencer, local certification and the
 // safe-back machinery are not used in partitioned mode: entries are
-// addressed by (group, index), the assembler deduplicates and orders
-// them, and application is serial in merged order.
+// addressed by (group, index) and the assembler deduplicates and orders
+// them.
 
 // waitKey addresses a single-partition own commit: the entry's group
 // and log index.
@@ -134,8 +135,8 @@ func (p *Proxy) ingest(g int, remote []certifier.RemoteWS) {
 	}
 }
 
-// mergerLoop is the replica's single applier in partitioned mode: it
-// drains ready actions from the assembler and installs them in merged
+// mergerLoop is the replica's single submitter in partitioned mode: it
+// drains ready actions from the assembler and schedules them in merged
 // order. When the merge stalls it pulls every group at or behind the
 // blocked position — and if the blocking group's log is genuinely
 // shorter than the needed index, asks its leader to fill (idle
@@ -406,75 +407,15 @@ func (p *Proxy) afterApply(act partition.Action, viaHandle bool) *ownWait {
 	return late
 }
 
-// applyActions installs a drained run of merged actions. Runs of
-// remote entries coalesce into one labeled commit (one store
-// transaction, one announce jump) — per-entry commits would pay one
-// fsync each in Base mode and one lock round trip each everywhere.
-// Own commits with a registered waiter commit through the waiting
-// handle. Returns false when the store crashed.
-func (p *Proxy) applyActions(acts []partition.Action) bool {
-	if p.sched != nil {
-		return p.applyActionsAsync(acts)
-	}
-	i := 0
-	for i < len(acts) {
-		act := acts[i]
-		if w := p.takeWaiter(act); w != nil {
-			if !p.applyOwn(act, w) {
-				return false
-			}
-			i++
-			continue
-		}
-		// Coalesce forward: everything until the next own-waiter entry.
-		j := i
-		merged := &core.Writeset{}
-		applied := 0
-		for j < len(acts) {
-			a := acts[j]
-			if p.hasWaiter(a) {
-				break
-			}
-			if a.WS != nil {
-				merged.Merge(a.WS)
-				applied++
-			}
-			j++
-		}
-		if j == i {
-			// A waiter registered between takeWaiter and hasWaiter;
-			// retry this action through the waiter path.
-			continue
-		}
-		from, to := acts[i].MV-1, acts[j-1].MV
-		if !p.applyMergedRange(merged, from, to) {
-			return false
-		}
-		for k := i; k < j; k++ {
-			a := acts[k]
-			if late := p.afterApply(a, false); late != nil {
-				late.ch <- ownDone{mv: a.MV, viaHandle: false}
-			}
-			if a.WS != nil && a.Origin != p.cfg.ReplicaID {
-				p.addStat(func(st *Stats) { st.RemoteApplied++ })
-			}
-		}
-		i = j
-	}
-	return true
-}
-
-// applyActionsAsync hands the drained run to the parallel applier:
-// each non-empty action becomes one scheduler entry (so disjoint
-// merged commits install concurrently instead of single-file), runs
-// of empty actions coalesce into hollow announce entries, and own
-// commits with a registered waiter still commit through the waiting
-// handle — after every previously submitted entry has published, so
-// the handle's synchronous labeled commit cannot announce past
-// installed-but-unpublished predecessors and discard them. The
+// applyActions hands a drained run of merged actions to the scheduler:
+// each non-empty action becomes one entry (so disjoint merged commits
+// install concurrently instead of single-file), runs of empty actions
+// coalesce into hollow announce entries, and own commits with a
+// registered waiter commit through the waiting handle (applyOwn). The
 // per-entry completion callback performs the merger's vector/waiter
-// bookkeeping at publication time.
-func (p *Proxy) applyActionsAsync(acts []partition.Action) bool {
+// bookkeeping at publication time. Returns false when the store
+// crashed.
+func (p *Proxy) applyActions(acts []partition.Action) bool {
 	var batch []*applyEntry
 	mkDone := func(run []partition.Action) func(bool) {
 		return func(applied bool) {
@@ -496,7 +437,7 @@ func (p *Proxy) applyActionsAsync(acts []partition.Action) bool {
 		if w := p.takeWaiter(act); w != nil {
 			p.sched.submit(batch)
 			batch, hollowRun = nil, nil
-			if !p.applyOwnAsync(act, w) {
+			if !p.applyOwn(act, w) {
 				return false
 			}
 			continue
@@ -521,34 +462,7 @@ func (p *Proxy) applyActionsAsync(acts []partition.Action) bool {
 		})
 	}
 	p.sched.submit(batch)
-	return !p.sched.dead()
-}
-
-// applyOwnAsync waits for every submitted predecessor entry to publish
-// before committing a waiting client transaction through its handle
-// (see applyActionsAsync). The merger submits in merged order, so once
-// act.MV-1 is announced no unpublished pending can exist below the
-// commit's range.
-func (p *Proxy) applyOwnAsync(act partition.Action, w *ownWait) bool {
-	for {
-		err := p.cfg.Store.WaitAnnounced(act.MV-1, p.cfg.ChunkWaitTimeout)
-		if err == nil {
-			return p.applyOwn(act, w)
-		}
-		if errors.Is(err, mvstore.ErrCrashed) {
-			w.ch <- ownDone{mv: act.MV, viaHandle: false}
-			return false
-		}
-		select {
-		case <-p.stopCh:
-			w.ch <- ownDone{mv: act.MV, viaHandle: false}
-			return false
-		default:
-			// Like applyMergedRange, the merged stream is ground truth:
-			// keep waiting (a resync or superseded drain will move the
-			// cursor) until the store crashes or the proxy stops.
-		}
-	}
+	return !p.sched.storeDead.Load()
 }
 
 // applyMergedRange installs one coalesced writeset covering merged
@@ -572,38 +486,39 @@ func (p *Proxy) applyMergedRange(ws *core.Writeset, from, to uint64) bool {
 	}
 }
 
-// hasWaiter reports whether an own-commit waiter is registered for
-// act (used while composing coalesced runs).
-func (p *Proxy) hasWaiter(act partition.Action) bool {
-	ps := p.part
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if act.GID != 0 {
-		_, ok := ps.gidWaiters[act.GID]
-		return ok
-	}
-	_, ok := ps.waiters[waitKey{act.Group, act.Index}]
-	return ok
-}
-
 // applyOwn commits a waiting client transaction at its merged
 // position, through its own handle when possible (no re-execution),
-// falling back to apply-by-writeset when the handle was killed.
+// falling back to apply-by-writeset when the handle was killed. It
+// first waits for every previously submitted entry to publish — the
+// merger submits in merged order, so once act.MV-1 is announced no
+// unpublished pending exists below the commit's range for the handle's
+// synchronous labeled commit to announce past and discard. On a store
+// crash or shutdown the waiter is released (the outcome resolves at
+// recovery) and false returned.
 func (p *Proxy) applyOwn(act partition.Action, w *ownWait) bool {
 	from, to := act.MV-1, act.MV
-	viaHandle := true
-	if err := w.tx.CommitLabeled(from, to); err != nil {
-		viaHandle = false
+	// The merged stream is ground truth: a wait that merely times out
+	// is repeated (a resync or superseded drain will move the cursor).
+	for {
+		err := p.cfg.Store.WaitAnnouncedOr(from, p.cfg.ChunkWaitTimeout, p.stopCh)
+		if err == nil {
+			break
+		}
+		if errors.Is(err, mvstore.ErrCrashed) || errors.Is(err, mvstore.ErrWaitInterrupted) {
+			w.ch <- ownDone{mv: act.MV, viaHandle: false}
+			return false
+		}
+	}
+	cerr := w.tx.CommitLabeled(from, to)
+	if cerr != nil {
 		if !p.applyMergedRange(w.ws, from, to) {
-			// Store crashed mid-commit; release the waiter so the
-			// client unblocks (outcome resolves at recovery).
 			w.ch <- ownDone{mv: act.MV, viaHandle: false}
 			return false
 		}
 		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
 	}
 	p.afterApply(act, true)
-	w.ch <- ownDone{mv: act.MV, viaHandle: viaHandle}
+	w.ch <- ownDone{mv: act.MV, viaHandle: cerr == nil}
 	return true
 }
 
@@ -626,15 +541,6 @@ func (p *Proxy) waitOwn(t *Tx, register func() (uint64, bool, *ownWait)) (uint64
 	case <-time.After(30 * time.Second):
 		return 0, fmt.Errorf("proxy: merged apply of own commit timed out")
 	}
-}
-
-// commitPartitioned is the partitioned-mode commit strategy.
-func (p *Proxy) commitPartitioned(ctx context.Context, t *Tx, ws *core.Writeset) error {
-	parts := p.part.topo.Map.Split(ws)
-	if len(parts) == 1 {
-		return p.commitSinglePartition(ctx, t, ws, parts[0].PID)
-	}
-	return p.commitCrossPartition(ctx, t, ws, parts)
 }
 
 // commitSinglePartition is the fast path: one certification round
@@ -857,9 +763,7 @@ func (p *Proxy) pullOncePartitioned() error {
 // reaches the pre-crash base.
 func (p *Proxy) resyncPartitioned() error {
 	p.addStat(func(st *Stats) { st.Resyncs++ })
-	if p.sched != nil {
-		p.cfg.Store.CancelPendings() // see Resync
-	}
+	p.cfg.Store.CancelPendings() // see Resync
 	base := p.cfg.Store.AnnouncedVersion()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -882,14 +786,4 @@ func (p *Proxy) resyncPartitioned() error {
 		case <-time.After(time.Millisecond):
 		}
 	}
-}
-
-// MergedApplied returns the merged-order cursor (partitioned mode).
-func (p *Proxy) MergedApplied() uint64 {
-	if p.part == nil {
-		return 0
-	}
-	p.part.mu.Lock()
-	defer p.part.mu.Unlock()
-	return p.part.mergedApplied
 }

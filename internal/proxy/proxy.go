@@ -18,6 +18,9 @@
 //     (§5.2.1) are detected via the certifier's safe-back annotations
 //     and force partial serialization.
 //
+// The three are one pipeline; Proxy.settle picks the two policies in
+// which they differ.
+//
 // The proxy also implements the paper's optimizations: local
 // certification (§6.2), eager pre-certification for deadlock avoidance
 // (§8.2), staleness bounding (§6.2), and soft recovery (§8.1).
@@ -141,12 +144,12 @@ type Config struct {
 	SeqObserver func(epoch, seq uint64, outcome string)
 	// ChunkWaitTimeout bounds artificial-conflict waits (0 = 5 s).
 	ChunkWaitTimeout time.Duration
-	// ApplyWorkers, when > 1, enables the dependency-tracked parallel
-	// applier (see schedule.go): labeled remote writesets are
+	// ApplyWorkers is the pool size of the dependency-tracked applier
+	// (see schedule.go), 0 = 8: labeled remote writesets are
 	// conflict-analyzed per store stripe, installed concurrently by
-	// this many workers, and published strictly in global order.
-	// Effective in Tashkent-API and partitioned modes; Base and
-	// Tashkent-MW keep the paper's serial apply discipline.
+	// this many workers (one is the serial gate) and published strictly
+	// in global order. Classic Base and Tashkent-MW install their remote
+	// batches synchronously (see settle) and leave the pool idle.
 	ApplyWorkers int
 	// Parts, when set, switches the proxy to partitioned certification
 	// (see internal/partition): commits route by partition across the
@@ -163,7 +166,6 @@ type Proxy struct {
 	mu         sync.Mutex
 	rvPlanned  uint64 // highest global version scheduled for application
 	lastRemote time.Time
-	committing map[uint64]struct{} // store tx ids in their commit phase
 	stats      Stats
 	closed     bool
 
@@ -187,7 +189,8 @@ type Proxy struct {
 	// part is the partitioned-certification state (nil in classic mode).
 	part *partState
 
-	// sched is the parallel applier (nil = serial legacy path).
+	// sched is the dependency scheduler, the only applier of labeled
+	// remote writesets outside the synchronous catch-up paths.
 	sched *applyScheduler
 
 	stopCh chan struct{}
@@ -202,6 +205,11 @@ type remoteRecord struct {
 // maxRecent bounds the proxy log used for local certification.
 const maxRecent = 4096
 
+// defaultApplyWorkers is the scheduler's pool size when
+// Config.ApplyWorkers is 0. Not 1: Tashkent-API groups remote commit
+// records into shared fsyncs only if several installs are in flight.
+const defaultApplyWorkers = 8
+
 // New creates a proxy and starts its staleness-bounding loop.
 func New(cfg Config) *Proxy {
 	if cfg.SeqTimeout == 0 {
@@ -213,15 +221,16 @@ func New(cfg Config) *Proxy {
 	p := &Proxy{
 		cfg:           cfg,
 		seq:           newSequencer(),
-		committing:    make(map[uint64]struct{}),
 		inFlightItems: make(map[core.ItemID]int),
 		applierTxs:    make(map[uint64]struct{}),
 		lastRemote:    time.Now(),
 		stopCh:        make(chan struct{}),
 	}
-	if cfg.ApplyWorkers > 1 && (cfg.Mode == TashkentAPI || cfg.Parts != nil) {
-		p.sched = newApplyScheduler(p, cfg.ApplyWorkers)
+	workers := cfg.ApplyWorkers
+	if workers <= 0 {
+		workers = defaultApplyWorkers
 	}
+	p.sched = newApplyScheduler(p, workers)
 	if cfg.Parts != nil {
 		p.part = newPartState(cfg.Parts)
 		p.wg.Add(1)
@@ -244,10 +253,10 @@ func (p *Proxy) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	close(p.stopCh)
-	if p.sched != nil {
-		p.sched.stop()
-	}
+	// Submitters first: a detached finisher may be waiting on a version
+	// that is still in the scheduler's window.
 	p.wg.Wait()
+	p.sched.stop()
 }
 
 // Stats returns a snapshot of the proxy counters.
@@ -383,9 +392,8 @@ func (t *Tx) Abort() error {
 	return t.inner.Abort()
 }
 
-// Commit intercepts COMMIT with background context.
-//
-// Deprecated: use CommitCtx, which supports cancellation.
+// Commit is CommitCtx without cancellation — the workload.PlainTx
+// shape the benchmark and the harness drive replicas through.
 func (t *Tx) Commit() error { return t.CommitCtx(context.Background()) }
 
 // CommitCtx intercepts COMMIT (paper §6.2 step C): read-only
@@ -417,9 +425,7 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 			return err
 		}
 		t.commitVersion = t.observed
-		p.mu.Lock()
-		p.stats.ReadOnlyCommits++
-		p.mu.Unlock()
+		p.addStat(func(st *Stats) { st.ReadOnlyCommits++ })
 		return nil
 	}
 
@@ -427,18 +433,18 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 		// Partitioned mode: route by partition. Local certification and
 		// the response sequencer do not apply — entries are addressed by
 		// (group, index) and ordered by the deterministic merge.
-		p.markCommitting(t.inner.ID(), true)
-		defer p.markCommitting(t.inner.ID(), false)
-		return p.commitPartitioned(ctx, t, ws)
+		parts := p.part.topo.Map.Split(ws)
+		if len(parts) == 1 {
+			return p.commitSinglePartition(ctx, t, ws, parts[0].PID)
+		}
+		return p.commitCrossPartition(ctx, t, ws, parts)
 	}
 
 	// Local certification (§6.2): a conflict with an already-received
 	// remote writeset aborts without bothering the certifier.
 	if p.cfg.LocalCertification && p.localConflict(ws, t.start) {
 		t.inner.Abort()
-		p.mu.Lock()
-		p.stats.LocalCertAborts++
-		p.mu.Unlock()
+		p.addStat(func(st *Stats) { st.LocalCertAborts++ })
 		return fmt.Errorf("%w (local certification)", ErrCertificationAbort)
 	}
 
@@ -450,18 +456,15 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 		NeedSafeBack:   p.cfg.Mode == TashkentAPI,
 		Deadline:       deadlineNano(ctx),
 	}
-	p.markCommitting(t.inner.ID(), true)
-	defer p.markCommitting(t.inner.ID(), false)
-
-	switch p.cfg.Mode {
-	case Base, TashkentMW:
-		return p.commitSerial(ctx, t, req)
-	case TashkentAPI:
-		return p.commitOrdered(ctx, t, req)
-	default:
-		t.inner.Abort()
-		return fmt.Errorf("proxy: invalid mode %d", p.cfg.Mode)
+	resp, err := p.certify(ctx, t, req)
+	if err != nil {
+		return err
 	}
+	if err := p.settle(resp, t.inner, ws); err != nil {
+		return err
+	}
+	t.commitVersion = resp.CommitVersion
+	return nil
 }
 
 // certifyGrace is how far past the caller's deadline the detached
@@ -511,7 +514,7 @@ func (p *Proxy) certify(ctx context.Context, t *Tx, req certifier.Request) (cert
 		}
 		return o.resp, nil
 	case <-ctx.Done():
-		ws := req.MustWriteset()
+		ws := t.inner.Writeset()
 		t.inner.Abort()
 		// Register the finisher under p.mu so it cannot race Close's
 		// wg.Wait (wg.Add concurrent with Wait is WaitGroup misuse).
@@ -526,24 +529,17 @@ func (p *Proxy) certify(ctx context.Context, t *Tx, req certifier.Request) (cert
 		go func() {
 			defer p.wg.Done()
 			o := <-ch
-			if o.err == nil {
-				p.finishDetached(o.resp, ws)
+			if o.err != nil {
+				return
+			}
+			// Nobody observes a detached failure: resync (IncludeOwn) or
+			// this replica permanently loses the response's writesets.
+			if err := p.settle(o.resp, nil, ws); err != nil && !errors.Is(err, ErrCertificationAbort) {
+				p.Resync()
 			}
 		}()
 		return certifier.Response{}, ctx.Err()
 	}
-}
-
-// markCommitting tracks transactions in their commit phase so eager
-// pre-certification never kills a transaction that already certified.
-func (p *Proxy) markCommitting(id uint64, on bool) {
-	p.mu.Lock()
-	if on {
-		p.committing[id] = struct{}{}
-	} else {
-		delete(p.committing, id)
-	}
-	p.mu.Unlock()
 }
 
 // localConflict checks ws against remote writesets received with
@@ -571,13 +567,13 @@ func (p *Proxy) localConflict(ws *core.Writeset, start uint64) bool {
 }
 
 // recordRemotes adds applied remote writesets to the proxy log.
-func (p *Proxy) recordRemotes(remotes []appliedRemote) {
+func (p *Proxy) recordRemotes(remotes []RemoteEntry) {
 	if len(remotes) == 0 {
 		return
 	}
 	p.logMu.Lock()
 	for _, r := range remotes {
-		p.recent = append(p.recent, remoteRecord{version: r.version, items: r.ws.Items()})
+		p.recent = append(p.recent, remoteRecord{version: r.Version, items: r.WS.Items()})
 	}
 	if over := len(p.recent) - maxRecent; over > 0 {
 		p.recent = append([]remoteRecord(nil), p.recent[over:]...)
@@ -588,16 +584,10 @@ func (p *Proxy) recordRemotes(remotes []appliedRemote) {
 	p.mu.Unlock()
 }
 
-type appliedRemote struct {
-	version  uint64
-	safeBack uint64
-	ws       *core.Writeset
-}
-
 // decodeRemotes parses and filters the response's remote writesets to
 // those above the replica's planned version.
-func (p *Proxy) decodeRemotes(remote []certifier.RemoteWS, above uint64) ([]appliedRemote, error) {
-	out := make([]appliedRemote, 0, len(remote))
+func (p *Proxy) decodeRemotes(remote []certifier.RemoteWS, above uint64) ([]RemoteEntry, error) {
+	out := make([]RemoteEntry, 0, len(remote))
 	for _, r := range remote {
 		if r.Version <= above {
 			continue
@@ -606,14 +596,14 @@ func (p *Proxy) decodeRemotes(remote []certifier.RemoteWS, above uint64) ([]appl
 		if err != nil {
 			return nil, fmt.Errorf("proxy: corrupt remote writeset v%d: %w", r.Version, err)
 		}
-		out = append(out, appliedRemote{version: r.Version, safeBack: r.SafeBack, ws: ws})
+		out = append(out, RemoteEntry{Version: r.Version, SafeBack: r.SafeBack, WS: ws})
 	}
 	return out, nil
 }
 
 // remoteInFlightConflicts reports whether an item collides with a
-// remote writeset currently being applied (set by the chunk/batch
-// appliers).
+// remote writeset currently being applied (set by the scheduler and the
+// synchronous batch applier).
 func (p *Proxy) remoteInFlightConflicts(item core.ItemID) bool {
 	p.logMu.Lock()
 	defer p.logMu.Unlock()
@@ -722,8 +712,6 @@ func (p *Proxy) PullOnce() error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	p.stats.StalenessPulls++
-	p.mu.Unlock()
-	return p.applyResponse(resp.SeqEpoch, resp.ReplicaSeq, resp.Remote)
+	p.addStat(func(st *Stats) { st.StalenessPulls++ })
+	return p.settle(certifier.Response{SeqEpoch: resp.SeqEpoch, ReplicaSeq: resp.ReplicaSeq, Remote: resp.Remote}, nil, nil)
 }

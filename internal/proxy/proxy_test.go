@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -420,7 +421,7 @@ func TestConcurrentLoadConverges(t *testing.T) {
 				}
 			}
 			waitConverged(t, r, final)
-			// Quiesce in-flight chunk goroutines.
+			// Quiesce in-flight chunk installs.
 			time.Sleep(50 * time.Millisecond)
 			fp := r.stores[0].Fingerprint()
 			for i, s := range r.stores[1:] {
@@ -490,27 +491,27 @@ func TestResyncAfterGap(t *testing.T) {
 }
 
 func TestBuildChunks(t *testing.T) {
-	mk := func(v, safe uint64) appliedRemote {
-		return appliedRemote{version: v, safeBack: safe,
-			ws: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
+	mk := func(v, safe uint64) RemoteEntry {
+		return RemoteEntry{Version: v, SafeBack: safe,
+			WS: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
 	}
 	// Dense, no conflicts: one chunk.
-	chunks := buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(6, 2), mk(7, 4)})
+	chunks := buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(6, 2), mk(7, 4)})
 	if len(chunks) != 1 || chunks[0].from != 4 || chunks[0].to != 7 || chunks[0].waitFor != 0 {
 		t.Errorf("dense chunks = %+v", chunks)
 	}
 	// Gap at 7 splits.
-	chunks = buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(6, 0), mk(8, 0)})
+	chunks = buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(6, 0), mk(8, 0)})
 	if len(chunks) != 2 || chunks[1].from != 7 || chunks[1].to != 8 {
 		t.Errorf("gap chunks = %+v", chunks)
 	}
 	// Conflict at v7 (safeBack 6 > announced 4) splits with a wait.
-	chunks = buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(6, 0), mk(7, 6)})
+	chunks = buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(6, 0), mk(7, 6)})
 	if len(chunks) != 2 || chunks[1].waitFor != 6 || !chunks[1].split {
 		t.Errorf("conflict chunks = %+v", chunks)
 	}
 	// Conflict below announced needs no wait.
-	chunks = buildChunks(6, 6, []appliedRemote{mk(7, 5), mk(8, 5)})
+	chunks = buildChunks(6, 6, []RemoteEntry{mk(7, 5), mk(8, 5)})
 	if len(chunks) != 1 || chunks[0].waitFor != 0 {
 		t.Errorf("resolved-conflict chunks = %+v", chunks)
 	}
@@ -587,6 +588,38 @@ func TestSequencerTimeoutAndStale(t *testing.T) {
 		t.Errorf("enter(6): %v", err)
 	}
 	s.exit(gen, 6)
+}
+
+func TestSequencerWaiterSpawnsNoPollers(t *testing.T) {
+	// A blocked waiter is woken by state changes and by one deadline
+	// timer — not by goroutines poking the condition every 10 ms.
+	s := newSequencer()
+	gen, err := s.enter(0, 1, time.Second) // anchor
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.exit(gen, 1)
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := s.enter(0, 5, 200*time.Millisecond)
+		done <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	if got := runtime.NumGoroutine(); got > before+1 {
+		t.Errorf("%d goroutines while one waiter is blocked, want %d", got, before+1)
+	}
+	if err := <-done; !errors.Is(err, errSeqTimeout) {
+		t.Errorf("gap enter err = %v, want errSeqTimeout", err)
+	}
+	if d := time.Since(start); d < 200*time.Millisecond || d > 400*time.Millisecond {
+		t.Errorf("waiter returned after %v, want its 200 ms deadline", d)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Errorf("%d goroutines after the waiter returned, want %d", got, before)
+	}
 }
 
 func TestSequencerEpochReset(t *testing.T) {

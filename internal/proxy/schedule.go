@@ -1,10 +1,12 @@
 package proxy
 
-// Dependency-tracked parallel applier. The serial apply discipline —
-// one labeled commit at a time through the store's order semaphore —
-// made the replica's apply path the freshness bottleneck once
-// partitioned certification multiplied the commit rate. The scheduler
-// converts it into a pipeline: labeled remote writesets are
+// Dependency-tracked applier: the one path by which labeled remote
+// writesets reach the store in steady state (Tashkent-API chunks, the
+// partitioned merged stream, ApplyRemoteEntries). One labeled commit at
+// a time through the store's order semaphore made the replica's apply
+// path the freshness bottleneck once partitioned certification
+// multiplied the commit rate; that discipline is now the pool size 1.
+// The scheduler is a pipeline: labeled remote writesets are
 // conflict-analyzed against the live window using stripe signatures
 // (mvstore.StripeSig — key-set overlap summarized per store stripe),
 // non-overlapping writesets are *installed* concurrently by a worker
@@ -22,6 +24,15 @@ package proxy
 // fully in the chain with its real sequence. Signature intersection
 // over-approximates key overlap (hash collisions serialize harmlessly).
 //
+// Readiness rule: an entry is dispatched to a worker only when it has
+// no unpublished dependency *and* the store has announced its waitFor
+// version. Workers therefore never block on a version: a pool parked
+// in version waits while the entry they wait for sits runnable with
+// nobody to run it is a deadlock, not a slowdown. Versions announced by
+// the scheduler's own entries re-evaluate readiness in resolve; the
+// ones announced by other code (a client's CommitOrdered, a resync)
+// reach it through the single version waiter in watch.
+//
 // Submissions must arrive in ascending version order — the response
 // sequencer (classic mode) and the single merger goroutine
 // (partitioned mode) both guarantee it — so "submitted before" and
@@ -33,6 +44,7 @@ package proxy
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tashkent/internal/core"
@@ -42,10 +54,9 @@ import (
 
 // Entry lifecycle.
 const (
-	entryWaiting   = iota // in window, deps unresolved or no worker yet
-	entryRunning          // a worker is installing it
-	entryInstalled        // installed, awaiting its publication turn
-	entryDone             // published / superseded / given up
+	entryWaiting = iota // in window: not ready, or ready with no worker yet
+	entryRunning        // a worker is installing it
+	entryDone           // published / superseded / given up
 )
 
 // applyEntry is one labeled writeset in the scheduler's window,
@@ -53,15 +64,23 @@ const (
 type applyEntry struct {
 	from, to uint64
 	ws       *core.Writeset
-	// waitFor delays the install until that version is announced
-	// (artificial conflict, §5.2.1).
-	waitFor uint64
-	split   bool
-	sig     mvstore.StripeSig
-	deps    int // unpublished predecessors with intersecting signatures
-	succs   []*applyEntry
-	state   int
-	start   time.Time
+	// waitFor, when nonzero, is a version the store must announce
+	// before the entry may take its locks: the conflicting version of an
+	// artificial conflict (§5.2.1), or the entry's own from after a
+	// failed install attempt (so conflicting locks drain first). waitBy
+	// is when the version waiter gives the entry up; its clock starts
+	// once the entry has no unpublished dependency, so an entry is never
+	// given up while the version it awaits is still queued ahead of it.
+	waitFor  uint64
+	waitBy   time.Time
+	split    bool // split caused by an artificial conflict (stats)
+	attempts int  // failed install attempts so far
+	marked   bool // ws items registered in-flight (first attempt → resolve)
+	sig      mvstore.StripeSig
+	deps     int // unpublished predecessors with intersecting signatures
+	succs    []*applyEntry
+	state    int
+	start    time.Time
 	// done, if set, runs after the entry resolves; applied reports
 	// whether the replica state now covers the entry's range
 	// (published or superseded). The partitioned merger uses it for
@@ -83,7 +102,7 @@ type applyScheduler struct {
 	cond      *sync.Cond
 	window    []*applyEntry
 	closed    bool
-	storeDead bool
+	storeDead atomic.Bool // an install observed a crashed store
 
 	running    int // workers mid-install
 	submitted  int64
@@ -97,16 +116,25 @@ type applyScheduler struct {
 	occupancy  metrics.Gauge        // live-window depth (peak vs maxApplyWindow)
 	lag        *metrics.Latency     // submit → publish wall time
 
+	// kick interrupts the version waiter: an entry started (or stopped)
+	// waiting for a version, or the scheduler is closing.
+	kick chan struct{}
+
 	wg sync.WaitGroup
 }
 
+// maxInstallAttempts bounds the §8.1 soft-recovery retries of one
+// writeset, in the scheduler and in applyBatchWithRecovery alike.
+const maxInstallAttempts = 8
+
 func newApplyScheduler(p *Proxy, workers int) *applyScheduler {
-	s := &applyScheduler{p: p, workers: workers, lag: metrics.NewLatency(0)}
+	s := &applyScheduler{p: p, workers: workers, lag: metrics.NewLatency(0), kick: make(chan struct{}, 1)}
 	s.cond = sync.NewCond(&s.mu)
+	s.wg.Add(workers + 1)
 	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
 		go s.worker()
 	}
+	go s.watch()
 	return s
 }
 
@@ -118,14 +146,15 @@ func (s *applyScheduler) stop() {
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.kickWatch()
 	s.wg.Wait()
 }
 
-// dead reports whether an install observed a crashed store.
-func (s *applyScheduler) dead() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storeDead
+func (s *applyScheduler) kickWatch() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
 }
 
 // submit conflict-analyzes entries against the live window and queues
@@ -141,13 +170,14 @@ func (s *applyScheduler) submit(entries []*applyEntry) {
 	s.mu.Lock()
 	for _, e := range entries {
 		for len(s.window) >= maxApplyWindow && !s.closed {
+			// The pool may be idle with nothing announced to it yet: hand
+			// over what is queued so far, or nobody drains the window.
+			s.cond.Broadcast()
+			s.kickWatch()
 			s.cond.Wait()
 		}
 		if s.closed {
-			s.mu.Unlock()
-			if e.done != nil {
-				e.done(false)
-			}
+			s.mu.Unlock() // abandoned like the window itself, see stop
 			return
 		}
 		e.sig = store.Signature(e.ws)
@@ -161,6 +191,9 @@ func (s *applyScheduler) submit(entries []*applyEntry) {
 				}
 			}
 		}
+		if e.waitFor > 0 && e.deps == 0 {
+			e.waitBy = e.start.Add(s.p.cfg.ChunkWaitTimeout)
+		}
 		s.window = append(s.window, e)
 		s.occupancy.Inc()
 		s.submitted++
@@ -169,19 +202,22 @@ func (s *applyScheduler) submit(entries []*applyEntry) {
 	s.windowDist.Observe(int64(len(entries)))
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.kickWatch()
 }
 
-// worker picks the lowest-version ready entry (deps resolved) and
-// installs it. The window is kept in submission = version order, so a
-// front-to-back scan finds the oldest ready work first and publication
-// chains drain oldest-first.
+// worker picks the lowest-version ready entry (dependencies published,
+// waitFor announced) and installs it. The window is kept in submission
+// = version order, so a front-to-back scan finds the oldest ready work
+// first and publication chains drain oldest-first.
 func (s *applyScheduler) worker() {
 	defer s.wg.Done()
+	store := s.p.cfg.Store
 	s.mu.Lock()
 	for {
 		var e *applyEntry
+		announced := store.AnnouncedVersion()
 		for _, w := range s.window {
-			if w.state == entryWaiting && w.deps == 0 {
+			if w.state == entryWaiting && w.deps == 0 && w.waitFor <= announced {
 				e = w
 				break
 			}
@@ -204,30 +240,67 @@ func (s *applyScheduler) worker() {
 	}
 }
 
-// install runs one entry: honor its artificial-conflict wait, then
-// install the writeset with the retry/kill discipline of the serial
-// path (§8.1 soft recovery, §8.2 eager kills) — but commit through
-// CommitLabeledAsync, so the entry's versions publish at their global
-// turn while this worker moves on.
-func (s *applyScheduler) install(e *applyEntry) {
-	p := s.p
-	if e.split {
-		p.addStat(func(st *Stats) { st.ArtificialConflicts++ })
-	}
-	if e.waitFor > 0 {
-		if err := p.cfg.Store.WaitAnnounced(e.waitFor, p.cfg.ChunkWaitTimeout); err != nil {
-			// Predecessor never announced (crash/failover); give up —
-			// resync re-applies from the certifier log.
-			s.resolve(e, outcomeOf(err))
+// watch is the scheduler's one version waiter. It parks in the store
+// on the lowest version any entry is still waiting for and re-evaluates
+// when that version is announced, when the waited set changes (kick),
+// or when the earliest waitBy passes — at which point it gives the
+// overdue entries up: the predecessor never announced (crash or
+// failover), and resync re-applies from the certifier log.
+func (s *applyScheduler) watch() {
+	defer s.wg.Done()
+	store := s.p.cfg.Store
+	var werr error // how the last store wait ended
+	for {
+		var low uint64
+		var by time.Time
+		var overdue []*applyEntry
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
 			return
 		}
-	}
-	cb := func(oc mvstore.PendingOutcome) {
-		if e.ws != nil && !e.ws.Empty() {
-			p.markInFlight(e.ws, false)
+		announced, now := store.AnnouncedVersion(), time.Now()
+		for _, e := range s.window {
+			switch {
+			case e.state != entryWaiting || e.deps > 0 || e.waitFor <= announced:
+			case errors.Is(werr, mvstore.ErrCrashed) || !now.Before(e.waitBy):
+				e.state = entryDone // no worker may pick it up now
+				overdue = append(overdue, e)
+			default:
+				if low == 0 || e.waitFor < low {
+					low = e.waitFor
+				}
+				if by.IsZero() || e.waitBy.Before(by) {
+					by = e.waitBy
+				}
+			}
 		}
-		s.resolve(e, oc)
+		s.cond.Broadcast() // announced may have moved since the workers looked
+		s.mu.Unlock()
+		for _, e := range overdue {
+			s.resolve(e, outcomeOf(werr))
+		}
+		if low == 0 {
+			<-s.kick
+			werr = nil
+			continue
+		}
+		werr = store.WaitAnnouncedOr(low, time.Until(by), s.kick)
 	}
+}
+
+// install runs one attempt at an entry on a pool worker: install the
+// writeset with the kill discipline of the serial path (§8.2 eager
+// kills) and commit through CommitLabeledAsync, so the entry's versions
+// publish at their global turn while this worker moves on. A failed
+// attempt (§8.1 soft recovery) puts the entry back in the window, ready
+// again once its predecessors have published.
+func (s *applyScheduler) install(e *applyEntry) {
+	p := s.p
+	if e.split && e.attempts == 0 {
+		p.addStat(func(st *Stats) { st.ArtificialConflicts++ })
+	}
+	cb := func(oc mvstore.PendingOutcome) { s.resolve(e, oc) }
 	if e.ws == nil || e.ws.Empty() {
 		// Hollow range (certifier barrier / fill no-ops): nothing to
 		// install, the announce chain just advances through it in turn.
@@ -236,48 +309,31 @@ func (s *applyScheduler) install(e *applyEntry) {
 		}
 		return
 	}
-	p.markInFlight(e.ws, true)
-	var lastErr error
-	for attempt := 0; attempt < 8; attempt++ {
-		if attempt > 0 {
-			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-			// Let predecessors publish so conflicting locks drain.
-			p.cfg.Store.WaitAnnounced(e.from, p.cfg.ChunkWaitTimeout)
-		}
-		p.killConflictingLocals(e.ws, 0)
-		lastErr = s.installOnce(e, cb)
-		if lastErr == nil {
-			return // cb owns the rest (it may already have run)
-		}
-		if errors.Is(lastErr, mvstore.ErrCrashed) {
-			break
-		}
+	if !e.marked {
+		p.markInFlight(e.ws, true)
+		e.marked = true
 	}
-	p.markInFlight(e.ws, false)
-	s.resolve(e, outcomeOf(lastErr))
-}
-
-// installOnce is one install attempt. On success the commit is either
-// pending publication or already resolved (superseded fast path) and
-// cb has the rest; on error nothing was committed and the caller may
-// retry.
-func (s *applyScheduler) installOnce(e *applyEntry, cb func(mvstore.PendingOutcome)) error {
-	p := s.p
-	tx, err := p.cfg.Store.Begin()
-	if err != nil {
-		return err
+	p.killConflictingLocals(e.ws, 0)
+	err := p.applyOnce(e.ws, func(tx *mvstore.Tx) error {
+		return tx.CommitLabeledAsync(e.from, e.to, cb)
+	})
+	if err == nil {
+		// The commit is pending publication or already resolved
+		// (superseded fast path); cb owns the rest.
+		return
 	}
-	p.markApplier(tx.ID(), true)
-	defer p.markApplier(tx.ID(), false)
-	if err := tx.ApplyWriteset(e.ws); err != nil {
-		tx.Abort()
-		return err
+	e.attempts++
+	if errors.Is(err, mvstore.ErrCrashed) || e.attempts == maxInstallAttempts {
+		cb(outcomeOf(err))
+		return
 	}
-	if err := tx.CommitLabeledAsync(e.from, e.to, cb); err != nil {
-		tx.Abort()
-		return err
-	}
-	return nil
+	p.addStat(func(st *Stats) { st.SoftRecoveries++ })
+	s.mu.Lock()
+	e.waitFor, e.waitBy = e.from, time.Now().Add(p.cfg.ChunkWaitTimeout)
+	e.state = entryWaiting
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	s.kickWatch()
 }
 
 // outcomeOf maps an install failure to the terminal outcome recorded
@@ -294,6 +350,9 @@ func outcomeOf(err error) mvstore.PendingOutcome {
 // published, superseded, or abandoned to resync), and drop it from the
 // window. Runs from worker goroutines and from publication callbacks.
 func (s *applyScheduler) resolve(e *applyEntry, oc mvstore.PendingOutcome) {
+	if e.marked {
+		s.p.markInFlight(e.ws, false)
+	}
 	applied := false
 	s.mu.Lock()
 	e.state = entryDone
@@ -310,11 +369,16 @@ func (s *applyScheduler) resolve(e *applyEntry, oc mvstore.PendingOutcome) {
 	default:
 		s.gaveUp++
 		if oc == mvstore.PendingCrashed {
-			s.storeDead = true
+			s.storeDead.Store(true)
 		}
 	}
+	watched := false
 	for _, succ := range e.succs {
 		succ.deps--
+		if succ.deps == 0 && succ.waitFor > 0 {
+			succ.waitBy = time.Now().Add(s.p.cfg.ChunkWaitTimeout)
+			watched = true
+		}
 	}
 	for i, w := range s.window {
 		if w == e {
@@ -326,26 +390,18 @@ func (s *applyScheduler) resolve(e *applyEntry, oc mvstore.PendingOutcome) {
 	done := e.done
 	s.cond.Broadcast()
 	s.mu.Unlock()
+	if watched {
+		s.kickWatch()
+	}
 	if done != nil {
 		done(applied)
 	}
 }
 
-// submitChunks feeds buildChunks output into the scheduler.
-func (s *applyScheduler) submitChunks(chunks []chunk) {
-	entries := make([]*applyEntry, 0, len(chunks))
-	for _, c := range chunks {
-		entries = append(entries, &applyEntry{
-			from: c.from, to: c.to, ws: c.ws, waitFor: c.waitFor, split: c.split,
-		})
-	}
-	s.submit(entries)
-}
-
 // ApplyStats is a snapshot of the parallel applier, alongside the
 // certifier's QueueStats in the observability surface.
 type ApplyStats struct {
-	// Workers is the configured pool size (0 = serial legacy path).
+	// Workers is the pool size.
 	Workers int
 	// Entry outcomes.
 	Submitted  int64
@@ -371,8 +427,7 @@ type ApplyStats struct {
 	LagVersions uint64
 }
 
-// ApplyStats returns the parallel-apply snapshot. With the scheduler
-// disabled only the version lag is populated.
+// ApplyStats returns the applier's snapshot.
 func (p *Proxy) ApplyStats() ApplyStats {
 	var st ApplyStats
 	ann := p.cfg.Store.AnnouncedVersion()
@@ -383,9 +438,6 @@ func (p *Proxy) ApplyStats() ApplyStats {
 		st.LagVersions = rv - ann
 	}
 	s := p.sched
-	if s == nil {
-		return st
-	}
 	s.mu.Lock()
 	st.Workers = s.workers
 	st.Submitted = s.submitted
@@ -402,46 +454,36 @@ func (p *Proxy) ApplyStats() ApplyStats {
 	return st
 }
 
-// RemoteEntry is one labeled writeset fed directly into the apply
-// path (harness experiments and tests).
+// RemoteEntry is one labeled remote writeset: decoded from a certifier
+// response, or fed directly into the apply path by harness experiments
+// and tests. SafeBack is the certifier's conflict-free-back bound
+// (certifier.RemoteWS.SafeBack).
 type RemoteEntry struct {
 	Version  uint64
 	SafeBack uint64
 	WS       *core.Writeset
 }
 
-// ApplyRemoteEntries applies labeled remote writesets (ascending
-// versions) without a certification round trip; the applyscale
-// experiment drives the apply path with it. With the parallel
-// scheduler enabled the entries go through dependency analysis and
-// the worker pool and the call returns once scheduled — wait on
-// Store.WaitAnnounced for completion. Without it, each entry commits
-// through the serial labeled path before the next starts (the
-// serial-gate baseline).
+// ApplyRemoteEntries feeds labeled remote writesets (ascending
+// versions) to the scheduler without a certification round trip; the
+// applyscale experiment drives the apply path with it. The call
+// returns once the entries are scheduled — wait on Store.WaitAnnounced
+// for completion.
 func (p *Proxy) ApplyRemoteEntries(entries []RemoteEntry) error {
-	if p.sched != nil {
-		announced := p.cfg.Store.AnnouncedVersion()
-		ents := make([]*applyEntry, 0, len(entries))
-		var top uint64
-		for _, e := range entries {
-			ae := &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS}
-			if e.SafeBack > announced {
-				ae.waitFor = e.SafeBack
-			}
-			ents = append(ents, ae)
-			if e.Version > top {
-				top = e.Version
-			}
-		}
-		p.sched.submit(ents)
-		p.advanceRV(top)
-		return nil
-	}
+	announced := p.cfg.Store.AnnouncedVersion()
+	ents := make([]*applyEntry, 0, len(entries))
+	var top uint64
 	for _, e := range entries {
-		if err := p.applyBatchWithRecovery(e.WS, e.Version-1, e.Version, false); err != nil {
-			return err
+		ae := &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS}
+		if e.SafeBack > announced {
+			ae.waitFor = e.SafeBack
 		}
-		p.advanceRV(e.Version)
+		ents = append(ents, ae)
+		if e.Version > top {
+			top = e.Version
+		}
 	}
+	p.sched.submit(ents)
+	p.advanceRV(top)
 	return nil
 }

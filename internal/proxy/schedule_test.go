@@ -22,6 +22,20 @@ func upEntry(v uint64, key string, cols ...core.ColUpdate) RemoteEntry {
 	}}}
 }
 
+// settledStats returns the applier's snapshot once n entries have
+// resolved: publication callbacks trail the store's announce by a
+// moment, so the counters may lag a WaitAnnounced that just returned.
+func settledStats(p *Proxy, n int64) ApplyStats {
+	deadline := time.Now().Add(time.Second)
+	for {
+		st := p.ApplyStats()
+		if st.Published+st.Superseded+st.GaveUp >= n || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestParallelApplyDisjointParallelizes(t *testing.T) {
 	// Disjoint-key writesets must install concurrently: with a slow
 	// fsync the workers' WAL appends group into shared fsyncs, and the
@@ -50,7 +64,7 @@ func TestParallelApplyDisjointParallelizes(t *testing.T) {
 			t.Fatalf("k%03d = %q, %v", v, got, ok)
 		}
 	}
-	st := p.ApplyStats()
+	st := settledStats(p, n)
 	if st.Published != n {
 		t.Errorf("Published = %d, want %d (superseded %d, gaveUp %d)",
 			st.Published, n, st.Superseded, st.GaveUp)
@@ -101,7 +115,7 @@ func TestParallelApplyOverlappingSerializes(t *testing.T) {
 				col, row[col])
 		}
 	}
-	if st := p.ApplyStats(); st.Published != n {
+	if st := settledStats(p, n); st.Published != n {
 		t.Errorf("Published = %d, want %d", st.Published, n)
 	}
 }
@@ -172,31 +186,32 @@ func TestParallelApplyPublicationOrderTotal(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if st := p.ApplyStats(); st.Published != n || st.GaveUp != 0 {
+	if st := settledStats(p, n); st.Published != n || st.GaveUp != 0 {
 		t.Errorf("Published = %d GaveUp = %d, want %d/0", st.Published, st.GaveUp, n)
 	}
 }
 
 func TestParallelApplyMatchesSerialState(t *testing.T) {
-	// The parallel applier must reach exactly the serial path's final
-	// state on a conflicted stream (same-key versions serialize through
-	// dependency edges; disjoint ones commute via absolute values).
-	r := newRig(t, 2, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
-		if i == 0 {
-			cfg.ApplyWorkers = 8
-		}
-	})
+	// The pool must reach exactly the state the synchronous catch-up
+	// applier reaches one version at a time on a conflicted stream
+	// (same-key versions serialize through dependency edges; disjoint
+	// ones commute via absolute values). The reference shares no
+	// scheduling code with the scheduler.
+	r := newRig(t, 2, TashkentAPI, nil)
 	const n = 150
 	entries := make([]RemoteEntry, 0, n)
 	for v := uint64(1); v <= n; v++ {
 		entries = append(entries, upEntry(v, fmt.Sprintf("k%02d", (v*7)%30)))
 	}
-	for i, p := range r.proxies {
-		if err := p.ApplyRemoteEntries(entries); err != nil {
-			t.Fatalf("proxy %d: %v", i, err)
-		}
-		if err := r.stores[i].WaitAnnounced(n, 10*time.Second); err != nil {
-			t.Fatalf("proxy %d WaitAnnounced: %v", i, err)
+	if err := r.proxies[0].ApplyRemoteEntries(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.stores[0].WaitAnnounced(n, 10*time.Second); err != nil {
+		t.Fatalf("WaitAnnounced(%d): %v", n, err)
+	}
+	for _, e := range entries {
+		if err := r.proxies[1].applyBatchWithRecovery(e.WS, e.Version-1, e.Version, false); err != nil {
+			t.Fatalf("serial apply of v%d: %v", e.Version, err)
 		}
 	}
 	if a, b := r.stores[0].Fingerprint(), r.stores[1].Fingerprint(); a != b {
@@ -204,28 +219,222 @@ func TestParallelApplyMatchesSerialState(t *testing.T) {
 	}
 }
 
+func TestApplySubmitLargerThanWindow(t *testing.T) {
+	// One submission larger than the window bound parks the submitter
+	// until entries drain; it must wake the idle pool before it parks.
+	r := newRig(t, 1, TashkentAPI, nil)
+	p, store := r.proxies[0], r.stores[0]
+	const n = maxApplyWindow + 904
+	entries := make([]RemoteEntry, 0, n)
+	for v := uint64(1); v <= n; v++ {
+		entries = append(entries, upEntry(v, fmt.Sprintf("k%04d", v)))
+	}
+	submitted := make(chan error, 1)
+	go func() { submitted <- p.ApplyRemoteEntries(entries) }()
+	select {
+	case err := <-submitted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("submit of %d entries never returned (stats %+v)", n, p.ApplyStats())
+	}
+	if err := store.WaitAnnounced(n, 20*time.Second); err != nil {
+		t.Fatalf("WaitAnnounced(%d): %v", n, err)
+	}
+	if st := settledStats(p, n); st.Published != n || st.GaveUp != 0 {
+		t.Errorf("Published = %d GaveUp = %d, want %d/0", st.Published, st.GaveUp, n)
+	}
+}
+
+func TestApplyVersionWaitClockStartsWhenRunnable(t *testing.T) {
+	// An artificial-conflict entry queued behind a slow same-key chain
+	// must not be given up while the version it awaits is still ahead of
+	// it in the window: its ChunkWaitTimeout starts when its dependencies
+	// have published, not at submit.
+	logDisk := simdisk.New(simdisk.Profile{FsyncLatency: 10 * time.Millisecond}, 1)
+	r := newRig(t, 1, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
+		cfg.ChunkWaitTimeout = 100 * time.Millisecond
+		scfg.LogDisk = logDisk
+		scfg.WALMode = wal.SyncCommits
+	})
+	p, store := r.proxies[0], r.stores[0]
+	const n = 31 // 30 chained fsyncs ≈ 3 × ChunkWaitTimeout ahead of the last entry
+	entries := make([]RemoteEntry, 0, n)
+	for v := uint64(1); v <= n; v++ {
+		entries = append(entries, upEntry(v, "hot"))
+	}
+	entries[n-1].SafeBack = n - 1
+	if err := p.ApplyRemoteEntries(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WaitAnnounced(n, 10*time.Second); err != nil {
+		t.Fatalf("WaitAnnounced(%d): %v (stats %+v)", n, err, p.ApplyStats())
+	}
+	if st := settledStats(p, n); st.GaveUp != 0 || st.Published != n {
+		t.Errorf("GaveUp = %d Published = %d, want 0/%d", st.GaveUp, st.Published, n)
+	}
+}
+
+func TestApplyOneWorkerIsSerialGate(t *testing.T) {
+	// The serial apply discipline is the pool size 1: one install at a
+	// time, so on a sync-WAL store every writeset pays its own fsync.
+	logDisk := simdisk.New(simdisk.Profile{FsyncLatency: 200 * time.Microsecond}, 1)
+	r := newRig(t, 1, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
+		cfg.ApplyWorkers = 1
+		scfg.LogDisk = logDisk
+		scfg.WALMode = wal.SyncCommits
+	})
+	p := r.proxies[0]
+	const n = 64
+	entries := make([]RemoteEntry, 0, n)
+	for v := uint64(1); v <= n; v++ {
+		entries = append(entries, upEntry(v, fmt.Sprintf("k%03d", v)))
+	}
+	if err := p.ApplyRemoteEntries(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.stores[0].WaitAnnounced(n, 10*time.Second); err != nil {
+		t.Fatalf("WaitAnnounced(%d): %v", n, err)
+	}
+	st := settledStats(p, n)
+	if st.Workers != 1 || st.Published != n || st.Parallelism.Max != 1 {
+		t.Errorf("Workers = %d Published = %d Parallelism.Max = %d, want 1/%d/1",
+			st.Workers, st.Published, st.Parallelism.Max, n)
+	}
+	if f := logDisk.Stats().Fsyncs; f != n {
+		t.Errorf("%d fsyncs for %d serial installs, want one each", f, n)
+	}
+}
+
+func TestApplyDefaultPoolSize(t *testing.T) {
+	r := newRig(t, 1, Base, nil)
+	if w := r.proxies[0].ApplyStats().Workers; w != defaultApplyWorkers {
+		t.Errorf("ApplyWorkers: 0 built a pool of %d, want %d", w, defaultApplyWorkers)
+	}
+}
+
+// commitVersion1 announces version 1 from outside the scheduler, the way
+// a client's own commit or a resync does.
+func commitVersion1(t *testing.T, store *mvstore.Store) {
+	t.Helper()
+	tx, err := store.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("t", "own", map[string][]byte{"v": []byte("1")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CommitLabeled(0, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestApplyVersionWaitsNeverHoldWorkers(t *testing.T) {
+	// Two workers; v4 and v5 carry an artificial conflict on v3, which
+	// chains behind v2, which cannot publish before v1 lands. If the
+	// version waits occupied the workers, v3 would become runnable with
+	// nobody to run it: the pool would sit out ChunkWaitTimeout, give an
+	// entry up and leave v5 unannounced.
+	r := newRig(t, 1, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
+		cfg.ApplyWorkers = 2
+	})
+	p, store := r.proxies[0], r.stores[0]
+	v4, v5 := upEntry(4, "c"), upEntry(5, "d")
+	v4.SafeBack, v5.SafeBack = 3, 3
+	if err := p.ApplyRemoteEntries([]RemoteEntry{upEntry(2, "a"), upEntry(3, "a"), v4, v5}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // let the pool take what it will
+	commitVersion1(t, store)
+	if err := store.WaitAnnounced(5, time.Second); err != nil {
+		t.Fatalf("v5 not announced within 1 s of v1 landing: %v (stats %+v)", err, p.ApplyStats())
+	}
+	if st := settledStats(p, 4); st.GaveUp != 0 || st.Published != 4 {
+		t.Errorf("GaveUp = %d Published = %d, want 0/4", st.GaveUp, st.Published)
+	}
+}
+
+func TestApplyVersionWaitWakesOnOutsideAnnounce(t *testing.T) {
+	// The awaited version may be announced by code that is not a
+	// scheduler entry; the scheduler's one version waiter must notice.
+	// One that never arrives gives its entry up after ChunkWaitTimeout.
+	r := newRig(t, 1, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
+		cfg.ChunkWaitTimeout = 150 * time.Millisecond
+	})
+	p, store := r.proxies[0], r.stores[0]
+	v2, v9 := upEntry(2, "a"), upEntry(9, "b")
+	v2.SafeBack, v9.SafeBack = 1, 8
+	if err := p.ApplyRemoteEntries([]RemoteEntry{v2, v9}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st := p.ApplyStats(); st.Parallelism.Count != 0 {
+		t.Fatalf("%d entries dispatched before their waitFor version was announced", st.Parallelism.Count)
+	}
+	commitVersion1(t, store)
+	if err := store.WaitAnnounced(2, time.Second); err != nil {
+		t.Fatalf("v2 not announced after v1 landed outside the scheduler: %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for p.ApplyStats().GaveUp == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := p.ApplyStats(); st.GaveUp != 1 || st.Published != 1 {
+		t.Errorf("GaveUp = %d Published = %d, want 1/1 (v9 waits for a v8 that never comes)", st.GaveUp, st.Published)
+	}
+}
+
+func TestCloseLetsFinishersSubmit(t *testing.T) {
+	// A goroutine Close waits for (a detached commit finisher) may still
+	// hand remote writesets to the scheduler and then wait for a version
+	// among them. Close must stop the pool after such goroutines, not
+	// before: a finisher submitting into a stopped scheduler waits out
+	// OrderTimeout on every retry for a version nobody will install.
+	r := newRig(t, 1, TashkentAPI, nil)
+	p, store := r.proxies[0], r.stores[0]
+	const n = 8
+	entries := make([]RemoteEntry, 0, n)
+	for v := uint64(1); v <= n; v++ {
+		entries = append(entries, upEntry(v, fmt.Sprintf("k%d", v)))
+	}
+	finished := make(chan error, 1)
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		<-p.stopCh
+		time.Sleep(20 * time.Millisecond) // Close is past whatever it does first
+		p.ApplyRemoteEntries(entries)
+		finished <- store.WaitAnnounced(n, time.Second)
+	}()
+	p.Close()
+	if err := <-finished; err != nil {
+		t.Fatalf("the scheduler was stopped under a finisher Close still waits for: %v", err)
+	}
+}
+
 func TestBuildChunksEdges(t *testing.T) {
-	mk := func(v, safe uint64) appliedRemote {
-		return appliedRemote{version: v, safeBack: safe,
-			ws: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
+	mk := func(v, safe uint64) RemoteEntry {
+		return RemoteEntry{Version: v, SafeBack: safe,
+			WS: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
 	}
 	// Empty remotes: no chunks, nil or zero-length.
-	if got := buildChunks(7, 7, []appliedRemote{}); len(got) != 0 {
+	if got := buildChunks(7, 7, []RemoteEntry{}); len(got) != 0 {
 		t.Errorf("empty remotes → %+v", got)
 	}
 	// basis == announced: a safe-back exactly at the shared cursor is
 	// resolved (no wait); one past it both waits and counts as a split.
-	chunks := buildChunks(5, 5, []appliedRemote{mk(6, 5)})
+	chunks := buildChunks(5, 5, []RemoteEntry{mk(6, 5)})
 	if len(chunks) != 1 || chunks[0].waitFor != 0 || chunks[0].split {
 		t.Errorf("safeBack==announced chunks = %+v", chunks)
 	}
-	chunks = buildChunks(5, 5, []appliedRemote{mk(6, 5), mk(7, 6)})
+	chunks = buildChunks(5, 5, []RemoteEntry{mk(6, 5), mk(7, 6)})
 	if len(chunks) != 2 || chunks[1].waitFor != 6 || !chunks[1].split {
 		t.Errorf("safeBack==announced+1 chunks = %+v", chunks)
 	}
 	// Gap-only stream: every version is isolated; each gets its own
 	// single-version chunk with from = version-1.
-	chunks = buildChunks(4, 4, []appliedRemote{mk(5, 0), mk(7, 0), mk(9, 0)})
+	chunks = buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(7, 0), mk(9, 0)})
 	if len(chunks) != 3 {
 		t.Fatalf("gap-only chunks = %+v", chunks)
 	}
@@ -236,7 +445,7 @@ func TestBuildChunksEdges(t *testing.T) {
 	}
 	// Announced ahead of basis (catch-up overlap): a conflict above
 	// basis but below announced is already resolved.
-	chunks = buildChunks(4, 8, []appliedRemote{mk(9, 7)})
+	chunks = buildChunks(4, 8, []RemoteEntry{mk(9, 7)})
 	if len(chunks) != 1 || chunks[0].waitFor != 0 || chunks[0].split {
 		t.Errorf("announced-ahead chunks = %+v", chunks)
 	}

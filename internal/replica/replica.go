@@ -66,8 +66,8 @@ type Config struct {
 	// SeqObserver forwards proxy sequencer admissions to an invariant
 	// checker (see proxy.Config.SeqObserver).
 	SeqObserver func(epoch, seq uint64, outcome string)
-	// ApplyWorkers enables the parallel dependency-tracked applier with
-	// that many install workers (see proxy.Config.ApplyWorkers).
+	// ApplyWorkers is the pool size of the dependency-tracked applier,
+	// 0 = 8 (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
 }
 

@@ -612,22 +612,6 @@ func (t *Tx) SnapshotVersion() uint64 { return t.inner.SnapshotVersion() }
 // window the chaos checker's SI invariant verifies reads against.
 func (t *Tx) ObservedVersion() uint64 { return t.inner.ObservedVersion() }
 
-// --- Deprecated pre-session API ---
-
-// LegacyTx is the pre-session transaction handle with a context-free
-// Commit.
-//
-// Deprecated: use Session.Begin, whose transactions carry causal
-// tokens and context-aware commits.
-type LegacyTx = proxy.Tx
-
-// Begin opens a transaction pinned to the given replica (0-based),
-// bypassing routing and causal tokens.
-//
-// Deprecated: use Session.Begin or RunTx; direct replica addressing
-// provides no read-your-writes guarantee across replicas.
-func (db *DB) Begin(replica int) (*LegacyTx, error) { return db.c.Begin(replica) }
-
 // ensure the session transaction satisfies the workload driver's
 // client interface (compile-time check; workload cannot import this
 // package).

@@ -19,7 +19,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	defer db.Close()
 
-	tx, err := db.Begin(0)
+	tx, err := db.Cluster().Begin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	// Visible on every replica.
 	for i := 0; i < db.Replicas(); i++ {
-		tx, err := db.Begin(i)
+		tx, err := db.Cluster().Begin(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestPublicAPIConflictSurfacesErrAborted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	seed, _ := db.Begin(0)
+	seed, _ := db.Cluster().Begin(0)
 	seed.Update("t", "k", map[string][]byte{"v": []byte("0")})
 	if err := seed.Commit(); err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestPublicAPIConflictSurfacesErrAborted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, _ := db.Begin(0)
-	b, _ := db.Begin(1)
+	a, _ := db.Cluster().Begin(0)
+	b, _ := db.Cluster().Begin(1)
 	a.Update("t", "k", map[string][]byte{"v": []byte("a")})
 	b.Update("t", "k", map[string][]byte{"v": []byte("b")})
 	errA, errB := a.Commit(), b.Commit()
@@ -87,7 +87,7 @@ func TestPublicAPIAllModes(t *testing.T) {
 			}
 			defer db.Close()
 			for i := 0; i < 5; i++ {
-				tx, err := db.Begin(i % 2)
+				tx, err := db.Cluster().Begin(i % 2)
 				if err != nil {
 					t.Fatal(err)
 				}
