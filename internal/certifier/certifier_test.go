@@ -3,6 +3,8 @@ package certifier
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -526,5 +528,96 @@ func TestCertifyEmptyWritesetRejected(t *testing.T) {
 	_, err := g.client.Certify(Request{Origin: 1, WSBytes: (&core.Writeset{}).Encode(nil)})
 	if err == nil {
 		t.Error("empty writeset certification accepted")
+	}
+}
+
+// longLogLeader returns the leader of a one-node group whose committed
+// log has been padded to n entries.
+func longLogLeader(tb testing.TB, n uint64) *Server {
+	tb.Helper()
+	srv := New(Config{ID: 0, ElectionTimeout: 30 * time.Millisecond, Seed: 1})
+	srv.Start()
+	tb.Cleanup(srv.Stop)
+	deadline := time.Now().Add(5 * time.Second)
+	for !srv.IsLeader() {
+		if time.Now().After(deadline) {
+			tb.Fatal("no certifier leader")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for head := uint64(0); head < n; {
+		var err error
+		if head, err = srv.FillTo(n); err != nil {
+			tb.Fatalf("fill to %d: %v", n, err)
+		}
+	}
+	return srv
+}
+
+// medianAllocPerCall is the median, over rounds calls of fn, of the
+// bytes the process allocated during one call. The median discards the
+// calls on which an append-only structure (paxos log, WAL image, engine
+// log) happened to double its backing array.
+func medianAllocPerCall(rounds int, fn func(i int)) uint64 {
+	deltas := make([]uint64, rounds)
+	var before, after runtime.MemStats
+	for i := range deltas {
+		runtime.ReadMemStats(&before)
+		fn(i)
+		runtime.ReadMemStats(&after)
+		deltas[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	sort.Slice(deltas, func(a, b int) bool { return deltas[a] < deltas[b] })
+	return deltas[rounds/2]
+}
+
+// TestRequestCostIndependentOfLogLength pins the certifier request path
+// at O(1) in committed history: a Pull and a Prepare against a
+// 20 000-entry log allocate no more than twice what they do against a
+// 200-entry log. A request path that copies the paxos log to read role
+// and term misses this by two orders of magnitude.
+func TestRequestCostIndependentOfLogLength(t *testing.T) {
+	measure := func(entries uint64) (pull, prepare uint64) {
+		srv := longLogLeader(t, entries)
+		pull = medianAllocPerCall(101, func(int) {
+			if _, err := srv.pull(PullRequest{Origin: 1, ReplicaVersion: srv.committedCap(), IncludeOwn: true}); err != nil {
+				t.Fatalf("pull at %d entries: %v", entries, err)
+			}
+		})
+		prepare = medianAllocPerCall(101, func(i int) {
+			resp, err := srv.Prepare(PrepareRequest{
+				GID: uint64(i + 1), Origin: 1, StartVersion: srv.committedCap(), Involved: []int{0, 1},
+				WSBytes: wsBytes(fmt.Sprintf("k%d", i)),
+			})
+			if err != nil || !resp.Prepared {
+				t.Fatalf("prepare at %d entries: %+v %v", entries, resp, err)
+			}
+		})
+		return pull, prepare
+	}
+	shortPull, shortPrepare := measure(200)
+	longPull, longPrepare := measure(20000)
+	t.Logf("bytes allocated per call: pull %d → %d, prepare %d → %d (200 → 20000 entries)",
+		shortPull, longPull, shortPrepare, longPrepare)
+	if longPull > 2*shortPull {
+		t.Errorf("a pull allocates %d bytes at 20000 entries against %d at 200: the request path grows with the log", longPull, shortPull)
+	}
+	if longPrepare > 2*shortPrepare {
+		t.Errorf("a prepare allocates %d bytes at 20000 entries against %d at 200: the request path grows with the log", longPrepare, shortPrepare)
+	}
+}
+
+// BenchmarkPullLongLog is the steady-state cost of the cheapest request
+// — a pull with nothing to ship — on a leader holding 20 000 committed
+// entries.
+func BenchmarkPullLongLog(b *testing.B) {
+	srv := longLogLeader(b, 20000)
+	req := PullRequest{Origin: 1, ReplicaVersion: srv.committedCap(), IncludeOwn: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.pull(req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 package certifier
 
-// Binary wire codecs for the hot certification path. Request/Response
-// and PullRequest/PullResponse dominate replica↔certifier traffic —
-// every update commit and every staleness-bound pull — so they get a
-// hand-written fixed-layout encoding (transport.BinaryMessage) instead
-// of gob's per-message type descriptor. Rare control messages
-// (prepare/resolve/fill) stay on the gob fallback.
+// Binary wire codecs for every replica↔certifier message: certify and
+// pull on every update commit and staleness pull, prepare/resolve on
+// every cross-partition commit, fill whenever a merge waits on an idle
+// group. Each gets a hand-written fixed-layout encoding
+// (transport.BinaryMessage) instead of gob's per-message type
+// descriptor.
 //
 // All integers are big-endian fixed width. Writesets ride as opaque
 // length-prefixed byte strings: they are already core.Writeset's
@@ -18,12 +18,18 @@ import (
 	"tashkent/internal/transport"
 )
 
-// Interface checks: these four must stay on the fast path.
+// Interface checks: none of these may fall back to gob.
 var (
 	_ transport.BinaryMessage = (*Request)(nil)
 	_ transport.BinaryMessage = (*Response)(nil)
 	_ transport.BinaryMessage = (*PullRequest)(nil)
 	_ transport.BinaryMessage = (*PullResponse)(nil)
+	_ transport.BinaryMessage = (*PrepareRequest)(nil)
+	_ transport.BinaryMessage = (*PrepareResponse)(nil)
+	_ transport.BinaryMessage = (*ResolveRequest)(nil)
+	_ transport.BinaryMessage = (*ResolveResponse)(nil)
+	_ transport.BinaryMessage = (*FillRequest)(nil)
+	_ transport.BinaryMessage = (*FillResponse)(nil)
 )
 
 var errShortMessage = errors.New("certifier: short binary message")
@@ -214,5 +220,132 @@ func (r *PullResponse) DecodeBinary(data []byte) error {
 		return fmt.Errorf("certifier: %d trailing bytes after PullResponse", len(rest))
 	}
 	r.Remote = remote
+	return nil
+}
+
+// PrepareRequest: u64 gid | u32 origin | u64 start | u64 replicaVersion
+// | u16 nInvolved | u16 pid ... | u32 wsLen | ws. Partition ids are
+// 16-bit here as in the log-entry payload.
+func (r *PrepareRequest) AppendBinary(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, r.GID)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Origin))
+	buf = binary.BigEndian.AppendUint64(buf, r.StartVersion)
+	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Involved)))
+	for _, pid := range r.Involved {
+		buf = binary.BigEndian.AppendUint16(buf, uint16(pid))
+	}
+	return appendBytes(buf, r.WSBytes)
+}
+
+func (r *PrepareRequest) DecodeBinary(data []byte) error {
+	if len(data) < 30 {
+		return errShortMessage
+	}
+	r.GID = binary.BigEndian.Uint64(data)
+	r.Origin = int(binary.BigEndian.Uint32(data[8:]))
+	r.StartVersion = binary.BigEndian.Uint64(data[12:])
+	r.ReplicaVersion = binary.BigEndian.Uint64(data[20:])
+	n := int(binary.BigEndian.Uint16(data[28:]))
+	data = data[30:]
+	if len(data) < 2*n {
+		return errShortMessage
+	}
+	r.Involved = nil
+	if n > 0 {
+		r.Involved = make([]int, n)
+		for i := range r.Involved {
+			r.Involved[i] = int(binary.BigEndian.Uint16(data[2*i:]))
+		}
+	}
+	ws, rest, err := takeBytes(data[2*n:])
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("certifier: %d trailing bytes after PrepareRequest", len(rest))
+	}
+	r.WSBytes = ws
+	return nil
+}
+
+// PrepareResponse: u8 flags(prepared) | u64 index | u64 systemVersion
+func (r *PrepareResponse) AppendBinary(buf []byte) []byte {
+	var flags byte
+	if r.Prepared {
+		flags |= 1
+	}
+	buf = append(buf, flags)
+	buf = binary.BigEndian.AppendUint64(buf, r.Index)
+	return binary.BigEndian.AppendUint64(buf, r.SystemVersion)
+}
+
+func (r *PrepareResponse) DecodeBinary(data []byte) error {
+	if len(data) != 17 {
+		return errShortMessage
+	}
+	r.Prepared = data[0]&1 != 0
+	r.Index = binary.BigEndian.Uint64(data[1:])
+	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
+	return nil
+}
+
+// ResolveRequest: u64 gid | u8 flags(commit)
+func (r *ResolveRequest) AppendBinary(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, r.GID)
+	var flags byte
+	if r.Commit {
+		flags |= 1
+	}
+	return append(buf, flags)
+}
+
+func (r *ResolveRequest) DecodeBinary(data []byte) error {
+	if len(data) != 9 {
+		return errShortMessage
+	}
+	r.GID = binary.BigEndian.Uint64(data)
+	r.Commit = data[8]&1 != 0
+	return nil
+}
+
+// ResolveResponse: u64 index | u64 systemVersion
+func (r *ResolveResponse) AppendBinary(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, r.Index)
+	return binary.BigEndian.AppendUint64(buf, r.SystemVersion)
+}
+
+func (r *ResolveResponse) DecodeBinary(data []byte) error {
+	if len(data) != 16 {
+		return errShortMessage
+	}
+	r.Index = binary.BigEndian.Uint64(data)
+	r.SystemVersion = binary.BigEndian.Uint64(data[8:])
+	return nil
+}
+
+// FillRequest: u64 target
+func (r *FillRequest) AppendBinary(buf []byte) []byte {
+	return binary.BigEndian.AppendUint64(buf, r.Target)
+}
+
+func (r *FillRequest) DecodeBinary(data []byte) error {
+	if len(data) != 8 {
+		return errShortMessage
+	}
+	r.Target = binary.BigEndian.Uint64(data)
+	return nil
+}
+
+// FillResponse: u64 head
+func (r *FillResponse) AppendBinary(buf []byte) []byte {
+	return binary.BigEndian.AppendUint64(buf, r.Head)
+}
+
+func (r *FillResponse) DecodeBinary(data []byte) error {
+	if len(data) != 8 {
+		return errShortMessage
+	}
+	r.Head = binary.BigEndian.Uint64(data)
 	return nil
 }

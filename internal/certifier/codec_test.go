@@ -31,6 +31,18 @@ func randRemotes(rng *rand.Rand) []RemoteWS {
 	return out
 }
 
+func randInvolved(rng *rand.Rand) []int {
+	n := rng.Intn(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = rng.Intn(1 << 16)
+	}
+	return out
+}
+
 // roundTrip encodes v with the message codec and decodes into a fresh
 // value of the same type, returning it for comparison.
 func roundTrip(t *testing.T, v interface{}) interface{} {
@@ -123,45 +135,90 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 		if !reflect.DeepEqual(presp, gotP) {
 			t.Fatalf("PullResponse round trip: %+v != %+v", gotP, presp)
 		}
+
+		prep := &PrepareRequest{
+			GID:            rng.Uint64(),
+			Origin:         rng.Intn(1 << 16),
+			StartVersion:   rng.Uint64(),
+			Involved:       randInvolved(rng),
+			WSBytes:        randBytes(rng, 256),
+			ReplicaVersion: rng.Uint64(),
+		}
+		gotPrep := roundTrip(t, prep).(*PrepareRequest)
+		prep.WSBytes, gotPrep.WSBytes = normWS(prep.WSBytes), normWS(gotPrep.WSBytes)
+		if !reflect.DeepEqual(prep, gotPrep) {
+			t.Fatalf("PrepareRequest round trip: %+v != %+v", gotPrep, prep)
+		}
+
+		prepResp := &PrepareResponse{Prepared: rng.Intn(2) == 0, Index: rng.Uint64(), SystemVersion: rng.Uint64()}
+		if got := roundTrip(t, prepResp).(*PrepareResponse); !reflect.DeepEqual(prepResp, got) {
+			t.Fatalf("PrepareResponse round trip: %+v != %+v", got, prepResp)
+		}
+
+		res := &ResolveRequest{GID: rng.Uint64(), Commit: rng.Intn(2) == 0}
+		if got := roundTrip(t, res).(*ResolveRequest); !reflect.DeepEqual(res, got) {
+			t.Fatalf("ResolveRequest round trip: %+v != %+v", got, res)
+		}
+
+		resResp := &ResolveResponse{Index: rng.Uint64(), SystemVersion: rng.Uint64()}
+		if got := roundTrip(t, resResp).(*ResolveResponse); !reflect.DeepEqual(resResp, got) {
+			t.Fatalf("ResolveResponse round trip: %+v != %+v", got, resResp)
+		}
+
+		fill := &FillRequest{Target: rng.Uint64()}
+		if got := roundTrip(t, fill).(*FillRequest); !reflect.DeepEqual(fill, got) {
+			t.Fatalf("FillRequest round trip: %+v != %+v", got, fill)
+		}
+		fillResp := &FillResponse{Head: rng.Uint64()}
+		if got := roundTrip(t, fillResp).(*FillResponse); !reflect.DeepEqual(fillResp, got) {
+			t.Fatalf("FillResponse round trip: %+v != %+v", got, fillResp)
+		}
 	}
 }
 
-// TestCodecGobEquivalence checks that a gob-tagged payload of a hot
-// type decodes identically to the binary fast path: the fallback and
-// the fast path must be interchangeable on the wire.
+// TestCodecGobEquivalence checks that a gob-tagged payload decodes
+// identically to the binary fast path, for Response and for the
+// prepare, resolve and fill messages that used to travel as gob: the
+// fallback and the fast path must be interchangeable on the wire.
 func TestCodecGobEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	// norm maps the nil/empty differences the two codecs legitimately
+	// have onto one form.
+	norm := func(v interface{}) {
+		switch m := v.(type) {
+		case *Response:
+			m.Remote = normRemotes(m.Remote)
+		case *PrepareRequest:
+			m.WSBytes = normWS(m.WSBytes)
+		}
+	}
 	for i := 0; i < 100; i++ {
-		orig := Response{
-			Committed:     rng.Intn(2) == 0,
-			CommitVersion: rng.Uint64(),
-			SystemVersion: rng.Uint64(),
-			ReplicaSeq:    rng.Uint64(),
-			SeqEpoch:      rng.Uint64(),
-			Remote:        randRemotes(rng),
-		}
-		// Binary path.
-		binB, err := transport.EncodeMessage(&orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fromBin Response
-		if err := transport.DecodeMessage(binB, &fromBin); err != nil {
-			t.Fatal(err)
-		}
-		// Forced gob path: tag byte 0x00 + raw gob of the same value.
-		gobRaw, err := transport.GobEncode(&orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fromGob Response
-		if err := transport.DecodeMessage(append([]byte{0x00}, gobRaw...), &fromGob); err != nil {
-			t.Fatal(err)
-		}
-		fromBin.Remote = normRemotes(fromBin.Remote)
-		fromGob.Remote = normRemotes(fromGob.Remote)
-		if !reflect.DeepEqual(fromBin, fromGob) {
-			t.Fatalf("binary and gob decode disagree:\nbin: %+v\ngob: %+v", fromBin, fromGob)
+		for _, orig := range []interface{}{
+			&Response{Committed: rng.Intn(2) == 0, CommitVersion: rng.Uint64(), SystemVersion: rng.Uint64(),
+				ReplicaSeq: rng.Uint64(), SeqEpoch: rng.Uint64(), Remote: randRemotes(rng)},
+			&PrepareRequest{GID: rng.Uint64(), Origin: rng.Intn(1 << 16), StartVersion: rng.Uint64(),
+				Involved: randInvolved(rng), WSBytes: randBytes(rng, 256), ReplicaVersion: rng.Uint64()},
+			&PrepareResponse{Prepared: rng.Intn(2) == 0, Index: rng.Uint64(), SystemVersion: rng.Uint64()},
+			&ResolveRequest{GID: rng.Uint64(), Commit: rng.Intn(2) == 0},
+			&ResolveResponse{Index: rng.Uint64(), SystemVersion: rng.Uint64()},
+			&FillRequest{Target: rng.Uint64()},
+			&FillResponse{Head: rng.Uint64()},
+		} {
+			fromBin := roundTrip(t, orig)
+			// Forced gob path: tag byte 0x00 + raw gob of the same value.
+			gobRaw, err := transport.GobEncode(orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromGob := reflect.New(reflect.TypeOf(orig).Elem()).Interface()
+			if err := transport.DecodeMessage(append([]byte{0x00}, gobRaw...), fromGob); err != nil {
+				t.Fatalf("gob decode %T: %v", orig, err)
+			}
+			norm(fromBin)
+			norm(fromGob)
+			if !reflect.DeepEqual(fromBin, fromGob) {
+				t.Fatalf("binary and gob decode of %T disagree:\nbin: %+v\ngob: %+v", orig, fromBin, fromGob)
+			}
 		}
 	}
 }
@@ -220,6 +277,27 @@ func TestCodecTruncation(t *testing.T) {
 			// self-consistent; only flag clearly impossible successes.
 			if cut < 34 {
 				t.Fatalf("truncated Response (%d of %d bytes) decoded without error", cut, len(full))
+			}
+		}
+	}
+	// The 2PC and fill messages: every strict prefix must fail, wherever
+	// the cut falls (header, involved list, writeset).
+	for _, msg := range []interface{}{
+		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4},
+		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9},
+		&ResolveRequest{GID: 7, Commit: true},
+		&ResolveResponse{Index: 9, SystemVersion: 9},
+		&FillRequest{Target: 12},
+		&FillResponse{Head: 12},
+	} {
+		full, err := transport.EncodeMessage(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 1; cut < len(full); cut++ {
+			out := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
+			if err := transport.DecodeMessage(full[:cut], out); err == nil {
+				t.Fatalf("truncated %T (%d of %d bytes) decoded without error", msg, cut, len(full))
 			}
 		}
 	}

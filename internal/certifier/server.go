@@ -357,16 +357,25 @@ func (s *Server) Handle(method string, req []byte) ([]byte, error) {
 	}
 }
 
-// ensureEngineLocked makes the engine reflect this node's current log
-// snapshot, rebuilding after leadership changes. Returns an error if
-// the node is not the leader.
+// ensureEngineLocked makes the engine reflect this node's log,
+// rebuilding it after a leadership change or a failed propose. Returns
+// an error if the node is not the leader. Every request calls it, so
+// the steady state — still leading in the term the engine was built
+// for — reads role and term only; the log is copied on the rebuild
+// path alone and a request's cost does not grow with committed history.
 func (s *Server) ensureEngineLocked() error {
-	term, role, entries := s.node.SnapshotLog()
+	role, term := s.node.Role()
 	if role != paxos.Leader {
 		return notLeaderError(s.node.LeaderHint())
 	}
 	if s.basisValid && s.basisTerm == term {
 		return nil
+	}
+	// Term and role are read again with the copy: leadership may have
+	// moved since the test above.
+	term, role, entries := s.node.SnapshotLog()
+	if role != paxos.Leader {
+		return notLeaderError(s.node.LeaderHint())
 	}
 	eng := core.NewEngine()
 	for _, e := range entries {

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"tashkent/internal/certifier"
+	"tashkent/internal/chaos"
 	"tashkent/internal/core"
 	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
@@ -304,5 +308,328 @@ func TestPartitionedReplicaCrashRecovery(t *testing.T) {
 	}
 	if err := clusterCommit(t, c, 0, keyInPartition(parts, 0, 7300), "post"); err != nil {
 		t.Fatalf("post-recovery commit: %v", err)
+	}
+}
+
+// steerFunc adapts a function to transport.Interposer, for tests that
+// reorder the 2PC messages of chosen transactions.
+type steerFunc func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error)
+
+func (f steerFunc) Call(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+	return f(from, to, method, req, deliver)
+}
+
+// event is a one-shot signal a steering interposer holds messages on.
+type event struct {
+	once sync.Once
+	ch   chan struct{}
+}
+
+func newEvent() *event { return &event{ch: make(chan struct{})} }
+
+func (e *event) fire() { e.once.Do(func() { close(e.ch) }) }
+
+// steerHold bounds how long a steered message is held for the events it
+// waits on; a hold that expires delivers the message and fails the test.
+const steerHold = 2 * time.Second
+
+// hold delays a steered message until every event has fired, counting
+// in expired the waits that ran out first.
+func hold(expired *atomic.Int32, events ...*event) {
+	for _, e := range events {
+		select {
+		case <-e.ch:
+		case <-time.After(steerHold):
+			expired.Add(1)
+		}
+	}
+}
+
+// groupOf parses the certifier group out of a partitioned cluster's
+// fabric endpoint name (-1 if to is not a group certifier).
+func groupOf(to string) int {
+	var g, k int
+	if _, err := fmt.Sscanf(to, "cert-g%d-%d", &g, &k); err != nil {
+		return -1
+	}
+	return g
+}
+
+// groupEngine rebuilds a certification engine from group g's leader log,
+// the way a newly elected leader would, and returns it with the decoded
+// entries.
+func groupEngine(t *testing.T, c *Cluster, g int) (*core.Engine, []certifier.Entry) {
+	t.Helper()
+	leader := c.GroupLeader(g)
+	if leader == nil {
+		t.Fatalf("group %d has no leader", g)
+	}
+	_, _, entries := leader.Node().SnapshotLog()
+	eng := core.NewEngine()
+	decoded := make([]certifier.Entry, len(entries))
+	for i, e := range entries {
+		dec, err := certifier.DecodeLogEntry(e.Data)
+		if err != nil {
+			t.Fatalf("group %d entry %d: %v", g, e.Index, err)
+		}
+		decoded[i] = dec
+		if err := eng.Append(core.LogEntry{
+			Version: core.Version(e.Index), WS: dec.WS, Origin: dec.Origin,
+			CertifiedBack: core.Version(dec.Start),
+			Kind:          dec.Kind, GID: dec.GID, Involved: dec.Involved,
+		}); err != nil {
+			t.Fatalf("group %d entry %d: %v", g, e.Index, err)
+		}
+	}
+	return eng, decoded
+}
+
+// waitNoPrepareUnresolved waits for the detached resolvers: every
+// prepare in every group's log must get its decision marker.
+func waitNoPrepareUnresolved(t *testing.T, c *Cluster) {
+	t.Helper()
+	var stuck string
+	ok := chaos.WaitUntil(5*time.Second, func() bool {
+		for g := 0; g < c.Groups(); g++ {
+			if eng, _ := groupEngine(t, c, g); eng.OldestPrepared() != 0 {
+				stuck = fmt.Sprintf("group %d still holds an unresolved prepare at index %d", g, eng.OldestPrepared())
+				return false
+			}
+		}
+		return true
+	})
+	if !ok {
+		t.Fatal(stuck)
+	}
+}
+
+// TestCrossPartitionCommitIsTwoRounds holds group 0's prepare until
+// group 1's has been sent, and group 0's resolve until group 1's has
+// been sent: a coordinator that talks to its groups one after the other
+// never sends the second message while the first is outstanding, so only
+// one that prepares every group at once, and resolves every group at
+// once, gets through without a hold expiring.
+func TestCrossPartitionCommitIsTwoRounds(t *testing.T) {
+	const parts = 2
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+	})
+	prepareSent, resolveSent := newEvent(), newEvent()
+	var expired atomic.Int32
+	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		if from == ReplicaName(0) {
+			switch g := groupOf(to); {
+			case g == 1 && method == certifier.MethodPrepare:
+				prepareSent.fire()
+			case g == 1 && method == certifier.MethodResolve:
+				resolveSent.fire()
+			case g == 0 && method == certifier.MethodPrepare:
+				hold(&expired, prepareSent)
+			case g == 0 && method == certifier.MethodResolve:
+				hold(&expired, resolveSent)
+			}
+		}
+		return deliver()
+	}))
+	if err := crossCommit(t, c, 0, parts, []int{0, 1}, 8000, "two-rounds"); err != nil {
+		t.Fatalf("cross-partition commit: %v", err)
+	}
+	if n := expired.Load(); n != 0 {
+		t.Fatalf("%d of group 0's messages waited out the hold: group 1's was not sent while group 0's was outstanding", n)
+	}
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fps := c.Fingerprints(); fps[0] != fps[1] {
+		t.Fatalf("replicas diverged: %v", fps)
+	}
+}
+
+// TestCrossPartitionCrossedPrepares races two transactions over one key
+// pair, one key per group, and steers their messages so that T1 locks
+// its key in group 0 first, T2 its key in group 1 first, and neither
+// abort marker overtakes the other transaction's second prepare: each
+// finds its second key locked. Prepare locks refuse instead of waiting,
+// so there is no deadlock to avoid and, with every group asked at once,
+// no guaranteed winner either — what must hold is that the two never
+// both commit, that a loser is told it was a certification abort, and
+// that the crossed refusals leak no lock: every prepare gets its marker
+// and a later transaction over the same pair commits.
+func TestCrossPartitionCrossedPrepares(t *testing.T) {
+	const parts, salt = 2, 8100
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+	})
+	// Let every certifier client find its group's leader first, so that
+	// no steered prepare spends its head start on a follower's redirect.
+	for rep := 0; rep < 2; rep++ {
+		if err := crossCommit(t, c, rep, parts, []int{0, 1}, salt+1+rep, "warm"); err != nil {
+			t.Fatalf("warm-up commit on replica %d: %v", rep, err)
+		}
+	}
+	// answered[r][g] fires once group g's leader has answered the prepare
+	// of replica r's transaction. Replica r goes to group r first.
+	var answered [2][2]*event
+	for r := range answered {
+		for g := range answered[r] {
+			answered[r][g] = newEvent()
+		}
+	}
+	var expired atomic.Int32
+	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		r, g := -1, groupOf(to)
+		for rep := 0; rep < 2; rep++ {
+			if from == ReplicaName(rep) {
+				r = rep
+			}
+		}
+		if r < 0 || g < 0 {
+			return deliver()
+		}
+		switch method {
+		case certifier.MethodPrepare:
+			if g != r {
+				hold(&expired, answered[1-r][g]) // the other transaction locks here first
+			}
+			resp, err := deliver()
+			if err == nil {
+				answered[r][g].fire()
+			}
+			return resp, err
+		case certifier.MethodResolve:
+			hold(&expired, answered[0][1], answered[1][0]) // both second prepares have met their lock
+		}
+		return deliver()
+	}))
+
+	var txs [2]*proxy.Tx
+	for rep := range txs {
+		tx, err := c.Begin(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pid := 0; pid < parts; pid++ {
+			if err := tx.Update("t", keyInPartition(parts, pid, salt), map[string][]byte{"v": []byte(fmt.Sprintf("t%d", rep+1))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		txs[rep] = tx
+	}
+	var errs [2]error
+	var wg sync.WaitGroup
+	for rep := range txs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[rep] = txs[rep].Commit()
+		}()
+	}
+	wg.Wait()
+
+	if n := expired.Load(); n != 0 {
+		t.Fatalf("%d steered messages waited out the hold: the crossed order was not produced", n)
+	}
+	for rep, err := range errs {
+		if err == nil {
+			t.Errorf("T%d committed although the other transaction held its second key", rep+1)
+		} else if !errors.Is(err, proxy.ErrCertificationAbort) {
+			t.Errorf("T%d: commit returned %v, want a certification abort", rep+1, err)
+		}
+	}
+	waitNoPrepareUnresolved(t, c)
+	c.Fabric().SetInterposer(nil)
+	if err := crossCommit(t, c, 0, parts, []int{0, 1}, salt, "t3"); err != nil {
+		t.Fatalf("third transaction over the same pair: %v (a lock leaked)", err)
+	}
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fps := c.Fingerprints(); fps[0] != fps[1] {
+		t.Fatalf("replicas diverged: %v", fps)
+	}
+	for rep := 0; rep < 2; rep++ {
+		tx, err := c.Begin(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pid := 0; pid < parts; pid++ {
+			if v, ok, err := tx.ReadCol("t", keyInPartition(parts, pid, salt), "v"); err != nil || !ok || string(v) != "t3" {
+				t.Errorf("replica %d partition %d = %q %v %v, want t3", rep, pid, v, ok, err)
+			}
+		}
+		tx.Abort()
+	}
+}
+
+// TestCrossPartitionRefusedPrepareIsFenced has group 0 refuse a prepare
+// (a newer committed write to its key) while group 1, asked at the same
+// time, makes its own durable. The abort decision must reach both: group
+// 1's marker releases the lock, and group 0's — for a gid it never
+// prepared — is what keeps a late duplicate of the refused prepare from
+// ever locking.
+func TestCrossPartitionRefusedPrepareIsFenced(t *testing.T) {
+	const parts, salt = 2, 8200
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+	})
+	k0, k1 := keyInPartition(parts, 0, salt), keyInPartition(parts, 1, salt)
+	tx, err := c.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{k0, k1} {
+		if err := tx.Update("t", k, map[string][]byte{"v": []byte("loser")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Replica 1 commits k0 after the snapshot: group 0 must now refuse.
+	if err := clusterCommit(t, c, 1, k0, "winner"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, proxy.ErrCertificationAbort) {
+		t.Fatalf("commit returned %v, want a certification abort", err)
+	}
+	waitNoPrepareUnresolved(t, c)
+
+	eng1, log1 := groupEngine(t, c, 1)
+	var gid uint64
+	for _, e := range log1 {
+		if e.Kind == core.KindPrepare {
+			gid = e.GID
+		}
+	}
+	if gid == 0 {
+		t.Fatal("group 1 holds no prepare entry: it was not asked while group 0 refused")
+	}
+	if _, commit, ok := eng1.Resolution(gid); !ok || commit {
+		t.Errorf("group 1: resolution of gid %d = (commit %v, present %v), want an abort marker", gid, commit, ok)
+	}
+	eng0, log0 := groupEngine(t, c, 0)
+	for _, e := range log0 {
+		if e.Kind == core.KindPrepare {
+			t.Errorf("group 0 logged a prepare for gid %d; it should have refused", e.GID)
+		}
+	}
+	if _, commit, ok := eng0.Resolution(gid); !ok || commit {
+		t.Errorf("group 0: resolution of gid %d = (commit %v, present %v), want an abort marker", gid, commit, ok)
+	}
+	// A duplicate of the refused prepare arriving now — its conflict
+	// gone with a fresh snapshot — must still be turned away.
+	ws := &core.Writeset{}
+	ws.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: k0, Cols: []core.ColUpdate{{Col: "v", Value: []byte("late")}}})
+	leader0 := c.GroupLeader(0)
+	resp, err := leader0.Prepare(certifier.PrepareRequest{
+		GID: gid, Origin: 1, StartVersion: leader0.Node().CommitIndex(), Involved: []int{0, 1}, WSBytes: ws.Encode(nil),
+	})
+	if err != nil || resp.Prepared {
+		t.Errorf("late duplicate of the refused prepare: prepared=%v err=%v, want a refusal", resp.Prepared, err)
+	}
+	// With replica 0 caught up to the write that beat it, the same pair
+	// commits: the abort left no lock behind.
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := crossCommit(t, c, 0, parts, []int{0, 1}, salt, "after"); err != nil {
+		t.Fatalf("transaction over the same pair after the abort: %v", err)
 	}
 }

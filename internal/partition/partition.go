@@ -8,9 +8,9 @@
 // certifies against that group alone (the fast path — one round, one
 // group fsync). A cross-partition transaction runs a two-phase
 // protocol: phase 1 appends a durable *prepare* entry (this group's
-// slice of the writeset, conflict-checked and locked) in each involved
-// group in ascending partition order; phase 2 appends a *decision
-// marker* (commit or abort) in each group. Replicas rebuild one total
+// slice of the writeset, conflict-checked and locked) in every involved
+// group at once; phase 2 appends a *decision marker* (commit or abort)
+// in each group, again all at once. Replicas rebuild one total
 // apply order by deterministically interleaving the per-group logs
 // (see Assembler), so every replica announces the same merged version
 // for the same entry without any cross-group coordination.
@@ -48,9 +48,7 @@ type Part struct {
 }
 
 // Split slices a writeset by partition, returned in ascending
-// partition order — the canonical order in which cross-partition
-// transactions prepare (a fixed lock order makes distributed deadlock
-// impossible).
+// partition order.
 func (m Map) Split(ws *core.Writeset) []Part {
 	if m.N <= 1 {
 		return []Part{{PID: 0, WS: ws}}

@@ -135,6 +135,32 @@ func (p *Proxy) ingest(g int, remote []certifier.RemoteWS) {
 	}
 }
 
+// fanOut runs fn(0..n-1) concurrently and returns when all have: the
+// proxy's one way of talking to several certifier groups at once.
+func fanOut(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	if n > 0 {
+		fn(0)
+	}
+	wg.Wait()
+}
+
+// frontierOf is the highest contiguous log index received from group g
+// — what a certify or pull request to g reports so the response carries
+// the committed entries above it.
+func (ps *partState) frontierOf(g int) uint64 {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.asm.Frontier(g)
+}
+
 // mergerLoop is the replica's single submitter in partitioned mode: it
 // drains ready actions from the assembler and schedules them in merged
 // order. When the merge stalls it pulls every group at or behind the
@@ -250,7 +276,6 @@ func (p *Proxy) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
 	if blockG < 0 {
 		return false
 	}
-	var wg sync.WaitGroup
 	progressed := make([]bool, len(ps.topo.Groups))
 	ps.mu.Lock()
 	frontiers := make([]uint64, len(ps.topo.Groups))
@@ -269,18 +294,12 @@ func (p *Proxy) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
 			fillTo = f
 		}
 	}
-	for g := range ps.topo.Groups {
+	fanOut(len(ps.topo.Groups), func(g int) {
 		if frontiers[g] > blockIdx {
-			continue // already past the merge horizon
+			return // already past the merge horizon
 		}
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			progressed[g] = p.pullGroup(g, blockIdx, fillTo, fill && g == blockG)
-		}()
-	}
-	wg.Wait()
+		progressed[g] = p.pullGroup(g, blockIdx, fillTo, fill && g == blockG)
+	})
 	for _, ok := range progressed {
 		if ok {
 			return true
@@ -296,13 +315,7 @@ func (p *Proxy) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
 // entries were ingested.
 func (p *Proxy) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 	ps := p.part
-	pullFrom := func() uint64 {
-		ps.mu.Lock()
-		f := ps.asm.Frontier(g)
-		ps.mu.Unlock()
-		return f
-	}
-	frontier := pullFrom()
+	frontier := ps.frontierOf(g)
 	if needIdx < frontier {
 		return false // already received; the merger just has not run yet
 	}
@@ -314,7 +327,7 @@ func (p *Proxy) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 		return false
 	}
 	p.ingest(g, resp.Remote)
-	after := pullFrom()
+	after := ps.frontierOf(g)
 	if needIdx < after {
 		return after > frontier
 	}
@@ -329,11 +342,11 @@ func (p *Proxy) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 			return after > frontier
 		}
 		resp, err = client.Pull(certifier.PullRequest{
-			Origin: p.cfg.ReplicaID, ReplicaVersion: pullFrom(), IncludeOwn: true,
+			Origin: p.cfg.ReplicaID, ReplicaVersion: ps.frontierOf(g), IncludeOwn: true,
 		})
 		if err == nil {
 			p.ingest(g, resp.Remote)
-			after = pullFrom()
+			after = ps.frontierOf(g)
 		}
 	}
 	return after > frontier
@@ -551,13 +564,10 @@ func (p *Proxy) waitOwn(t *Tx, register func() (uint64, bool, *ownWait)) (uint64
 // addressed by (group, index), so no sequence hole results).
 func (p *Proxy) commitSinglePartition(ctx context.Context, t *Tx, ws *core.Writeset, g int) error {
 	ps := p.part
-	ps.mu.Lock()
-	frontier := ps.asm.Frontier(g)
-	ps.mu.Unlock()
 	resp, err := ps.topo.Groups[g].CertifyCtx(ctx, certifier.Request{
 		Origin:         p.cfg.ReplicaID,
 		StartVersion:   t.startVec[g],
-		ReplicaVersion: frontier,
+		ReplicaVersion: ps.frontierOf(g),
 		WSBytes:        ws.Encode(nil),
 		Deadline:       deadlineNano(ctx),
 	})
@@ -597,10 +607,13 @@ func (p *Proxy) commitSinglePartition(ctx context.Context, t *Tx, ws *core.Write
 	return nil
 }
 
-// commitCrossPartition runs the ordered two-phase protocol: prepare
-// in every involved group in ascending partition order (the canonical
-// lock order), then resolve-commit each; replicas apply the union of
-// the parts atomically at the first commit marker's merged position.
+// commitCrossPartition runs two-phase commit in two certifier rounds:
+// a durable prepare in every involved group at once, then — all having
+// acknowledged — the commit marker to every group at once; replicas
+// apply the union of the parts atomically at the first commit marker's
+// merged position. Prepare locks never wait (a held item refuses the
+// prepare), so no lock order is needed; two transactions that collide
+// in two groups may refuse each other, and both then abort and retry.
 func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writeset, parts []partition.Part) error {
 	ps := p.part
 	gid := uint64(p.cfg.ReplicaID)<<40 | (gidCounter.Add(1) & (1<<40 - 1))
@@ -614,29 +627,34 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 	// delivered by the detached resolver, so no group's locks leak).
 	// Once every prepare has acknowledged, the decision is commit and
 	// the remaining work completes regardless of ctx.
-	prepared := make([]int, 0, len(parts))
-	for _, part := range parts {
-		resp, err := ps.topo.Groups[part.PID].PrepareCtx(ctx, certifier.PrepareRequest{
+	resps := make([]certifier.PrepareResponse, len(parts))
+	errs := make([]error, len(parts))
+	fanOut(len(parts), func(i int) {
+		pid := parts[i].PID
+		resps[i], errs[i] = ps.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
 			GID:          gid,
 			Origin:       p.cfg.ReplicaID,
-			StartVersion: t.startVec[part.PID],
+			StartVersion: t.startVec[pid],
 			Involved:     involved,
-			WSBytes:      part.WS.Encode(nil),
+			WSBytes:      parts[i].WS.Encode(nil),
 		})
-		if err != nil || !resp.Prepared {
-			// Abort the whole transaction. The failed group is included
-			// in the resolve set: on a transport error its prepare may
-			// have landed, and an abort marker for a never-prepared gid
-			// is a harmless no-op.
-			p.resolveDetached(gid, append(prepared, part.PID), false)
-			t.inner.Abort()
-			if err != nil {
-				return fmt.Errorf("proxy: prepare in partition %d: %w", part.PID, certError(err))
-			}
-			p.addStat(func(st *Stats) { st.CertAborts++; st.CrossPartAborts++ })
-			return ErrCertificationAbort
+	})
+	for i, part := range parts {
+		if errs[i] == nil && resps[i].Prepared {
+			continue
 		}
-		prepared = append(prepared, part.PID)
+		// Abort the whole transaction, in every involved group: each was
+		// asked, so each may hold a durable prepare (on a transport error
+		// it may have landed), and where it was refused the marker is
+		// what keeps a duplicated late delivery of it from locking. An
+		// abort marker for a never-prepared gid is otherwise a no-op.
+		p.resolveDetached(gid, involved, false)
+		t.inner.Abort()
+		if errs[i] != nil {
+			return fmt.Errorf("proxy: prepare in partition %d: %w", part.PID, certError(errs[i]))
+		}
+		p.addStat(func(st *Stats) { st.CertAborts++; st.CrossPartAborts++ })
+		return ErrCertificationAbort
 	}
 
 	// Register the waiter before any marker can exist, then resolve.
@@ -649,11 +667,11 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 	default:
 	}
 
-	if !p.resolveAll(gid, prepared, true) {
+	if pending := p.resolveAll(gid, involved, true); len(pending) > 0 {
 		// Some group is unreachable; a detached resolver keeps
 		// retrying (the prepares are durable — the decision must
 		// reach every group or its locks stay held).
-		p.resolveDetached(gid, prepared, true)
+		p.resolveDetached(gid, pending, true)
 	}
 
 	mv, err := p.waitOwn(t, func() (uint64, bool, *ownWait) {
@@ -677,16 +695,21 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 	return nil
 }
 
-// resolveAll sends the decision to each group in ascending order,
-// reporting whether every group acknowledged it.
-func (p *Proxy) resolveAll(gid uint64, pids []int, commit bool) bool {
-	ok := true
-	for _, pid := range pids {
-		if _, err := p.part.topo.Groups[pid].Resolve(certifier.ResolveRequest{GID: gid, Commit: commit}); err != nil {
-			ok = false
+// resolveAll sends the decision to every group in pids at once and
+// returns the groups that did not acknowledge it.
+func (p *Proxy) resolveAll(gid uint64, pids []int, commit bool) []int {
+	failed := make([]bool, len(pids))
+	fanOut(len(pids), func(i int) {
+		_, err := p.part.topo.Groups[pids[i]].Resolve(certifier.ResolveRequest{GID: gid, Commit: commit})
+		failed[i] = err != nil
+	})
+	var pending []int
+	for i, f := range failed {
+		if f {
+			pending = append(pending, pids[i])
 		}
 	}
-	return ok
+	return pending
 }
 
 // resolveDetached completes the decision protocol in the background:
@@ -698,7 +721,6 @@ func (p *Proxy) resolveAll(gid uint64, pids []int, commit bool) bool {
 // certifications abort until a restarted coordinator re-resolves,
 // which is legal (aborts, never a safety violation).
 func (p *Proxy) resolveDetached(gid uint64, pids []int, commit bool) {
-	groups := p.part.topo.Groups
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -709,16 +731,8 @@ func (p *Proxy) resolveDetached(gid uint64, pids []int, commit bool) {
 	go func() {
 		defer p.wg.Done()
 		backoff := 5 * time.Millisecond
-		pending := append([]int(nil), pids...)
-		for len(pending) > 0 {
-			var still []int
-			for _, pid := range pending {
-				if _, err := groups[pid].Resolve(certifier.ResolveRequest{GID: gid, Commit: commit}); err != nil {
-					still = append(still, pid)
-				}
-			}
-			pending = still
-			if len(pending) == 0 {
+		for pending := pids; ; {
+			if pending = p.resolveAll(gid, pending, commit); len(pending) == 0 {
 				return
 			}
 			select {
@@ -733,27 +747,28 @@ func (p *Proxy) resolveDetached(gid uint64, pids []int, commit bool) {
 	}()
 }
 
-// pullOncePartitioned fetches every group's stream forward once.
+// pullOncePartitioned fetches every group's stream forward once, all
+// groups at the same time.
 func (p *Proxy) pullOncePartitioned() error {
 	ps := p.part
-	var firstErr error
-	for g := range ps.topo.Groups {
-		ps.mu.Lock()
-		frontier := ps.asm.Frontier(g)
-		ps.mu.Unlock()
+	errs := make([]error, len(ps.topo.Groups))
+	fanOut(len(ps.topo.Groups), func(g int) {
 		resp, err := ps.topo.Groups[g].Pull(certifier.PullRequest{
-			Origin: p.cfg.ReplicaID, ReplicaVersion: frontier, IncludeOwn: true,
+			Origin: p.cfg.ReplicaID, ReplicaVersion: ps.frontierOf(g), IncludeOwn: true,
 		})
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+			errs[g] = err
+			return
 		}
 		p.ingest(g, resp.Remote)
-	}
+	})
 	p.addStat(func(st *Stats) { st.StalenessPulls++ })
-	return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // resyncPartitioned brings a recovered replica back: the merger

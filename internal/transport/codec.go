@@ -9,10 +9,10 @@ import (
 )
 
 // Message codec: every RPC payload starts with a one-byte codec tag.
-// Hot message types (certify/pull requests and responses, paxos
+// Hot message types (every replica↔certifier message, paxos
 // append/fetch) implement BinaryMessage and take a hand-written
-// length-prefixed binary fast path; everything else (votes, the 2PC
-// prepare/resolve/fill control messages) falls back to gob. Gob starts
+// length-prefixed binary fast path; everything else (paxos votes)
+// falls back to gob. Gob starts
 // every message with a full type descriptor — tens of bytes of field
 // names per message — which the wire sweep showed dominating
 // bytes/writeset on the certify path.
