@@ -30,9 +30,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -117,15 +115,15 @@ func handler(rep *replica.Replica, id int, txnTimeout time.Duration) transport.H
 		switch method {
 		case "admin.stat":
 			st := rep.Store()
-			return enc(kvwire.StatResp{Replica: id, Version: st.AnnouncedVersion(), Fingerprint: st.Fingerprint()})
+			return kvwire.Encode(kvwire.StatResp{Replica: id, Version: st.AnnouncedVersion(), Fingerprint: st.Fingerprint()})
 		case "admin.pull":
 			if err := rep.Proxy().PullOnce(); err != nil {
 				return nil, err
 			}
-			return enc(kvwire.PullResp{Version: rep.Store().AnnouncedVersion()})
+			return kvwire.Encode(kvwire.PullResp{Version: rep.Store().AnnouncedVersion()})
 		case "kv.get":
 			var r kvwire.GetReq
-			if err := dec(req, &r); err != nil {
+			if err := kvwire.Decode(req, &r); err != nil {
 				return nil, err
 			}
 			tx, err := rep.Begin()
@@ -137,10 +135,10 @@ func handler(rep *replica.Replica, id int, txnTimeout time.Duration) transport.H
 			if err != nil {
 				return nil, err
 			}
-			return enc(kvwire.GetResp{Value: v, Found: ok})
+			return kvwire.Encode(kvwire.GetResp{Value: v, Found: ok})
 		case "kv.put":
 			var r kvwire.PutReq
-			if err := dec(req, &r); err != nil {
+			if err := kvwire.Decode(req, &r); err != nil {
 				return nil, err
 			}
 			aborted, err := commitRetried(ctx, rep, func(tx *proxy.Tx) error {
@@ -149,10 +147,10 @@ func handler(rep *replica.Replica, id int, txnTimeout time.Duration) transport.H
 			if err != nil {
 				return nil, err
 			}
-			return enc(kvwire.PutResp{Aborted: aborted})
+			return kvwire.Encode(kvwire.PutResp{Aborted: aborted})
 		case "kv.txn":
 			var r kvwire.TxnReq
-			if err := dec(req, &r); err != nil {
+			if err := kvwire.Decode(req, &r); err != nil {
 				return nil, err
 			}
 			return runTxn(ctx, rep, r)
@@ -195,7 +193,7 @@ func runTxn(ctx context.Context, rep *replica.Replica, r kvwire.TxnReq) ([]byte,
 		return nil, err
 	}
 	resp.Aborted = aborted
-	return enc(resp)
+	return kvwire.Encode(resp)
 }
 
 // commitRetried is the daemon-side analogue of the session executor's
@@ -236,16 +234,4 @@ func commitRetried(ctx context.Context, rep *replica.Replica, fn func(*proxy.Tx)
 			backoff = backoffCap
 		}
 	}
-}
-
-func enc(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func dec(b []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }

@@ -9,8 +9,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +37,7 @@ func main() {
 			break
 		}
 		var resp kvwire.GetResp
-		if err = call(c, "kv.get", kvwire.GetReq{Table: args[1], Key: args[2], Col: args[3]}, &resp); err == nil {
+		if err = kvwire.Call(c, "kv.get", kvwire.GetReq{Table: args[1], Key: args[2], Col: args[3]}, &resp); err == nil {
 			fmt.Printf("found=%v value=%s\n", resp.Found, resp.Value)
 		}
 	case "put":
@@ -48,7 +46,7 @@ func main() {
 			break
 		}
 		var resp kvwire.PutResp
-		if err = call(c, "kv.put", kvwire.PutReq{Table: args[1], Key: args[2], Col: args[3], Value: []byte(args[4])}, &resp); err == nil {
+		if err = kvwire.Call(c, "kv.put", kvwire.PutReq{Table: args[1], Key: args[2], Col: args[3], Value: []byte(args[4])}, &resp); err == nil {
 			fmt.Printf("aborted=%v\n", resp.Aborted)
 		}
 	case "txn":
@@ -58,7 +56,7 @@ func main() {
 			break
 		}
 		var resp kvwire.TxnResp
-		if err = call(c, "kv.txn", kvwire.TxnReq{Ops: ops}, &resp); err == nil {
+		if err = kvwire.Call(c, "kv.txn", kvwire.TxnReq{Ops: ops}, &resp); err == nil {
 			fmt.Printf("aborted=%v\n", resp.Aborted)
 			for i, rd := range resp.Reads {
 				if ops[i].Kind == "read" {
@@ -68,12 +66,12 @@ func main() {
 		}
 	case "stat":
 		var resp kvwire.StatResp
-		if err = adminCall(c, "admin.stat", &resp); err == nil {
+		if err = kvwire.Call(c, "admin.stat", nil, &resp); err == nil {
 			fmt.Printf("replica=%d version=%d fingerprint=%08x\n", resp.Replica, resp.Version, resp.Fingerprint)
 		}
 	case "pull":
 		var resp kvwire.PullResp
-		if err = adminCall(c, "admin.pull", &resp); err == nil {
+		if err = kvwire.Call(c, "admin.pull", nil, &resp); err == nil {
 			fmt.Printf("version=%d\n", resp.Version)
 		}
 	default:
@@ -118,25 +116,4 @@ func render(row map[string][]byte) string {
 		parts = append(parts, fmt.Sprintf("%s=%s", k, v))
 	}
 	return strings.Join(parts, " ")
-}
-
-// adminCall invokes a request-less admin method.
-func adminCall(c transport.Client, method string, resp interface{}) error {
-	b, err := c.Call(method, nil)
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(resp)
-}
-
-func call(c transport.Client, method string, req, resp interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		return err
-	}
-	b, err := c.Call(method, buf.Bytes())
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(resp)
 }

@@ -1,6 +1,7 @@
 package certifier
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -377,7 +378,7 @@ func TestFollowerRedirects(t *testing.T) {
 		}
 	}
 	c := g.fabric.Dial(fmt.Sprintf("cert%d", follower))
-	req, _ := encodeMsg(&Request{Origin: 1, WSBytes: wsBytes("x")})
+	req, _ := transport.EncodeMessage(&Request{Origin: 1, WSBytes: wsBytes("x")})
 	_, err := c.Call(MethodCertify, req)
 	var rerr *transport.RemoteError
 	if !errors.As(err, &rerr) {
@@ -489,20 +490,20 @@ func TestCertifierRecoveryStateTransfer(t *testing.T) {
 func TestEntryDataRoundTrip(t *testing.T) {
 	ws := &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpInsert, Table: "a", Key: "b",
 		Cols: []core.ColUpdate{{Col: "c", Value: []byte("d")}}}}}
-	data := encodeEntryData(7, 42, ws)
-	e, err := decodeEntryData(data)
+	data := EncodeEntry(Entry{Kind: core.KindData, Origin: 7, Start: 42, WS: ws})
+	e, err := DecodeLogEntry(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Kind != core.KindData || e.Origin != 7 || e.Start != 42 || !e.WS.Intersects(ws) {
 		t.Errorf("decoded kind=%v origin=%d start=%d ws=%v", e.Kind, e.Origin, e.Start, e.WS)
 	}
-	if _, err := decodeEntryData(data[:5]); err == nil {
+	if _, err := DecodeLogEntry(data[:5]); err == nil {
 		t.Error("short entry accepted")
 	}
 
-	pdata := encodeEntry(core.KindPrepare, 3, 9, 77, []int{0, 2}, ws)
-	pe, err := decodeEntryData(pdata)
+	pdata := EncodeEntry(Entry{Kind: core.KindPrepare, Origin: 3, Start: 9, GID: 77, Involved: []int{0, 2}, WS: ws})
+	pe, err := DecodeLogEntry(pdata)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,5 +620,72 @@ func BenchmarkPullLongLog(b *testing.B) {
 		if _, err := srv.pull(req); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBytesAfterWritesetNeverEnterLog: a certify or prepare request
+// whose WSBytes carry anything after the writeset is refused before it
+// takes a version, and the log holds nothing of it. (The payload is the
+// request's bytes as sent, so there is no re-encode to lose them in.)
+func TestBytesAfterWritesetNeverEnterLog(t *testing.T) {
+	g := newTestGroup(t, 1, nil)
+	srv := g.servers[0]
+	if _, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("a")}); err != nil {
+		t.Fatal(err)
+	}
+	smuggled := []byte("SMUGGLED")
+	if resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 1, WSBytes: append(wsBytes("b"), smuggled...)}); err == nil {
+		t.Errorf("certify with bytes after the writeset answered %+v", resp)
+	}
+	if resp, err := srv.Prepare(PrepareRequest{GID: 9, Origin: 1, StartVersion: 1, Involved: []int{0, 1},
+		WSBytes: append(wsBytes("c"), smuggled...)}); err == nil {
+		t.Errorf("prepare with bytes after the writeset answered %+v", resp)
+	}
+	// The group still works, and the next version is 2.
+	resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 1, WSBytes: wsBytes("d")})
+	if err != nil || !resp.Committed || resp.CommitVersion != 2 {
+		t.Fatalf("certify after the refusals: %+v, %v", resp, err)
+	}
+	_, _, log := srv.Node().SnapshotLog()
+	if len(log) != 2 {
+		t.Errorf("log holds %d entries, want 2", len(log))
+	}
+	for _, e := range log {
+		if bytes.Contains(e.Data, smuggled) {
+			t.Errorf("entry %d carries the smuggled bytes", e.Index)
+		}
+		if _, err := DecodeLogEntry(e.Data); err != nil {
+			t.Errorf("entry %d: %v", e.Index, err)
+		}
+	}
+}
+
+// TestPullAllocationsDoNotGrowWithEntries: shipping committed entries
+// allocates the response's two slices and nothing per entry — each
+// RemoteWS carries the log entry's own payload. Re-encoding every
+// writeset cost at least two allocations an entry.
+func TestPullAllocationsDoNotGrowWithEntries(t *testing.T) {
+	g := newTestGroup(t, 1, nil)
+	srv := g.servers[0]
+	const entries = 200
+	for i := 0; i < entries; i++ {
+		if _, err := srv.certify(Request{Origin: 1 + i%3, StartVersion: uint64(i), WSBytes: wsBytes(fmt.Sprintf("k%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, log := srv.Node().SnapshotLog()
+	req := PullRequest{Origin: 9, IncludeOwn: true}
+	allocs := testing.AllocsPerRun(50, func() {
+		resp, err := srv.pull(req)
+		if err != nil || len(resp.Remote) != entries {
+			t.Fatalf("pull: %d remotes, %v", len(resp.Remote), err)
+		}
+		// The shipped bytes are the paxos log's, by reference.
+		if r := resp.Remote[entries-1]; &r.WSBytes[0] != &log[entries-1].Data[0] {
+			t.Fatal("a shipped writeset is a copy of its log entry")
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("a pull of %d entries allocates %.0f times, want a small constant", entries, allocs)
 	}
 }

@@ -151,7 +151,7 @@ func (c *Client) noteOutcome(reachable bool) {
 }
 
 func (c *Client) call(ctx context.Context, method string, req, resp interface{}) error {
-	payload, err := encodeMsg(req)
+	payload, err := transport.EncodeMessage(req)
 	if err != nil {
 		return err
 	}
@@ -191,7 +191,7 @@ func (c *Client) call(ctx context.Context, method string, req, resp interface{})
 		if err == nil {
 			c.leader.Store(int64(target))
 			c.noteOutcome(true)
-			return decodeMsg(respB, resp)
+			return transport.DecodeMessage(respB, resp)
 		}
 		lastErr = err
 		var rerr *transport.RemoteError

@@ -3,13 +3,13 @@ package certifier
 // Binary wire codecs for every replica↔certifier message: certify and
 // pull on every update commit and staleness pull, prepare/resolve on
 // every cross-partition commit, fill whenever a merge waits on an idle
-// group. Each gets a hand-written fixed-layout encoding
-// (transport.BinaryMessage) instead of gob's per-message type
-// descriptor.
+// group. Each has a hand-written fixed-layout encoding
+// (transport.BinaryMessage), the only wire form the transport takes.
 //
 // All integers are big-endian fixed width. Writesets ride as opaque
-// length-prefixed byte strings: they are already core.Writeset's
-// compact binary encoding.
+// length-prefixed byte strings: a request's is already core.Writeset's
+// compact binary encoding, a RemoteWS's is the log entry's payload as
+// the leader encoded it once (messages.go).
 
 import (
 	"encoding/binary"
@@ -18,7 +18,7 @@ import (
 	"tashkent/internal/transport"
 )
 
-// Interface checks: none of these may fall back to gob.
+// Interface checks: a message without these methods cannot be sent.
 var (
 	_ transport.BinaryMessage = (*Request)(nil)
 	_ transport.BinaryMessage = (*Response)(nil)

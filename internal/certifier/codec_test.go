@@ -2,10 +2,12 @@ package certifier
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"tashkent/internal/core"
 	"tashkent/internal/transport"
 )
 
@@ -58,8 +60,8 @@ func roundTrip(t *testing.T, v interface{}) interface{} {
 	return out
 }
 
-// normRemote maps empty and nil slices together for comparison: gob
-// and the binary codec legitimately differ on nil vs empty.
+// normWS maps empty and nil slices together for comparison: the
+// decoder returns an empty subslice of the frame where nil was sent.
 func normWS(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
@@ -176,51 +178,13 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 	}
 }
 
-// TestCodecGobEquivalence checks that a gob-tagged payload decodes
-// identically to the binary fast path, for Response and for the
-// prepare, resolve and fill messages that used to travel as gob: the
-// fallback and the fast path must be interchangeable on the wire.
-func TestCodecGobEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// norm maps the nil/empty differences the two codecs legitimately
-	// have onto one form.
-	norm := func(v interface{}) {
-		switch m := v.(type) {
-		case *Response:
-			m.Remote = normRemotes(m.Remote)
-		case *PrepareRequest:
-			m.WSBytes = normWS(m.WSBytes)
-		}
+func gobBytes(t *testing.T, v interface{}) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		for _, orig := range []interface{}{
-			&Response{Committed: rng.Intn(2) == 0, CommitVersion: rng.Uint64(), SystemVersion: rng.Uint64(),
-				ReplicaSeq: rng.Uint64(), SeqEpoch: rng.Uint64(), Remote: randRemotes(rng)},
-			&PrepareRequest{GID: rng.Uint64(), Origin: rng.Intn(1 << 16), StartVersion: rng.Uint64(),
-				Involved: randInvolved(rng), WSBytes: randBytes(rng, 256), ReplicaVersion: rng.Uint64()},
-			&PrepareResponse{Prepared: rng.Intn(2) == 0, Index: rng.Uint64(), SystemVersion: rng.Uint64()},
-			&ResolveRequest{GID: rng.Uint64(), Commit: rng.Intn(2) == 0},
-			&ResolveResponse{Index: rng.Uint64(), SystemVersion: rng.Uint64()},
-			&FillRequest{Target: rng.Uint64()},
-			&FillResponse{Head: rng.Uint64()},
-		} {
-			fromBin := roundTrip(t, orig)
-			// Forced gob path: tag byte 0x00 + raw gob of the same value.
-			gobRaw, err := transport.GobEncode(orig)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fromGob := reflect.New(reflect.TypeOf(orig).Elem()).Interface()
-			if err := transport.DecodeMessage(append([]byte{0x00}, gobRaw...), fromGob); err != nil {
-				t.Fatalf("gob decode %T: %v", orig, err)
-			}
-			norm(fromBin)
-			norm(fromGob)
-			if !reflect.DeepEqual(fromBin, fromGob) {
-				t.Fatalf("binary and gob decode of %T disagree:\nbin: %+v\ngob: %+v", orig, fromBin, fromGob)
-			}
-		}
-	}
+	return buf.Bytes()
 }
 
 // TestCodecBinarySmallerThanGob pins the point of the fast path: a
@@ -233,10 +197,7 @@ func TestCodecBinarySmallerThanGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobB, err := transport.GobEncode(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gobB := gobBytes(t, req)
 	if len(binB) >= len(gobB) {
 		t.Errorf("binary Request %dB not smaller than gob %dB", len(binB), len(gobB))
 	}
@@ -250,10 +211,7 @@ func TestCodecBinarySmallerThanGob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gobB, err = transport.GobEncode(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gobB = gobBytes(t, resp)
 	if len(binB) >= len(gobB) {
 		t.Errorf("binary PullResponse %dB not smaller than gob %dB", len(binB), len(gobB))
 	}
@@ -311,4 +269,147 @@ func TestCodecTruncation(t *testing.T) {
 	if err := transport.DecodeMessage([]byte{0x7F, 0x00}, &req); err == nil {
 		t.Error("unknown codec tag decoded without error")
 	}
+	// The gob fallback is gone: what used to be a valid gob-tagged
+	// Request is refused like any other unknown tag.
+	if err := transport.DecodeMessage(append([]byte{0x00}, gobBytes(t, &Request{Origin: 1})...), &req); err == nil {
+		t.Error("gob-tagged Request decoded without error")
+	}
+}
+
+// entrySeeds is the round-trip table of the log-entry payload: every
+// kind, with and without an involved list, the barrier no-op and a
+// several-operation writeset. FuzzDecodeLogEntry starts from it.
+func entrySeeds() []Entry {
+	one := &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpInsert, Table: "a", Key: "b",
+		Cols: []core.ColUpdate{{Col: "c", Value: []byte("d")}}}}}
+	three := &core.Writeset{}
+	for _, k := range []string{"x", "y", "z"} {
+		three.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: k,
+			Cols: []core.ColUpdate{{Col: "v", Value: []byte(k + k)}, {Col: "w"}}})
+	}
+	three.Add(core.WriteOp{Kind: core.OpDelete, Table: "t", Key: "gone"})
+	return []Entry{
+		{Kind: core.KindData, Origin: 7, Start: 42, WS: one},
+		{Kind: core.KindData, Origin: 1 << 20, Start: 1<<64 - 1, WS: three},
+		{Kind: core.KindData, Origin: core.BarrierOrigin, WS: &core.Writeset{}},
+		{Kind: core.KindPrepare, Origin: 3, Start: 9, GID: 77, Involved: []int{0, 2}, WS: three},
+		{Kind: core.KindPrepare, Origin: 3, Start: 9, GID: 78, WS: one},
+		{Kind: core.KindCommitMarker, GID: 77, WS: &core.Writeset{}},
+		{Kind: core.KindAbortMarker, GID: 1<<64 - 1, WS: &core.Writeset{}},
+	}
+}
+
+// sameEntry compares decoded entries, writesets by their encoding (an
+// empty one decodes to a non-nil empty operation list).
+func sameEntry(a, b Entry) bool {
+	sameWS := bytes.Equal(a.WS.Encode(nil), b.WS.Encode(nil))
+	a.WS, b.WS = nil, nil
+	return sameWS && reflect.DeepEqual(a, b)
+}
+
+// TestLogEntryOneEncoding: for every kind, the payload the constructor
+// builds from request bytes is, byte for byte, what EncodeEntry makes
+// of its decoded form; the LogEntry beside it carries the same fields;
+// and the payload does not alias the request's bytes.
+func TestLogEntryOneEncoding(t *testing.T) {
+	for _, want := range entrySeeds() {
+		reqBytes := want.WS.Encode(nil)
+		le, err := newLogEntry(want.Kind, want.Origin, want.Start, want.GID, want.Involved, reqBytes)
+		if err != nil {
+			t.Fatalf("%v: %v", want.Kind, err)
+		}
+		dec, err := DecodeLogEntry(le.Payload)
+		if err != nil {
+			t.Fatalf("%v: %v", want.Kind, err)
+		}
+		if again := EncodeEntry(dec); !bytes.Equal(again, le.Payload) {
+			t.Errorf("%v: EncodeEntry(DecodeLogEntry(payload)) differs:\n%x\n%x", want.Kind, again, le.Payload)
+		}
+		if !sameEntry(dec, want) {
+			t.Errorf("decoded %+v, want %+v", dec, want)
+		}
+		if asEntry := (Entry{Kind: le.Kind, Origin: le.Origin, Start: uint64(le.CertifiedBack),
+			GID: le.GID, Involved: le.Involved, WS: le.WS}); !sameEntry(asEntry, want) {
+			t.Errorf("log entry %+v does not match %+v", le, want)
+		}
+		if cap(le.Payload) != len(le.Payload) {
+			t.Errorf("%v: payload of %d bytes in a slice of capacity %d", want.Kind, len(le.Payload), cap(le.Payload))
+		}
+		before := append([]byte(nil), le.Payload...)
+		for i := range reqBytes {
+			reqBytes[i] ^= 0xFF // the transport frame is reused
+		}
+		if !bytes.Equal(le.Payload, before) {
+			t.Errorf("%v: payload aliases the request's bytes", want.Kind)
+		}
+		// What the rebuild path makes of a committed payload is the same
+		// entry, holding that very slice.
+		at, err := logEntryAt(5, le.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		le.Version = 5
+		if !reflect.DeepEqual(at, le) || &at.Payload[0] != &le.Payload[0] {
+			t.Errorf("logEntryAt: %+v, want %+v sharing the payload", at, le)
+		}
+	}
+}
+
+// TestLogEntryRefusals: nothing but a well-formed writeset follows the
+// header — bytes after it are refused by the constructor (they would
+// otherwise enter the log) and by the parser, as is every strict prefix
+// and an unknown kind.
+func TestLogEntryRefusals(t *testing.T) {
+	for _, e := range entrySeeds() {
+		wsB := e.WS.Encode(nil)
+		if _, err := newLogEntry(e.Kind, e.Origin, e.Start, e.GID, e.Involved, append(wsB, 0)); err == nil {
+			t.Errorf("%v: a request with a byte after its writeset became a log entry", e.Kind)
+		}
+		if _, err := newLogEntry(e.Kind, e.Origin, e.Start, e.GID, e.Involved, wsB[:len(wsB)-1]); err == nil {
+			t.Errorf("%v: a request with a cut writeset became a log entry", e.Kind)
+		}
+		payload := EncodeEntry(e)
+		for cut := 0; cut < len(payload); cut++ {
+			if _, err := DecodeLogEntry(payload[:cut]); err == nil {
+				t.Errorf("%v: payload cut to %d of %d bytes decoded", e.Kind, cut, len(payload))
+			}
+		}
+		if _, err := DecodeLogEntry(append(payload, 0)); err == nil {
+			t.Errorf("%v: payload with a trailing byte decoded", e.Kind)
+		}
+		payload[0] = byte(core.KindAbortMarker) + 1
+		if _, err := DecodeLogEntry(payload); err == nil {
+			t.Error("payload of an unknown kind decoded")
+		}
+	}
+}
+
+// FuzzDecodeLogEntry: whatever parses as a log entry re-encodes to the
+// same bytes and parses again to the same entry; nothing panics, and
+// the involved list is never allocated beyond the bytes present.
+func FuzzDecodeLogEntry(f *testing.F) {
+	for _, e := range entrySeeds() {
+		payload := EncodeEntry(e)
+		f.Add(payload)
+		f.Add(payload[:len(payload)-1])
+	}
+	// A 2PC header claiming 65535 partitions with none present.
+	f.Add(append(EncodeEntry(Entry{Kind: core.KindPrepare, WS: &core.Writeset{}})[:21], 0xFF, 0xFF))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		e, err := DecodeLogEntry(payload)
+		if err != nil {
+			return
+		}
+		if 2*len(e.Involved) > len(payload) {
+			t.Fatalf("%d involved partitions out of a %d-byte payload", len(e.Involved), len(payload))
+		}
+		again := EncodeEntry(e)
+		if !bytes.Equal(again, payload) {
+			t.Fatalf("re-encoded payload differs:\n%x\n%x", again, payload)
+		}
+		e2, err := DecodeLogEntry(again)
+		if err != nil || !sameEntry(e, e2) {
+			t.Fatalf("second decode: %+v, %v; first %+v", e2, err, e)
+		}
+	})
 }

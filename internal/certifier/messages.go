@@ -11,6 +11,12 @@
 // its single writer groups every outstanding writeset into one fsync
 // ("the certifier ... is very efficient at batching all outstanding
 // writesets to disk via a single fsync call").
+//
+// This file holds the messages of the certification API and the one
+// definition of a log entry's bytes (see "Log-entry payload" below):
+// the leader encodes an entry once, from the request's own writeset
+// bytes, and the paxos log, the WAL record, the engine and every
+// response share that slice.
 package certifier
 
 import (
@@ -21,7 +27,6 @@ import (
 	"time"
 
 	"tashkent/internal/core"
-	"tashkent/internal/transport"
 )
 
 // Method names on the transport.
@@ -56,6 +61,10 @@ type Request struct {
 // RemoteWS is one remote writeset shipped to a replica.
 type RemoteWS struct {
 	Version uint64
+	// WSBytes is the log entry at Version as the log holds it — header
+	// and writeset, read with DecodeLogEntry — in the classic and the
+	// partitioned deployment alike. The server shares the slice with its
+	// log; receivers get their own copy off the wire.
 	WSBytes []byte
 	// SafeBack is the version down to which this writeset is known to
 	// be conflict-free; if SafeBack <= the replica's version the proxy
@@ -245,17 +254,25 @@ func parseOverloaded(msg string) (retryAfter time.Duration, ok bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// Log-entry payload: the data stored in each paxos log entry.
+// Log-entry payload: the one encoding of a certifier log entry.
 //
 //	uint8 kind | uint32 origin | uint64 startVersion
 //	[ uint64 gid | uint16 nInvolved | uint16 pid ... ]   (2PC kinds only)
-//	writeset
+//	writeset (core.Writeset's encoding, to the last byte of the payload)
+//
+// The leader makes it once per entry (newLogEntry) and every holder
+// shares that slice by reference: it is the paxos Entry.Data, the body
+// of the node's WAL record, the Payload the engine keeps, and the
+// WSBytes of every RemoteWS shipped to a replica in either deployment.
+// Nobody writes to it, and it never aliases a transport frame — the
+// log outlives every frame. encodePayload is the only function that
+// writes the layout and DecodeLogEntry the only one that reads it.
 //
 // startVersion is retained so an engine rebuilt from the log keeps the
-// certified-back memos. Decision markers encode an empty writeset —
-// the published items are recovered from the gid's prepare entry.
+// certified-back memos. Decision markers carry an empty writeset — the
+// published items are recovered from the gid's prepare entry.
 
-// Entry is one decoded paxos log entry payload.
+// Entry is one decoded log entry payload.
 type Entry struct {
 	Kind     core.EntryKind
 	Origin   int
@@ -265,8 +282,21 @@ type Entry struct {
 	WS       *core.Writeset
 }
 
-func encodeEntry(kind core.EntryKind, origin int, start, gid uint64, involved []int, ws *core.Writeset) []byte {
-	buf := make([]byte, 0, 25+2*len(involved)+ws.Size())
+// entryHeaderLen is the fixed part before the 2PC section.
+const entryHeaderLen = 13
+
+// emptyWSBytes is the encoding of a writeset without operations, the
+// body of barrier, fill and decision-marker entries.
+var emptyWSBytes = []byte{0, 0, 0, 0}
+
+// encodePayload lays out one payload around an already encoded
+// writeset, in a fresh slice of exactly the payload's size.
+func encodePayload(kind core.EntryKind, origin int, start, gid uint64, involved []int, wsBytes []byte) []byte {
+	n := entryHeaderLen + len(wsBytes)
+	if kind != core.KindData {
+		n += 10 + 2*len(involved)
+	}
+	buf := make([]byte, 0, n)
 	buf = append(buf, byte(kind))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(origin))
 	buf = binary.BigEndian.AppendUint64(buf, start)
@@ -277,52 +307,55 @@ func encodeEntry(kind core.EntryKind, origin int, start, gid uint64, involved []
 			buf = binary.BigEndian.AppendUint16(buf, uint16(pid))
 		}
 	}
-	return ws.Encode(buf)
+	return append(buf, wsBytes...)
 }
 
-func encodeEntryData(origin int, start uint64, ws *core.Writeset) []byte {
-	return encodeEntry(core.KindData, origin, start, 0, nil, ws)
+// newLogEntry turns a request into the log entry it proposes: the
+// decoded form the engine certifies against, with the payload attached.
+// wsBytes are the request's own writeset bytes, copied as they are and
+// validated by the one parser — a request carrying anything but a
+// well-formed writeset, bytes after it included, is refused and nothing
+// of it enters the log. The caller assigns Version when the entry takes
+// its place.
+func newLogEntry(kind core.EntryKind, origin int, start, gid uint64, involved []int, wsBytes []byte) (core.LogEntry, error) {
+	return logEntryAt(0, encodePayload(kind, origin, start, gid, involved, wsBytes))
 }
 
-// EncodeEntry builds a raw log-entry payload — the exported
-// counterpart of DecodeLogEntry, used by partition-merge tests and
-// tools that synthesize per-group streams.
+// emptyEntry is an entry without a writeset, from BarrierOrigin: with
+// KindData the barrier and fill no-op, which consumes one version and
+// conflicts with nothing; with a marker kind the decision for gid.
+func emptyEntry(kind core.EntryKind, gid uint64) core.LogEntry {
+	e, err := newLogEntry(kind, core.BarrierOrigin, 0, gid, nil, emptyWSBytes)
+	if err != nil {
+		panic(err) // constant input
+	}
+	return e
+}
+
+// EncodeEntry builds a payload from a decoded entry — the counterpart
+// of DecodeLogEntry for tests and tools that synthesize log streams.
+// No request path calls it: requests arrive with their writeset
+// already encoded.
 func EncodeEntry(e Entry) []byte {
-	ws := e.WS
-	if ws == nil {
-		ws = &core.Writeset{}
-	}
-	return encodeEntry(e.Kind, e.Origin, e.Start, e.GID, e.Involved, ws)
+	return encodePayload(e.Kind, e.Origin, e.Start, e.GID, e.Involved, e.WS.Encode(nil))
 }
 
-// encodeEngineEntry re-encodes a retained engine log entry into the
-// wire payload format, for shipping raw entries to partitioned
-// replicas. Decision markers are encoded with an empty writeset even
-// though the engine memoizes the published items on them.
-func encodeEngineEntry(e core.LogEntry) []byte {
-	ws := e.WS
-	if e.Kind == core.KindCommitMarker || e.Kind == core.KindAbortMarker {
-		ws = &core.Writeset{}
-	}
-	return encodeEntry(e.Kind, e.Origin, uint64(e.CertifiedBack), e.GID, e.Involved, ws)
-}
-
-// DecodeLogEntry decodes one paxos log entry's payload. The chaos
-// invariant checker and the partitioned replicas use it to turn
-// committed log entries back into typed records.
+// DecodeLogEntry parses one payload. The certifier rebuilds its engine
+// with it, replicas read shipped entries with it, and the chaos checker
+// reads committed logs with it. Every length is checked, and bytes left
+// over after the writeset are an error.
 func DecodeLogEntry(data []byte) (Entry, error) {
-	return decodeEntryData(data)
-}
-
-func decodeEntryData(data []byte) (Entry, error) {
 	var e Entry
-	if len(data) < 13 {
+	if len(data) < entryHeaderLen {
 		return e, fmt.Errorf("certifier: short log entry (%d bytes)", len(data))
 	}
 	e.Kind = core.EntryKind(data[0])
+	if e.Kind > core.KindAbortMarker {
+		return e, fmt.Errorf("certifier: unknown log entry kind %d", data[0])
+	}
 	e.Origin = int(binary.BigEndian.Uint32(data[1:5]))
 	e.Start = binary.BigEndian.Uint64(data[5:13])
-	rest := data[13:]
+	rest := data[entryHeaderLen:]
 	if e.Kind != core.KindData {
 		if len(rest) < 10 {
 			return e, fmt.Errorf("certifier: short 2pc log entry (%d bytes)", len(data))
@@ -333,19 +366,37 @@ func decodeEntryData(data []byte) (Entry, error) {
 		if len(rest) < 2*n {
 			return e, fmt.Errorf("certifier: truncated involved list (%d of %d pids)", len(rest)/2, n)
 		}
-		e.Involved = make([]int, n)
-		for i := 0; i < n; i++ {
-			e.Involved[i] = int(binary.BigEndian.Uint16(rest[2*i:]))
+		if n > 0 {
+			e.Involved = make([]int, n)
+			for i := range e.Involved {
+				e.Involved[i] = int(binary.BigEndian.Uint16(rest[2*i:]))
+			}
 		}
 		rest = rest[2*n:]
 	}
-	ws, _, err := core.DecodeWriteset(rest)
+	ws, n, err := core.DecodeWriteset(rest)
+	if err != nil {
+		return e, err
+	}
+	if n != len(rest) {
+		return e, fmt.Errorf("certifier: %d bytes after the log entry's writeset", len(rest)-n)
+	}
 	e.WS = ws
-	return e, err
+	return e, nil
 }
 
-// encodeMsg/decodeMsg are the wire codec: every message of this package
-// takes the binary fast path (see codec.go).
-func encodeMsg(v interface{}) ([]byte, error) { return transport.EncodeMessage(v) }
-
-func decodeMsg(b []byte, v interface{}) error { return transport.DecodeMessage(b, v) }
+// logEntryAt is the core.LogEntry a payload stands for at the given
+// version — the engine's view of a committed entry on the rebuild path.
+// It keeps data by reference.
+func logEntryAt(version uint64, data []byte) (core.LogEntry, error) {
+	dec, err := DecodeLogEntry(data)
+	if err != nil {
+		return core.LogEntry{}, err
+	}
+	return core.LogEntry{
+		Version: core.Version(version), WS: dec.WS, Origin: dec.Origin,
+		CertifiedBack: core.Version(dec.Start),
+		Kind:          dec.Kind, GID: dec.GID, Involved: dec.Involved,
+		Payload: data,
+	}, nil
+}

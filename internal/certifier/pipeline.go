@@ -31,16 +31,17 @@ import (
 
 // certifyTask carries one admitted request through the pipeline.
 type certifyTask struct {
-	req      Request
-	ws       *core.Writeset
+	req Request
+	// entry is what the request appends if it survives (see newLogEntry);
+	// its Version is the assigned commit version once commit is set.
+	entry    core.LogEntry
 	enqueued time.Time // when the task entered the admission queue
 	deadline time.Time // caller's context deadline (zero = none)
 
 	// Filled by the certification loop.
-	resp    Response
-	err     error
-	commit  bool   // survived certification; part of the batch proposal
-	version uint64 // assigned commit version (commit tasks only)
+	resp   Response
+	err    error
+	commit bool // survived certification; part of the batch proposal
 
 	done chan struct{} // closed when resp/err are final
 }
@@ -65,16 +66,19 @@ func (t *certifyTask) fail(err error) {
 // client treats it like any other replication-layer outage and retries
 // elsewhere.
 func (s *Server) certify(req Request) (Response, error) {
-	ws, _, err := core.DecodeWriteset(req.WSBytes)
+	// The entry, payload included, is built here on the handler's own
+	// goroutine, so the certification loop only conflict-checks and
+	// proposes.
+	entry, err := newLogEntry(core.KindData, req.Origin, req.StartVersion, 0, nil, req.WSBytes)
 	if err != nil {
 		return Response{}, err
 	}
-	if ws.Empty() {
+	if entry.WS.Empty() {
 		return Response{}, errors.New("certifier: empty writeset (read-only transactions commit at the replica)")
 	}
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
-	t := &certifyTask{req: req, ws: ws, done: make(chan struct{})}
+	t := &certifyTask{req: req, entry: entry, done: make(chan struct{})}
 	if req.Deadline != 0 {
 		t.deadline = time.Unix(0, req.Deadline)
 		if time.Now().After(t.deadline) {
@@ -286,7 +290,7 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		// Full certification check first; injected aborts (Fig 14)
 		// happen after the check so the certifier pays all its usual
 		// costs.
-		conflict := s.engine.Conflicts(core.Version(t.req.StartVersion), t.ws)
+		conflict := s.engine.Conflicts(core.Version(t.req.StartVersion), t.entry.WS)
 		injected := false
 		if !conflict && s.cfg.AbortRate > 0 && s.rng.Float64() < s.cfg.AbortRate {
 			injected = true
@@ -298,34 +302,24 @@ func (s *Server) processBatch(batch []*certifyTask) {
 			}
 			continue // response built once the propose outcome is known
 		}
-		version := uint64(s.engine.SystemVersion()) + 1
-		if err := s.engine.Append(core.LogEntry{
-			Version: core.Version(version), WS: t.ws, Origin: t.req.Origin,
-			CertifiedBack: core.Version(t.req.StartVersion),
-		}); err != nil {
+		t.entry.Version = s.engine.SystemVersion() + 1
+		if err := s.engine.Append(t.entry); err != nil {
 			s.basisValid = false
 			t.err = err
 			continue
 		}
 		t.commit = true
-		t.version = version
-		datas = append(datas, encodeEntryData(t.req.Origin, t.req.StartVersion, t.ws))
+		datas = append(datas, t.entry.Payload)
 		commits = append(commits, t)
 	}
 
 	// Stage 3: one replication round for every surviving commit,
 	// guarded against engine/log skew while we still hold the lock.
-	var firstIdx, term uint64
+	var term uint64
 	var proposeErr error
 	if len(datas) > 0 {
-		firstIdx, term, proposeErr = s.node.ProposeBatchAt(firstVersion-1, datas)
-		if proposeErr == nil && firstIdx != firstVersion {
-			proposeErr = fmt.Errorf("certifier: proposed first index %d, engine expected %d", firstIdx, firstVersion)
-		}
-		if proposeErr != nil {
-			// Log changed or leadership lost: force a rebuild next time.
-			s.basisValid = false
-		} else {
+		term, proposeErr = s.proposeLocked(firstVersion-1, datas)
+		if proposeErr == nil {
 			// Commit and batch-size accounting only cover batches that
 			// actually reached the replicated log (a failed propose
 			// errors every task in it).
@@ -349,7 +343,8 @@ func (s *Server) processBatch(batch []*certifyTask) {
 			if proposeErr != nil {
 				continue
 			}
-			t.resp = Response{Committed: true, CommitVersion: t.version, ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm}
+			version := uint64(t.entry.Version)
+			t.resp = Response{Committed: true, CommitVersion: version, ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm}
 			// Writesets up to (excluding) the task's own version:
 			// earlier commits of this same batch are included and will
 			// be durable by the time the response leaves (the batch
@@ -362,7 +357,7 @@ func (s *Server) processBatch(batch []*certifyTask) {
 			// own writesets sit at or below the replica's version and
 			// are filtered by the proxy's basis cursor, so the healthy
 			// path never re-applies them.
-			s.fillRemotesLocked(&t.resp, t.req.Origin, true, t.req.ReplicaVersion, t.version-1, t.req.NeedSafeBack)
+			s.fillRemotesLocked(&t.resp, t.req.Origin, true, t.req.ReplicaVersion, version-1, t.req.NeedSafeBack)
 		} else {
 			t.resp = Response{Committed: false, ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm}
 			s.fillRemotesLocked(&t.resp, t.req.Origin, true, t.req.ReplicaVersion, s.committedCap(), t.req.NeedSafeBack)
@@ -385,7 +380,7 @@ func (s *Server) processBatch(batch []*certifyTask) {
 	}
 
 	// Stage 4: one durability barrier for the whole batch.
-	lastIdx := firstIdx + uint64(len(datas)) - 1
+	lastIdx := firstVersion + uint64(len(datas)) - 1
 	if err := s.node.WaitCommitted(lastIdx, term); err != nil {
 		s.failTasks(commits, fmt.Errorf("certifier: replication: %w", err))
 		return

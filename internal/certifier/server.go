@@ -74,13 +74,6 @@ type Config struct {
 	// ElectionTimeout/Seed tune the underlying replication group.
 	ElectionTimeout time.Duration
 	Seed            int64
-	// Partitioned marks this certifier as one group of a partitioned
-	// deployment: responses ship raw log-entry payloads (kind, 2PC
-	// metadata and all) instead of bare writesets, because partitioned
-	// replicas merge full per-group streams (see internal/partition).
-	Partitioned bool
-	// Group is the partition id this certifier serves (informational).
-	Group int
 }
 
 // defaultMaxBatch bounds one certification batch when Config.MaxBatch
@@ -304,54 +297,54 @@ func (s *Server) Handle(method string, req []byte) ([]byte, error) {
 		return s.node.HandleRPC(method, req)
 	case method == MethodCertify:
 		var r Request
-		if err := decodeMsg(req, &r); err != nil {
+		if err := transport.DecodeMessage(req, &r); err != nil {
 			return nil, err
 		}
 		resp, err := s.certify(r)
 		if err != nil {
 			return nil, err
 		}
-		return encodeMsg(&resp)
+		return transport.EncodeMessage(&resp)
 	case method == MethodPull:
 		var r PullRequest
-		if err := decodeMsg(req, &r); err != nil {
+		if err := transport.DecodeMessage(req, &r); err != nil {
 			return nil, err
 		}
 		resp, err := s.pull(r)
 		if err != nil {
 			return nil, err
 		}
-		return encodeMsg(&resp)
+		return transport.EncodeMessage(&resp)
 	case method == MethodPrepare:
 		var r PrepareRequest
-		if err := decodeMsg(req, &r); err != nil {
+		if err := transport.DecodeMessage(req, &r); err != nil {
 			return nil, err
 		}
 		resp, err := s.Prepare(r)
 		if err != nil {
 			return nil, err
 		}
-		return encodeMsg(&resp)
+		return transport.EncodeMessage(&resp)
 	case method == MethodResolve:
 		var r ResolveRequest
-		if err := decodeMsg(req, &r); err != nil {
+		if err := transport.DecodeMessage(req, &r); err != nil {
 			return nil, err
 		}
 		resp, err := s.Resolve(r)
 		if err != nil {
 			return nil, err
 		}
-		return encodeMsg(&resp)
+		return transport.EncodeMessage(&resp)
 	case method == MethodFill:
 		var r FillRequest
-		if err := decodeMsg(req, &r); err != nil {
+		if err := transport.DecodeMessage(req, &r); err != nil {
 			return nil, err
 		}
 		head, err := s.FillTo(r.Target)
 		if err != nil {
 			return nil, err
 		}
-		return encodeMsg(&FillResponse{Head: head})
+		return transport.EncodeMessage(&FillResponse{Head: head})
 	default:
 		return nil, fmt.Errorf("certifier: unknown method %q", method)
 	}
@@ -379,15 +372,11 @@ func (s *Server) ensureEngineLocked() error {
 	}
 	eng := core.NewEngine()
 	for _, e := range entries {
-		dec, err := decodeEntryData(e.Data)
-		if err != nil {
-			return fmt.Errorf("certifier: rebuilding engine: %w", err)
+		le, err := logEntryAt(e.Index, e.Data)
+		if err == nil {
+			err = eng.Append(le)
 		}
-		if err := eng.Append(core.LogEntry{
-			Version: core.Version(e.Index), WS: dec.WS, Origin: dec.Origin,
-			CertifiedBack: core.Version(dec.Start),
-			Kind:          dec.Kind, GID: dec.GID, Involved: dec.Involved,
-		}); err != nil {
+		if err != nil {
 			return fmt.Errorf("certifier: rebuilding engine: %w", err)
 		}
 	}
@@ -427,6 +416,48 @@ func (s *Server) committedCap() uint64 {
 	return s.node.CommitIndex()
 }
 
+// proposeLocked replicates payloads as the log entries right after
+// head, the engine's head as the caller sees it under s.mu. If the
+// propose fails or lands elsewhere the engine no longer matches the log
+// (it changed, or leadership is lost) and the basis is invalidated: the
+// next request rebuilds the engine from the authoritative log.
+func (s *Server) proposeLocked(head uint64, payloads [][]byte) (term uint64, err error) {
+	first, term, err := s.node.ProposeBatchAt(head, payloads)
+	if err == nil && first != head+1 {
+		err = fmt.Errorf("certifier: proposed at index %d, engine expected %d", first, head+1)
+	}
+	if err != nil {
+		s.basisValid = false
+	}
+	return term, err
+}
+
+// appendLocked puts entries into the log at the engine's head: it
+// assigns their versions, proposes their payloads as one round and
+// appends them to the engine. Prepare, Resolve, FillTo and Barrier all
+// add their entries through it; they propose directly rather than
+// through the admission queue, whose batch loop waits out each
+// durability barrier before it proposes again. It returns the last
+// entry's index and the term to wait on.
+func (s *Server) appendLocked(entries ...core.LogEntry) (last, term uint64, err error) {
+	head := uint64(s.engine.SystemVersion())
+	payloads := make([][]byte, len(entries))
+	for i := range entries {
+		entries[i].Version = core.Version(head + uint64(i) + 1)
+		payloads[i] = entries[i].Payload
+	}
+	if term, err = s.proposeLocked(head, payloads); err != nil {
+		return 0, 0, err
+	}
+	for _, e := range entries {
+		if err := s.engine.Append(e); err != nil {
+			s.basisValid = false
+			break
+		}
+	}
+	return head + uint64(len(entries)), term, nil
+}
+
 // Barrier commits a no-op log entry and waits for it, returning the
 // resulting committed index. A freshly elected leader cannot mark a
 // previous term's tail committed until an entry of its own term
@@ -447,24 +478,12 @@ func (s *Server) Barrier() (uint64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	version := uint64(s.engine.SystemVersion()) + 1
-	data := encodeEntryData(0, 0, &core.Writeset{})
-	first, term, err := s.node.ProposeBatchAt(version-1, [][]byte{data})
-	if err == nil && first != version {
-		err = fmt.Errorf("certifier: barrier proposed at index %d, engine expected %d", first, version)
-	}
+	index, term, err := s.appendLocked(emptyEntry(core.KindData, 0))
+	s.mu.Unlock()
 	if err != nil {
-		s.basisValid = false
-		s.mu.Unlock()
 		return 0, err
 	}
-	if aerr := s.engine.Append(core.LogEntry{
-		Version: core.Version(version), WS: &core.Writeset{}, Origin: 0,
-	}); aerr != nil {
-		s.basisValid = false
-	}
-	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first, term); err != nil {
+	if err := s.node.WaitCommitted(index, term); err != nil {
 		return 0, err
 	}
 	return s.node.CommitIndex(), nil
@@ -482,16 +501,17 @@ func (s *Server) fillRemotesLocked(resp *Response, origin int, includeOwn bool, 
 		// must do a full resync. Ship nothing.
 		return
 	}
+	if resp.Remote == nil {
+		resp.Remote = make([]RemoteWS, 0, len(entries))
+	}
 	for _, e := range entries {
 		if e.Origin == origin && !includeOwn {
 			continue
 		}
-		r := RemoteWS{Version: uint64(e.Version), WSBytes: e.WS.Encode(nil)}
-		if s.cfg.Partitioned {
-			// Partitioned replicas merge full per-group streams: ship
-			// the raw entry payload (kind and 2PC metadata included).
-			r.WSBytes = encodeEngineEntry(e)
-		}
+		// The log entry's own payload, as it is: a classic replica takes
+		// the writeset out of it, a partitioned one merges the whole
+		// entry (kind and 2PC metadata) into its stream.
+		r := RemoteWS{Version: uint64(e.Version), WSBytes: e.Payload}
 		if needSafeBack {
 			back, err := s.engine.CertifyBack(e.Version, core.Version(after))
 			if err == nil {
@@ -529,6 +549,10 @@ func (s *Server) waitIndexCommitted(index uint64) error {
 // transaction's gid, and append a durable prepare entry. Idempotent:
 // a retry of an already-prepared gid returns the existing entry.
 func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
+	entry, err := newLogEntry(core.KindPrepare, req.Origin, req.StartVersion, req.GID, req.Involved, req.WSBytes)
+	if err != nil {
+		return PrepareResponse{}, fmt.Errorf("certifier: prepare writeset: %w", err)
+	}
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 	s.mu.Lock()
@@ -551,12 +575,7 @@ func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
 		s.mu.Unlock()
 		return PrepareResponse{SystemVersion: s.committedCap()}, nil
 	}
-	ws, _, err := core.DecodeWriteset(req.WSBytes)
-	if err != nil {
-		s.mu.Unlock()
-		return PrepareResponse{}, fmt.Errorf("certifier: undecodable prepare writeset: %w", err)
-	}
-	if s.engine.Conflicts(core.Version(req.StartVersion), ws) {
+	if s.engine.Conflicts(core.Version(req.StartVersion), entry.WS) {
 		s.stats.Aborts++
 		s.mu.Unlock()
 		return PrepareResponse{SystemVersion: s.committedCap()}, nil
@@ -567,30 +586,17 @@ func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
 		s.mu.Unlock()
 		return PrepareResponse{SystemVersion: s.committedCap()}, nil
 	}
-	version := uint64(s.engine.SystemVersion()) + 1
-	data := encodeEntry(core.KindPrepare, req.Origin, req.StartVersion, req.GID, req.Involved, ws)
-	first, term, err := s.node.ProposeBatchAt(version-1, [][]byte{data})
-	if err == nil && first != version {
-		err = fmt.Errorf("certifier: prepare proposed at index %d, engine expected %d", first, version)
-	}
+	index, term, err := s.appendLocked(entry)
 	if err != nil {
-		s.basisValid = false
 		s.mu.Unlock()
 		return PrepareResponse{}, err
 	}
-	if aerr := s.engine.Append(core.LogEntry{
-		Version: core.Version(version), WS: ws, Origin: req.Origin,
-		CertifiedBack: core.Version(req.StartVersion),
-		Kind:          core.KindPrepare, GID: req.GID, Involved: req.Involved,
-	}); aerr != nil {
-		s.basisValid = false
-	}
 	s.stats.Commits++
 	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first, term); err != nil {
+	if err := s.node.WaitCommitted(index, term); err != nil {
 		return PrepareResponse{}, err
 	}
-	return PrepareResponse{Prepared: true, Index: version, SystemVersion: s.committedCap()}, nil
+	return PrepareResponse{Prepared: true, Index: index, SystemVersion: s.committedCap()}, nil
 }
 
 // Resolve serves phase 2: append the commit or abort decision marker
@@ -622,28 +628,15 @@ func (s *Server) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	if req.Commit {
 		kind = core.KindCommitMarker
 	}
-	version := uint64(s.engine.SystemVersion()) + 1
-	data := encodeEntry(kind, 0, 0, req.GID, nil, &core.Writeset{})
-	first, term, err := s.node.ProposeBatchAt(version-1, [][]byte{data})
-	if err == nil && first != version {
-		err = fmt.Errorf("certifier: resolve proposed at index %d, engine expected %d", first, version)
-	}
-	if err != nil {
-		s.basisValid = false
-		s.mu.Unlock()
-		return ResolveResponse{}, err
-	}
-	if aerr := s.engine.Append(core.LogEntry{
-		Version: core.Version(version), WS: &core.Writeset{},
-		Kind: kind, GID: req.GID,
-	}); aerr != nil {
-		s.basisValid = false
-	}
+	index, term, err := s.appendLocked(emptyEntry(kind, req.GID))
 	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first, term); err != nil {
+	if err != nil {
 		return ResolveResponse{}, err
 	}
-	return ResolveResponse{Index: version, SystemVersion: s.committedCap()}, nil
+	if err := s.node.WaitCommitted(index, term); err != nil {
+		return ResolveResponse{}, err
+	}
+	return ResolveResponse{Index: index, SystemVersion: s.committedCap()}, nil
 }
 
 // maxFill bounds one fill request; a merge that is further behind asks
@@ -673,29 +666,19 @@ func (s *Server) FillTo(target uint64) (uint64, error) {
 	if n > maxFill {
 		n = maxFill
 	}
-	datas := make([][]byte, n)
+	// The fills are one no-op n times over: its payload is immutable, so
+	// all n log entries share it.
 	entries := make([]core.LogEntry, n)
-	for i := range datas {
-		datas[i] = encodeEntryData(core.BarrierOrigin, 0, &core.Writeset{})
-		entries[i] = core.LogEntry{Version: core.Version(head + uint64(i) + 1), WS: &core.Writeset{}, Origin: core.BarrierOrigin}
+	noop := emptyEntry(core.KindData, 0)
+	for i := range entries {
+		entries[i] = noop
 	}
-	first, term, err := s.node.ProposeBatchAt(head, datas)
-	if err == nil && first != head+1 {
-		err = fmt.Errorf("certifier: fill proposed at index %d, engine expected %d", first, head+1)
-	}
+	last, term, err := s.appendLocked(entries...)
+	s.mu.Unlock()
 	if err != nil {
-		s.basisValid = false
-		s.mu.Unlock()
 		return 0, err
 	}
-	for _, e := range entries {
-		if aerr := s.engine.Append(e); aerr != nil {
-			s.basisValid = false
-			break
-		}
-	}
-	s.mu.Unlock()
-	if err := s.node.WaitCommitted(first+n-1, term); err != nil {
+	if err := s.node.WaitCommitted(last, term); err != nil {
 		return 0, err
 	}
 	return s.committedCap(), nil

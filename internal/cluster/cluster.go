@@ -175,29 +175,7 @@ func New(cfg Config) (*Cluster, error) {
 	// the classic system). Peer links stay within a group — the groups
 	// are fully independent.
 	for i := 0; i < groups*cfg.Certifiers; i++ {
-		g, k := i/cfg.Certifiers, i%cfg.Certifiers
-		peers := make(map[int]transport.Client)
-		for kk := 0; kk < cfg.Certifiers; kk++ {
-			if kk != k {
-				peers[kk] = c.fabric.DialFrom(c.certName(i), c.certName(g*cfg.Certifiers+kk))
-			}
-		}
-		srv := certifier.New(certifier.Config{
-			ID:                k,
-			Peers:             peers,
-			Disk:              simdisk.New(cfg.IOProfile, cfg.Seed+int64(i)*7919),
-			DisableDurability: cfg.DisableCertDurability,
-			AbortRate:         cfg.AbortRate,
-			MaxBatch:          cfg.CertMaxBatch,
-			MaxWait:           cfg.CertMaxWait,
-			AdmitTimeout:      cfg.CertAdmitTimeout,
-			QueueDepth:        cfg.CertQueueDepth,
-			PaxosCallHook:     c.paxosHookFor(i),
-			ElectionTimeout:   200 * time.Millisecond,
-			Seed:              cfg.Seed + int64(i),
-			Partitioned:       groups > 1,
-			Group:             g,
-		})
+		srv := c.newCertifier(i, 0)
 		c.fabric.Serve(c.certName(i), srv.Handle)
 		c.certs = append(c.certs, srv)
 		c.certUp = append(c.certUp, true)
@@ -545,9 +523,10 @@ func (c *Cluster) CrashCertifier(i int) []byte {
 	return img
 }
 
-// RecoverCertifier restarts certifier node i from a crash image; it
-// rejoins its group and catches up from that group's leader.
-func (c *Cluster) RecoverCertifier(i int, img []byte) error {
+// newCertifier builds certifier node i (global index) wired to the
+// peers of its group. incarnation is 0 at start-up and 1 for a node
+// recovered from a crash image, which gets a disk and seeds of its own.
+func (c *Cluster) newCertifier(i int, incarnation int64) *certifier.Server {
 	g, k := i/c.cfg.Certifiers, i%c.cfg.Certifiers
 	peers := make(map[int]transport.Client)
 	for kk := 0; kk < c.cfg.Certifiers; kk++ {
@@ -555,10 +534,10 @@ func (c *Cluster) RecoverCertifier(i int, img []byte) error {
 			peers[kk] = c.fabric.DialFrom(c.certName(i), c.certName(g*c.cfg.Certifiers+kk))
 		}
 	}
-	srv := certifier.New(certifier.Config{
+	return certifier.New(certifier.Config{
 		ID:                k,
 		Peers:             peers,
-		Disk:              simdisk.New(c.cfg.IOProfile, c.cfg.Seed+int64(i)*7919+1),
+		Disk:              simdisk.New(c.cfg.IOProfile, c.cfg.Seed+int64(i)*7919+incarnation),
 		DisableDurability: c.cfg.DisableCertDurability,
 		AbortRate:         c.cfg.AbortRate,
 		MaxBatch:          c.cfg.CertMaxBatch,
@@ -567,10 +546,14 @@ func (c *Cluster) RecoverCertifier(i int, img []byte) error {
 		QueueDepth:        c.cfg.CertQueueDepth,
 		PaxosCallHook:     c.paxosHookFor(i),
 		ElectionTimeout:   200 * time.Millisecond,
-		Seed:              c.cfg.Seed + int64(i) + 1000,
-		Partitioned:       c.groups > 1,
-		Group:             g,
+		Seed:              c.cfg.Seed + int64(i) + 1000*incarnation,
 	})
+}
+
+// RecoverCertifier restarts certifier node i from a crash image; it
+// rejoins its group and catches up from that group's leader.
+func (c *Cluster) RecoverCertifier(i int, img []byte) error {
+	srv := c.newCertifier(i, 1)
 	if err := srv.RestoreFromImage(img); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,9 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"tashkent/internal/certifier"
 	"tashkent/internal/chaos"
+	"tashkent/internal/core"
 	"tashkent/internal/proxy"
 	"tashkent/internal/simdisk"
+	"tashkent/internal/transport"
 )
 
 func newTestCluster(t *testing.T, mode proxy.Mode, replicas int, mutate func(*Config)) *Cluster {
@@ -326,5 +330,91 @@ func TestConcurrentMultiReplicaLoad(t *testing.T) {
 				t.Errorf("certifier committed %d versions, want 100", got)
 			}
 		})
+	}
+}
+
+// TestShippedWritesetIsTheLogEntry: in the classic deployment too, what
+// Certify and Pull ship for a version is that version's log entry
+// payload — the bytes the leader's paxos log holds — and it decodes
+// through DecodeLogEntry to the committed writeset, leader-barrier
+// no-ops included.
+func TestShippedWritesetIsTheLogEntry(t *testing.T) {
+	c := newTestCluster(t, proxy.TashkentMW, 3, nil)
+	for i := 0; i < 3; i++ {
+		if err := clusterCommit(t, c, i, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Barrier(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := clusterCommit(t, c, 0, "k3", "v3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ConvergeAll(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	leader := c.CertLeader()
+	call := func(method string, req, resp interface{}) {
+		t.Helper()
+		b, err := transport.EncodeMessage(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err = leader.Handle(method, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := transport.DecodeMessage(b, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Origin 99 is no replica of the cluster: every entry is remote to it
+	// and its response sequence is its own.
+	var pulled certifier.PullResponse
+	call(certifier.MethodPull, &certifier.PullRequest{Origin: 99}, &pulled)
+	probe := &core.Writeset{}
+	probe.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: "probe", Cols: []core.ColUpdate{{Col: "v", Value: []byte("p")}}})
+	var certified certifier.Response
+	call(certifier.MethodCertify, &certifier.Request{Origin: 99, StartVersion: pulled.SystemVersion, WSBytes: probe.Encode(nil)}, &certified)
+	if !certified.Committed {
+		t.Fatal("probe transaction aborted")
+	}
+
+	_, _, log := leader.Node().SnapshotLog()
+	want := map[uint64]string{1: "k0", 2: "k1", 3: "k2", 5: "k3"} // 4 is the barrier
+	check := func(from string, remotes []certifier.RemoteWS) {
+		t.Helper()
+		if len(remotes) != 5 {
+			t.Fatalf("%s shipped %d writesets, want versions 1..5", from, len(remotes))
+		}
+		for _, r := range remotes {
+			if !bytes.Equal(r.WSBytes, log[r.Version-1].Data) {
+				t.Errorf("%s: version %d shipped as %x, log entry is %x", from, r.Version, r.WSBytes, log[r.Version-1].Data)
+			}
+			e, err := certifier.DecodeLogEntry(r.WSBytes)
+			if err != nil {
+				t.Fatalf("%s: version %d: %v", from, r.Version, err)
+			}
+			key, data := want[r.Version]
+			switch {
+			case e.Kind != core.KindData:
+				t.Errorf("%s: version %d is a %v entry", from, r.Version, e.Kind)
+			case !data:
+				if !e.WS.Empty() || e.Origin != core.BarrierOrigin {
+					t.Errorf("%s: barrier at version %d decodes to %+v", from, r.Version, e)
+				}
+			case len(e.WS.Ops) != 1 || e.WS.Ops[0].Key != key:
+				t.Errorf("%s: version %d decodes to %+v, want one write of %s", from, r.Version, e.WS, key)
+			}
+		}
+	}
+	check("pull", pulled.Remote)
+	check("certify", certified.Remote)
+	// The replicas applied the same stream: no-op and all.
+	fps := c.Fingerprints()
+	for i := 1; i < len(fps); i++ {
+		if fps[i] != fps[0] {
+			t.Fatalf("replica %d diverged: fingerprints %v", i, fps)
+		}
 	}
 }

@@ -71,6 +71,12 @@ type LogEntry struct {
 	// cross-partition transaction (prepare and marker entries), so
 	// replicas know which groups' parts form the full writeset.
 	Involved []int
+	// Payload is the entry as the certifier encoded it once for its
+	// replicated log (layout in certifier/messages.go). The engine never
+	// reads it; it keeps the slice by reference so that a response
+	// shipping the entry to a replica sends those bytes instead of
+	// encoding WS again. Nobody may write to it.
+	Payload []byte
 }
 
 // Decision is the outcome of a certification request.

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,19 +87,6 @@ func (r OverloadResult) GoodputAt(factor float64) float64 {
 func RunOverloadExperiment(o Options) (OverloadResult, error) {
 	o = o.withDefaults()
 	res := OverloadResult{AdmitBudget: ovlAdmitBudget, Deadline: ovlDeadline}
-	// The gob-heavy RPC path allocates hard enough that default GOGC
-	// runs a ~40ms concurrent mark every ~70ms on a small box, and the
-	// certification loop's GC-assist stalls dwarf the queueing effects
-	// this experiment measures. Trade heap headroom for measurement
-	// fidelity while the ladder runs.
-	prevGC := debug.SetGCPercent(800)
-	defer func() {
-		// Hand the next experiment a compacted heap: the inflated GC
-		// goal would otherwise defer collection far past their normal
-		// working set and skew their timings.
-		debug.SetGCPercent(prevGC)
-		runtime.GC()
-	}()
 	window := o.Measure / 2
 	if window < 400*time.Millisecond {
 		window = 400 * time.Millisecond

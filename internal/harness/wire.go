@@ -102,11 +102,11 @@ func RunWireExperiment(o Options) (*WireReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	gobB, err := transport.GobEncode(req)
-	if err != nil {
+	var gobB bytes.Buffer
+	if err := gob.NewEncoder(&gobB).Encode(req); err != nil {
 		return rep, err
 	}
-	rep.BinaryRequestBytes, rep.GobRequestBytes = len(binB), len(gobB)
+	rep.BinaryRequestBytes, rep.GobRequestBytes = len(binB), gobB.Len()
 	if w := rep.UpdateTCP.Wire; w.Calls > 0 {
 		rep.BytesPerCall = float64(w.BytesOut+w.BytesIn) / float64(w.Calls)
 	}
@@ -292,7 +292,7 @@ func RunWireSmoke(daemons []string, o Options) error {
 		c := clients[i%len(clients)]
 		var resp kvwire.PutResp
 		req := kvwire.PutReq{Table: "smoke", Key: fmt.Sprintf("k%d", i), Col: "v", Value: []byte(fmt.Sprintf("v%d", i))}
-		if err := wireCall(c, "kv.put", req, &resp); err != nil {
+		if err := kvwire.Call(c, "kv.put", req, &resp); err != nil {
 			return fmt.Errorf("wire smoke: put k%d via %s: %w", i, daemons[i%len(clients)], err)
 		}
 		if resp.Aborted {
@@ -303,7 +303,7 @@ func RunWireSmoke(daemons []string, o Options) error {
 	// Every daemon must serve a committed key (possibly after pulling).
 	for i, c := range clients {
 		var get kvwire.GetResp
-		if err := wireCall(c, "kv.get", kvwire.GetReq{Table: "smoke", Key: fmt.Sprintf("k%d", i%commits), Col: "v"}, &get); err != nil {
+		if err := kvwire.Call(c, "kv.get", kvwire.GetReq{Table: "smoke", Key: fmt.Sprintf("k%d", i%commits), Col: "v"}, &get); err != nil {
 			return fmt.Errorf("wire smoke: get via %s: %w", daemons[i], err)
 		}
 	}
@@ -316,10 +316,10 @@ func RunWireSmoke(daemons []string, o Options) error {
 		same := true
 		for i, c := range clients {
 			var pull kvwire.PullResp
-			if err := wireAdmin(c, "admin.pull", &pull); err != nil {
+			if err := kvwire.Call(c, "admin.pull", nil, &pull); err != nil {
 				return fmt.Errorf("wire smoke: pull via %s: %w", daemons[i], err)
 			}
-			if err := wireAdmin(c, "admin.stat", &stats[i]); err != nil {
+			if err := kvwire.Call(c, "admin.stat", nil, &stats[i]); err != nil {
 				return fmt.Errorf("wire smoke: stat via %s: %w", daemons[i], err)
 			}
 			if stats[i].Version != stats[0].Version {
@@ -342,24 +342,4 @@ func RunWireSmoke(daemons []string, o Options) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-func wireCall(c transport.Client, method string, req, resp interface{}) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		return err
-	}
-	b, err := c.Call(method, buf.Bytes())
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(resp)
-}
-
-func wireAdmin(c transport.Client, method string, resp interface{}) error {
-	b, err := c.Call(method, nil)
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(resp)
 }

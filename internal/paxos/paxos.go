@@ -89,9 +89,6 @@ type Config struct {
 	// NoSync for the paper's tashAPInoCERT ablation, where the
 	// certifier performs certification but skips disk writes.
 	WALMode wal.Mode
-	// Apply is invoked with each committed entry exactly once, in
-	// index order, from a single goroutine.
-	Apply func(e Entry)
 	// CallHook, if set, is consulted before every outgoing peer RPC
 	// (votes, appends); returning a non-nil error suppresses the send,
 	// which the protocol treats like an unreachable peer. The chaos
@@ -118,7 +115,6 @@ type Node struct {
 	leaderHint  int
 	log         []Entry // log[i] has Index i+1
 	commitIndex uint64
-	applied     uint64
 	stableIndex uint64 // highest index covered by our own WAL fsyncs
 	matchIndex  map[int]uint64
 	nextIndex   map[int]uint64
@@ -171,11 +167,14 @@ func (n *Node) RestoreFromImage(image []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, rec := range records {
-		kind, payload := rec[0], rec[1:]
+		if len(rec) == 0 {
+			return errors.New("paxos: restore: empty record")
+		}
+		kind, body := rec[0], rec[1:]
 		switch kind {
 		case recEntry:
-			var e Entry
-			if err := gobDecode(payload, &e); err != nil {
+			e, err := parseEntryRecord(body)
+			if err != nil {
 				return fmt.Errorf("paxos: restore entry: %w", err)
 			}
 			if e.Index == 0 || e.Index > uint64(len(n.log))+1 {
@@ -184,12 +183,11 @@ func (n *Node) RestoreFromImage(image []byte) error {
 			// An entry at index i implicitly truncates everything above.
 			n.log = append(n.log[:e.Index-1], e)
 		case recMeta:
-			var m metaRecord
-			if err := gobDecode(payload, &m); err != nil {
+			term, votedFor, err := parseMetaRecord(body)
+			if err != nil {
 				return fmt.Errorf("paxos: restore meta: %w", err)
 			}
-			n.term = m.Term
-			n.votedFor = m.VotedFor
+			n.term, n.votedFor = term, votedFor
 		default:
 			return fmt.Errorf("paxos: restore: unknown record kind %d", kind)
 		}
@@ -198,12 +196,10 @@ func (n *Node) RestoreFromImage(image []byte) error {
 	return nil
 }
 
-// Start launches the election timer. Apply callbacks begin flowing as
-// entries commit.
+// Start launches the election timer.
 func (n *Node) Start() {
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.timerLoop()
-	go n.applyLoop()
 }
 
 // Stop halts the node (simulating a crash when followed by discarding
@@ -265,7 +261,7 @@ func (n *Node) LogLength() uint64 {
 	return uint64(len(n.log))
 }
 
-// ErrLogChanged reports a ProposeAt whose expected log length no
+// ErrLogChanged reports a ProposeBatchAt whose expected log length no
 // longer matches (the caller's view of the log is stale and must be
 // rebuilt).
 var ErrLogChanged = errors.New("paxos: log changed since snapshot")
@@ -280,14 +276,6 @@ func (n *Node) SnapshotLog() (term uint64, role Role, entries []Entry) {
 	out := make([]Entry, len(n.log))
 	copy(out, n.log)
 	return n.term, n.role, out
-}
-
-// ProposeAt is Propose with an optimistic-concurrency guard: it fails
-// with ErrLogChanged unless the log still has exactly expectLen
-// entries, guaranteeing the caller's derived state (certification
-// engine) matches the index being assigned.
-func (n *Node) ProposeAt(expectLen uint64, data []byte) (index, term uint64, err error) {
-	return n.proposeBatch([][]byte{data}, true, expectLen)
 }
 
 // Propose appends data as the next log entry. It returns the reserved
@@ -305,8 +293,11 @@ func (n *Node) Propose(data []byte) (index, term uint64, err error) {
 // same batched path. It returns the index of the first entry; the whole
 // batch occupies [first, first+len(datas)-1] at the returned term, so
 // one WaitCommitted on the last index is a durability barrier for the
-// entire batch. Like ProposeAt it fails with ErrLogChanged unless the
-// log still has exactly expectLen entries.
+// entire batch. It carries an optimistic-concurrency guard: it fails
+// with ErrLogChanged unless the log still has exactly expectLen
+// entries, so the caller's derived state (the certification engine)
+// matches the indices being assigned. Each data slice becomes an
+// Entry.Data as it is; the caller must not write to it afterwards.
 func (n *Node) ProposeBatchAt(expectLen uint64, datas [][]byte) (first, term uint64, err error) {
 	if len(datas) == 0 {
 		return 0, 0, errors.New("paxos: empty batch proposal")
@@ -332,26 +323,19 @@ func (n *Node) proposeBatch(datas [][]byte, guarded bool, expectLen uint64) (uin
 	first := uint64(len(n.log)) + 1
 	term := n.term
 	entries := make([]Entry, len(datas))
-	payloads := make([][]byte, len(datas))
 	for i, data := range datas {
 		entries[i] = Entry{Index: first + uint64(i), Term: term, Data: data}
-		p, err := gobEncode(entries[i])
-		if err != nil {
-			n.mu.Unlock()
-			return 0, 0, err
-		}
-		payloads[i] = append([]byte{recEntry}, p...)
 	}
 	// The memory append and the WAL insertion happen in ONE critical
 	// section — the same discipline handleAppend follows — so the WAL
 	// image order always equals the memory log order, no matter how
-	// proposals, depositions, and follower rounds interleave. Batches
-	// are bounded by the certifier's MaxBatch, so the encode work held
-	// under the lock stays small. The fsync wait happens in the
-	// background; followers ack after their own fsync and our own fsync
-	// advances stableIndex.
+	// proposals, depositions, and follower rounds interleave. The
+	// records carry index and term, which are only known here; laying
+	// them out is one buffer and a copy of each payload. The fsync wait
+	// happens in the background; followers ack after their own fsync
+	// and our own fsync advances stableIndex.
 	n.log = append(n.log, entries...)
-	wait, err := n.wal.AppendBatchAsync(payloads)
+	wait, err := n.wal.AppendBatchAsync(entryRecords(entries))
 	n.mu.Unlock()
 	if err != nil {
 		// WAL closed. Unreachable while Stop orders stopped=true before
@@ -499,32 +483,6 @@ func (n *Node) quorumLostLocked() bool {
 		}
 	}
 	return live < n.majority()
-}
-
-// applyLoop delivers committed entries to cfg.Apply in order.
-func (n *Node) applyLoop() {
-	defer n.wg.Done()
-	for {
-		n.mu.Lock()
-		for n.applied >= n.commitIndex && !n.stopped {
-			n.cond.Wait()
-		}
-		if n.stopped {
-			n.mu.Unlock()
-			return
-		}
-		var batch []Entry
-		for n.applied < n.commitIndex {
-			n.applied++
-			batch = append(batch, n.log[n.applied-1])
-		}
-		n.mu.Unlock()
-		if n.cfg.Apply != nil {
-			for _, e := range batch {
-				n.cfg.Apply(e)
-			}
-		}
-	}
 }
 
 // timerLoop drives elections (followers/candidates) and heartbeats

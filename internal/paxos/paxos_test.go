@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,19 +18,14 @@ type group struct {
 	fabric  *LocalFabricAlias
 	nodes   []*Node
 	servers []transport.Server
-	applyMu sync.Mutex
-	applied map[int][]Entry
 }
 
 // LocalFabricAlias avoids an import cycle in the test helper name.
 type LocalFabricAlias = transport.LocalFabric
 
-func newGroup(t *testing.T, n int, mode wal.Mode) *group {
+func newGroup(t testing.TB, n int, mode wal.Mode) *group {
 	t.Helper()
-	g := &group{
-		fabric:  transport.NewLocalFabric(0),
-		applied: make(map[int][]Entry),
-	}
+	g := &group{fabric: transport.NewLocalFabric(0)}
 	for i := 0; i < n; i++ {
 		peers := make(map[int]transport.Client)
 		for j := 0; j < n; j++ {
@@ -37,17 +33,11 @@ func newGroup(t *testing.T, n int, mode wal.Mode) *group {
 				peers[j] = g.fabric.Dial(fmt.Sprintf("cert%d", j))
 			}
 		}
-		i := i
 		node := NewNode(Config{
-			ID:      i,
-			Peers:   peers,
-			Disk:    simdisk.New(simdisk.Instant(), int64(i)),
-			WALMode: mode,
-			Apply: func(e Entry) {
-				g.applyMu.Lock()
-				g.applied[i] = append(g.applied[i], e)
-				g.applyMu.Unlock()
-			},
+			ID:              i,
+			Peers:           peers,
+			Disk:            simdisk.New(simdisk.Instant(), int64(i)),
+			WALMode:         mode,
 			ElectionTimeout: 40 * time.Millisecond,
 			Seed:            int64(i) + 1,
 		})
@@ -66,7 +56,7 @@ func newGroup(t *testing.T, n int, mode wal.Mode) *group {
 }
 
 // waitLeader blocks until some node is leader, returning its index.
-func (g *group) waitLeader(t *testing.T) int {
+func (g *group) waitLeader(t testing.TB) int {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -135,35 +125,17 @@ func TestThreeNodeReplication(t *testing.T) {
 			t.Errorf("node %d log = %d", i, n.LogLength())
 		}
 	}
-	// Apply callbacks saw entries in order on every node. Delivery is
-	// asynchronous (applyLoop runs behind the commit index), so wait
-	// for it rather than sampling once.
-	applyDeadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(applyDeadline) {
-		g.applyMu.Lock()
-		ok := true
-		for i := range g.nodes {
-			if len(g.applied[i]) < 10 {
-				ok = false
-			}
+	// Every node's committed prefix holds the same entries in the same
+	// order.
+	for i, n := range g.nodes {
+		commit := n.CommitIndex()
+		_, _, log := n.SnapshotLog()
+		if commit < 10 || uint64(len(log)) < commit {
+			continue // reported above
 		}
-		g.applyMu.Unlock()
-		if ok {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	g.applyMu.Lock()
-	defer g.applyMu.Unlock()
-	for i := range g.nodes {
-		got := g.applied[i]
-		if len(got) < 10 {
-			t.Errorf("node %d applied %d entries", i, len(got))
-			continue
-		}
-		for j, e := range got[:10] {
+		for j, e := range log[:10] {
 			if e.Index != uint64(j+1) || string(e.Data) != fmt.Sprintf("e%d", j) {
-				t.Errorf("node %d applied[%d] = %+v", i, j, e)
+				t.Errorf("node %d committed[%d] = %+v", i, j, e)
 			}
 		}
 	}
@@ -175,25 +147,6 @@ func TestProposeOnFollowerFails(t *testing.T) {
 	follower := (ld + 1) % 3
 	if _, _, err := g.nodes[follower].Propose([]byte("x")); !errors.Is(err, ErrNotLeader) {
 		t.Errorf("Propose on follower: %v, want ErrNotLeader", err)
-	}
-}
-
-func TestProposeAtGuard(t *testing.T) {
-	g := newGroup(t, 1, wal.SyncCommits)
-	ld := g.waitLeader(t)
-	n := g.nodes[ld]
-	idx, term, err := n.ProposeAt(0, []byte("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.WaitCommitted(idx, term); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := n.ProposeAt(0, []byte("b")); !errors.Is(err, ErrLogChanged) {
-		t.Errorf("stale ProposeAt: %v, want ErrLogChanged", err)
-	}
-	if _, _, err := n.ProposeAt(1, []byte("b")); err != nil {
-		t.Errorf("fresh ProposeAt: %v", err)
 	}
 }
 
@@ -596,5 +549,28 @@ func TestStopIdempotent(t *testing.T) {
 	n.Stop()
 	if _, _, err := n.Propose([]byte("x")); !errors.Is(err, ErrStopped) {
 		t.Errorf("Propose after stop: %v", err)
+	}
+}
+
+// BenchmarkProposeBatch is one replication round of the certifier's
+// shape: 8 entries of 120 bytes proposed as one batch to a group of
+// three in-process nodes on instant disks, and committed.
+func BenchmarkProposeBatch(b *testing.B) {
+	g := newGroup(b, 3, wal.SyncCommits)
+	leader := g.nodes[g.waitLeader(b)]
+	datas := make([][]byte, 8)
+	for i := range datas {
+		datas[i] = bytes.Repeat([]byte{byte(i)}, 120)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first, term, err := leader.ProposeBatchAt(leader.LogLength(), datas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := leader.WaitCommitted(first+uint64(len(datas))-1, term); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

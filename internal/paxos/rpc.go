@@ -8,20 +8,7 @@ import (
 	"tashkent/internal/transport"
 )
 
-// WAL record kinds.
-const (
-	recEntry byte = 'E'
-	recMeta  byte = 'M'
-)
-
-// metaRecord persists election state (term and vote) so a recovering
-// node cannot double-vote.
-type metaRecord struct {
-	Term     uint64
-	VotedFor int
-}
-
-// RPC argument/reply types (gob-encoded on the wire).
+// RPC argument/reply types (wire forms in codec.go).
 
 type voteArgs struct {
 	Term      uint64
@@ -81,25 +68,25 @@ func (n *Node) HandleRPC(method string, req []byte) ([]byte, error) {
 	switch method {
 	case MethodVote:
 		var args voteArgs
-		if err := msgDecode(req, &args); err != nil {
+		if err := transport.DecodeMessage(req, &args); err != nil {
 			return nil, err
 		}
 		reply := n.handleVote(args)
-		return msgEncode(&reply)
+		return transport.EncodeMessage(&reply)
 	case MethodAppend:
 		var args appendArgs
-		if err := msgDecode(req, &args); err != nil {
+		if err := transport.DecodeMessage(req, &args); err != nil {
 			return nil, err
 		}
 		reply := n.handleAppend(args)
-		return msgEncode(&reply)
+		return transport.EncodeMessage(&reply)
 	case MethodFetch:
 		var args fetchArgs
-		if err := msgDecode(req, &args); err != nil {
+		if err := transport.DecodeMessage(req, &args); err != nil {
 			return nil, err
 		}
 		reply := n.handleFetch(args)
-		return msgEncode(&reply)
+		return transport.EncodeMessage(&reply)
 	default:
 		return nil, fmt.Errorf("paxos: unknown method %q", method)
 	}
@@ -120,18 +107,11 @@ func (n *Node) callPeer(peer int, client transport.Client, method string, req []
 // persistMetaLocked writes term/vote durably. Called with n.mu held;
 // temporarily releases it around the disk write.
 func (n *Node) persistMetaLocked() {
-	m := metaRecord{Term: n.term, VotedFor: n.votedFor}
+	rec := metaRecord(n.term, n.votedFor)
 	n.mu.Unlock()
-	n.appendWAL(recMeta, m)
+	// The only error is a closed WAL, on a node that is stopping.
+	_ = n.wal.Append(rec)
 	n.mu.Lock()
-}
-
-func (n *Node) appendWAL(kind byte, v interface{}) error {
-	payload, err := gobEncode(v)
-	if err != nil {
-		return err
-	}
-	return n.wal.Append(append([]byte{kind}, payload...))
 }
 
 func (n *Node) handleVote(args voteArgs) voteReply {
@@ -168,14 +148,7 @@ func (n *Node) handleAppend(args appendArgs) appendReply {
 	// serializing that with elections and heartbeats under n.mu would
 	// stall the whole node. Entries that turn out to be duplicates cost
 	// a wasted encode, which only happens on rare overlap.
-	encoded := make([][]byte, len(args.Entries))
-	for i, e := range args.Entries {
-		p, err := gobEncode(e)
-		if err != nil {
-			return appendReply{Term: args.Term, OK: false}
-		}
-		encoded[i] = append([]byte{recEntry}, p...)
-	}
+	encoded := entryRecords(args.Entries)
 
 	n.mu.Lock()
 	if args.Term < n.term {
@@ -306,7 +279,7 @@ func (n *Node) handleFetch(args fetchArgs) fetchReply {
 func Fetch(peer interface {
 	Call(method string, req []byte) ([]byte, error)
 }, from uint64) ([]Entry, uint64, error) {
-	req, err := msgEncode(&fetchArgs{From: from})
+	req, err := transport.EncodeMessage(&fetchArgs{From: from})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -315,7 +288,7 @@ func Fetch(peer interface {
 		return nil, 0, err
 	}
 	var resp fetchReply
-	if err := msgDecode(respB, &resp); err != nil {
+	if err := transport.DecodeMessage(respB, &resp); err != nil {
 		return nil, 0, err
 	}
 	return resp.Entries, resp.Commit, nil
@@ -339,7 +312,7 @@ func (n *Node) startElectionLocked() {
 	n.mu.Unlock()
 
 	args := voteArgs{Term: term, Candidate: n.cfg.ID, LastIndex: lastIdx, LastTerm: lastTerm}
-	req, err := msgEncode(&args)
+	req, err := transport.EncodeMessage(&args)
 	if err != nil {
 		return
 	}
@@ -357,7 +330,7 @@ func (n *Node) startElectionLocked() {
 				return
 			}
 			var resp voteReply
-			if err := msgDecode(respB, &resp); err != nil {
+			if err := transport.DecodeMessage(respB, &resp); err != nil {
 				return
 			}
 			n.mu.Lock()
@@ -488,7 +461,7 @@ func (n *Node) replicateTo(peer int) {
 		client := n.cfg.Peers[peer]
 		n.mu.Unlock()
 
-		req, err := msgEncode(&args)
+		req, err := transport.EncodeMessage(&args)
 		if err != nil {
 			return
 		}
@@ -497,7 +470,7 @@ func (n *Node) replicateTo(peer int) {
 			return // peer down; heartbeat will retry
 		}
 		var resp appendReply
-		if err := msgDecode(respB, &resp); err != nil {
+		if err := transport.DecodeMessage(respB, &resp); err != nil {
 			return
 		}
 
@@ -539,16 +512,3 @@ func (n *Node) replicateTo(peer int) {
 		n.mu.Unlock()
 	}
 }
-
-// gobEncode/gobDecode delegate to the transport's pooled codec. They
-// remain the WAL record format (recEntry/recMeta payloads): durable
-// bytes deliberately do not share the wire codec's tag scheme.
-func gobEncode(v interface{}) ([]byte, error) { return transport.GobEncode(v) }
-
-func gobDecode(b []byte, v interface{}) error { return transport.GobDecode(b, v) }
-
-// msgEncode/msgDecode are the wire codec: binary fast path for the hot
-// append/fetch types, tagged gob for the rest.
-func msgEncode(v interface{}) ([]byte, error) { return transport.EncodeMessage(v) }
-
-func msgDecode(b []byte, v interface{}) error { return transport.DecodeMessage(b, v) }

@@ -202,7 +202,9 @@ type remoteRecord struct {
 	items   []core.ItemID
 }
 
-// maxRecent bounds the proxy log used for local certification.
+// maxRecent is how many records of the proxy log local certification is
+// guaranteed to see; the log is cut back to it whenever it reaches
+// twice that (see recordRemotes).
 const maxRecent = 4096
 
 // defaultApplyWorkers is the scheduler's pool size when
@@ -566,7 +568,10 @@ func (p *Proxy) localConflict(ws *core.Writeset, start uint64) bool {
 	return false
 }
 
-// recordRemotes adds applied remote writesets to the proxy log.
+// recordRemotes adds applied remote writesets to the proxy log. The log
+// is trimmed in chunks: it grows to twice maxRecent and is then cut to
+// its newest maxRecent records in place, so a full log costs one copy
+// per maxRecent records instead of one per response.
 func (p *Proxy) recordRemotes(remotes []RemoteEntry) {
 	if len(remotes) == 0 {
 		return
@@ -575,8 +580,10 @@ func (p *Proxy) recordRemotes(remotes []RemoteEntry) {
 	for _, r := range remotes {
 		p.recent = append(p.recent, remoteRecord{version: r.Version, items: r.WS.Items()})
 	}
-	if over := len(p.recent) - maxRecent; over > 0 {
-		p.recent = append([]remoteRecord(nil), p.recent[over:]...)
+	if n := len(p.recent); n >= 2*maxRecent {
+		kept := copy(p.recent, p.recent[n-maxRecent:])
+		clear(p.recent[kept:]) // let go of the dropped records' items
+		p.recent = p.recent[:kept]
 	}
 	p.logMu.Unlock()
 	p.mu.Lock()
@@ -585,18 +592,23 @@ func (p *Proxy) recordRemotes(remotes []RemoteEntry) {
 }
 
 // decodeRemotes parses and filters the response's remote writesets to
-// those above the replica's planned version.
+// those above the replica's planned version. Each arrives as the
+// certifier's log entry itself; a single group's log holds data
+// entries only (barrier no-ops among them, with an empty writeset).
 func (p *Proxy) decodeRemotes(remote []certifier.RemoteWS, above uint64) ([]RemoteEntry, error) {
 	out := make([]RemoteEntry, 0, len(remote))
 	for _, r := range remote {
 		if r.Version <= above {
 			continue
 		}
-		ws, _, err := core.DecodeWriteset(r.WSBytes)
+		e, err := certifier.DecodeLogEntry(r.WSBytes)
+		if err == nil && e.Kind != core.KindData {
+			err = fmt.Errorf("%v entry in a single-group stream", e.Kind)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("proxy: corrupt remote writeset v%d: %w", r.Version, err)
 		}
-		out = append(out, RemoteEntry{Version: r.Version, SafeBack: r.SafeBack, WS: ws})
+		out = append(out, RemoteEntry{Version: r.Version, SafeBack: r.SafeBack, WS: e.WS})
 	}
 	return out, nil
 }

@@ -697,3 +697,57 @@ func TestModeString(t *testing.T) {
 		t.Error("Mode.String mismatch")
 	}
 }
+
+// TestProxyLogTrimIsAmortized: once the proxy log is full, recording a
+// response's remote writesets must not copy the log — trimming it on
+// every call allocated 131 KB a response. Local certification still
+// sees the newest maxRecent records, oldest and newest alike.
+func TestProxyLogTrimIsAmortized(t *testing.T) {
+	p := newRig(t, 1, TashkentMW, nil).proxies[0]
+	version := uint64(0)
+	wsFor := func(v uint64) *core.Writeset {
+		ws := &core.Writeset{}
+		ws.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)})
+		return ws
+	}
+	record := func() {
+		version++
+		p.recordRemotes([]RemoteEntry{{Version: version, WS: wsFor(version)}})
+	}
+	for i := 0; i < 2*maxRecent+10; i++ { // past the first trim: the backing array has its final size
+		record()
+	}
+	batch := make([]RemoteEntry, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const calls = 1000
+	for i := 0; i < calls; i++ {
+		version++
+		batch[0] = RemoteEntry{Version: version, WS: wsFor(version)}
+		p.recordRemotes(batch)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 1024 {
+		t.Errorf("recordRemotes allocates %d bytes a call on a full log, want < 1 KB", perCall)
+	}
+	for i := 0; i < maxRecent; i++ { // across a trim boundary
+		record()
+	}
+	p.logMu.Lock()
+	n, oldest := len(p.recent), p.recent[0].version
+	p.logMu.Unlock()
+	if n < maxRecent || n >= 2*maxRecent {
+		t.Fatalf("proxy log holds %d records, want [%d, %d)", n, maxRecent, 2*maxRecent)
+	}
+	for _, v := range []uint64{oldest, version - maxRecent + 1, version} {
+		if !p.localConflict(wsFor(v), 0) {
+			t.Errorf("local certification misses retained version %d (log holds %d..%d)", v, oldest, version)
+		}
+		if p.localConflict(wsFor(v), v) {
+			t.Errorf("version %d conflicts with a snapshot that includes it", v)
+		}
+	}
+	if p.localConflict(wsFor(oldest-1), 0) {
+		t.Errorf("version %d is still in the log below its oldest record %d", oldest-1, oldest)
+	}
+}

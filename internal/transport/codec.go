@@ -1,27 +1,22 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
 )
 
-// Message codec: every RPC payload starts with a one-byte codec tag.
-// Hot message types (every replica↔certifier message, paxos
-// append/fetch) implement BinaryMessage and take a hand-written
-// length-prefixed binary fast path; everything else (paxos votes)
-// falls back to gob. Gob starts
-// every message with a full type descriptor — tens of bytes of field
-// names per message — which the wire sweep showed dominating
-// bytes/writeset on the certify path.
+// Message codec: every RPC payload is a one-byte codec tag followed by
+// the message's hand-written fixed-layout binary form. Every message of
+// the system — replica↔certifier and the paxos group's own traffic —
+// implements BinaryMessage; there is no reflective fallback, so a value
+// that does not implement it cannot be sent and a payload with another
+// tag is refused. (The tag stays so a future format can be told apart
+// from this one.)
 
-// Codec tags.
-const (
-	codecGob    byte = 0x00
-	codecBinary byte = 0x01
-)
+// codecBinary tags a BinaryMessage payload. 0x00 was the gob fallback,
+// now refused like any unknown tag.
+const codecBinary byte = 0x01
 
 // BinaryMessage is implemented by message types with a hand-written
 // binary wire form. AppendBinary appends the encoding to buf (which
@@ -41,50 +36,37 @@ var binBufPool = sync.Pool{New: func() interface{} {
 	return &b
 }}
 
-// EncodeMessage encodes v for the wire: the binary fast path when v
-// implements BinaryMessage, tagged gob otherwise. The result is a
-// fresh allocation, safe to retain.
+// EncodeMessage encodes v, which must implement BinaryMessage, for the
+// wire. The result is a fresh allocation, safe to retain.
 func EncodeMessage(v interface{}) ([]byte, error) {
-	if bm, ok := v.(BinaryMessage); ok {
-		bp := binBufPool.Get().(*[]byte)
-		scratch := append((*bp)[:0], codecBinary)
-		scratch = bm.AppendBinary(scratch)
-		out := make([]byte, len(scratch))
-		copy(out, scratch)
-		if cap(scratch) <= 1<<20 { // don't let one huge message pin pool memory
-			*bp = scratch[:0]
-			binBufPool.Put(bp)
-		}
-		return out, nil
+	bm, ok := v.(BinaryMessage)
+	if !ok {
+		return nil, fmt.Errorf("transport: %T has no binary wire form", v)
 	}
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.WriteByte(codecGob)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		gobBufPool.Put(buf)
-		return nil, err
+	bp := binBufPool.Get().(*[]byte)
+	scratch := append((*bp)[:0], codecBinary)
+	scratch = bm.AppendBinary(scratch)
+	out := make([]byte, len(scratch))
+	copy(out, scratch)
+	if cap(scratch) <= 1<<20 { // don't let one huge message pin pool memory
+		*bp = scratch[:0]
+		binBufPool.Put(bp)
 	}
-	out := append([]byte(nil), buf.Bytes()...)
-	gobBufPool.Put(buf)
 	return out, nil
 }
 
-// DecodeMessage decodes an EncodeMessage payload into v. The binary
-// path may retain subslices of b.
+// DecodeMessage decodes an EncodeMessage payload into v, which may
+// retain subslices of b.
 func DecodeMessage(b []byte, v interface{}) error {
 	if len(b) == 0 {
 		return errors.New("transport: empty message")
 	}
-	switch b[0] {
-	case codecBinary:
-		bm, ok := v.(BinaryMessage)
-		if !ok {
-			return fmt.Errorf("transport: binary payload for non-binary type %T", v)
-		}
-		return bm.DecodeBinary(b[1:])
-	case codecGob:
-		return GobDecode(b[1:], v)
-	default:
+	if b[0] != codecBinary {
 		return fmt.Errorf("transport: unknown codec tag 0x%02x", b[0])
 	}
+	bm, ok := v.(BinaryMessage)
+	if !ok {
+		return fmt.Errorf("transport: %T has no binary wire form", v)
+	}
+	return bm.DecodeBinary(b[1:])
 }
