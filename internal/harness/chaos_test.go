@@ -367,6 +367,50 @@ func TestChaosCertifierLeaderCrashMidBatch(t *testing.T) {
 	}
 }
 
+// crashMidBatch crashes replica i while a fsync of its log is held: the
+// hook stops the next flush (under Tashkent-API, the batch of one
+// certifier response with any that queued behind it), the crash starts,
+// and the flush is let go only once the replica refuses new work.
+func crashMidBatch(t *testing.T, c *cluster.Cluster, i int) {
+	t.Helper()
+	disk := c.Replica(i).LogDisk()
+	reached, release := make(chan struct{}, 1), make(chan struct{})
+	disk.SetHook(func(op simdisk.Op, _, _ int) {
+		if op != simdisk.OpFsync {
+			return
+		}
+		select {
+		case reached <- struct{}{}:
+		default:
+		}
+		<-release
+	})
+	defer disk.SetHook(nil)
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("replica log never reached another fsync under load")
+	}
+	crashed := make(chan struct{})
+	go func() {
+		c.CrashReplica(i)
+		close(crashed)
+	}()
+	refusing := chaos.WaitUntil(5*time.Second, func() bool {
+		tx, err := c.Begin(i)
+		if err == nil {
+			tx.Abort()
+		}
+		return err != nil
+	})
+	close(release)
+	<-crashed
+	if !refusing {
+		t.Fatal("replica kept accepting transactions after its crash began")
+	}
+}
+
 // restoredLogLength counts the entry records a crash image holds.
 func restoredLogLength(img []byte) (int, error) {
 	srv := certifier.New(certifier.Config{ID: 99})
@@ -407,7 +451,15 @@ func TestChaosReplicaCrashRestartDrills(t *testing.T) {
 				t.Fatal("no progress before crash")
 			}
 
-			c.CrashReplica(0)
+			if mode == proxy.TashkentAPI {
+				// Crash with a response's log batch appended and its fsync
+				// held: nothing of that response may be visible or
+				// acknowledged yet, and recovery must cope with whatever
+				// the held batch and the ones queued behind it leave.
+				crashMidBatch(t, c, 0)
+			} else {
+				c.CrashReplica(0)
+			}
 			// Survivors keep the system available through the outage.
 			if !chaos.WaitUntil(10*time.Second, func() bool { return checker.Acks() >= 35 }) {
 				t.Fatal("no progress during replica outage")

@@ -92,33 +92,44 @@ func (s *Store) AnnounceAsync(from, to uint64, cb func(PendingOutcome)) error {
 // publication, preserving first-committer-wins. cb reports the final
 // outcome; it may run synchronously (a range already superseded
 // resolves before return) or from whichever goroutine drives the
-// publication cascade.
+// publication cascade. A range with nothing to install goes through
+// AnnounceAsync instead.
 //
-// Callers must ensure no concurrent installer holds an earlier version
-// of any written key un-published (see the package comment above).
+// It is CommitLoggedAsync behind a one-record LogCommitRecords batch of
+// its own. Callers must ensure no concurrent installer holds an earlier
+// version of any written key un-published (see the package comment
+// above).
 func (tx *Tx) CommitLabeledAsync(from, to uint64, cb func(PendingOutcome)) error {
-	if err := tx.check(); err != nil {
+	if err := tx.checkLabeledUpdate("CommitLabeledAsync", from, to); err != nil {
 		return err
 	}
-	if to <= from {
-		return fmt.Errorf("mvstore: CommitLabeledAsync(%d, %d): empty version range", from, to)
-	}
-	if tx.ws.Empty() {
-		return fmt.Errorf("mvstore: CommitLabeledAsync on read-only transaction (use AnnounceAsync)")
-	}
-	s := tx.store
-	if s.announced.Load() >= to {
+	if tx.store.announced.Load() >= to {
 		// Superseded before the WAL write, exactly like the sync path:
-		// skip the record so recovery never replays this stale range
-		// after newer ones.
+		// the record that covered the range is in the log already.
 		if err := tx.finishSuperseded(); err != nil {
 			return err
 		}
 		cb(PendingSuperseded)
 		return nil
 	}
-	rec := encodeCommitRecord(from, to, &tx.ws)
-	if err := s.log.Append(rec); err != nil {
+	logged, err := tx.store.LogCommitRecords([]CommitRecord{{From: from, To: to, WS: &tx.ws}})
+	if err != nil {
+		return err
+	}
+	return tx.CommitLoggedAsync(from, to, logged, cb)
+}
+
+// CommitLoggedAsync is CommitLabeledAsync for a transaction whose
+// commit record is already in the log under the ticket logged: it waits
+// for the record to be durable, then installs and registers for
+// publication. A range announced past in the meantime resolves as
+// PendingSuperseded through the publication drain.
+func (tx *Tx) CommitLoggedAsync(from, to uint64, logged LogTicket, cb func(PendingOutcome)) error {
+	if err := tx.checkLabeledUpdate("CommitLoggedAsync", from, to); err != nil {
+		return err
+	}
+	s := tx.store
+	if err := logged(); err != nil {
 		return ErrCrashed
 	}
 	if !tx.state.CompareAndSwap(txActive, txDone) {

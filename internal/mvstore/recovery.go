@@ -15,21 +15,23 @@ type RecoveryInfo struct {
 	Records int
 	// CoveredTo is the highest global version V such that the records
 	// form an unbroken (from,to] chain from the recovery base up to V.
-	// Commit records beyond a gap (possible under Tashkent-API, whose
-	// concurrent commits may sync out of order) are applied too, but
-	// the middleware re-applies everything after CoveredTo from the
-	// certifier log, which is always safe because writesets carry
-	// absolute values (paper §7.2).
+	// Commit records beyond a gap are applied too — under Tashkent-API a
+	// response's records are logged before their installers run, so a
+	// range whose install was given up and re-fetched can be missing, or
+	// present twice, among later ones — and the middleware re-applies
+	// everything after CoveredTo from the certifier log. Both are safe
+	// because writesets carry absolute values (paper §7.2) and replay
+	// orders labeled records by label, not by log position (replayWAL).
 	CoveredTo uint64
 	// Gaps reports how many records lay beyond the contiguous chain.
 	Gaps int
 }
 
 // RecoverFromWAL rebuilds a store from a crash-surviving WAL image,
-// replaying commit records in log order on top of an empty database.
-// base is the global version the empty state corresponds to (0 for a
-// fresh database; the dump's covered version when replaying on top of
-// a restored dump).
+// replaying its commit records (labeled ones in label order) on top of
+// an empty database. base is the global version the empty state
+// corresponds to (0 for a fresh database; the dump's covered version
+// when replaying on top of a restored dump).
 func RecoverFromWAL(cfg Config, image []byte, base uint64) (*Store, RecoveryInfo, error) {
 	s := Open(cfg)
 	info, err := s.replayWAL(image, base)
@@ -48,27 +50,45 @@ func (s *Store) replayWAL(image []byte, base uint64) (RecoveryInfo, error) {
 	if err != nil {
 		return RecoveryInfo{}, fmt.Errorf("mvstore: recovery scan: %w", err)
 	}
-	var recs []CommitRecord
+	recs := make([]CommitRecord, 0, len(payloads))
+	var labeled []CommitRecord
 	for i, p := range payloads {
 		rec, err := DecodeCommitRecord(p)
 		if err != nil {
 			return RecoveryInfo{}, fmt.Errorf("mvstore: recovery record %d: %w", i, err)
 		}
 		recs = append(recs, rec)
-	}
-	// Apply in log order (conflicting records are always log-ordered
-	// because write locks serialize conflicting commits).
-	for _, rec := range recs {
-		s.applyRecovered(rec)
-	}
-	info := RecoveryInfo{Records: len(recs)}
-	// Coverage chain over labeled records, sorted by From.
-	labeled := make([]CommitRecord, 0, len(recs))
-	for _, rec := range recs {
 		if rec.To > rec.From {
 			labeled = append(labeled, rec)
 		}
 	}
+	// Labeled records replay in ascending To, whatever their log order.
+	// Log order says nothing about them: LogCommitRecords appends a
+	// record before its installer holds any lock, and a range whose
+	// install was given up is logged again, after records of later
+	// versions, by the resync that re-applies it. Label order is right
+	// for any log order: a record replays the operations of the versions
+	// in its range in version order, and every operation sets absolute
+	// values (an insert or a delete fixes the whole row, an update its
+	// columns), so applying it to a state that already holds some of its
+	// versions re-establishes those and adds the rest. In ascending To
+	// each record of a contiguous chain therefore leaves the state at its
+	// own To — duplicates, and merged ranges overlapping single versions,
+	// included; a record beyond a gap leaves a state that the re-apply
+	// from CoveredTo repairs by the same argument. Unlabeled records (a
+	// standalone database's commits, which write locks did serialize)
+	// keep their log positions and their order among themselves.
+	sort.SliceStable(labeled, func(i, j int) bool { return labeled[i].To < labeled[j].To })
+	next := 0
+	for _, rec := range recs {
+		if rec.To > rec.From {
+			rec = labeled[next]
+			next++
+		}
+		s.applyRecovered(rec)
+	}
+	info := RecoveryInfo{Records: len(recs)}
+	// Coverage chain over labeled records, sorted by From.
 	sort.Slice(labeled, func(i, j int) bool { return labeled[i].From < labeled[j].From })
 	cur := base
 	for _, rec := range labeled {
@@ -105,7 +125,9 @@ func (s *Store) applyRecovered(rec CommitRecord) {
 		default:
 			base := map[string][]byte{}
 			if op.Kind == core.OpUpdate {
-				if prev, ok := visibleVersion(t[op.Key], seq-1); ok {
+				// At seq, not below it: a merged record can write one row
+				// twice, and its later op builds on its earlier one.
+				if prev, ok := visibleVersion(t[op.Key], seq); ok {
 					for c, v := range prev.cols {
 						base[c] = v
 					}

@@ -284,32 +284,93 @@ func (tx *Tx) CommitLabeled(from, to uint64) error {
 // commit waits on the order semaphore until the database has announced
 // version from, and announcing it advances the semaphore to to.
 // Concurrent CommitOrdered calls therefore share fsyncs while still
-// becoming visible in the exact global order.
+// becoming visible in the exact global order. It is CommitOrderedLogged
+// behind a one-record LogCommitRecords batch of its own.
 func (tx *Tx) CommitOrdered(from, to uint64) error {
-	if err := tx.check(); err != nil {
+	if err := tx.checkLabeledUpdate("CommitOrdered", from, to); err != nil {
 		return err
 	}
-	if to <= from {
-		return fmt.Errorf("mvstore: CommitOrdered(%d, %d): empty version range", from, to)
-	}
-	if tx.ws.Empty() {
-		return fmt.Errorf("mvstore: CommitOrdered on read-only transaction")
-	}
 	if tx.store.announced.Load() >= to {
-		// A catch-up resync already carried the state past this range.
+		// A catch-up resync already carried the state past this range;
+		// the record that covered it is in the log already.
 		return tx.finishSuperseded()
 	}
-	rec := encodeCommitRecord(from, to, &tx.ws)
-	if err := tx.store.log.Append(rec); err != nil {
+	logged, err := tx.store.LogCommitRecords([]CommitRecord{{From: from, To: to, WS: &tx.ws}})
+	if err != nil {
+		return err
+	}
+	return tx.CommitOrderedLogged(from, to, logged)
+}
+
+// CommitOrderedLogged is CommitOrdered for a transaction whose commit
+// record is already in the log: logged is the ticket of the
+// LogCommitRecords batch that carried it. The commit waits for that
+// batch to be durable, then for its turn on the order semaphore, so
+// durability still precedes visibility, the announce and the caller's
+// acknowledgement.
+func (tx *Tx) CommitOrderedLogged(from, to uint64, logged LogTicket) error {
+	if err := tx.checkLabeledUpdate("CommitOrderedLogged", from, to); err != nil {
+		return err
+	}
+	if err := logged(); err != nil {
 		return ErrCrashed
 	}
-
-	// A kill or crash during the wait surfaces in applyCommit, which
-	// latches the state against both.
+	// A kill or crash during the waits surfaces in applyCommit, which
+	// latches the state against both (and resolves a range announced past
+	// in the meantime as superseded).
 	if err := tx.store.WaitAnnounced(from, tx.store.cfg.OrderTimeout); err != nil {
 		return err
 	}
 	return tx.applyCommit(to)
+}
+
+// checkLabeledUpdate validates the handle and the arguments of the
+// ordered and deferred-publication commits (op names the caller in the
+// error).
+func (tx *Tx) checkLabeledUpdate(op string, from, to uint64) error {
+	if err := tx.check(); err != nil {
+		return err
+	}
+	if to <= from {
+		return fmt.Errorf("mvstore: %s(%d, %d): empty version range", op, from, to)
+	}
+	if tx.ws.Empty() {
+		return fmt.Errorf("mvstore: %s on read-only transaction", op)
+	}
+	return nil
+}
+
+// LogTicket is the durability ticket of one LogCommitRecords batch: it
+// blocks until every record of the batch is covered by a completed fsync
+// (not at all on a NoSync log). Any number of commits may wait on one
+// ticket, concurrently and repeatedly.
+type LogTicket func() error
+
+// LogCommitRecords appends the commit records of recs to the log as one
+// batch, in the order given, and returns as soon as they hold their
+// places in the log order — before they are durable. It is the one
+// routine that logs a labeled ordered or deferred-publication commit:
+// CommitOrdered and CommitLabeledAsync log a batch of one through it,
+// and the proxy logs every record of a Tashkent-API certifier response
+// (remote chunks and the local commit, ascending global versions) in
+// one call, so the records reach the log in global order and share one
+// fsync however far apart their installers run. Each record's commit is
+// then finished with CommitOrderedLogged or CommitLoggedAsync, which
+// wait on the ticket where they would have waited on their own append.
+//
+// A record may be in the log while its installer holds no lock yet, is
+// retried, or gives up; recovery orders replay by label for that reason
+// (see replayWAL).
+func (s *Store) LogCommitRecords(recs []CommitRecord) (LogTicket, error) {
+	payloads := make([][]byte, len(recs))
+	for i, rec := range recs {
+		payloads[i] = encodeCommitRecord(rec.From, rec.To, rec.WS)
+	}
+	wait, err := s.log.AppendBatchAsync(payloads)
+	if err != nil {
+		return nil, ErrCrashed
+	}
+	return wait, nil
 }
 
 // applyCommit is the shared tail of every update commit: latch the
@@ -429,13 +490,16 @@ func encodeCommitRecord(from, to uint64, ws *core.Writeset) []byte {
 	return ws.Encode(buf)
 }
 
-// CommitRecord is one decoded WAL commit record.
+// CommitRecord is one WAL commit record — decoded from the log, or on
+// its way into it through LogCommitRecords: WS commits global versions
+// (From, To], both 0 for an unlabeled commit.
 type CommitRecord struct {
 	From, To uint64
 	WS       *core.Writeset
 }
 
-// DecodeCommitRecord parses a WAL record payload.
+// DecodeCommitRecord parses a WAL record payload. It accepts exactly
+// what encodeCommitRecord writes: bytes after the writeset are refused.
 func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
 	if len(payload) < 16 {
 		return CommitRecord{}, fmt.Errorf("mvstore: short commit record (%d bytes)", len(payload))
@@ -444,9 +508,12 @@ func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
 		From: binary.BigEndian.Uint64(payload[0:8]),
 		To:   binary.BigEndian.Uint64(payload[8:16]),
 	}
-	ws, _, err := core.DecodeWriteset(payload[16:])
+	ws, n, err := core.DecodeWriteset(payload[16:])
 	if err != nil {
 		return CommitRecord{}, err
+	}
+	if 16+n != len(payload) {
+		return CommitRecord{}, fmt.Errorf("mvstore: commit record: %d bytes after the writeset", len(payload)-16-n)
 	}
 	rec.WS = ws
 	return rec, nil

@@ -192,8 +192,16 @@ func (p *Proxy) enterSeq(epoch, seq uint64) (uint64, error) {
 //     dependency scheduler, the slot released before any disk work.
 //   - how the local transaction commits: Base and Tashkent-MW (C5) by
 //     CommitLabeled inside the slot, after the remote batch (Base's
-//     second unsharable flush); Tashkent-API by CommitOrdered outside
-//     it, concurrent with the chunks and sharing their fsyncs.
+//     second unsharable flush); Tashkent-API by an ordered commit
+//     outside it, concurrent with the chunks.
+//
+// Under Tashkent-API the slot is also the ordering point of the replica
+// log: logResponse appends the commit records of the chunks and of the
+// local commit as one batch before the slot is released, so they reach
+// the log in global order and share one fsync (§5.2: the local commit
+// record and the remote writesets before it under one group commit).
+// The chunks and the local commit carry the batch's ticket and wait on
+// it where they would have waited on an append of their own.
 //
 // It returns nil for a committed (or absent) local transaction,
 // ErrCertificationAbort for an aborted one, and any other error when
@@ -257,8 +265,18 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 	}
 
 	// Policy 1: install the remote writesets.
+	var logged mvstore.LogTicket // of the local commit's record (Tashkent-API)
 	if ordered {
-		chunks := buildChunks(basis, p.cfg.Store.AnnouncedVersion(), remotes)
+		announced := p.cfg.Store.AnnouncedVersion()
+		chunks := buildChunks(basis, announced, remotes)
+		var ownWS *core.Writeset
+		if own {
+			ownWS = ws
+		}
+		if logged, err = p.logResponse(chunks, ownWS, cv, announced); err != nil {
+			abortHandle()
+			return err
+		}
 		p.advanceRV(top)
 		if len(remotes) > 0 {
 			noteRemotes(len(chunks))
@@ -272,7 +290,7 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 		for _, r := range remotes {
 			merged.Merge(r.WS)
 		}
-		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, false); err != nil {
+		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, (*mvstore.Tx).CommitLabeled); err != nil {
 			abortHandle()
 			return err
 		}
@@ -286,32 +304,79 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 	}
 
 	// Policy 2: commit the local transaction at its global version.
-	from := maxRemote
+	from, commit := maxRemote, (*mvstore.Tx).CommitLabeled
 	if ordered {
 		from = cv - 1
+		commit = func(tx *mvstore.Tx, from, to uint64) error {
+			if logged == nil {
+				return tx.CommitOrdered(from, to) // superseded when the slot was entered
+			}
+			return tx.CommitOrderedLogged(from, to, logged)
+		}
 	}
 	var cerr error
 	if tx != nil {
-		if ordered {
-			cerr = tx.CommitOrdered(from, cv)
-		} else {
-			cerr = tx.CommitLabeled(from, cv)
-		}
-		if cerr != nil {
+		if cerr = commit(tx, from, cv); cerr != nil {
 			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
 		}
 	}
 	if tx == nil || cerr != nil {
 		// Soft recovery (§8.1): the database refused the commit (or the
 		// client took its handle away), but the transaction is globally
-		// committed — re-apply its writeset as a fresh transaction.
-		if err := p.applyBatchWithRecovery(ws, from, cv, ordered); err != nil {
+		// committed — re-apply its writeset as a fresh transaction (under
+		// Tashkent-API behind the record the slot already logged for it).
+		if err := p.applyBatchWithRecovery(ws, from, cv, commit); err != nil {
 			return fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", cv, cerr, err)
 		}
 	}
 	p.advanceRV(top)
 	p.addStat(func(st *Stats) { st.Commits++ })
 	return nil
+}
+
+// logResponse appends the commit records a Tashkent-API response leaves
+// at this replica — one per chunk with something to install, then the
+// local commit's (own, nil when there is none to commit; the remotes of
+// a commit response all lie below cv) — to the replica log as one batch
+// in ascending global version, and gives every logged chunk the batch's
+// durability ticket. It returns that ticket for the local commit, nil if
+// its record was not logged. A range the store had already announced
+// when the slot was entered gets no record: its commit resolves as
+// superseded, and the catch-up that carried the state past it logged it.
+//
+// The ticket stays with the range for every later attempt at it — a
+// requeued chunk install, the soft-recovery re-apply of the local
+// writeset, a commit whose client handle is gone — so a response logs a
+// range at most once.
+func (p *Proxy) logResponse(chunks []*applyEntry, own *core.Writeset, cv, announced uint64) (mvstore.LogTicket, error) {
+	needsRecord := func(c *applyEntry) bool { return c.to > announced && !c.ws.Empty() }
+	recs := make([]mvstore.CommitRecord, 0, len(chunks)+1)
+	for _, c := range chunks {
+		if needsRecord(c) {
+			recs = append(recs, mvstore.CommitRecord{From: c.from, To: c.to, WS: c.ws})
+		}
+	}
+	if own != nil && cv > announced {
+		recs = append(recs, mvstore.CommitRecord{From: cv - 1, To: cv, WS: own})
+	} else {
+		own = nil
+	}
+	if len(recs) == 0 {
+		return nil, nil
+	}
+	logged, err := p.cfg.Store.LogCommitRecords(recs)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: logging the commit records of a response: %w", err)
+	}
+	for _, c := range chunks {
+		if needsRecord(c) {
+			c.logged = logged
+		}
+	}
+	if own != nil {
+		return logged, nil
+	}
+	return nil, nil
 }
 
 // buildChunks groups the remote writesets of one response into
@@ -350,8 +415,10 @@ func buildChunks(basis, announced uint64, remotes []RemoteEntry) []*applyEntry {
 // applyBatchWithRecovery applies a merged writeset as one transaction,
 // retrying transient failures (lock conflicts with doomed local
 // transactions, database-side commit rejections) — the §8.1 soft
-// recovery loop. ordered selects CommitOrdered vs CommitLabeled.
-func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, ordered bool) error {
+// recovery loop. commit finishes each attempt's applier transaction
+// over (from, to]: (*mvstore.Tx).CommitLabeled everywhere except
+// settle's re-apply of a Tashkent-API local commit.
+func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, commit func(tx *mvstore.Tx, from, to uint64) error) error {
 	p.markInFlight(ws, true)
 	defer p.markInFlight(ws, false)
 	var lastErr error
@@ -362,7 +429,7 @@ func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, order
 			p.cfg.Store.WaitAnnounced(from, p.cfg.ChunkWaitTimeout)
 		}
 		p.killConflictingLocals(ws, 0)
-		lastErr = p.applyBatchOnce(ws, from, to, ordered)
+		lastErr = p.applyBatchOnce(ws, from, to, commit)
 		if lastErr == nil {
 			return nil
 		}
@@ -373,25 +440,16 @@ func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, order
 	return fmt.Errorf("proxy: applying remote writesets (%d,%d]: %w", from, to, lastErr)
 }
 
-func (p *Proxy) applyBatchOnce(ws *core.Writeset, from, to uint64, ordered bool) error {
+func (p *Proxy) applyBatchOnce(ws *core.Writeset, from, to uint64, commit func(tx *mvstore.Tx, from, to uint64) error) error {
 	if ws.Empty() {
 		// A certifier barrier (no-op) version: nothing to install, but
 		// the announce chain must still advance through it or every
-		// later version would wait forever.
-		if ordered {
-			if err := p.cfg.Store.WaitAnnounced(from, p.cfg.ChunkWaitTimeout); err != nil {
-				return err
-			}
-		}
+		// later version would wait forever. (Only the synchronous
+		// labeled callers get here; a local commit is never empty.)
 		p.cfg.Store.SetAnnounced(to)
 		return nil
 	}
-	return p.applyOnce(ws, func(tx *mvstore.Tx) error {
-		if ordered {
-			return tx.CommitOrdered(from, to)
-		}
-		return tx.CommitLabeled(from, to)
-	})
+	return p.applyOnce(ws, func(tx *mvstore.Tx) error { return commit(tx, from, to) })
 }
 
 // applyOnce is one attempt at installing committed global state: a
@@ -431,7 +489,7 @@ func (p *Proxy) applyOwnCommit(ws *core.Writeset, commitVersion uint64) bool {
 	for attempt := 0; attempt < 3; attempt++ {
 		err := p.cfg.Store.WaitAnnounced(commitVersion-1, p.cfg.SeqTimeout)
 		if err == nil {
-			if p.applyBatchWithRecovery(ws, commitVersion-1, commitVersion, false) == nil {
+			if p.applyBatchWithRecovery(ws, commitVersion-1, commitVersion, (*mvstore.Tx).CommitLabeled) == nil {
 				return true
 			}
 		} else if errors.Is(err, mvstore.ErrCrashed) {
@@ -536,7 +594,7 @@ func (p *Proxy) Resync() error {
 	}
 	cur := basis
 	for _, r := range remotes {
-		if err := p.applyBatchWithRecovery(r.WS, cur, r.Version, false); err != nil {
+		if err := p.applyBatchWithRecovery(r.WS, cur, r.Version, (*mvstore.Tx).CommitLabeled); err != nil {
 			return err
 		}
 		cur = r.Version

@@ -484,7 +484,7 @@ func (p *Proxy) applyActions(acts []partition.Action) bool {
 // crash stops it.
 func (p *Proxy) applyMergedRange(ws *core.Writeset, from, to uint64) bool {
 	for {
-		err := p.applyBatchWithRecovery(ws, from, to, false)
+		err := p.applyBatchWithRecovery(ws, from, to, (*mvstore.Tx).CommitLabeled)
 		if err == nil {
 			return true
 		}

@@ -307,21 +307,42 @@ func TestBasePaysSerialFsyncs(t *testing.T) {
 }
 
 func TestAPIGroupsCommitRecords(t *testing.T) {
-	var logDisks []*simdisk.Disk
-	r := newRig(t, 1, TashkentAPI, func(i int, _ *Config, scfg *mvstore.Config) {
-		d := simdisk.New(simdisk.Profile{FsyncLatency: 4 * time.Millisecond}, 5)
-		scfg.LogDisk = d
-		logDisks = append(logDisks, d)
+	logDisk := simdisk.New(simdisk.Profile{FsyncLatency: 4 * time.Millisecond}, 5)
+	r := newRig(t, 2, TashkentAPI, func(i int, _ *Config, scfg *mvstore.Config) {
+		if i == 1 {
+			scfg.LogDisk = logDisk
+		}
 	})
-	const n = 16
-	var wg sync.WaitGroup
-	errs := make([]error, n)
+	// Within a response: every commit of replica 1 brings one remote
+	// writeset with it, and the chunk's record and the commit's own share
+	// the response's one fsync. No luck is involved — two appends some
+	// tens of microseconds apart on an idle disk paid two.
+	const n = 8
 	for i := 0; i < n; i++ {
+		if err := commitUpdate(t, r.proxies[0], "t", fmt.Sprintf("a%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := commitUpdate(t, r.proxies[1], "t", fmt.Sprintf("b%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial := logDisk.Stats()
+	if serial.Fsyncs != n || serial.RecordsSynced != 2*n {
+		t.Errorf("%d fsyncs covering %d records for %d responses of one chunk + one commit each, want %d covering %d",
+			serial.Fsyncs, serial.RecordsSynced, n, n, 2*n)
+	}
+
+	// Across responses: concurrent commits still share fsyncs through the
+	// log writer's group commit.
+	const m = 16
+	var wg sync.WaitGroup
+	errs := make([]error, m)
+	for i := 0; i < m; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = commitUpdate(t, r.proxies[0], "t", fmt.Sprintf("k%d", i), "v")
+			errs[i] = commitUpdate(t, r.proxies[1], "t", fmt.Sprintf("k%d", i), "v")
 		}()
 	}
 	wg.Wait()
@@ -330,16 +351,16 @@ func TestAPIGroupsCommitRecords(t *testing.T) {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
-	s := logDisks[0].Stats()
+	s := logDisk.Stats()
 	// A commit raced past by its own remote-applied copy supersedes and
 	// skips its record (the covering catch-up chunk logged it instead,
 	// possibly merged with neighbors), so discount those.
-	sup := r.stores[0].Stats().SupersededCommits
-	if s.RecordsSynced+sup < n {
-		t.Errorf("RecordsSynced = %d (+%d superseded), want >= %d", s.RecordsSynced, sup, n)
+	sup := r.stores[1].Stats().SupersededCommits
+	if got := s.RecordsSynced - serial.RecordsSynced + sup; got < m {
+		t.Errorf("RecordsSynced = %d (+%d superseded), want >= %d", got-sup, sup, m)
 	}
-	if s.Fsyncs >= n {
-		t.Errorf("%d fsyncs for %d concurrent ordered commits, want grouping", s.Fsyncs, n)
+	if got := s.Fsyncs - serial.Fsyncs; got >= m {
+		t.Errorf("%d fsyncs for %d concurrent ordered commits, want grouping", got, m)
 	}
 }
 

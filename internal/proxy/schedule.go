@@ -81,6 +81,12 @@ type applyEntry struct {
 	succs    []*applyEntry
 	state    int
 	start    time.Time
+	// logged, when set, is the ticket of the log batch that already
+	// carries the entry's commit record (a Tashkent-API response logs all
+	// of its records in its sequencer slot, see logResponse): every
+	// install attempt commits behind it. Without one, each attempt logs
+	// the record itself.
+	logged mvstore.LogTicket
 	// done, if set, runs after the entry resolves; applied reports
 	// whether the replica state now covers the entry's range
 	// (published or superseded). The partitioned merger uses it for
@@ -291,10 +297,11 @@ func (s *applyScheduler) watch() {
 
 // install runs one attempt at an entry on a pool worker: install the
 // writeset with the kill discipline of the serial path (§8.2 eager
-// kills) and commit through CommitLabeledAsync, so the entry's versions
-// publish at their global turn while this worker moves on. A failed
-// attempt (§8.1 soft recovery) puts the entry back in the window, ready
-// again once its predecessors have published.
+// kills) and commit with deferred publication (CommitLabeledAsync, or
+// CommitLoggedAsync behind the record its response already logged), so
+// the entry's versions publish at their global turn while this worker
+// moves on. A failed attempt (§8.1 soft recovery) puts the entry back in
+// the window, ready again once its predecessors have published.
 func (s *applyScheduler) install(e *applyEntry) {
 	p := s.p
 	if e.split && e.attempts == 0 {
@@ -315,6 +322,9 @@ func (s *applyScheduler) install(e *applyEntry) {
 	}
 	p.killConflictingLocals(e.ws, 0)
 	err := p.applyOnce(e.ws, func(tx *mvstore.Tx) error {
+		if e.logged != nil {
+			return tx.CommitLoggedAsync(e.from, e.to, e.logged, cb)
+		}
 		return tx.CommitLabeledAsync(e.from, e.to, cb)
 	})
 	if err == nil {

@@ -210,7 +210,7 @@ func TestParallelApplyMatchesSerialState(t *testing.T) {
 		t.Fatalf("WaitAnnounced(%d): %v", n, err)
 	}
 	for _, e := range entries {
-		if err := r.proxies[1].applyBatchWithRecovery(e.WS, e.Version-1, e.Version, false); err != nil {
+		if err := r.proxies[1].applyBatchWithRecovery(e.WS, e.Version-1, e.Version, (*mvstore.Tx).CommitLabeled); err != nil {
 			t.Fatalf("serial apply of v%d: %v", e.Version, err)
 		}
 	}

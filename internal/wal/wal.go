@@ -53,7 +53,10 @@ var ErrCorrupt = errors.New("wal: corrupt frame")
 type appendReq struct {
 	payload []byte
 	barrier bool // no payload; done closes once prior records are durable
-	done    chan struct{}
+	// done closes once the record is durable. The records of one batch
+	// sit contiguously in pending and the writer takes pending whole, so
+	// a batch carries one channel, on its last record; the others are nil.
+	done chan struct{}
 }
 
 // WAL is a single log file. It is safe for concurrent use.
@@ -161,7 +164,9 @@ func (w *WAL) writerLoop() {
 		}
 		w.mu.Unlock()
 		for i := range batch {
-			close(batch[i].done)
+			if batch[i].done != nil {
+				close(batch[i].done)
+			}
 		}
 	}
 }
@@ -184,9 +189,11 @@ func (w *WAL) AppendBatch(payloads [][]byte) error {
 // and the returned wait function blocks until every one of them is
 // durable. A caller that must keep consecutive batches in log order
 // without serializing on fsync completion (a replication leader
-// persisting back-to-back rounds) enqueues each batch in order and
-// waits afterwards — batches still share fsyncs through the writer's
-// group commit.
+// persisting back-to-back rounds, a replica logging the commit records
+// of one certifier response) enqueues each batch in order and waits
+// afterwards — batches still share fsyncs through the writer's group
+// commit. wait is the batch's one durability ticket: any number of
+// goroutines may call it, any number of times.
 func (w *WAL) AppendBatchAsync(payloads [][]byte) (wait func() error, err error) {
 	if len(payloads) == 0 {
 		return func() error { return nil }, nil
@@ -203,17 +210,15 @@ func (w *WAL) AppendBatchAsync(payloads [][]byte) (wait func() error, err error)
 		w.mu.Unlock()
 		return func() error { return nil }, nil
 	}
-	reqs := make([]appendReq, len(payloads))
-	for i, p := range payloads {
-		reqs[i] = appendReq{payload: p, done: make(chan struct{})}
-		w.pending = append(w.pending, reqs[i])
+	for _, p := range payloads {
+		w.pending = append(w.pending, appendReq{payload: p})
 	}
+	done := make(chan struct{})
+	w.pending[len(w.pending)-1].done = done
 	w.cond.Signal()
 	w.mu.Unlock()
 	return func() error {
-		for i := range reqs {
-			<-reqs[i].done
-		}
+		<-done
 		return nil
 	}, nil
 }

@@ -438,6 +438,80 @@ func TestQuickNoSyncPrefixProperty(t *testing.T) {
 	}
 }
 
+// TestBatchTicketSharedByManyWaiters: a batch has one ticket; every
+// waiter, concurrent or repeated, returns only once the whole batch is
+// durable, and the batch costs one fsync.
+func TestBatchTicketSharedByManyWaiters(t *testing.T) {
+	d := instantDisk()
+	w := New(d, SyncCommits)
+	defer w.Close()
+	release := make(chan struct{})
+	d.SetHook(func(simdisk.Op, int, int) { <-release })
+	wait, err := w.AppendBatchAsync([][]byte{[]byte("a"), []byte("b"), []byte("c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 4
+	done := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { done <- wait() }()
+	}
+	select {
+	case <-done:
+		t.Fatal("ticket returned while the batch's fsync was blocked")
+	case <-time.After(5 * time.Millisecond):
+	}
+	close(release)
+	for i := 0; i < waiters; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wait(); err != nil { // a ticket can be waited on again
+		t.Fatal(err)
+	}
+	if got := w.StableRecords(); got != 3 {
+		t.Errorf("StableRecords = %d, want 3", got)
+	}
+	if st := d.Stats(); st.Fsyncs != 1 || st.RecordsSynced != 3 {
+		t.Errorf("%d fsyncs covering %d records, want 1 covering 3", st.Fsyncs, st.RecordsSynced)
+	}
+}
+
+// FuzzScan: scanning arbitrary bytes never panics, fails only with
+// ErrCorrupt, and whatever it returns re-frames to a prefix of the
+// input — a scan never invents, reorders or alters a record.
+func FuzzScan(f *testing.F) {
+	w := New(instantDisk(), NoSync)
+	for _, p := range [][]byte{[]byte("alpha"), {}, bytes.Repeat([]byte{0xAB}, 70)} {
+		w.Append(p)
+	}
+	img := w.CrashImage(-1)
+	w.Close()
+	f.Add(img)
+	f.Add(img[:len(img)-3])                               // torn payload
+	f.Add(img[:frameHeader-2])                            // torn header
+	f.Add(append(img[:len(img):len(img)], 0xFF))          // garbage after the last frame
+	f.Add(append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, img...)) // a length far beyond the image
+	flipped := append([]byte(nil), img...)
+	flipped[frameHeader] ^= 1 // first record corrupt, not at the tail
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, image []byte) {
+		records, err := Scan(image)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Scan error %v is not ErrCorrupt", err)
+		}
+		back := New(instantDisk(), NoSync)
+		defer back.Close()
+		for _, r := range records {
+			back.Append(r)
+		}
+		if framed := back.CrashImage(-1); !bytes.HasPrefix(image, framed) {
+			t.Fatalf("%d scanned records re-frame to %x, not a prefix of %x", len(records), framed, image)
+		}
+	})
+}
+
 func BenchmarkGroupCommitThroughput(b *testing.B) {
 	d := simdisk.New(simdisk.Profile{FsyncLatency: 100 * time.Microsecond}, 1)
 	w := New(d, SyncCommits)
