@@ -55,8 +55,6 @@ type Config struct {
 	// DedicatedIO puts database files on ramdisk so the disk serves
 	// only logging (the paper's dedicated-IO experiments).
 	DedicatedIO bool
-	// NetDelay is the one-way LAN latency injected per message.
-	NetDelay time.Duration
 	// Transport selects the message fabric backend: "local" (default)
 	// keeps every link an in-process call — the deterministic fabric
 	// chaos interposers require — while "tcp" runs every
@@ -162,10 +160,10 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, groups: groups}
 	switch cfg.Transport {
 	case "", "local":
-		c.localFab = transport.NewLocalFabric(cfg.NetDelay)
+		c.localFab = transport.NewLocalFabric(0)
 		c.fabric = c.localFab
 	case "tcp":
-		c.tcpFab = transport.NewTCPFabric(cfg.NetDelay)
+		c.tcpFab = transport.NewTCPFabric(0)
 		c.fabric = c.tcpFab
 	default:
 		return nil, fmt.Errorf("cluster: unknown transport %q (want local or tcp)", cfg.Transport)

@@ -13,6 +13,7 @@ import (
 	"tashkent/internal/chaos"
 	"tashkent/internal/core"
 	"tashkent/internal/proxy"
+	"tashkent/internal/replica"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/transport"
 )
@@ -102,8 +103,8 @@ func TestReplicaCrashRecoveryBase(t *testing.T) {
 		}
 	}
 	c.CrashReplica(0)
-	if _, err := c.Begin(0); !errors.Is(err, ErrReplicaCrashed(err)) && err == nil {
-		t.Error("Begin on crashed replica succeeded")
+	if _, err := c.Begin(0); !errors.Is(err, replica.ErrCrashed) {
+		t.Errorf("Begin on crashed replica returned %v, want replica.ErrCrashed", err)
 	}
 	// The survivor keeps the system available.
 	if err := clusterCommit(t, c, 1, "during-outage", "y"); err != nil {
@@ -131,10 +132,6 @@ func TestReplicaCrashRecoveryBase(t *testing.T) {
 		t.Fatalf("post-recovery commit: %v", err)
 	}
 }
-
-// ErrReplicaCrashed adapts the error check above (Begin returns the
-// replica package's error; we only need non-nil).
-func ErrReplicaCrashed(err error) error { return err }
 
 func TestReplicaCrashRecoveryMWUsesDump(t *testing.T) {
 	c := newTestCluster(t, proxy.TashkentMW, 2, nil)

@@ -149,10 +149,11 @@ func runApplyStream(workers int, entries []proxy.RemoteEntry, seed int64) (Apply
 // install parallelism until the log channel saturates. A zipfian
 // hot-key stream then shows the conflicted case, where same-key
 // dependency chains bound the achievable parallelism. Phase B runs an
-// update-heavy workload against a 4-group partitioned cluster with the
-// parallel applier enabled and profiles each replica's apply lag (the
-// gap between the merged stream's planning cursor and the announced
-// version) — the freshness metric the applier exists to bound.
+// update-heavy workload against a 4-group partitioned Tashkent-API
+// cluster — the policy whose merged runs reach the store as scheduler
+// chunks — and profiles each replica's apply lag (the gap between the
+// merged stream's planning cursor and the announced version) — the
+// freshness metric the applier exists to bound.
 func RunApplyScaleExperiment(o Options) (ApplyScaleResult, error) {
 	o = o.withDefaults()
 	var res ApplyScaleResult
@@ -205,11 +206,13 @@ func RunApplyScaleExperiment(o Options) (ApplyScaleResult, error) {
 }
 
 // runApplyLagPhase is phase B: apply lag under a 4-group partitioned
-// merged stream with the parallel applier on every replica.
+// merged stream on Tashkent-API, the one policy that applies through
+// the scheduler's pool (Base and Tashkent-MW leave it idle at any
+// partition count).
 func runApplyLagPhase(res *ApplyScaleResult, o Options) error {
 	const replicas = 2
 	c, err := cluster.New(cluster.Config{
-		Mode:               proxy.TashkentMW,
+		Mode:               proxy.TashkentAPI,
 		Replicas:           replicas,
 		Certifiers:         3,
 		Partitions:         4,
@@ -274,11 +277,14 @@ func runApplyLagPhase(res *ApplyScaleResult, o Options) error {
 		return fmt.Errorf("applyscale partitioned stream never converged: %w", err)
 	}
 
-	fmt.Fprintf(o.Out, "\n[partitioned apply lag: 4 groups, %d replicas, AllUpdates, workers=8]\n", replicas)
+	fmt.Fprintf(o.Out, "\n[partitioned apply lag: tashAPI, 4 groups, %d replicas, AllUpdates, workers=8]\n", replicas)
 	fmt.Fprintf(o.Out, "throughput=%.0f txn/s\n", r.Throughput)
 	fmt.Fprintf(o.Out, "replica\tmaxLag(vers)\tmaxPending\tpublished\tsuperseded\tpar(max)\n")
 	for i := 0; i < replicas; i++ {
 		st := c.Replica(i).Proxy().ApplyStats()
+		if st.GaveUp != 0 || st.Submitted == 0 {
+			return fmt.Errorf("applyscale partitioned stream: replica %d gave up %d of %d scheduled chunks", i, st.GaveUp, st.Submitted)
+		}
 		res.Partitioned = append(res.Partitioned, ApplyLagPoint{
 			Replica: i, MaxLag: maxLag[i], MaxPending: maxPend[i], Stats: st,
 		})

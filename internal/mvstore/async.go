@@ -65,6 +65,10 @@ type pendingCommit struct {
 	cb       func(PendingOutcome)
 
 	outcome PendingOutcome // set by the drain before callbacks run
+	// seq is the published sequence that holds the commit's effects — its
+	// own, or for a superseded commit the newer state's: lock waiters
+	// with a snapshot below it are first-committer-wins losers.
+	seq uint64
 }
 
 // AnnounceAsync registers a hollow pending commit: nothing to install,
@@ -144,7 +148,7 @@ func (tx *Tx) CommitLoggedAsync(from, to uint64, logged LogTicket, cb func(Pendi
 	tx.mu.Unlock()
 	if s.consumeFailNextCommit() {
 		s.stats.aborts.Add(1)
-		s.releaseItems(tx.id, held, false)
+		s.releaseItems(tx.id, held, 0)
 		s.unregister(tx.id)
 		return ErrCommitRejected
 	}
@@ -285,7 +289,7 @@ func (s *Store) drainPending() {
 			// state past this range; discard the invisible versions
 			// instead of publishing stale values over newer ones.
 			s.discardProvisional(pc)
-			pc.outcome = PendingSuperseded
+			pc.outcome, pc.seq = PendingSuperseded, s.published.Load()
 			if pc.token != 0 {
 				s.stats.superseded.Add(1)
 				s.stats.commits.Add(1)
@@ -304,6 +308,7 @@ func (s *Store) drainPending() {
 			s.pubCond.Broadcast()
 			s.pubMu.Unlock()
 			s.stats.commits.Add(1)
+			pc.seq = seq
 		}
 		pc.outcome = PendingPublished
 		cur = pc.to
@@ -318,7 +323,7 @@ func (s *Store) drainPending() {
 			// Locks release as committed either way: a superseded
 			// pending's effects are covered by the newer state, so
 			// first-committer-wins competitors must still abort.
-			s.releaseItems(pc.txID, pc.held, true)
+			s.releaseItems(pc.txID, pc.held, pc.seq)
 			if pc.outcome == PendingPublished {
 				s.chargeCheckpoint(pc.rows)
 			}
@@ -406,7 +411,7 @@ func (s *Store) CancelPendings() int {
 			// Released as aborted: the effects were discarded, so lock
 			// waiters (the resync's appliers among them) retry and
 			// proceed.
-			s.releaseItems(pc.txID, pc.held, false)
+			s.releaseItems(pc.txID, pc.held, 0)
 		}
 		if pc.cb != nil {
 			pc.cb(PendingCanceled)

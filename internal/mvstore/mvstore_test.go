@@ -171,6 +171,50 @@ func TestFirstCommitterWins(t *testing.T) {
 	}
 }
 
+// TestLockWaiterAbovePublishedCommitRetries: a commit publishes before
+// it releases its row locks, so a transaction can begin with the commit
+// in its snapshot and still queue behind the lock. It is no competitor —
+// first-committer-wins refuses only waiters whose snapshot lies below
+// the holder's commit sequence — and must get the lock, not a conflict.
+// The release is driven by hand at a chosen sequence: the real window is
+// a few instructions wide.
+func TestLockWaiterAbovePublishedCommitRetries(t *testing.T) {
+	s := openInstant(t)
+	old := mustBegin(t, s) // snapshot 0
+	set(t, s, "t", "y", "v", "0")
+	holder := mustBegin(t, s)
+	if err := holder.Update("t", "x", map[string][]byte{"v": []byte("h")}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := mustBegin(t, s) // snapshot 1
+	oldErr, freshErr := make(chan error, 1), make(chan error, 1)
+	go func() { oldErr <- old.Update("t", "x", map[string][]byte{"v": []byte("o")}) }()
+	go func() { freshErr <- fresh.Update("t", "x", map[string][]byte{"v": []byte("f")}) }()
+	item := core.ItemID{Table: "t", Key: "x"}
+	st := s.lockStripeOf(item)
+	for queued := 0; queued < 2; time.Sleep(time.Millisecond) {
+		st.mu.Lock()
+		queued = len(st.locks[item].waiters)
+		st.mu.Unlock()
+	}
+	// The holder "committed at sequence 1": in fresh's snapshot, not in
+	// old's.
+	holder.mu.Lock()
+	held := holder.held
+	holder.held = nil
+	holder.mu.Unlock()
+	s.releaseItems(holder.id, held, 1)
+	if err := <-oldErr; !errors.Is(err, ErrWriteConflict) {
+		t.Errorf("waiter with the commit above its snapshot: %v, want ErrWriteConflict", err)
+	}
+	if err := <-freshErr; err != nil {
+		t.Errorf("waiter with the commit in its snapshot: %v, want the lock", err)
+	}
+	for _, tx := range []*Tx{old, fresh, holder} {
+		tx.Abort()
+	}
+}
+
 func TestAbortReleasesLockToWaiter(t *testing.T) {
 	s := openInstant(t)
 	set(t, s, "t", "x", "v", "0")

@@ -125,8 +125,9 @@ const (
 
 // lockWaiter is one transaction blocked on a write lock.
 type lockWaiter struct {
-	txID uint64
-	ch   chan error // buffered(1): receives nil (retry) or a fatal error
+	txID     uint64
+	snapshot uint64     // the waiter's snapshot: a holder that committed at or below it is no competitor
+	ch       chan error // buffered(1): receives nil (retry) or a fatal error
 }
 
 // lockState is an acquired row write lock.
@@ -501,7 +502,7 @@ func (s *Store) acquireLock(tx *Tx, item core.ItemID) error {
 		}
 		s.waitsFor[tx.id] = ls.holder
 		s.waitMu.Unlock()
-		w := lockWaiter{txID: tx.id, ch: make(chan error, 1)}
+		w := lockWaiter{txID: tx.id, snapshot: tx.snapshot, ch: make(chan error, 1)}
 		ls.waiters = append(ls.waiters, w)
 		st.mu.Unlock()
 
@@ -580,10 +581,14 @@ func (s *Store) removeWaiterLocked(st *lockStripe, item core.ItemID, txID uint64
 	}
 }
 
-// releaseItems frees the given locks held by txID. If committed,
-// waiters receive ErrWriteConflict (first-committer-wins); if aborted,
-// they receive nil and retry.
-func (s *Store) releaseItems(txID uint64, held []core.ItemID, committed bool) {
+// releaseItems drops the write locks a finished transaction held and
+// answers their waiters. commitSeq is the sequence the holder committed
+// at, 0 if it aborted. First-committer-wins refuses the waiters that ran
+// concurrently with a committed holder — those whose snapshot lies below
+// commitSeq; a waiter whose snapshot already includes the commit (it
+// began after the publication, while the holder was still on its way to
+// the release) retries like one behind an aborted holder.
+func (s *Store) releaseItems(txID uint64, held []core.ItemID, commitSeq uint64) {
 	for _, item := range held {
 		st := s.lockStripeOf(item)
 		st.mu.Lock()
@@ -593,7 +598,7 @@ func (s *Store) releaseItems(txID uint64, held []core.ItemID, committed bool) {
 			continue
 		}
 		for _, w := range ls.waiters {
-			if committed {
+			if w.snapshot < commitSeq {
 				s.stats.writeConflicts.Add(1)
 				w.ch <- ErrWriteConflict
 			} else {
@@ -617,7 +622,7 @@ func (s *Store) killTx(tx *Tx) bool {
 	held := tx.held
 	tx.held = nil
 	tx.mu.Unlock()
-	s.releaseItems(tx.id, held, false)
+	s.releaseItems(tx.id, held, 0)
 	s.unregister(tx.id)
 	return true
 }

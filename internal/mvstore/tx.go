@@ -230,7 +230,7 @@ func (tx *Tx) Abort() error {
 	held := tx.held
 	tx.held = nil
 	tx.mu.Unlock()
-	s.releaseItems(tx.id, held, false)
+	s.releaseItems(tx.id, held, 0)
 	s.unregister(tx.id)
 	return nil
 }
@@ -402,7 +402,7 @@ func (tx *Tx) applyCommit(announceTo uint64) error {
 	tx.mu.Unlock()
 	if s.consumeFailNextCommit() {
 		s.stats.aborts.Add(1)
-		s.releaseItems(tx.id, held, false)
+		s.releaseItems(tx.id, held, 0)
 		s.unregister(tx.id)
 		return ErrCommitRejected
 	}
@@ -439,7 +439,7 @@ func (tx *Tx) applyCommit(announceTo uint64) error {
 		s.applyGate.Unlock()
 	}
 	s.stats.commits.Add(1)
-	s.releaseItems(tx.id, held, true)
+	s.releaseItems(tx.id, held, seq)
 	s.unregister(tx.id)
 	s.chargeCheckpoint(len(tx.writes))
 	if gated {
@@ -476,7 +476,8 @@ func (tx *Tx) finishSupersededLatched(held []core.ItemID) error {
 	s := tx.store
 	s.stats.superseded.Add(1)
 	s.stats.commits.Add(1)
-	s.releaseItems(tx.id, held, true)
+	// The state that covers the range is published already.
+	s.releaseItems(tx.id, held, s.published.Load())
 	s.unregister(tx.id)
 	return nil
 }

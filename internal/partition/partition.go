@@ -41,6 +41,28 @@ func (m Map) Of(id core.ItemID) int {
 	return int(h.Sum32() % uint32(m.N))
 }
 
+// groups is the group count the merge runs over (the zero Map is one
+// group).
+func (m Map) groups() uint64 { return uint64(max(m.N, 1)) }
+
+// MergedVersion returns the merged version of group g's log entry at
+// index idx. The Assembler's merge rule — smallest (index, group) next —
+// is strict round-robin over the groups, so the position is arithmetic:
+// row idx of the merge holds one entry per group, in group order.
+func (m Map) MergedVersion(g int, idx uint64) uint64 {
+	return (idx-1)*m.groups() + uint64(g) + 1
+}
+
+// GroupVersion is the inverse view: how many of group g's entries lie at
+// or below merged version mv — a replica at mv is at that version in
+// g's own version space.
+func (m Map) GroupVersion(g int, mv uint64) uint64 {
+	if mv <= uint64(g) {
+		return 0
+	}
+	return (mv-uint64(g)-1)/m.groups() + 1
+}
+
 // Part is one partition's slice of a writeset.
 type Part struct {
 	PID int

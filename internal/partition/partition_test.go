@@ -305,3 +305,81 @@ func TestAssemblerVectorAndFrontier(t *testing.T) {
 		t.Errorf("merged version = %d, want 3", a.MergedVersion())
 	}
 }
+
+// TestMergedVersionArithmeticMatchesAssembler: the merge is strict
+// round-robin, so an action's merged version and the replica's position
+// in each group's version space are arithmetic on (group, index). Feed
+// random logs — data, fills, prepares and both markers — in random
+// interleavings and compare every emitted action with Map's formulas.
+func TestMergedVersionArithmeticMatchesAssembler(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(4)
+		m := Map{N: n}
+		type feed struct {
+			g   int
+			idx uint64
+			raw []byte
+		}
+		var feeds []feed
+		next := make([]uint64, n)
+		add := func(g int, raw []byte) {
+			next[g]++
+			feeds = append(feeds, feed{g, next[g], raw})
+		}
+		for i := 0; i < 60; i++ {
+			g := r.Intn(n)
+			switch k := r.Intn(5); {
+			case k == 0:
+				add(g, rawData(0, &core.Writeset{})) // fill / barrier no-op
+			case k == 1 && n > 1:
+				// A cross-partition transaction over g and one other group,
+				// committed or aborted.
+				h := (g + 1 + r.Intn(n-1)) % n
+				gid, commit := uint64(1000+i), r.Intn(2) == 0
+				for _, pid := range []int{g, h} {
+					add(pid, rawPrepare(1, gid, []int{g, h}, ws(fmt.Sprintf("x%d-%d", i, pid))))
+				}
+				for _, pid := range []int{g, h} {
+					add(pid, rawMarker(commit, gid))
+				}
+			default:
+				add(g, rawData(1+r.Intn(3), ws(fmt.Sprintf("k%d", i))))
+			}
+		}
+		r.Shuffle(len(feeds), func(i, j int) { feeds[i], feeds[j] = feeds[j], feeds[i] })
+
+		a := NewAssembler(n)
+		emitted := 0
+		check := func() {
+			for _, act := range drain(a) {
+				emitted++
+				if want := m.MergedVersion(act.Group, act.Index); act.MV != want {
+					t.Fatalf("seed %d: group %d index %d emitted at merged version %d, MergedVersion says %d",
+						seed, act.Group, act.Index, act.MV, want)
+				}
+				if got := m.GroupVersion(act.Group, act.MV); got != act.Index {
+					t.Fatalf("seed %d: GroupVersion(%d, %d) = %d, want the action's index %d",
+						seed, act.Group, act.MV, got, act.Index)
+				}
+			}
+			// Between drains the vector is the position at the last
+			// emitted merged version.
+			for g, v := range a.Vector() {
+				if got := m.GroupVersion(g, a.MergedVersion()); got != v {
+					t.Fatalf("seed %d: at merged version %d GroupVersion(%d) = %d, assembler vector says %d",
+						seed, a.MergedVersion(), g, got, v)
+				}
+			}
+		}
+		for _, f := range feeds {
+			if err := a.Offer(f.g, f.idx, f.raw); err != nil {
+				t.Fatal(err)
+			}
+			check()
+		}
+		if emitted == 0 {
+			t.Fatalf("seed %d: nothing emitted", seed)
+		}
+	}
+}

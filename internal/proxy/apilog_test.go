@@ -13,7 +13,7 @@ import (
 )
 
 // Tashkent-API logs every commit record of a certifier response in the
-// response's sequencer slot, as one batch (settle, logResponse). These
+// response's sequencer slot, as one batch (applyRun, logRun). These
 // tests pin what that buys and what it must not break: one fsync per
 // response, log order = global order, durability before publication and
 // acknowledgement, each range logged once whatever its installs go

@@ -176,43 +176,46 @@ func (p *Proxy) enterSeq(epoch, seq uint64) (uint64, error) {
 	return gen, err
 }
 
+// ownCommit is the local transaction that ends a run: the writeset
+// certification committed at global version cv, and the client's handle
+// on it — nil when the client gave the commit up mid-round-trip, or a
+// first attempt at the run already finished the handle.
+type ownCommit struct {
+	tx *mvstore.Tx
+	ws *core.Writeset
+	cv uint64
+}
+
+// dropHandle aborts the client's handle, if the run has one.
+func (o *ownCommit) dropHandle() {
+	if o != nil && o.tx != nil {
+		o.tx.Abort()
+	}
+}
+
 // settle resolves one sequenced certifier response; it is the only
 // place a response takes its slot in the replica sequence. tx and ws
 // are what the caller still holds of the local transaction: a live
 // handle and its writeset (a client commit), the writeset alone (the
 // client abandoned the commit mid-round-trip), or neither (a pull).
-//
-// The paper's three systems differ in two policies, both chosen from
-// cfg.Mode here and nowhere else:
-//
-//   - how the remote writesets are installed: Base and Tashkent-MW
-//     (§6.2 step C4) as one merged, synchronous labeled commit inside
-//     the slot — an unsharable WAL flush in Base, a memory operation in
-//     Tashkent-MW; Tashkent-API (§5.2) as chunks handed to the
-//     dependency scheduler, the slot released before any disk work.
-//   - how the local transaction commits: Base and Tashkent-MW (C5) by
-//     CommitLabeled inside the slot, after the remote batch (Base's
-//     second unsharable flush); Tashkent-API by an ordered commit
-//     outside it, concurrent with the chunks.
-//
-// Under Tashkent-API the slot is also the ordering point of the replica
-// log: logResponse appends the commit records of the chunks and of the
-// local commit as one batch before the slot is released, so they reach
-// the log in global order and share one fsync (§5.2: the local commit
-// record and the remote writesets before it under one group commit).
-// The chunks and the local commit carry the batch's ticket and wait on
-// it where they would have waited on an append of their own.
+// Inside the slot the response is one run for applyRun: its remote
+// writesets, then the local commit if certification granted one.
 //
 // It returns nil for a committed (or absent) local transaction,
 // ErrCertificationAbort for an aborted one, and any other error when
 // the response could not be applied.
 func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) error {
-	seq, cv := resp.ReplicaSeq, resp.CommitVersion
-	own := ws != nil && resp.Committed
+	seq := resp.ReplicaSeq
 	abortHandle := func() {
 		if tx != nil {
 			tx.Abort()
 		}
+	}
+	var own *ownCommit
+	if ws != nil && resp.Committed {
+		own = &ownCommit{tx: tx, ws: ws, cv: resp.CommitVersion}
+	} else {
+		abortHandle() // refused by certification
 	}
 	verdict := func() error {
 		if ws == nil || resp.Committed {
@@ -230,8 +233,8 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 		// this replica has already passed, so it lands by writeset.
 		p.handleSeqFailure(err, gen, seq)
 		abortHandle()
-		if own && p.applyOwnCommit(ws, cv) {
-			p.advanceRV(cv)
+		if own != nil && p.applyOwnCommit(ws, own.cv) {
+			p.advanceRV(own.cv)
 			p.addStat(func(st *Stats) { st.Commits++ })
 		}
 		return verdict()
@@ -239,28 +242,76 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 	exit := sync.OnceFunc(func() { p.seq.exit(gen, seq) })
 	defer exit()
 
-	ordered := p.cfg.Mode == TashkentAPI
 	basis := p.ReplicaVersion()
 	remotes, err := p.decodeRemotes(resp.Remote, basis)
 	if err != nil {
 		abortHandle()
 		return err
 	}
+	if err := p.applyRun(basis, remotes, own, exit); err != nil {
+		return err
+	}
+	if own != nil {
+		p.addStat(func(st *Stats) { st.Commits++ })
+	}
+	return verdict()
+}
+
+// applyRun applies one ordered run of the global history at this
+// replica: the remote writesets remotes (ascending versions, all above
+// basis, the version the replica was planned through before the run),
+// then at most one local commit, own, above them all. Both ordering
+// points end here — a sequenced certifier response inside its slot
+// (settle) and a run of the partitioned merged stream on the merger
+// goroutine (applyMerged) — and release is how the caller's ordering
+// point is handed on once the run holds its place in the log and the
+// scheduler: the sequencer slot's exit, nothing for the merger, which
+// is single-file anyway.
+//
+// The paper's three systems differ in two policies, both chosen from
+// cfg.Mode here and nowhere else:
+//
+//   - how the remote writesets are installed: Base and Tashkent-MW
+//     (§6.2 step C4) as one merged, synchronous labeled commit — an
+//     unsharable WAL flush in Base, a memory operation in Tashkent-MW;
+//     Tashkent-API (§5.2) as chunks handed to the dependency scheduler,
+//     the ordering point released before any disk work.
+//   - how the local transaction commits: Base and Tashkent-MW (C5) by
+//     CommitLabeled after the remote batch (Base's second unsharable
+//     flush); Tashkent-API by an ordered commit after release,
+//     concurrent with the chunks.
+//
+// Under Tashkent-API the run is also the unit of the replica log:
+// logRun appends the commit records of the chunks and of the local
+// commit as one batch before release, so they reach the log in global
+// order and share one fsync (§5.2: the local commit record and the
+// remote writesets before it under one group commit). The chunks and
+// the local commit carry the batch's ticket and wait on it where they
+// would have waited on an append of their own.
+//
+// applyRun finishes own's handle on every path — committed through, or
+// aborted. On an error the run may be partly applied (Tashkent-API: its
+// chunks scheduled, the local commit not); whatever of it the store has
+// announced by then must not be applied again.
+func (p *Proxy) applyRun(basis uint64, remotes []RemoteEntry, own *ownCommit, release func()) error {
+	ordered := p.cfg.Mode == TashkentAPI
 	// maxRemote is where the remote batch leaves the replica; top is
-	// where the whole response does.
+	// where the whole run does.
 	maxRemote := basis
 	if n := len(remotes); n > 0 {
 		maxRemote = remotes[n-1].Version
 	}
 	top := maxRemote
-	if own && cv > top {
-		top = cv
+	if own != nil && own.cv > top {
+		top = own.cv
 	}
+	// noteRemotes counts the writesets the run installs and the
+	// transactions (chunks) that install them; hollow entries are neither.
 	noteRemotes := func(chunks int) {
-		p.recordRemotes(remotes)
+		n := p.recordRemotes(remotes)
 		p.addStat(func(st *Stats) {
-			st.RemoteApplied += int64(len(remotes))
-			st.RemoteChunks += int64(chunks)
+			st.RemoteApplied += int64(n)
+			st.RemoteChunks += int64(min(chunks, n))
 		})
 	}
 
@@ -269,86 +320,84 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 	if ordered {
 		announced := p.cfg.Store.AnnouncedVersion()
 		chunks := buildChunks(basis, announced, remotes)
-		var ownWS *core.Writeset
-		if own {
-			ownWS = ws
-		}
-		if logged, err = p.logResponse(chunks, ownWS, cv, announced); err != nil {
-			abortHandle()
+		var err error
+		if logged, err = p.logRun(chunks, own, announced); err != nil {
+			own.dropHandle()
 			return err
 		}
 		p.advanceRV(top)
 		if len(remotes) > 0 {
 			noteRemotes(len(chunks))
 		}
-		// Submit inside the slot: the scheduler's dependency analysis
+		// Submit before release: the scheduler's dependency analysis
 		// needs its windows in ascending version order.
 		p.sched.submit(chunks)
-		exit()
+		release()
 	} else if len(remotes) > 0 {
 		merged := &core.Writeset{}
 		for _, r := range remotes {
 			merged.Merge(r.WS)
 		}
 		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, (*mvstore.Tx).CommitLabeled); err != nil {
-			abortHandle()
+			own.dropHandle()
 			return err
 		}
 		noteRemotes(1)
 	}
 
-	if !own {
-		abortHandle()
+	if own == nil {
 		p.advanceRV(top)
-		return verdict()
+		return nil
 	}
 
 	// Policy 2: commit the local transaction at its global version.
+	cv := own.cv
 	from, commit := maxRemote, (*mvstore.Tx).CommitLabeled
 	if ordered {
 		from = cv - 1
 		commit = func(tx *mvstore.Tx, from, to uint64) error {
 			if logged == nil {
-				return tx.CommitOrdered(from, to) // superseded when the slot was entered
+				return tx.CommitOrdered(from, to) // superseded when the run began
 			}
 			return tx.CommitOrderedLogged(from, to, logged)
 		}
 	}
 	var cerr error
-	if tx != nil {
-		if cerr = commit(tx, from, cv); cerr != nil {
+	if own.tx != nil {
+		if cerr = commit(own.tx, from, cv); cerr != nil {
+			// A commit refused before it latched the handle (an order wait
+			// that ran out) leaves it holding the rows the re-apply needs.
+			own.tx.Abort()
 			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
 		}
 	}
-	if tx == nil || cerr != nil {
+	if own.tx == nil || cerr != nil {
 		// Soft recovery (§8.1): the database refused the commit (or the
 		// client took its handle away), but the transaction is globally
 		// committed — re-apply its writeset as a fresh transaction (under
-		// Tashkent-API behind the record the slot already logged for it).
-		if err := p.applyBatchWithRecovery(ws, from, cv, commit); err != nil {
+		// Tashkent-API behind the record the run already logged for it).
+		if err := p.applyBatchWithRecovery(own.ws, from, cv, commit); err != nil {
 			return fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", cv, cerr, err)
 		}
 	}
 	p.advanceRV(top)
-	p.addStat(func(st *Stats) { st.Commits++ })
 	return nil
 }
 
-// logResponse appends the commit records a Tashkent-API response leaves
-// at this replica — one per chunk with something to install, then the
-// local commit's (own, nil when there is none to commit; the remotes of
-// a commit response all lie below cv) — to the replica log as one batch
-// in ascending global version, and gives every logged chunk the batch's
-// durability ticket. It returns that ticket for the local commit, nil if
-// its record was not logged. A range the store had already announced
-// when the slot was entered gets no record: its commit resolves as
+// logRun appends the commit records a Tashkent-API run leaves at this
+// replica — one per chunk with something to install, then the local
+// commit's (own, nil when there is none) — to the replica log as one
+// batch in ascending global version, and gives every logged chunk the
+// batch's durability ticket. It returns that ticket for the local commit,
+// nil if its record was not logged. A range the store had already
+// announced when the run began gets no record: its commit resolves as
 // superseded, and the catch-up that carried the state past it logged it.
 //
 // The ticket stays with the range for every later attempt at it — a
 // requeued chunk install, the soft-recovery re-apply of the local
-// writeset, a commit whose client handle is gone — so a response logs a
-// range at most once.
-func (p *Proxy) logResponse(chunks []*applyEntry, own *core.Writeset, cv, announced uint64) (mvstore.LogTicket, error) {
+// writeset, a commit whose client handle is gone — so one attempt at a
+// run logs a range at most once.
+func (p *Proxy) logRun(chunks []*applyEntry, own *ownCommit, announced uint64) (mvstore.LogTicket, error) {
 	needsRecord := func(c *applyEntry) bool { return c.to > announced && !c.ws.Empty() }
 	recs := make([]mvstore.CommitRecord, 0, len(chunks)+1)
 	for _, c := range chunks {
@@ -356,8 +405,8 @@ func (p *Proxy) logResponse(chunks []*applyEntry, own *core.Writeset, cv, announ
 			recs = append(recs, mvstore.CommitRecord{From: c.from, To: c.to, WS: c.ws})
 		}
 	}
-	if own != nil && cv > announced {
-		recs = append(recs, mvstore.CommitRecord{From: cv - 1, To: cv, WS: own})
+	if own != nil && own.cv > announced {
+		recs = append(recs, mvstore.CommitRecord{From: own.cv - 1, To: own.cv, WS: own.ws})
 	} else {
 		own = nil
 	}
@@ -366,7 +415,7 @@ func (p *Proxy) logResponse(chunks []*applyEntry, own *core.Writeset, cv, announ
 	}
 	logged, err := p.cfg.Store.LogCommitRecords(recs)
 	if err != nil {
-		return nil, fmt.Errorf("proxy: logging the commit records of a response: %w", err)
+		return nil, fmt.Errorf("proxy: logging the commit records of a run: %w", err)
 	}
 	for _, c := range chunks {
 		if needsRecord(c) {
@@ -417,10 +466,10 @@ func buildChunks(basis, announced uint64, remotes []RemoteEntry) []*applyEntry {
 // transactions, database-side commit rejections) — the §8.1 soft
 // recovery loop. commit finishes each attempt's applier transaction
 // over (from, to]: (*mvstore.Tx).CommitLabeled everywhere except
-// settle's re-apply of a Tashkent-API local commit.
+// applyRun's re-apply of a Tashkent-API local commit.
 func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, commit func(tx *mvstore.Tx, from, to uint64) error) error {
-	p.markInFlight(ws, true)
-	defer p.markInFlight(ws, false)
+	p.markInFlight(ws, to, true)
+	defer p.markInFlight(ws, to, false)
 	var lastErr error
 	for attempt := 0; attempt < maxInstallAttempts; attempt++ {
 		if attempt > 0 {

@@ -20,14 +20,17 @@ import (
 // group; a cross-partition writeset runs the prepare/resolve protocol
 // across its groups. All application goes through one merger
 // goroutine that interleaves the per-group committed streams into the
-// deterministic merged order and feeds it to the dependency scheduler,
-// which publishes in that order, so every replica installs the same
-// state at the same merged version.
+// deterministic merged order and applies it run by run through applyRun
+// — the policy cfg.Mode picks, the same as behind the classic response
+// sequencer — so every replica installs the same state at the same
+// merged version.
 //
 // The per-replica response sequencer, local certification and the
 // safe-back machinery are not used in partitioned mode: entries are
-// addressed by (group, index) and the assembler deduplicates and orders
-// them.
+// addressed by (group, index), the assembler deduplicates and orders
+// them, and the merge is strict round-robin, so an entry's merged
+// version and a snapshot's position in each group's version space are
+// arithmetic (partition.Map.MergedVersion / GroupVersion), not state.
 
 // waitKey addresses a single-partition own commit: the entry's group
 // and log index.
@@ -36,34 +39,26 @@ type waitKey struct {
 	idx uint64
 }
 
-// ownDone is the merger's notification to a waiting own commit.
-type ownDone struct {
-	mv        uint64
-	viaHandle bool // committed through the waiting tx handle
-}
-
 // ownWait is a committing client transaction waiting for its entry's
-// merged apply position.
+// merged apply position; the merger answers with the merged version it
+// committed the transaction at.
 type ownWait struct {
 	tx *mvstore.Tx
 	ws *core.Writeset
-	ch chan ownDone
+	ch chan uint64
 }
 
 // partState is the proxy's partitioned-mode machinery.
 type partState struct {
 	topo *partition.Topology
 
-	mu            sync.Mutex
-	asm           *partition.Assembler
-	vector        []uint64 // per-group applied counts, updated after announce
-	mergedApplied uint64
-	waiters       map[waitKey]*ownWait
-	gidWaiters    map[uint64]*ownWait
-	// doneIdx/doneGid record own entries the merger applied before the
-	// commit path could register a waiter (response raced the stream).
-	doneIdx map[waitKey]uint64
-	doneGid map[uint64]uint64
+	mu  sync.Mutex
+	asm *partition.Assembler
+	// waiters / gidWaiters are taken by the merger in the same critical
+	// section that drains their action from the assembler, so an action
+	// at or below asm.MergedVersion() has been looked up for good.
+	waiters    map[waitKey]*ownWait
+	gidWaiters map[uint64]*ownWait
 
 	wake chan struct{} // nudges the merger after new offers
 }
@@ -88,30 +83,13 @@ const (
 )
 
 func newPartState(topo *partition.Topology) *partState {
-	n := len(topo.Groups)
 	return &partState{
 		topo:       topo,
-		asm:        partition.NewAssembler(n),
-		vector:     make([]uint64, n),
+		asm:        partition.NewAssembler(len(topo.Groups)),
 		waiters:    make(map[waitKey]*ownWait),
 		gidWaiters: make(map[uint64]*ownWait),
-		doneIdx:    make(map[waitKey]uint64),
-		doneGid:    make(map[uint64]uint64),
 		wake:       make(chan struct{}, 1),
 	}
-}
-
-// startVec samples the per-group start versions for a new snapshot.
-// The vector is updated only after a merged version is announced, so
-// the sample taken before Store.Begin is conservative in every
-// group's version space — lower starts cause at worst false aborts,
-// never missed conflicts (§6.2's conservative labeling, per group).
-func (p *Proxy) startVecLocked() []uint64 {
-	ps := p.part
-	ps.mu.Lock()
-	v := append([]uint64(nil), ps.vector...)
-	ps.mu.Unlock()
-	return v
 }
 
 // ingest feeds raw committed entries of group g to the assembler and
@@ -161,9 +139,9 @@ func (ps *partState) frontierOf(g int) uint64 {
 	return ps.asm.Frontier(g)
 }
 
-// mergerLoop is the replica's single submitter in partitioned mode: it
-// drains ready actions from the assembler and schedules them in merged
-// order. When the merge stalls it pulls every group at or behind the
+// mergerLoop is the replica's ordering point in partitioned mode: it
+// drains ready actions from the assembler and applies them, run by run,
+// in merged order. When the merge stalls it pulls every group at or behind the
 // blocked position — and if the blocking group's log is genuinely
 // shorter than the needed index, asks its leader to fill (idle
 // partitions must not stall the merge).
@@ -193,23 +171,29 @@ func (p *Proxy) mergerLoop() {
 			return
 		default:
 		}
+		// One drain is one run: it ends at the first action a local client
+		// waits for — the run's own commit — or where the merge blocks.
 		ps.mu.Lock()
-		var acts []partition.Action
-		for len(acts) < 256 {
+		var run []partition.Action
+		var w *ownWait
+		for len(run) < 256 && w == nil {
 			act, ok := ps.asm.Next()
 			if !ok {
 				break
 			}
-			acts = append(acts, act)
+			run = append(run, act)
+			w = ps.takeWaiterLocked(act)
 		}
 		var blockG int
 		var blockIdx uint64
-		if len(acts) == 0 {
+		var motive bool
+		if len(run) == 0 {
 			blockG, blockIdx = ps.asm.Blocking()
+			motive = ps.asm.Pending() || len(ps.waiters) > 0 || len(ps.gidWaiters) > 0
 		}
 		ps.mu.Unlock()
 
-		if len(acts) == 0 {
+		if len(run) == 0 {
 			// Progress gate: nudges and fills are warranted only while
 			// this replica has something to gain — a received entry
 			// waiting to merge, or a local client waiting for its own
@@ -217,9 +201,6 @@ func (p *Proxy) mergerLoop() {
 			// cluster would fill forever: the merge is always "blocked"
 			// on the index after the last entry, and padding it just
 			// moves the block one index up.
-			ps.mu.Lock()
-			motive := ps.asm.Pending() || len(ps.waiters) > 0 || len(ps.gidWaiters) > 0
-			ps.mu.Unlock()
 			if !motive {
 				stallG, hot = -2, false
 				select {
@@ -251,7 +232,7 @@ func (p *Proxy) mergerLoop() {
 			continue
 		}
 		stallG = -2
-		if !p.applyActions(acts) {
+		if !p.applyMerged(run, w) {
 			return // store crashed; the recovery path builds a fresh proxy
 		}
 	}
@@ -352,141 +333,64 @@ func (p *Proxy) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 	return after > frontier
 }
 
-// takeWaiter consumes the own-commit waiter addressed by act, if one
-// is registered.
-func (p *Proxy) takeWaiter(act partition.Action) *ownWait {
-	ps := p.part
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
+// takeWaiterLocked consumes the own-commit waiter addressed by act, if
+// one is registered. Caller holds ps.mu.
+func (ps *partState) takeWaiterLocked(act partition.Action) *ownWait {
 	if act.GID != 0 {
-		if w, ok := ps.gidWaiters[act.GID]; ok {
-			delete(ps.gidWaiters, act.GID)
-			return w
-		}
-		return nil
-	}
-	if w, ok := ps.waiters[waitKey{act.Group, act.Index}]; ok {
-		delete(ps.waiters, waitKey{act.Group, act.Index})
+		w := ps.gidWaiters[act.GID]
+		delete(ps.gidWaiters, act.GID)
 		return w
 	}
-	return nil
+	key := waitKey{act.Group, act.Index}
+	w := ps.waiters[key]
+	delete(ps.waiters, key)
+	return w
 }
 
-// afterApply publishes a merged version: vector and cursor updates
-// (strictly after the store announce — Begin samples the vector
-// before the snapshot, and updating first would make starts too
-// high), plus the done-records for own entries that had no waiter
-// yet. Returns a waiter that registered during the apply, which must
-// now be notified that the merger installed its writeset.
-func (p *Proxy) afterApply(act partition.Action, viaHandle bool) *ownWait {
-	ps := p.part
-	ps.mu.Lock()
-	if act.Index > ps.vector[act.Group] {
-		ps.vector[act.Group] = act.Index
+// applyMerged applies one drained run of the merged stream through
+// applyRun: its actions as the remote writesets (an action that
+// installs nothing still holds its merged version), ended by the commit
+// of the client waiting in w, if any. The merged stream is the replica's
+// ground truth, so a run that fails is retried until it lands, from
+// wherever the store has announced by then; only a store crash or
+// shutdown stops it, and then w is released (the outcome resolves at
+// recovery) and false returned.
+//
+// The merger blocks in the local commit — own commits are serialized,
+// and no later run is scheduled before this one's commit has published.
+func (p *Proxy) applyMerged(run []partition.Action, w *ownWait) bool {
+	first, top := run[0].MV, run[len(run)-1].MV
+	var own *ownCommit
+	if w != nil {
+		own = &ownCommit{tx: w.tx, ws: w.ws, cv: top}
+		run = run[:len(run)-1]
+		defer func() { w.ch <- top }()
 	}
-	if act.MV > ps.mergedApplied {
-		ps.mergedApplied = act.MV
-	}
-	var late *ownWait
-	own := act.WS != nil && act.Origin == p.cfg.ReplicaID
-	if own && !viaHandle {
-		if act.GID != 0 {
-			if w, ok := ps.gidWaiters[act.GID]; ok {
-				delete(ps.gidWaiters, act.GID)
-				late = w
-			} else {
-				ps.doneGid[act.GID] = act.MV
-			}
-		} else {
-			key := waitKey{act.Group, act.Index}
-			if w, ok := ps.waiters[key]; ok {
-				delete(ps.waiters, key)
-				late = w
-			} else {
-				ps.doneIdx[key] = act.MV
-			}
-		}
-		// Unconsumed done-records (commit responses lost in crashes)
-		// would otherwise accumulate forever.
-		if len(ps.doneIdx) > 8192 {
-			ps.doneIdx = make(map[waitKey]uint64)
-		}
-		if len(ps.doneGid) > 8192 {
-			ps.doneGid = make(map[uint64]uint64)
-		}
-	}
-	ps.mu.Unlock()
-	p.advanceRV(act.MV)
-	return late
-}
-
-// applyActions hands a drained run of merged actions to the scheduler:
-// each non-empty action becomes one entry (so disjoint merged commits
-// install concurrently instead of single-file), runs of empty actions
-// coalesce into hollow announce entries, and own commits with a
-// registered waiter commit through the waiting handle (applyOwn). The
-// per-entry completion callback performs the merger's vector/waiter
-// bookkeeping at publication time. Returns false when the store
-// crashed.
-func (p *Proxy) applyActions(acts []partition.Action) bool {
-	var batch []*applyEntry
-	mkDone := func(run []partition.Action) func(bool) {
-		return func(applied bool) {
-			if !applied {
-				return // abandoned; resync re-drives the merged stream
-			}
-			for _, a := range run {
-				if late := p.afterApply(a, false); late != nil {
-					late.ch <- ownDone{mv: a.MV, viaHandle: false}
-				}
-				if a.WS != nil && a.Origin != p.cfg.ReplicaID {
-					p.addStat(func(st *Stats) { st.RemoteApplied++ })
-				}
-			}
-		}
-	}
-	var hollowRun []partition.Action // actions of the trailing hollow entry
-	for _, act := range acts {
-		if w := p.takeWaiter(act); w != nil {
-			p.sched.submit(batch)
-			batch, hollowRun = nil, nil
-			if !p.applyOwn(act, w) {
-				return false
-			}
-			continue
-		}
-		if act.WS == nil {
-			// Coalesce consecutive hollow actions (fill no-ops) into one
-			// announce entry; the merged versions are dense, so the run
-			// is contiguous.
-			if n := len(batch); n > 0 && batch[n-1].ws == nil && batch[n-1].to == act.MV-1 {
-				hollowRun = append(hollowRun, act)
-				batch[n-1].to = act.MV
-				batch[n-1].done = mkDone(hollowRun)
+	noWS := &core.Writeset{}
+	for {
+		// Actions at or below the announced version never reach the run —
+		// decodeRemotes' filter, for a restarted merger replaying every
+		// group from index 1 and for a retry: the store holds that state,
+		// and re-applying it would take row locks and kill local
+		// transactions for nothing.
+		announced := p.cfg.Store.AnnouncedVersion()
+		remotes := make([]RemoteEntry, 0, len(run))
+		for _, a := range run {
+			if a.MV <= announced {
 				continue
 			}
-			hollowRun = []partition.Action{act}
-			batch = append(batch, &applyEntry{from: act.MV - 1, to: act.MV, done: mkDone(hollowRun)})
-			continue
+			ws := a.WS
+			if ws == nil {
+				ws = noWS
+			}
+			remotes = append(remotes, RemoteEntry{Version: a.MV, WS: ws})
 		}
-		hollowRun = nil
-		batch = append(batch, &applyEntry{
-			from: act.MV - 1, to: act.MV, ws: act.WS, done: mkDone([]partition.Action{act}),
-		})
-	}
-	p.sched.submit(batch)
-	return !p.sched.storeDead.Load()
-}
-
-// applyMergedRange installs one coalesced writeset covering merged
-// versions (from, to], retrying until it lands: the merged stream is
-// the replica's ground truth and cannot be skipped. Only a store
-// crash stops it.
-func (p *Proxy) applyMergedRange(ws *core.Writeset, from, to uint64) bool {
-	for {
-		err := p.applyBatchWithRecovery(ws, from, to, (*mvstore.Tx).CommitLabeled)
+		err := p.applyRun(max(announced, first-1), remotes, own, func() {})
 		if err == nil {
 			return true
+		}
+		if own != nil {
+			own.tx = nil // finished by the failed attempt; it lands by writeset
 		}
 		if errors.Is(err, mvstore.ErrCrashed) {
 			return false
@@ -499,56 +403,12 @@ func (p *Proxy) applyMergedRange(ws *core.Writeset, from, to uint64) bool {
 	}
 }
 
-// applyOwn commits a waiting client transaction at its merged
-// position, through its own handle when possible (no re-execution),
-// falling back to apply-by-writeset when the handle was killed. It
-// first waits for every previously submitted entry to publish — the
-// merger submits in merged order, so once act.MV-1 is announced no
-// unpublished pending exists below the commit's range for the handle's
-// synchronous labeled commit to announce past and discard. On a store
-// crash or shutdown the waiter is released (the outcome resolves at
-// recovery) and false returned.
-func (p *Proxy) applyOwn(act partition.Action, w *ownWait) bool {
-	from, to := act.MV-1, act.MV
-	// The merged stream is ground truth: a wait that merely times out
-	// is repeated (a resync or superseded drain will move the cursor).
-	for {
-		err := p.cfg.Store.WaitAnnouncedOr(from, p.cfg.ChunkWaitTimeout, p.stopCh)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, mvstore.ErrCrashed) || errors.Is(err, mvstore.ErrWaitInterrupted) {
-			w.ch <- ownDone{mv: act.MV, viaHandle: false}
-			return false
-		}
-	}
-	cerr := w.tx.CommitLabeled(from, to)
-	if cerr != nil {
-		if !p.applyMergedRange(w.ws, from, to) {
-			w.ch <- ownDone{mv: act.MV, viaHandle: false}
-			return false
-		}
-		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-	}
-	p.afterApply(act, true)
-	w.ch <- ownDone{mv: act.MV, viaHandle: cerr == nil}
-	return true
-}
-
-// waitOwn blocks a committing client until the merger reaches its
-// entry. Returns the merged commit version.
-func (p *Proxy) waitOwn(t *Tx, register func() (uint64, bool, *ownWait)) (uint64, error) {
-	mv, done, w := register()
-	if done {
-		t.inner.Abort() // the merger already installed the writeset
-		return mv, nil
-	}
+// awaitMerged blocks a committing client until the merger has committed
+// its transaction, and returns the merged commit version.
+func (p *Proxy) awaitMerged(w *ownWait) (uint64, error) {
 	select {
-	case d := <-w.ch:
-		if !d.viaHandle {
-			t.inner.Abort()
-		}
-		return d.mv, nil
+	case mv := <-w.ch:
+		return mv, nil
 	case <-p.stopCh:
 		return 0, fmt.Errorf("%w: commit outcome unresolved at shutdown", ErrProxyClosed)
 	case <-time.After(30 * time.Second):
@@ -566,7 +426,7 @@ func (p *Proxy) commitSinglePartition(ctx context.Context, t *Tx, ws *core.Write
 	ps := p.part
 	resp, err := ps.topo.Groups[g].CertifyCtx(ctx, certifier.Request{
 		Origin:         p.cfg.ReplicaID,
-		StartVersion:   t.startVec[g],
+		StartVersion:   ps.topo.Map.GroupVersion(g, t.start),
 		ReplicaVersion: ps.frontierOf(g),
 		WSBytes:        ws.Encode(nil),
 		Deadline:       deadlineNano(ctx),
@@ -581,24 +441,33 @@ func (p *Proxy) commitSinglePartition(ctx context.Context, t *Tx, ws *core.Write
 		p.addStat(func(st *Stats) { st.CertAborts++ })
 		return ErrCertificationAbort
 	}
-	key := waitKey{g, resp.CommitVersion}
-	mv, err := p.waitOwn(t, func() (uint64, bool, *ownWait) {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		if mv, ok := ps.doneIdx[key]; ok {
-			delete(ps.doneIdx, key)
-			return mv, true, nil
-		}
-		w := &ownWait{tx: t.inner, ws: ws, ch: make(chan ownDone, 1)}
-		ps.waiters[key] = w
-		// A registered waiter is a reason for the merger to advance
-		// (it may be parked with nothing else to do).
+	// The merger takes a waiter as it drains the waiter's action, so the
+	// drain cursor says which of the two got there first.
+	mv := ps.topo.Map.MergedVersion(g, resp.CommitVersion)
+	var w *ownWait
+	ps.mu.Lock()
+	if ps.asm.MergedVersion() < mv {
+		w = &ownWait{tx: t.inner, ws: ws, ch: make(chan uint64, 1)}
+		ps.waiters[waitKey{g, resp.CommitVersion}] = w
+	}
+	ps.mu.Unlock()
+	if w != nil {
+		// A registered waiter is a reason for the merger to advance (it
+		// may be parked with nothing else to do).
 		select {
 		case ps.wake <- struct{}{}:
 		default:
 		}
-		return 0, false, w
-	})
+		_, err = p.awaitMerged(w)
+	} else {
+		// The response raced the stream: the entry is already in a run,
+		// which installs it by writeset.
+		t.inner.Abort()
+		err = p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, p.stopCh)
+		if errors.Is(err, mvstore.ErrWaitInterrupted) {
+			err = fmt.Errorf("%w: commit outcome unresolved at shutdown", ErrProxyClosed)
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -634,7 +503,7 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 		resps[i], errs[i] = ps.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
 			GID:          gid,
 			Origin:       p.cfg.ReplicaID,
-			StartVersion: t.startVec[pid],
+			StartVersion: ps.topo.Map.GroupVersion(pid, t.start),
 			Involved:     involved,
 			WSBytes:      parts[i].WS.Encode(nil),
 		})
@@ -658,7 +527,7 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 	}
 
 	// Register the waiter before any marker can exist, then resolve.
-	w := &ownWait{tx: t.inner, ws: ws, ch: make(chan ownDone, 1)}
+	w := &ownWait{tx: t.inner, ws: ws, ch: make(chan uint64, 1)}
 	ps.mu.Lock()
 	ps.gidWaiters[gid] = w
 	ps.mu.Unlock()
@@ -674,16 +543,7 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 		p.resolveDetached(gid, pending, true)
 	}
 
-	mv, err := p.waitOwn(t, func() (uint64, bool, *ownWait) {
-		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		if mv, ok := ps.doneGid[gid]; ok {
-			delete(ps.doneGid, gid)
-			delete(ps.gidWaiters, gid)
-			return mv, true, nil
-		}
-		return 0, false, w
-	})
+	mv, err := p.awaitMerged(w)
 	if err != nil {
 		ps.mu.Lock()
 		delete(ps.gidWaiters, gid)
@@ -772,10 +632,10 @@ func (p *Proxy) pullOncePartitioned() error {
 }
 
 // resyncPartitioned brings a recovered replica back: the merger
-// replays every group's stream from index 1 (the store's labeled-
-// commit gate turns already-covered versions into no-ops), so resync
-// only has to pull the streams and wait until the merged cursor
-// reaches the pre-crash base.
+// replays every group's stream from index 1 (applyMerged drops the
+// actions the store already covers), so resync only has to pull the
+// streams and wait until the merge has drained through the pre-crash
+// base.
 func (p *Proxy) resyncPartitioned() error {
 	p.addStat(func(st *Stats) { st.Resyncs++ })
 	p.cfg.Store.CancelPendings() // see Resync
@@ -787,7 +647,7 @@ func (p *Proxy) resyncPartitioned() error {
 		}
 		ps := p.part
 		ps.mu.Lock()
-		applied := ps.mergedApplied
+		applied := ps.asm.MergedVersion()
 		ps.mu.Unlock()
 		if applied >= base {
 			return nil

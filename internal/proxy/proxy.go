@@ -18,8 +18,9 @@
 //     (§5.2.1) are detected via the certifier's safe-back annotations
 //     and force partial serialization.
 //
-// The three are one pipeline; Proxy.settle picks the two policies in
-// which they differ.
+// The three are one pipeline; Proxy.applyRun picks the two policies in
+// which they differ, behind either ordering point (the classic response
+// sequencer, the partitioned merger).
 //
 // The proxy also implements the paper's optimizations: local
 // certification (§6.2), eager pre-certification for deadlock avoidance
@@ -148,8 +149,9 @@ type Config struct {
 	// (see schedule.go), 0 = 8: labeled remote writesets are
 	// conflict-analyzed per store stripe, installed concurrently by
 	// this many workers (one is the serial gate) and published strictly
-	// in global order. Classic Base and Tashkent-MW install their remote
-	// batches synchronously (see settle) and leave the pool idle.
+	// in global order. The pool serves Tashkent-API, classic or
+	// partitioned, and nothing else: Base and Tashkent-MW install their
+	// remote batches synchronously (see applyRun) and leave it idle.
 	ApplyWorkers int
 	// Parts, when set, switches the proxy to partitioned certification
 	// (see internal/partition): commits route by partition across the
@@ -176,7 +178,7 @@ type Proxy struct {
 	// eager pre-certification of local writes).
 	logMu         sync.Mutex
 	recent        []remoteRecord
-	inFlightItems map[core.ItemID]int
+	inFlightItems map[core.ItemID]inFlightMark
 	// applierTxs are the store transaction ids of in-flight remote/
 	// catch-up appliers. Eager pre-certification must never pick one
 	// as a kill victim: appliers install *committed* global state, and
@@ -223,7 +225,7 @@ func New(cfg Config) *Proxy {
 	p := &Proxy{
 		cfg:           cfg,
 		seq:           newSequencer(),
-		inFlightItems: make(map[core.ItemID]int),
+		inFlightItems: make(map[core.ItemID]inFlightMark),
 		applierTxs:    make(map[uint64]struct{}),
 		lastRemote:    time.Now(),
 		stopCh:        make(chan struct{}),
@@ -294,9 +296,6 @@ type Tx struct {
 	// record their observed version: the causal token of a session that
 	// only read must still cover everything the snapshot exposed.
 	commitVersion uint64
-	// startVec is the per-group start vector in partitioned mode: the
-	// snapshot's conservative position in each group's version space.
-	startVec []uint64
 }
 
 // SnapshotVersion returns the replica version the transaction's
@@ -319,7 +318,9 @@ func (t *Tx) CommitVersion() uint64 { return t.commitVersion }
 // Begin intercepts BEGIN: the transaction receives the latest local
 // snapshot, labeled with the replica version (sampled *before* the
 // snapshot so the label is conservative, which is safe under GSI —
-// paper §6.2 "Conservative assigning of versions").
+// paper §6.2 "Conservative assigning of versions"). In partitioned mode
+// the label is a merged version, and each group's start label is read
+// off it (partition.Map.GroupVersion), conservative for the same reason.
 func (p *Proxy) Begin() (*Tx, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -327,19 +328,12 @@ func (p *Proxy) Begin() (*Tx, error) {
 		return nil, ErrProxyClosed
 	}
 	p.mu.Unlock()
-	var startVec []uint64
-	if p.part != nil {
-		// Sampled before the snapshot, like start: the vector advances
-		// only after a merged version is announced, so each component is
-		// a conservative label in its group's version space.
-		startVec = p.startVecLocked()
-	}
 	start := p.cfg.Store.AnnouncedVersion()
 	inner, err := p.cfg.Store.Begin()
 	if err != nil {
 		return nil, err
 	}
-	tx := &Tx{p: p, inner: inner, start: start, observed: p.cfg.Store.AnnouncedVersion(), startVec: startVec}
+	tx := &Tx{p: p, inner: inner, start: start, observed: p.cfg.Store.AnnouncedVersion()}
 	if p.cfg.EagerPreCert {
 		inner.SetWriteHook(p.preCertHook(inner))
 	}
@@ -568,17 +562,23 @@ func (p *Proxy) localConflict(ws *core.Writeset, start uint64) bool {
 	return false
 }
 
-// recordRemotes adds applied remote writesets to the proxy log. The log
-// is trimmed in chunks: it grows to twice maxRecent and is then cut to
-// its newest maxRecent records in place, so a full log costs one copy
-// per maxRecent records instead of one per response.
-func (p *Proxy) recordRemotes(remotes []RemoteEntry) {
+// recordRemotes adds applied remote writesets to the proxy log and
+// returns how many there were: an entry that installs nothing (a barrier
+// or fill no-op, a prepare, a decision marker) holds a version and is
+// neither logged nor counted. The log is trimmed in chunks: it grows to
+// twice maxRecent and is then cut to its newest maxRecent records in
+// place, so a full log costs one copy per maxRecent records instead of
+// one per response.
+func (p *Proxy) recordRemotes(remotes []RemoteEntry) (installed int) {
 	if len(remotes) == 0 {
-		return
+		return 0
 	}
 	p.logMu.Lock()
 	for _, r := range remotes {
-		p.recent = append(p.recent, remoteRecord{version: r.Version, items: r.WS.Items()})
+		if !r.WS.Empty() {
+			p.recent = append(p.recent, remoteRecord{version: r.Version, items: r.WS.Items()})
+			installed++
+		}
 	}
 	if n := len(p.recent); n >= 2*maxRecent {
 		kept := copy(p.recent, p.recent[n-maxRecent:])
@@ -589,6 +589,7 @@ func (p *Proxy) recordRemotes(remotes []RemoteEntry) {
 	p.mu.Lock()
 	p.lastRemote = time.Now()
 	p.mu.Unlock()
+	return installed
 }
 
 // decodeRemotes parses and filters the response's remote writesets to
@@ -613,28 +614,44 @@ func (p *Proxy) decodeRemotes(remote []certifier.RemoteWS, above uint64) ([]Remo
 	return out, nil
 }
 
+// inFlightMark is an item's entry in the in-flight set: how many
+// appliers of remote writesets over it are running, and the highest
+// global version any of them installs.
+type inFlightMark struct {
+	n  int
+	to uint64
+}
+
 // remoteInFlightConflicts reports whether an item collides with a
 // remote writeset currently being applied (set by the scheduler and the
-// synchronous batch applier).
+// synchronous batch applier). A mark stops counting the moment the store
+// announces its version, not when its applier gets round to clearing it:
+// whoever was told that version is applied (a causal wait, Converge)
+// must be able to write the item.
 func (p *Proxy) remoteInFlightConflicts(item core.ItemID) bool {
 	p.logMu.Lock()
-	defer p.logMu.Unlock()
-	_, hit := p.inFlightItems[item]
-	return hit
+	m, hit := p.inFlightItems[item]
+	p.logMu.Unlock()
+	return hit && m.to > p.cfg.Store.AnnouncedVersion()
 }
 
 // markInFlight registers (or unregisters) the items of a remote
-// writeset being applied.
-func (p *Proxy) markInFlight(ws *core.Writeset, on bool) {
+// writeset being applied, which leaves the replica at version to.
+func (p *Proxy) markInFlight(ws *core.Writeset, to uint64, on bool) {
 	items := ws.Items()
 	p.logMu.Lock()
 	for _, it := range items {
+		m := p.inFlightItems[it]
 		if on {
-			p.inFlightItems[it]++
-		} else if n := p.inFlightItems[it]; n <= 1 {
-			delete(p.inFlightItems, it)
+			m.n++
+			m.to = max(m.to, to)
 		} else {
-			p.inFlightItems[it] = n - 1
+			m.n--
+		}
+		if m.n > 0 {
+			p.inFlightItems[it] = m
+		} else {
+			delete(p.inFlightItems, it)
 		}
 	}
 	p.logMu.Unlock()

@@ -1,11 +1,14 @@
 package proxy
 
-// Dependency-tracked applier: the one path by which labeled remote
-// writesets reach the store in steady state (Tashkent-API chunks, the
-// partitioned merged stream, ApplyRemoteEntries). One labeled commit at
-// a time through the store's order semaphore made the replica's apply
-// path the freshness bottleneck once partitioned certification
-// multiplied the commit rate; that discipline is now the pool size 1.
+// Dependency-tracked applier: the path by which Tashkent-API's chunks of
+// remote writesets reach the store — applyRun builds them from a
+// certifier response or from a run of the partitioned merged stream
+// alike — plus ApplyRemoteEntries. Base and Tashkent-MW install their
+// remote batches synchronously at any partition count and leave the pool
+// idle. One labeled commit at a time through the store's order semaphore
+// makes the replica's apply path the freshness bottleneck once the disk
+// is in it; that discipline is the pool size 1.
+//
 // The scheduler is a pipeline: labeled remote writesets are
 // conflict-analyzed against the live window using stripe signatures
 // (mvstore.StripeSig — key-set overlap summarized per store stripe),
@@ -33,18 +36,17 @@ package proxy
 // ones announced by other code (a client's CommitOrdered, a resync)
 // reach it through the single version waiter in watch.
 //
-// Submissions must arrive in ascending version order — the response
-// sequencer (classic mode) and the single merger goroutine
-// (partitioned mode) both guarantee it — so "submitted before" and
-// "earlier version" coincide and every dependency edge points
-// backward in version order. Publication order is total regardless:
-// the store's pending list publishes by from-version under the apply
-// gate.
+// Submissions must arrive in ascending version order — applyRun submits
+// before it releases its ordering point, the response sequencer's slot
+// (classic mode) or the single merger goroutine (partitioned mode) —
+// so "submitted before" and "earlier version" coincide and every
+// dependency edge points backward in version order. Publication order is
+// total regardless: the store's pending list publishes by from-version
+// under the apply gate.
 
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tashkent/internal/core"
@@ -83,15 +85,10 @@ type applyEntry struct {
 	start    time.Time
 	// logged, when set, is the ticket of the log batch that already
 	// carries the entry's commit record (a Tashkent-API response logs all
-	// of its records in its sequencer slot, see logResponse): every
+	// of its records at its ordering point, see logRun): every
 	// install attempt commits behind it. Without one, each attempt logs
 	// the record itself.
 	logged mvstore.LogTicket
-	// done, if set, runs after the entry resolves; applied reports
-	// whether the replica state now covers the entry's range
-	// (published or superseded). The partitioned merger uses it for
-	// its vector/waiter bookkeeping.
-	done func(applied bool)
 }
 
 // maxApplyWindow bounds the live window; submit blocks when full
@@ -104,11 +101,10 @@ type applyScheduler struct {
 	p       *Proxy
 	workers int
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	window    []*applyEntry
-	closed    bool
-	storeDead atomic.Bool // an install observed a crashed store
+	mu     sync.Mutex
+	cond   *sync.Cond
+	window []*applyEntry
+	closed bool
 
 	running    int // workers mid-install
 	submitted  int64
@@ -317,7 +313,7 @@ func (s *applyScheduler) install(e *applyEntry) {
 		return
 	}
 	if !e.marked {
-		p.markInFlight(e.ws, true)
+		p.markInFlight(e.ws, e.to, true)
 		e.marked = true
 	}
 	p.killConflictingLocals(e.ws, 0)
@@ -361,26 +357,20 @@ func outcomeOf(err error) mvstore.PendingOutcome {
 // window. Runs from worker goroutines and from publication callbacks.
 func (s *applyScheduler) resolve(e *applyEntry, oc mvstore.PendingOutcome) {
 	if e.marked {
-		s.p.markInFlight(e.ws, false)
+		s.p.markInFlight(e.ws, e.to, false)
 	}
-	applied := false
 	s.mu.Lock()
 	e.state = entryDone
 	switch oc {
 	case mvstore.PendingPublished:
 		s.published++
 		s.lag.Observe(time.Since(e.start))
-		applied = true
 	case mvstore.PendingSuperseded:
 		// A catch-up applier carried the state past the range; it is
 		// covered, just not by us.
 		s.superseded++
-		applied = true
 	default:
 		s.gaveUp++
-		if oc == mvstore.PendingCrashed {
-			s.storeDead.Store(true)
-		}
 	}
 	watched := false
 	for _, succ := range e.succs {
@@ -397,14 +387,10 @@ func (s *applyScheduler) resolve(e *applyEntry, oc mvstore.PendingOutcome) {
 			break
 		}
 	}
-	done := e.done
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	if watched {
 		s.kickWatch()
-	}
-	if done != nil {
-		done(applied)
 	}
 }
 

@@ -63,8 +63,14 @@ func TestPublicAPIConflictSurfacesErrAborted(t *testing.T) {
 
 	a, _ := db.Cluster().Begin(0)
 	b, _ := db.Cluster().Begin(1)
-	a.Update("t", "k", map[string][]byte{"v": []byte("a")})
-	b.Update("t", "k", map[string][]byte{"v": []byte("b")})
+	// Converge said version 1 is applied on both replicas, so neither
+	// write may be refused against it (eager pre-certification).
+	if err := a.Update("t", "k", map[string][]byte{"v": []byte("a")}); err != nil {
+		t.Fatalf("update on replica 0: %v", err)
+	}
+	if err := b.Update("t", "k", map[string][]byte{"v": []byte("b")}); err != nil {
+		t.Fatalf("update on replica 1: %v", err)
+	}
 	errA, errB := a.Commit(), b.Commit()
 	aborts := 0
 	for _, e := range []error{errA, errB} {
