@@ -56,6 +56,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "listen: %v\n", err)
 		os.Exit(1)
 	}
+	// No Campaign here, unlike cluster.New: the peers are other processes
+	// that may not be listening yet, so a vote round now would mostly be
+	// lost. The election timeout elects whoever is up when it runs out.
 	srv.Start()
 	fmt.Printf("certd %d listening on %s (%d peers)\n", *id, ts.Addr(), len(peerClients))
 

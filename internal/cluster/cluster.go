@@ -181,6 +181,14 @@ func New(cfg Config) (*Cluster, error) {
 	for _, srv := range c.certs {
 		srv.Start()
 	}
+	// Every member of every group is serving and started, and all of them
+	// are brand new: member 0 of each group campaigns at once, so the
+	// group is led after one election round instead of after the shortest
+	// of its jittered election timeouts (which still covers a lost round).
+	c.eachGroup(func(g int) error {
+		c.certs[g*cfg.Certifiers].Node().Campaign()
+		return nil
+	})
 	if err := c.waitCertLeader(5 * time.Second); err != nil {
 		c.Close()
 		return nil, err
@@ -309,6 +317,27 @@ func (c *Cluster) newTopology(i int) *partition.Topology {
 		t.Groups = append(t.Groups, c.newCertClient(i, g))
 	}
 	return t
+}
+
+// eachGroup runs f for every certifier group at once, waits for all of
+// them and returns the lowest-numbered group's error, if any.
+func (c *Cluster) eachGroup(f func(g int) error) error {
+	errs := make([]error, c.groups)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = f(g)
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c *Cluster) waitCertLeader(timeout time.Duration) error {
@@ -662,36 +691,26 @@ func (c *Cluster) ConvergeAll(timeout time.Duration) error {
 func (c *Cluster) convergeAllPartitioned(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 
-	// Equalize the group heads; quiesced, so this settles immediately,
-	// but re-check in case a straggling commit landed mid-fill.
+	// Equalize the group heads, every group at once; quiesced, so this
+	// settles immediately, but re-check in case a straggling commit landed
+	// mid-fill.
 	var target uint64
+	heads := make([]uint64, c.groups)
 	for {
-		var high uint64
-		heads := make([]uint64, c.groups)
-		for g := 0; g < c.groups; g++ {
-			if _, err := c.BarrierGroup(g, timeout); err != nil {
-				return err
-			}
-			leader := c.GroupLeader(g)
-			if leader == nil {
-				return fmt.Errorf("cluster: group %d lost its leader during convergence", g)
-			}
-			heads[g] = leader.Node().CommitIndex()
-			if heads[g] > high {
-				high = heads[g]
-			}
+		err := c.eachGroup(func(g int) error {
+			head, err := c.BarrierGroup(g, timeout)
+			heads[g] = head
+			return err
+		})
+		if err != nil {
+			return err
 		}
+		var high uint64
 		equal := true
-		for g := 0; g < c.groups; g++ {
-			if heads[g] < high {
-				equal = false
-				leader := c.GroupLeader(g)
-				if leader == nil {
-					return fmt.Errorf("cluster: group %d lost its leader during convergence", g)
-				}
-				if _, err := leader.FillTo(high); err != nil {
-					return fmt.Errorf("cluster: filling group %d to %d: %w", g, high, err)
-				}
+		for _, h := range heads {
+			equal = equal && h == heads[0]
+			if h > high {
+				high = h
 			}
 		}
 		if equal {
@@ -700,6 +719,22 @@ func (c *Cluster) convergeAllPartitioned(timeout time.Duration) error {
 		}
 		if time.Now().After(deadline) {
 			return errors.New("cluster: group heads never equalized")
+		}
+		err = c.eachGroup(func(g int) error {
+			if heads[g] == high {
+				return nil
+			}
+			leader := c.GroupLeader(g)
+			if leader == nil {
+				return fmt.Errorf("cluster: group %d lost its leader during convergence", g)
+			}
+			if _, err := leader.FillTo(high); err != nil {
+				return fmt.Errorf("cluster: filling group %d to %d: %w", g, high, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 

@@ -121,12 +121,18 @@ type Node struct {
 	inflight    map[int]bool
 	lastHeard   time.Time
 	lastAck     map[int]time.Time // leader: last append answer per peer (check-quorum)
+	started     bool
 	stopped     bool
 
 	wal    *wal.WAL
 	rng    *rand.Rand
 	wg     sync.WaitGroup
 	stopCh chan struct{}
+	// elected pokes timerLoop when the node wins an election: the loop is
+	// then asleep on the wait it computed as follower or candidate, and
+	// heartbeats must start now, not when that wait runs out. One pending
+	// poke is enough, whatever number of wins it stands for.
+	elected chan struct{}
 }
 
 // NewNode creates a node. Call Start to run its timers.
@@ -151,6 +157,7 @@ func NewNode(cfg Config) *Node {
 		wal:        wal.New(cfg.Disk, cfg.WALMode),
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<16)),
 		stopCh:     make(chan struct{}),
+		elected:    make(chan struct{}, 1),
 		lastHeard:  time.Now(),
 	}
 	n.cond = sync.NewCond(&n.mu)
@@ -198,8 +205,30 @@ func (n *Node) RestoreFromImage(image []byte) error {
 
 // Start launches the election timer.
 func (n *Node) Start() {
+	n.mu.Lock()
+	n.started = true
+	n.mu.Unlock()
 	n.wg.Add(1)
 	go n.timerLoop()
+}
+
+// Campaign starts an election now instead of waiting out the election
+// timeout. It does nothing unless the node is a running follower that
+// has never seen a term and holds an empty log — a member of a brand-new
+// group, whose start-up would otherwise idle for the shortest of the
+// members' jittered timeouts. Such a node campaigns in term 1, which no
+// live group's term is below, so it can never out-term (and therefore
+// never depose) an existing leader, and its empty log never wins the
+// up-to-date check against a node that holds entries; if the election
+// is lost the timer path takes over unchanged. It returns once the
+// candidacy is durable and the vote requests are on their way.
+func (n *Node) Campaign() {
+	n.mu.Lock()
+	if !n.started || n.stopped || n.role != Follower || n.term != 0 || len(n.log) != 0 {
+		n.mu.Unlock()
+		return
+	}
+	n.startElectionLocked() // unlocks
 }
 
 // Stop halts the node (simulating a crash when followed by discarding
@@ -508,6 +537,8 @@ func (n *Node) timerLoop() {
 		select {
 		case <-n.stopCh:
 			return
+		case <-n.elected:
+			continue // now leader: wait a heartbeat interval instead
 		case <-time.After(wait):
 		}
 

@@ -120,11 +120,15 @@ func (n *Node) handleVote(args voteArgs) voteReply {
 	if args.Term < n.term {
 		return voteReply{Term: n.term, Granted: false}
 	}
-	if args.Term > n.term {
+	// Decide first, persist once: a higher term and the vote cast in it
+	// are one meta record and one fsync, still before the reply leaves.
+	// The vote is taken under this lock hold, so a second candidate of
+	// the same term that arrives during the disk write is refused.
+	newTerm := args.Term > n.term
+	if newTerm {
 		n.term = args.Term
 		n.votedFor = -1
 		n.role = Follower
-		n.persistMetaLocked()
 	}
 	lastIdx := uint64(len(n.log))
 	var lastTerm uint64
@@ -133,13 +137,18 @@ func (n *Node) handleVote(args voteArgs) voteReply {
 	}
 	upToDate := args.LastTerm > lastTerm ||
 		(args.LastTerm == lastTerm && args.LastIndex >= lastIdx)
-	if (n.votedFor == -1 || n.votedFor == args.Candidate) && upToDate {
+	granted := (n.votedFor == -1 || n.votedFor == args.Candidate) && upToDate
+	if granted {
 		n.votedFor = args.Candidate
 		n.lastHeard = nowFunc()
-		n.persistMetaLocked()
-		return voteReply{Term: n.term, Granted: true}
 	}
-	return voteReply{Term: n.term, Granted: false}
+	reply := voteReply{Term: n.term, Granted: granted}
+	// A repeated grant writes its record again: the WAL is sequential, so
+	// the reply then also waits out the first grant's pending fsync.
+	if newTerm || granted {
+		n.persistMetaLocked()
+	}
+	return reply
 }
 
 func (n *Node) handleAppend(args appendArgs) appendReply {
@@ -390,6 +399,10 @@ func (n *Node) becomeLeader(term uint64) {
 	// through the WAL) except volatile leader appends, which track via
 	// finishPersist. Conservative: keep current stableIndex.
 	n.mu.Unlock()
+	select {
+	case n.elected <- struct{}{}:
+	default:
+	}
 	n.broadcastAppend()
 }
 

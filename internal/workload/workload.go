@@ -107,6 +107,70 @@ func IsAbort(err error) bool {
 		errors.Is(err, mvstore.ErrLockTimeout)
 }
 
+// --- Initial load ---
+
+// loaders is how many of a Populate's insert batches commit at once. The
+// batches touch disjoint keys, so they never conflict; committing a few
+// side by side lets them share certifier and replica fsyncs the way
+// client commits do, instead of paying one disk flush each.
+const loaders = 8
+
+// loadBatches commits every batch as one transaction opened through
+// begin, at most width at a time, and returns the first error. No batch
+// starts after an error or once ctx is cancelled; batches already
+// running finish.
+func loadBatches(ctx context.Context, begin BeginFunc, width int, batches []func(Tx) error) error {
+	var (
+		mu    sync.Mutex
+		next  int
+		first error
+	)
+	// take hands out the next batch to start, or nil when the load is over.
+	take := func() func(Tx) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if first == nil {
+			first = ctx.Err()
+		}
+		if first != nil || next == len(batches) {
+			return nil
+		}
+		next++
+		return batches[next-1]
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < width && w < len(batches); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for load := take(); load != nil; load = take() {
+				if err := loadBatch(ctx, begin, load); err != nil {
+					mu.Lock()
+					if first == nil {
+						first = err
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
+}
+
+// loadBatch runs one batch in a transaction of its own.
+func loadBatch(ctx context.Context, begin BeginFunc, load func(Tx) error) error {
+	tx, err := begin(ctx, false)
+	if err != nil {
+		return err
+	}
+	if err := load(tx); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit(ctx)
+}
+
 // --- AllUpdates ---
 
 // AllUpdates is the paper's synthetic worst case: every transaction is
@@ -201,23 +265,19 @@ func (*TPCB) Name() string { return "TPC-B" }
 
 // Populate implements Generator.
 func (g *TPCB) Populate(ctx context.Context, begin BeginFunc) error {
+	return loadBatches(ctx, begin, loaders, g.batches())
+}
+
+// batches returns the initial database as insert batches over
+// disjoint keys, moderate in size to keep writesets bounded: per branch,
+// its row with its tellers, then its accounts 250 at a time.
+func (g *TPCB) batches() []func(Tx) error {
 	b, tl, acc := g.dims()
 	zero := []byte("00000000")
-	// Load in moderate batches to keep writesets bounded.
-	batch := func(load func(tx Tx) error) error {
-		tx, err := begin(ctx, false)
-		if err != nil {
-			return err
-		}
-		if err := load(tx); err != nil {
-			tx.Abort()
-			return err
-		}
-		return tx.Commit(ctx)
-	}
+	var batches []func(Tx) error
 	for i := 0; i < b; i++ {
 		i := i
-		if err := batch(func(tx Tx) error {
+		batches = append(batches, func(tx Tx) error {
 			if err := tx.Insert("branches", fmt.Sprintf("b%03d", i),
 				map[string][]byte{"balance": zero}); err != nil {
 				return err
@@ -229,16 +289,14 @@ func (g *TPCB) Populate(ctx context.Context, begin BeginFunc) error {
 				}
 			}
 			return nil
-		}); err != nil {
-			return err
-		}
+		})
 		for lo := 0; lo < acc; lo += 250 {
 			lo := lo
 			hi := lo + 250
 			if hi > acc {
 				hi = acc
 			}
-			if err := batch(func(tx Tx) error {
+			batches = append(batches, func(tx Tx) error {
 				for k := lo; k < hi; k++ {
 					if err := tx.Insert("accounts", fmt.Sprintf("b%03da%06d", i, k),
 						map[string][]byte{"balance": zero}); err != nil {
@@ -246,12 +304,10 @@ func (g *TPCB) Populate(ctx context.Context, begin BeginFunc) error {
 					}
 				}
 				return nil
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	return nil
+	return batches
 }
 
 // Next implements Generator.
@@ -339,31 +395,33 @@ func (*TPCW) Name() string { return "TPC-W" }
 
 // Populate implements Generator.
 func (g *TPCW) Populate(ctx context.Context, begin BeginFunc) error {
+	return loadBatches(ctx, begin, loaders, g.batches())
+}
+
+// batches returns the catalog as insert batches of 200 items.
+func (g *TPCW) batches() []func(Tx) error {
 	n := g.items()
 	desc := make([]byte, 160) // bookstore rows are comparatively fat
+	var batches []func(Tx) error
 	for lo := 0; lo < n; lo += 200 {
+		lo := lo
 		hi := lo + 200
 		if hi > n {
 			hi = n
 		}
-		tx, err := begin(ctx, false)
-		if err != nil {
-			return err
-		}
-		for i := lo; i < hi; i++ {
-			if err := tx.Insert("items", fmt.Sprintf("i%06d", i), map[string][]byte{
-				"stock": []byte("00010000"),
-				"desc":  desc,
-			}); err != nil {
-				tx.Abort()
-				return err
+		batches = append(batches, func(tx Tx) error {
+			for i := lo; i < hi; i++ {
+				if err := tx.Insert("items", fmt.Sprintf("i%06d", i), map[string][]byte{
+					"stock": []byte("00010000"),
+					"desc":  desc,
+				}); err != nil {
+					return err
+				}
 			}
-		}
-		if err := tx.Commit(ctx); err != nil {
-			return err
-		}
+			return nil
+		})
 	}
-	return nil
+	return batches
 }
 
 // spin burns CPU deterministically, modelling the paper's

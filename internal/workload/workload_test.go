@@ -2,8 +2,10 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,5 +206,106 @@ func TestSpinIsDeterministicWork(t *testing.T) {
 	a, b := spin(100), spin(100)
 	if a != b {
 		t.Error("spin not deterministic")
+	}
+}
+
+// The pooled load leaves the same tables, keys and columns as one worker
+// committing the batches in order.
+func TestPooledPopulateEqualsSerialLoad(t *testing.T) {
+	tpcb := &TPCB{Branches: 9, TellersPerBranch: 3, AccountsPerBranch: 600}
+	tpcw := &TPCW{Items: 2100}
+	cases := []struct {
+		gen     Generator
+		batches []func(Tx) error
+		rows    map[string]int
+	}{
+		{tpcb, tpcb.batches(), map[string]int{"branches": 9, "tellers": 27, "accounts": 5400}},
+		{tpcw, tpcw.batches(), map[string]int{"items": 2100}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.gen.Name(), func(t *testing.T) {
+			serial, pooled := mvstore.Open(mvstore.Config{}), mvstore.Open(mvstore.Config{})
+			defer serial.Close()
+			defer pooled.Close()
+			if err := loadBatches(context.Background(), standaloneBegin(serial), 1, tc.batches); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.gen.Populate(context.Background(), standaloneBegin(pooled)); err != nil {
+				t.Fatal(err)
+			}
+			for table, want := range tc.rows {
+				if got := pooled.RowCount(table); got != want {
+					t.Errorf("%s: %d rows, want %d", table, got, want)
+				}
+			}
+			if a, b := serial.Fingerprint(), pooled.Fingerprint(); a != b {
+				t.Errorf("pooled load fingerprint %08x, one-worker load %08x", b, a)
+			}
+		})
+	}
+}
+
+func TestLoadBatchesStopsAtFirstError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, width := range []int{1, loaders} {
+		t.Run(fmt.Sprintf("width %d", width), func(t *testing.T) {
+			s := mvstore.Open(mvstore.Config{})
+			defer s.Close()
+			var started atomic.Int32
+			batches := make([]func(Tx) error, 40)
+			for i := range batches {
+				i := i
+				batches[i] = func(tx Tx) error {
+					started.Add(1)
+					if i == 2 {
+						return boom
+					}
+					return tx.Insert("t", fmt.Sprintf("k%02d", i), map[string][]byte{"v": {1}})
+				}
+			}
+			err := loadBatches(context.Background(), standaloneBegin(s), width, batches)
+			if !errors.Is(err, boom) {
+				t.Fatalf("loadBatches = %v, want boom", err)
+			}
+			// One worker stops dead at the failing batch. A pool's other
+			// workers can take batches until the error is recorded, so
+			// their count is not pinned.
+			if n := started.Load(); width == 1 && n != 3 {
+				t.Errorf("%d batches started, want 3", n)
+			}
+			if n := s.ActiveTxns(); n != 0 {
+				t.Errorf("%d transactions left open", n)
+			}
+		})
+	}
+}
+
+func TestLoadBatchesStopsOnCancel(t *testing.T) {
+	s := mvstore.Open(mvstore.Config{})
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int32
+	batches := make([]func(Tx) error, 40)
+	for i := range batches {
+		i := i
+		batches[i] = func(tx Tx) error {
+			if started.Add(1) == 2 {
+				cancel()
+			}
+			return tx.Insert("t", fmt.Sprintf("k%02d", i), map[string][]byte{"v": {1}})
+		}
+	}
+	err := loadBatches(ctx, standaloneBegin(s), 2, batches)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("loadBatches = %v, want context.Canceled", err)
+	}
+	// Both workers may have been inside a batch when the context ended;
+	// neither takes another.
+	if n := started.Load(); n > 3 {
+		t.Errorf("%d batches started after cancellation at the second", n)
+	}
+	if n := s.ActiveTxns(); n != 0 {
+		t.Errorf("%d transactions left open", n)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"tashkent"
+	"tashkent/internal/mvstore"
+	"tashkent/internal/workload"
 )
 
 // TestSessionReadYourWritesAcrossReplicas commits through a session
@@ -254,5 +256,42 @@ func TestCommitAsyncPipelinesCommits(t *testing.T) {
 	}, tashkent.ReadOnly())
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPooledPopulateThroughOneSession loads TPC-W's catalog and TPC-B's
+// branches through one session's WorkloadBegin: the loader's pool opens
+// its transactions on that one session concurrently (round-robin over
+// the replicas, the causal token rising under it), and every replica
+// ends with exactly the rows a standalone store gets from the same load.
+func TestPooledPopulateThroughOneSession(t *testing.T) {
+	gens := []workload.Generator{
+		&workload.TPCW{Items: 1800},
+		&workload.TPCB{Branches: 12, TellersPerBranch: 3, AccountsPerBranch: 20},
+	}
+	ctx := context.Background()
+	alone := mvstore.Open(mvstore.Config{})
+	defer alone.Close()
+	db, err := tashkent.Start(tashkent.Config{Mode: tashkent.ModeBase, Replicas: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	begin := db.Session().WorkloadBegin()
+	for _, gen := range gens {
+		if err := gen.Populate(ctx, workload.Plain(func() (workload.PlainTx, error) { return alone.Begin() })); err != nil {
+			t.Fatal(err)
+		}
+		if err := gen.Populate(ctx, begin); err != nil {
+			t.Fatalf("%s through a session: %v", gen.Name(), err)
+		}
+	}
+	if err := db.Cluster().ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, fp := range db.Cluster().Fingerprints() {
+		if want := alone.Fingerprint(); fp != want {
+			t.Errorf("replica %d fingerprint %08x, standalone load %08x", i, fp, want)
+		}
 	}
 }
