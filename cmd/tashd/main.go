@@ -42,6 +42,7 @@ import (
 	"tashkent"
 	"tashkent/internal/certifier"
 	"tashkent/internal/kvwire"
+	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
 	"tashkent/internal/replica"
 	"tashkent/internal/simdisk"
@@ -88,7 +89,7 @@ func main() {
 			Dedicated: *dedicated,
 			Seed:      int64(*id),
 		},
-		Cert:               certifier.NewClient(clients, 10*time.Second),
+		Parts:              &partition.Topology{Groups: []*certifier.Client{certifier.NewClient(clients, 10*time.Second)}},
 		LocalCertification: true,
 		EagerPreCert:       true,
 		StalenessBound:     time.Second,

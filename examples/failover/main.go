@@ -75,7 +75,7 @@ func main() {
 		(report.RestoreDuration + report.ResyncDuration).Round(time.Millisecond))
 
 	// Now kill the certifier leader; a backup takes over.
-	leader := db.Cluster().CertLeader()
+	leader := db.Cluster().GroupLeader(0)
 	for i := 0; i < 3; i++ {
 		if db.Cluster().Certifier(i) == leader {
 			db.Cluster().CrashCertifier(i)

@@ -216,20 +216,6 @@ func (in *Injector) SetLinkRules(from, to string, r Rules) {
 	in.mu.Unlock()
 }
 
-// SlowLink is a SetLinkRules convenience: every message on from → to
-// is delayed by a uniform [0, maxDelay) pause, nothing is lost.
-func (in *Injector) SlowLink(from, to string, maxDelay time.Duration) {
-	in.SetLinkRules(from, to, Rules{DelayProb: 1, MaxDelay: maxDelay})
-}
-
-// ClearLinkRules removes a per-link override; the link reverts to the
-// injector's global rules.
-func (in *Injector) ClearLinkRules(from, to string) {
-	in.mu.Lock()
-	delete(in.linkRules, linkKey(from, to))
-	in.mu.Unlock()
-}
-
 // rulesFor resolves the rules governing a link: its override if one
 // is set, the global rules otherwise.
 func (in *Injector) rulesFor(key string) Rules {

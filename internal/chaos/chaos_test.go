@@ -14,7 +14,7 @@ import (
 // function of the seed — two injectors with the same seed plan the
 // identical schedule, and different seeds plan different ones.
 func TestPlanDigestDeterministic(t *testing.T) {
-	links := []string{"replica-1→certifier-0", "certifier-0→certifier-1", "certifier-1→certifier-0"}
+	links := []string{"replica-1→cert-g0-0", "cert-g0-0→cert-g0-1", "cert-g0-1→cert-g0-0"}
 	rules := Rules{DropProb: 0.05, DropRespProb: 0.02, DupProb: 0.02, DelayProb: 0.1, MaxDelay: 5 * time.Millisecond}
 	a := NewInjector(42, rules).PlanDigest(links, 256)
 	b := NewInjector(42, rules).PlanDigest(links, 256)

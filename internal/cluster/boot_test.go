@@ -52,7 +52,7 @@ func TestBootFallsBackToElectionTimeout(t *testing.T) {
 			return nil
 		}
 	})
-	if ld := c.CertLeaderIndex(); ld != 1 && ld != 2 {
+	if ld := c.GroupLeaderIndex(0); ld != 1 && ld != 2 {
 		t.Fatalf("leader is node %d, want 1 or 2", ld)
 	}
 	if _, err := c.Barrier(2 * time.Second); err != nil {

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -189,7 +190,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.certs[g*cfg.Certifiers].Node().Campaign()
 		return nil
 	})
-	if err := c.waitCertLeader(5 * time.Second); err != nil {
+	if err := c.eachGroup(func(g int) error { _, err := c.waitLeader(g, 5*time.Second); return err }); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -203,10 +204,6 @@ func New(cfg Config) (*Cluster, error) {
 				cfg.SeqObserver(i, epoch, seq, outcome)
 			}
 		}
-		var topo *partition.Topology
-		if groups > 1 {
-			topo = c.newTopology(i)
-		}
 		r := replica.Open(replica.Config{
 			ID:   i + 1,
 			Mode: cfg.Mode,
@@ -215,8 +212,7 @@ func New(cfg Config) (*Cluster, error) {
 				Dedicated: cfg.DedicatedIO,
 				Seed:      cfg.Seed + int64(i)*104729,
 			},
-			Cert:               c.newCertClient(i, 0),
-			Parts:              topo,
+			Parts:              c.newTopology(i),
 			PageMissEvery:      cfg.PageMissEvery,
 			CheckpointEvery:    cfg.CheckpointEvery,
 			LockTimeout:        cfg.LockTimeout,
@@ -263,22 +259,18 @@ func (c *Cluster) pullShared(ctx context.Context, i int) error {
 	}
 }
 
-func certName(i int) string { return fmt.Sprintf("certifier-%d", i) }
-
-func replicaName(i int) string { return fmt.Sprintf("replica-%d", i) }
-
-// certName returns node i's fabric identity; partitioned clusters name
-// nodes by (group, member) so fault rules can target one group.
+// certName returns flat node i's fabric identity: nodes are named by
+// (group, member) at any group count, so fault rules can target one group.
 func (c *Cluster) certName(i int) string {
-	if c.groups <= 1 {
-		return certName(i)
-	}
 	return GroupCertifierName(i/c.cfg.Certifiers, i%c.cfg.Certifiers)
 }
 
 // GroupCertifierName returns the fabric identity of member k of
-// certifier group g in a partitioned cluster (Partitions >= 2).
+// certifier group g.
 func GroupCertifierName(g, k int) string { return fmt.Sprintf("cert-g%d-%d", g, k) }
+
+// ReplicaName returns the fabric-side identity of replica i (0-based).
+func ReplicaName(i int) string { return fmt.Sprintf("replica-%d", i) }
 
 // paxosHookFor curries the configured certifier-link filter for one
 // node (nil when unconfigured). Paxos peer ids are group-local; the
@@ -294,42 +286,33 @@ func (c *Cluster) paxosHookFor(global int) func(peer int, method string) error {
 	}
 }
 
-// newCertClient builds a failover client over one certifier group for
-// replica i, identified on the fabric so link-level fault injection
-// can cut individual replica→certifier paths.
-func (c *Cluster) newCertClient(i, group int) *certifier.Client {
-	clients := make([]transport.Client, c.cfg.Certifiers)
-	for k := 0; k < c.cfg.Certifiers; k++ {
-		clients[k] = c.fabric.DialFrom(replicaName(i), c.certName(group*c.cfg.Certifiers+k))
-	}
-	timeout := c.cfg.CertTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	return certifier.NewClient(clients, timeout)
-}
-
-// newTopology builds replica i's partitioned-certification view: the
-// hash map plus one failover client per group.
+// newTopology builds replica i's view of the certifier tier: the hash
+// map plus one failover client per group — one group in the classic
+// system. Each client dials its group's nodes as replica i, so
+// link-level fault injection can cut individual replica→certifier paths.
 func (c *Cluster) newTopology(i int) *partition.Topology {
 	t := &partition.Topology{Map: partition.Map{N: c.groups}}
 	for g := 0; g < c.groups; g++ {
-		t.Groups = append(t.Groups, c.newCertClient(i, g))
+		nodes := make([]transport.Client, c.cfg.Certifiers)
+		for k := range nodes {
+			nodes[k] = c.fabric.DialFrom(ReplicaName(i), GroupCertifierName(g, k))
+		}
+		t.Groups = append(t.Groups, certifier.NewClient(nodes, c.cfg.CertTimeout))
 	}
 	return t
 }
 
-// eachGroup runs f for every certifier group at once, waits for all of
-// them and returns the lowest-numbered group's error, if any.
-func (c *Cluster) eachGroup(f func(g int) error) error {
-	errs := make([]error, c.groups)
+// parallel runs f(0..n-1) at once, waits for all of them and returns
+// the lowest-numbered error, if any.
+func parallel(n int, f func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for g := range errs {
+	for i := range errs {
 		wg.Add(1)
-		go func(g int) {
+		go func(i int) {
 			defer wg.Done()
-			errs[g] = f(g)
-		}(g)
+			errs[i] = f(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -340,19 +323,16 @@ func (c *Cluster) eachGroup(f func(g int) error) error {
 	return nil
 }
 
-func (c *Cluster) waitCertLeader(timeout time.Duration) error {
-	ok := chaos.WaitUntil(timeout, func() bool {
-		for g := 0; g < c.groups; g++ {
-			if c.GroupLeaderIndex(g) < 0 {
-				return false
-			}
-		}
-		return true
-	})
-	if !ok {
-		return errors.New("cluster: certifier leader election incomplete")
+// eachGroup runs f for every certifier group at once (see parallel).
+func (c *Cluster) eachGroup(f func(g int) error) error { return parallel(c.groups, f) }
+
+// waitLeader waits up to timeout for group g to have a live leader.
+func (c *Cluster) waitLeader(g int, timeout time.Duration) (*certifier.Server, error) {
+	var leader *certifier.Server
+	if !chaos.WaitUntil(timeout, func() bool { leader = c.GroupLeader(g); return leader != nil }) {
+		return nil, fmt.Errorf("cluster: certifier group %d has no leader", g)
 	}
-	return nil
+	return leader, nil
 }
 
 // Mode returns the configured system variant.
@@ -361,7 +341,9 @@ func (c *Cluster) Mode() proxy.Mode { return c.cfg.Mode }
 // Replicas returns the replica count.
 func (c *Cluster) Replicas() int { return len(c.replicas) }
 
-// Certifiers returns the certifier group size.
+// Certifiers returns the number of certifier nodes across all groups:
+// Groups() groups of Config.Certifiers nodes each, node i in group
+// i / (Certifiers() / Groups()).
 func (c *Cluster) Certifiers() int { return len(c.certs) }
 
 // Fabric exposes the in-process message fabric so a chaos harness can
@@ -378,13 +360,6 @@ func (c *Cluster) WireStats() transport.WireStats {
 	}
 	return c.tcpFab.Stats()
 }
-
-// CertifierName and ReplicaName return the fabric endpoint names used
-// by the cluster's links — the vocabulary for link-level fault rules.
-func CertifierName(i int) string { return certName(i) }
-
-// ReplicaName returns the fabric-side identity of replica i (0-based).
-func ReplicaName(i int) string { return replicaName(i) }
 
 // OnReplicaCrash registers f to run after CrashReplica kills a
 // replica. The session layer uses it to drop the crashed replica's
@@ -464,18 +439,6 @@ func (c *Cluster) WaitVersion(ctx context.Context, i int, v uint64) error {
 			slice = 50 * time.Millisecond
 		}
 	}
-}
-
-// CertLeader returns group 0's current leader (nil if none) — the
-// whole tier's leader in a classic single-group cluster.
-func (c *Cluster) CertLeader() *certifier.Server {
-	return c.GroupLeader(0)
-}
-
-// CertLeaderIndex returns group 0's leader as a flat node index, or -1
-// if that group has no (live) leader.
-func (c *Cluster) CertLeaderIndex() int {
-	return c.GroupLeaderIndex(0)
 }
 
 // Groups returns the certifier group (partition) count.
@@ -591,24 +554,22 @@ func (c *Cluster) RecoverCertifier(i int, img []byte) error {
 	return nil
 }
 
-// Barrier commits a no-op certifier entry in every group and returns
-// the highest resulting committed index, retrying across leader
+// Barrier commits a no-op certifier entry in every group at once and
+// returns the highest resulting committed index, retrying across leader
 // changes until timeout. After a failover it forces the new leader to
 // finalize the previous term's tail — without it, a quiet group
 // under-reports its committed prefix (acked transactions stay
 // invisible to pulls until the next commit).
 func (c *Cluster) Barrier(timeout time.Duration) (uint64, error) {
-	var max uint64
-	for g := 0; g < c.groups; g++ {
-		idx, err := c.BarrierGroup(g, timeout)
-		if err != nil {
-			return 0, err
-		}
-		if idx > max {
-			max = idx
-		}
+	idx := make([]uint64, c.groups)
+	err := c.eachGroup(func(g int) (err error) {
+		idx[g], err = c.BarrierGroup(g, timeout)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return max, nil
+	return slices.Max(idx), nil
 }
 
 // BarrierGroup commits a no-op entry in group g and returns the
@@ -645,81 +606,34 @@ func (c *Cluster) SetAbortRate(r float64) {
 	}
 }
 
-// ConvergeAll pulls every replica up to the certifier's committed
-// version and waits for the stores to announce it — used between a
-// measurement and a state comparison.
+// ConvergeAll drives a quiesced cluster to one common state and waits
+// for every replica to announce it — used between a measurement and a
+// state comparison. Every group's committed head is read at once; the
+// deterministic merge emits only up to the shortest group, so short
+// groups are padded to the highest head until all are level at H; then
+// every replica, all at once, pulls and waits until it has announced the
+// merged version of the last group's entry at H (H itself with one
+// group).
 func (c *Cluster) ConvergeAll(timeout time.Duration) error {
-	if c.groups > 1 {
-		return c.convergeAllPartitioned(timeout)
-	}
-	leader := c.CertLeader()
-	if leader == nil {
-		return errors.New("cluster: no leader")
-	}
-	target := leader.Node().CommitIndex()
-	for _, r := range c.replicas {
-		if err := r.Proxy().PullOnce(); err != nil {
-			return err
-		}
-	}
-	// Condition-wait on each store's commit-order announcement instead
-	// of polling AnnouncedVersion: the wait ends the instant the version
-	// lands. A slice timeout re-pulls as a nudge in case the in-flight
-	// stream stalled.
 	deadline := time.Now().Add(timeout)
-	for _, r := range c.replicas {
-		for r.Store().AnnouncedVersion() < target {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("cluster: convergence to version %d timed out", target)
-			}
-			if err := r.Store().WaitAnnounced(target, 20*time.Millisecond); err != nil {
-				if perr := r.Proxy().PullOnce(); perr != nil {
-					return perr
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// convergeAllPartitioned drives a quiesced partitioned cluster to one
-// common state: every group's log is padded to the same head H (the
-// deterministic merge can only emit up to the shortest group), each
-// group commits a barrier so failover tails are finalized, and then
-// every replica is pulled until it has announced all groups*H merged
-// versions.
-func (c *Cluster) convergeAllPartitioned(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-
-	// Equalize the group heads, every group at once; quiesced, so this
-	// settles immediately, but re-check in case a straggling commit landed
-	// mid-fill.
-	var target uint64
 	heads := make([]uint64, c.groups)
 	for {
-		err := c.eachGroup(func(g int) error {
-			head, err := c.BarrierGroup(g, timeout)
-			heads[g] = head
+		err := c.eachGroup(func(g int) (err error) {
+			heads[g], err = c.groupHead(g, time.Until(deadline))
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		var high uint64
-		equal := true
-		for _, h := range heads {
-			equal = equal && h == heads[0]
-			if h > high {
-				high = h
-			}
-		}
-		if equal {
-			target = uint64(c.groups) * high
+		high := slices.Max(heads)
+		if slices.Min(heads) == high {
 			break
 		}
 		if time.Now().After(deadline) {
 			return errors.New("cluster: group heads never equalized")
 		}
+		// Re-read after filling: a straggling commit may have landed
+		// mid-fill.
 		err = c.eachGroup(func(g int) error {
 			if heads[g] == high {
 				return nil
@@ -737,23 +651,39 @@ func (c *Cluster) convergeAllPartitioned(timeout time.Duration) error {
 			return err
 		}
 	}
-
-	// Each lagging replica alternates a pull (the merge emits only what
-	// every group stream holds, so progress needs repeated pulls) with a
-	// condition-wait slice on its store's announcement — no fixed-period
-	// poll between pulls.
-	for _, r := range c.replicas {
-		for r.Store().AnnouncedVersion() < target {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("cluster: convergence to merged version %d timed out", target)
-			}
-			if err := r.Proxy().PullOnce(); err != nil {
-				return err
-			}
-			_ = r.Store().WaitAnnounced(target, 5*time.Millisecond)
+	target := partition.Map{N: c.groups}.MergedVersion(c.groups-1, heads[0])
+	// A lagging replica pulls at once — a replica that heard nothing has
+	// nothing in flight — and then waits as a causal wait does.
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	return parallel(len(c.replicas), func(i int) error {
+		if c.replicas[i].Store().AnnouncedVersion() >= target {
+			return nil
 		}
+		if err := c.pullShared(ctx, i); err != nil {
+			return fmt.Errorf("cluster: converging replica %d: %w", i, err)
+		}
+		if err := c.WaitVersion(ctx, i, target); err != nil {
+			return fmt.Errorf("cluster: converging replica %d to version %d: %w", i, target, err)
+		}
+		return nil
+	})
+}
+
+// groupHead returns group g's committed head, waiting up to timeout for
+// a leader. A leader whose commit index is below its log length holds a
+// tail it cannot finalize until an entry of its own term commits — the
+// previous term's, after a failover — so only that group pays a barrier;
+// a healthy group is read for free.
+func (c *Cluster) groupHead(g int, timeout time.Duration) (uint64, error) {
+	leader, err := c.waitLeader(g, timeout)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	if head := leader.Node().CommitIndex(); head == leader.Node().LogLength() {
+		return head, nil
+	}
+	return c.BarrierGroup(g, timeout)
 }
 
 // Fingerprints returns each replica's state fingerprint.

@@ -205,7 +205,7 @@ func TestCertifierCrashRecovery(t *testing.T) {
 		}
 	}
 	// Crash a certifier follower, keep committing, then recover it.
-	leader := c.CertLeader()
+	leader := c.GroupLeader(0)
 	victim := -1
 	for i := range c.certs {
 		if c.certs[i] != leader {
@@ -234,7 +234,7 @@ func TestCertifierLeaderKillSystemSurvives(t *testing.T) {
 	if err := clusterCommit(t, c, 0, "before", "x"); err != nil {
 		t.Fatal(err)
 	}
-	leader := c.CertLeader()
+	leader := c.GroupLeader(0)
 	for i := range c.certs {
 		if c.certs[i] == leader {
 			c.CrashCertifier(i)
@@ -322,7 +322,7 @@ func TestConcurrentMultiReplicaLoad(t *testing.T) {
 			}) {
 				t.Fatalf("replicas diverged under %v: fingerprints %v", mode, c.Fingerprints())
 			}
-			leader := c.CertLeader()
+			leader := c.GroupLeader(0)
 			if got := leader.Node().CommitIndex(); got != 100 {
 				t.Errorf("certifier committed %d versions, want 100", got)
 			}
@@ -351,7 +351,7 @@ func TestShippedWritesetIsTheLogEntry(t *testing.T) {
 	if err := c.ConvergeAll(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	leader := c.CertLeader()
+	leader := c.GroupLeader(0)
 	call := func(method string, req, resp interface{}) {
 		t.Helper()
 		b, err := transport.EncodeMessage(req)

@@ -88,7 +88,7 @@ func TestClusterTCPCertifierCrashFailover(t *testing.T) {
 	if err := clusterCommit(t, c, 0, "before", "x"); err != nil {
 		t.Fatal(err)
 	}
-	leader := c.CertLeaderIndex()
+	leader := c.GroupLeaderIndex(0)
 	if leader < 0 {
 		t.Fatal("no leader")
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"tashkent/internal/certifier"
 	"tashkent/internal/chaos"
 	"tashkent/internal/cluster"
 	"tashkent/internal/mvstore"
@@ -79,11 +78,8 @@ func (p chaosPlan) applyGray(inj *chaos.Injector) {
 	}
 }
 
-// certNodeName names flat certifier node i under the plan's topology.
-func certNodeName(partitions, i int) string {
-	if partitions <= 1 {
-		return cluster.CertifierName(i)
-	}
+// certNodeName names flat certifier node i.
+func certNodeName(i int) string {
 	return cluster.GroupCertifierName(i/chaosCertifiers, i%chaosCertifiers)
 }
 
@@ -91,21 +87,18 @@ func certNodeName(partitions, i int) string {
 // Partitioned topologies have no certifier links across groups — the
 // groups are independent paxos clusters.
 func chaosLinks(partitions int) []string {
-	if partitions < 1 {
-		partitions = 1
-	}
 	nodes := partitions * chaosCertifiers
 	var out []string
 	for i := 0; i < nodes; i++ {
 		for j := 0; j < nodes; j++ {
 			if i != j && i/chaosCertifiers == j/chaosCertifiers {
-				out = append(out, certNodeName(partitions, i)+"→"+certNodeName(partitions, j))
+				out = append(out, certNodeName(i)+"→"+certNodeName(j))
 			}
 		}
 	}
 	for r := 0; r < chaosReplicas; r++ {
 		for i := 0; i < nodes; i++ {
-			out = append(out, cluster.ReplicaName(r)+"→"+certNodeName(partitions, i))
+			out = append(out, cluster.ReplicaName(r)+"→"+certNodeName(i))
 		}
 	}
 	return out
@@ -166,7 +159,7 @@ func buildChaosPlan(seed int64, window time.Duration) chaosPlan {
 		faultEvent{
 			At: at(0.20, 0.60), Dur: dur(), Kind: "cut",
 			From: cluster.ReplicaName(rng.Intn(chaosReplicas)),
-			To:   certNodeName(partitions, rng.Intn(nodes)),
+			To:   certNodeName(rng.Intn(nodes)),
 		},
 		faultEvent{At: at(0.30, 0.50), Kind: "dump", Node: rng.Intn(chaosReplicas)},
 	)
@@ -181,7 +174,7 @@ func buildChaosPlan(seed int64, window time.Duration) chaosPlan {
 		}
 		p.events = append(p.events, faultEvent{
 			At: at(0.10, 0.70), Dur: dur(), Kind: "cut",
-			From: certNodeName(partitions, from), To: certNodeName(partitions, to),
+			From: certNodeName(from), To: certNodeName(to),
 		})
 	}
 	sort.Slice(p.events, func(i, j int) bool { return p.events[i].At < p.events[j].At })
@@ -395,10 +388,10 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 			var peers []string
 			for k := 0; k < chaosCertifiers; k++ {
 				if i := base + k; i != ev.Node {
-					peers = append(peers, certNodeName(plan.partitions, i))
+					peers = append(peers, certNodeName(i))
 				}
 			}
-			me := certNodeName(plan.partitions, ev.Node)
+			me := certNodeName(ev.Node)
 			inj.Isolate(me, peers...)
 			drills.Add(1)
 			time.AfterFunc(ev.Dur, func() {
@@ -482,25 +475,22 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 	mu.Unlock()
 	res.Reads = checker.Reads()
 
-	if !chaos.WaitUntil(10*time.Second, func() bool {
-		for g := 0; g < c.Groups(); g++ {
-			if c.GroupLeader(g) == nil {
-				return false
-			}
+	// ConvergeAll waits for every group's leader and finalizes a healed
+	// group's unfinalized tail: a post-failover leader cannot commit the
+	// previous term's entries until one of its own commits, and without
+	// that the ground-truth log would exclude acked transactions. A group
+	// can still gain an entry after its head was read — a detached
+	// resolver's late decision marker, the barrier of a leader elected
+	// after the heal; neither installs anything — and the merge of the
+	// group logs then stops short of it: converge again and re-read.
+	var log []chaos.LogEntry
+	if !chaos.WaitUntil(20*time.Second, func() bool {
+		if err = c.ConvergeAll(2 * time.Second); err == nil {
+			log, err = groundTruthLog(c)
 		}
-		return true
+		return err == nil
 	}) {
-		return res, fmt.Errorf("chaos seed %d: not every certifier group elected a leader after healing", seed)
-	}
-	// Finalize the tail: a post-failover leader cannot commit the
-	// previous term's entries until one of its own commits, so a quiet
-	// healed group would under-report its committed prefix and the
-	// ground-truth log would exclude acked transactions.
-	if _, err := c.Barrier(10 * time.Second); err != nil {
-		return res, fmt.Errorf("chaos seed %d: %w", seed, err)
-	}
-	if !chaos.WaitUntil(20*time.Second, func() bool { return c.ConvergeAll(2*time.Second) == nil }) {
-		return res, fmt.Errorf("chaos seed %d: cluster never converged after healing", seed)
+		return res, fmt.Errorf("chaos seed %d: cluster never converged after healing: %w", seed, err)
 	}
 	// Wait for async appliers to publish; if the replicas still
 	// disagree afterwards, Verify reports the divergence with the
@@ -515,20 +505,14 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 		return true
 	})
 	if !agreed && os.Getenv("CHAOS_DIFF") != "" {
-		if log, err := groundTruthLog(c); err == nil {
-			for r := 0; r < c.Replicas(); r++ {
-				fmt.Printf("STATE r%d announced=%d rv=%d stats=%+v\n",
-					r, c.Replica(r).Store().AnnouncedVersion(), c.Replica(r).Proxy().ReplicaVersion(),
-					c.Replica(r).Store().Stats())
-			}
-			dumpChaosDiff(c, log)
+		for r := 0; r < c.Replicas(); r++ {
+			fmt.Printf("STATE r%d announced=%d rv=%d stats=%+v\n",
+				r, c.Replica(r).Store().AnnouncedVersion(), c.Replica(r).Proxy().ReplicaVersion(),
+				c.Replica(r).Store().Stats())
 		}
+		dumpChaosDiff(c, log)
 	}
 
-	log, err := groundTruthLog(c)
-	if err != nil {
-		return res, fmt.Errorf("chaos seed %d: reading committed log: %w", seed, err)
-	}
 	res.LogEntries = len(log)
 	replayFP, err := replayFingerprint(log)
 	if err != nil {
@@ -593,23 +577,13 @@ func dumpChaosDiff(c *cluster.Cluster, log []chaos.LogEntry) {
 	}
 }
 
-// groundTruthLog builds the checker's ground truth: the single
-// certifier log in classic mode, or the deterministic merge of every
-// group's log in partitioned mode.
+// groundTruthLog builds the checker's ground truth: the merged apply
+// order rebuilt from the group leaders' committed logs, exactly as a
+// replica's assembler would — with one group, the log in index order.
+// Versions are merged versions; entries that install nothing (barrier
+// and fill no-ops, prepares, markers past the first) are omitted, so the
+// version sequence has gaps the checker tolerates.
 func groundTruthLog(c *cluster.Cluster) ([]chaos.LogEntry, error) {
-	if c.Groups() <= 1 {
-		return committedLog(c.CertLeader())
-	}
-	return mergedCommittedLogs(c)
-}
-
-// mergedCommittedLogs rebuilds the merged apply order from the N group
-// leaders' committed logs, exactly as a replica's assembler would —
-// the ground truth of a partitioned run. Versions are merged versions;
-// entries that install nothing (fills, prepares, markers past the
-// first) are omitted, so the version sequence has gaps the checker
-// tolerates.
-func mergedCommittedLogs(c *cluster.Cluster) ([]chaos.LogEntry, error) {
 	asm := partition.NewAssembler(c.Groups())
 	total := 0
 	for g := 0; g < c.Groups(); g++ {
@@ -645,28 +619,6 @@ func mergedCommittedLogs(c *cluster.Cluster) ([]chaos.LogEntry, error) {
 		g, idx := asm.Blocking()
 		return nil, fmt.Errorf("merge stalled at %d of %d entries, waiting for group %d index %d (group heads unequal?)",
 			emitted, total, g, idx)
-	}
-	return out, nil
-}
-
-// committedLog decodes the leader's committed log prefix into checker
-// ground truth.
-func committedLog(leader *certifier.Server) ([]chaos.LogEntry, error) {
-	if leader == nil {
-		return nil, fmt.Errorf("no leader")
-	}
-	commit := leader.Node().CommitIndex()
-	_, _, entries := leader.Node().SnapshotLog()
-	if uint64(len(entries)) < commit {
-		return nil, fmt.Errorf("leader log %d shorter than commit index %d", len(entries), commit)
-	}
-	out := make([]chaos.LogEntry, 0, commit)
-	for _, e := range entries[:commit] {
-		ent, err := certifier.DecodeLogEntry(e.Data)
-		if err != nil {
-			return nil, fmt.Errorf("entry %d: %w", e.Index, err)
-		}
-		out = append(out, chaos.LogEntry{Version: e.Index, Origin: ent.Origin, WS: ent.WS})
 	}
 	return out, nil
 }

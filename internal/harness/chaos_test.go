@@ -202,7 +202,7 @@ func verifyDrill(t *testing.T, c *cluster.Cluster, checker *chaos.Checker) []cha
 		}
 		return true
 	})
-	log, err := committedLog(c.CertLeader())
+	log, err := groundTruthLog(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestChaosCertifierLeaderCrashMidBatch(t *testing.T) {
 		t.Fatal("no commit progress before the crash")
 	}
 
-	leaderIdx := c.CertLeaderIndex()
+	leaderIdx := c.GroupLeaderIndex(0)
 	if leaderIdx < 0 {
 		t.Fatal("no leader")
 	}
@@ -303,7 +303,7 @@ func TestChaosCertifierLeaderCrashMidBatch(t *testing.T) {
 	// The system must fail over and make progress again.
 	var resumed atomic.Bool
 	if !chaos.WaitUntil(15*time.Second, func() bool {
-		if c.CertLeader() == nil {
+		if c.GroupLeader(0) == nil {
 			return false
 		}
 		resumed.Store(true)

@@ -63,7 +63,7 @@ func buildGrayPlan(seed int64, window time.Duration) chaosPlan {
 	// late.
 	p.gray = append(p.gray, grayOverride{
 		From:  cluster.ReplicaName(rng.Intn(chaosReplicas)),
-		To:    certNodeName(partitions, rng.Intn(nodes)),
+		To:    certNodeName(rng.Intn(nodes)),
 		Rules: chaos.Rules{DelayProb: 1, MaxDelay: time.Duration(2+rng.Intn(5)) * time.Millisecond},
 	})
 	// Victim 2: a lossy intra-group certifier link — most messages
@@ -76,8 +76,8 @@ func buildGrayPlan(seed int64, window time.Duration) chaosPlan {
 		to = (to + 1) % chaosCertifiers
 	}
 	p.gray = append(p.gray, grayOverride{
-		From: certNodeName(partitions, g*chaosCertifiers+from),
-		To:   certNodeName(partitions, g*chaosCertifiers+to),
+		From: certNodeName(g*chaosCertifiers + from),
+		To:   certNodeName(g*chaosCertifiers + to),
 		Rules: chaos.Rules{
 			DropProb:     0.20 + 0.20*rng.Float64(),
 			DropRespProb: 0.10 + 0.10*rng.Float64(),
@@ -94,7 +94,7 @@ func buildGrayPlan(seed int64, window time.Duration) chaosPlan {
 			Kind: "slow-disk", Node: rng.Intn(chaosReplicas)},
 		faultEvent{At: at(0.40, 0.60), Dur: time.Duration(20+rng.Intn(40)) * time.Millisecond, Kind: "cut",
 			From: cluster.ReplicaName(rng.Intn(chaosReplicas)),
-			To:   certNodeName(partitions, rng.Intn(nodes))},
+			To:   certNodeName(rng.Intn(nodes))},
 		faultEvent{At: at(0.30, 0.50), Kind: "dump", Node: rng.Intn(chaosReplicas)},
 	)
 	sort.Slice(p.events, func(i, j int) bool { return p.events[i].At < p.events[j].At })
@@ -335,11 +335,13 @@ func RunDegradedDrill(o Options) (DegradedDrillResult, error) {
 	// Kill the quorum: the leader and one follower. The surviving node
 	// answers — it is gray, not dead — but can never win an election.
 	cl := db.Cluster()
-	li := cl.CertLeaderIndex()
+	li := cl.GroupLeaderIndex(0)
 	if li < 0 {
 		li = 0
 	}
-	a, b := li, (li+1)%cl.Certifiers()
+	// b is a follower of the leader's own group.
+	size := cl.Certifiers() / cl.Groups()
+	a, b := li, li/size*size+(li%size+1)%size
 	imgA := cl.CrashCertifier(a)
 	imgB := cl.CrashCertifier(b)
 

@@ -192,7 +192,7 @@ func runPoint(sys System, replicas int, dedicated bool, wl workload.Generator, o
 	}
 	// Reset disk and batch stats after populate so group ratios and
 	// batch sizes reflect steady state, not the serial load phase.
-	if leader := c.CertLeader(); leader != nil {
+	if leader := c.GroupLeader(0); leader != nil {
 		leader.ResetActivityStats()
 	}
 	res := workload.Run(ctx, wl, begins, workload.RunConfig{
@@ -203,7 +203,7 @@ func runPoint(sys System, replicas int, dedicated bool, wl workload.Generator, o
 		Seed:              o.Seed,
 	})
 	pt := Point{System: sys, Replicas: replicas, Result: res}
-	if leader := c.CertLeader(); leader != nil {
+	if leader := c.GroupLeader(0); leader != nil {
 		pt.GroupRatio = leader.DiskStats().GroupRatio()
 		pt.CertUtil = leader.DiskUtilization()
 		pt.Batch = leader.BatchStats()

@@ -191,7 +191,7 @@ func closedLoopPeak(c *cluster.Cluster, window time.Duration) float64 {
 // other — and classifies every outcome.
 func openLoopPoint(c *cluster.Cluster, factor, rate float64, window time.Duration) OverloadPoint {
 	pt := OverloadPoint{Factor: factor, Rate: rate}
-	leader := c.CertLeader()
+	leader := c.GroupLeader(0)
 	if leader != nil {
 		leader.ResetActivityStats()
 	}

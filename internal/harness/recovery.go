@@ -211,7 +211,7 @@ func measureCertTransfer(o Options, rep *RecoveryReport) error {
 			return err
 		}
 	}
-	leader := c.CertLeader()
+	leader := c.GroupLeader(0)
 	if leader == nil {
 		return fmt.Errorf("no certifier leader")
 	}

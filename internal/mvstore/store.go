@@ -337,12 +337,6 @@ func (s *Store) advanceAnnounced(v uint64) {
 	s.orderMu.Unlock()
 }
 
-// InternalSeq returns the store's internal MVCC commit sequence (the
-// published prefix — what a new snapshot would read).
-func (s *Store) InternalSeq() uint64 {
-	return s.published.Load()
-}
-
 // ActiveTxns returns the number of in-flight transactions.
 func (s *Store) ActiveTxns() int {
 	n := 0

@@ -157,10 +157,33 @@ func (s *sequencer) skipTo(gen, seq uint64) {
 	s.mu.Unlock()
 }
 
+// seqOrder is the ordering point of a one-group topology: every
+// certifier response takes its slot in the per-replica response sequence
+// and is applied inside it, and the replica's version is the group's log
+// index itself.
+type seqOrder struct {
+	p      *Proxy
+	seq    *sequencer
+	client *certifier.Client // the group's
+}
+
+// replicaVersion is the planned cursor: everything above it is shipped.
+func (s *seqOrder) replicaVersion(int) uint64 { return s.p.ReplicaVersion() }
+
+// needSafeBack: Tashkent-API's chunks need the artificial-conflict bounds.
+func (s *seqOrder) needSafeBack() bool { return s.p.cfg.Mode == TashkentAPI }
+
+// localCert: with one group, a received remote writeset at a version in
+// (start, now] that a local writeset overlaps is one the certifier will
+// find committed after the transaction's snapshot — proof of an abort.
+// (The merger cannot say that; see merger.localCert.)
+func (s *seqOrder) localCert() bool { return s.p.cfg.LocalCertification }
+
 // enterSeq validates the response's epoch and takes its slot in the
 // per-replica sequence (atomically, inside the sequencer's lock).
-func (p *Proxy) enterSeq(epoch, seq uint64) (uint64, error) {
-	gen, err := p.seq.enter(epoch, seq, p.cfg.SeqTimeout)
+func (s *seqOrder) enterSeq(epoch, seq uint64) (uint64, error) {
+	p := s.p
+	gen, err := s.seq.enter(epoch, seq, p.cfg.SeqTimeout)
 	if ob := p.cfg.SeqObserver; ob != nil {
 		outcome := "apply"
 		switch {
@@ -193,7 +216,7 @@ func (o *ownCommit) dropHandle() {
 	}
 }
 
-// settle resolves one sequenced certifier response; it is the only
+// resolve settles one sequenced certifier response; it is the only
 // place a response takes its slot in the replica sequence. tx and ws
 // are what the caller still holds of the local transaction: a live
 // handle and its writeset (a client commit), the writeset alone (the
@@ -201,10 +224,11 @@ func (o *ownCommit) dropHandle() {
 // Inside the slot the response is one run for applyRun: its remote
 // writesets, then the local commit if certification granted one.
 //
-// It returns nil for a committed (or absent) local transaction,
-// ErrCertificationAbort for an aborted one, and any other error when
-// the response could not be applied.
-func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) error {
+// It returns the commit version for a committed (or absent) local
+// transaction, ErrCertificationAbort for an aborted one, and any other
+// error when the response could not be applied.
+func (s *seqOrder) resolve(_ int, resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) (uint64, error) {
+	p := s.p
 	seq := resp.ReplicaSeq
 	abortHandle := func() {
 		if tx != nil {
@@ -225,36 +249,36 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 		return ErrCertificationAbort
 	}
 
-	gen, err := p.enterSeq(resp.SeqEpoch, seq)
+	gen, err := s.enterSeq(resp.SeqEpoch, seq)
 	if err != nil {
 		// Broken sequence: after the resync every remote writeset is
 		// applied. The local transaction's fate still follows the
 		// certifier's decision, but it was certified against a version
 		// this replica has already passed, so it lands by writeset.
-		p.handleSeqFailure(err, gen, seq)
+		s.handleSeqFailure(err, gen, seq)
 		abortHandle()
 		if own != nil && p.applyOwnCommit(ws, own.cv) {
 			p.advanceRV(own.cv)
 			p.addStat(func(st *Stats) { st.Commits++ })
 		}
-		return verdict()
+		return resp.CommitVersion, verdict()
 	}
-	exit := sync.OnceFunc(func() { p.seq.exit(gen, seq) })
+	exit := sync.OnceFunc(func() { s.seq.exit(gen, seq) })
 	defer exit()
 
 	basis := p.ReplicaVersion()
 	remotes, err := p.decodeRemotes(resp.Remote, basis)
 	if err != nil {
 		abortHandle()
-		return err
+		return 0, err
 	}
 	if err := p.applyRun(basis, remotes, own, exit); err != nil {
-		return err
+		return 0, err
 	}
 	if own != nil {
 		p.addStat(func(st *Stats) { st.Commits++ })
 	}
-	return verdict()
+	return resp.CommitVersion, verdict()
 }
 
 // applyRun applies one ordered run of the global history at this
@@ -262,8 +286,8 @@ func (p *Proxy) settle(resp certifier.Response, tx *mvstore.Tx, ws *core.Writese
 // basis, the version the replica was planned through before the run),
 // then at most one local commit, own, above them all. Both ordering
 // points end here — a sequenced certifier response inside its slot
-// (settle) and a run of the partitioned merged stream on the merger
-// goroutine (applyMerged) — and release is how the caller's ordering
+// (seqOrder.resolve) and a run of the merged stream on the merger
+// goroutine (merger.apply) — and release is how the caller's ordering
 // point is handed on once the run holds its place in the log and the
 // scheduler: the sequencer slot's exit, nothing for the merger, which
 // is single-file anyway.
@@ -583,7 +607,7 @@ func (p *Proxy) addStat(f func(*Stats)) {
 // responses after certifier failover): declare the gap lost, pull
 // everything from the certifier and apply it serially — always safe
 // because writesets carry absolute values.
-func (p *Proxy) handleSeqFailure(cause error, gen, seq uint64) {
+func (s *seqOrder) handleSeqFailure(cause error, gen, seq uint64) {
 	if errors.Is(cause, errStaleSeq) {
 		return // slot skipped by a resync; that resync already applied the state
 	}
@@ -592,34 +616,19 @@ func (p *Proxy) handleSeqFailure(cause error, gen, seq uint64) {
 	// the gap before the caller applies its own writeset and announces
 	// past the hole.
 	if !errors.Is(cause, errEpochReset) {
-		p.seq.skipTo(gen, seq+1)
+		s.seq.skipTo(gen, seq+1)
 	}
-	p.Resync()
+	s.p.Resync()
 }
 
-// Resync pulls all missing remote writesets and applies them serially,
-// bringing the replica to the certifier's committed version. Used
-// after crashes, failovers and sequence gaps.
-//
-// The catch-up basis is the store's *applied* watermark (the announce
-// semaphore), not the planning cursor: after lost responses the
-// planning cursor may sit above versions whose writesets never reached
-// this replica — pulling from it would leave permanent holes. Entries
-// the normal appliers did apply (or apply concurrently while this
-// resync runs) are skipped by the store's labeled-commit gate, so
-// overlapping with in-flight appliers is safe.
-func (p *Proxy) Resync() error {
-	if p.part != nil {
-		return p.resyncPartitioned()
-	}
-	p.addStat(func(st *Stats) { st.Resyncs++ })
-	// Withdraw installed-but-unpublished commits first: stuck pendings
-	// hold row locks without a timeout, and this serial catch-up needs
-	// those rows. Their ranges lie above the announce cursor, so the
-	// pull below re-fetches them.
-	p.cfg.Store.CancelPendings()
-	basis := p.cfg.Store.AnnouncedVersion()
-	resp, err := p.cfg.Cert.Pull(certifier.PullRequest{
+// resync pulls all missing remote writesets above basis and applies
+// them serially, bringing the replica to the certifier's committed
+// version. Entries the normal appliers did apply (or apply concurrently
+// while this resync runs) are skipped by the store's labeled-commit
+// gate, so overlapping with in-flight appliers is safe.
+func (s *seqOrder) resync(basis uint64) error {
+	p := s.p
+	resp, err := s.client.Pull(certifier.PullRequest{
 		Origin:         p.cfg.ReplicaID,
 		ReplicaVersion: basis,
 		IncludeOwn:     true, // our own writesets were lost with the crash

@@ -17,16 +17,16 @@ import (
 // Partitioned certification (see internal/partition): the proxy talks
 // to N certifier groups instead of one. Commits route by partition —
 // a single-partition writeset certifies in one round against its
-// group; a cross-partition writeset runs the prepare/resolve protocol
-// across its groups. All application goes through one merger
-// goroutine that interleaves the per-group committed streams into the
-// deterministic merged order and applies it run by run through applyRun
-// — the policy cfg.Mode picks, the same as behind the classic response
-// sequencer — so every replica installs the same state at the same
-// merged version.
+// group, through the same path as a one-group commit; a cross-partition
+// writeset runs the prepare/resolve protocol across its groups. All
+// application goes through one merger goroutine that interleaves the
+// per-group committed streams into the deterministic merged order and
+// applies it run by run through applyRun — the policy cfg.Mode picks,
+// the same as behind the response sequencer — so every replica installs
+// the same state at the same merged version.
 //
 // The per-replica response sequencer, local certification and the
-// safe-back machinery are not used in partitioned mode: entries are
+// safe-back machinery are not used with several groups: entries are
 // addressed by (group, index), the assembler deduplicates and orders
 // them, and the merge is strict round-robin, so an entry's merged
 // version and a snapshot's position in each group's version space are
@@ -41,15 +41,17 @@ type waitKey struct {
 
 // ownWait is a committing client transaction waiting for its entry's
 // merged apply position; the merger answers with the merged version it
-// committed the transaction at.
+// committed the transaction at. tx is nil when the client gave the
+// commit up mid-round-trip: the run then installs ws by writeset.
 type ownWait struct {
 	tx *mvstore.Tx
 	ws *core.Writeset
 	ch chan uint64
 }
 
-// partState is the proxy's partitioned-mode machinery.
-type partState struct {
+// merger is the ordering point of a topology of several groups.
+type merger struct {
+	p    *Proxy
 	topo *partition.Topology
 
 	mu  sync.Mutex
@@ -82,69 +84,150 @@ const (
 	mergeFillPatience = 25 * time.Millisecond
 )
 
-func newPartState(topo *partition.Topology) *partState {
-	return &partState{
-		topo:       topo,
-		asm:        partition.NewAssembler(len(topo.Groups)),
+func newMerger(p *Proxy) *merger {
+	return &merger{
+		p:          p,
+		topo:       p.topo,
+		asm:        partition.NewAssembler(len(p.topo.Groups)),
 		waiters:    make(map[waitKey]*ownWait),
 		gidWaiters: make(map[uint64]*ownWait),
 		wake:       make(chan struct{}, 1),
 	}
 }
 
+// replicaVersion is the highest contiguous log index received from
+// group g.
+func (m *merger) replicaVersion(g int) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.asm.Frontier(g)
+}
+
+// needSafeBack: the merger applies run by run, never against a
+// response's safe-back bounds.
+func (m *merger) needSafeBack() bool { return false }
+
+// localCert: never with several groups. A cross-partition union is
+// applied at its first commit marker's merged position, which can come
+// before the union's part's position in the group that certifies a
+// local writeset over it. The replica's window (start, now] and that
+// group's window (GroupVersion(g, start), head] then disagree on what
+// the snapshot could have seen, so a received remote writeset that
+// overlaps a local one is no proof that the group will abort it.
+func (m *merger) localCert() bool { return false }
+
+// resolve feeds group g's response to the assembler and, if it
+// committed a local transaction, waits for the merger to commit that at
+// its merged position. ctx bounded only the certification round trip: a
+// client that gave up mid-certify (tx nil) is finished the same way, by
+// writeset.
+func (m *merger) resolve(g int, resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) (uint64, error) {
+	p := m.p
+	m.ingest(g, resp.Remote)
+	if ws == nil {
+		return 0, nil // a pull
+	}
+	if !resp.Committed {
+		if tx != nil {
+			tx.Abort()
+		}
+		p.addStat(func(st *Stats) { st.CertAborts++ })
+		return 0, ErrCertificationAbort
+	}
+	// The merger takes a waiter as it drains the waiter's action, so the
+	// drain cursor says which of the two got there first.
+	mv := m.topo.Map.MergedVersion(g, resp.CommitVersion)
+	var w *ownWait
+	m.mu.Lock()
+	if m.asm.MergedVersion() < mv {
+		w = &ownWait{tx: tx, ws: ws, ch: make(chan uint64, 1)}
+		m.waiters[waitKey{g, resp.CommitVersion}] = w
+	}
+	m.mu.Unlock()
+	var err error
+	if w != nil {
+		// A registered waiter is a reason for the merger to advance (it
+		// may be parked with nothing else to do).
+		m.nudge()
+		_, err = m.await(w)
+	} else {
+		// The response raced the stream: the entry is already in a run,
+		// which installs it by writeset.
+		if tx != nil {
+			tx.Abort()
+		}
+		err = p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, p.stopCh)
+		if errors.Is(err, mvstore.ErrWaitInterrupted) {
+			err = errUnresolved
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	p.addStat(func(st *Stats) { st.Commits++ })
+	return mv, nil
+}
+
+// resync brings a recovered replica back: the merger replays every
+// group's stream from index 1 (apply drops the actions the store
+// already covers), so resync only has to pull the streams and wait until
+// the merge has drained through base.
+func (m *merger) resync(base uint64) error {
+	p := m.p
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if err := p.PullOnce(); err != nil {
+			return err
+		}
+		m.mu.Lock()
+		applied := m.asm.MergedVersion()
+		m.mu.Unlock()
+		if applied >= base {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("proxy: partitioned resync stuck at merged version %d of %d", applied, base)
+		}
+		select {
+		case <-p.stopCh:
+			return ErrProxyClosed
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // ingest feeds raw committed entries of group g to the assembler and
 // wakes the merger.
-func (p *Proxy) ingest(g int, remote []certifier.RemoteWS) {
+func (m *merger) ingest(g int, remote []certifier.RemoteWS) {
 	if len(remote) == 0 {
 		return
 	}
-	ps := p.part
-	ps.mu.Lock()
+	m.mu.Lock()
 	for _, r := range remote {
-		ps.asm.Offer(g, r.Version, r.WSBytes)
+		m.asm.Offer(g, r.Version, r.WSBytes)
 	}
-	ps.mu.Unlock()
+	m.mu.Unlock()
+	p := m.p
 	p.mu.Lock()
 	p.lastRemote = time.Now()
 	p.mu.Unlock()
+	m.nudge()
+}
+
+// nudge wakes the merger goroutine if it is parked.
+func (m *merger) nudge() {
 	select {
-	case ps.wake <- struct{}{}:
+	case m.wake <- struct{}{}:
 	default:
 	}
 }
 
-// fanOut runs fn(0..n-1) concurrently and returns when all have: the
-// proxy's one way of talking to several certifier groups at once.
-func fanOut(n int, fn func(i int)) {
-	var wg sync.WaitGroup
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(i)
-		}()
-	}
-	if n > 0 {
-		fn(0)
-	}
-	wg.Wait()
-}
-
-// frontierOf is the highest contiguous log index received from group g
-// — what a certify or pull request to g reports so the response carries
-// the committed entries above it.
-func (ps *partState) frontierOf(g int) uint64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.asm.Frontier(g)
-}
-
-// mergerLoop is the replica's ordering point in partitioned mode: it
-// drains ready actions from the assembler and applies them, run by run,
-// in merged order. When the merge stalls it pulls every group at or behind the
-// blocked position — and if the blocking group's log is genuinely
-// shorter than the needed index, asks its leader to fill (idle
-// partitions must not stall the merge).
+// loop is the merger goroutine: it drains ready actions from the
+// assembler and applies them, run by run, in merged order. When the
+// merge stalls it pulls every group at or behind the blocked position —
+// and if the blocking group's log is genuinely shorter than the needed
+// index, asks its leader to fill (idle partitions must not stall the
+// merge).
 //
 // Two pacing rules keep the merge from becoming the system
 // bottleneck. First, the nudge deadline is tracked across wake-ups:
@@ -158,9 +241,8 @@ func (ps *partState) frontierOf(g int) uint64 {
 // horizon needs entries from every group, and waiting out the nudge
 // interval per group would cap the whole replica's apply rate at
 // groups-per-interval.
-func (p *Proxy) mergerLoop() {
-	defer p.wg.Done()
-	ps := p.part
+func (m *merger) loop() {
+	p := m.p
 	stallG := -2 // no stall being tracked
 	var stallIdx uint64
 	var stallFirst, stallSince time.Time
@@ -173,25 +255,25 @@ func (p *Proxy) mergerLoop() {
 		}
 		// One drain is one run: it ends at the first action a local client
 		// waits for — the run's own commit — or where the merge blocks.
-		ps.mu.Lock()
+		m.mu.Lock()
 		var run []partition.Action
 		var w *ownWait
 		for len(run) < 256 && w == nil {
-			act, ok := ps.asm.Next()
+			act, ok := m.asm.Next()
 			if !ok {
 				break
 			}
 			run = append(run, act)
-			w = ps.takeWaiterLocked(act)
+			w = m.takeWaiterLocked(act)
 		}
 		var blockG int
 		var blockIdx uint64
 		var motive bool
 		if len(run) == 0 {
-			blockG, blockIdx = ps.asm.Blocking()
-			motive = ps.asm.Pending() || len(ps.waiters) > 0 || len(ps.gidWaiters) > 0
+			blockG, blockIdx = m.asm.Blocking()
+			motive = m.asm.Pending() || len(m.waiters) > 0 || len(m.gidWaiters) > 0
 		}
-		ps.mu.Unlock()
+		m.mu.Unlock()
 
 		if len(run) == 0 {
 			// Progress gate: nudges and fills are warranted only while
@@ -206,7 +288,7 @@ func (p *Proxy) mergerLoop() {
 				select {
 				case <-p.stopCh:
 					return
-				case <-ps.wake:
+				case <-m.wake:
 				}
 				continue
 			}
@@ -222,17 +304,17 @@ func (p *Proxy) mergerLoop() {
 				select {
 				case <-p.stopCh:
 					return
-				case <-ps.wake:
+				case <-m.wake:
 				case <-time.After(wait):
 				}
 				continue
 			}
-			hot = p.nudgeLagging(blockG, blockIdx, now.Sub(stallFirst) >= mergeFillPatience)
+			hot = m.nudgeLagging(blockG, blockIdx, now.Sub(stallFirst) >= mergeFillPatience)
 			stallSince = time.Now() // re-arm: give the pulled data time to land
 			continue
 		}
 		stallG = -2
-		if !p.applyMerged(run, w) {
+		if !m.apply(run, w) {
 			return // store crashed; the recovery path builds a fresh proxy
 		}
 	}
@@ -252,18 +334,17 @@ func (p *Proxy) mergerLoop() {
 // group's index, which in turn makes every other group look short, so
 // an eager fill cascades into groups padding each other forever.
 // Returns whether any pull ingested new entries.
-func (p *Proxy) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
-	ps := p.part
+func (m *merger) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
 	if blockG < 0 {
 		return false
 	}
-	progressed := make([]bool, len(ps.topo.Groups))
-	ps.mu.Lock()
-	frontiers := make([]uint64, len(ps.topo.Groups))
+	var progressed atomic.Bool
+	m.mu.Lock()
+	frontiers := make([]uint64, len(m.topo.Groups))
 	for g := range frontiers {
-		frontiers[g] = ps.asm.Frontier(g)
+		frontiers[g] = m.asm.Frontier(g)
 	}
-	ps.mu.Unlock()
+	m.mu.Unlock()
 	// An idle group is padded level with the most advanced group, not
 	// just to the blocked row: every group must eventually supply an
 	// entry at each index up to the leader's frontier anyway, so one
@@ -275,18 +356,15 @@ func (p *Proxy) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
 			fillTo = f
 		}
 	}
-	fanOut(len(ps.topo.Groups), func(g int) {
+	fanOut(len(m.topo.Groups), func(g int) {
 		if frontiers[g] > blockIdx {
 			return // already past the merge horizon
 		}
-		progressed[g] = p.pullGroup(g, blockIdx, fillTo, fill && g == blockG)
-	})
-	for _, ok := range progressed {
-		if ok {
-			return true
+		if m.pullGroup(g, blockIdx, fillTo, fill && g == blockG) {
+			progressed.Store(true)
 		}
-	}
-	return false
+	})
+	return progressed.Load()
 }
 
 // pullGroup pulls one group up toward needIdx, padding a genuinely
@@ -294,21 +372,20 @@ func (p *Proxy) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
 // (or unconditionally when force is set — the patience fallback for a
 // group stuck busy under fault injection). Returns whether new
 // entries were ingested.
-func (p *Proxy) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
-	ps := p.part
-	frontier := ps.frontierOf(g)
+func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
+	frontier := m.replicaVersion(g)
 	if needIdx < frontier {
 		return false // already received; the merger just has not run yet
 	}
-	client := ps.topo.Groups[g]
+	client := m.topo.Groups[g]
 	resp, err := client.Pull(certifier.PullRequest{
-		Origin: p.cfg.ReplicaID, ReplicaVersion: frontier, IncludeOwn: true,
+		Origin: m.p.cfg.ReplicaID, ReplicaVersion: frontier, IncludeOwn: true,
 	})
 	if err != nil {
 		return false
 	}
-	p.ingest(g, resp.Remote)
-	after := ps.frontierOf(g)
+	m.ingest(g, resp.Remote)
+	after := m.replicaVersion(g)
 	if needIdx < after {
 		return after > frontier
 	}
@@ -323,42 +400,43 @@ func (p *Proxy) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 			return after > frontier
 		}
 		resp, err = client.Pull(certifier.PullRequest{
-			Origin: p.cfg.ReplicaID, ReplicaVersion: ps.frontierOf(g), IncludeOwn: true,
+			Origin: m.p.cfg.ReplicaID, ReplicaVersion: m.replicaVersion(g), IncludeOwn: true,
 		})
 		if err == nil {
-			p.ingest(g, resp.Remote)
-			after = ps.frontierOf(g)
+			m.ingest(g, resp.Remote)
+			after = m.replicaVersion(g)
 		}
 	}
 	return after > frontier
 }
 
 // takeWaiterLocked consumes the own-commit waiter addressed by act, if
-// one is registered. Caller holds ps.mu.
-func (ps *partState) takeWaiterLocked(act partition.Action) *ownWait {
+// one is registered. Caller holds m.mu.
+func (m *merger) takeWaiterLocked(act partition.Action) *ownWait {
 	if act.GID != 0 {
-		w := ps.gidWaiters[act.GID]
-		delete(ps.gidWaiters, act.GID)
+		w := m.gidWaiters[act.GID]
+		delete(m.gidWaiters, act.GID)
 		return w
 	}
 	key := waitKey{act.Group, act.Index}
-	w := ps.waiters[key]
-	delete(ps.waiters, key)
+	w := m.waiters[key]
+	delete(m.waiters, key)
 	return w
 }
 
-// applyMerged applies one drained run of the merged stream through
-// applyRun: its actions as the remote writesets (an action that
-// installs nothing still holds its merged version), ended by the commit
-// of the client waiting in w, if any. The merged stream is the replica's
-// ground truth, so a run that fails is retried until it lands, from
-// wherever the store has announced by then; only a store crash or
-// shutdown stops it, and then w is released (the outcome resolves at
-// recovery) and false returned.
+// apply applies one drained run of the merged stream through applyRun:
+// its actions as the remote writesets (an action that installs nothing
+// still holds its merged version), ended by the commit of the client
+// waiting in w, if any. The merged stream is the replica's ground truth,
+// so a run that fails is retried until it lands, from wherever the store
+// has announced by then; only a store crash or shutdown stops it, and
+// then w is released (the outcome resolves at recovery) and false
+// returned.
 //
 // The merger blocks in the local commit — own commits are serialized,
 // and no later run is scheduled before this one's commit has published.
-func (p *Proxy) applyMerged(run []partition.Action, w *ownWait) bool {
+func (m *merger) apply(run []partition.Action, w *ownWait) bool {
+	p := m.p
 	first, top := run[0].MV, run[len(run)-1].MV
 	var own *ownCommit
 	if w != nil {
@@ -403,88 +481,32 @@ func (p *Proxy) applyMerged(run []partition.Action, w *ownWait) bool {
 	}
 }
 
-// awaitMerged blocks a committing client until the merger has committed
-// its transaction, and returns the merged commit version.
-func (p *Proxy) awaitMerged(w *ownWait) (uint64, error) {
+// errUnresolved is what a client waiting for its commit's merged
+// position is told when the proxy shuts down first.
+var errUnresolved = fmt.Errorf("%w: commit outcome unresolved at shutdown", ErrProxyClosed)
+
+// await blocks a committing client until the merger has committed its
+// transaction, and returns the merged commit version.
+func (m *merger) await(w *ownWait) (uint64, error) {
 	select {
 	case mv := <-w.ch:
 		return mv, nil
-	case <-p.stopCh:
-		return 0, fmt.Errorf("%w: commit outcome unresolved at shutdown", ErrProxyClosed)
+	case <-m.p.stopCh:
+		return 0, errUnresolved
 	case <-time.After(30 * time.Second):
 		return 0, fmt.Errorf("proxy: merged apply of own commit timed out")
 	}
 }
 
-// commitSinglePartition is the fast path: one certification round
-// against the owning group, then wait for the entry's merged apply.
-// ctx bounds the certification round trip; a cancellation mid-certify
-// leaves the outcome unknown to the caller, and the merger installs
-// the writeset from the group's stream if it did commit (the entry is
-// addressed by (group, index), so no sequence hole results).
-func (p *Proxy) commitSinglePartition(ctx context.Context, t *Tx, ws *core.Writeset, g int) error {
-	ps := p.part
-	resp, err := ps.topo.Groups[g].CertifyCtx(ctx, certifier.Request{
-		Origin:         p.cfg.ReplicaID,
-		StartVersion:   ps.topo.Map.GroupVersion(g, t.start),
-		ReplicaVersion: ps.frontierOf(g),
-		WSBytes:        ws.Encode(nil),
-		Deadline:       deadlineNano(ctx),
-	})
-	if err != nil {
-		t.inner.Abort()
-		return certError(err)
-	}
-	p.ingest(g, resp.Remote)
-	if !resp.Committed {
-		t.inner.Abort()
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return ErrCertificationAbort
-	}
-	// The merger takes a waiter as it drains the waiter's action, so the
-	// drain cursor says which of the two got there first.
-	mv := ps.topo.Map.MergedVersion(g, resp.CommitVersion)
-	var w *ownWait
-	ps.mu.Lock()
-	if ps.asm.MergedVersion() < mv {
-		w = &ownWait{tx: t.inner, ws: ws, ch: make(chan uint64, 1)}
-		ps.waiters[waitKey{g, resp.CommitVersion}] = w
-	}
-	ps.mu.Unlock()
-	if w != nil {
-		// A registered waiter is a reason for the merger to advance (it
-		// may be parked with nothing else to do).
-		select {
-		case ps.wake <- struct{}{}:
-		default:
-		}
-		_, err = p.awaitMerged(w)
-	} else {
-		// The response raced the stream: the entry is already in a run,
-		// which installs it by writeset.
-		t.inner.Abort()
-		err = p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, p.stopCh)
-		if errors.Is(err, mvstore.ErrWaitInterrupted) {
-			err = fmt.Errorf("%w: commit outcome unresolved at shutdown", ErrProxyClosed)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	t.commitVersion = mv
-	p.addStat(func(st *Stats) { st.Commits++ })
-	return nil
-}
-
-// commitCrossPartition runs two-phase commit in two certifier rounds:
-// a durable prepare in every involved group at once, then — all having
+// commitCross runs two-phase commit in two certifier rounds: a durable
+// prepare in every involved group at once, then — all having
 // acknowledged — the commit marker to every group at once; replicas
 // apply the union of the parts atomically at the first commit marker's
 // merged position. Prepare locks never wait (a held item refuses the
 // prepare), so no lock order is needed; two transactions that collide
 // in two groups may refuse each other, and both then abort and retry.
-func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writeset, parts []partition.Part) error {
-	ps := p.part
+func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, parts []partition.Part) error {
+	p := m.p
 	gid := uint64(p.cfg.ReplicaID)<<40 | (gidCounter.Add(1) & (1<<40 - 1))
 	involved := make([]int, len(parts))
 	for i, part := range parts {
@@ -500,10 +522,10 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 	errs := make([]error, len(parts))
 	fanOut(len(parts), func(i int) {
 		pid := parts[i].PID
-		resps[i], errs[i] = ps.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
+		resps[i], errs[i] = m.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
 			GID:          gid,
 			Origin:       p.cfg.ReplicaID,
-			StartVersion: ps.topo.Map.GroupVersion(pid, t.start),
+			StartVersion: m.topo.Map.GroupVersion(pid, t.start),
 			Involved:     involved,
 			WSBytes:      parts[i].WS.Encode(nil),
 		})
@@ -517,7 +539,7 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 		// it may have landed), and where it was refused the marker is
 		// what keeps a duplicated late delivery of it from locking. An
 		// abort marker for a never-prepared gid is otherwise a no-op.
-		p.resolveDetached(gid, involved, false)
+		m.resolveDetached(gid, involved, false)
 		t.inner.Abort()
 		if errs[i] != nil {
 			return fmt.Errorf("proxy: prepare in partition %d: %w", part.PID, certError(errs[i]))
@@ -528,26 +550,23 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 
 	// Register the waiter before any marker can exist, then resolve.
 	w := &ownWait{tx: t.inner, ws: ws, ch: make(chan uint64, 1)}
-	ps.mu.Lock()
-	ps.gidWaiters[gid] = w
-	ps.mu.Unlock()
-	select {
-	case ps.wake <- struct{}{}:
-	default:
-	}
+	m.mu.Lock()
+	m.gidWaiters[gid] = w
+	m.mu.Unlock()
+	m.nudge()
 
-	if pending := p.resolveAll(gid, involved, true); len(pending) > 0 {
+	if pending := m.resolveAll(gid, involved, true); len(pending) > 0 {
 		// Some group is unreachable; a detached resolver keeps
 		// retrying (the prepares are durable — the decision must
 		// reach every group or its locks stay held).
-		p.resolveDetached(gid, pending, true)
+		m.resolveDetached(gid, pending, true)
 	}
 
-	mv, err := p.awaitMerged(w)
+	mv, err := m.await(w)
 	if err != nil {
-		ps.mu.Lock()
-		delete(ps.gidWaiters, gid)
-		ps.mu.Unlock()
+		m.mu.Lock()
+		delete(m.gidWaiters, gid)
+		m.mu.Unlock()
 		return err
 	}
 	t.commitVersion = mv
@@ -557,10 +576,10 @@ func (p *Proxy) commitCrossPartition(ctx context.Context, t *Tx, ws *core.Writes
 
 // resolveAll sends the decision to every group in pids at once and
 // returns the groups that did not acknowledge it.
-func (p *Proxy) resolveAll(gid uint64, pids []int, commit bool) []int {
+func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 	failed := make([]bool, len(pids))
 	fanOut(len(pids), func(i int) {
-		_, err := p.part.topo.Groups[pids[i]].Resolve(certifier.ResolveRequest{GID: gid, Commit: commit})
+		_, err := m.topo.Groups[pids[i]].Resolve(certifier.ResolveRequest{GID: gid, Commit: commit})
 		failed[i] = err != nil
 	})
 	var pending []int
@@ -580,19 +599,12 @@ func (p *Proxy) resolveAll(gid uint64, pids []int, commit bool) []int {
 // decision leaves the prepared groups' locks held — later conflicting
 // certifications abort until a restarted coordinator re-resolves,
 // which is legal (aborts, never a safety violation).
-func (p *Proxy) resolveDetached(gid uint64, pids []int, commit bool) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.wg.Add(1)
-	p.mu.Unlock()
-	go func() {
-		defer p.wg.Done()
+func (m *merger) resolveDetached(gid uint64, pids []int, commit bool) {
+	p := m.p
+	p.detach(func() {
 		backoff := 5 * time.Millisecond
 		for pending := pids; ; {
-			if pending = p.resolveAll(gid, pending, commit); len(pending) == 0 {
+			if pending = m.resolveAll(gid, pending, commit); len(pending) == 0 {
 				return
 			}
 			select {
@@ -604,61 +616,5 @@ func (p *Proxy) resolveDetached(gid uint64, pids []int, commit bool) {
 				backoff *= 2
 			}
 		}
-	}()
-}
-
-// pullOncePartitioned fetches every group's stream forward once, all
-// groups at the same time.
-func (p *Proxy) pullOncePartitioned() error {
-	ps := p.part
-	errs := make([]error, len(ps.topo.Groups))
-	fanOut(len(ps.topo.Groups), func(g int) {
-		resp, err := ps.topo.Groups[g].Pull(certifier.PullRequest{
-			Origin: p.cfg.ReplicaID, ReplicaVersion: ps.frontierOf(g), IncludeOwn: true,
-		})
-		if err != nil {
-			errs[g] = err
-			return
-		}
-		p.ingest(g, resp.Remote)
 	})
-	p.addStat(func(st *Stats) { st.StalenessPulls++ })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// resyncPartitioned brings a recovered replica back: the merger
-// replays every group's stream from index 1 (applyMerged drops the
-// actions the store already covers), so resync only has to pull the
-// streams and wait until the merge has drained through the pre-crash
-// base.
-func (p *Proxy) resyncPartitioned() error {
-	p.addStat(func(st *Stats) { st.Resyncs++ })
-	p.cfg.Store.CancelPendings() // see Resync
-	base := p.cfg.Store.AnnouncedVersion()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if err := p.pullOncePartitioned(); err != nil {
-			return err
-		}
-		ps := p.part
-		ps.mu.Lock()
-		applied := ps.asm.MergedVersion()
-		ps.mu.Unlock()
-		if applied >= base {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("proxy: partitioned resync stuck at merged version %d of %d", applied, base)
-		}
-		select {
-		case <-p.stopCh:
-			return ErrProxyClosed
-		case <-time.After(time.Millisecond):
-		}
-	}
 }

@@ -19,8 +19,8 @@
 //     and force partial serialization.
 //
 // The three are one pipeline; Proxy.applyRun picks the two policies in
-// which they differ, behind either ordering point (the classic response
-// sequencer, the partitioned merger).
+// which they differ, behind either ordering point (the response sequencer
+// of a one-group topology, the merger of several groups).
 //
 // The proxy also implements the paper's optimizations: local
 // certification (§6.2), eager pre-certification for deadlock avoidance
@@ -123,12 +123,18 @@ type Config struct {
 	Mode      Mode
 	ReplicaID int
 	Store     *mvstore.Store
-	Cert      *certifier.Client
+	// Parts is the certifier tier (see internal/partition): the partition
+	// map and one failover client per certifier group. The classic system
+	// is one group. Required.
+	Parts *partition.Topology
 	// LocalCertification enables the proxy-side pre-check against
-	// recently seen remote writesets.
+	// recently seen remote writesets (one group only; see
+	// seqOrder.localCert).
 	LocalCertification bool
 	// EagerPreCert kills conflicting local transactions before
 	// applying a remote writeset instead of relying on lock timeouts.
+	// Forced on with several groups: the merger must be able to displace
+	// local transactions holding locks it needs.
 	EagerPreCert bool
 	// StalenessBound, if nonzero, pulls remote writesets from the
 	// certifier after this much idle time.
@@ -153,17 +159,12 @@ type Config struct {
 	// partitioned, and nothing else: Base and Tashkent-MW install their
 	// remote batches synchronously (see applyRun) and leave it idle.
 	ApplyWorkers int
-	// Parts, when set, switches the proxy to partitioned certification
-	// (see internal/partition): commits route by partition across the
-	// topology's certifier groups, and Cert is ignored. Requires
-	// EagerPreCert (the merger must be able to displace local
-	// transactions holding locks it needs).
-	Parts *partition.Topology
 }
 
 // Proxy is the per-replica replication middleware.
 type Proxy struct {
-	cfg Config
+	cfg  Config
+	topo *partition.Topology
 
 	mu         sync.Mutex
 	rvPlanned  uint64 // highest global version scheduled for application
@@ -171,7 +172,9 @@ type Proxy struct {
 	stats      Stats
 	closed     bool
 
-	seq *sequencer
+	// order is where certifier responses take their place in the global
+	// order; proxy.New picks it from the topology.
+	order orderingPoint
 
 	// proxyLog: recent remote writesets for local certification, plus
 	// the items of remote writesets currently mid-application (for
@@ -188,15 +191,39 @@ type Proxy struct {
 	// store's labeled-commit gate instead.
 	applierTxs map[uint64]struct{}
 
-	// part is the partitioned-certification state (nil in classic mode).
-	part *partState
-
 	// sched is the dependency scheduler, the only applier of labeled
 	// remote writesets outside the synchronous catch-up paths.
 	sched *applyScheduler
 
 	stopCh chan struct{}
 	wg     sync.WaitGroup
+}
+
+// orderingPoint is where certifier responses take their place in this
+// replica's global order — the one thing the two topologies do
+// differently. With one group it is the per-replica response sequencer
+// (seqOrder, apply.go): responses are numbered by the certifier and
+// applied in that order. With several it is the merger (partition.go):
+// entries addressed by (group, index) are interleaved into one merged
+// order. Split, local check, certify, pull and the apply policy around
+// it are shared.
+type orderingPoint interface {
+	// replicaVersion is what a request to group g reports as its
+	// ReplicaVersion: the response carries g's committed entries above it.
+	replicaVersion(g int) uint64
+	// needSafeBack reports whether requests ask for safe-back bounds.
+	needSafeBack() bool
+	// localCert reports whether local certification may abort a commit.
+	localCert() bool
+	// resolve takes group g's certify response in and resolves the local
+	// transaction with it — tx and ws as for seqOrder.resolve; a pull is a
+	// response without one. It returns the transaction's position in the
+	// replica's order, ErrCertificationAbort when certification refused
+	// it, or another error.
+	resolve(g int, resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) (uint64, error)
+	// resync brings the replica up to the certifier tier from basis, the
+	// version its store has announced.
+	resync(basis uint64) error
 }
 
 type remoteRecord struct {
@@ -214,8 +241,14 @@ const maxRecent = 4096
 // records into shared fsyncs only if several installs are in flight.
 const defaultApplyWorkers = 8
 
-// New creates a proxy and starts its staleness-bounding loop.
+// New creates a proxy and starts its staleness-bounding loop. It is the
+// one place that looks at the topology: one certifier group orders
+// through the response sequencer, several through the merger. A config
+// without one client per group of its map is a wiring bug and panics.
 func New(cfg Config) *Proxy {
+	if cfg.Parts == nil || len(cfg.Parts.Groups) != max(cfg.Parts.Map.N, 1) {
+		panic("proxy: Config.Parts must hold one certifier client per group of its map")
+	}
 	if cfg.SeqTimeout == 0 {
 		cfg.SeqTimeout = 5 * time.Second
 	}
@@ -224,7 +257,7 @@ func New(cfg Config) *Proxy {
 	}
 	p := &Proxy{
 		cfg:           cfg,
-		seq:           newSequencer(),
+		topo:          cfg.Parts,
 		inFlightItems: make(map[core.ItemID]inFlightMark),
 		applierTxs:    make(map[uint64]struct{}),
 		lastRemote:    time.Now(),
@@ -235,16 +268,38 @@ func New(cfg Config) *Proxy {
 		workers = defaultApplyWorkers
 	}
 	p.sched = newApplyScheduler(p, workers)
-	if cfg.Parts != nil {
-		p.part = newPartState(cfg.Parts)
-		p.wg.Add(1)
-		go p.mergerLoop()
+	if len(p.topo.Groups) == 1 {
+		p.order = &seqOrder{p: p, seq: newSequencer(), client: p.topo.Groups[0]}
+	} else {
+		// The merger goroutine must be able to displace local transactions
+		// holding row locks it needs; without eager kills an own commit
+		// waiting for its merge position can deadlock against the merger
+		// until lock timeouts fire.
+		p.cfg.EagerPreCert = true
+		m := newMerger(p)
+		p.order = m
+		p.detach(m.loop)
 	}
 	if cfg.StalenessBound > 0 {
-		p.wg.Add(1)
-		go p.stalenessLoop()
+		p.detach(p.stalenessLoop)
 	}
 	return p
+}
+
+// detach runs fn on a goroutine Close waits for — unless the proxy is
+// already closed: after Close nobody may touch the store. Registering
+// under p.mu keeps wg.Add from racing Close's wg.Wait (WaitGroup misuse).
+func (p *Proxy) detach(fn func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		fn()
+	}()
 }
 
 // Close stops background activity. The store is left to its owner.
@@ -425,41 +480,38 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 		return nil
 	}
 
-	if p.part != nil {
-		// Partitioned mode: route by partition. Local certification and
-		// the response sequencer do not apply — entries are addressed by
-		// (group, index) and ordered by the deterministic merge.
-		parts := p.part.topo.Map.Split(ws)
-		if len(parts) == 1 {
-			return p.commitSinglePartition(ctx, t, ws, parts[0].PID)
-		}
-		return p.commitCrossPartition(ctx, t, ws, parts)
+	parts := p.topo.Map.Split(ws)
+	if len(parts) > 1 {
+		// Only a map of several groups splits a writeset, and proxy.New
+		// pairs those with the merger.
+		return p.order.(*merger).commitCross(ctx, t, ws, parts)
 	}
+	g := parts[0].PID
 
 	// Local certification (§6.2): a conflict with an already-received
 	// remote writeset aborts without bothering the certifier.
-	if p.cfg.LocalCertification && p.localConflict(ws, t.start) {
+	if p.order.localCert() && p.localConflict(ws, t.start) {
 		t.inner.Abort()
 		p.addStat(func(st *Stats) { st.LocalCertAborts++ })
 		return fmt.Errorf("%w (local certification)", ErrCertificationAbort)
 	}
 
-	req := certifier.Request{
+	resp, err := p.certify(ctx, t, g, certifier.Request{
 		Origin:         p.cfg.ReplicaID,
-		StartVersion:   t.start,
-		ReplicaVersion: p.ReplicaVersion(),
+		StartVersion:   p.topo.Map.GroupVersion(g, t.start),
+		ReplicaVersion: p.order.replicaVersion(g),
 		WSBytes:        ws.Encode(nil),
-		NeedSafeBack:   p.cfg.Mode == TashkentAPI,
+		NeedSafeBack:   p.order.needSafeBack(),
 		Deadline:       deadlineNano(ctx),
-	}
-	resp, err := p.certify(ctx, t, req)
+	})
 	if err != nil {
 		return err
 	}
-	if err := p.settle(resp, t.inner, ws); err != nil {
+	cv, err := p.order.resolve(g, resp, t.inner, ws)
+	if err != nil {
 		return err
 	}
-	t.commitVersion = resp.CommitVersion
+	t.commitVersion = cv
 	return nil
 }
 
@@ -468,18 +520,21 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 // giving up (the caller has already been answered with ctx.Err()).
 const certifyGrace = 500 * time.Millisecond
 
-// certify runs the certification round trip, honoring ctx. On
-// cancellation the local handle is aborted and the eventual response —
-// which may carry a commit decision — is resolved by a detached
+// certify runs the certification round trip to group g, honoring ctx.
+// On cancellation the local handle is aborted and the eventual response
+// — which may carry a commit decision — is resolved by a detached
 // finisher so no sequence gap or lost writeset results.
-func (p *Proxy) certify(ctx context.Context, t *Tx, req certifier.Request) (certifier.Response, error) {
-	if ctx.Done() == nil {
-		resp, err := p.cfg.Cert.Certify(req)
+func (p *Proxy) certify(ctx context.Context, t *Tx, g int, req certifier.Request) (certifier.Response, error) {
+	client := p.topo.Groups[g]
+	answered := func(resp certifier.Response, err error) (certifier.Response, error) {
 		if err != nil {
 			t.inner.Abort()
 			return resp, certError(err)
 		}
 		return resp, nil
+	}
+	if ctx.Done() == nil {
+		return answered(client.Certify(req))
 	}
 	// The RPC runs on a context of its own: an explicit caller cancel
 	// must not kill the call mid-flight (the decision may exist and the
@@ -499,41 +554,27 @@ func (p *Proxy) certify(ctx context.Context, t *Tx, req certifier.Request) (cert
 	ch := make(chan outcome, 1)
 	go func() {
 		defer cancel()
-		resp, err := p.cfg.Cert.CertifyCtx(callCtx, req)
+		resp, err := client.CertifyCtx(callCtx, req)
 		ch <- outcome{resp, err}
 	}()
 	select {
 	case o := <-ch:
-		if o.err != nil {
-			t.inner.Abort()
-			return o.resp, certError(o.err)
-		}
-		return o.resp, nil
+		return answered(o.resp, o.err)
 	case <-ctx.Done():
 		ws := t.inner.Writeset()
 		t.inner.Abort()
-		// Register the finisher under p.mu so it cannot race Close's
-		// wg.Wait (wg.Add concurrent with Wait is WaitGroup misuse).
-		// After Close nobody may touch the store, so drop the decision.
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return certifier.Response{}, ctx.Err()
-		}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		go func() {
-			defer p.wg.Done()
+		p.detach(func() {
 			o := <-ch
 			if o.err != nil {
 				return
 			}
 			// Nobody observes a detached failure: resync (IncludeOwn) or
 			// this replica permanently loses the response's writesets.
-			if err := p.settle(o.resp, nil, ws); err != nil && !errors.Is(err, ErrCertificationAbort) {
+			_, err := p.order.resolve(g, o.resp, nil, ws)
+			if err != nil && !errors.Is(err, ErrCertificationAbort) && !errors.Is(err, ErrProxyClosed) {
 				p.Resync()
 			}
-		}()
+		})
 		return certifier.Response{}, ctx.Err()
 	}
 }
@@ -701,7 +742,6 @@ func (p *Proxy) isApplierTx(id uint64) bool {
 // has not received remote writesets for the configured bound, pull
 // them proactively.
 func (p *Proxy) stalenessLoop() {
-	defer p.wg.Done()
 	tick := time.NewTicker(p.cfg.StalenessBound)
 	defer tick.Stop()
 	for {
@@ -720,27 +760,64 @@ func (p *Proxy) stalenessLoop() {
 	}
 }
 
-// PullOnce fetches and applies any missing writesets once. The pull
-// includes this replica's own writesets: a pull covers versions above
-// the replica's planned cursor — versions it provably does not have —
+// PullOnce fetches every group's missing writesets once, all groups at
+// the same time, and hands each response to the ordering point. The
+// pull includes this replica's own writesets: a pull covers entries
+// above what the replica reports — entries it provably does not have —
 // and in that range "own" writesets exist only if their commit
 // responses were lost (or the replica is rebuilding after a crash).
-// Excluding them would let the merged apply announce past versions
-// whose data never reached this replica, a permanent hole no later
-// resync could see (the resync basis sits above it).
+// Excluding them would let the apply announce past versions whose data
+// never reached this replica, a permanent hole no later resync could see
+// (the resync basis sits above it).
 func (p *Proxy) PullOnce() error {
-	if p.part != nil {
-		return p.pullOncePartitioned()
-	}
-	resp, err := p.cfg.Cert.Pull(certifier.PullRequest{
-		Origin:         p.cfg.ReplicaID,
-		ReplicaVersion: p.ReplicaVersion(),
-		NeedSafeBack:   p.cfg.Mode == TashkentAPI,
-		IncludeOwn:     true,
+	errs := make([]error, len(p.topo.Groups))
+	fanOut(len(p.topo.Groups), func(g int) {
+		resp, err := p.topo.Groups[g].Pull(certifier.PullRequest{
+			Origin:         p.cfg.ReplicaID,
+			ReplicaVersion: p.order.replicaVersion(g),
+			NeedSafeBack:   p.order.needSafeBack(),
+			IncludeOwn:     true,
+		})
+		if err == nil {
+			_, err = p.order.resolve(g, certifier.Response{SeqEpoch: resp.SeqEpoch, ReplicaSeq: resp.ReplicaSeq, Remote: resp.Remote}, nil, nil)
+		}
+		errs[g] = err
 	})
-	if err != nil {
-		return err
-	}
 	p.addStat(func(st *Stats) { st.StalenessPulls++ })
-	return p.settle(certifier.Response{SeqEpoch: resp.SeqEpoch, ReplicaSeq: resp.ReplicaSeq, Remote: resp.Remote}, nil, nil)
+	return errors.Join(errs...)
+}
+
+// fanOut runs fn(0..n-1) concurrently and returns when all have: the
+// proxy's one way of talking to several certifier groups at once. One
+// call runs inline.
+func fanOut(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	if n > 0 {
+		fn(0)
+	}
+	wg.Wait()
+}
+
+// Resync brings the replica up to the certifier tier's committed state —
+// after a crash, a failover or a broken response sequence.
+//
+// The catch-up basis is the store's *applied* watermark (the announce
+// semaphore), not the planning cursor: after lost responses the
+// planning cursor may sit above versions whose writesets never reached
+// this replica — pulling from it would leave permanent holes.
+func (p *Proxy) Resync() error {
+	p.addStat(func(st *Stats) { st.Resyncs++ })
+	// Withdraw installed-but-unpublished commits first: stuck pendings
+	// hold row locks without a timeout, and the catch-up needs those
+	// rows. Their ranges lie above the announce cursor, so the pull
+	// re-fetches them.
+	p.cfg.Store.CancelPendings()
+	return p.order.resync(p.cfg.Store.AnnouncedVersion())
 }

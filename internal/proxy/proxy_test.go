@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"tashkent/internal/certifier"
 	"tashkent/internal/core"
 	"tashkent/internal/mvstore"
+	"tashkent/internal/partition"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/transport"
 	"tashkent/internal/wal"
@@ -52,7 +54,7 @@ func newRig(t *testing.T, n int, mode Mode, mutate func(i int, cfg *Config, scfg
 		pcfg := Config{
 			Mode:               mode,
 			ReplicaID:          i + 1,
-			Cert:               certifier.NewClient([]transport.Client{r.fabric.Dial("cert0")}, 3*time.Second),
+			Parts:              oneGroup(r.fabric.Dial("cert0")),
 			LocalCertification: true,
 			EagerPreCert:       true,
 			SeqTimeout:         2 * time.Second,
@@ -69,6 +71,11 @@ func newRig(t *testing.T, n int, mode Mode, mutate func(i int, cfg *Config, scfg
 		t.Cleanup(func() { p.Close(); store.Close() })
 	}
 	return r
+}
+
+// oneGroup is the classic certifier tier: one group, here of one node.
+func oneGroup(node transport.Client) *partition.Topology {
+	return &partition.Topology{Groups: []*certifier.Client{certifier.NewClient([]transport.Client{node}, 3*time.Second)}}
 }
 
 func commitUpdate(t *testing.T, p *Proxy, table, key, val string) error {
@@ -710,6 +717,27 @@ func TestSequencerEpochResetDrainsActiveHolder(t *testing.T) {
 	case <-entered:
 	case <-time.After(2 * time.Second):
 		t.Fatal("new-epoch enter did not proceed after the holder drained")
+	}
+}
+
+// TestNewRefusesConfigWithoutTopology: a proxy wired without one
+// certifier client per group of its map is refused with a message that
+// names the field, not left to a nil dereference on its first commit.
+func TestNewRefusesConfigWithoutTopology(t *testing.T) {
+	one := oneGroup(transport.NewLocalFabric(0).Dial("cert0")).Groups
+	for name, parts := range map[string]*partition.Topology{
+		"nil":              nil,
+		"no groups":        {},
+		"short of its map": {Map: partition.Map{N: 2}, Groups: one},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Config.Parts") {
+					t.Errorf("New accepted it (recovered %v)", r)
+				}
+			}()
+			New(Config{Mode: TashkentMW, Parts: parts})
+		})
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"tashkent/internal/certifier"
 	"tashkent/internal/mvstore"
 	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
@@ -43,10 +42,8 @@ type Config struct {
 	ID   int
 	Mode proxy.Mode
 	IO   IOConfig
-	Cert *certifier.Client
-	// Parts switches the replica to partitioned certification: commits
-	// route across the topology's certifier groups and Cert is unused
-	// (see internal/partition). Forces eager pre-certification.
+	// Parts is the certifier tier: the partition map and one failover
+	// client per certifier group (see proxy.Config.Parts).
 	Parts *partition.Topology
 
 	// Storage tuning (see mvstore.Config).
@@ -128,25 +125,16 @@ func Open(cfg Config) *Replica {
 }
 
 func (r *Replica) newProxy(store *mvstore.Store) *proxy.Proxy {
-	eager := r.cfg.EagerPreCert
-	if r.cfg.Parts != nil {
-		// The merger goroutine must be able to displace local
-		// transactions holding row locks it needs; without eager kills
-		// an own commit waiting for its merge position can deadlock
-		// against the merger until lock timeouts fire.
-		eager = true
-	}
 	return proxy.New(proxy.Config{
 		Mode:               r.cfg.Mode,
 		ReplicaID:          r.cfg.ID,
 		Store:              store,
-		Cert:               r.cfg.Cert,
+		Parts:              r.cfg.Parts,
 		LocalCertification: r.cfg.LocalCertification,
-		EagerPreCert:       eager,
+		EagerPreCert:       r.cfg.EagerPreCert,
 		StalenessBound:     r.cfg.StalenessBound,
 		SeqTimeout:         r.cfg.SeqTimeout,
 		SeqObserver:        r.cfg.SeqObserver,
-		Parts:              r.cfg.Parts,
 		ApplyWorkers:       r.cfg.ApplyWorkers,
 	})
 }
@@ -175,6 +163,9 @@ func (r *Replica) Store() *mvstore.Store {
 	defer r.mu.Unlock()
 	return r.store
 }
+
+// Topology returns the certifier tier the replica was opened with.
+func (r *Replica) Topology() *partition.Topology { return r.cfg.Parts }
 
 // DataDisk and LogDisk expose the IO channels for measurement.
 func (r *Replica) DataDisk() *simdisk.Disk { return r.dataDisk }

@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"tashkent/internal/certifier"
+	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/transport"
 )
 
-// newCertGroup starts a single-node certifier and returns a client.
-func newCertGroup(t *testing.T) *certifier.Client {
+// newCertGroup starts a single-node certifier and returns the one-group
+// topology over it.
+func newCertGroup(t *testing.T) *partition.Topology {
 	t.Helper()
 	fabric := transport.NewLocalFabric(0)
 	srv := certifier.New(certifier.Config{
@@ -30,12 +32,12 @@ func newCertGroup(t *testing.T) *certifier.Client {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return certifier.NewClient([]transport.Client{fabric.Dial("cert")}, 3*time.Second)
+	return &partition.Topology{Groups: []*certifier.Client{certifier.NewClient([]transport.Client{fabric.Dial("cert")}, 3*time.Second)}}
 }
 
 func TestReplicaLifecycle(t *testing.T) {
-	cert := newCertGroup(t)
-	r := Open(Config{ID: 1, Mode: proxy.TashkentMW, Cert: cert,
+	parts := newCertGroup(t)
+	r := Open(Config{ID: 1, Mode: proxy.TashkentMW, Parts: parts,
 		LocalCertification: true, EagerPreCert: true})
 	defer r.Close()
 
@@ -58,8 +60,8 @@ func TestReplicaLifecycle(t *testing.T) {
 }
 
 func TestReplicaDumpKeepsTwoCopies(t *testing.T) {
-	cert := newCertGroup(t)
-	r := Open(Config{ID: 1, Mode: proxy.TashkentMW, Cert: cert})
+	parts := newCertGroup(t)
+	r := Open(Config{ID: 1, Mode: proxy.TashkentMW, Parts: parts})
 	defer r.Close()
 	for i := 0; i < 3; i++ {
 		tx, _ := r.Begin()
@@ -80,8 +82,8 @@ func TestReplicaDumpKeepsTwoCopies(t *testing.T) {
 }
 
 func TestReplicaCrashThenBeginFails(t *testing.T) {
-	cert := newCertGroup(t)
-	r := Open(Config{ID: 1, Mode: proxy.Base, Cert: cert})
+	parts := newCertGroup(t)
+	r := Open(Config{ID: 1, Mode: proxy.Base, Parts: parts})
 	defer r.Close()
 	r.Crash()
 	r.Crash() // idempotent
