@@ -72,7 +72,6 @@ func main() {
 		warmup   = flag.Duration("warmup", 300*time.Millisecond, "warmup per point")
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxBatch = flag.Int("maxbatch", 0, "certifier pipeline batch cap (0 = certifier default)")
-		maxWait  = flag.Duration("maxwait", 0, "certifier pipeline batch linger (0 = drain-only)")
 		policies = flag.String("policy", "roundrobin,leastinflight,rwsplit",
 			"comma-separated routing policies for -exp policies: roundrobin|leastinflight|rwsplit")
 		clientSweep = flag.String("clientsweep", "1,2,4,8,16,32",
@@ -110,7 +109,6 @@ func main() {
 		Measure:           *measure,
 		Seed:              *seed,
 		CertMaxBatch:      *maxBatch,
-		CertMaxWait:       *maxWait,
 		Out:               os.Stdout,
 	}
 

@@ -3,6 +3,7 @@ package certifier
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"tashkent/internal/core"
@@ -14,7 +15,9 @@ import (
 // round and one fsync per transaction, RPC handlers enqueue onto an
 // admission queue and a dedicated certification loop repeatedly
 //
-//  1. drains every waiting request (bounded by Config.MaxBatch),
+//  1. drains every waiting request (bounded by Config.MaxBatch), and
+//     lingers briefly for the clients its last fan-out answered (see
+//     gatherBatch),
 //  2. conflict-checks them in admission order against the engine —
 //     later requests in the batch see earlier survivors, exactly as if
 //     they had been serialized,
@@ -44,6 +47,33 @@ type certifyTask struct {
 	commit bool // survived certification; part of the batch proposal
 
 	done chan struct{} // closed when resp/err are final
+}
+
+// lingerShare sets the echo window as a share of the batch cycle: a
+// request admitted within cycle/lingerShare of a fan-out is an echo of
+// it, and a gather lingers at most until that window closes. A client's
+// return trip (≈ 0.2–0.3 ms) fits inside an eighth of a 5 ms flush but
+// not always inside a thirty-second.
+const lingerShare = 8
+
+// echoDecay is the reciprocal weight of the newest fan-out's echo count
+// in the expected count.
+const echoDecay = 4
+
+// fanout is the leader's most recent response fan-out as admission sees
+// it. A certify request admitted within window of at is an echo: most
+// likely a closed-loop client the fan-out just answered, coming back.
+type fanout struct {
+	at     time.Time
+	window time.Duration
+	echoes atomic.Int64
+}
+
+// admitted counts a request admitted at the given time if it echoes f.
+func (f *fanout) admitted(at time.Time) {
+	if d := at.Sub(f.at); d >= 0 && d <= f.window {
+		f.echoes.Add(1)
+	}
 }
 
 // errDeadlineExpired resolves requests whose caller's context deadline
@@ -135,6 +165,9 @@ func (s *Server) certify(req Request) (Response, error) {
 	// Token in hand: queue occupancy is strictly below QueueDepth, so
 	// this send cannot block behind anything but scheduling.
 	t.enqueued = time.Now()
+	if f := s.fanout.Load(); f != nil {
+		f.admitted(t.enqueued)
+	}
 	select {
 	case s.admitCh <- t:
 	case <-s.stopCh:
@@ -188,39 +221,72 @@ func (s *Server) certifyLoop() {
 	}
 }
 
-// gatherBatch collects up to MaxBatch tasks behind first. With MaxWait
-// set it lingers for stragglers; otherwise it takes only what is
-// already queued. Returns nil if the server stopped mid-gather (the
-// collected tasks are failed).
+// gatherBatch collects up to MaxBatch tasks behind first: everything
+// already queued and then, if the last fan-out's clients are expected
+// back (s.expected >= 1), their echoes. Once the queue is empty it
+// lingers until the first of: the echoes counted since the last fan-out
+// reach the expected count, the fan-out's window closes, a task in hand
+// reaches its deadline, or the server stops. The window is anchored at
+// the fan-out, so a gather that starts after an idle period or a
+// leadership change does not linger at all, and it is one eighth of the
+// measured cycle, so the tasks already queued wait at most that long
+// for a batch that saves the echoes a whole cycle. Returns nil if the
+// server stopped mid-gather (the collected tasks are failed).
 func (s *Server) gatherBatch(first *certifyTask) []*certifyTask {
 	batch := append(make([]*certifyTask, 0, 16), first)
-	if s.cfg.MaxWait <= 0 {
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t := <-s.admitCh:
-				s.releaseSlot()
-				batch = append(batch, t)
-			default:
+	f := s.fanout.Load()
+	var until time.Time // zero: do not linger (no deadline is earlier)
+	if f != nil && s.expected >= 1 {
+		until = earliest(f.at.Add(f.window), first.deadline)
+	}
+	for len(batch) < s.cfg.MaxBatch {
+		var t *certifyTask
+		select {
+		case t = <-s.admitCh:
+		default:
+			wait := time.Until(until)
+			if wait <= 0 || float64(f.echoes.Load()) >= s.expected {
 				return batch
 			}
+			timer := time.NewTimer(wait)
+			select {
+			case t = <-s.admitCh:
+				timer.Stop()
+			case <-timer.C:
+				return batch
+			case <-s.stopCh:
+				timer.Stop()
+				s.failTasks(batch, paxos.ErrStopped)
+				return nil
+			}
 		}
-		return batch
-	}
-	timer := time.NewTimer(s.cfg.MaxWait)
-	defer timer.Stop()
-	for len(batch) < s.cfg.MaxBatch {
-		select {
-		case t := <-s.admitCh:
-			s.releaseSlot()
-			batch = append(batch, t)
-		case <-timer.C:
-			return batch
-		case <-s.stopCh:
-			s.failTasks(batch, paxos.ErrStopped)
-			return nil
-		}
+		s.releaseSlot()
+		batch = append(batch, t)
+		until = earliest(until, t.deadline)
 	}
 	return batch
+}
+
+// earliest returns the earlier of a and b, a zero b meaning no bound.
+func earliest(a, b time.Time) time.Time {
+	if !b.IsZero() && b.Before(a) {
+		return b
+	}
+	return a
+}
+
+// publishFanout records a fan-out about to start for a batch drained at
+// drainedAt: the batch's cycle (drain to durability) is measured, the
+// previous fan-out's echoes are folded into the expected count, and the
+// new fan-out opens an echo window of one eighth of the cycle.
+func (s *Server) publishFanout(drainedAt time.Time) {
+	now := time.Now()
+	cycle := now.Sub(drainedAt)
+	s.cycle.Store(int64(cycle))
+	if prev := s.fanout.Load(); prev != nil {
+		s.expected += (float64(prev.echoes.Load()) - s.expected) / echoDecay
+	}
+	s.fanout.Store(&fanout{at: now, window: cycle / lingerShare})
 }
 
 // drainAdmitted fails everything still sitting in the admission queue
@@ -387,8 +453,10 @@ func (s *Server) processBatch(batch []*certifyTask) {
 	}
 
 	// Stage 5: fan out. Every commit version <= lastIdx is majority
-	// durable now.
+	// durable now. The fan-out is published before the first waiter
+	// wakes, so its client's next request can count as an echo.
 	sysv := s.node.CommitIndex()
+	s.publishFanout(drainedAt)
 	for _, t := range commits {
 		t.resp.SystemVersion = sysv
 		t.finish()

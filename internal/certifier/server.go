@@ -49,12 +49,6 @@ type Config struct {
 	// pipeline iteration drains into a single replication round and
 	// durability barrier (<=0 selects the default of 256).
 	MaxBatch int
-	// MaxWait is how long the certification loop lingers after the
-	// first admitted request to let stragglers join its batch. Zero
-	// (the default) means no artificial delay: the loop takes whatever
-	// is already queued — under load batches form naturally while the
-	// previous barrier is on the disk.
-	MaxWait time.Duration
 	// AdmitTimeout is the admission-control budget: a request that
 	// cannot get a queue slot within this budget is shed with an
 	// OVERLOADED/retry-after response instead of queueing without
@@ -117,6 +111,15 @@ type Server struct {
 	// commit more entries from one that is genuinely idle and needs a
 	// fill to unblock the merge.
 	inFlight atomic.Int64
+
+	// Batch linger state (see gatherBatch). fanout is the last fan-out,
+	// whose echoes request handlers count at admission; cycle is the
+	// last committed batch's drain-to-durability time in nanoseconds (0
+	// before the first barrier); expected, the decaying average of
+	// echoes per fan-out, belongs to the certification loop alone.
+	fanout   atomic.Pointer[fanout]
+	cycle    atomic.Int64
+	expected float64
 
 	mu         sync.Mutex // guards engine + basisTerm + rng + stats
 	engine     *core.Engine
@@ -248,10 +251,11 @@ func (s *Server) QueueStats() QueueStats {
 }
 
 // retryAfterHint scales the shed response's backoff hint with queue
-// occupancy: an idle-ish queue suggests one batch linger, a saturated
-// one suggests proportionally more.
+// occupancy: an idle-ish queue suggests one measured batch cycle, a
+// saturated one proportionally more. Before the first barrier there is
+// no cycle to go by, and the hint is 2 ms.
 func (s *Server) retryAfterHint() time.Duration {
-	base := s.cfg.MaxWait
+	base := time.Duration(s.cycle.Load())
 	if base <= 0 {
 		base = 2 * time.Millisecond
 	}

@@ -41,10 +41,9 @@ type Config struct {
 	// DisableCertDurability turns off certifier disk writes — the
 	// tashAPInoCERT configuration of §9.2.
 	DisableCertDurability bool
-	// CertMaxBatch/CertMaxWait tune the certifier's batched
-	// certification pipeline (see certifier.Config.MaxBatch/MaxWait).
+	// CertMaxBatch caps the certifier's batches (see
+	// certifier.Config.MaxBatch).
 	CertMaxBatch int
-	CertMaxWait  time.Duration
 	// CertAdmitTimeout/CertQueueDepth tune the certifier's admission
 	// control (see certifier.Config.AdmitTimeout/QueueDepth): requests
 	// that would wait longer than the budget are shed with an
@@ -531,7 +530,6 @@ func (c *Cluster) newCertifier(i int, incarnation int64) *certifier.Server {
 		DisableDurability: c.cfg.DisableCertDurability,
 		AbortRate:         c.cfg.AbortRate,
 		MaxBatch:          c.cfg.CertMaxBatch,
-		MaxWait:           c.cfg.CertMaxWait,
 		AdmitTimeout:      c.cfg.CertAdmitTimeout,
 		QueueDepth:        c.cfg.CertQueueDepth,
 		PaxosCallHook:     c.paxosHookFor(i),

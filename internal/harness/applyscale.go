@@ -219,7 +219,6 @@ func runApplyLagPhase(res *ApplyScaleResult, o Options) error {
 		IOProfile:          o.profile(),
 		DedicatedIO:        true,
 		CertMaxBatch:       o.CertMaxBatch,
-		CertMaxWait:        o.CertMaxWait,
 		LocalCertification: true,
 		EagerPreCert:       true,
 		ApplyWorkers:       8,

@@ -22,8 +22,8 @@ func RunBatchingExperiment(o Options) ([]Series, error) {
 	if o.CertMaxBatch > 0 {
 		maxBatch = fmt.Sprintf("%d", o.CertMaxBatch)
 	}
-	fmt.Fprintf(o.Out, "scale=1/%d  clients/replica=%d  maxbatch=%s  maxwait=%s\n",
-		o.Scale, o.ClientsPerReplica, maxBatch, o.CertMaxWait)
+	fmt.Fprintf(o.Out, "scale=1/%d  clients/replica=%d  maxbatch=%s\n",
+		o.Scale, o.ClientsPerReplica, maxBatch)
 
 	systems := []System{SysMW, SysAPI}
 	var out []Series

@@ -157,8 +157,14 @@ func TestOverloadKnee(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range res.Points {
-		t.Logf("%.1fx offered=%.0f/s acked=%d shed=%d expired=%d aborted=%d errs=%d goodput=%.0f/s (%.0f%% of peak %.0f)",
-			p.Factor, p.Rate, p.Acked, p.Shed, p.Expired, p.Aborted, p.Errors, p.Goodput, 100*p.Goodput/res.Peak, res.Peak)
+		t.Logf("%.1fx offered=%.0f/s acked=%d shed=%d (min retry-after %v) expired=%d aborted=%d errs=%d goodput=%.0f/s (%.0f%% of peak %.0f)",
+			p.Factor, p.Rate, p.Acked, p.Shed, p.RetryAfterMin, p.Expired, p.Aborted, p.Errors, p.Goodput, 100*p.Goodput/res.Peak, res.Peak)
+		// A shed's retry-after hint is at least one measured batch cycle,
+		// and no cycle is shorter than the ladder's shortest certifier
+		// flush (5 ms ± 1 ms).
+		if p.Shed > 0 && p.RetryAfterMin < 4*time.Millisecond {
+			t.Errorf("%.1fx: a shed carried a retry-after hint of %v, shorter than one batch cycle", p.Factor, p.RetryAfterMin)
+		}
 	}
 	g2 := res.GoodputAt(2.0)
 	if g2 == 0 {

@@ -72,10 +72,9 @@ type Options struct {
 	// commits ~50 txn/s, a standalone/MW replica ~250-500). Negative
 	// disables it.
 	ExecTime time.Duration
-	// CertMaxBatch/CertMaxWait tune the certifier's batched
-	// certification pipeline (zero keeps the certifier defaults).
+	// CertMaxBatch caps the certifier's batches (zero keeps the
+	// certifier default).
 	CertMaxBatch int
-	CertMaxWait  time.Duration
 	// Out receives the formatted tables (nil discards).
 	Out io.Writer
 }
@@ -141,7 +140,6 @@ func clusterFor(sys System, replicas int, dedicated bool, abortRate float64, o O
 		DedicatedIO:        dedicated,
 		AbortRate:          abortRate,
 		CertMaxBatch:       o.CertMaxBatch,
-		CertMaxWait:        o.CertMaxWait,
 		LocalCertification: true,
 		EagerPreCert:       true,
 		LockTimeout:        5 * time.Second,

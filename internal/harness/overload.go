@@ -50,11 +50,12 @@ type OverloadPoint struct {
 	Offered       int     // requests issued
 	Rate          float64 // offered req/s
 	Acked         int
-	Shed          int     // server shed at admission (ErrOverloaded)
-	Expired       int     // request deadline exceeded
-	Aborted       int     // certification conflicts
-	Errors        int     // everything else (including generator backpressure drops)
-	Goodput       float64 // acked commits/s
+	Shed          int           // server shed at admission (ErrOverloaded)
+	RetryAfterMin time.Duration // shortest retry-after hint a shed carried
+	Expired       int           // request deadline exceeded
+	Aborted       int           // certification conflicts
+	Errors        int           // everything else (including generator backpressure drops)
+	Goodput       float64       // acked commits/s
 	P50, P99      time.Duration
 	QueueShed     int64
 	QueueExpired  int64
@@ -106,7 +107,6 @@ func RunOverloadExperiment(o Options) (OverloadResult, error) {
 			FsyncJitter:  time.Millisecond,
 		},
 		CertMaxBatch: 8,
-		CertMaxWait:  200 * time.Microsecond,
 		// A full queue must drain comfortably inside the admission
 		// budget (32 slots / ~950 certifications/s ≈ 34ms < 50ms), or
 		// every admitted request out-waits the budget and is shed at
@@ -197,6 +197,7 @@ func openLoopPoint(c *cluster.Cluster, factor, rate float64, window time.Duratio
 	}
 
 	lat := metrics.NewLatency(0)
+	hints := metrics.NewLatency(0)
 	var acked, shed, expired, aborted, errs atomic.Int64
 	sem := make(chan struct{}, ovlMaxInFlight)
 	var wg sync.WaitGroup
@@ -255,6 +256,9 @@ func openLoopPoint(c *cluster.Cluster, factor, rate float64, window time.Duratio
 					lat.Observe(el)
 				case errors.Is(err, certifier.ErrOverloaded):
 					shed.Add(1)
+					if ra, ok := certifier.RetryAfter(err); ok {
+						hints.Observe(ra)
+					}
 				case workload.IsAbort(err):
 					aborted.Add(1)
 				case rctx.Err() != nil:
@@ -270,6 +274,7 @@ func openLoopPoint(c *cluster.Cluster, factor, rate float64, window time.Duratio
 
 	pt.Acked = int(acked.Load())
 	pt.Shed = int(shed.Load())
+	pt.RetryAfterMin = hints.Summarize().Min
 	pt.Expired = int(expired.Load())
 	pt.Aborted = int(aborted.Load())
 	pt.Errors = int(errs.Load())

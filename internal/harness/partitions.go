@@ -114,7 +114,6 @@ func runPartitionPoint(parts, replicas int, o Options) (PartitionPoint, error) {
 		IOProfile:          o.profile(),
 		DedicatedIO:        true,
 		CertMaxBatch:       o.CertMaxBatch,
-		CertMaxWait:        o.CertMaxWait,
 		LocalCertification: true,
 		EagerPreCert:       true,
 		LockTimeout:        5 * time.Second,

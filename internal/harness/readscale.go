@@ -130,7 +130,6 @@ func runReadScaleCluster(clients int, o Options) (workload.Result, error) {
 		IOProfile:          o.profile(),
 		DedicatedIO:        true,
 		CertMaxBatch:       o.CertMaxBatch,
-		CertMaxWait:        o.CertMaxWait,
 		LocalCertification: true,
 		EagerPreCert:       true,
 		LockTimeout:        5 * time.Second,

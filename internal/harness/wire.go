@@ -142,7 +142,6 @@ func runWireUpdate(tr string, replicas, clients int, o Options) (WirePoint, erro
 		IOProfile:          o.profile(),
 		DedicatedIO:        true,
 		CertMaxBatch:       o.CertMaxBatch,
-		CertMaxWait:        o.CertMaxWait,
 		LocalCertification: true,
 		EagerPreCert:       true,
 		LockTimeout:        5 * time.Second,
