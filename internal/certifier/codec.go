@@ -34,6 +34,15 @@ var (
 
 var errShortMessage = errors.New("certifier: short binary message")
 
+// checkFlags refuses a flags byte with a bit outside known: every
+// decoded message then re-encodes to the bytes it came from.
+func checkFlags(flags, known byte) error {
+	if flags&^known != 0 {
+		return fmt.Errorf("certifier: unknown flag bits %#x", flags&^known)
+	}
+	return nil
+}
+
 func appendBytes(buf, b []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
 	return append(buf, b...)
@@ -72,6 +81,9 @@ func (r *Request) AppendBinary(buf []byte) []byte {
 func (r *Request) DecodeBinary(data []byte) error {
 	if len(data) < 29 {
 		return errShortMessage
+	}
+	if err := checkFlags(data[28], 1); err != nil {
+		return err
 	}
 	r.Origin = int(binary.BigEndian.Uint32(data))
 	r.StartVersion = binary.BigEndian.Uint64(data[4:])
@@ -148,6 +160,9 @@ func (r *Response) DecodeBinary(data []byte) error {
 	if len(data) < 33 {
 		return errShortMessage
 	}
+	if err := checkFlags(data[0], 1); err != nil {
+		return err
+	}
 	r.Committed = data[0]&1 != 0
 	r.CommitVersion = binary.BigEndian.Uint64(data[1:])
 	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
@@ -183,6 +198,9 @@ func (r *PullRequest) DecodeBinary(data []byte) error {
 	if len(data) != 13 {
 		return errShortMessage
 	}
+	if err := checkFlags(data[12], 3); err != nil {
+		return err
+	}
 	r.Origin = int(binary.BigEndian.Uint32(data))
 	r.ReplicaVersion = binary.BigEndian.Uint64(data[4:])
 	r.NeedSafeBack = data[12]&1 != 0
@@ -207,6 +225,9 @@ func (r *PullResponse) AppendBinary(buf []byte) []byte {
 func (r *PullResponse) DecodeBinary(data []byte) error {
 	if len(data) < 25 {
 		return errShortMessage
+	}
+	if err := checkFlags(data[0], 1); err != nil {
+		return err
 	}
 	r.Busy = data[0]&1 != 0
 	r.SystemVersion = binary.BigEndian.Uint64(data[1:])
@@ -284,43 +305,60 @@ func (r *PrepareResponse) DecodeBinary(data []byte) error {
 	if len(data) != 17 {
 		return errShortMessage
 	}
+	if err := checkFlags(data[0], 1); err != nil {
+		return err
+	}
 	r.Prepared = data[0]&1 != 0
 	r.Index = binary.BigEndian.Uint64(data[1:])
 	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
 	return nil
 }
 
-// ResolveRequest: u64 gid | u8 flags(commit)
+// ResolveRequest: u64 gid | u8 flags(commit) | u64 replicaVersion
 func (r *ResolveRequest) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.GID)
 	var flags byte
 	if r.Commit {
 		flags |= 1
 	}
-	return append(buf, flags)
+	buf = append(buf, flags)
+	return binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
 }
 
 func (r *ResolveRequest) DecodeBinary(data []byte) error {
-	if len(data) != 9 {
+	if len(data) != 17 {
 		return errShortMessage
+	}
+	if err := checkFlags(data[8], 1); err != nil {
+		return err
 	}
 	r.GID = binary.BigEndian.Uint64(data)
 	r.Commit = data[8]&1 != 0
+	r.ReplicaVersion = binary.BigEndian.Uint64(data[9:])
 	return nil
 }
 
-// ResolveResponse: u64 index | u64 systemVersion
+// ResolveResponse: u64 index | u64 systemVersion | remotes
 func (r *ResolveResponse) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.Index)
-	return binary.BigEndian.AppendUint64(buf, r.SystemVersion)
+	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
+	return appendRemotes(buf, r.Remote)
 }
 
 func (r *ResolveResponse) DecodeBinary(data []byte) error {
-	if len(data) != 16 {
+	if len(data) < 16 {
 		return errShortMessage
 	}
 	r.Index = binary.BigEndian.Uint64(data)
 	r.SystemVersion = binary.BigEndian.Uint64(data[8:])
+	remote, rest, err := takeRemotes(data[16:])
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("certifier: %d trailing bytes after ResolveResponse", len(rest))
+	}
+	r.Remote = remote
 	return nil
 }
 

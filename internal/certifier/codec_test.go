@@ -157,14 +157,16 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			t.Fatalf("PrepareResponse round trip: %+v != %+v", got, prepResp)
 		}
 
-		res := &ResolveRequest{GID: rng.Uint64(), Commit: rng.Intn(2) == 0}
+		res := &ResolveRequest{GID: rng.Uint64(), Commit: rng.Intn(2) == 0, ReplicaVersion: rng.Uint64()}
 		if got := roundTrip(t, res).(*ResolveRequest); !reflect.DeepEqual(res, got) {
 			t.Fatalf("ResolveRequest round trip: %+v != %+v", got, res)
 		}
 
-		resResp := &ResolveResponse{Index: rng.Uint64(), SystemVersion: rng.Uint64()}
-		if got := roundTrip(t, resResp).(*ResolveResponse); !reflect.DeepEqual(resResp, got) {
-			t.Fatalf("ResolveResponse round trip: %+v != %+v", got, resResp)
+		resResp := &ResolveResponse{Index: rng.Uint64(), SystemVersion: rng.Uint64(), Remote: randRemotes(rng)}
+		gotRes := roundTrip(t, resResp).(*ResolveResponse)
+		resResp.Remote, gotRes.Remote = normRemotes(resResp.Remote), normRemotes(gotRes.Remote)
+		if !reflect.DeepEqual(resResp, gotRes) {
+			t.Fatalf("ResolveResponse round trip: %+v != %+v", gotRes, resResp)
 		}
 
 		fill := &FillRequest{Target: rng.Uint64()}
@@ -188,8 +190,9 @@ func gobBytes(t *testing.T, v interface{}) []byte {
 }
 
 // TestCodecBinarySmallerThanGob pins the point of the fast path: a
-// representative certify request and a pull response must encode
-// smaller than their gob form.
+// representative certify request, a pull response and a commit
+// marker's response carrying the suffix must encode smaller than their
+// gob form.
 func TestCodecBinarySmallerThanGob(t *testing.T) {
 	ws := bytes.Repeat([]byte{0xAB}, 120) // typical small writeset
 	req := &Request{Origin: 3, StartVersion: 1000, ReplicaVersion: 990, WSBytes: ws, NeedSafeBack: true}
@@ -216,6 +219,17 @@ func TestCodecBinarySmallerThanGob(t *testing.T) {
 		t.Errorf("binary PullResponse %dB not smaller than gob %dB", len(binB), len(gobB))
 	}
 	t.Logf("PullResponse: binary %dB vs gob %dB", len(binB), len(gobB))
+
+	res := &ResolveResponse{Index: 1000, SystemVersion: 1000, Remote: resp.Remote}
+	binB, err = transport.EncodeMessage(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gobB = gobBytes(t, res)
+	if len(binB) >= len(gobB) {
+		t.Errorf("binary ResolveResponse %dB not smaller than gob %dB", len(binB), len(gobB))
+	}
+	t.Logf("ResolveResponse: binary %dB vs gob %dB", len(binB), len(gobB))
 }
 
 // TestCodecTruncation feeds truncated binary payloads to every decoder
@@ -243,8 +257,9 @@ func TestCodecTruncation(t *testing.T) {
 	for _, msg := range []interface{}{
 		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4},
 		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9},
-		&ResolveRequest{GID: 7, Commit: true},
+		&ResolveRequest{GID: 7, Commit: true, ReplicaVersion: 4},
 		&ResolveResponse{Index: 9, SystemVersion: 9},
+		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 5}, {Version: 9, WSBytes: randBytes(rng, 40)}}},
 		&FillRequest{Target: 12},
 		&FillResponse{Head: 12},
 	} {
@@ -256,6 +271,34 @@ func TestCodecTruncation(t *testing.T) {
 			out := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
 			if err := transport.DecodeMessage(full[:cut], out); err == nil {
 				t.Fatalf("truncated %T (%d of %d bytes) decoded without error", msg, cut, len(full))
+			}
+		}
+	}
+	// A flag bit no encoder sets is refused, so that whatever decodes
+	// re-encodes to the same bytes.
+	for _, msg := range []interface{}{
+		&Request{NeedSafeBack: true, WSBytes: []byte{1}},
+		&Response{Committed: true},
+		&PullRequest{NeedSafeBack: true, IncludeOwn: true},
+		&PullResponse{Busy: true},
+		&PrepareResponse{Prepared: true},
+		&ResolveRequest{Commit: true},
+	} {
+		full, err := transport.EncodeMessage(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range full[1:] {
+			if full[1+i] == 0 {
+				continue
+			}
+			bad := append([]byte(nil), full...)
+			bad[1+i] |= 0x80
+			out := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
+			if err := transport.DecodeMessage(bad, out); err == nil {
+				if again, _ := transport.EncodeMessage(out); !bytes.Equal(again, bad) {
+					t.Errorf("%T with byte %d set to %#x decoded to %+v, which re-encodes differently", msg, i, bad[1+i], out)
+				}
 			}
 		}
 	}
@@ -410,6 +453,41 @@ func FuzzDecodeLogEntry(f *testing.F) {
 		e2, err := DecodeLogEntry(again)
 		if err != nil || !sameEntry(e, e2) {
 			t.Fatalf("second decode: %+v, %v; first %+v", e2, err, e)
+		}
+	})
+}
+
+// FuzzDecodeCertifierMessages: the decoders of what a replica reads from
+// a certifier (Response, PullResponse, ResolveResponse) and of the
+// prepare a certifier reads from a replica never panic, and whatever one
+// accepts re-encodes to the bytes it came from.
+func FuzzDecodeCertifierMessages(f *testing.F) {
+	decoders := []func() transport.BinaryMessage{
+		func() transport.BinaryMessage { return &Response{} },
+		func() transport.BinaryMessage { return &PullResponse{} },
+		func() transport.BinaryMessage { return &ResolveResponse{} },
+		func() transport.BinaryMessage { return &PrepareRequest{} },
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []transport.BinaryMessage{
+		&Response{Committed: true, CommitVersion: 9, SystemVersion: 9, ReplicaSeq: 3, SeqEpoch: 2, Remote: randRemotes(rng)},
+		&PullResponse{Busy: true, SystemVersion: 9, ReplicaSeq: 4, SeqEpoch: 2, Remote: randRemotes(rng)},
+		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},
+		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40)},
+	} {
+		b := m.AppendBinary(nil)
+		for k := range decoders {
+			f.Add(uint8(k), b)
+		}
+		f.Add(uint8(0), b[:len(b)-1])
+	}
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		m := decoders[int(k)%len(decoders)]()
+		if err := m.DecodeBinary(data); err != nil {
+			return
+		}
+		if again := m.AppendBinary(nil); !bytes.Equal(again, data) {
+			t.Fatalf("%T re-encodes differently:\n%x\n%x", m, again, data)
 		}
 	})
 }

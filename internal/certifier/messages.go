@@ -133,9 +133,10 @@ type PrepareRequest struct {
 	Involved     []int  // partition ids participating in the transaction
 	WSBytes      []byte // this group's slice of the writeset
 	// ReplicaVersion is neither set by the proxy nor read by the server:
-	// piggy-backing the committed suffix on 2PC responses was measured
-	// and left out (CHANGES.md, PR 17). The field stays only because
-	// bench/probes.go names it; it goes with the next benchmark change.
+	// the committed suffix rides on the commit marker's response instead
+	// (ResolveResponse.Remote), which is the answer the coordinator's
+	// merge waits behind. The field stays only because bench/probes.go
+	// names it; it goes with the next benchmark change.
 	ReplicaVersion uint64
 }
 
@@ -152,12 +153,22 @@ type PrepareResponse struct {
 type ResolveRequest struct {
 	GID    uint64
 	Commit bool
+	// ReplicaVersion is the coordinator's frontier in this group: the
+	// highest contiguous index its merge has received. A commit's
+	// response ships the entries after it.
+	ReplicaVersion uint64
 }
 
 // ResolveResponse reports the decision marker's log index.
 type ResolveResponse struct {
 	Index         uint64
 	SystemVersion uint64
+	// Remote is, for a commit, the group's entries in (ReplicaVersion,
+	// Index], the marker included: everything the coordinator's merge
+	// needs from this group to reach the marker, so the committing
+	// client does not wait for a pull. A marker appended by an earlier
+	// batch or term ships only its committed part. Empty for an abort.
+	Remote []RemoteWS
 }
 
 // FillRequest asks the group leader to pad its log with no-op fill

@@ -15,39 +15,74 @@ import (
 // round and one fsync per transaction, RPC handlers enqueue onto an
 // admission queue and a dedicated certification loop repeatedly
 //
-//  1. drains every waiting request (bounded by Config.MaxBatch), and
+//  1. drains every waiting task (bounded by Config.MaxBatch), and
 //     lingers briefly for the clients its last fan-out answered (see
 //     gatherBatch),
-//  2. conflict-checks them in admission order against the engine —
-//     later requests in the batch see earlier survivors, exactly as if
-//     they had been serialized,
-//  3. proposes all surviving commits as ONE batched log append
+//  2. checks them in admission order against the engine — later tasks
+//     in the batch see earlier survivors, exactly as if they had been
+//     serialized,
+//  3. proposes every entry the survivors add as ONE batched log append
 //     (paxos.ProposeBatchAt: one replication round; followers persist
 //     the round via wal.AppendBatch, one fsync),
 //  4. takes ONE durability barrier (WaitCommitted on the batch's last
 //     index) for the whole batch, and
 //  5. fans responses — remote-writeset fills, replica sequence
-//     numbers, commit versions — back to all waiters.
+//     numbers, commit versions, log indices — back to all waiters.
 //
-// Aborts and certification errors resolve at step 2; they never wait
-// for the disk.
+// Every entry the leader adds to the log goes this way: certifications,
+// both phases of a cross-partition commit, fills and barriers are task
+// kinds of the one queue. Refusals and errors resolve at step 2; they
+// never wait for the disk.
 
-// certifyTask carries one admitted request through the pipeline.
-type certifyTask struct {
-	req Request
-	// entry is what the request appends if it survives (see newLogEntry);
-	// its Version is the assigned commit version once commit is set.
+// taskKind is what an admitted task asks of the log.
+type taskKind uint8
+
+const (
+	kindCertify taskKind = iota // certify a writeset and commit it
+	kindPrepare                 // phase 1 of a cross-partition commit: certify and lock
+	kindResolve                 // phase 2: the decision marker
+	kindFill                    // no-ops until the log holds a target length
+	kindBarrier                 // one no-op
+)
+
+// fromClient reports whether a replica's transaction waits on the task.
+// Those are counted as requests and as echoes, and keep the group busy
+// for pulls; fills and barriers are the group's own liveness tools.
+func (k taskKind) fromClient() bool { return k <= kindResolve }
+
+// sheddable reports whether admission control may turn the task away.
+// A decision marker may not: it is what releases a prepare's locks.
+func (k taskKind) sheddable() bool { return k <= kindPrepare }
+
+// task carries one admitted request through the pipeline.
+type task struct {
+	kind taskKind
+	// entry is what the task appends if it survives (see newLogEntry): the
+	// writeset to certify, the prepare, the marker, or the no-op a fill
+	// repeats.
 	entry    core.LogEntry
+	req      Request   // kindCertify: the request
+	after    uint64    // kindResolve: the replica's frontier in this group
+	target   uint64    // kindFill: the log length wanted
 	enqueued time.Time // when the task entered the admission queue
 	deadline time.Time // caller's context deadline (zero = none)
 
 	// Filled by the certification loop.
-	resp   Response
+	index  uint64     // the log index the answer stands on (0 = none: a refusal)
+	resp   Response   // kindCertify
+	remote []RemoteWS // kindResolve of a commit: the suffix through the marker
 	err    error
-	commit bool // survived certification; part of the batch proposal
 
-	done chan struct{} // closed when resp/err are final
+	done chan struct{} // closed when the outcome is final
 }
+
+func newTask(kind taskKind, entry core.LogEntry) *task {
+	return &task{kind: kind, entry: entry, done: make(chan struct{})}
+}
+
+// noop is the entry of fills and barriers. Its payload is immutable, so
+// every no-op in every log shares it.
+var noop = emptyEntry(core.KindData, 0)
 
 // lingerShare sets the echo window as a share of the batch cycle: a
 // request admitted within cycle/lingerShare of a fan-out is an echo of
@@ -61,7 +96,7 @@ const lingerShare = 8
 const echoDecay = 4
 
 // fanout is the leader's most recent response fan-out as admission sees
-// it. A certify request admitted within window of at is an echo: most
+// it. A client request admitted within window of at is an echo: most
 // likely a closed-loop client the fan-out just answered, coming back.
 type fanout struct {
 	at     time.Time
@@ -82,110 +117,111 @@ func (f *fanout) admitted(at time.Time) {
 var errDeadlineExpired = errors.New("certifier: caller deadline expired before certification")
 
 // finish publishes the task's outcome to its waiting RPC handler.
-func (t *certifyTask) finish() { close(t.done) }
+func (t *task) finish() { close(t.done) }
 
 // fail resolves a task with an error.
-func (t *certifyTask) fail(err error) {
-	t.resp = Response{}
+func (t *task) fail(err error) {
 	t.err = err
 	t.finish()
 }
 
-// certify is the transport-facing entry point: decode, enqueue, wait.
-// The error for a stopped server is paxos.ErrStopped so the failover
-// client treats it like any other replication-layer outage and retries
-// elsewhere.
-func (s *Server) certify(req Request) (Response, error) {
-	// The entry, payload included, is built here on the handler's own
-	// goroutine, so the certification loop only conflict-checks and
-	// proposes.
-	entry, err := newLogEntry(core.KindData, req.Origin, req.StartVersion, 0, nil, req.WSBytes)
-	if err != nil {
-		return Response{}, err
+// submit is the one way into the log: it admits t, queues it for the
+// certification loop and waits for its outcome. An answer that stands on
+// an entry an earlier batch or term proposed (a retry) returns once that
+// entry is committed. The error for a stopped server is paxos.ErrStopped
+// so the failover client treats it like any other replication-layer
+// outage and retries elsewhere.
+func (s *Server) submit(t *task) error {
+	if t.kind.fromClient() {
+		s.inFlight.Add(1)
+		defer s.inFlight.Add(-1)
 	}
-	if entry.WS.Empty() {
-		return Response{}, errors.New("certifier: empty writeset (read-only transactions commit at the replica)")
-	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	t := &certifyTask{req: req, entry: entry, done: make(chan struct{})}
-	if req.Deadline != 0 {
-		t.deadline = time.Unix(0, req.Deadline)
-		if time.Now().After(t.deadline) {
-			s.expiredCount.Add(1)
-			return Response{}, errDeadlineExpired
-		}
-	}
-	// Admission control: take a slot token (one exists per queue slot,
-	// released when the pipeline dequeues the task), waiting up to
-	// AdmitTimeout before shedding with a retry-after hint. The token
-	// — not a timed send on the queue channel itself — is what bounds
-	// queueing, so t.enqueued can be stamped AFTER the door: the
-	// stage-2 queue-wait budget then measures time spent in the queue,
-	// and a request that waited at the door is not pre-doomed to
-	// out-wait that budget. (A negative AdmitTimeout restores the old
-	// unbounded blocking.)
-	select {
-	case <-s.slots:
-	case <-s.stopCh:
-		return Response{}, paxos.ErrStopped
-	default:
-		if s.cfg.AdmitTimeout < 0 {
-			select {
-			case <-s.slots:
-			case <-s.stopCh:
-				return Response{}, paxos.ErrStopped
-			}
-			break
-		}
-		// A dead client must not hold a door waiter longer than its
-		// own deadline.
-		wait := s.cfg.AdmitTimeout
-		if !t.deadline.IsZero() {
-			if until := time.Until(t.deadline); until < wait {
-				wait = until
-			}
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-s.slots:
-			timer.Stop()
-		case <-timer.C:
-			if !t.deadline.IsZero() && time.Now().After(t.deadline) {
-				s.expiredCount.Add(1)
-				return Response{}, errDeadlineExpired
-			}
-			s.shedCount.Add(1)
-			return Response{}, overloadedError(s.retryAfterHint())
-		case <-s.stopCh:
-			timer.Stop()
-			return Response{}, paxos.ErrStopped
-		}
+	if err := s.admit(t); err != nil {
+		return err
 	}
 	// Token in hand: queue occupancy is strictly below QueueDepth, so
 	// this send cannot block behind anything but scheduling.
 	t.enqueued = time.Now()
-	if f := s.fanout.Load(); f != nil {
+	if f := s.fanout.Load(); f != nil && t.kind.fromClient() {
 		f.admitted(t.enqueued)
 	}
 	select {
 	case s.admitCh <- t:
 	case <-s.stopCh:
-		return Response{}, paxos.ErrStopped
+		return paxos.ErrStopped
 	}
 	s.queueDepth.Observe(int64(len(s.admitCh)))
 	select {
 	case <-t.done:
-		return t.resp, t.err
 	case <-s.stopCh:
 		// The loop may have resolved the task concurrently with the
 		// shutdown; prefer its answer if it exists.
 		select {
 		case <-t.done:
-			return t.resp, t.err
 		default:
-			return Response{}, paxos.ErrStopped
+			return paxos.ErrStopped
 		}
+	}
+	if t.err != nil {
+		return t.err
+	}
+	if t.index > s.node.CommitIndex() {
+		return s.waitIndexCommitted(t.index)
+	}
+	return nil
+}
+
+// admit is admission control: take a slot token (one exists per queue
+// slot, released when the pipeline dequeues the task), waiting up to
+// AdmitTimeout before shedding a sheddable task with a retry-after hint.
+// The token — not a timed send on the queue channel itself — is what
+// bounds queueing, so t.enqueued can be stamped AFTER the door: the
+// stage-2 queue-wait budget then measures time spent in the queue, and a
+// request that waited at the door is not pre-doomed to out-wait that
+// budget. A task that may not be shed, or a negative AdmitTimeout, waits
+// for its token without bound.
+func (s *Server) admit(t *task) error {
+	if !t.deadline.IsZero() && time.Now().After(t.deadline) {
+		s.expiredCount.Add(1)
+		return errDeadlineExpired
+	}
+	select {
+	case <-s.slots:
+		return nil
+	case <-s.stopCh:
+		return paxos.ErrStopped
+	default:
+	}
+	if s.cfg.AdmitTimeout < 0 || !t.kind.sheddable() {
+		select {
+		case <-s.slots:
+			return nil
+		case <-s.stopCh:
+			return paxos.ErrStopped
+		}
+	}
+	// A dead client must not hold a door waiter longer than its own
+	// deadline.
+	wait := s.cfg.AdmitTimeout
+	if !t.deadline.IsZero() {
+		if until := time.Until(t.deadline); until < wait {
+			wait = until
+		}
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-s.slots:
+		return nil
+	case <-timer.C:
+		if !t.deadline.IsZero() && time.Now().After(t.deadline) {
+			s.expiredCount.Add(1)
+			return errDeadlineExpired
+		}
+		s.shedCount.Add(1)
+		return overloadedError(s.retryAfterHint())
+	case <-s.stopCh:
+		return paxos.ErrStopped
 	}
 }
 
@@ -200,11 +236,11 @@ func (s *Server) releaseSlot() {
 }
 
 // certifyLoop is the dedicated certification stage: it blocks for the
-// first admitted request, gathers a batch, and processes it.
+// first admitted task, gathers a batch, and processes it.
 func (s *Server) certifyLoop() {
 	defer s.loopWG.Done()
 	for {
-		var first *certifyTask
+		var first *task
 		select {
 		case first = <-s.admitCh:
 			s.releaseSlot()
@@ -232,15 +268,15 @@ func (s *Server) certifyLoop() {
 // measured cycle, so the tasks already queued wait at most that long
 // for a batch that saves the echoes a whole cycle. Returns nil if the
 // server stopped mid-gather (the collected tasks are failed).
-func (s *Server) gatherBatch(first *certifyTask) []*certifyTask {
-	batch := append(make([]*certifyTask, 0, 16), first)
+func (s *Server) gatherBatch(first *task) []*task {
+	batch := append(make([]*task, 0, 16), first)
 	f := s.fanout.Load()
 	var until time.Time // zero: do not linger (no deadline is earlier)
 	if f != nil && s.expected >= 1 {
 		until = earliest(f.at.Add(f.window), first.deadline)
 	}
 	for len(batch) < s.cfg.MaxBatch {
-		var t *certifyTask
+		var t *task
 		select {
 		case t = <-s.admitCh:
 		default:
@@ -304,14 +340,14 @@ func (s *Server) drainAdmitted() {
 }
 
 // failTasks resolves a slice of tasks with one error.
-func (s *Server) failTasks(tasks []*certifyTask, err error) {
+func (s *Server) failTasks(tasks []*task, err error) {
 	for _, t := range tasks {
 		t.fail(err)
 	}
 }
 
 // processBatch runs stages 2-5 of the pipeline for one batch.
-func (s *Server) processBatch(batch []*certifyTask) {
+func (s *Server) processBatch(batch []*task) {
 	s.mu.Lock()
 	if err := s.ensureEngineLocked(); err != nil {
 		s.mu.Unlock()
@@ -319,19 +355,22 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		return
 	}
 
-	// Stage 2: conflict-check in admission order. Survivors are
-	// appended to the engine immediately so later requests in the batch
-	// certify against them; if the batched propose then fails, the
-	// engine basis is invalidated and rebuilt from the authoritative
-	// log, exactly as the per-request path did.
-	firstVersion := uint64(s.engine.SystemVersion()) + 1
-	var commits []*certifyTask
+	// Stage 2: check in admission order. Survivors are appended to the
+	// engine immediately so later tasks in the batch certify against
+	// them (a prepare's locks included); if the batched propose then
+	// fails, the engine basis is invalidated and rebuilt from the
+	// authoritative log. A task answered by an entry at an index above
+	// head waits for this batch's barrier, whoever added the entry.
+	head := uint64(s.engine.SystemVersion())
 	var datas [][]byte
+	var commits int64 // client tasks whose entries the batch proposes
 	drainedAt := time.Now()
 	for _, t := range batch {
-		s.stats.Requests++
 		wait := drainedAt.Sub(t.enqueued)
-		s.queueWait.Observe(wait)
+		if t.kind.fromClient() {
+			s.stats.Requests++
+			s.queueWait.Observe(wait)
+		}
 		// Deadline and queue-wait policing come before any certification
 		// work: a dead client's request must not conflict-check, consume
 		// a batch slot in the propose, or take a sequence number (it is
@@ -348,117 +387,205 @@ func (s *Server) processBatch(batch []*certifyTask) {
 		// certifying it now only adds latency behind the recovery. A
 		// 1x cliff here would turn a transient stall (a GC pause, one
 		// slow fsync) into a shed cascade of still-viable requests.
-		if s.cfg.AdmitTimeout > 0 && wait > 2*s.cfg.AdmitTimeout {
+		if t.kind.sheddable() && s.cfg.AdmitTimeout > 0 && wait > 2*s.cfg.AdmitTimeout {
 			s.shedCount.Add(1)
 			t.err = overloadedError(s.retryAfterHint())
 			continue
 		}
-		// Full certification check first; injected aborts (Fig 14)
-		// happen after the check so the certifier pays all its usual
-		// costs.
-		conflict := s.engine.Conflicts(core.Version(t.req.StartVersion), t.entry.WS)
-		injected := false
-		if !conflict && s.cfg.AbortRate > 0 && s.rng.Float64() < s.cfg.AbortRate {
-			injected = true
+		n := len(datas)
+		datas = s.checkLocked(t, datas)
+		if t.kind.fromClient() && len(datas) > n {
+			commits++
 		}
-		if conflict || injected {
-			s.stats.Aborts++
-			if injected {
-				s.stats.InjectedAborts++
-			}
-			continue // response built once the propose outcome is known
-		}
-		t.entry.Version = s.engine.SystemVersion() + 1
-		if err := s.engine.Append(t.entry); err != nil {
-			s.basisValid = false
-			t.err = err
-			continue
-		}
-		t.commit = true
-		datas = append(datas, t.entry.Payload)
-		commits = append(commits, t)
 	}
 
-	// Stage 3: one replication round for every surviving commit,
-	// guarded against engine/log skew while we still hold the lock.
+	// Stage 3: one replication round for every entry added, guarded
+	// against engine/log skew while we still hold the lock.
 	var term uint64
 	var proposeErr error
 	if len(datas) > 0 {
-		term, proposeErr = s.proposeLocked(firstVersion-1, datas)
-		if proposeErr == nil {
+		term, proposeErr = s.proposeLocked(head, datas)
+		if proposeErr == nil && commits > 0 {
 			// Commit and batch-size accounting only cover batches that
 			// actually reached the replicated log (a failed propose
 			// errors every task in it).
-			s.stats.Commits += int64(len(commits))
-			s.batchSizes.Observe(int64(len(datas)))
+			s.stats.Commits += commits
+			s.batchSizes.Observe(commits)
 		}
 	}
 
 	// Responses are sequenced only now, in admission order: per-origin
-	// ReplicaSeq numbers must be consumed exclusively by responses that
-	// will actually be delivered, or a failed propose would leave
-	// permanent gaps in the old epoch and stall the proxy sequencers
-	// behind them. Commits doomed by a propose failure therefore take
-	// no sequence number (they fail with an error below); their abort
-	// siblings still respond with a dense sequence.
+	// ReplicaSeq numbers must be consumed exclusively by certify
+	// responses that will actually be delivered, or a failed propose
+	// would leave permanent gaps in the old epoch and stall the proxy
+	// sequencers behind them. Tasks doomed by a propose failure therefore
+	// take no sequence number (they fail with an error below); their
+	// refused siblings still respond with a dense sequence.
 	for _, t := range batch {
-		if t.err != nil {
+		inBatch := t.index > head
+		if t.err != nil || inBatch && proposeErr != nil {
 			continue
 		}
-		if t.commit {
-			if proposeErr != nil {
-				continue
-			}
-			version := uint64(t.entry.Version)
-			t.resp = Response{Committed: true, CommitVersion: version, ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm}
-			// Writesets up to (excluding) the task's own version:
-			// earlier commits of this same batch are included and will
-			// be durable by the time the response leaves (the batch
+		switch {
+		case t.kind == kindCertify:
+			// A commit ships the writesets up to (excluding) its own
+			// version: earlier entries of this same batch are included and
+			// will be durable by the time the response leaves (the batch
 			// barrier covers them). The fill includes the origin's own
 			// earlier writesets too: in the window above the replica's
 			// reported version, "own" entries exist only if their
-			// responses were lost, and a response that makes the
-			// replica announce past them must carry their data or the
-			// replica is left with a permanent hole. Already-applied
-			// own writesets sit at or below the replica's version and
-			// are filtered by the proxy's basis cursor, so the healthy
-			// path never re-applies them.
-			s.fillRemotesLocked(&t.resp, t.req.Origin, true, t.req.ReplicaVersion, version-1, t.req.NeedSafeBack)
-		} else {
-			t.resp = Response{Committed: false, ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm}
-			s.fillRemotesLocked(&t.resp, t.req.Origin, true, t.req.ReplicaVersion, s.committedCap(), t.req.NeedSafeBack)
+			// responses were lost, and a response that makes the replica
+			// announce past them must carry their data or the replica is
+			// left with a permanent hole. Already-applied own writesets
+			// sit at or below the replica's version and are filtered by
+			// the proxy's basis cursor, so the healthy path never
+			// re-applies them. An abort ships everything committed.
+			upTo := s.committedCap()
+			if inBatch {
+				upTo = t.index - 1
+			}
+			t.resp = Response{
+				Committed: inBatch, CommitVersion: t.index,
+				ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm,
+				Remote: s.remotesLocked(t.req.Origin, true, t.req.ReplicaVersion, upTo, t.req.NeedSafeBack),
+			}
+		case t.kind == kindResolve && t.entry.Kind == core.KindCommitMarker:
+			// The suffix through the marker, so that the coordinator's
+			// merge has what it waits for without pulling. A marker of an
+			// earlier batch or term ships only what is already committed.
+			upTo := t.index
+			if !inBatch {
+				upTo = min(upTo, s.committedCap())
+			}
+			t.remote = s.remotesLocked(core.BarrierOrigin, true, t.after, upTo, false)
 		}
 	}
 	s.mu.Unlock()
 
-	// Aborts and per-task errors resolve without touching the disk.
+	// Refusals, errors and answers standing on older entries resolve
+	// without touching the disk.
+	var durable []*task
 	for _, t := range batch {
-		if !t.commit {
+		if t.err == nil && t.index > head {
+			durable = append(durable, t)
+		} else {
 			t.finish()
 		}
 	}
-	if len(commits) == 0 {
+	if len(durable) == 0 {
 		return
 	}
 	if proposeErr != nil {
-		s.failTasks(commits, fmt.Errorf("certifier: propose: %w", proposeErr))
+		s.failTasks(durable, fmt.Errorf("certifier: propose: %w", proposeErr))
 		return
 	}
 
 	// Stage 4: one durability barrier for the whole batch.
-	lastIdx := firstVersion + uint64(len(datas)) - 1
+	lastIdx := head + uint64(len(datas))
 	if err := s.node.WaitCommitted(lastIdx, term); err != nil {
-		s.failTasks(commits, fmt.Errorf("certifier: replication: %w", err))
+		s.failTasks(durable, fmt.Errorf("certifier: replication: %w", err))
 		return
 	}
 
-	// Stage 5: fan out. Every commit version <= lastIdx is majority
-	// durable now. The fan-out is published before the first waiter
-	// wakes, so its client's next request can count as an echo.
+	// Stage 5: fan out. Every index <= lastIdx is majority durable now.
+	// The fan-out is published before the first waiter wakes, so its
+	// client's next request can count as an echo.
 	sysv := s.node.CommitIndex()
 	s.publishFanout(drainedAt)
-	for _, t := range commits {
-		t.resp.SystemVersion = sysv
+	for _, t := range durable {
+		if t.kind == kindCertify {
+			t.resp.SystemVersion = sysv
+		}
 		t.finish()
 	}
+}
+
+// checkLocked is stage 2 for one task: it decides the task's answer and
+// appends the entries the task adds to the engine, and their payloads to
+// datas, which it returns.
+func (s *Server) checkLocked(t *task, datas [][]byte) [][]byte {
+	gid := t.entry.GID
+	switch t.kind {
+	case kindCertify:
+		if s.refuseLocked(t) {
+			return datas // response built once the propose outcome is known
+		}
+		return s.addLocked(t, datas, t.entry)
+	case kindPrepare:
+		// Idempotent: a retry of a prepared gid answers with its entry.
+		if v, ok := s.engine.PreparedAt(gid); ok {
+			t.index = uint64(v)
+			return datas
+		}
+		// The decision marker is already in the log (a coordinator retry
+		// raced its own abort): this gid can never prepare again.
+		if _, _, ok := s.engine.Resolution(gid); ok {
+			s.stats.Aborts++
+			return datas
+		}
+		if s.refuseLocked(t) {
+			return datas
+		}
+		return s.addLocked(t, datas, t.entry)
+	case kindResolve:
+		// Idempotent: the first marker wins and retries get its index.
+		if v, _, ok := s.engine.Resolution(gid); ok {
+			t.index = uint64(v)
+			return datas
+		}
+		if _, ok := s.engine.PreparedAt(gid); !ok && t.entry.Kind == core.KindCommitMarker {
+			// A commit decision for a gid this group never prepared: the
+			// coordinator's phase-1 ack can only have come from a durable
+			// prepare, so any leader must see it. Refuse loudly.
+			t.err = fmt.Errorf("certifier: resolve-commit for unknown gid %d", gid)
+			return datas
+		}
+		return s.addLocked(t, datas, t.entry)
+	case kindFill:
+		head := uint64(s.engine.SystemVersion())
+		if head >= t.target {
+			t.index = t.target
+			return datas
+		}
+		for n := min(t.target-head, maxFill); n > 0 && t.err == nil; n-- {
+			datas = s.addLocked(t, datas, t.entry)
+		}
+		return datas
+	default: // kindBarrier
+		return s.addLocked(t, datas, t.entry)
+	}
+}
+
+// refuseLocked is the certification test of a certify or prepare task:
+// the full conflict check (committed writers after its snapshot, and
+// items locked by unresolved prepares, those of earlier tasks in the
+// batch included), then the injected aborts of Config.AbortRate, which
+// come after the check so the certifier pays all its usual costs (the
+// Fig 14 methodology). It reports whether the task is refused.
+func (s *Server) refuseLocked(t *task) bool {
+	conflict := s.engine.Conflicts(t.entry.CertifiedBack, t.entry.WS)
+	injected := !conflict && s.cfg.AbortRate > 0 && s.rng.Float64() < s.cfg.AbortRate
+	if !conflict && !injected {
+		return false
+	}
+	s.stats.Aborts++
+	if injected {
+		s.stats.InjectedAborts++
+	}
+	return true
+}
+
+// addLocked appends e to the engine at its next version on t's behalf
+// and e's payload to datas, which it returns; t's index becomes that
+// version. An entry the engine refuses fails t and invalidates the
+// basis.
+func (s *Server) addLocked(t *task, datas [][]byte, e core.LogEntry) [][]byte {
+	e.Version = s.engine.SystemVersion() + 1
+	if err := s.engine.Append(e); err != nil {
+		s.basisValid = false
+		t.err = err
+		return datas
+	}
+	t.index = uint64(e.Version)
+	return append(datas, e.Payload)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tashkent/internal/core"
 	"tashkent/internal/paxos"
 	"tashkent/internal/simdisk"
 )
@@ -70,8 +71,8 @@ func expectCohort(s *Server, at time.Time, w time.Duration) {
 }
 
 // enqueue admits a task the way certify does, without waiting for it.
-func enqueue(s *Server, deadline time.Time) *certifyTask {
-	t := &certifyTask{deadline: deadline, done: make(chan struct{})}
+func enqueue(s *Server, deadline time.Time) *task {
+	t := &task{deadline: deadline, done: make(chan struct{})}
 	<-s.slots
 	t.enqueued = time.Now()
 	if f := s.fanout.Load(); f != nil {
@@ -81,7 +82,7 @@ func enqueue(s *Server, deadline time.Time) *certifyTask {
 	return t
 }
 
-func newTask() *certifyTask { return &certifyTask{done: make(chan struct{})} }
+func bareTask() *task { return &task{done: make(chan struct{})} }
 
 // TestGatherOneCohortPerFlush: twelve clients certifying back to back
 // share one flush. Without the echo gather they settle into two cohorts
@@ -155,7 +156,7 @@ func TestGatherInstantDiskOnlyQueued(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		enqueue(s, time.Time{})
 	}()
-	batch := s.gatherBatch(newTask())
+	batch := s.gatherBatch(bareTask())
 	<-late
 	if len(batch) != 4 {
 		t.Errorf("gather took %d tasks, want the first and the 3 queued", len(batch))
@@ -171,7 +172,7 @@ func TestGatherLingerEndsAtDeadlineAndStop(t *testing.T) {
 	enqueue(s, time.Now().Add(time.Minute))
 	dl := time.Now().Add(30 * time.Millisecond)
 	enqueue(s, dl)
-	batch := s.gatherBatch(newTask())
+	batch := s.gatherBatch(bareTask())
 	if now := time.Now(); now.Before(dl) || now.Sub(dl) > 10*time.Second {
 		t.Errorf("gather ended %v after the earliest deadline, want at it", now.Sub(dl))
 	}
@@ -187,7 +188,7 @@ func TestGatherLingerEndsAtDeadlineAndStop(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		s.Stop()
 	}()
-	first := newTask()
+	first := bareTask()
 	if batch := s.gatherBatch(first); batch != nil {
 		t.Errorf("gather returned %d tasks across Stop, want nil", len(batch))
 	}
@@ -209,7 +210,7 @@ func TestGatherStaleFanoutNoLinger(t *testing.T) {
 	s := idleServer(t)
 	expectCohort(s, time.Now().Add(-time.Second), 500*time.Millisecond)
 	start := time.Now()
-	if batch := s.gatherBatch(newTask()); len(batch) != 1 {
+	if batch := s.gatherBatch(bareTask()); len(batch) != 1 {
 		t.Errorf("gather took %d tasks, want 1", len(batch))
 	}
 	if el := time.Since(start); el > 250*time.Millisecond {
@@ -275,5 +276,252 @@ func TestGatherStaleFanoutNoLinger(t *testing.T) {
 	}
 	if qs.Wait.Max >= w {
 		t.Errorf("first request after regaining leadership waited %v in the queue, want < W = %v (no linger)", qs.Wait.Max, w)
+	}
+}
+
+// prepareTask is the task a Prepare of gid over keys submits.
+func prepareTask(t *testing.T, gid uint64, keys ...string) *task {
+	t.Helper()
+	entry, err := newLogEntry(core.KindPrepare, 1, 0, gid, []int{0, 1}, wsBytes(keys...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newTask(kindPrepare, entry)
+}
+
+// resolveTask is the task a Resolve of gid submits.
+func resolveTask(gid uint64, commit bool) *task {
+	kind := core.KindAbortMarker
+	if commit {
+		kind = core.KindCommitMarker
+	}
+	return newTask(kindResolve, emptyEntry(kind, gid))
+}
+
+// inOneBatch runs tasks through stages 2–5 as one batch, the way the
+// certification loop does with what it gathered, and waits for their
+// outcomes. The caller keeps every other request away meanwhile.
+func inOneBatch(s *Server, tasks ...*task) {
+	for _, t := range tasks {
+		t.enqueued = time.Now()
+	}
+	s.processBatch(tasks)
+	for _, t := range tasks {
+		<-t.done
+	}
+}
+
+// TestGatherTwoPhaseRounds: eight coordinators looping prepare →
+// commit marker share flushes the way certifying clients do. Outside
+// the batch loop each entry proposed on its own and only the log
+// writer grouped them: the coordinators settled into two cohorts, each
+// waiting out the other's flush (≈ 4 entries per fsync).
+func TestGatherTwoPhaseRounds(t *testing.T) {
+	g := newTestGroup(t, 1, slowDisk)
+	ld := g.waitLeader(t)
+	var gids atomic.Uint64
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Spread the first prepares over half a flush, so that the
+			// coordinators do not start out as one cohort by luck.
+			time.Sleep(time.Duration(i) * time.Millisecond)
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				gid := gids.Add(1)
+				p, err := g.client.Prepare(PrepareRequest{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+					WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
+				if err != nil || !p.Prepared {
+					t.Errorf("coordinator %d: prepare %+v, %v", i, p, err)
+					return
+				}
+				if _, err := g.client.Resolve(ResolveRequest{GID: gid, Commit: true}); err != nil {
+					t.Errorf("coordinator %d: resolve: %v", i, err)
+					return
+				}
+			}
+		}(i)
+	}
+	time.Sleep(200 * time.Millisecond) // ≈ 10 cycles: the expected echo count builds up
+	ld.ResetActivityStats()
+	time.Sleep(600 * time.Millisecond)
+	ds := ld.DiskStats()
+	close(done)
+	wg.Wait()
+	t.Logf("%.2f entries per fsync over %d fsyncs", ds.GroupRatio(), ds.Fsyncs)
+	if r := ds.GroupRatio(); r < 6 {
+		t.Errorf("%.2f entries per fsync over %d fsyncs, want >= 6 (eight coordinators in one batch)", r, ds.Fsyncs)
+	}
+}
+
+// TestTwoPhaseThroughTheLoop pins prepare and resolve semantics as stage
+// 2 of the batch loop applies them, within one batch and across batches.
+func TestTwoPhaseThroughTheLoop(t *testing.T) {
+	g := newTestGroup(t, 1, nil)
+	s := g.waitLeader(t)
+
+	// One batch: a prepare, its duplicate, a second gid over the item
+	// the first just locked, and a prepare over another item.
+	first, dup, over, other := prepareTask(t, 1, "a"), prepareTask(t, 1, "a"), prepareTask(t, 2, "a"), prepareTask(t, 3, "b")
+	inOneBatch(s, first, dup, over, other)
+	for _, tk := range []*task{first, dup, over, other} {
+		if tk.err != nil {
+			t.Fatalf("gid %d: %v", tk.entry.GID, tk.err)
+		}
+	}
+	if first.index == 0 {
+		t.Fatal("the first prepare was refused")
+	}
+	if dup.index != first.index {
+		t.Errorf("duplicate in the same batch answered index %d, want the first's %d", dup.index, first.index)
+	}
+	if over.index != 0 {
+		t.Errorf("a prepare over an item prepared earlier in the batch was accepted at %d", over.index)
+	}
+	if other.index != first.index+1 {
+		t.Errorf("prepare over another item answered index %d, want %d", other.index, first.index+1)
+	}
+	// A duplicate in a later batch.
+	if resp, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")}); err != nil || !resp.Prepared || resp.Index != first.index {
+		t.Errorf("duplicate in a later batch: %+v, %v; want index %d", resp, err, first.index)
+	}
+
+	// An abort marker fences its gid: a prepare arriving after it is
+	// refused, although its item is free.
+	if _, err := s.Resolve(ResolveRequest{GID: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := s.Prepare(PrepareRequest{GID: 4, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("c")}); err != nil || resp.Prepared {
+		t.Errorf("prepare after its gid's abort marker: %+v, %v; want a refusal", resp, err)
+	}
+	// A commit decision for a gid this group never prepared is an error.
+	if resp, err := s.Resolve(ResolveRequest{GID: 99, Commit: true}); err == nil {
+		t.Errorf("resolve-commit of an unknown gid answered %+v", resp)
+	}
+
+	// A marker and its retry in one batch, then a retry in a later batch:
+	// all get the first marker's index. The commit's answer carries the
+	// log from the replica's frontier through the marker.
+	commit, retry := resolveTask(1, true), resolveTask(1, true)
+	commit.after = first.index - 1
+	inOneBatch(s, commit, retry)
+	if commit.err != nil || retry.err != nil {
+		t.Fatalf("resolve: %v / %v", commit.err, retry.err)
+	}
+	if retry.index != commit.index {
+		t.Errorf("retry in the same batch got index %d, want the first marker's %d", retry.index, commit.index)
+	}
+	if n := len(commit.remote); n == 0 || commit.remote[0].Version != first.index || commit.remote[n-1].Version != commit.index ||
+		n != int(commit.index-first.index+1) {
+		t.Errorf("the commit's answer ships %d entries %+v, want (%d, %d]", n, commit.remote, first.index-1, commit.index)
+	}
+	resp, err := s.Resolve(ResolveRequest{GID: 1, Commit: true, ReplicaVersion: commit.index - 1})
+	if err != nil || resp.Index != commit.index {
+		t.Errorf("retry in a later batch: %+v, %v; want index %d", resp, err, commit.index)
+	}
+	if len(resp.Remote) != 1 || resp.Remote[0].Version != commit.index {
+		t.Errorf("retry's answer ships %+v, want the marker alone", resp.Remote)
+	}
+	// Refusals and markers took no sequence number: the first certify
+	// response of this origin is the first of its sequence.
+	if r, err := g.client.Certify(Request{Origin: 1, StartVersion: resp.SystemVersion, WSBytes: wsBytes("d")}); err != nil || r.ReplicaSeq != 1 {
+		t.Errorf("first certify after the 2PC traffic: %+v, %v; want ReplicaSeq 1", r, err)
+	}
+}
+
+// TestFailedProposeFailsEveryPrepare: when the batched propose fails,
+// every prepare of the batch fails with it — the duplicate answered by
+// the batch's own entry included — and the rebuilt engine holds none of
+// their locks.
+func TestFailedProposeFailsEveryPrepare(t *testing.T) {
+	g := newTestGroup(t, 1, nil)
+	s := g.waitLeader(t)
+	if _, err := s.pull(PullRequest{Origin: 1}); err != nil { // builds the engine
+		t.Fatal(err)
+	}
+	// Skew the engine one entry ahead of the log, as a propose that
+	// landed elsewhere would leave it.
+	s.mu.Lock()
+	skew := noop
+	skew.Version = s.engine.SystemVersion() + 1
+	if err := s.engine.Append(skew); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	tasks := []*task{prepareTask(t, 1, "a"), prepareTask(t, 1, "a"), prepareTask(t, 2, "b")}
+	inOneBatch(s, tasks...)
+	for i, tk := range tasks {
+		if tk.err == nil {
+			t.Errorf("prepare %d of the batch answered index %d after a failed propose", i, tk.index)
+		}
+	}
+	if _, err := s.pull(PullRequest{Origin: 1}); err != nil { // rebuilds the engine
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	oldest := s.engine.OldestPrepared()
+	s.mu.Unlock()
+	if oldest != 0 {
+		t.Errorf("the rebuilt engine holds an unresolved prepare at %d", oldest)
+	}
+	if resp, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")}); err != nil || !resp.Prepared || resp.Index != 1 {
+		t.Errorf("prepare after the failed batch: %+v, %v; want index 1", resp, err)
+	}
+}
+
+// TestResolveLandsThroughFullQueue: a decision marker is never shed. The
+// queue holds one task, admission waits 1 ms, and certify requests keep
+// it full, so they are shed — but a commit marker still lands.
+func TestResolveLandsThroughFullQueue(t *testing.T) {
+	g := newTestGroup(t, 1, func(i int, cfg *Config) {
+		slowDisk(i, cfg)
+		cfg.MaxBatch, cfg.QueueDepth, cfg.AdmitTimeout = 1, 1, time.Millisecond
+	})
+	ld := g.waitLeader(t)
+	if p, err := g.client.Prepare(PrepareRequest{GID: 7, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("held")}); err != nil || !p.Prepared {
+		t.Fatalf("prepare: %+v, %v", p, err)
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes(fmt.Sprintf("f%d-%d", i, k))})
+				if err != nil && !errors.Is(err, ErrOverloaded) {
+					t.Errorf("flood %d: %v", i, err)
+					return
+				}
+			}
+		}(i)
+	}
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for ld.QueueStats().Shed == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := g.client.Resolve(ResolveRequest{GID: 7, Commit: true}); err != nil {
+		t.Fatalf("resolve through a full queue: %v", err)
+	}
+	ld.mu.Lock()
+	oldest := ld.engine.OldestPrepared()
+	ld.mu.Unlock()
+	if oldest != 0 {
+		t.Errorf("the prepare at %d is still unresolved", oldest)
 	}
 }

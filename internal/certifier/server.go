@@ -19,8 +19,8 @@ import (
 
 // Stats is a snapshot of certifier activity.
 type Stats struct {
-	Requests       int64
-	Commits        int64
+	Requests       int64 // certify, prepare and resolve requests the batch loop checked
+	Commits        int64 // of those, the ones whose entry reached the log
 	Aborts         int64
 	InjectedAborts int64
 	Pulls          int64
@@ -45,16 +45,17 @@ type Config struct {
 	// applied *after* the full certification check so all certifier
 	// work is still done — the Fig 14 methodology.
 	AbortRate float64
-	// MaxBatch caps how many admitted certification requests one
-	// pipeline iteration drains into a single replication round and
-	// durability barrier (<=0 selects the default of 256).
+	// MaxBatch caps how many admitted requests one pipeline iteration
+	// drains into a single replication round and durability barrier
+	// (<=0 selects the default of 256).
 	MaxBatch int
-	// AdmitTimeout is the admission-control budget: a request that
-	// cannot get a queue slot within this budget is shed with an
-	// OVERLOADED/retry-after response instead of queueing without
-	// bound, and one that has already waited twice the budget in the
-	// queue when a batch drains (drain collapse) is shed under the
-	// same contract. Zero selects the default of 1s; negative disables
+	// AdmitTimeout is the admission-control budget: a certify or
+	// prepare request that cannot get a queue slot within this budget
+	// is shed with an OVERLOADED/retry-after response instead of
+	// queueing without bound, and one that has already waited twice the
+	// budget in the queue when a batch drains (drain collapse) is shed
+	// under the same contract. Decision markers, fills and barriers are
+	// never shed. Zero selects the default of 1s; negative disables
 	// shedding (requests block as before).
 	AdmitTimeout time.Duration
 	// QueueDepth caps the admission queue (<=0 selects 4*MaxBatch).
@@ -80,20 +81,21 @@ const defaultMaxBatch = 256
 //
 // Certification runs as a staged pipeline: RPC handlers enqueue onto
 // the admission queue and wait; a dedicated certification loop drains
-// all waiting requests, conflict-checks them in order, proposes every
-// surviving commit as one batched log append, takes one durability
-// barrier per batch, and fans the responses back (see pipeline.go).
+// all waiting tasks — certifications, prepares, decision markers, fills
+// and barriers — checks them in order, proposes every entry they add as
+// one batched log append, takes one durability barrier per batch, and
+// fans the responses back (see pipeline.go).
 type Server struct {
 	cfg  Config
 	node *paxos.Node
 	disk *simdisk.Disk
 
-	admitCh    chan *certifyTask // admission queue feeding the loop
-	slots      chan struct{}     // admission tokens: one per queue slot, released at dequeue
+	admitCh    chan *task    // admission queue feeding the loop
+	slots      chan struct{} // admission tokens: one per queue slot, released at dequeue
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	loopWG     sync.WaitGroup
-	batchSizes metrics.Distribution // commits proposed per batch
+	batchSizes metrics.Distribution // client entries (certify, prepare, resolve) proposed per batch
 
 	// Admission-control observability: queue depth at admit time,
 	// queue wait at drain time, and the shed/expired totals — the data
@@ -153,7 +155,7 @@ func New(cfg Config) *Server {
 		disk:      cfg.Disk,
 		engine:    core.NewEngine(),
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5EED)),
-		admitCh:   make(chan *certifyTask, cfg.QueueDepth),
+		admitCh:   make(chan *task, cfg.QueueDepth),
 		slots:     make(chan struct{}, cfg.QueueDepth),
 		stopCh:    make(chan struct{}),
 		queueWait: metrics.NewLatency(0),
@@ -436,32 +438,6 @@ func (s *Server) proposeLocked(head uint64, payloads [][]byte) (term uint64, err
 	return term, err
 }
 
-// appendLocked puts entries into the log at the engine's head: it
-// assigns their versions, proposes their payloads as one round and
-// appends them to the engine. Prepare, Resolve, FillTo and Barrier all
-// add their entries through it; they propose directly rather than
-// through the admission queue, whose batch loop waits out each
-// durability barrier before it proposes again. It returns the last
-// entry's index and the term to wait on.
-func (s *Server) appendLocked(entries ...core.LogEntry) (last, term uint64, err error) {
-	head := uint64(s.engine.SystemVersion())
-	payloads := make([][]byte, len(entries))
-	for i := range entries {
-		entries[i].Version = core.Version(head + uint64(i) + 1)
-		payloads[i] = entries[i].Payload
-	}
-	if term, err = s.proposeLocked(head, payloads); err != nil {
-		return 0, 0, err
-	}
-	for _, e := range entries {
-		if err := s.engine.Append(e); err != nil {
-			s.basisValid = false
-			break
-		}
-	}
-	return head + uint64(len(entries)), term, nil
-}
-
 // Barrier commits a no-op log entry and waits for it, returning the
 // resulting committed index. A freshly elected leader cannot mark a
 // previous term's tail committed until an entry of its own term
@@ -477,37 +453,24 @@ func (s *Server) Barrier() (uint64, error) {
 	if s.barrierInFlight.CompareAndSwap(false, true) {
 		defer s.barrierInFlight.Store(false)
 	}
-	s.mu.Lock()
-	if err := s.ensureEngineLocked(); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	index, term, err := s.appendLocked(emptyEntry(core.KindData, 0))
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := s.node.WaitCommitted(index, term); err != nil {
+	if err := s.submit(newTask(kindBarrier, noop)); err != nil {
 		return 0, err
 	}
 	return s.node.CommitIndex(), nil
 }
 
-// fillRemotesLocked collects the writesets in (after, upTo] that did
-// not originate at the requesting replica — or every writeset in the
-// range when includeOwn is set (replica recovery needs its own
-// transactions back too) — optionally annotated with certify-back
-// information.
-func (s *Server) fillRemotesLocked(resp *Response, origin int, includeOwn bool, after, upTo uint64, needSafeBack bool) {
+// remotesLocked collects the writesets in (after, upTo] that did not
+// originate at the requesting replica — or every writeset in the range
+// when includeOwn is set (replica recovery needs its own transactions
+// back too) — optionally annotated with certify-back information.
+func (s *Server) remotesLocked(origin int, includeOwn bool, after, upTo uint64, needSafeBack bool) []RemoteWS {
 	entries, err := s.engine.EntriesSince(core.Version(after), core.Version(upTo))
 	if err != nil {
 		// Horizon truncated below the replica's version; the replica
 		// must do a full resync. Ship nothing.
-		return
+		return nil
 	}
-	if resp.Remote == nil {
-		resp.Remote = make([]RemoteWS, 0, len(entries))
-	}
+	remote := make([]RemoteWS, 0, len(entries))
 	for _, e := range entries {
 		if e.Origin == origin && !includeOwn {
 			continue
@@ -525,9 +488,10 @@ func (s *Server) fillRemotesLocked(resp *Response, origin int, includeOwn bool, 
 			}
 			s.stats.CertifyBackOps++
 		}
-		resp.Remote = append(resp.Remote, r)
+		remote = append(remote, r)
 		s.stats.RemoteShipped++
 	}
+	return remote
 }
 
 // waitIndexCommitted waits until the group's committed prefix covers
@@ -548,6 +512,30 @@ func (s *Server) waitIndexCommitted(index uint64) error {
 	return err
 }
 
+// certify serves one certification request: the writeset certifies in
+// the next batch and commits at the batch's barrier.
+func (s *Server) certify(req Request) (Response, error) {
+	// The entry, payload included, is built here on the handler's own
+	// goroutine, so the certification loop only conflict-checks and
+	// proposes.
+	entry, err := newLogEntry(core.KindData, req.Origin, req.StartVersion, 0, nil, req.WSBytes)
+	if err != nil {
+		return Response{}, err
+	}
+	if entry.WS.Empty() {
+		return Response{}, errors.New("certifier: empty writeset (read-only transactions commit at the replica)")
+	}
+	t := newTask(kindCertify, entry)
+	t.req = req
+	if req.Deadline != 0 {
+		t.deadline = time.Unix(0, req.Deadline)
+	}
+	if err := s.submit(t); err != nil {
+		return Response{}, err
+	}
+	return t.resp, nil
+}
+
 // Prepare serves phase 1 of a cross-partition commit: conflict-check
 // this group's slice of the writeset, lock its items under the
 // transaction's gid, and append a durable prepare entry. Idempotent:
@@ -557,90 +545,28 @@ func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
 	if err != nil {
 		return PrepareResponse{}, fmt.Errorf("certifier: prepare writeset: %w", err)
 	}
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	s.mu.Lock()
-	if err := s.ensureEngineLocked(); err != nil {
-		s.mu.Unlock()
+	t := newTask(kindPrepare, entry)
+	if err := s.submit(t); err != nil {
 		return PrepareResponse{}, err
 	}
-	s.stats.Requests++
-	if v, ok := s.engine.PreparedAt(req.GID); ok {
-		s.mu.Unlock()
-		if err := s.waitIndexCommitted(uint64(v)); err != nil {
-			return PrepareResponse{}, err
-		}
-		return PrepareResponse{Prepared: true, Index: uint64(v), SystemVersion: s.committedCap()}, nil
-	}
-	if _, _, ok := s.engine.Resolution(req.GID); ok {
-		// The decision marker is already in the log (a coordinator
-		// retry raced its own abort): this gid can never prepare again.
-		s.stats.Aborts++
-		s.mu.Unlock()
-		return PrepareResponse{SystemVersion: s.committedCap()}, nil
-	}
-	if s.engine.Conflicts(core.Version(req.StartVersion), entry.WS) {
-		s.stats.Aborts++
-		s.mu.Unlock()
-		return PrepareResponse{SystemVersion: s.committedCap()}, nil
-	}
-	if s.cfg.AbortRate > 0 && s.rng.Float64() < s.cfg.AbortRate {
-		s.stats.InjectedAborts++
-		s.stats.Aborts++
-		s.mu.Unlock()
-		return PrepareResponse{SystemVersion: s.committedCap()}, nil
-	}
-	index, term, err := s.appendLocked(entry)
-	if err != nil {
-		s.mu.Unlock()
-		return PrepareResponse{}, err
-	}
-	s.stats.Commits++
-	s.mu.Unlock()
-	if err := s.node.WaitCommitted(index, term); err != nil {
-		return PrepareResponse{}, err
-	}
-	return PrepareResponse{Prepared: true, Index: index, SystemVersion: s.committedCap()}, nil
+	return PrepareResponse{Prepared: t.index != 0, Index: t.index, SystemVersion: s.committedCap()}, nil
 }
 
 // Resolve serves phase 2: append the commit or abort decision marker
 // for a prepared gid. Idempotent — the first marker wins and retries
-// return its index.
+// return its index. A commit's response carries the group's entries
+// after req.ReplicaVersion through the marker.
 func (s *Server) Resolve(req ResolveRequest) (ResolveResponse, error) {
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	s.mu.Lock()
-	if err := s.ensureEngineLocked(); err != nil {
-		s.mu.Unlock()
-		return ResolveResponse{}, err
-	}
-	if v, _, ok := s.engine.Resolution(req.GID); ok {
-		s.mu.Unlock()
-		if err := s.waitIndexCommitted(uint64(v)); err != nil {
-			return ResolveResponse{}, err
-		}
-		return ResolveResponse{Index: uint64(v), SystemVersion: s.committedCap()}, nil
-	}
-	if _, ok := s.engine.PreparedAt(req.GID); !ok && req.Commit {
-		// A commit decision for a gid this group never prepared: the
-		// coordinator's phase-1 ack can only have come from a durable
-		// prepare, so any leader must see it. Refuse loudly.
-		s.mu.Unlock()
-		return ResolveResponse{}, fmt.Errorf("certifier: resolve-commit for unknown gid %d", req.GID)
-	}
 	kind := core.KindAbortMarker
 	if req.Commit {
 		kind = core.KindCommitMarker
 	}
-	index, term, err := s.appendLocked(emptyEntry(kind, req.GID))
-	s.mu.Unlock()
-	if err != nil {
+	t := newTask(kindResolve, emptyEntry(kind, req.GID))
+	t.after = req.ReplicaVersion
+	if err := s.submit(t); err != nil {
 		return ResolveResponse{}, err
 	}
-	if err := s.node.WaitCommitted(index, term); err != nil {
-		return ResolveResponse{}, err
-	}
-	return ResolveResponse{Index: index, SystemVersion: s.committedCap()}, nil
+	return ResolveResponse{Index: t.index, SystemVersion: s.committedCap(), Remote: t.remote}, nil
 }
 
 // maxFill bounds one fill request; a merge that is further behind asks
@@ -653,36 +579,9 @@ const maxFill = 4096
 // (through the proxy) when the group is idle. Returns the committed
 // head.
 func (s *Server) FillTo(target uint64) (uint64, error) {
-	s.mu.Lock()
-	if err := s.ensureEngineLocked(); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	head := uint64(s.engine.SystemVersion())
-	if head >= target {
-		s.mu.Unlock()
-		if err := s.waitIndexCommitted(target); err != nil {
-			return 0, err
-		}
-		return s.committedCap(), nil
-	}
-	n := target - head
-	if n > maxFill {
-		n = maxFill
-	}
-	// The fills are one no-op n times over: its payload is immutable, so
-	// all n log entries share it.
-	entries := make([]core.LogEntry, n)
-	noop := emptyEntry(core.KindData, 0)
-	for i := range entries {
-		entries[i] = noop
-	}
-	last, term, err := s.appendLocked(entries...)
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if err := s.node.WaitCommitted(last, term); err != nil {
+	t := newTask(kindFill, noop)
+	t.target = target
+	if err := s.submit(t); err != nil {
 		return 0, err
 	}
 	return s.committedCap(), nil
@@ -697,13 +596,12 @@ func (s *Server) pull(req PullRequest) (PullResponse, error) {
 		return PullResponse{}, err
 	}
 	s.stats.Pulls++
-	var r Response
 	upTo := s.committedCap()
-	s.fillRemotesLocked(&r, req.Origin, req.IncludeOwn, req.ReplicaVersion, upTo, req.NeedSafeBack)
 	return PullResponse{
-		Remote: r.Remote, SystemVersion: upTo,
-		Busy:       s.inFlight.Load() > 0,
-		ReplicaSeq: s.nextReplicaSeqLocked(req.Origin),
-		SeqEpoch:   s.basisTerm,
+		Remote:        s.remotesLocked(req.Origin, req.IncludeOwn, req.ReplicaVersion, upTo, req.NeedSafeBack),
+		SystemVersion: upTo,
+		Busy:          s.inFlight.Load() > 0,
+		ReplicaSeq:    s.nextReplicaSeqLocked(req.Origin),
+		SeqEpoch:      s.basisTerm,
 	}, nil
 }

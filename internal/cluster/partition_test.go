@@ -446,6 +446,51 @@ func TestCrossPartitionCommitIsTwoRounds(t *testing.T) {
 	}
 }
 
+// TestCrossPartitionCommitNeedsNoPull: a commit marker's answer carries
+// its group's log through the marker, so on a quiet cluster the
+// coordinator's merge reaches its own commit without a pull. The
+// interposer counts replica 0's pulls between the end of the resolve
+// round and the return of the commit; a coordinator that waited for
+// the merger to pull the markers makes at least one there.
+func TestCrossPartitionCommitNeedsNoPull(t *testing.T) {
+	const parts = 2
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+	})
+	// Let every certifier client find its group's leader first.
+	if err := crossCommit(t, c, 0, parts, []int{0, 1}, 8300, "warm"); err != nil {
+		t.Fatal(err)
+	}
+	var resolved, pulls atomic.Int32
+	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		if from != ReplicaName(0) {
+			return deliver()
+		}
+		if method == certifier.MethodPull && resolved.Load() == parts {
+			pulls.Add(1)
+		}
+		resp, err := deliver()
+		if method == certifier.MethodResolve && err == nil {
+			resolved.Add(1)
+		}
+		return resp, err
+	}))
+	for i := 0; i < 3; i++ {
+		if err := c.ConvergeAll(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		resolved.Store(0)
+		err := crossCommit(t, c, 0, parts, []int{0, 1}, 8301+i, fmt.Sprintf("quiet-%d", i))
+		resolved.Store(0)
+		if err != nil {
+			t.Fatalf("cross-partition commit %d: %v", i, err)
+		}
+	}
+	if n := pulls.Load(); n != 0 {
+		t.Errorf("replica 0 pulled %d times between its resolve rounds and the return of its commits, want 0", n)
+	}
+}
+
 // TestCrossPartitionCrossedPrepares races two transactions over one key
 // pair, one key per group, and steers their messages so that T1 locks
 // its key in group 0 first, T2 its key in group 1 first, and neither

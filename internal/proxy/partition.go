@@ -575,11 +575,20 @@ func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, part
 }
 
 // resolveAll sends the decision to every group in pids at once and
-// returns the groups that did not acknowledge it.
+// returns the groups that did not acknowledge it. A commit's answer
+// carries the group's entries from this replica's frontier through the
+// marker, which go straight to the assembler: the merge then holds
+// everything it needs to reach the first marker without a pull.
 func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 	failed := make([]bool, len(pids))
 	fanOut(len(pids), func(i int) {
-		_, err := m.topo.Groups[pids[i]].Resolve(certifier.ResolveRequest{GID: gid, Commit: commit})
+		g := pids[i]
+		resp, err := m.topo.Groups[g].Resolve(certifier.ResolveRequest{
+			GID: gid, Commit: commit, ReplicaVersion: m.replicaVersion(g),
+		})
+		if err == nil {
+			m.ingest(g, resp.Remote)
+		}
 		failed[i] = err != nil
 	})
 	var pending []int
