@@ -16,7 +16,9 @@ import (
 // admission queue and a dedicated certification loop repeatedly
 //
 //  1. drains every waiting task (bounded by Config.MaxBatch), and
-//     lingers briefly for the clients its last fan-out answered (see
+//     lingers briefly for the clients its last fan-out answered: for the
+//     echoes its cohort is expected to send back or, after a fan-out
+//     that answered prepares, for their decision markers (see
 //     gatherBatch),
 //  2. checks them in admission order against the engine — later tasks
 //     in the batch see earlier survivors, exactly as if they had been
@@ -91,24 +93,60 @@ var noop = emptyEntry(core.KindData, 0)
 // not always inside a thirty-second.
 const lingerShare = 8
 
-// echoDecay is the reciprocal weight of the newest fan-out's echo count
-// in the expected count.
+// echoDecay is the reciprocal weight of the newest fan-out's echo ratio
+// in the learned one.
 const echoDecay = 4
 
 // fanout is the leader's most recent response fan-out as admission sees
 // it. A client request admitted within window of at is an echo: most
 // likely a closed-loop client the fan-out just answered, coming back.
+// A decision marker for one of the prepares it answered is awaited: its
+// coordinator comes back with one once every involved group has
+// answered.
 type fanout struct {
-	at     time.Time
-	window time.Duration
-	echoes atomic.Int64
+	at       time.Time
+	window   time.Duration
+	answered int64               // client tasks it answered
+	target   float64             // echoes expected back (0: none)
+	awaited  map[uint64]struct{} // gids of the prepares it answered (nil: none)
+	echoes   atomic.Int64
+	marker   atomic.Int64 // admission of the first awaited marker, Unix ns (0: none yet)
 }
 
-// admitted counts a request admitted at the given time if it echoes f.
-func (f *fanout) admitted(at time.Time) {
-	if d := at.Sub(f.at); d >= 0 && d <= f.window {
+// admitted sees a client task admitted at t.enqueued. The first marker f
+// awaits is stamped, which may extend f's window (see windowEnd); any
+// task inside the window is counted as an echo.
+func (f *fanout) admitted(t *task) {
+	if t.kind == kindResolve && f.awaited != nil {
+		if _, ok := f.awaited[t.entry.GID]; ok {
+			f.marker.CompareAndSwap(0, t.enqueued.UnixNano())
+		}
+	}
+	if !t.enqueued.Before(f.at) && !t.enqueued.After(f.windowEnd()) {
 		f.echoes.Add(1)
 	}
+}
+
+// expects reports whether f expects anyone back, and so whether a gather
+// behind it may linger.
+func (f *fanout) expects() bool { return f.target > 0 || f.awaited != nil }
+
+// windowEnd is when a gather behind f stops lingering: one window after
+// the fan-out or, if later, after the first marker f awaits.
+func (f *fanout) windowEnd() time.Time {
+	end := f.at.Add(f.window)
+	if m := f.marker.Load(); m != 0 {
+		if e := time.Unix(0, m).Add(f.window); e.After(end) {
+			return e
+		}
+	}
+	return end
+}
+
+// gathered reports whether a gather behind f may close before the window
+// ends: once the expected echoes are in, unless f answered prepares.
+func (f *fanout) gathered() bool {
+	return f.awaited == nil && float64(f.echoes.Load()) >= f.target
 }
 
 // errDeadlineExpired resolves requests whose caller's context deadline
@@ -143,7 +181,7 @@ func (s *Server) submit(t *task) error {
 	// this send cannot block behind anything but scheduling.
 	t.enqueued = time.Now()
 	if f := s.fanout.Load(); f != nil && t.kind.fromClient() {
-		f.admitted(t.enqueued)
+		f.admitted(t)
 	}
 	select {
 	case s.admitCh <- t:
@@ -258,30 +296,44 @@ func (s *Server) certifyLoop() {
 }
 
 // gatherBatch collects up to MaxBatch tasks behind first: everything
-// already queued and then, if the last fan-out's clients are expected
-// back (s.expected >= 1), their echoes. Once the queue is empty it
-// lingers until the first of: the echoes counted since the last fan-out
-// reach the expected count, the fan-out's window closes, a task in hand
-// reaches its deadline, or the server stops. The window is anchored at
-// the fan-out, so a gather that starts after an idle period or a
-// leadership change does not linger at all, and it is one eighth of the
-// measured cycle, so the tasks already queued wait at most that long
-// for a batch that saves the echoes a whole cycle. Returns nil if the
-// server stopped mid-gather (the collected tasks are failed).
+// already queued and then the clients the last fan-out expects back.
+// Once the queue is empty it lingers for one of two reasons.
+//
+//   - Echoes. A fan-out without prepares expects back the learned ratio
+//     of echoes to client tasks answered, times the tasks it answered,
+//     and the gather closes as soon as that many are in.
+//   - Decision markers. A fan-out that answered prepares holds the batch
+//     open for its whole window, and the window ends W after the later of
+//     the fan-out and the first marker it awaits. A coordinator sends its
+//     markers only once every involved group has answered, so the first
+//     awaited marker marks the slowest partner's fan-out, and groups that
+//     close on it close together. A close on a count would differ from
+//     group to group and drift the groups out of step; half a cycle apart,
+//     every round would wait out a flush in one of them.
+//
+// Either way the linger ends at the shared bounds: the window W, a task
+// in hand reaching its deadline, MaxBatch, or Stop. W is one eighth of
+// the measured cycle, so the tasks in hand wait at most that long past
+// the later anchor for a batch that saves the latecomers a whole cycle.
+// The window is anchored at the fan-out, or at a marker it awaits, so a
+// gather that starts after an idle period or a leadership change does
+// not linger at all. Returns nil if the server stopped mid-gather (the
+// collected tasks are failed).
 func (s *Server) gatherBatch(first *task) []*task {
 	batch := append(make([]*task, 0, 16), first)
 	f := s.fanout.Load()
-	var until time.Time // zero: do not linger (no deadline is earlier)
-	if f != nil && s.expected >= 1 {
-		until = earliest(f.at.Add(f.window), first.deadline)
-	}
+	linger := f != nil && f.expects()
+	deadline := first.deadline // zero: none
 	for len(batch) < s.cfg.MaxBatch {
 		var t *task
 		select {
 		case t = <-s.admitCh:
 		default:
-			wait := time.Until(until)
-			if wait <= 0 || float64(f.echoes.Load()) >= s.expected {
+			if !linger || f.gathered() {
+				return batch
+			}
+			wait := time.Until(earliest(f.windowEnd(), deadline))
+			if wait <= 0 {
 				return batch
 			}
 			timer := time.NewTimer(wait)
@@ -289,7 +341,7 @@ func (s *Server) gatherBatch(first *task) []*task {
 			case t = <-s.admitCh:
 				timer.Stop()
 			case <-timer.C:
-				return batch
+				continue // a marker admitted meanwhile may have moved the end
 			case <-s.stopCh:
 				timer.Stop()
 				s.failTasks(batch, paxos.ErrStopped)
@@ -298,31 +350,38 @@ func (s *Server) gatherBatch(first *task) []*task {
 		}
 		s.releaseSlot()
 		batch = append(batch, t)
-		until = earliest(until, t.deadline)
+		deadline = earliest(deadline, t.deadline)
 	}
 	return batch
 }
 
-// earliest returns the earlier of a and b, a zero b meaning no bound.
+// earliest returns the earlier of a and b, a zero time meaning no bound.
 func earliest(a, b time.Time) time.Time {
-	if !b.IsZero() && b.Before(a) {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
 		return b
 	}
 	return a
 }
 
 // publishFanout records a fan-out about to start for a batch drained at
-// drainedAt: the batch's cycle (drain to durability) is measured, the
-// previous fan-out's echoes are folded into the expected count, and the
-// new fan-out opens an echo window of one eighth of the cycle.
-func (s *Server) publishFanout(drainedAt time.Time) {
+// drainedAt that answers answered client tasks, the prepares among them
+// for the gids in awaited: the batch's cycle (drain to durability) is
+// measured, the previous fan-out's echoes per task answered are folded
+// into the learned ratio, and the new fan-out opens an echo window of
+// one eighth of the cycle. It expects the ratio's share of its own
+// cohort back, if that is at least one client.
+func (s *Server) publishFanout(drainedAt time.Time, answered int64, awaited map[uint64]struct{}) {
 	now := time.Now()
 	cycle := now.Sub(drainedAt)
 	s.cycle.Store(int64(cycle))
-	if prev := s.fanout.Load(); prev != nil {
-		s.expected += (float64(prev.echoes.Load()) - s.expected) / echoDecay
+	if prev := s.fanout.Load(); prev != nil && prev.answered > 0 {
+		s.echoRatio += (float64(prev.echoes.Load())/float64(prev.answered) - s.echoRatio) / echoDecay
 	}
-	s.fanout.Store(&fanout{at: now, window: cycle / lingerShare})
+	f := &fanout{at: now, window: cycle / lingerShare, answered: answered, awaited: awaited}
+	if target := s.echoRatio * float64(answered); target >= 1 {
+		f.target = target
+	}
+	s.fanout.Store(f)
 }
 
 // drainAdmitted fails everything still sitting in the admission queue
@@ -463,13 +522,25 @@ func (s *Server) processBatch(batch []*task) {
 	s.mu.Unlock()
 
 	// Refusals, errors and answers standing on older entries resolve
-	// without touching the disk.
+	// without touching the disk. The fan-out counts the client tasks it
+	// will answer and awaits the markers of the prepares among them.
 	var durable []*task
+	var answered int64
+	var awaited map[uint64]struct{}
 	for _, t := range batch {
-		if t.err == nil && t.index > head {
-			durable = append(durable, t)
-		} else {
+		if t.err != nil || t.index <= head {
 			t.finish()
+			continue
+		}
+		durable = append(durable, t)
+		if t.kind.fromClient() {
+			answered++
+		}
+		if t.kind == kindPrepare {
+			if awaited == nil {
+				awaited = make(map[uint64]struct{})
+			}
+			awaited[t.entry.GID] = struct{}{}
 		}
 	}
 	if len(durable) == 0 {
@@ -491,7 +562,7 @@ func (s *Server) processBatch(batch []*task) {
 	// The fan-out is published before the first waiter wakes, so its
 	// client's next request can count as an echo.
 	sysv := s.node.CommitIndex()
-	s.publishFanout(drainedAt)
+	s.publishFanout(drainedAt, answered, awaited)
 	for _, t := range durable {
 		if t.kind == kindCertify {
 			t.resp.SystemVersion = sysv

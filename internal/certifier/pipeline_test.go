@@ -3,6 +3,7 @@ package certifier
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,17 +67,36 @@ func idleServer(t *testing.T) *Server {
 // expectCohort puts s just after a fan-out whose window is open for w
 // (from at) with a full cohort of twelve expected back.
 func expectCohort(s *Server, at time.Time, w time.Duration) {
-	s.expected = 12
-	s.fanout.Store(&fanout{at: at, window: w})
+	s.fanout.Store(&fanout{at: at, window: w, answered: 12, target: 12})
 }
 
-// enqueue admits a task the way certify does, without waiting for it.
+// fanOutNow publishes a fan-out of answered client tasks, the prepares
+// of awaited among them, whose window stays open for w.
+func fanOutNow(s *Server, w time.Duration, answered int64, awaited ...uint64) {
+	var set map[uint64]struct{}
+	for _, gid := range awaited {
+		if set == nil {
+			set = make(map[uint64]struct{})
+		}
+		set[gid] = struct{}{}
+	}
+	s.publishFanout(time.Now().Add(-lingerShare*w), answered, set)
+}
+
+// enqueue admits a certify task the way submit does, without waiting
+// for it.
 func enqueue(s *Server, deadline time.Time) *task {
-	t := &task{deadline: deadline, done: make(chan struct{})}
+	t := bareTask()
+	t.deadline = deadline
+	return enqueueTask(s, t)
+}
+
+// enqueueTask admits t the way submit does, without waiting for it.
+func enqueueTask(s *Server, t *task) *task {
 	<-s.slots
 	t.enqueued = time.Now()
 	if f := s.fanout.Load(); f != nil {
-		f.admitted(t.enqueued)
+		f.admitted(t)
 	}
 	s.admitCh <- t
 	return t
@@ -163,43 +183,62 @@ func TestGatherInstantDiskOnlyQueued(t *testing.T) {
 	}
 }
 
-// TestGatherLingerEndsAtDeadlineAndStop: with the echoes expected and
-// the window open, a gather still ends at the earliest deadline of a task
-// it holds, and on Stop, where it fails what it holds.
+// TestGatherLingerEndsAtDeadlineAndStop: with the window open for a
+// minute, whether the echoes of a cohort are expected or the decision
+// marker of gid 7's prepare is awaited (and arrives 30 ms in), a gather
+// still ends at the earliest deadline of a task it holds, and on Stop,
+// where it fails what it holds.
 func TestGatherLingerEndsAtDeadlineAndStop(t *testing.T) {
-	s := idleServer(t)
-	expectCohort(s, time.Now(), time.Minute)
-	enqueue(s, time.Now().Add(time.Minute))
-	dl := time.Now().Add(30 * time.Millisecond)
-	enqueue(s, dl)
-	batch := s.gatherBatch(bareTask())
-	if now := time.Now(); now.Before(dl) || now.Sub(dl) > 10*time.Second {
-		t.Errorf("gather ended %v after the earliest deadline, want at it", now.Sub(dl))
-	}
-	if len(batch) != 3 {
-		t.Errorf("gather took %d tasks, want 3", len(batch))
-	}
-
-	s = idleServer(t)
-	expectCohort(s, time.Now(), time.Minute)
-	stopped := make(chan struct{})
-	go func() {
-		defer close(stopped)
-		time.Sleep(20 * time.Millisecond)
-		s.Stop()
-	}()
-	first := bareTask()
-	if batch := s.gatherBatch(first); batch != nil {
-		t.Errorf("gather returned %d tasks across Stop, want nil", len(batch))
-	}
-	<-stopped
-	select {
-	case <-first.done:
-		if !errors.Is(first.err, paxos.ErrStopped) {
-			t.Errorf("task held across Stop failed with %v, want ErrStopped", first.err)
+	for _, awaiting := range []bool{false, true} {
+		open := func(s *Server) {
+			if awaiting {
+				fanOutNow(s, time.Minute, 1, 7)
+			} else {
+				expectCohort(s, time.Now(), time.Minute)
+			}
 		}
-	default:
-		t.Error("task held across Stop was never resolved")
+		s := idleServer(t)
+		open(s)
+		want := 3
+		if awaiting {
+			want++
+			go func() {
+				time.Sleep(30 * time.Millisecond)
+				enqueueTask(s, resolveTask(7, true))
+			}()
+		}
+		enqueue(s, time.Now().Add(time.Minute))
+		dl := time.Now().Add(60 * time.Millisecond)
+		enqueue(s, dl)
+		batch := s.gatherBatch(bareTask())
+		if now := time.Now(); now.Before(dl) || now.Sub(dl) > 10*time.Second {
+			t.Errorf("awaiting %v: gather ended %v after the earliest deadline, want at it", awaiting, now.Sub(dl))
+		}
+		if len(batch) != want {
+			t.Errorf("awaiting %v: gather took %d tasks, want %d", awaiting, len(batch), want)
+		}
+
+		s = idleServer(t)
+		open(s)
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			time.Sleep(20 * time.Millisecond)
+			s.Stop()
+		}()
+		first := bareTask()
+		if batch := s.gatherBatch(first); batch != nil {
+			t.Errorf("awaiting %v: gather returned %d tasks across Stop, want nil", awaiting, len(batch))
+		}
+		<-stopped
+		select {
+		case <-first.done:
+			if !errors.Is(first.err, paxos.ErrStopped) {
+				t.Errorf("awaiting %v: task held across Stop failed with %v, want ErrStopped", awaiting, first.err)
+			}
+		default:
+			t.Errorf("awaiting %v: task held across Stop was never resolved", awaiting)
+		}
 	}
 }
 
@@ -276,6 +315,134 @@ func TestGatherStaleFanoutNoLinger(t *testing.T) {
 	}
 	if qs.Wait.Max >= w {
 		t.Errorf("first request after regaining leadership waited %v in the queue, want < W = %v (no linger)", qs.Wait.Max, w)
+	}
+}
+
+// TestGatherHoldsWindowPastMarker: a fan-out that answered the prepares
+// of gids 7 and 8 holds the next batch open until W after the first of
+// their markers, past its own window: gid 7's marker arrives 150 ms into
+// a 200 ms window and gid 8's at 300 ms. The batch stays open to the end
+// with both markers in hand, so that a group closes in step with its
+// partner, not on a count of its own.
+func TestGatherHoldsWindowPastMarker(t *testing.T) {
+	const w = 200 * time.Millisecond
+	s := idleServer(t)
+	fanOutNow(s, w, 2, 7, 8)
+	f := s.fanout.Load()
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		enqueueTask(s, resolveTask(7, true))
+		time.Sleep(150 * time.Millisecond)
+		enqueueTask(s, resolveTask(8, false))
+	}()
+	batch := s.gatherBatch(bareTask())
+	end := time.Since(f.at)
+	if len(batch) != 3 {
+		t.Fatalf("gather took %d tasks, want the first and both markers", len(batch))
+	}
+	marker := time.Unix(0, f.marker.Load())
+	if want := marker.Add(w).Sub(f.at); end < want || end > want+2*time.Second {
+		t.Errorf("gather ended %v after the fan-out, want W after gid 7's marker (%v)", end, want)
+	}
+}
+
+// TestGatherLateMarkerReopensWindow: when the partner group answers after
+// the window has closed, the first awaited marker starts a gather that
+// lingers W for the rest of the partner's answers.
+func TestGatherLateMarkerReopensWindow(t *testing.T) {
+	const w = 100 * time.Millisecond
+	s := idleServer(t)
+	fanOutNow(s, w, 2, 7, 8)
+	time.Sleep(3 * w)
+	enqueueTask(s, resolveTask(7, true))
+	first := <-s.admitCh
+	s.releaseSlot()
+	go func() {
+		time.Sleep(w / 2)
+		enqueueTask(s, resolveTask(8, true))
+	}()
+	batch := s.gatherBatch(first)
+	if len(batch) != 2 || batch[1].entry.GID != 8 {
+		t.Fatalf("gather took %d tasks, want gid 7's marker and gid 8's", len(batch))
+	}
+	if el := time.Since(first.enqueued); el < w || el > w+2*time.Second {
+		t.Errorf("gather ended %v after the first marker, want W = %v", el, w)
+	}
+}
+
+// TestGatherUnawaitedMarkerNoLonger: a marker for a gid the fan-out does
+// not await, or no marker at all, leaves the linger to its window W.
+func TestGatherUnawaitedMarkerNoLonger(t *testing.T) {
+	const w = 200 * time.Millisecond
+	for _, marker := range []bool{true, false} {
+		s := idleServer(t)
+		fanOutNow(s, w, 1, 7)
+		f := s.fanout.Load()
+		want := 1
+		if marker {
+			enqueueTask(s, resolveTask(8, true))
+			want++
+		}
+		batch := s.gatherBatch(bareTask())
+		end := time.Since(f.at)
+		if len(batch) != want {
+			t.Errorf("marker %v: gather took %d tasks, want %d", marker, len(batch), want)
+		}
+		if end < w || end > w+2*time.Second {
+			t.Errorf("marker %v: gather ended %v after the fan-out, want at W = %v", marker, end, w)
+		}
+	}
+}
+
+// TestGatherOpenLoopNoLinger: a fan-out that answered many tasks, behind
+// a learned ratio of echoes near zero (open-loop clients, who do not
+// come back when answered), expects nobody and never lingers.
+func TestGatherOpenLoopNoLinger(t *testing.T) {
+	s := idleServer(t)
+	s.echoRatio = 0.001
+	fanOutNow(s, time.Minute, 500)
+	if f := s.fanout.Load(); f.expects() {
+		t.Fatalf("fan-out of 500 at ratio 0.001 expects %.2f echoes, want none", f.target)
+	}
+	start := time.Now()
+	if batch := s.gatherBatch(bareTask()); len(batch) != 1 {
+		t.Errorf("gather took %d tasks, want 1", len(batch))
+	}
+	if el := time.Since(start); el > 250*time.Millisecond {
+		t.Errorf("gather took %v, want no linger", el)
+	}
+}
+
+// TestGatherWholeCohort: the echo target follows the fan-out's own
+// cohort. A closed loop of twelve has taught the loop that everyone comes
+// back; a fan-out that answered twenty gathers all twenty, the last
+// eight trickling in after the first twelve, and then returns at once.
+func TestGatherWholeCohort(t *testing.T) {
+	s := idleServer(t)
+	for i := 0; i < 3*echoDecay; i++ { // a closed loop of twelve
+		fanOutNow(s, time.Minute, 12)
+		s.fanout.Load().echoes.Store(12)
+	}
+	fanOutNow(s, time.Minute, 20)
+	if s.echoRatio < 0.95 {
+		t.Fatalf("learned echo ratio %.2f after a closed loop, want close to 1", s.echoRatio)
+	}
+	start := time.Now()
+	for i := 0; i < 12; i++ {
+		enqueue(s, time.Time{})
+	}
+	go func() {
+		for i := 0; i < 8; i++ {
+			time.Sleep(3 * time.Millisecond)
+			enqueue(s, time.Time{})
+		}
+	}()
+	batch := s.gatherBatch(bareTask())
+	if len(batch) != 21 {
+		t.Errorf("gather took %d tasks, want the first and a cohort of 20", len(batch))
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("gather returned after %v, want right after the last of the cohort", el)
 	}
 }
 
@@ -358,6 +525,116 @@ func TestGatherTwoPhaseRounds(t *testing.T) {
 	t.Logf("%.2f entries per fsync over %d fsyncs", ds.GroupRatio(), ds.Fsyncs)
 	if r := ds.GroupRatio(); r < 6 {
 		t.Errorf("%.2f entries per fsync over %d fsyncs, want >= 6 (eight coordinators in one batch)", r, ds.Fsyncs)
+	}
+}
+
+// TestGatherTwoGroupRounds: eight coordinators prepare in two groups at
+// once and then resolve in both, as a partitioned replica's commit does.
+// Each group holds its batch open for the markers of the prepares it has
+// just answered, so both groups keep all eight in one batch per round
+// and a prepare → resolve pair costs two cycles and the markers'
+// windows, not the third cycle a round pays when a marker misses its
+// group's batch. The disks take 40 ms, so that W (≈ 5 ms) stays above
+// how far apart the race detector pushes the two groups' fan-outs.
+func TestGatherTwoGroupRounds(t *testing.T) {
+	disk := func(i int, cfg *Config) {
+		cfg.Disk = simdisk.New(simdisk.Profile{FsyncLatency: 40 * time.Millisecond}, int64(i))
+	}
+	groups := []*testGroup{newTestGroup(t, 1, disk), newTestGroup(t, 1, disk)}
+	var leaders []*Server
+	for _, g := range groups {
+		leaders = append(leaders, g.waitLeader(t))
+	}
+	// inBoth runs call against both groups at once and returns the first
+	// error.
+	inBoth := func(call func(c *Client) error) error {
+		errs := make([]error, len(groups))
+		var wg sync.WaitGroup
+		for i, g := range groups {
+			wg.Add(1)
+			go func(i int, c *Client) {
+				defer wg.Done()
+				errs[i] = call(c)
+			}(i, g.client)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+	var gids atomic.Uint64
+	var mu sync.Mutex
+	var pairs []time.Duration
+	measuring := atomic.Bool{}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(i) * time.Millisecond)
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				gid := gids.Add(1)
+				start := time.Now()
+				err := inBoth(func(c *Client) error {
+					p, err := c.Prepare(PrepareRequest{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+						WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
+					if err == nil && !p.Prepared {
+						err = fmt.Errorf("prepare refused: %+v", p)
+					}
+					return err
+				})
+				if err == nil {
+					err = inBoth(func(c *Client) error {
+						_, err := c.Resolve(ResolveRequest{GID: gid, Commit: true})
+						return err
+					})
+				}
+				if err != nil {
+					t.Errorf("coordinator %d: %v", i, err)
+					return
+				}
+				if measuring.Load() {
+					mu.Lock()
+					pairs = append(pairs, time.Since(start))
+					mu.Unlock()
+				}
+			}
+		}(i)
+	}
+	time.Sleep(400 * time.Millisecond) // ≈ 10 cycles: the echo ratio builds up
+	for _, ld := range leaders {
+		ld.ResetActivityStats()
+	}
+	measuring.Store(true)
+	time.Sleep(1200 * time.Millisecond)
+	measuring.Store(false)
+	var ratios []float64
+	var cycle time.Duration // the slower group's last drain-to-durability cycle
+	for _, ld := range leaders {
+		ratios = append(ratios, ld.DiskStats().GroupRatio())
+		cycle = max(cycle, time.Duration(ld.cycle.Load()))
+	}
+	close(done)
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(pairs) == 0 {
+		t.Fatal("no prepare → resolve pair completed")
+	}
+	slices.Sort(pairs)
+	median := pairs[len(pairs)/2]
+	t.Logf("entries per fsync %.2f / %.2f; pair p50 %v over %d pairs; cycle %v", ratios[0], ratios[1], median, len(pairs), cycle)
+	for g, r := range ratios {
+		if r < 6 {
+			t.Errorf("group %d: %.2f entries per fsync, want >= 6 (eight coordinators in one batch)", g, r)
+		}
+	}
+	if limit := 5 * cycle / 2; median >= limit {
+		t.Errorf("prepare → resolve pair p50 %v, want < 2.5 cycles (%v)", median, limit)
 	}
 }
 

@@ -115,13 +115,14 @@ type Server struct {
 	inFlight atomic.Int64
 
 	// Batch linger state (see gatherBatch). fanout is the last fan-out,
-	// whose echoes request handlers count at admission; cycle is the
-	// last committed batch's drain-to-durability time in nanoseconds (0
-	// before the first barrier); expected, the decaying average of
-	// echoes per fan-out, belongs to the certification loop alone.
-	fanout   atomic.Pointer[fanout]
-	cycle    atomic.Int64
-	expected float64
+	// whose echoes and awaited markers request handlers count at
+	// admission; cycle is the last committed batch's drain-to-durability
+	// time in nanoseconds (0 before the first barrier); echoRatio, the
+	// decaying average of echoes per client task a fan-out answered,
+	// belongs to the certification loop alone.
+	fanout    atomic.Pointer[fanout]
+	cycle     atomic.Int64
+	echoRatio float64
 
 	mu         sync.Mutex // guards engine + basisTerm + rng + stats
 	engine     *core.Engine

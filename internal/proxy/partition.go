@@ -605,9 +605,11 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 // certifier clients (never the store), so it is safe across a
 // simulated replica crash; it stops when the decision landed
 // everywhere or the proxy shuts down. On shutdown an unresolved
-// decision leaves the prepared groups' locks held — later conflicting
-// certifications abort until a restarted coordinator re-resolves,
-// which is legal (aborts, never a safety violation).
+// decision leaves the prepared groups' locks held, and nothing
+// re-resolves it: no code finds an orphaned prepare, so every later
+// conflicting certification aborts for good. That costs liveness on
+// those items, never safety. The missing termination protocol is open
+// item 4 of ROADMAP.md ("Cross-partition commit").
 func (m *merger) resolveDetached(gid uint64, pids []int, commit bool) {
 	p := m.p
 	p.detach(func() {
