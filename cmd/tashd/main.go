@@ -91,7 +91,6 @@ func main() {
 		},
 		Parts:              &partition.Topology{Groups: []*certifier.Client{certifier.NewClient(clients, 10*time.Second)}},
 		LocalCertification: true,
-		EagerPreCert:       true,
 		StalenessBound:     time.Second,
 	})
 

@@ -131,14 +131,15 @@ func TestRemoteWritesetsExcludeOwn(t *testing.T) {
 	if _, err := g.client.Certify(Request{Origin: 2, StartVersion: 1, WSBytes: wsBytes("k2")}); err != nil {
 		t.Fatal(err)
 	}
-	// Replica 1 commits k3 from version 0 replica view: remotes must
-	// include v2 (origin 2) but not v1 (its own).
+	// Replica 1 commits k3 from a replica view at version 1: the answer
+	// carries v2 (origin 2) and v3, the commit itself, but not v1 (its
+	// own, below the replica's version).
 	resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 2, ReplicaVersion: 1, WSBytes: wsBytes("k3")})
 	if err != nil || !resp.Committed {
 		t.Fatalf("certify: %v %v", resp, err)
 	}
-	if len(resp.Remote) != 1 || resp.Remote[0].Version != 2 {
-		t.Fatalf("remotes = %+v, want just version 2", resp.Remote)
+	if len(resp.Remote) != 2 || resp.Remote[0].Version != 2 || resp.Remote[1].Version != 3 {
+		t.Fatalf("remotes = %+v, want versions 2 and 3", resp.Remote)
 	}
 }
 
@@ -161,34 +162,6 @@ func TestPull(t *testing.T) {
 	}
 	if resp.SystemVersion < 4 {
 		t.Errorf("system version = %d", resp.SystemVersion)
-	}
-}
-
-func TestSafeBackAnnotations(t *testing.T) {
-	g := newTestGroup(t, 1, nil)
-	// v1 writes a, v2 writes b, v3 writes a again (conflicts with v1).
-	for i, k := range []string{"a", "b", "a"} {
-		if _, err := g.client.Certify(Request{
-			Origin: 9, StartVersion: uint64(i), WSBytes: wsBytes(k),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := g.client.Pull(PullRequest{Origin: 5, ReplicaVersion: 0, NeedSafeBack: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Remote) != 3 {
-		t.Fatalf("remotes = %d", len(resp.Remote))
-	}
-	// v3 (writes a) conflicts with v1: SafeBack must be 1, forcing the
-	// proxy to serialize it after v1.
-	if resp.Remote[2].SafeBack != 1 {
-		t.Errorf("v3 SafeBack = %d, want 1", resp.Remote[2].SafeBack)
-	}
-	// v2 (writes b) is conflict-free all the way back.
-	if resp.Remote[1].SafeBack != 0 {
-		t.Errorf("v2 SafeBack = %d, want 0", resp.Remote[1].SafeBack)
 	}
 }
 
@@ -302,10 +275,6 @@ func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 	if err != nil || !r1.Committed {
 		t.Fatalf("pre-failover: %+v %v", r1, err)
 	}
-	if r1.ReplicaSeq != 1 {
-		t.Fatalf("first response seq = %d, want 1", r1.ReplicaSeq)
-	}
-	oldEpoch := r1.SeqEpoch
 	g.waitLeader(t).Stop()
 
 	// Certification resumes under a new leader after failover.
@@ -321,13 +290,10 @@ func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	// The new leader starts a fresh sequencing epoch with restarted
-	// per-origin counters, which is what lets proxies re-anchor.
-	if r2.SeqEpoch <= oldEpoch {
-		t.Errorf("post-failover epoch %d, want > %d", r2.SeqEpoch, oldEpoch)
-	}
-	if r2.ReplicaSeq != 1 {
-		t.Errorf("post-failover seq = %d, want counter restart at 1", r2.ReplicaSeq)
+	// The new leader's answer runs through the commit, the old term's
+	// entry before it included.
+	if n := len(r2.Remote); !r2.Committed || n < 2 || r2.Remote[n-1].Version != r2.CommitVersion {
+		t.Errorf("post-failover commit ships %+v, want the log through its own version %d", r2.Remote, r2.CommitVersion)
 	}
 
 	// A pull served by the new leader ships only majority-durable
@@ -335,9 +301,6 @@ func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 	pull, err := g.client.Pull(PullRequest{Origin: 9, ReplicaVersion: 0})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pull.SeqEpoch != r2.SeqEpoch {
-		t.Errorf("pull epoch %d != certify epoch %d", pull.SeqEpoch, r2.SeqEpoch)
 	}
 	if len(pull.Remote) < 2 {
 		t.Fatalf("pull remotes = %d, want both committed versions", len(pull.Remote))

@@ -64,17 +64,13 @@ func takeBytes(data []byte) ([]byte, []byte, error) {
 }
 
 // Request: u32 origin | u64 start | u64 replicaVersion | i64 deadline
-// | u8 flags(needSafeBack) | u32 wsLen | ws
+// | u8 flags (none defined) | u32 wsLen | ws
 func (r *Request) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Origin))
 	buf = binary.BigEndian.AppendUint64(buf, r.StartVersion)
 	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Deadline))
-	var flags byte
-	if r.NeedSafeBack {
-		flags |= 1
-	}
-	buf = append(buf, flags)
+	buf = append(buf, 0)
 	return appendBytes(buf, r.WSBytes)
 }
 
@@ -82,14 +78,13 @@ func (r *Request) DecodeBinary(data []byte) error {
 	if len(data) < 29 {
 		return errShortMessage
 	}
-	if err := checkFlags(data[28], 1); err != nil {
+	if err := checkFlags(data[28], 0); err != nil {
 		return err
 	}
 	r.Origin = int(binary.BigEndian.Uint32(data))
 	r.StartVersion = binary.BigEndian.Uint64(data[4:])
 	r.ReplicaVersion = binary.BigEndian.Uint64(data[12:])
 	r.Deadline = int64(binary.BigEndian.Uint64(data[20:]))
-	r.NeedSafeBack = data[28]&1 != 0
 	ws, rest, err := takeBytes(data[29:])
 	if err != nil {
 		return err
@@ -101,13 +96,11 @@ func (r *Request) DecodeBinary(data []byte) error {
 	return nil
 }
 
-// appendRemotes: u32 count | per entry u64 version | u64 safeBack |
-// u32 wsLen | ws
+// appendRemotes: u32 count | per entry u64 version | u32 wsLen | ws
 func appendRemotes(buf []byte, remote []RemoteWS) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(remote)))
 	for i := range remote {
 		buf = binary.BigEndian.AppendUint64(buf, remote[i].Version)
-		buf = binary.BigEndian.AppendUint64(buf, remote[i].SafeBack)
 		buf = appendBytes(buf, remote[i].WSBytes)
 	}
 	return buf
@@ -122,18 +115,17 @@ func takeRemotes(data []byte) ([]RemoteWS, []byte, error) {
 	if n == 0 {
 		return nil, data, nil
 	}
-	if n > len(data)/16 { // each entry is at least 20 bytes; cheap sanity bound
+	if n > len(data)/12 { // each entry is at least 12 bytes; cheap sanity bound
 		return nil, nil, fmt.Errorf("certifier: remote count %d exceeds payload", n)
 	}
 	out := make([]RemoteWS, n)
 	for i := 0; i < n; i++ {
-		if len(data) < 16 {
+		if len(data) < 8 {
 			return nil, nil, errShortMessage
 		}
 		out[i].Version = binary.BigEndian.Uint64(data)
-		out[i].SafeBack = binary.BigEndian.Uint64(data[8:])
 		var err error
-		out[i].WSBytes, data, err = takeBytes(data[16:])
+		out[i].WSBytes, data, err = takeBytes(data[8:])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,7 +134,7 @@ func takeRemotes(data []byte) ([]RemoteWS, []byte, error) {
 }
 
 // Response: u8 flags(committed) | u64 commitVersion | u64
-// systemVersion | u64 replicaSeq | u64 seqEpoch | remotes
+// systemVersion | remotes
 func (r *Response) AppendBinary(buf []byte) []byte {
 	var flags byte
 	if r.Committed {
@@ -151,13 +143,11 @@ func (r *Response) AppendBinary(buf []byte) []byte {
 	buf = append(buf, flags)
 	buf = binary.BigEndian.AppendUint64(buf, r.CommitVersion)
 	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
-	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaSeq)
-	buf = binary.BigEndian.AppendUint64(buf, r.SeqEpoch)
 	return appendRemotes(buf, r.Remote)
 }
 
 func (r *Response) DecodeBinary(data []byte) error {
-	if len(data) < 33 {
+	if len(data) < 17 {
 		return errShortMessage
 	}
 	if err := checkFlags(data[0], 1); err != nil {
@@ -166,9 +156,7 @@ func (r *Response) DecodeBinary(data []byte) error {
 	r.Committed = data[0]&1 != 0
 	r.CommitVersion = binary.BigEndian.Uint64(data[1:])
 	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
-	r.ReplicaSeq = binary.BigEndian.Uint64(data[17:])
-	r.SeqEpoch = binary.BigEndian.Uint64(data[25:])
-	remote, rest, err := takeRemotes(data[33:])
+	remote, rest, err := takeRemotes(data[17:])
 	if err != nil {
 		return err
 	}
@@ -180,14 +168,11 @@ func (r *Response) DecodeBinary(data []byte) error {
 }
 
 // PullRequest: u32 origin | u64 replicaVersion | u8 flags
-// (bit0 needSafeBack, bit1 includeOwn)
+// (bit1 includeOwn)
 func (r *PullRequest) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Origin))
 	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
 	var flags byte
-	if r.NeedSafeBack {
-		flags |= 1
-	}
 	if r.IncludeOwn {
 		flags |= 2
 	}
@@ -198,18 +183,16 @@ func (r *PullRequest) DecodeBinary(data []byte) error {
 	if len(data) != 13 {
 		return errShortMessage
 	}
-	if err := checkFlags(data[12], 3); err != nil {
+	if err := checkFlags(data[12], 2); err != nil {
 		return err
 	}
 	r.Origin = int(binary.BigEndian.Uint32(data))
 	r.ReplicaVersion = binary.BigEndian.Uint64(data[4:])
-	r.NeedSafeBack = data[12]&1 != 0
 	r.IncludeOwn = data[12]&2 != 0
 	return nil
 }
 
-// PullResponse: u8 flags(busy) | u64 systemVersion | u64 replicaSeq |
-// u64 seqEpoch | remotes
+// PullResponse: u8 flags(busy) | u64 systemVersion | remotes
 func (r *PullResponse) AppendBinary(buf []byte) []byte {
 	var flags byte
 	if r.Busy {
@@ -217,13 +200,11 @@ func (r *PullResponse) AppendBinary(buf []byte) []byte {
 	}
 	buf = append(buf, flags)
 	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
-	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaSeq)
-	buf = binary.BigEndian.AppendUint64(buf, r.SeqEpoch)
 	return appendRemotes(buf, r.Remote)
 }
 
 func (r *PullResponse) DecodeBinary(data []byte) error {
-	if len(data) < 25 {
+	if len(data) < 9 {
 		return errShortMessage
 	}
 	if err := checkFlags(data[0], 1); err != nil {
@@ -231,9 +212,7 @@ func (r *PullResponse) DecodeBinary(data []byte) error {
 	}
 	r.Busy = data[0]&1 != 0
 	r.SystemVersion = binary.BigEndian.Uint64(data[1:])
-	r.ReplicaSeq = binary.BigEndian.Uint64(data[9:])
-	r.SeqEpoch = binary.BigEndian.Uint64(data[17:])
-	remote, rest, err := takeRemotes(data[25:])
+	remote, rest, err := takeRemotes(data[9:])
 	if err != nil {
 		return err
 	}

@@ -25,9 +25,8 @@ func randRemotes(rng *rand.Rand) []RemoteWS {
 	out := make([]RemoteWS, n)
 	for i := range out {
 		out[i] = RemoteWS{
-			Version:  rng.Uint64(),
-			SafeBack: rng.Uint64(),
-			WSBytes:  randBytes(rng, 64),
+			Version: rng.Uint64(),
+			WSBytes: randBytes(rng, 64),
 		}
 	}
 	return out
@@ -92,7 +91,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			StartVersion:   rng.Uint64(),
 			ReplicaVersion: rng.Uint64(),
 			WSBytes:        randBytes(rng, 256),
-			NeedSafeBack:   rng.Intn(2) == 0,
 			Deadline:       rng.Int63() - rng.Int63(),
 		}
 		got := roundTrip(t, req).(*Request)
@@ -105,8 +103,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			Committed:     rng.Intn(2) == 0,
 			CommitVersion: rng.Uint64(),
 			SystemVersion: rng.Uint64(),
-			ReplicaSeq:    rng.Uint64(),
-			SeqEpoch:      rng.Uint64(),
 			Remote:        randRemotes(rng),
 		}
 		gotR := roundTrip(t, resp).(*Response)
@@ -118,7 +114,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 		pr := &PullRequest{
 			Origin:         rng.Intn(1 << 16),
 			ReplicaVersion: rng.Uint64(),
-			NeedSafeBack:   rng.Intn(2) == 0,
 			IncludeOwn:     rng.Intn(2) == 0,
 		}
 		if got := roundTrip(t, pr).(*PullRequest); !reflect.DeepEqual(pr, got) {
@@ -129,8 +124,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			Remote:        randRemotes(rng),
 			SystemVersion: rng.Uint64(),
 			Busy:          rng.Intn(2) == 0,
-			ReplicaSeq:    rng.Uint64(),
-			SeqEpoch:      rng.Uint64(),
 		}
 		gotP := roundTrip(t, presp).(*PullResponse)
 		presp.Remote, gotP.Remote = normRemotes(presp.Remote), normRemotes(gotP.Remote)
@@ -195,7 +188,7 @@ func gobBytes(t *testing.T, v interface{}) []byte {
 // gob form.
 func TestCodecBinarySmallerThanGob(t *testing.T) {
 	ws := bytes.Repeat([]byte{0xAB}, 120) // typical small writeset
-	req := &Request{Origin: 3, StartVersion: 1000, ReplicaVersion: 990, WSBytes: ws, NeedSafeBack: true}
+	req := &Request{Origin: 3, StartVersion: 1000, ReplicaVersion: 990, WSBytes: ws}
 	binB, err := transport.EncodeMessage(req)
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +200,8 @@ func TestCodecBinarySmallerThanGob(t *testing.T) {
 	t.Logf("Request: binary %dB vs gob %dB", len(binB), len(gobB))
 
 	resp := &PullResponse{SystemVersion: 1000, Remote: []RemoteWS{
-		{Version: 998, WSBytes: ws, SafeBack: 990},
-		{Version: 999, WSBytes: ws, SafeBack: 991},
+		{Version: 998, WSBytes: ws},
+		{Version: 999, WSBytes: ws},
 	}}
 	binB, err = transport.EncodeMessage(resp)
 	if err != nil {
@@ -247,7 +240,7 @@ func TestCodecTruncation(t *testing.T) {
 		if err := transport.DecodeMessage(full[:cut], &r); err == nil && cut < len(full) {
 			// Some prefixes of a message with empty tail sections can be
 			// self-consistent; only flag clearly impossible successes.
-			if cut < 34 {
+			if cut < 18 {
 				t.Fatalf("truncated Response (%d of %d bytes) decoded without error", cut, len(full))
 			}
 		}
@@ -277,9 +270,9 @@ func TestCodecTruncation(t *testing.T) {
 	// A flag bit no encoder sets is refused, so that whatever decodes
 	// re-encodes to the same bytes.
 	for _, msg := range []interface{}{
-		&Request{NeedSafeBack: true, WSBytes: []byte{1}},
+		&Request{WSBytes: []byte{1}},
 		&Response{Committed: true},
-		&PullRequest{NeedSafeBack: true, IncludeOwn: true},
+		&PullRequest{IncludeOwn: true},
 		&PullResponse{Busy: true},
 		&PrepareResponse{Prepared: true},
 		&ResolveRequest{Commit: true},
@@ -302,7 +295,24 @@ func TestCodecTruncation(t *testing.T) {
 			}
 		}
 	}
+	// A request has no flag bit, and a pull request only bit 1: any
+	// other bit is unknown.
 	var req Request
+	full, err = transport.EncodeMessage(&Request{WSBytes: []byte{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full[1+28] = 1
+	if err := transport.DecodeMessage(full, &req); err == nil {
+		t.Error("Request with flag bit 0 set decoded without error")
+	}
+	var pull PullRequest
+	if err := pull.DecodeBinary((&PullRequest{IncludeOwn: true}).AppendBinary(nil)[:12:12]); err == nil {
+		t.Error("PullRequest cut before its flags decoded without error")
+	}
+	if err := pull.DecodeBinary(append((&PullRequest{}).AppendBinary(nil)[:12], 3)); err == nil {
+		t.Error("PullRequest with flag bit 0 set decoded without error")
+	}
 	if err := transport.DecodeMessage([]byte{0x01, 0x00}, &req); err == nil {
 		t.Error("2-byte Request decoded without error")
 	}
@@ -371,7 +381,7 @@ func TestLogEntryOneEncoding(t *testing.T) {
 		if !sameEntry(dec, want) {
 			t.Errorf("decoded %+v, want %+v", dec, want)
 		}
-		if asEntry := (Entry{Kind: le.Kind, Origin: le.Origin, Start: uint64(le.CertifiedBack),
+		if asEntry := (Entry{Kind: le.Kind, Origin: le.Origin, Start: uint64(le.Start),
 			GID: le.GID, Involved: le.Involved, WS: le.WS}); !sameEntry(asEntry, want) {
 			t.Errorf("log entry %+v does not match %+v", le, want)
 		}
@@ -470,8 +480,8 @@ func FuzzDecodeCertifierMessages(f *testing.F) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range []transport.BinaryMessage{
-		&Response{Committed: true, CommitVersion: 9, SystemVersion: 9, ReplicaSeq: 3, SeqEpoch: 2, Remote: randRemotes(rng)},
-		&PullResponse{Busy: true, SystemVersion: 9, ReplicaSeq: 4, SeqEpoch: 2, Remote: randRemotes(rng)},
+		&Response{Committed: true, CommitVersion: 9, SystemVersion: 9, Remote: randRemotes(rng)},
+		&PullResponse{Busy: true, SystemVersion: 9, Remote: randRemotes(rng)},
 		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},
 		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40)},
 	} {

@@ -43,14 +43,12 @@ const (
 // Request is one certification request: the writeset and start version
 // of a committing update transaction (paper §6.1), plus the replica's
 // current version so the certifier knows which remote writesets to
-// ship back, and the Tashkent-API flag asking for conflict-free-back
-// ("safe back") information on those remote writesets (§5.2.1).
+// ship back.
 type Request struct {
 	Origin         int
 	StartVersion   uint64
 	ReplicaVersion uint64
 	WSBytes        []byte
-	NeedSafeBack   bool
 	// Deadline is the caller's context deadline in UnixNano (0 = none).
 	// The certifier drops the request before conflict-checking and
 	// proposing if the deadline has passed — a dead client's work must
@@ -66,31 +64,17 @@ type RemoteWS struct {
 	// partitioned deployment alike. The server shares the slice with its
 	// log; receivers get their own copy off the wire.
 	WSBytes []byte
-	// SafeBack is the version down to which this writeset is known to
-	// be conflict-free; if SafeBack <= the replica's version the proxy
-	// may apply it concurrently with its predecessors, otherwise an
-	// artificial conflict forces serialization (§5.2.1). Populated
-	// only when the request set NeedSafeBack.
-	SafeBack uint64
 }
 
 // Response carries the certification outputs of paper §6.1: the remote
-// writesets, the decision, and the commit version.
+// writesets, the decision, and the commit version. A commit's Remote
+// runs through the committed entry itself, so the replica's merge holds
+// everything up to its own commit without a pull.
 type Response struct {
 	Committed     bool
 	CommitVersion uint64
 	Remote        []RemoteWS
 	SystemVersion uint64 // committed system version at response time
-	// ReplicaSeq is a dense per-replica sequence number assigned in
-	// certifier processing order. The proxy applies responses in
-	// ReplicaSeq order, which guarantees it observes the global commit
-	// order even when transport reorders concurrent responses.
-	ReplicaSeq uint64
-	// SeqEpoch identifies the leadership term whose counter assigned
-	// ReplicaSeq. A new leader restarts the per-replica counters, so
-	// the proxy re-anchors its sequencer whenever the epoch advances
-	// and discards responses from deposed leaders.
-	SeqEpoch uint64
 }
 
 // PullRequest proactively fetches remote writesets (the staleness
@@ -98,7 +82,6 @@ type Response struct {
 type PullRequest struct {
 	Origin         int
 	ReplicaVersion uint64
-	NeedSafeBack   bool
 	// IncludeOwn disables the own-writeset filter. A recovering
 	// replica needs its own transactions back too — it lost them in
 	// the crash and the certifier log is their durable home (§7.2).
@@ -114,12 +97,6 @@ type PullResponse struct {
 	// more log entries are imminent. A partitioned replica's merger
 	// uses it to fill only genuinely idle groups.
 	Busy bool
-	// ReplicaSeq orders pull responses into the same per-replica
-	// application sequence as certification responses.
-	ReplicaSeq uint64
-	// SeqEpoch is the leadership term that assigned ReplicaSeq (see
-	// Response.SeqEpoch).
-	SeqEpoch uint64
 }
 
 // PrepareRequest is phase 1 of a cross-partition commit: certify and
@@ -279,8 +256,8 @@ func parseOverloaded(msg string) (retryAfter time.Duration, ok bool) {
 // log outlives every frame. encodePayload is the only function that
 // writes the layout and DecodeLogEntry the only one that reads it.
 //
-// startVersion is retained so an engine rebuilt from the log keeps the
-// certified-back memos. Decision markers carry an empty writeset — the
+// startVersion is the snapshot the writeset was certified against
+// (core.LogEntry.Start). Decision markers carry an empty writeset — the
 // published items are recovered from the gid's prepare entry.
 
 // Entry is one decoded log entry payload.
@@ -406,8 +383,8 @@ func logEntryAt(version uint64, data []byte) (core.LogEntry, error) {
 	}
 	return core.LogEntry{
 		Version: core.Version(version), WS: dec.WS, Origin: dec.Origin,
-		CertifiedBack: core.Version(dec.Start),
-		Kind:          dec.Kind, GID: dec.GID, Involved: dec.Involved,
+		Start: core.Version(dec.Start),
+		Kind:  dec.Kind, GID: dec.GID, Involved: dec.Involved,
 		Payload: data,
 	}, nil
 }

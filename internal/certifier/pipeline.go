@@ -28,8 +28,8 @@ import (
 //     the round via wal.AppendBatch, one fsync),
 //  4. takes ONE durability barrier (WaitCommitted on the batch's last
 //     index) for the whole batch, and
-//  5. fans responses — remote-writeset fills, replica sequence
-//     numbers, commit versions, log indices — back to all waiters.
+//  5. fans responses — remote-writeset fills, commit versions, log
+//     indices — back to all waiters.
 //
 // Every entry the leader adds to the log goes this way: certifications,
 // both phases of a cross-partition commit, fills and barriers are task
@@ -473,13 +473,9 @@ func (s *Server) processBatch(batch []*task) {
 		}
 	}
 
-	// Responses are sequenced only now, in admission order: per-origin
-	// ReplicaSeq numbers must be consumed exclusively by certify
-	// responses that will actually be delivered, or a failed propose
-	// would leave permanent gaps in the old epoch and stall the proxy
-	// sequencers behind them. Tasks doomed by a propose failure therefore
-	// take no sequence number (they fail with an error below); their
-	// refused siblings still respond with a dense sequence.
+	// Answers are built now, in admission order, from the engine as the
+	// batch left it; tasks doomed by a propose failure get none (they fail
+	// with an error below).
 	for _, t := range batch {
 		inBatch := t.index > head
 		if t.err != nil || inBatch && proposeErr != nil {
@@ -487,26 +483,24 @@ func (s *Server) processBatch(batch []*task) {
 		}
 		switch {
 		case t.kind == kindCertify:
-			// A commit ships the writesets up to (excluding) its own
-			// version: earlier entries of this same batch are included and
-			// will be durable by the time the response leaves (the batch
-			// barrier covers them). The fill includes the origin's own
-			// earlier writesets too: in the window above the replica's
-			// reported version, "own" entries exist only if their
-			// responses were lost, and a response that makes the replica
-			// announce past them must carry their data or the replica is
-			// left with a permanent hole. Already-applied own writesets
-			// sit at or below the replica's version and are filtered by
-			// the proxy's basis cursor, so the healthy path never
-			// re-applies them. An abort ships everything committed.
+			// A commit ships the group's entries through its own: earlier
+			// entries of this same batch are included, and all will be
+			// durable by the time the response leaves (the batch barrier
+			// covers them), so the replica's merge holds the client's own
+			// entry the moment the response is in instead of pulling for
+			// it. The fill includes the origin's own earlier writesets too:
+			// in the window above the replica's reported version, "own"
+			// entries exist only if their responses were lost, and a
+			// response that makes the replica announce past them must carry
+			// their data or the replica is left with a permanent hole. An
+			// abort ships everything committed.
 			upTo := s.committedCap()
 			if inBatch {
-				upTo = t.index - 1
+				upTo = t.index
 			}
 			t.resp = Response{
 				Committed: inBatch, CommitVersion: t.index,
-				ReplicaSeq: s.nextReplicaSeqLocked(t.req.Origin), SeqEpoch: s.basisTerm,
-				Remote: s.remotesLocked(t.req.Origin, true, t.req.ReplicaVersion, upTo, t.req.NeedSafeBack),
+				Remote: s.remotesLocked(t.req.Origin, true, t.req.ReplicaVersion, upTo),
 			}
 		case t.kind == kindResolve && t.entry.Kind == core.KindCommitMarker:
 			// The suffix through the marker, so that the coordinator's
@@ -516,7 +510,7 @@ func (s *Server) processBatch(batch []*task) {
 			if !inBatch {
 				upTo = min(upTo, s.committedCap())
 			}
-			t.remote = s.remotesLocked(core.BarrierOrigin, true, t.after, upTo, false)
+			t.remote = s.remotesLocked(core.BarrierOrigin, true, t.after, upTo)
 		}
 	}
 	s.mu.Unlock()
@@ -634,7 +628,7 @@ func (s *Server) checkLocked(t *task, datas [][]byte) [][]byte {
 // come after the check so the certifier pays all its usual costs (the
 // Fig 14 methodology). It reports whether the task is refused.
 func (s *Server) refuseLocked(t *task) bool {
-	conflict := s.engine.Conflicts(t.entry.CertifiedBack, t.entry.WS)
+	conflict := s.engine.Conflicts(t.entry.Start, t.entry.WS)
 	injected := !conflict && s.cfg.AbortRate > 0 && s.rng.Float64() < s.cfg.AbortRate
 	if !conflict && !injected {
 		return false

@@ -706,10 +706,11 @@ func TestTwoPhaseThroughTheLoop(t *testing.T) {
 	if len(resp.Remote) != 1 || resp.Remote[0].Version != commit.index {
 		t.Errorf("retry's answer ships %+v, want the marker alone", resp.Remote)
 	}
-	// Refusals and markers took no sequence number: the first certify
-	// response of this origin is the first of its sequence.
-	if r, err := g.client.Certify(Request{Origin: 1, StartVersion: resp.SystemVersion, WSBytes: wsBytes("d")}); err != nil || r.ReplicaSeq != 1 {
-		t.Errorf("first certify after the 2PC traffic: %+v, %v; want ReplicaSeq 1", r, err)
+	// A certify answer ships the log after the replica's version through
+	// its own entry: the markers before it, and itself.
+	if r, err := g.client.Certify(Request{Origin: 1, StartVersion: resp.SystemVersion, ReplicaVersion: commit.index - 1, WSBytes: wsBytes("d")}); err != nil ||
+		!r.Committed || len(r.Remote) == 0 || r.Remote[0].Version != commit.index || r.Remote[len(r.Remote)-1].Version != r.CommitVersion {
+		t.Errorf("first certify after the 2PC traffic: %+v, %v; want the log (%d, commit]", r, err, commit.index-1)
 	}
 }
 

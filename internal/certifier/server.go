@@ -25,7 +25,7 @@ type Stats struct {
 	InjectedAborts int64
 	Pulls          int64
 	RemoteShipped  int64 // remote writesets shipped to replicas
-	CertifyBackOps int64 // extended certification checks performed
+	CertifyBackOps int64 // always 0 (nothing certifies back); read by bench/
 }
 
 // Config parameterizes one certifier node.
@@ -128,7 +128,6 @@ type Server struct {
 	engine     *core.Engine
 	basisTerm  uint64 // term the engine was last rebuilt for
 	basisValid bool
-	replicaSeq map[int]uint64 // per-origin response sequence numbers
 	rng        *rand.Rand
 	stats      Stats
 }
@@ -390,9 +389,6 @@ func (s *Server) ensureEngineLocked() error {
 	s.engine = eng
 	s.basisTerm = term
 	s.basisValid = true
-	// A leadership change starts a fresh response-sequencing epoch;
-	// proxies detect the reset and resynchronize.
-	s.replicaSeq = make(map[int]uint64)
 	// A new leader cannot mark the previous term's tail committed
 	// until an entry of its own term commits; until then pulls and
 	// resyncs are capped below transactions that are already acked.
@@ -405,16 +401,6 @@ func (s *Server) ensureEngineLocked() error {
 		}()
 	}
 	return nil
-}
-
-// nextReplicaSeqLocked hands out the dense per-origin sequence number
-// stamped on every response.
-func (s *Server) nextReplicaSeqLocked(origin int) uint64 {
-	if s.replicaSeq == nil {
-		s.replicaSeq = make(map[int]uint64)
-	}
-	s.replicaSeq[origin]++
-	return s.replicaSeq[origin]
 }
 
 // committedCap bounds what leaves the certifier to majority-durable
@@ -463,8 +449,8 @@ func (s *Server) Barrier() (uint64, error) {
 // remotesLocked collects the writesets in (after, upTo] that did not
 // originate at the requesting replica — or every writeset in the range
 // when includeOwn is set (replica recovery needs its own transactions
-// back too) — optionally annotated with certify-back information.
-func (s *Server) remotesLocked(origin int, includeOwn bool, after, upTo uint64, needSafeBack bool) []RemoteWS {
+// back too).
+func (s *Server) remotesLocked(origin int, includeOwn bool, after, upTo uint64) []RemoteWS {
 	entries, err := s.engine.EntriesSince(core.Version(after), core.Version(upTo))
 	if err != nil {
 		// Horizon truncated below the replica's version; the replica
@@ -476,20 +462,9 @@ func (s *Server) remotesLocked(origin int, includeOwn bool, after, upTo uint64, 
 		if e.Origin == origin && !includeOwn {
 			continue
 		}
-		// The log entry's own payload, as it is: a classic replica takes
-		// the writeset out of it, a partitioned one merges the whole
-		// entry (kind and 2PC metadata) into its stream.
-		r := RemoteWS{Version: uint64(e.Version), WSBytes: e.Payload}
-		if needSafeBack {
-			back, err := s.engine.CertifyBack(e.Version, core.Version(after))
-			if err == nil {
-				r.SafeBack = uint64(back)
-			} else {
-				r.SafeBack = uint64(e.Version) // force serialization on error
-			}
-			s.stats.CertifyBackOps++
-		}
-		remote = append(remote, r)
+		// The log entry's own payload, as it is: the replica merges the
+		// whole entry (kind and 2PC metadata) into its stream.
+		remote = append(remote, RemoteWS{Version: uint64(e.Version), WSBytes: e.Payload})
 		s.stats.RemoteShipped++
 	}
 	return remote
@@ -599,10 +574,8 @@ func (s *Server) pull(req PullRequest) (PullResponse, error) {
 	s.stats.Pulls++
 	upTo := s.committedCap()
 	return PullResponse{
-		Remote:        s.remotesLocked(req.Origin, req.IncludeOwn, req.ReplicaVersion, upTo, req.NeedSafeBack),
+		Remote:        s.remotesLocked(req.Origin, req.IncludeOwn, req.ReplicaVersion, upTo),
 		SystemVersion: upTo,
 		Busy:          s.inFlight.Load() > 0,
-		ReplicaSeq:    s.nextReplicaSeqLocked(req.Origin),
-		SeqEpoch:      s.basisTerm,
 	}, nil
 }

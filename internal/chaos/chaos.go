@@ -4,7 +4,7 @@
 // messages and cuts links (asymmetric partitions), an invariant
 // checker that verifies the paper's safety claims — durability of
 // acked commits, snapshot-isolation consistency of every read,
-// per-origin response sequencing, cross-replica convergence — against
+// cross-replica convergence — against
 // the certifier's committed log, and condition-wait helpers that
 // replace wall-clock sleeps in convergence-sensitive tests.
 //

@@ -38,15 +38,6 @@ type Read struct {
 	Found           bool
 }
 
-// SeqEvent is one proxy sequencer admission (see
-// proxy.Config.SeqObserver).
-type SeqEvent struct {
-	Replica int
-	Epoch   uint64
-	Seq     uint64
-	Outcome string
-}
-
 // LogEntry is one committed certifier log entry — the ground truth.
 type LogEntry struct {
 	Version uint64
@@ -54,13 +45,12 @@ type LogEntry struct {
 	WS      *core.Writeset
 }
 
-// Checker accumulates events from concurrent client workers and proxy
-// hooks. All record methods are safe for concurrent use.
+// Checker accumulates events from concurrent client workers. All record
+// methods are safe for concurrent use.
 type Checker struct {
 	mu   sync.Mutex
 	acks []Ack
 	rds  []Read
-	seqs []SeqEvent
 }
 
 // NewChecker returns an empty checker.
@@ -80,13 +70,6 @@ func (c *Checker) RecordRead(r Read) {
 	c.mu.Unlock()
 }
 
-// SeqObserver adapts the checker to cluster.Config.SeqObserver.
-func (c *Checker) SeqObserver(replica int, epoch, seq uint64, outcome string) {
-	c.mu.Lock()
-	c.seqs = append(c.seqs, SeqEvent{Replica: replica, Epoch: epoch, Seq: seq, Outcome: outcome})
-	c.mu.Unlock()
-}
-
 // Acks returns the number of recorded commit acks.
 func (c *Checker) Acks() int {
 	c.mu.Lock()
@@ -99,16 +82,6 @@ func (c *Checker) Reads() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.rds)
-}
-
-// SeqEvents returns a copy of the recorded sequencer admissions, in
-// record order. Drill tests use it for assertions beyond Verify's —
-// e.g. that a certifier failover's epoch re-anchor left the new
-// epoch's per-origin sequence gap-free.
-func (c *Checker) SeqEvents() []SeqEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]SeqEvent{}, c.seqs...)
 }
 
 // VerifyInput is everything Verify needs after the run has healed and
@@ -145,17 +118,16 @@ type colWrite struct {
 //     state at some version within the snapshot's [Start, Observed]
 //     bounds: reads map to a prefix of the committed version order,
 //     never to aborted or torn state.
-//  4. Per-origin sequencing — within one (replica, epoch), no response
-//     sequence number is admitted for application twice (the proxy
-//     applies the certifier's per-origin stream at most once per
-//     slot).
-//  5. Convergence — all replica fingerprints agree, and match the
+//  4. Convergence — all replica fingerprints agree, and match the
 //     never-crashed replay witness when provided.
+//
+// That a replica applies each committed entry once is the assembler's
+// property (partition.Assembler ignores duplicate and already-emitted
+// offers); convergence and the replay witness check its outcome.
 func (c *Checker) Verify(in VerifyInput) []error {
 	c.mu.Lock()
 	acks := append([]Ack{}, c.acks...)
 	rds := append([]Read{}, c.rds...)
-	seqs := append([]SeqEvent{}, c.seqs...)
 	c.mu.Unlock()
 
 	var violations []error
@@ -204,26 +176,7 @@ func (c *Checker) Verify(in VerifyInput) []error {
 		}
 	}
 
-	// (4) Per-origin sequence slots applied at most once.
-	type slot struct {
-		replica int
-		epoch   uint64
-		seq     uint64
-	}
-	applied := make(map[slot]int)
-	for _, s := range seqs {
-		if s.Outcome != "apply" {
-			continue
-		}
-		k := slot{s.Replica, s.Epoch, s.Seq}
-		applied[k]++
-		if applied[k] == 2 {
-			fail("sequencing: replica %d applied response seq %d of epoch %d more than once",
-				s.Replica, s.Seq, s.Epoch)
-		}
-	}
-
-	// (5) Convergence.
+	// (4) Convergence.
 	for i := 1; i < len(in.Fingerprints); i++ {
 		if in.Fingerprints[i] != in.Fingerprints[0] {
 			fail("convergence: replica %d fingerprint %08x != replica 0 fingerprint %08x",

@@ -69,12 +69,8 @@ type Config struct {
 	// failing over before reporting the group unavailable (0 = 10 s).
 	// Chaos runs shrink it so partitioned commits fail fast.
 	CertTimeout time.Duration
-	// SeqTimeout bounds how long a proxy waits for a lost response-
-	// sequence predecessor before resyncing (0 = proxy default 5 s).
-	SeqTimeout time.Duration
-	// SeqObserver, if set, receives every proxy sequencer admission
-	// (replica index, epoch, seq, outcome) — the chaos invariant
-	// checker's view of per-origin response sequencing.
+	// SeqObserver is never called: no ordering point numbers certifier
+	// responses any more. It stays only because bench/ sets it.
 	SeqObserver func(replica int, epoch, seq uint64, outcome string)
 	// PaxosCallHook, if set, filters certifier replication RPCs
 	// (from/to certifier ids); returning an error suppresses the send.
@@ -86,8 +82,10 @@ type Config struct {
 	LockTimeout        time.Duration
 	OrderTimeout       time.Duration
 	LocalCertification bool
-	EagerPreCert       bool
-	StalenessBound     time.Duration
+	// EagerPreCert is ignored: eager pre-certification is always on. It
+	// stays only because bench/ sets it.
+	EagerPreCert   bool
+	StalenessBound time.Duration
 	// ApplyWorkers is the pool size of every replica's dependency-
 	// tracked remote applier, 0 = 8 (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
@@ -196,13 +194,6 @@ func New(cfg Config) (*Cluster, error) {
 
 	// Replicas.
 	for i := 0; i < cfg.Replicas; i++ {
-		i := i
-		var observer func(epoch, seq uint64, outcome string)
-		if cfg.SeqObserver != nil {
-			observer = func(epoch, seq uint64, outcome string) {
-				cfg.SeqObserver(i, epoch, seq, outcome)
-			}
-		}
 		r := replica.Open(replica.Config{
 			ID:   i + 1,
 			Mode: cfg.Mode,
@@ -217,10 +208,7 @@ func New(cfg Config) (*Cluster, error) {
 			LockTimeout:        cfg.LockTimeout,
 			OrderTimeout:       cfg.OrderTimeout,
 			LocalCertification: cfg.LocalCertification,
-			EagerPreCert:       cfg.EagerPreCert,
 			StalenessBound:     cfg.StalenessBound,
-			SeqTimeout:         cfg.SeqTimeout,
-			SeqObserver:        observer,
 			ApplyWorkers:       cfg.ApplyWorkers,
 		})
 		c.replicas = append(c.replicas, r)

@@ -365,8 +365,7 @@ func TestShippedWritesetIsTheLogEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Origin 99 is no replica of the cluster: every entry is remote to it
-	// and its response sequence is its own.
+	// Origin 99 is no replica of the cluster: every entry is remote to it.
 	var pulled certifier.PullResponse
 	call(certifier.MethodPull, &certifier.PullRequest{Origin: 99}, &pulled)
 	probe := &core.Writeset{}
@@ -406,7 +405,12 @@ func TestShippedWritesetIsTheLogEntry(t *testing.T) {
 		}
 	}
 	check("pull", pulled.Remote)
-	check("certify", certified.Remote)
+	// A commit's answer runs through its own entry: versions 1..5, then 6.
+	n := len(certified.Remote)
+	if n == 0 || certified.CommitVersion != 6 || certified.Remote[n-1].Version != 6 {
+		t.Fatalf("certify shipped %d writesets up to its commit at %d, want versions 1..6", n, certified.CommitVersion)
+	}
+	check("certify", certified.Remote[:n-1])
 	// The replicas applied the same stream: no-op and all.
 	fps := c.Fingerprints()
 	for i := 1; i < len(fps); i++ {

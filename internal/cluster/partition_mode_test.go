@@ -13,12 +13,12 @@ import (
 	"tashkent/internal/wal"
 )
 
-// Mode × Partitions: the partitioned merger applies each run of the
-// merged stream through the same proxy.applyRun as the classic response
-// sequencer, so Base, Tashkent-MW and Tashkent-API keep their fsync
-// arithmetic at two certifier groups. The drills below run 2 replicas ×
-// 2 groups on 4 ms log disks with single- and cross-partition commits
-// mixed, and read the arithmetic off replica 1's log disk.
+// Mode × Partitions: the merger applies each run of the merged stream
+// through proxy.applyRun at any group count, so Base, Tashkent-MW and
+// Tashkent-API keep their fsync arithmetic at two certifier groups. The
+// drills below run 2 replicas × 2 groups on 4 ms log disks with single-
+// and cross-partition commits mixed, and read the arithmetic off replica
+// 1's log disk.
 
 const modeParts = 2
 
@@ -92,12 +92,10 @@ func storeLogRanges(t *testing.T, store *mvstore.Store) [][2]uint64 {
 
 // ownRunWithRemote has replica 1 commit a group-1 transaction whose run
 // also carries a remote writeset, and returns the merged version of the
-// commit. A single-partition commit learns its own entry from the pull
-// that follows the merge blocking at its index, so the remote writeset
-// must arrive in that same pull round: with both replicas level at the
-// same head H, replica 1's commit lands at (H+1, group 1) and its merger
-// asks both groups for index H+1 at once; the pull to group 0 is held
-// until replica 0 has committed there. The merger then drains (H+1, 0) —
+// commit. With both replicas level at the same head H, replica 1's
+// commit lands at (H+1, group 1), its response carries that entry, and
+// its merger blocks on (H+1, group 0) and pulls group 0 for it; the pull
+// is held until replica 0 has committed there. The merger then drains (H+1, 0) —
 // remote — and (H+1, 1) — the waiting commit — as one run.
 func ownRunWithRemote(t *testing.T, c *Cluster, salt int) uint64 {
 	t.Helper()
@@ -265,7 +263,7 @@ func TestPartitionedModesRecover(t *testing.T) {
 			store := r1.Store()
 			base := store.AnnouncedVersion()
 			p := proxy.New(proxy.Config{
-				Mode: mode, ReplicaID: 2, Store: store, Parts: c.newTopology(1), EagerPreCert: true,
+				Mode: mode, ReplicaID: 2, Store: store, Parts: c.newTopology(1),
 			})
 			defer p.Close()
 			p.SetReplicaVersion(base)

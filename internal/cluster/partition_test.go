@@ -376,8 +376,8 @@ func groupEngine(t *testing.T, c *Cluster, g int) (*core.Engine, []certifier.Ent
 		decoded[i] = dec
 		if err := eng.Append(core.LogEntry{
 			Version: core.Version(e.Index), WS: dec.WS, Origin: dec.Origin,
-			CertifiedBack: core.Version(dec.Start),
-			Kind:          dec.Kind, GID: dec.GID, Involved: dec.Involved,
+			Start: core.Version(dec.Start),
+			Kind:  dec.Kind, GID: dec.GID, Involved: dec.Involved,
 		}); err != nil {
 			t.Fatalf("group %d entry %d: %v", g, e.Index, err)
 		}
@@ -489,6 +489,52 @@ func TestCrossPartitionCommitNeedsNoPull(t *testing.T) {
 	if n := pulls.Load(); n != 0 {
 		t.Errorf("replica 0 pulled %d times between its resolve rounds and the return of its commits, want 0", n)
 	}
+}
+
+// TestSinglePartitionCommitNeedsNoPull: a certify response carries its
+// group's log through the committed entry, so on a quiet cluster the
+// committing replica's merge reaches its own commit with no Pull and no
+// fill, at one group and at two.
+func TestSinglePartitionCommitNeedsNoPull(t *testing.T) {
+	forTopologies(t, func(t *testing.T, parts int) {
+		c := newTopologyCluster(t, parts)
+		pulls := func() (n int64) {
+			for i := 0; i < c.Certifiers(); i++ {
+				n += c.Certifier(i).Stats().Pulls
+			}
+			return n
+		}
+		logs := func() []uint64 {
+			out := make([]uint64, parts)
+			for g := range out {
+				out[g] = c.GroupLeader(g).Node().LogLength()
+			}
+			return out
+		}
+		for i := 0; i < 3; i++ {
+			if err := c.ConvergeAll(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			before, heads := pulls(), logs()
+			// Group 0 commits: its entry is the next one of the merged order.
+			if err := clusterCommit(t, c, 0, keyInPartition(parts, 0, 9400+i), "quiet"); err != nil {
+				t.Fatalf("commit %d: %v", i, err)
+			}
+			time.Sleep(20 * time.Millisecond) // a stalled merge nudges within 2 ms
+			if n := pulls() - before; n != 0 {
+				t.Errorf("commit %d: %d pulls, want 0", i, n)
+			}
+			for g, n := range logs() {
+				want := heads[g]
+				if g == 0 {
+					want++
+				}
+				if n != want {
+					t.Errorf("commit %d: group %d log %d -> %d, want %d (no fill)", i, g, heads[g], n, want)
+				}
+			}
+		}
+	})
 }
 
 // TestCrossPartitionCrossedPrepares races two transactions over one key

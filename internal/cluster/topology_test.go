@@ -16,7 +16,7 @@ import (
 // One topology outside the ordering point: a classic cluster is the
 // one-group partition topology, so commit, pull, catch-up and
 // convergence run the same code at any group count. Each test below runs
-// at Partitions 1 (the response sequencer) and 2 (the merger).
+// at Partitions 1 and 2.
 
 func forTopologies(t *testing.T, test func(t *testing.T, parts int)) {
 	for _, parts := range []int{1, 2} {

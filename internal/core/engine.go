@@ -46,9 +46,7 @@ func (k EntryKind) String() string {
 
 // LogEntry is one committed update transaction in the certifier's
 // global order: the writeset together with the version its commit
-// created. CertifiedBack records how far back the writeset is known to
-// be conflict-free; it is maintained for the Tashkent-API extended
-// certification checks (paper §5.2.1) so repeated checks are avoided.
+// created.
 type LogEntry struct {
 	Version Version
 	WS      *Writeset
@@ -56,11 +54,9 @@ type LogEntry struct {
 	// writeset. The certifier uses it to exclude a replica's own
 	// writesets when shipping "remote" writesets back to it.
 	Origin int
-	// CertifiedBack is the oldest version v such that WS is known to
-	// have no write-write conflict with any writeset committed in
-	// (v, Version). At normal certification time it equals the
-	// transaction's start version.
-	CertifiedBack Version
+	// Start is the transaction's snapshot version: certification found
+	// no writeset committed in (Start, Version) that WS intersects.
+	Start Version
 	// Kind tells a partitioned certifier group how to interpret the
 	// entry (data, 2PC prepare, or 2PC decision marker).
 	Kind EntryKind
@@ -122,9 +118,8 @@ type Engine struct {
 	// recently committed update transaction.
 	system Version
 	// writers maps an item to the ascending list of versions that
-	// wrote it. It serves both the normal certification test (is the
-	// last writer newer than my snapshot?) and the extended
-	// certify-back range queries.
+	// wrote it: the certification test asks whether one is newer than a
+	// snapshot.
 	writers map[ItemID][]Version
 	// locks maps an item to the gid of the cross-partition transaction
 	// that holds it prepared-but-unresolved. Any certification or
@@ -190,7 +185,7 @@ func (e *Engine) Certify(start Version, ws *Writeset, origin int) (Version, Deci
 	}
 	e.system++
 	v := e.system
-	e.append(LogEntry{Version: v, WS: ws, CertifiedBack: start, Origin: origin})
+	e.append(LogEntry{Version: v, WS: ws, Start: start, Origin: origin})
 	return v, Commit
 }
 
@@ -402,46 +397,6 @@ func (e *Engine) EntriesSince(after, upTo Version) ([]LogEntry, error) {
 	out := make([]LogEntry, hi-lo)
 	copy(out, e.log[lo:hi])
 	return out, nil
-}
-
-// CertifyBack extends the certification of the entry committed at
-// version v so that it is known conflict-free back to version back
-// (paper §5.2.1: the proxy asks "has this remote writeset been tested
-// for conflicts back to my replica_version?"). It returns the version
-// down to which the entry is now certified conflict-free: if that is
-// <= back the caller may apply the writeset concurrently; if it is > back
-// an artificial conflict exists and the caller must serialize behind
-// the conflicting earlier writeset.
-//
-// Results are memoized in the entry's CertifiedBack field so repeated
-// requests from different replicas do not repeat intersection work.
-func (e *Engine) CertifyBack(v, back Version) (Version, error) {
-	i := e.entryIndex(v)
-	if i < 0 {
-		return 0, fmt.Errorf("%w: certify-back for version %d (horizon %d, system %d)", ErrTruncated, v, e.trunc, e.system)
-	}
-	entry := &e.log[i]
-	if entry.CertifiedBack <= back {
-		return entry.CertifiedBack, nil
-	}
-	if back < e.trunc {
-		back = e.trunc
-	}
-	// Scan writer versions of each touched item for a writer in
-	// (back, entry.CertifiedBack]; the newest such writer bounds how
-	// far back the entry can be certified.
-	bound := back
-	for _, id := range entry.WS.Items() {
-		vs := e.writers[id]
-		idx := sort.Search(len(vs), func(k int) bool { return vs[k] > back })
-		for ; idx < len(vs) && vs[idx] <= entry.CertifiedBack; idx++ {
-			if vs[idx] != v && vs[idx] > bound {
-				bound = vs[idx]
-			}
-		}
-	}
-	entry.CertifiedBack = bound
-	return bound, nil
 }
 
 // Truncate garbage-collects log entries with Version <= below. It is

@@ -258,9 +258,7 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 		LockTimeout:        time.Second,
 		OrderTimeout:       2 * time.Second,
 		CertTimeout:        2 * time.Second,
-		SeqTimeout:         300 * time.Millisecond,
 		StalenessBound:     100 * time.Millisecond,
-		SeqObserver:        checker.SeqObserver,
 		// The chaos suite doubles as the dependency scheduler's
 		// crash/resync soak.
 		ApplyWorkers: 8,

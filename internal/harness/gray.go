@@ -104,7 +104,7 @@ func buildGrayPlan(seed int64, window time.Duration) chaosPlan {
 // RunGraySeed executes one seeded gray-failure run — slow and lossy
 // victims under client fire — and verifies the full chaos invariant
 // set (durability of acked commits, SI consistency of every read,
-// response sequencing, convergence) against the certifier log.
+// convergence) against the certifier log.
 func RunGraySeed(seed int64, o Options) (ChaosResult, error) {
 	return runChaosPlan(buildGrayPlan(seed, 300*time.Millisecond), o)
 }

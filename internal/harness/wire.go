@@ -96,7 +96,7 @@ func RunWireExperiment(o Options) (*WireReport, error) {
 	// writeset, through the tagged binary fast path and through gob.
 	req := &certifier.Request{
 		Origin: 3, StartVersion: 1000, ReplicaVersion: 990,
-		WSBytes: bytes.Repeat([]byte{0xAB}, 120), NeedSafeBack: true,
+		WSBytes: bytes.Repeat([]byte{0xAB}, 120),
 	}
 	binB, err := transport.EncodeMessage(req)
 	if err != nil {

@@ -200,7 +200,7 @@ type Store struct {
 	// applyGate serializes the install+announce step of *labeled*
 	// commits so globally-versioned writesets always reach the row
 	// chains in announce order. In healthy operation the gate is
-	// uncontended (the proxy sequencer / order semaphore already
+	// uncontended (the proxy's merger / order semaphore already
 	// serialize labeled applies); it exists for the degraded paths —
 	// a resync racing in-flight remote appliers after lost responses
 	// or a certifier failover — where two appliers can hold

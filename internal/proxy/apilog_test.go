@@ -12,12 +12,14 @@ import (
 	"tashkent/internal/wal"
 )
 
-// Tashkent-API logs every commit record of a certifier response in the
-// response's sequencer slot, as one batch (applyRun, logRun). These
-// tests pin what that buys and what it must not break: one fsync per
-// response, log order = global order, durability before publication and
+// Tashkent-API logs every commit record of a run of the merged stream on
+// the merger goroutine, as one batch (applyRun, logRun). These tests pin
+// what that buys and what it must not break: one fsync per response, log
+// order = global order, durability before publication and
 // acknowledgement, each range logged once whatever its installs go
-// through, and recovery from a crash between the append and its fsync.
+// through, an own commit that leaves the merger without losing its place
+// in the dependency window, and recovery from a crash between the append
+// and its fsync.
 
 // logRanges crashes store (the test is done with it) and returns the
 // (from, to] labels of its surviving commit records, in log order.
@@ -164,6 +166,72 @@ func TestAPIAppendsEachRangeOnce(t *testing.T) {
 			t.Errorf("log = %s, want the range once: [[0 1]]", got)
 		}
 	})
+}
+
+// TestAPIOwnCommitHeldInTheWindow: the merger hands a Tashkent-API own
+// commit to its client and goes on to the next run. Here the client still
+// waits for its run's fsync when a later remote writeset on the same row
+// is scheduled; that writeset must install after the own commit
+// publishes — not first, and not by killing the client's transaction.
+func TestAPIOwnCommitHeldInTheWindow(t *testing.T) {
+	logDisk := simdisk.New(simdisk.Instant(), 11)
+	r := newRig(t, 2, TashkentAPI, func(i int, _ *Config, scfg *mvstore.Config) {
+		if i == 0 {
+			scfg.LogDisk = logDisk
+		}
+	})
+	reached, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	logDisk.SetHook(func(op simdisk.Op, _, _ int) {
+		if op == simdisk.OpFsync {
+			first.Do(func() {
+				close(reached)
+				<-release
+			})
+		}
+	})
+	own := make(chan error, 1)
+	go func() { own <- commitUpdate(t, r.proxies[0], "t", "x", "own") }()
+	<-reached // version 1's run is logged; its client waits for the fsync
+
+	// Replica 1 writes the row again at version 2, and replica 0 pulls it.
+	if err := r.proxies[1].PullOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.stores[1].WaitAnnounced(1, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := commitUpdate(t, r.proxies[1], "t", "x", "remote"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.proxies[0].PullOnce(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for r.proxies[0].ApplyStats().Submitted < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("version 2 never reached replica 0's window (stats %+v)", r.proxies[0].ApplyStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // a chunk free to install does so now
+	close(release)
+	if err := <-own; err != nil {
+		t.Fatalf("own commit: %v", err)
+	}
+	if err := r.stores[0].WaitAnnounced(2, 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := readVal(t, r.proxies[0], "t", "x"); v != "remote" {
+		t.Errorf("replica 0 x = %q, want remote (version 2 over version 1)", v)
+	}
+	if st := r.proxies[0].Stats(); st.EagerKills != 0 || st.SoftRecoveries != 0 {
+		t.Errorf("EagerKills = %d SoftRecoveries = %d, want 0/0: version 2 did not wait for the own commit",
+			st.EagerKills, st.SoftRecoveries)
+	}
+	if a, b := r.stores[0].Fingerprint(), r.stores[1].Fingerprint(); a != b {
+		t.Errorf("replicas diverged: %08x vs %08x", a, b)
+	}
 }
 
 // TestAPICrashBetweenAppendAndFsync: a response's batch is in the log

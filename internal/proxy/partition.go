@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,53 +15,63 @@ import (
 	"tashkent/internal/partition"
 )
 
-// Partitioned certification (see internal/partition): the proxy talks
-// to N certifier groups instead of one. Commits route by partition —
-// a single-partition writeset certifies in one round against its
-// group, through the same path as a one-group commit; a cross-partition
-// writeset runs the prepare/resolve protocol across its groups. All
-// application goes through one merger goroutine that interleaves the
-// per-group committed streams into the deterministic merged order and
-// applies it run by run through applyRun — the policy cfg.Mode picks,
-// the same as behind the response sequencer — so every replica installs
-// the same state at the same merged version.
+// The ordering point (see internal/partition): the proxy talks to the
+// certifier groups of its topology — one in the classic system. Commits
+// route by partition — a single-partition writeset certifies in one
+// round against its group; a cross-partition writeset runs the
+// prepare/resolve protocol across its groups. All application goes
+// through one merger goroutine that interleaves the per-group committed
+// streams into the deterministic merged order and applies it run by run
+// through applyRun — the policy cfg.Mode picks — so every replica
+// installs the same state at the same merged version.
 //
-// The per-replica response sequencer, local certification and the
-// safe-back machinery are not used with several groups: entries are
-// addressed by (group, index), the assembler deduplicates and orders
-// them, and the merge is strict round-robin, so an entry's merged
-// version and a snapshot's position in each group's version space are
-// arithmetic (partition.Map.MergedVersion / GroupVersion), not state.
+// Entries are addressed by (group, index), the assembler deduplicates
+// and orders them, and the merge is strict round-robin, so an entry's
+// merged version and a snapshot's position in each group's version space
+// are arithmetic (partition.Map.MergedVersion / GroupVersion), not state;
+// with one group both are the identity. A certify response carries its
+// group's entries through the committed one, so the merge holds the
+// client's own entry as soon as the response is in.
 
-// waitKey addresses a single-partition own commit: the entry's group
-// and log index.
+// waitKey addresses the action a committing client waits for: a
+// single-partition commit's entry by its group and log index, a
+// cross-partition commit by its gid (group -1).
 type waitKey struct {
 	g   int
 	idx uint64
 }
 
-// ownWait is a committing client transaction waiting for its entry's
-// merged apply position; the merger answers with the merged version it
-// committed the transaction at. tx is nil when the client gave the
-// commit up mid-round-trip: the run then installs ws by writeset.
+// ownWait is a committing client transaction waiting for its action in
+// the merged stream. tx is nil when the client gave the commit up
+// mid-round-trip: the run then installs ws by writeset.
 type ownWait struct {
-	tx *mvstore.Tx
-	ws *core.Writeset
-	ch chan uint64
+	key waitKey
+	tx  *mvstore.Tx
+	ws  *core.Writeset
+	ch  chan ownTurn
 }
 
-// merger is the ordering point of a topology of several groups.
+// ownTurn is the merger's answer to a waiting client: the merged version
+// its transaction committed at, or why the run failed. finish, when set,
+// is the rest of a Tashkent-API commit, which the client runs itself
+// (see applyRun).
+type ownTurn struct {
+	mv     uint64
+	finish func() error
+	err    error
+}
+
+// merger is the replica's ordering point.
 type merger struct {
 	p    *Proxy
 	topo *partition.Topology
 
 	mu  sync.Mutex
 	asm *partition.Assembler
-	// waiters / gidWaiters are taken by the merger in the same critical
-	// section that drains their action from the assembler, so an action
-	// at or below asm.MergedVersion() has been looked up for good.
-	waiters    map[waitKey]*ownWait
-	gidWaiters map[uint64]*ownWait
+	// waiters are taken by the merger in the same critical section that
+	// drains their action from the assembler, so an action at or below
+	// asm.MergedVersion() has been looked up for good.
+	waiters map[waitKey]*ownWait
 
 	wake chan struct{} // nudges the merger after new offers
 }
@@ -86,12 +97,11 @@ const (
 
 func newMerger(p *Proxy) *merger {
 	return &merger{
-		p:          p,
-		topo:       p.topo,
-		asm:        partition.NewAssembler(len(p.topo.Groups)),
-		waiters:    make(map[waitKey]*ownWait),
-		gidWaiters: make(map[uint64]*ownWait),
-		wake:       make(chan struct{}, 1),
+		p:       p,
+		topo:    p.topo,
+		asm:     partition.NewAssembler(len(p.topo.Groups)),
+		waiters: make(map[waitKey]*ownWait),
+		wake:    make(chan struct{}, 1),
 	}
 }
 
@@ -103,52 +113,38 @@ func (m *merger) replicaVersion(g int) uint64 {
 	return m.asm.Frontier(g)
 }
 
-// needSafeBack: the merger applies run by run, never against a
-// response's safe-back bounds.
-func (m *merger) needSafeBack() bool { return false }
-
-// localCert: never with several groups. A cross-partition union is
+// localCert: only with one group, where a received remote writeset at a
+// version in (start, now] that a local writeset overlaps is one the
+// certifier will find committed after the transaction's snapshot — proof
+// of an abort. With several it is not: a cross-partition union is
 // applied at its first commit marker's merged position, which can come
-// before the union's part's position in the group that certifies a
-// local writeset over it. The replica's window (start, now] and that
-// group's window (GroupVersion(g, start), head] then disagree on what
-// the snapshot could have seen, so a received remote writeset that
-// overlaps a local one is no proof that the group will abort it.
-func (m *merger) localCert() bool { return false }
+// before the union's part's position in the group that certifies a local
+// writeset over it. The replica's window (start, now] and that group's
+// window (GroupVersion(g, start), head] then disagree on what the
+// snapshot could have seen.
+func (m *merger) localCert() bool {
+	return len(m.topo.Groups) == 1 && m.p.cfg.LocalCertification
+}
 
-// resolve feeds group g's response to the assembler and, if it
-// committed a local transaction, waits for the merger to commit that at
-// its merged position. ctx bounded only the certification round trip: a
-// client that gave up mid-certify (tx nil) is finished the same way, by
-// writeset.
+// resolve feeds group g's certify response to the assembler and, if it
+// committed the client's transaction, waits for the merger to commit
+// that at its merged position. ctx bounded only the certification round
+// trip: a client that gave up mid-certify (tx nil) is finished the same
+// way, by writeset.
 func (m *merger) resolve(g int, resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) (uint64, error) {
 	p := m.p
-	m.ingest(g, resp.Remote)
-	if ws == nil {
-		return 0, nil // a pull
-	}
 	if !resp.Committed {
+		m.ingest(g, resp.Remote, nil)
 		if tx != nil {
 			tx.Abort()
 		}
 		p.addStat(func(st *Stats) { st.CertAborts++ })
 		return 0, ErrCertificationAbort
 	}
-	// The merger takes a waiter as it drains the waiter's action, so the
-	// drain cursor says which of the two got there first.
+	w := &ownWait{key: waitKey{g, resp.CommitVersion}, tx: tx, ws: ws, ch: make(chan ownTurn, 1)}
 	mv := m.topo.Map.MergedVersion(g, resp.CommitVersion)
-	var w *ownWait
-	m.mu.Lock()
-	if m.asm.MergedVersion() < mv {
-		w = &ownWait{tx: tx, ws: ws, ch: make(chan uint64, 1)}
-		m.waiters[waitKey{g, resp.CommitVersion}] = w
-	}
-	m.mu.Unlock()
 	var err error
-	if w != nil {
-		// A registered waiter is a reason for the merger to advance (it
-		// may be parked with nothing else to do).
-		m.nudge()
+	if m.ingest(g, resp.Remote, w) {
 		_, err = m.await(w)
 	} else {
 		// The response raced the stream: the entry is already in a run,
@@ -158,60 +154,84 @@ func (m *merger) resolve(g int, resp certifier.Response, tx *mvstore.Tx, ws *cor
 		}
 		err = p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, p.stopCh)
 		if errors.Is(err, mvstore.ErrWaitInterrupted) {
-			err = errUnresolved
+			err = m.closedErr()
 		}
 	}
 	if err != nil {
+		if tx != nil {
+			tx.Abort() // a no-op on a handle the commit finished
+		}
 		return 0, err
 	}
 	p.addStat(func(st *Stats) { st.Commits++ })
 	return mv, nil
 }
 
-// resync brings a recovered replica back: the merger replays every
-// group's stream from index 1 (apply drops the actions the store
-// already covers), so resync only has to pull the streams and wait until
-// the merge has drained through base.
-func (m *merger) resync(base uint64) error {
+// resync brings a recovered replica up to the certifier tier. The merger
+// replays every group's stream from index 1 (apply drops the actions the
+// store already covers), so resync pulls every group once and waits
+// until the merge has applied all the pulled streams let it reach: the
+// merged version just below the first entry they lack.
+func (m *merger) resync() error {
 	p := m.p
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if err := p.PullOnce(); err != nil {
-			return err
+	if err := p.PullOnce(); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	lackG, lack := 0, m.asm.Frontier(0)+1
+	for g := 1; g < len(m.topo.Groups); g++ {
+		if idx := m.asm.Frontier(g) + 1; idx < lack {
+			lackG, lack = g, idx
 		}
-		m.mu.Lock()
-		applied := m.asm.MergedVersion()
-		m.mu.Unlock()
-		if applied >= base {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("proxy: partitioned resync stuck at merged version %d of %d", applied, base)
-		}
+	}
+	m.mu.Unlock()
+	target := m.topo.Map.MergedVersion(lackG, lack) - 1
+	switch err := p.cfg.Store.WaitAnnouncedOr(target, 30*time.Second, p.stopCh); {
+	case errors.Is(err, mvstore.ErrWaitInterrupted):
+		return ErrProxyClosed
+	case err != nil:
+		return fmt.Errorf("proxy: resync stuck below merged version %d: %w", target, err)
+	}
+	// A Base or Tashkent-MW run is announced before the merger counts it
+	// and moves the planning cursor past it; the caller reads both.
+	for p.ReplicaVersion() < target {
 		select {
 		case <-p.stopCh:
 			return ErrProxyClosed
-		case <-time.After(time.Millisecond):
+		case <-time.After(100 * time.Microsecond):
 		}
 	}
+	return nil
 }
 
 // ingest feeds raw committed entries of group g to the assembler and
-// wakes the merger.
-func (m *merger) ingest(g int, remote []certifier.RemoteWS) {
-	if len(remote) == 0 {
-		return
-	}
+// wakes the merger. w, if set, is the client waiting for one of them: it
+// is registered in the same critical section as the offers, so the
+// merger cannot drain its action as a stranger's first. ingest reports
+// whether it registered w — false when the merge had already passed w's
+// action.
+func (m *merger) ingest(g int, remote []certifier.RemoteWS, w *ownWait) (registered bool) {
 	m.mu.Lock()
 	for _, r := range remote {
 		m.asm.Offer(g, r.Version, r.WSBytes)
 	}
+	if w != nil && m.asm.MergedVersion() < m.topo.Map.MergedVersion(w.key.g, w.key.idx) {
+		m.waiters[w.key] = w
+		registered = true
+	}
 	m.mu.Unlock()
-	p := m.p
-	p.mu.Lock()
-	p.lastRemote = time.Now()
-	p.mu.Unlock()
-	m.nudge()
+	if len(remote) > 0 {
+		p := m.p
+		p.mu.Lock()
+		p.lastRemote = time.Now()
+		p.mu.Unlock()
+	}
+	if len(remote) > 0 || registered {
+		// A registered waiter is a reason for the merger to advance too (it
+		// may be parked with nothing else to do).
+		m.nudge()
+	}
+	return registered
 }
 
 // nudge wakes the merger goroutine if it is parked.
@@ -271,7 +291,7 @@ func (m *merger) loop() {
 		var motive bool
 		if len(run) == 0 {
 			blockG, blockIdx = m.asm.Blocking()
-			motive = m.asm.Pending() || len(m.waiters) > 0 || len(m.gidWaiters) > 0
+			motive = m.asm.Pending() || len(m.waiters) > 0
 		}
 		m.mu.Unlock()
 
@@ -384,7 +404,7 @@ func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 	if err != nil {
 		return false
 	}
-	m.ingest(g, resp.Remote)
+	m.ingest(g, resp.Remote, nil)
 	after := m.replicaVersion(g)
 	if needIdx < after {
 		return after > frontier
@@ -403,7 +423,7 @@ func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 			Origin: m.p.cfg.ReplicaID, ReplicaVersion: m.replicaVersion(g), IncludeOwn: true,
 		})
 		if err == nil {
-			m.ingest(g, resp.Remote)
+			m.ingest(g, resp.Remote, nil)
 			after = m.replicaVersion(g)
 		}
 	}
@@ -413,12 +433,10 @@ func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 // takeWaiterLocked consumes the own-commit waiter addressed by act, if
 // one is registered. Caller holds m.mu.
 func (m *merger) takeWaiterLocked(act partition.Action) *ownWait {
-	if act.GID != 0 {
-		w := m.gidWaiters[act.GID]
-		delete(m.gidWaiters, act.GID)
-		return w
-	}
 	key := waitKey{act.Group, act.Index}
+	if act.GID != 0 {
+		key = waitKey{-1, act.GID}
+	}
 	w := m.waiters[key]
 	delete(m.waiters, key)
 	return w
@@ -427,14 +445,15 @@ func (m *merger) takeWaiterLocked(act partition.Action) *ownWait {
 // apply applies one drained run of the merged stream through applyRun:
 // its actions as the remote writesets (an action that installs nothing
 // still holds its merged version), ended by the commit of the client
-// waiting in w, if any. The merged stream is the replica's ground truth,
-// so a run that fails is retried until it lands, from wherever the store
-// has announced by then; only a store crash or shutdown stops it, and
-// then w is released (the outcome resolves at recovery) and false
-// returned.
+// waiting in w, if any, whom it then answers. The merged stream is the
+// replica's ground truth, so a run that fails is retried until it lands,
+// from wherever the store has announced by then; only a store crash or
+// shutdown stops it, and then w is told why and false returned.
 //
-// The merger blocks in the local commit — own commits are serialized,
-// and no later run is scheduled before this one's commit has published.
+// Under Base and Tashkent-MW the merger commits the client's transaction
+// itself, so their own commits are serialized; under Tashkent-API it
+// hands the ordered commit back to the client (ownTurn.finish) and goes
+// on to the next run.
 func (m *merger) apply(run []partition.Action, w *ownWait) bool {
 	p := m.p
 	first, top := run[0].MV, run[len(run)-1].MV
@@ -442,15 +461,18 @@ func (m *merger) apply(run []partition.Action, w *ownWait) bool {
 	if w != nil {
 		own = &ownCommit{tx: w.tx, ws: w.ws, cv: top}
 		run = run[:len(run)-1]
-		defer func() { w.ch <- top }()
+	}
+	answer := func(t ownTurn) {
+		if w != nil {
+			w.ch <- t
+		}
 	}
 	noWS := &core.Writeset{}
 	for {
-		// Actions at or below the announced version never reach the run —
-		// decodeRemotes' filter, for a restarted merger replaying every
-		// group from index 1 and for a retry: the store holds that state,
-		// and re-applying it would take row locks and kill local
-		// transactions for nothing.
+		// Actions at or below the announced version never reach the run:
+		// for a restarted merger replaying every group from index 1 and for
+		// a retry, the store holds that state, and re-applying it would
+		// take row locks and kill local transactions for nothing.
 		announced := p.cfg.Store.AnnouncedVersion()
 		remotes := make([]RemoteEntry, 0, len(run))
 		for _, a := range run {
@@ -461,20 +483,23 @@ func (m *merger) apply(run []partition.Action, w *ownWait) bool {
 			if ws == nil {
 				ws = noWS
 			}
-			remotes = append(remotes, RemoteEntry{Version: a.MV, WS: ws})
+			remotes = append(remotes, RemoteEntry{Version: a.MV, WS: ws, Own: a.Origin == p.cfg.ReplicaID})
 		}
-		err := p.applyRun(max(announced, first-1), remotes, own, func() {})
+		finish, err := p.applyRun(max(announced, first-1), remotes, own)
 		if err == nil {
+			answer(ownTurn{mv: top, finish: finish})
 			return true
 		}
 		if own != nil {
 			own.tx = nil // finished by the failed attempt; it lands by writeset
 		}
 		if errors.Is(err, mvstore.ErrCrashed) {
+			answer(ownTurn{err: err})
 			return false
 		}
 		select {
 		case <-p.stopCh:
+			answer(ownTurn{err: errUnresolved})
 			return false
 		case <-time.After(time.Millisecond):
 		}
@@ -482,20 +507,59 @@ func (m *merger) apply(run []partition.Action, w *ownWait) bool {
 }
 
 // errUnresolved is what a client waiting for its commit's merged
-// position is told when the proxy shuts down first.
+// position is told when the proxy shuts down first and the store lives
+// on.
 var errUnresolved = fmt.Errorf("%w: commit outcome unresolved at shutdown", ErrProxyClosed)
 
-// await blocks a committing client until the merger has committed its
-// transaction, and returns the merged commit version.
+// await blocks a committing client until the merger answers for w, runs
+// the part of the commit the answer leaves to it, and returns the merged
+// commit version. A waiter the merger has not taken is withdrawn after
+// 30 s or when the proxy closes; one it has taken is always answered.
 func (m *merger) await(w *ownWait) (uint64, error) {
+	timeout := time.NewTimer(30 * time.Second)
+	defer timeout.Stop()
+	var t ownTurn
 	select {
-	case mv := <-w.ch:
-		return mv, nil
+	case t = <-w.ch:
+	case <-timeout.C:
+		t = m.withdraw(w, errors.New("proxy: merged apply of own commit timed out"))
 	case <-m.p.stopCh:
-		return 0, errUnresolved
-	case <-time.After(30 * time.Second):
-		return 0, fmt.Errorf("proxy: merged apply of own commit timed out")
+		t = m.withdraw(w, errUnresolved)
 	}
+	if errors.Is(t.err, errUnresolved) {
+		t.err = m.closedErr()
+	}
+	if t.err == nil && t.finish != nil {
+		t.err = t.finish()
+	}
+	return t.mv, t.err
+}
+
+// withdraw takes w out of the waiters with err for its answer — unless
+// a run has taken it, whose answer is then on its way.
+func (m *merger) withdraw(w *ownWait, err error) ownTurn {
+	m.mu.Lock()
+	pending := m.waiters[w.key] == w
+	if pending {
+		delete(m.waiters, w.key)
+	}
+	m.mu.Unlock()
+	if pending {
+		return ownTurn{err: err}
+	}
+	return <-w.ch
+}
+
+// closedErr is what a client whose commit the proxy closed under is
+// told. The proxy's owner takes the store down with it (Replica.Crash,
+// Replica.Close), so the client waits for that and hears the store's
+// ErrCrashed — outcome unknown, as for any commit on a replica that went
+// down under it — or errUnresolved if the store lives on.
+func (m *merger) closedErr() error {
+	if err := m.p.cfg.Store.WaitAnnouncedOr(math.MaxUint64, 30*time.Second, nil); errors.Is(err, mvstore.ErrCrashed) {
+		return err
+	}
+	return errUnresolved
 }
 
 // commitCross runs two-phase commit in two certifier rounds: a durable
@@ -549,9 +613,9 @@ func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, part
 	}
 
 	// Register the waiter before any marker can exist, then resolve.
-	w := &ownWait{tx: t.inner, ws: ws, ch: make(chan uint64, 1)}
+	w := &ownWait{key: waitKey{-1, gid}, tx: t.inner, ws: ws, ch: make(chan ownTurn, 1)}
 	m.mu.Lock()
-	m.gidWaiters[gid] = w
+	m.waiters[w.key] = w
 	m.mu.Unlock()
 	m.nudge()
 
@@ -564,9 +628,7 @@ func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, part
 
 	mv, err := m.await(w)
 	if err != nil {
-		m.mu.Lock()
-		delete(m.gidWaiters, gid)
-		m.mu.Unlock()
+		t.inner.Abort() // a no-op on a handle the commit finished
 		return err
 	}
 	t.commitVersion = mv
@@ -587,7 +649,7 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 			GID: gid, Commit: commit, ReplicaVersion: m.replicaVersion(g),
 		})
 		if err == nil {
-			m.ingest(g, resp.Remote)
+			m.ingest(g, resp.Remote, nil)
 		}
 		failed[i] = err != nil
 	})

@@ -14,13 +14,13 @@
 //     the extended COMMIT <seq> API, submitting remote batches and
 //     local commits concurrently so the database groups their commit
 //     records into shared fsyncs while announcing them in the exact
-//     global order. Artificial conflicts between remote writesets
-//     (§5.2.1) are detected via the certifier's safe-back annotations
-//     and force partial serialization.
+//     global order. A remote writeset waits for an earlier commit on
+//     its rows, local or remote, in the applier's dependency window
+//     (§5.2.1's artificial conflicts).
 //
 // The three are one pipeline; Proxy.applyRun picks the two policies in
-// which they differ, behind either ordering point (the response sequencer
-// of a one-group topology, the merger of several groups).
+// which they differ, behind one ordering point, the merger
+// (partition.go), at any certifier group count.
 //
 // The proxy also implements the paper's optimizations: local
 // certification (§6.2), eager pre-certification for deadlock avoidance
@@ -109,7 +109,7 @@ type Stats struct {
 	LocalCertAborts     int64 // aborts decided locally without a round trip
 	RemoteApplied       int64 // remote writesets applied
 	RemoteChunks        int64 // grouped remote transactions submitted
-	ArtificialConflicts int64 // chunk splits forced by safe-back info
+	ArtificialConflicts int64 // always 0 (a conflict waits in the dependency window); read by bench/
 	EagerKills          int64 // local transactions killed to admit remote writesets
 	SoftRecoveries      int64 // §8.1 soft-recovery rounds
 	Resyncs             int64 // full pull-based resynchronizations
@@ -129,27 +129,13 @@ type Config struct {
 	Parts *partition.Topology
 	// LocalCertification enables the proxy-side pre-check against
 	// recently seen remote writesets (one group only; see
-	// seqOrder.localCert).
+	// merger.localCert).
 	LocalCertification bool
-	// EagerPreCert kills conflicting local transactions before
-	// applying a remote writeset instead of relying on lock timeouts.
-	// Forced on with several groups: the merger must be able to displace
-	// local transactions holding locks it needs.
-	EagerPreCert bool
 	// StalenessBound, if nonzero, pulls remote writesets from the
 	// certifier after this much idle time.
 	StalenessBound time.Duration
-	// SeqTimeout bounds how long a response waits for its turn in the
-	// per-replica sequence before triggering a resync (0 = 5 s).
-	SeqTimeout time.Duration
-	// SeqObserver, if set, is told the outcome of every response-
-	// sequence admission: "apply" (slot taken, state will be applied),
-	// "stale" (already covered by a resync), "epoch-reset" (response
-	// from a superseded leadership term) or "gap-timeout" (a
-	// predecessor was lost; a resync follows). The chaos invariant
-	// checker verifies per-origin sequencing from this stream.
-	SeqObserver func(epoch, seq uint64, outcome string)
-	// ChunkWaitTimeout bounds artificial-conflict waits (0 = 5 s).
+	// ChunkWaitTimeout bounds how long an install waits for the version
+	// it follows before it is given up (0 = 5 s).
 	ChunkWaitTimeout time.Duration
 	// ApplyWorkers is the pool size of the dependency-tracked applier
 	// (see schedule.go), 0 = 8: labeled remote writesets are
@@ -172,9 +158,9 @@ type Proxy struct {
 	stats      Stats
 	closed     bool
 
-	// order is where certifier responses take their place in the global
-	// order; proxy.New picks it from the topology.
-	order orderingPoint
+	// m is the ordering point: where certifier responses take their
+	// place in the replica's global order.
+	m *merger
 
 	// proxyLog: recent remote writesets for local certification, plus
 	// the items of remote writesets currently mid-application (for
@@ -199,33 +185,6 @@ type Proxy struct {
 	wg     sync.WaitGroup
 }
 
-// orderingPoint is where certifier responses take their place in this
-// replica's global order — the one thing the two topologies do
-// differently. With one group it is the per-replica response sequencer
-// (seqOrder, apply.go): responses are numbered by the certifier and
-// applied in that order. With several it is the merger (partition.go):
-// entries addressed by (group, index) are interleaved into one merged
-// order. Split, local check, certify, pull and the apply policy around
-// it are shared.
-type orderingPoint interface {
-	// replicaVersion is what a request to group g reports as its
-	// ReplicaVersion: the response carries g's committed entries above it.
-	replicaVersion(g int) uint64
-	// needSafeBack reports whether requests ask for safe-back bounds.
-	needSafeBack() bool
-	// localCert reports whether local certification may abort a commit.
-	localCert() bool
-	// resolve takes group g's certify response in and resolves the local
-	// transaction with it — tx and ws as for seqOrder.resolve; a pull is a
-	// response without one. It returns the transaction's position in the
-	// replica's order, ErrCertificationAbort when certification refused
-	// it, or another error.
-	resolve(g int, resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) (uint64, error)
-	// resync brings the replica up to the certifier tier from basis, the
-	// version its store has announced.
-	resync(basis uint64) error
-}
-
 type remoteRecord struct {
 	version uint64
 	items   []core.ItemID
@@ -241,16 +200,12 @@ const maxRecent = 4096
 // records into shared fsyncs only if several installs are in flight.
 const defaultApplyWorkers = 8
 
-// New creates a proxy and starts its staleness-bounding loop. It is the
-// one place that looks at the topology: one certifier group orders
-// through the response sequencer, several through the merger. A config
-// without one client per group of its map is a wiring bug and panics.
+// New creates a proxy and starts its merger and its staleness-bounding
+// loop. A config without one client per group of its map is a wiring bug
+// and panics.
 func New(cfg Config) *Proxy {
 	if cfg.Parts == nil || len(cfg.Parts.Groups) != max(cfg.Parts.Map.N, 1) {
 		panic("proxy: Config.Parts must hold one certifier client per group of its map")
-	}
-	if cfg.SeqTimeout == 0 {
-		cfg.SeqTimeout = 5 * time.Second
 	}
 	if cfg.ChunkWaitTimeout == 0 {
 		cfg.ChunkWaitTimeout = 5 * time.Second
@@ -268,18 +223,8 @@ func New(cfg Config) *Proxy {
 		workers = defaultApplyWorkers
 	}
 	p.sched = newApplyScheduler(p, workers)
-	if len(p.topo.Groups) == 1 {
-		p.order = &seqOrder{p: p, seq: newSequencer(), client: p.topo.Groups[0]}
-	} else {
-		// The merger goroutine must be able to displace local transactions
-		// holding row locks it needs; without eager kills an own commit
-		// waiting for its merge position can deadlock against the merger
-		// until lock timeouts fire.
-		p.cfg.EagerPreCert = true
-		m := newMerger(p)
-		p.order = m
-		p.detach(m.loop)
-	}
+	p.m = newMerger(p)
+	p.detach(p.m.loop)
 	if cfg.StalenessBound > 0 {
 		p.detach(p.stalenessLoop)
 	}
@@ -389,9 +334,7 @@ func (p *Proxy) Begin() (*Tx, error) {
 		return nil, err
 	}
 	tx := &Tx{p: p, inner: inner, start: start, observed: p.cfg.Store.AnnouncedVersion()}
-	if p.cfg.EagerPreCert {
-		inner.SetWriteHook(p.preCertHook(inner))
-	}
+	inner.SetWriteHook(p.preCertHook(inner))
 	return tx, nil
 }
 
@@ -456,7 +399,7 @@ func (t *Tx) Commit() error { return t.CommitCtx(context.Background()) }
 // flight, CommitCtx aborts the local handle and returns ctx.Err(),
 // but — as with any distributed commit — the certifier may still have
 // committed the transaction; the proxy then finishes applying it in
-// the background so the replica sequence stays intact, and the caller
+// the background so the merged stream stays whole, and the caller
 // must treat the outcome as unknown. Once the certifier's decision has
 // arrived the remaining local work completes regardless of ctx (it is
 // bounded by the proxy's own timeouts).
@@ -482,15 +425,13 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 
 	parts := p.topo.Map.Split(ws)
 	if len(parts) > 1 {
-		// Only a map of several groups splits a writeset, and proxy.New
-		// pairs those with the merger.
-		return p.order.(*merger).commitCross(ctx, t, ws, parts)
+		return p.m.commitCross(ctx, t, ws, parts)
 	}
 	g := parts[0].PID
 
 	// Local certification (§6.2): a conflict with an already-received
 	// remote writeset aborts without bothering the certifier.
-	if p.order.localCert() && p.localConflict(ws, t.start) {
+	if p.m.localCert() && p.localConflict(ws, t.start) {
 		t.inner.Abort()
 		p.addStat(func(st *Stats) { st.LocalCertAborts++ })
 		return fmt.Errorf("%w (local certification)", ErrCertificationAbort)
@@ -499,15 +440,14 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 	resp, err := p.certify(ctx, t, g, certifier.Request{
 		Origin:         p.cfg.ReplicaID,
 		StartVersion:   p.topo.Map.GroupVersion(g, t.start),
-		ReplicaVersion: p.order.replicaVersion(g),
+		ReplicaVersion: p.m.replicaVersion(g),
 		WSBytes:        ws.Encode(nil),
-		NeedSafeBack:   p.order.needSafeBack(),
 		Deadline:       deadlineNano(ctx),
 	})
 	if err != nil {
 		return err
 	}
-	cv, err := p.order.resolve(g, resp, t.inner, ws)
+	cv, err := p.m.resolve(g, resp, t.inner, ws)
 	if err != nil {
 		return err
 	}
@@ -564,15 +504,10 @@ func (p *Proxy) certify(ctx context.Context, t *Tx, g int, req certifier.Request
 		ws := t.inner.Writeset()
 		t.inner.Abort()
 		p.detach(func() {
-			o := <-ch
-			if o.err != nil {
-				return
-			}
-			// Nobody observes a detached failure: resync (IncludeOwn) or
-			// this replica permanently loses the response's writesets.
-			_, err := p.order.resolve(g, o.resp, nil, ws)
-			if err != nil && !errors.Is(err, ErrCertificationAbort) && !errors.Is(err, ErrProxyClosed) {
-				p.Resync()
+			// The response's entries reach the merger like any other, and a
+			// commit is installed by writeset at its merged position.
+			if o := <-ch; o.err == nil {
+				p.m.resolve(g, o.resp, nil, ws)
 			}
 		})
 		return certifier.Response{}, ctx.Err()
@@ -633,28 +568,6 @@ func (p *Proxy) recordRemotes(remotes []RemoteEntry) (installed int) {
 	return installed
 }
 
-// decodeRemotes parses and filters the response's remote writesets to
-// those above the replica's planned version. Each arrives as the
-// certifier's log entry itself; a single group's log holds data
-// entries only (barrier no-ops among them, with an empty writeset).
-func (p *Proxy) decodeRemotes(remote []certifier.RemoteWS, above uint64) ([]RemoteEntry, error) {
-	out := make([]RemoteEntry, 0, len(remote))
-	for _, r := range remote {
-		if r.Version <= above {
-			continue
-		}
-		e, err := certifier.DecodeLogEntry(r.WSBytes)
-		if err == nil && e.Kind != core.KindData {
-			err = fmt.Errorf("%v entry in a single-group stream", e.Kind)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("proxy: corrupt remote writeset v%d: %w", r.Version, err)
-		}
-		out = append(out, RemoteEntry{Version: r.Version, SafeBack: r.SafeBack, WS: e.WS})
-	}
-	return out, nil
-}
-
 // inFlightMark is an item's entry in the in-flight set: how many
 // appliers of remote writesets over it are running, and the highest
 // global version any of them installs.
@@ -706,9 +619,6 @@ func (p *Proxy) markInFlight(ws *core.Writeset, to uint64, on bool) {
 // globally committed is re-applied from its writeset by the commit
 // path's soft-recovery fallback, so killing is always safe.
 func (p *Proxy) killConflictingLocals(ws *core.Writeset, applierTx uint64) {
-	if !p.cfg.EagerPreCert {
-		return
-	}
 	for _, id := range p.cfg.Store.ConflictingActiveTxns(ws, applierTx) {
 		if p.isApplierTx(id) {
 			continue // fellow appliers install committed state; never kill them
@@ -761,7 +671,7 @@ func (p *Proxy) stalenessLoop() {
 }
 
 // PullOnce fetches every group's missing writesets once, all groups at
-// the same time, and hands each response to the ordering point. The
+// the same time, and hands each response to the merger. The
 // pull includes this replica's own writesets: a pull covers entries
 // above what the replica reports — entries it provably does not have —
 // and in that range "own" writesets exist only if their commit
@@ -774,12 +684,11 @@ func (p *Proxy) PullOnce() error {
 	fanOut(len(p.topo.Groups), func(g int) {
 		resp, err := p.topo.Groups[g].Pull(certifier.PullRequest{
 			Origin:         p.cfg.ReplicaID,
-			ReplicaVersion: p.order.replicaVersion(g),
-			NeedSafeBack:   p.order.needSafeBack(),
+			ReplicaVersion: p.m.replicaVersion(g),
 			IncludeOwn:     true,
 		})
 		if err == nil {
-			_, err = p.order.resolve(g, certifier.Response{SeqEpoch: resp.SeqEpoch, ReplicaSeq: resp.ReplicaSeq, Remote: resp.Remote}, nil, nil)
+			p.m.ingest(g, resp.Remote, nil)
 		}
 		errs[g] = err
 	})
@@ -805,13 +714,8 @@ func fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Resync brings the replica up to the certifier tier's committed state —
-// after a crash, a failover or a broken response sequence.
-//
-// The catch-up basis is the store's *applied* watermark (the announce
-// semaphore), not the planning cursor: after lost responses the
-// planning cursor may sit above versions whose writesets never reached
-// this replica — pulling from it would leave permanent holes.
+// Resync brings the replica up to the certifier tier's committed state
+// after a crash (see merger.resync).
 func (p *Proxy) Resync() error {
 	p.addStat(func(st *Stats) { st.Resyncs++ })
 	// Withdraw installed-but-unpublished commits first: stuck pendings
@@ -819,5 +723,5 @@ func (p *Proxy) Resync() error {
 	// rows. Their ranges lie above the announce cursor, so the pull
 	// re-fetches them.
 	p.cfg.Store.CancelPendings()
-	return p.order.resync(p.cfg.Store.AnnouncedVersion())
+	return p.m.resync()
 }

@@ -56,8 +56,6 @@ func newRig(t *testing.T, n int, mode Mode, mutate func(i int, cfg *Config, scfg
 			ReplicaID:          i + 1,
 			Parts:              oneGroup(r.fabric.Dial("cert0")),
 			LocalCertification: true,
-			EagerPreCert:       true,
-			SeqTimeout:         2 * time.Second,
 			ChunkWaitTimeout:   2 * time.Second,
 		}
 		if mutate != nil {
@@ -371,29 +369,46 @@ func TestAPIGroupsCommitRecords(t *testing.T) {
 	}
 }
 
+// TestAPIArtificialConflictSerializes: two writesets on one row reach a
+// replica in one pull (the second was certified against the first — an
+// artificial conflict, §5.2.1). They install in version order, with no
+// install refused along the way.
 func TestAPIArtificialConflictSerializes(t *testing.T) {
 	r := newRig(t, 3, TashkentAPI, nil)
-	// Replica 0 commits x twice in a row (second depends on first);
-	// replica 2 receives both writesets in one response — an
-	// artificial conflict forcing chunk serialization.
 	if err := commitUpdate(t, r.proxies[0], "t", "x", "1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := commitUpdate(t, r.proxies[0], "t", "x", "2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.proxies[1].PullOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.proxies[2].PullOnce(); err != nil {
-		t.Fatal(err)
+	for _, p := range r.proxies[1:] {
+		if err := p.PullOnce(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitConverged(t, r, 2)
-	if v, _ := readVal(t, r.proxies[2], "t", "x"); v != "2" {
-		t.Errorf("replica 2 x = %q, want 2 (serialized in order)", v)
+	for i := 1; i < 3; i++ {
+		if v, _ := readVal(t, r.proxies[i], "t", "x"); v != "2" {
+			t.Errorf("replica %d x = %q, want 2 (installed in version order)", i, v)
+		}
+		if r.stores[i].Fingerprint() != r.stores[0].Fingerprint() {
+			t.Errorf("replica %d diverged", i)
+		}
+		if n := r.proxies[i].Stats().SoftRecoveries; n != 0 {
+			t.Errorf("replica %d took %d soft recoveries", i, n)
+		}
 	}
-	if r.stores[2].Fingerprint() != r.stores[0].Fingerprint() {
-		t.Error("divergence after artificial conflict")
+	// Replica 2's log holds the two versions in order: its records chain
+	// (0, ..] up to 2.
+	var at uint64
+	for _, rg := range logRanges(t, r.stores[2]) {
+		if rg[0] != at || rg[1] <= rg[0] {
+			t.Fatalf("replica 2's log is not the ascending chain (0,..](..,2]")
+		}
+		at = rg[1]
+	}
+	if at != 2 {
+		t.Errorf("replica 2's log ends at %d, want 2", at)
 	}
 }
 
@@ -513,210 +528,35 @@ func TestResyncAfterGap(t *testing.T) {
 	if r.stores[1].Fingerprint() != r.stores[0].Fingerprint() {
 		t.Error("resync did not converge state")
 	}
-	if r.proxies[1].ReplicaVersion() != 3 {
-		t.Errorf("replica version after resync = %d", r.proxies[1].ReplicaVersion())
+	if got := r.stores[1].AnnouncedVersion(); got != 3 {
+		t.Errorf("announced version after resync = %d", got)
 	}
 }
 
 func TestBuildChunks(t *testing.T) {
-	mk := func(v, safe uint64) RemoteEntry {
-		return RemoteEntry{Version: v, SafeBack: safe,
+	mk := func(v uint64) RemoteEntry {
+		return RemoteEntry{Version: v,
 			WS: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
 	}
-	// Dense, no conflicts: one chunk.
-	chunks := buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(6, 2), mk(7, 4)})
+	// Dense: one chunk.
+	chunks := buildChunks([]RemoteEntry{mk(5), mk(6), mk(7)})
 	if len(chunks) != 1 || chunks[0].from != 4 || chunks[0].to != 7 || chunks[0].waitFor != 0 {
 		t.Errorf("dense chunks = %+v", chunks)
 	}
 	// Gap at 7 splits.
-	chunks = buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(6, 0), mk(8, 0)})
+	chunks = buildChunks([]RemoteEntry{mk(5), mk(6), mk(8)})
 	if len(chunks) != 2 || chunks[1].from != 7 || chunks[1].to != 8 {
 		t.Errorf("gap chunks = %+v", chunks)
 	}
-	// Conflict at v7 (safeBack 6 > announced 4) splits with a wait.
-	chunks = buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(6, 0), mk(7, 6)})
-	if len(chunks) != 2 || chunks[1].waitFor != 6 || !chunks[1].split {
-		t.Errorf("conflict chunks = %+v", chunks)
+	// A writeset this replica originated keeps a chunk of its own.
+	own := mk(6)
+	own.Own = true
+	chunks = buildChunks([]RemoteEntry{mk(5), own, mk(7)})
+	if len(chunks) != 3 || chunks[1].from != 5 || chunks[1].to != 6 {
+		t.Errorf("own-writeset chunks = %+v", chunks)
 	}
-	// Conflict below announced needs no wait.
-	chunks = buildChunks(6, 6, []RemoteEntry{mk(7, 5), mk(8, 5)})
-	if len(chunks) != 1 || chunks[0].waitFor != 0 {
-		t.Errorf("resolved-conflict chunks = %+v", chunks)
-	}
-	if got := buildChunks(0, 0, nil); got != nil {
+	if got := buildChunks(nil); got != nil {
 		t.Errorf("empty chunks = %v", got)
-	}
-}
-
-func TestSequencerAnchorsToFirstResponse(t *testing.T) {
-	s := newSequencer()
-	// A fresh (or recovered) proxy anchors to whatever sequence number
-	// it sees first — the certifier's numbering survives restarts.
-	gen, err := s.enter(0, 41, time.Second)
-	if err != nil {
-		t.Fatalf("anchor enter: %v", err)
-	}
-	s.exit(gen, 41)
-	gen, err = s.enter(0, 42, time.Second)
-	if err != nil {
-		t.Fatalf("post-anchor enter: %v", err)
-	}
-	s.exit(gen, 42)
-}
-
-func TestSequencerOrdersEntries(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(0, 1, time.Second) // anchor at 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.exit(gen, 1)
-	var mu sync.Mutex
-	var order []uint64
-	var wg sync.WaitGroup
-	for _, seq := range []uint64{4, 2, 3} {
-		seq := seq
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gen, err := s.enter(0, seq, time.Second)
-			if err != nil {
-				t.Errorf("enter(%d): %v", seq, err)
-				return
-			}
-			mu.Lock()
-			order = append(order, seq)
-			mu.Unlock()
-			s.exit(gen, seq)
-		}()
-		time.Sleep(5 * time.Millisecond)
-	}
-	wg.Wait()
-	if len(order) != 3 || order[0] != 2 || order[1] != 3 || order[2] != 4 {
-		t.Errorf("order = %v", order)
-	}
-}
-
-func TestSequencerTimeoutAndStale(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(0, 1, time.Second) // anchor
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.exit(gen, 1)
-	if gen, err = s.enter(0, 5, 30*time.Millisecond); !errors.Is(err, errSeqTimeout) {
-		t.Errorf("gap enter err = %v", err)
-	}
-	s.skipTo(gen, 6)
-	if _, err := s.enter(0, 5, 30*time.Millisecond); !errors.Is(err, errStaleSeq) {
-		t.Errorf("stale enter err = %v", err)
-	}
-	gen, err = s.enter(0, 6, time.Second)
-	if err != nil {
-		t.Errorf("enter(6): %v", err)
-	}
-	s.exit(gen, 6)
-}
-
-func TestSequencerWaiterSpawnsNoPollers(t *testing.T) {
-	// A blocked waiter is woken by state changes and by one deadline
-	// timer — not by goroutines poking the condition every 10 ms.
-	s := newSequencer()
-	gen, err := s.enter(0, 1, time.Second) // anchor
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.exit(gen, 1)
-	before := runtime.NumGoroutine()
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		_, err := s.enter(0, 5, 200*time.Millisecond)
-		done <- err
-	}()
-	time.Sleep(100 * time.Millisecond)
-	if got := runtime.NumGoroutine(); got > before+1 {
-		t.Errorf("%d goroutines while one waiter is blocked, want %d", got, before+1)
-	}
-	if err := <-done; !errors.Is(err, errSeqTimeout) {
-		t.Errorf("gap enter err = %v, want errSeqTimeout", err)
-	}
-	if d := time.Since(start); d < 200*time.Millisecond || d > 400*time.Millisecond {
-		t.Errorf("waiter returned after %v, want its 200 ms deadline", d)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got := runtime.NumGoroutine(); got > before {
-		t.Errorf("%d goroutines after the waiter returned, want %d", got, before)
-	}
-}
-
-func TestSequencerEpochReset(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(1, 5, time.Second) // epoch 1 anchors at 5
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.exit(gen, 5) // next=6
-
-	// Park a waiter on the old epoch's numbering.
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.enter(1, 9, 5*time.Second)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-
-	// A new leadership term re-anchors and invalidates the waiter.
-	gen2, err := s.enter(2, 1, time.Second)
-	if err != nil {
-		t.Fatalf("new-epoch enter: %v", err)
-	}
-	s.exit(gen2, 1)
-	if err := <-done; !errors.Is(err, errEpochReset) {
-		t.Errorf("old-epoch waiter: want errEpochReset, got %v", err)
-	}
-	// A straggler stamped by the deposed leader is rejected outright —
-	// even though its seq number would fit the new cursor.
-	if _, err := s.enter(1, 2, time.Second); !errors.Is(err, errEpochReset) {
-		t.Errorf("deposed-leader response: want errEpochReset, got %v", err)
-	}
-	// The new epoch keeps sequencing normally.
-	gen2, err = s.enter(2, 2, time.Second)
-	if err != nil {
-		t.Fatalf("enter(epoch 2, seq 2): %v", err)
-	}
-	s.exit(gen2, 2)
-}
-
-func TestSequencerEpochResetDrainsActiveHolder(t *testing.T) {
-	s := newSequencer()
-	gen, err := s.enter(1, 5, time.Second) // holder mid-application
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	entered := make(chan struct{})
-	go func() {
-		gen2, err := s.enter(2, 1, 5*time.Second)
-		if err != nil {
-			t.Errorf("new-epoch enter: %v", err)
-		}
-		close(entered)
-		s.exit(gen2, 1)
-	}()
-
-	// The new epoch must not start applying while the old epoch's
-	// holder is still inside its critical section.
-	select {
-	case <-entered:
-		t.Fatal("new-epoch enter proceeded while old-epoch holder was active")
-	case <-time.After(50 * time.Millisecond):
-	}
-	s.exit(gen, 5)
-	select {
-	case <-entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("new-epoch enter did not proceed after the holder drained")
 	}
 }
 

@@ -1,9 +1,9 @@
 package proxy
 
 // Dependency-tracked applier: the path by which Tashkent-API's chunks of
-// remote writesets reach the store — applyRun builds them from a
-// certifier response or from a run of the partitioned merged stream
-// alike — plus ApplyRemoteEntries. Base and Tashkent-MW install their
+// remote writesets reach the store — applyRun builds them from a run of
+// the merged stream, with a held entry for the run's local commit — plus
+// ApplyRemoteEntries. Base and Tashkent-MW install their
 // remote batches synchronously at any partition count and leave the pool
 // idle. One labeled commit at a time through the store's order semaphore
 // makes the replica's apply path the freshness bottleneck once the disk
@@ -37,10 +37,9 @@ package proxy
 // reach it through the single version waiter in watch.
 //
 // Submissions must arrive in ascending version order — applyRun submits
-// before it releases its ordering point, the response sequencer's slot
-// (classic mode) or the single merger goroutine (partitioned mode) —
-// so "submitted before" and "earlier version" coincide and every
-// dependency edge points backward in version order. Publication order is
+// from the single merger goroutine, one run at a time — so "submitted
+// before" and "earlier version" coincide and every dependency edge
+// points backward in version order. Publication order is
 // total regardless: the store's pending list publishes by from-version
 // under the apply gate.
 
@@ -67,25 +66,27 @@ type applyEntry struct {
 	from, to uint64
 	ws       *core.Writeset
 	// waitFor, when nonzero, is a version the store must announce
-	// before the entry may take its locks: the conflicting version of an
-	// artificial conflict (§5.2.1), or the entry's own from after a
+	// before the entry may take its locks: the entry's own from after a
 	// failed install attempt (so conflicting locks drain first). waitBy
 	// is when the version waiter gives the entry up; its clock starts
 	// once the entry has no unpublished dependency, so an entry is never
 	// given up while the version it awaits is still queued ahead of it.
 	waitFor  uint64
 	waitBy   time.Time
-	split    bool // split caused by an artificial conflict (stats)
 	attempts int  // failed install attempts so far
 	marked   bool // ws items registered in-flight (first attempt → resolve)
-	sig      mvstore.StripeSig
-	deps     int // unpublished predecessors with intersecting signatures
-	succs    []*applyEntry
-	state    int
-	start    time.Time
+	// held marks a Tashkent-API local commit: no worker installs it; its
+	// client commits the transaction and resolves the entry (finishOwn),
+	// and until then a later entry on its rows waits for it.
+	held  bool
+	sig   mvstore.StripeSig
+	deps  int // unpublished predecessors with intersecting signatures
+	succs []*applyEntry
+	state int
+	start time.Time
 	// logged, when set, is the ticket of the log batch that already
-	// carries the entry's commit record (a Tashkent-API response logs all
-	// of its records at its ordering point, see logRun): every
+	// carries the entry's commit record (a Tashkent-API run logs all of
+	// its records as one batch, see logRun): every
 	// install attempt commits behind it. Without one, each attempt logs
 	// the record itself.
 	logged mvstore.LogTicket
@@ -161,8 +162,8 @@ func (s *applyScheduler) kickWatch() {
 
 // submit conflict-analyzes entries against the live window and queues
 // them. Entries must be in ascending version order, and concurrent
-// submitters must already be ordered against each other (sequencer /
-// merger) — the analysis assumes every window entry precedes every new
+// submitters must already be ordered against each other (the merger) —
+// the analysis assumes every window entry precedes every new
 // entry in version order.
 func (s *applyScheduler) submit(entries []*applyEntry) {
 	if len(entries) == 0 {
@@ -184,6 +185,9 @@ func (s *applyScheduler) submit(entries []*applyEntry) {
 		}
 		e.sig = store.Signature(e.ws)
 		e.state = entryWaiting
+		if e.held {
+			e.state = entryRunning // in its client's hands, never a worker's
+		}
 		e.start = time.Now()
 		if e.sig != 0 {
 			for _, w := range s.window {
@@ -300,9 +304,6 @@ func (s *applyScheduler) watch() {
 // the window, ready again once its predecessors have published.
 func (s *applyScheduler) install(e *applyEntry) {
 	p := s.p
-	if e.split && e.attempts == 0 {
-		p.addStat(func(st *Stats) { st.ArtificialConflicts++ })
-	}
 	cb := func(oc mvstore.PendingOutcome) { s.resolve(e, oc) }
 	if e.ws == nil || e.ws.Empty() {
 		// Hollow range (certifier barrier / fill no-ops): nothing to
@@ -450,14 +451,13 @@ func (p *Proxy) ApplyStats() ApplyStats {
 	return st
 }
 
-// RemoteEntry is one labeled remote writeset: decoded from a certifier
-// response, or fed directly into the apply path by harness experiments
-// and tests. SafeBack is the certifier's conflict-free-back bound
-// (certifier.RemoteWS.SafeBack).
+// RemoteEntry is one labeled remote writeset: an action of the merged
+// stream, or fed directly into the apply path by harness experiments
+// and tests. Own marks a writeset this replica originated.
 type RemoteEntry struct {
-	Version  uint64
-	SafeBack uint64
-	WS       *core.Writeset
+	Version uint64
+	WS      *core.Writeset
+	Own     bool
 }
 
 // ApplyRemoteEntries feeds labeled remote writesets (ascending
@@ -466,15 +466,10 @@ type RemoteEntry struct {
 // returns once the entries are scheduled — wait on Store.WaitAnnounced
 // for completion.
 func (p *Proxy) ApplyRemoteEntries(entries []RemoteEntry) error {
-	announced := p.cfg.Store.AnnouncedVersion()
 	ents := make([]*applyEntry, 0, len(entries))
 	var top uint64
 	for _, e := range entries {
-		ae := &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS}
-		if e.SafeBack > announced {
-			ae.waitFor = e.SafeBack
-		}
-		ents = append(ents, ae)
+		ents = append(ents, &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS})
 		if e.Version > top {
 			top = e.Version
 		}

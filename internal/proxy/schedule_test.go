@@ -22,6 +22,18 @@ func upEntry(v uint64, key string, cols ...core.ColUpdate) RemoteEntry {
 	}}}
 }
 
+// submitWaiting schedules entries as ApplyRemoteEntries does, except that
+// the entry at version v waits for the store to announce waitFor[v]
+// before it takes its locks — the version wait of a requeued install.
+func submitWaiting(p *Proxy, entries []RemoteEntry, waitFor map[uint64]uint64) {
+	ents := make([]*applyEntry, len(entries))
+	for i, e := range entries {
+		ents[i] = &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS, waitFor: waitFor[e.Version]}
+	}
+	p.sched.submit(ents)
+	p.advanceRV(entries[len(entries)-1].Version)
+}
+
 // settledStats returns the applier's snapshot once n entries have
 // resolved: publication callbacks trail the store's announce by a
 // moment, so the counters may lag a WaitAnnounced that just returned.
@@ -248,10 +260,10 @@ func TestApplySubmitLargerThanWindow(t *testing.T) {
 }
 
 func TestApplyVersionWaitClockStartsWhenRunnable(t *testing.T) {
-	// An artificial-conflict entry queued behind a slow same-key chain
-	// must not be given up while the version it awaits is still ahead of
-	// it in the window: its ChunkWaitTimeout starts when its dependencies
-	// have published, not at submit.
+	// An entry waiting for a version, queued behind a slow same-key
+	// chain, must not be given up while the version it awaits is still
+	// ahead of it in the window: its ChunkWaitTimeout starts when its
+	// dependencies have published, not at submit.
 	logDisk := simdisk.New(simdisk.Profile{FsyncLatency: 10 * time.Millisecond}, 1)
 	r := newRig(t, 1, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
 		cfg.ChunkWaitTimeout = 100 * time.Millisecond
@@ -264,10 +276,7 @@ func TestApplyVersionWaitClockStartsWhenRunnable(t *testing.T) {
 	for v := uint64(1); v <= n; v++ {
 		entries = append(entries, upEntry(v, "hot"))
 	}
-	entries[n-1].SafeBack = n - 1
-	if err := p.ApplyRemoteEntries(entries); err != nil {
-		t.Fatal(err)
-	}
+	submitWaiting(p, entries, map[uint64]uint64{n: n - 1})
 	if err := store.WaitAnnounced(n, 10*time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(%d): %v (stats %+v)", n, err, p.ApplyStats())
 	}
@@ -331,20 +340,17 @@ func commitVersion1(t *testing.T, store *mvstore.Store) {
 }
 
 func TestApplyVersionWaitsNeverHoldWorkers(t *testing.T) {
-	// Two workers; v4 and v5 carry an artificial conflict on v3, which
-	// chains behind v2, which cannot publish before v1 lands. If the
-	// version waits occupied the workers, v3 would become runnable with
-	// nobody to run it: the pool would sit out ChunkWaitTimeout, give an
-	// entry up and leave v5 unannounced.
+	// Two workers; v4 and v5 wait for v3, which chains behind v2, which
+	// cannot publish before v1 lands. If the version waits occupied the
+	// workers, v3 would become runnable with nobody to run it: the pool
+	// would sit out ChunkWaitTimeout, give an entry up and leave v5
+	// unannounced.
 	r := newRig(t, 1, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
 		cfg.ApplyWorkers = 2
 	})
 	p, store := r.proxies[0], r.stores[0]
-	v4, v5 := upEntry(4, "c"), upEntry(5, "d")
-	v4.SafeBack, v5.SafeBack = 3, 3
-	if err := p.ApplyRemoteEntries([]RemoteEntry{upEntry(2, "a"), upEntry(3, "a"), v4, v5}); err != nil {
-		t.Fatal(err)
-	}
+	submitWaiting(p, []RemoteEntry{upEntry(2, "a"), upEntry(3, "a"), upEntry(4, "c"), upEntry(5, "d")},
+		map[uint64]uint64{4: 3, 5: 3})
 	time.Sleep(50 * time.Millisecond) // let the pool take what it will
 	commitVersion1(t, store)
 	if err := store.WaitAnnounced(5, time.Second); err != nil {
@@ -363,11 +369,7 @@ func TestApplyVersionWaitWakesOnOutsideAnnounce(t *testing.T) {
 		cfg.ChunkWaitTimeout = 150 * time.Millisecond
 	})
 	p, store := r.proxies[0], r.stores[0]
-	v2, v9 := upEntry(2, "a"), upEntry(9, "b")
-	v2.SafeBack, v9.SafeBack = 1, 8
-	if err := p.ApplyRemoteEntries([]RemoteEntry{v2, v9}); err != nil {
-		t.Fatal(err)
-	}
+	submitWaiting(p, []RemoteEntry{upEntry(2, "a"), upEntry(9, "b")}, map[uint64]uint64{2: 1, 9: 8})
 	time.Sleep(20 * time.Millisecond)
 	if st := p.ApplyStats(); st.Parallelism.Count != 0 {
 		t.Fatalf("%d entries dispatched before their waitFor version was announced", st.Parallelism.Count)
@@ -414,27 +416,17 @@ func TestCloseLetsFinishersSubmit(t *testing.T) {
 }
 
 func TestBuildChunksEdges(t *testing.T) {
-	mk := func(v, safe uint64) RemoteEntry {
-		return RemoteEntry{Version: v, SafeBack: safe,
+	mk := func(v uint64) RemoteEntry {
+		return RemoteEntry{Version: v,
 			WS: &core.Writeset{Ops: []core.WriteOp{{Kind: core.OpUpdate, Table: "t", Key: fmt.Sprintf("k%d", v)}}}}
 	}
 	// Empty remotes: no chunks, nil or zero-length.
-	if got := buildChunks(7, 7, []RemoteEntry{}); len(got) != 0 {
+	if got := buildChunks([]RemoteEntry{}); len(got) != 0 {
 		t.Errorf("empty remotes → %+v", got)
-	}
-	// basis == announced: a safe-back exactly at the shared cursor is
-	// resolved (no wait); one past it both waits and counts as a split.
-	chunks := buildChunks(5, 5, []RemoteEntry{mk(6, 5)})
-	if len(chunks) != 1 || chunks[0].waitFor != 0 || chunks[0].split {
-		t.Errorf("safeBack==announced chunks = %+v", chunks)
-	}
-	chunks = buildChunks(5, 5, []RemoteEntry{mk(6, 5), mk(7, 6)})
-	if len(chunks) != 2 || chunks[1].waitFor != 6 || !chunks[1].split {
-		t.Errorf("safeBack==announced+1 chunks = %+v", chunks)
 	}
 	// Gap-only stream: every version is isolated; each gets its own
 	// single-version chunk with from = version-1.
-	chunks = buildChunks(4, 4, []RemoteEntry{mk(5, 0), mk(7, 0), mk(9, 0)})
+	chunks := buildChunks([]RemoteEntry{mk(5), mk(7), mk(9)})
 	if len(chunks) != 3 {
 		t.Fatalf("gap-only chunks = %+v", chunks)
 	}
@@ -443,10 +435,10 @@ func TestBuildChunksEdges(t *testing.T) {
 			t.Errorf("chunk %d = (%d,%d], want (%d,%d]", i, chunks[i].from, chunks[i].to, want-1, want)
 		}
 	}
-	// Announced ahead of basis (catch-up overlap): a conflict above
-	// basis but below announced is already resolved.
-	chunks = buildChunks(4, 8, []RemoteEntry{mk(9, 7)})
-	if len(chunks) != 1 || chunks[0].waitFor != 0 || chunks[0].split {
-		t.Errorf("announced-ahead chunks = %+v", chunks)
+	// Consecutive writesets of one row share a chunk, in version order.
+	chunks = buildChunks([]RemoteEntry{upEntry(10, "x"), upEntry(11, "x")})
+	if len(chunks) != 1 || chunks[0].from != 9 || chunks[0].to != 11 ||
+		len(chunks[0].ws.Ops) != 2 || string(chunks[0].ws.Ops[1].Cols[0].Value) != "11" {
+		t.Errorf("same-row chunks = %+v", chunks)
 	}
 }

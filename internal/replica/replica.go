@@ -55,14 +55,7 @@ type Config struct {
 
 	// Middleware options.
 	LocalCertification bool
-	EagerPreCert       bool
 	StalenessBound     time.Duration
-	// SeqTimeout bounds how long the proxy waits for a lost response-
-	// sequence predecessor before resyncing (0 = proxy default).
-	SeqTimeout time.Duration
-	// SeqObserver forwards proxy sequencer admissions to an invariant
-	// checker (see proxy.Config.SeqObserver).
-	SeqObserver func(epoch, seq uint64, outcome string)
 	// ApplyWorkers is the pool size of the dependency-tracked applier,
 	// 0 = 8 (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
@@ -131,10 +124,7 @@ func (r *Replica) newProxy(store *mvstore.Store) *proxy.Proxy {
 		Store:              store,
 		Parts:              r.cfg.Parts,
 		LocalCertification: r.cfg.LocalCertification,
-		EagerPreCert:       r.cfg.EagerPreCert,
 		StalenessBound:     r.cfg.StalenessBound,
-		SeqTimeout:         r.cfg.SeqTimeout,
-		SeqObserver:        r.cfg.SeqObserver,
 		ApplyWorkers:       r.cfg.ApplyWorkers,
 	})
 }
