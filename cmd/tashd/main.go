@@ -89,9 +89,8 @@ func main() {
 			Dedicated: *dedicated,
 			Seed:      int64(*id),
 		},
-		Parts:              &partition.Topology{Groups: []*certifier.Client{certifier.NewClient(clients, 10*time.Second)}},
-		LocalCertification: true,
-		StalenessBound:     time.Second,
+		Parts:          &partition.Topology{Groups: []*certifier.Client{certifier.NewClient(clients, 10*time.Second)}},
+		StalenessBound: time.Second,
 	})
 
 	srv, err := transport.ServeTCP(*listen, handler(rep, *id, *txnTimeout), 0)

@@ -77,15 +77,17 @@ type Config struct {
 	// Chaos drills use it to isolate certifiers from their peers.
 	PaxosCallHook func(from, to int, method string) error
 	// Storage and middleware tuning, applied to every replica.
-	PageMissEvery      int
-	CheckpointEvery    int
-	LockTimeout        time.Duration
-	OrderTimeout       time.Duration
+	PageMissEvery   int
+	CheckpointEvery int
+	LockTimeout     time.Duration
+	OrderTimeout    time.Duration
+	// LocalCertification and EagerPreCert are ignored: local
+	// certification (with one certifier group) and eager
+	// pre-certification are always on. They stay only because bench/
+	// sets them.
 	LocalCertification bool
-	// EagerPreCert is ignored: eager pre-certification is always on. It
-	// stays only because bench/ sets it.
-	EagerPreCert   bool
-	StalenessBound time.Duration
+	EagerPreCert       bool
+	StalenessBound     time.Duration
 	// ApplyWorkers is the pool size of every replica's dependency-
 	// tracked remote applier, 0 = 8 (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
@@ -202,14 +204,13 @@ func New(cfg Config) (*Cluster, error) {
 				Dedicated: cfg.DedicatedIO,
 				Seed:      cfg.Seed + int64(i)*104729,
 			},
-			Parts:              c.newTopology(i),
-			PageMissEvery:      cfg.PageMissEvery,
-			CheckpointEvery:    cfg.CheckpointEvery,
-			LockTimeout:        cfg.LockTimeout,
-			OrderTimeout:       cfg.OrderTimeout,
-			LocalCertification: cfg.LocalCertification,
-			StalenessBound:     cfg.StalenessBound,
-			ApplyWorkers:       cfg.ApplyWorkers,
+			Parts:           c.newTopology(i),
+			PageMissEvery:   cfg.PageMissEvery,
+			CheckpointEvery: cfg.CheckpointEvery,
+			LockTimeout:     cfg.LockTimeout,
+			OrderTimeout:    cfg.OrderTimeout,
+			StalenessBound:  cfg.StalenessBound,
+			ApplyWorkers:    cfg.ApplyWorkers,
 		})
 		c.replicas = append(c.replicas, r)
 	}

@@ -21,14 +21,12 @@ import (
 func newTestCluster(t *testing.T, mode proxy.Mode, replicas int, mutate func(*Config)) *Cluster {
 	t.Helper()
 	cfg := Config{
-		Mode:               mode,
-		Replicas:           replicas,
-		Certifiers:         3,
-		IOProfile:          simdisk.Instant(),
-		LocalCertification: true,
-		EagerPreCert:       true,
-		LockTimeout:        time.Second,
-		OrderTimeout:       2 * time.Second,
+		Mode:         mode,
+		Replicas:     replicas,
+		Certifiers:   3,
+		IOProfile:    simdisk.Instant(),
+		LockTimeout:  time.Second,
+		OrderTimeout: 2 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -253,12 +253,10 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 			FsyncLatency: 200 * time.Microsecond,
 			FsyncJitter:  100 * time.Microsecond,
 		},
-		LocalCertification: true,
-		EagerPreCert:       true,
-		LockTimeout:        time.Second,
-		OrderTimeout:       2 * time.Second,
-		CertTimeout:        2 * time.Second,
-		StalenessBound:     100 * time.Millisecond,
+		LockTimeout:    time.Second,
+		OrderTimeout:   2 * time.Second,
+		CertTimeout:    2 * time.Second,
+		StalenessBound: 100 * time.Millisecond,
 		// The chaos suite doubles as the dependency scheduler's
 		// crash/resync soak.
 		ApplyWorkers: 8,

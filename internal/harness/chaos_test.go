@@ -111,12 +111,11 @@ func chaosDrillCluster(t *testing.T, mode proxy.Mode, replicas, groups int) *clu
 			FsyncLatency: 500 * time.Microsecond,
 			FsyncJitter:  200 * time.Microsecond,
 		},
-		LocalCertification: true,
-		LockTimeout:        time.Second,
-		OrderTimeout:       2 * time.Second,
-		CertTimeout:        3 * time.Second,
-		StalenessBound:     100 * time.Millisecond,
-		Seed:               7,
+		LockTimeout:    time.Second,
+		OrderTimeout:   2 * time.Second,
+		CertTimeout:    3 * time.Second,
+		StalenessBound: 100 * time.Millisecond,
+		Seed:           7,
 	})
 	if err != nil {
 		t.Fatal(err)

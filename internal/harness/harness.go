@@ -134,17 +134,15 @@ type Series struct {
 // the certifier's forced abort rate (Fig 14), 0 elsewhere.
 func clusterFor(sys System, replicas int, dedicated bool, abortRate float64, o Options, wl workload.Generator) (*cluster.Cluster, error) {
 	cfg := cluster.Config{
-		Replicas:           replicas,
-		Certifiers:         3,
-		IOProfile:          o.profile(),
-		DedicatedIO:        dedicated,
-		AbortRate:          abortRate,
-		CertMaxBatch:       o.CertMaxBatch,
-		LocalCertification: true,
-		EagerPreCert:       true,
-		LockTimeout:        5 * time.Second,
-		OrderTimeout:       10 * time.Second,
-		Seed:               o.Seed,
+		Replicas:     replicas,
+		Certifiers:   3,
+		IOProfile:    o.profile(),
+		DedicatedIO:  dedicated,
+		AbortRate:    abortRate,
+		CertMaxBatch: o.CertMaxBatch,
+		LockTimeout:  5 * time.Second,
+		OrderTimeout: 10 * time.Second,
+		Seed:         o.Seed,
 	}
 	switch sys {
 	case SysBase:

@@ -113,11 +113,9 @@ func RunOverloadExperiment(o Options) (OverloadResult, error) {
 		// stage 2 after wasting its slot. The depth also covers the
 		// closed-loop client count so the peak phase never queues at
 		// the door.
-		CertAdmitTimeout:   ovlAdmitBudget,
-		CertQueueDepth:     32,
-		LocalCertification: true,
-		EagerPreCert:       true,
-		Seed:               o.Seed,
+		CertAdmitTimeout: ovlAdmitBudget,
+		CertQueueDepth:   32,
+		Seed:             o.Seed,
 	})
 	if err != nil {
 		return res, err

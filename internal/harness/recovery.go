@@ -192,7 +192,7 @@ func measureCertTransfer(o Options, rep *RecoveryReport) error {
 	c, err := cluster.New(cluster.Config{
 		Mode: proxy.TashkentMW, Replicas: 1, Certifiers: 3,
 		IOProfile: o.profile(), DedicatedIO: true,
-		LocalCertification: true, EagerPreCert: true, Seed: o.Seed,
+		Seed: o.Seed,
 	})
 	if err != nil {
 		return err

@@ -339,37 +339,6 @@ func MergeDist(parts ...DistSummary) DistSummary {
 	return out
 }
 
-// UtilSummary aggregates utilization fractions across parallel
-// channels — e.g. the per-group certifier log disks of a partitioned
-// deployment, where the mean shows how the load spread and the max
-// which channel is closest to saturation.
-type UtilSummary struct {
-	Per       []float64
-	Mean, Max float64
-}
-
-// SummarizeUtil rolls up per-channel utilizations.
-func SummarizeUtil(per []float64) UtilSummary {
-	s := UtilSummary{Per: per}
-	if len(per) == 0 {
-		return s
-	}
-	var sum float64
-	for _, u := range per {
-		sum += u
-		if u > s.Max {
-			s.Max = u
-		}
-	}
-	s.Mean = sum / float64(len(per))
-	return s
-}
-
-// String renders the roll-up compactly.
-func (s UtilSummary) String() string {
-	return fmt.Sprintf("mean=%.0f%% max=%.0f%%", s.Mean*100, s.Max*100)
-}
-
 // Gauge tracks an instantaneous level — e.g. apply workers currently
 // installing — with a high-watermark. The zero value is ready to use.
 type Gauge struct {

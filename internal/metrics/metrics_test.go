@@ -236,19 +236,3 @@ func TestMergeDist(t *testing.T) {
 		t.Errorf("MergeDist() = %+v, want zero", empty)
 	}
 }
-
-func TestSummarizeUtil(t *testing.T) {
-	s := SummarizeUtil([]float64{0.2, 0.4, 0.9})
-	if s.Max != 0.9 {
-		t.Errorf("Max = %v, want 0.9", s.Max)
-	}
-	if want := (0.2 + 0.4 + 0.9) / 3; s.Mean != want {
-		t.Errorf("Mean = %v, want %v", s.Mean, want)
-	}
-	if len(s.Per) != 3 {
-		t.Errorf("Per = %v, want 3 entries", s.Per)
-	}
-	if z := SummarizeUtil(nil); z.Mean != 0 || z.Max != 0 {
-		t.Errorf("SummarizeUtil(nil) = %+v, want zero", z)
-	}
-}

@@ -139,49 +139,6 @@ func TestCommitLabeledAsyncHoldsLocksUntilPublication(t *testing.T) {
 	set(t, s, "t", "kl", "v", "after") // lock is free again
 }
 
-func TestCancelPendings(t *testing.T) {
-	s := Open(Config{LockTimeout: 40 * time.Millisecond})
-	t.Cleanup(s.Close)
-	var log outcomeLog
-
-	// A gap-stranded pending: from 4 is unreachable without versions
-	// 1-4, and its row lock has no timeout.
-	asyncUpdate(t, s, "kc", 4, 5, log.cb("kc"))
-	if n := s.CancelPendings(); n != 1 {
-		t.Fatalf("CancelPendings = %d, want 1", n)
-	}
-	if got := log.snapshot(); len(got) != 1 || got[0] != fmt.Sprintf("kc:%d", PendingCanceled) {
-		t.Fatalf("outcomes = %v", got)
-	}
-	if _, ok := get(t, s, "t", "kc", "v"); ok {
-		t.Fatal("canceled provisional version is visible")
-	}
-	// The lock released as aborted: a resync-style re-apply proceeds.
-	set(t, s, "t", "kc", "v", "resync")
-	if s.AnnouncedVersion() != 0 {
-		t.Errorf("cancel advanced the announce cursor to %d", s.AnnouncedVersion())
-	}
-}
-
-func TestCancelPendingsPublishesReadyPrefix(t *testing.T) {
-	s := openInstant(t)
-	var log outcomeLog
-	// (0,1] is ready; (5,6] is stuck behind the gap.
-	asyncUpdate(t, s, "ready", 0, 1, log.cb("ready"))
-	asyncUpdate(t, s, "stuck", 5, 6, log.cb("stuck"))
-	if n := s.CancelPendings(); n != 1 {
-		t.Fatalf("CancelPendings = %d, want 1 (the stuck one)", n)
-	}
-	got := log.snapshot()
-	if len(got) != 2 || got[0] != fmt.Sprintf("ready:%d", PendingPublished) ||
-		got[1] != fmt.Sprintf("stuck:%d", PendingCanceled) {
-		t.Fatalf("outcomes = %v", got)
-	}
-	if v, ok := get(t, s, "t", "ready", "v"); !ok || v != "1" {
-		t.Fatalf("ready prefix not published: %q, %v", v, ok)
-	}
-}
-
 func TestAsyncCrashSweepsPendings(t *testing.T) {
 	s := Open(Config{})
 	var log outcomeLog

@@ -1,9 +1,8 @@
 package mvstore
 
 // BenchmarkParallelRead* isolate the storage engine's snapshot-read
-// path from the replication stack: they are the microbenchmarks behind
-// the readscale experiment (cmd/tashbench -exp readscale) and the
-// BENCH_read.json baseline. Run with -cpu 1,2,4 to see lock-striping
+// path from the replication stack; the CI benchmark smoke runs them once
+// per push. Run with -cpu 1,2,4 to see lock-striping
 // scalability; even at -cpu 1 the striped engine wins on the removed
 // per-read clone and global-mutex round trip.
 

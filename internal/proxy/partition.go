@@ -123,7 +123,7 @@ func (m *merger) replicaVersion(g int) uint64 {
 // window (GroupVersion(g, start), head] then disagree on what the
 // snapshot could have seen.
 func (m *merger) localCert() bool {
-	return len(m.topo.Groups) == 1 && m.p.cfg.LocalCertification
+	return len(m.topo.Groups) == 1
 }
 
 // resolve feeds group g's certify response to the assembler and, if it

@@ -127,10 +127,6 @@ type Config struct {
 	// map and one failover client per certifier group. The classic system
 	// is one group. Required.
 	Parts *partition.Topology
-	// LocalCertification enables the proxy-side pre-check against
-	// recently seen remote writesets (one group only; see
-	// merger.localCert).
-	LocalCertification bool
 	// StalenessBound, if nonzero, pulls remote writesets from the
 	// certifier after this much idle time.
 	StalenessBound time.Duration
@@ -715,13 +711,10 @@ func fanOut(n int, fn func(i int)) {
 }
 
 // Resync brings the replica up to the certifier tier's committed state
-// after a crash (see merger.resync).
+// after a crash (see merger.resync). It is for a freshly built proxy:
+// its store holds no installed-but-unpublished commit whose row locks
+// the catch-up could wait on.
 func (p *Proxy) Resync() error {
 	p.addStat(func(st *Stats) { st.Resyncs++ })
-	// Withdraw installed-but-unpublished commits first: stuck pendings
-	// hold row locks without a timeout, and the catch-up needs those
-	// rows. Their ranges lie above the announce cursor, so the pull
-	// re-fetches them.
-	p.cfg.Store.CancelPendings()
 	return p.m.resync()
 }

@@ -52,11 +52,10 @@ func newRig(t *testing.T, n int, mode Mode, mutate func(i int, cfg *Config, scfg
 			scfg.WALMode = wal.NoSync
 		}
 		pcfg := Config{
-			Mode:               mode,
-			ReplicaID:          i + 1,
-			Parts:              oneGroup(r.fabric.Dial("cert0")),
-			LocalCertification: true,
-			ChunkWaitTimeout:   2 * time.Second,
+			Mode:             mode,
+			ReplicaID:        i + 1,
+			Parts:            oneGroup(r.fabric.Dial("cert0")),
+			ChunkWaitTimeout: 2 * time.Second,
 		}
 		if mutate != nil {
 			mutate(i, &pcfg, &scfg)

@@ -461,8 +461,8 @@ type RemoteEntry struct {
 }
 
 // ApplyRemoteEntries feeds labeled remote writesets (ascending
-// versions) to the scheduler without a certification round trip; the
-// applyscale experiment drives the apply path with it. The call
+// versions) to the scheduler without a certification round trip; tests
+// drive the apply path with it. The call
 // returns once the entries are scheduled — wait on Store.WaitAnnounced
 // for completion.
 func (p *Proxy) ApplyRemoteEntries(entries []RemoteEntry) error {

@@ -51,8 +51,7 @@ func settledStats(p *Proxy, n int64) ApplyStats {
 func TestParallelApplyDisjointParallelizes(t *testing.T) {
 	// Disjoint-key writesets must install concurrently: with a slow
 	// fsync the workers' WAL appends group into shared fsyncs, and the
-	// parallelism high-watermark exceeds one. This is the mechanism
-	// behind the applyscale speedup.
+	// parallelism high-watermark exceeds one.
 	logDisk := simdisk.New(simdisk.Profile{FsyncLatency: 2 * time.Millisecond}, 1)
 	r := newRig(t, 1, TashkentAPI, func(i int, cfg *Config, scfg *mvstore.Config) {
 		cfg.ApplyWorkers = 8

@@ -54,8 +54,7 @@ type Config struct {
 	StoreStripes    int // data-shard / lock-stripe count (0 = engine default)
 
 	// Middleware options.
-	LocalCertification bool
-	StalenessBound     time.Duration
+	StalenessBound time.Duration
 	// ApplyWorkers is the pool size of the dependency-tracked applier,
 	// 0 = 8 (see proxy.Config.ApplyWorkers).
 	ApplyWorkers int
@@ -119,13 +118,12 @@ func Open(cfg Config) *Replica {
 
 func (r *Replica) newProxy(store *mvstore.Store) *proxy.Proxy {
 	return proxy.New(proxy.Config{
-		Mode:               r.cfg.Mode,
-		ReplicaID:          r.cfg.ID,
-		Store:              store,
-		Parts:              r.cfg.Parts,
-		LocalCertification: r.cfg.LocalCertification,
-		StalenessBound:     r.cfg.StalenessBound,
-		ApplyWorkers:       r.cfg.ApplyWorkers,
+		Mode:           r.cfg.Mode,
+		ReplicaID:      r.cfg.ID,
+		Store:          store,
+		Parts:          r.cfg.Parts,
+		StalenessBound: r.cfg.StalenessBound,
+		ApplyWorkers:   r.cfg.ApplyWorkers,
 	})
 }
 

@@ -37,8 +37,7 @@ func newCertGroup(t *testing.T) *partition.Topology {
 
 func TestReplicaLifecycle(t *testing.T) {
 	parts := newCertGroup(t)
-	r := Open(Config{ID: 1, Mode: proxy.TashkentMW, Parts: parts,
-		LocalCertification: true})
+	r := Open(Config{ID: 1, Mode: proxy.TashkentMW, Parts: parts})
 	defer r.Close()
 
 	tx, err := r.Begin()

@@ -73,8 +73,9 @@ type counterSlot struct {
 // its error EWMA crosses breakerErrTrip or its latency EWMA exceeds
 // breakerLatFactor times the best healthy peer's (and the absolute
 // floor, which suppresses microsecond-scale noise). After
-// breakerCooldown one half-open probe transaction is admitted; its
-// outcome closes or re-opens the breaker. An unclaimed or lost probe
+// breakerCooldown one half-open probe transaction is admitted; a failure,
+// or a success slow enough to trip a closed breaker, re-opens it, and
+// any other success closes it. An unclaimed or lost probe
 // token expires after breakerProbeExpiry so a policy that routed the
 // probe elsewhere cannot wedge the replica open forever.
 const (
@@ -139,9 +140,10 @@ func (h *health) observe(lat time.Duration, failed bool, peerLat float64) {
 	defer h.mu.Unlock()
 	if h.probeOut {
 		// Treat the first outcome after a probe was admitted as the
-		// probe's verdict.
+		// probe's verdict, judged by the rule that trips a closed
+		// breaker: a success as slow as the ejected trend re-opens it.
 		h.probeOut = false
-		if failed {
+		if failed || tooSlow(lat.Seconds(), peerLat) {
 			h.state = breakerOpen
 			h.openedAt = time.Now()
 			return
@@ -167,11 +169,16 @@ func (h *health) observe(lat time.Duration, failed bool, peerLat float64) {
 	if h.state != breakerClosed || h.samples < breakerMinSamples {
 		return
 	}
-	slow := peerLat > 0 && h.ewmaLat > breakerLatFactor*peerLat && h.ewmaLat > breakerLatFloor
-	if h.ewmaErr > breakerErrTrip || slow {
+	if h.ewmaErr > breakerErrTrip || tooSlow(h.ewmaLat, peerLat) {
 		h.state = breakerOpen
 		h.openedAt = time.Now()
 	}
+}
+
+// tooSlow reports whether a latency in seconds is breakerLatFactor
+// times the best peer's and above the absolute floor.
+func tooSlow(lat, peerLat float64) bool {
+	return peerLat > 0 && lat > breakerLatFactor*peerLat && lat > breakerLatFloor
 }
 
 // score returns the latency EWMA when this replica is a valid latency

@@ -3,6 +3,7 @@ package router
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRoundRobinDistribution(t *testing.T) {
@@ -253,5 +254,40 @@ func TestCountersResetOnCrash(t *testing.T) {
 	release()
 	if got := c.Get(0) + c.Get(1); got != 1 { // replica 1's artificial charge remains
 		t.Fatalf("post-reset accounting off: total in-flight %d, want 1", got)
+	}
+}
+
+// TestBreakerProbeJudgedByLatency: a half-open probe that succeeds as
+// slowly as the trend that ejected the replica re-opens the breaker, so
+// a still-gray replica is not re-admitted for breakerMinSamples more
+// transactions; only a fast success closes it.
+func TestBreakerProbeJudgedByLatency(t *testing.T) {
+	c := NewCounters(2)
+	for i := 0; i < breakerMinSamples; i++ {
+		c.Observe(0, time.Millisecond, false)
+	}
+	for i := 0; i < breakerMinSamples; i++ {
+		c.Observe(1, 50*time.Millisecond, false)
+	}
+	if state, _, _ := c.Health(1); state != "open" {
+		t.Fatalf("slow replica 1 is %q, want open", state)
+	}
+	probe := func(lat time.Duration) string {
+		h := &c.slots[1].health
+		h.mu.Lock()
+		h.openedAt = time.Now().Add(-2 * breakerCooldown) // cooldown over
+		h.mu.Unlock()
+		if !h.admit() {
+			t.Fatal("cooled-down breaker admitted no probe")
+		}
+		c.Observe(1, lat, false)
+		state, _, _ := c.Health(1)
+		return state
+	}
+	if got := probe(50 * time.Millisecond); got != "open" {
+		t.Errorf("after a slow successful probe Health = %q, want open", got)
+	}
+	if got := probe(time.Millisecond); got != "closed" {
+		t.Errorf("after a fast successful probe Health = %q, want closed", got)
 	}
 }

@@ -179,15 +179,6 @@ func loadBatch(ctx context.Context, begin BeginFunc, load func(Tx) error) error 
 type AllUpdates struct {
 	// RowsPerClient bounds each client's key range (default 64).
 	RowsPerClient int
-	// ZipfTheta switches key selection from per-client disjoint ranges
-	// to a zipfian draw over one shared keyspace of SharedKeys rows, so
-	// concurrent clients collide on hot keys — the adversarial input
-	// for dependency-tracked parallel apply. Must be > 1 to take effect
-	// (the stdlib zipf generator's constraint); 0 keeps the paper's
-	// conflict-free workload.
-	ZipfTheta float64
-	// SharedKeys sizes the shared zipfian keyspace (default 1024).
-	SharedKeys int
 }
 
 // allUpdatesValueLen pads the single updated value so the encoded
@@ -204,26 +195,13 @@ func (g *AllUpdates) rows() int {
 	return g.RowsPerClient
 }
 
-func (g *AllUpdates) sharedKeys() uint64 {
-	if g.SharedKeys <= 0 {
-		return 1024
-	}
-	return uint64(g.SharedKeys)
-}
-
 // Populate implements Generator. AllUpdates needs no preloaded rows:
 // updates create rows on first touch.
 func (*AllUpdates) Populate(context.Context, BeginFunc) error { return nil }
 
 // Next implements Generator.
 func (g *AllUpdates) Next(r *rand.Rand, replicaID, clientID int) (func(Tx) error, bool) {
-	var key string
-	if g.ZipfTheta > 1 {
-		z := rand.NewZipf(r, g.ZipfTheta, 1, g.sharedKeys()-1)
-		key = fmt.Sprintf("zk%06d", z.Uint64())
-	} else {
-		key = fmt.Sprintf("r%02dc%02dk%03d", replicaID, clientID, r.Intn(g.rows()))
-	}
+	key := fmt.Sprintf("r%02dc%02dk%03d", replicaID, clientID, r.Intn(g.rows()))
 	val := make([]byte, allUpdatesValueLen)
 	r.Read(val)
 	return func(tx Tx) error {

@@ -176,17 +176,15 @@ func Start(cfg Config) (*DB, error) {
 		sb = 0
 	}
 	c, err := cluster.New(cluster.Config{
-		Mode:               cfg.Mode,
-		Replicas:           cfg.Replicas,
-		Certifiers:         cfg.Certifiers,
-		IOProfile:          cfg.DiskProfile,
-		DedicatedIO:        cfg.DedicatedLogDisk,
-		LocalCertification: true,
-		EagerPreCert:       true,
-		StalenessBound:     sb,
-		CertTimeout:        cfg.CertTimeout,
-		CertAdmitTimeout:   cfg.AdmitTimeout,
-		Seed:               cfg.Seed,
+		Mode:             cfg.Mode,
+		Replicas:         cfg.Replicas,
+		Certifiers:       cfg.Certifiers,
+		IOProfile:        cfg.DiskProfile,
+		DedicatedIO:      cfg.DedicatedLogDisk,
+		StalenessBound:   sb,
+		CertTimeout:      cfg.CertTimeout,
+		CertAdmitTimeout: cfg.AdmitTimeout,
+		Seed:             cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
