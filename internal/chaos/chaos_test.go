@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,10 +147,8 @@ func TestCheckerPassesCleanRun(t *testing.T) {
 	log := testLog(3)
 	c.RecordAck(Ack{Worker: 0, Origin: 1, Version: 2, Table: "t", Key: "k", Col: "v", Value: "val2"})
 	c.RecordAck(Ack{Worker: 0, Origin: 1, Version: 3, Table: "t", Key: "k", Col: "v", Value: "val3"})
-	c.RecordRead(Read{Start: 2, Observed: 2, Table: "t", Key: "k", Col: "v", Value: "val2", Found: true})
-	// Conservative bounds: a read of val3 with start 2 is legal when
-	// observed covers version 3.
-	c.RecordRead(Read{Start: 2, Observed: 3, Table: "t", Key: "k", Col: "v", Value: "val3", Found: true})
+	c.RecordRead(Read{Snapshot: 2, Table: "t", Key: "k", Col: "v", Value: "val2", Found: true})
+	c.RecordRead(Read{Snapshot: 3, Table: "t", Key: "k", Col: "v", Value: "val3", Found: true})
 	if vs := c.Verify(VerifyInput{Log: log, Fingerprints: []uint32{7, 7}}); len(vs) != 0 {
 		t.Fatalf("clean run flagged: %v", vs)
 	}
@@ -174,13 +173,26 @@ func TestCheckerDetectsWrongAckedValue(t *testing.T) {
 func TestCheckerDetectsSIViolation(t *testing.T) {
 	c := NewChecker()
 	// Snapshot bounded by version 1 must not see version 3's write.
-	c.RecordRead(Read{Start: 1, Observed: 1, Table: "t", Key: "k", Col: "v", Value: "val3", Found: true})
+	c.RecordRead(Read{Snapshot: 1, Table: "t", Key: "k", Col: "v", Value: "val3", Found: true})
 	if vs := c.Verify(VerifyInput{Log: testLog(3)}); len(vs) == 0 {
 		t.Fatal("future read not flagged")
 	}
+	// A snapshot labeled 2 that shows version 3's write: its label lags
+	// what it shows. Reported, with the column's history around the
+	// label.
+	lag := NewChecker()
+	lag.RecordRead(Read{Snapshot: 2, Table: "t", Key: "k", Col: "v", Value: "val3", Found: true})
+	vs := lag.Verify(VerifyInput{Log: testLog(4)})
+	if len(vs) != 1 {
+		t.Fatalf("read above its label: %d violations, want 1: %v", len(vs), vs)
+	}
+	want := `history [v1 "val1" (origin 1) v2 "val2" (origin 1) | snapshot 2 | v3 "val3" (origin 1) v4 "val4" (origin 1)]`
+	if !strings.Contains(vs[0].Error(), want) {
+		t.Fatalf("violation %q does not print the history %s", vs[0], want)
+	}
 	// A value that no committed transaction ever wrote (dirty read).
 	c2 := NewChecker()
-	c2.RecordRead(Read{Start: 3, Observed: 3, Table: "t", Key: "k", Col: "v", Value: "uncommitted", Found: true})
+	c2.RecordRead(Read{Snapshot: 3, Table: "t", Key: "k", Col: "v", Value: "uncommitted", Found: true})
 	if vs := c2.Verify(VerifyInput{Log: testLog(3)}); len(vs) == 0 {
 		t.Fatal("dirty read not flagged")
 	}
@@ -189,13 +201,13 @@ func TestCheckerDetectsSIViolation(t *testing.T) {
 func TestCheckerDetectsStaleAbsentRead(t *testing.T) {
 	c := NewChecker()
 	// Key written at v1; a snapshot at [1,1] must find it.
-	c.RecordRead(Read{Start: 1, Observed: 1, Table: "t", Key: "k", Col: "v", Found: false})
+	c.RecordRead(Read{Snapshot: 1, Table: "t", Key: "k", Col: "v", Found: false})
 	if vs := c.Verify(VerifyInput{Log: testLog(1)}); len(vs) == 0 {
 		t.Fatal("vanished row not flagged")
 	}
 	// But a snapshot at [0,0] legitimately misses it.
 	c2 := NewChecker()
-	c2.RecordRead(Read{Start: 0, Observed: 0, Table: "t", Key: "k", Col: "v", Found: false})
+	c2.RecordRead(Read{Snapshot: 0, Table: "t", Key: "k", Col: "v", Found: false})
 	if vs := c2.Verify(VerifyInput{Log: testLog(1)}); len(vs) != 0 {
 		t.Fatalf("legal absent read flagged: %v", vs)
 	}

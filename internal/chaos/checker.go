@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"tashkent/internal/core"
@@ -26,13 +27,12 @@ type Ack struct {
 	Value   string
 }
 
-// Read is one client-visible snapshot read. Start is the snapshot's
-// conservative version label, Observed the announced version sampled
-// just after the snapshot — together they bound which committed prefix
-// the snapshot may expose (§6.2 conservative version assignment).
+// Read is one client-visible snapshot read. Snapshot is the snapshot's
+// version label, which names exactly the committed prefix the snapshot
+// shows.
 type Read struct {
 	Worker          int
-	Start, Observed uint64
+	Snapshot        uint64
 	Table, Key, Col string
 	Value           string
 	Found           bool
@@ -63,7 +63,7 @@ func (c *Checker) RecordAck(a Ack) {
 	c.mu.Unlock()
 }
 
-// RecordRead records a snapshot read and its version bounds.
+// RecordRead records a snapshot read and its version label.
 func (c *Checker) RecordRead(r Read) {
 	c.mu.Lock()
 	c.rds = append(c.rds, r)
@@ -101,6 +101,7 @@ type VerifyInput struct {
 // colWrite is one committed write of a tracked column.
 type colWrite struct {
 	version uint64
+	origin  int
 	value   string
 	deleted bool
 }
@@ -115,9 +116,10 @@ type colWrite struct {
 //  2. Session order — each worker's acked commit versions strictly
 //     increase (the worker commits sequentially).
 //  3. Snapshot isolation — every read equals the committed prefix
-//     state at some version within the snapshot's [Start, Observed]
-//     bounds: reads map to a prefix of the committed version order,
-//     never to aborted or torn state.
+//     state at exactly the snapshot's version label: never an aborted,
+//     torn or future write, and never a state the label does not
+//     name. A failure prints the column's committed writes around the
+//     label.
 //  4. Convergence — all replica fingerprints agree, and match the
 //     never-crashed replay witness when provided.
 //
@@ -170,9 +172,10 @@ func (c *Checker) Verify(in VerifyInput) []error {
 	// (3) Snapshot-isolation read mapping.
 	hist := columnHistories(in.Log)
 	for _, r := range rds {
-		if !readExplainable(hist, r) {
-			fail("snapshot isolation: read %s/%s.%s=%q (found=%v) in snapshot [%d,%d] matches no committed prefix",
-				r.Table, r.Key, r.Col, r.Value, r.Found, r.Start, r.Observed)
+		writes := hist[r.Table+"\x00"+r.Key+"\x00"+r.Col]
+		if !readExplainable(writes, r) {
+			fail("snapshot isolation: read %s/%s.%s=%q (found=%v) in snapshot %d is not the committed state there; history %s",
+				r.Table, r.Key, r.Col, r.Value, r.Found, r.Snapshot, historyAround(writes, r.Snapshot))
 		}
 	}
 
@@ -226,54 +229,54 @@ func columnHistories(log []LogEntry) map[string][]colWrite {
 				prefix := op.Table + "\x00" + op.Key + "\x00"
 				for k := range hist {
 					if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-						hist[k] = append(hist[k], colWrite{version: e.Version, deleted: true})
+						hist[k] = append(hist[k], colWrite{version: e.Version, origin: e.Origin, deleted: true})
 					}
 				}
 				continue
 			}
 			for _, cu := range op.Cols {
 				k := op.Table + "\x00" + op.Key + "\x00" + cu.Col
-				hist[k] = append(hist[k], colWrite{version: e.Version, value: string(cu.Value)})
+				hist[k] = append(hist[k], colWrite{version: e.Version, origin: e.Origin, value: string(cu.Value)})
 			}
 		}
 	}
 	for k := range hist {
-		sort.Slice(hist[k], func(i, j int) bool { return hist[k][i].version < hist[k][j].version })
+		sort.SliceStable(hist[k], func(i, j int) bool { return hist[k][i].version < hist[k][j].version })
 	}
 	return hist
 }
 
 // readExplainable reports whether the read's outcome equals the
-// column state at some version v in [r.Start, r.Observed]: the state
-// at v is the latest committed write ≤ v (absent if none). The
-// admissible outcomes are therefore the state at Start plus every
-// write landing in (Start, Observed].
-func readExplainable(hist map[string][]colWrite, r Read) bool {
-	writes := hist[r.Table+"\x00"+r.Key+"\x00"+r.Col]
+// column state at version r.Snapshot: the latest committed write at or
+// below it, absent if there is none. writes is the column's history.
+func readExplainable(writes []colWrite, r Read) bool {
+	i := sort.Search(len(writes), func(i int) bool { return writes[i].version > r.Snapshot })
+	if i == 0 || writes[i-1].deleted {
+		return !r.Found
+	}
+	return r.Found && writes[i-1].value == r.Value
+}
 
-	// State at Start.
-	var atStart *colWrite
-	for i := range writes {
-		if writes[i].version <= r.Start {
-			atStart = &writes[i]
+// historyAround renders the column's committed writes just below and
+// just above version snap — version, value and origin — the evidence
+// that names a snapshot-isolation defect.
+func historyAround(writes []colWrite, snap uint64) string {
+	const each = 2
+	i := sort.Search(len(writes), func(i int) bool { return writes[i].version > snap })
+	var b strings.Builder
+	for j := max(i-each, 0); j < min(i+each, len(writes)); j++ {
+		if j == i {
+			fmt.Fprintf(&b, "| snapshot %d | ", snap)
+		}
+		w := &writes[j]
+		if w.deleted {
+			fmt.Fprintf(&b, "v%d deleted (origin %d) ", w.version, w.origin)
 		} else {
-			break
+			fmt.Fprintf(&b, "v%d %q (origin %d) ", w.version, w.value, w.origin)
 		}
 	}
-	matches := func(w *colWrite) bool {
-		if w == nil || w.deleted {
-			return !r.Found
-		}
-		return r.Found && w.value == r.Value
+	if i == len(writes) {
+		fmt.Fprintf(&b, "| snapshot %d |", snap)
 	}
-	if matches(atStart) {
-		return true
-	}
-	// Writes inside the (Start, Observed] window.
-	for i := range writes {
-		if writes[i].version > r.Start && writes[i].version <= r.Observed && matches(&writes[i]) {
-			return true
-		}
-	}
-	return false
+	return "[" + strings.TrimSpace(b.String()) + "]"
 }

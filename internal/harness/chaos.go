@@ -297,8 +297,7 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 					val, found, rerr := tx.ReadCol(chaosTable, key, chaosCol)
 					if rerr == nil {
 						checker.RecordRead(chaos.Read{
-							Worker: w,
-							Start:  tx.SnapshotVersion(), Observed: tx.ObservedVersion(),
+							Worker: w, Snapshot: tx.SnapshotVersion(),
 							Table: chaosTable, Key: key, Col: chaosCol,
 							Value: string(val), Found: found,
 						})

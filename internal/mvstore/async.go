@@ -103,7 +103,7 @@ func (tx *Tx) CommitLabeledAsync(from, to uint64, cb func(PendingOutcome)) error
 	if err := tx.checkLabeledUpdate("CommitLabeledAsync", from, to); err != nil {
 		return err
 	}
-	if tx.store.announced.Load() >= to {
+	if tx.store.AnnouncedVersion() >= to {
 		// Superseded before the WAL write, exactly like the sync path:
 		// the record that covered the range is in the log already.
 		if err := tx.finishSuperseded(); err != nil {
@@ -262,9 +262,11 @@ func (s *Store) takeReadyPending(cur uint64) *pendingCommit {
 // global version order, cascading through consecutive ranges. It is
 // called after anything that advances the announce semaphore (a gated
 // sync commit, SetAnnounced, a new registration against an
-// already-reached from). One drain pass batches the whole ready run:
-// the order-semaphore waiters are woken once, at the end, instead of
-// once per published version (WaitAnnounced wakeup batching).
+// already-reached from). Each pending publishes its sequence and its
+// label together, a hollow one its label over the same sequence, so a
+// snapshot taken mid-run is labeled exactly. The order-semaphore
+// waiters are woken once, at the end of the run, instead of once per
+// published version (WaitAnnounced wakeup batching).
 func (s *Store) drainPending() {
 	s.applyGate.Lock()
 	if s.crashed.Load() {
@@ -272,7 +274,7 @@ func (s *Store) drainPending() {
 		s.sweepPending()
 		return
 	}
-	cur := s.announced.Load()
+	cur := s.AnnouncedVersion()
 	start := cur
 	var done []*pendingCommit
 	for {
@@ -285,7 +287,7 @@ func (s *Store) drainPending() {
 			// state past this range; discard the invisible versions
 			// instead of publishing stale values over newer ones.
 			s.discardProvisional(pc)
-			pc.outcome, pc.seq = PendingSuperseded, s.published.Load()
+			pc.outcome, pc.seq = PendingSuperseded, s.cur.Load().seq
 			if pc.token != 0 {
 				s.stats.superseded.Add(1)
 				s.stats.commits.Add(1)
@@ -294,24 +296,17 @@ func (s *Store) drainPending() {
 			continue
 		}
 		if pc.token != 0 {
-			seq := s.seqAlloc.Add(1)
-			s.stampProvisional(pc, seq)
-			s.pubMu.Lock()
-			for s.published.Load() != seq-1 {
-				s.pubCond.Wait()
-			}
-			s.published.Store(seq)
-			s.pubCond.Broadcast()
-			s.pubMu.Unlock()
+			pc.seq = s.seqAlloc.Add(1)
+			s.stampProvisional(pc, pc.seq)
 			s.stats.commits.Add(1)
-			pc.seq = seq
 		}
+		s.publish(pc.seq, pc.to, false)
 		pc.outcome = PendingPublished
 		cur = pc.to
 		done = append(done, pc)
 	}
 	if cur > start {
-		s.advanceAnnounced(cur)
+		s.publish(0, cur, true)
 	}
 	s.applyGate.Unlock()
 	for _, pc := range done {

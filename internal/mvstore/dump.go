@@ -154,7 +154,6 @@ func RestoreDump(cfg Config, dump []byte) (*Store, uint64, error) {
 	tableCount := int(binary.BigEndian.Uint32(body[pos:]))
 	pos += 4
 	s.seqAlloc.Store(1)
-	s.published.Store(1)
 	for ti := 0; ti < tableCount; ti++ {
 		var name string
 		name, pos, err = readDumpStr16(body, pos)
@@ -218,7 +217,7 @@ func RestoreDump(cfg Config, dump []byte) (*Store, uint64, error) {
 		s.Close()
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadDump, err)
 	}
-	s.advanceAnnounced(covered)
+	s.publish(1, covered, true)
 	// Restoring reads the dump and writes the data files back:
 	// charge sequential IO proportional to size.
 	s.dataDisk.PageOps(len(dump) / 8192)

@@ -100,7 +100,7 @@ func (s *Store) replayWAL(image []byte, base uint64) (RecoveryInfo, error) {
 		}
 	}
 	info.CoveredTo = cur
-	s.advanceAnnounced(cur)
+	s.publish(0, cur, true)
 	return info, nil
 }
 
@@ -142,7 +142,7 @@ func (s *Store) applyRecovered(rec CommitRecord) {
 		pruneChain(t, op.Key, seq)
 		sh.mu.Unlock()
 	}
-	s.published.Store(seq)
+	s.publish(seq, 0, false)
 	s.stats.commits.Add(1)
 }
 

@@ -20,10 +20,10 @@ package mvstore
 // Commit publication keeps snapshots consistent without a global lock:
 // a committer allocates seq from the atomic Store.seqAlloc, installs
 // every row version stamped seq (per-shard write locks), and only then
-// publishes seq — strictly in order — by advancing Store.published.
-// New snapshots read Store.published, so a reader can never observe a
-// torn commit: versions above its snapshot are simply skipped during
-// chain scans.
+// publishes seq — strictly in order, with its version label — by
+// replacing the commit cursor (Store.publish). New snapshots load the
+// cursor, so a reader can never observe a torn commit: versions above
+// its snapshot are simply skipped during chain scans.
 
 import (
 	"sync"

@@ -31,10 +31,10 @@
 //
 // Internally the engine is lock-striped: row version chains and the
 // write-lock manager are hash-striped across shards with independent
-// (RW)mutexes, snapshots are taken from an atomic published commit
-// sequence, and the remaining global concerns — commit publication
-// order, the commit-order semaphore, the waits-for deadlock graph —
-// each live under their own small lock. Snapshot reads therefore never
+// (RW)mutexes, snapshots are taken from an atomic commit cursor, and
+// the remaining global concerns — commit publication order with the
+// commit-order semaphore, the waits-for deadlock graph — each live
+// under their own small lock. Snapshot reads therefore never
 // touch a global mutex. See shard.go for the layout and the
 // commit-publication invariant.
 package mvstore
@@ -140,7 +140,16 @@ type lockState struct {
 // blocked on the announce semaphore.
 type orderWaiter struct {
 	from uint64
-	ch   chan struct{} // closed when announced >= from
+	ch   chan struct{} // closed when the cursor's version reaches from
+}
+
+// commitCursor is one published state of the store: new snapshots read
+// every commit up to install sequence seq, and version is the global
+// version label of exactly that state — the commit-order semaphore of
+// paper §8.3. A cursor is immutable and publish replaces it whole, so a
+// reader loads both halves in one step.
+type commitCursor struct {
+	seq, version uint64
 }
 
 // Stats is a snapshot of store activity counters.
@@ -183,23 +192,21 @@ type Store struct {
 	lockStripes   []lockStripe   // write-lock manager
 	activeStripes []activeStripe // in-flight transaction registry
 
-	// Commit sequencing: seqAlloc hands out install sequences,
-	// published is the highest fully installed prefix (what new
-	// snapshots read). published only ever advances by one, in seq
-	// order, under pubMu (see Tx.applyCommit).
+	// Commit sequencing: seqAlloc hands out install sequences, and cur
+	// is the commit cursor — the highest fully installed prefix with
+	// its version label. Readers load cur without a lock; publish alone
+	// writes it, under pubMu, advancing the sequence by one, in order.
+	// pubMu also guards orderWait, the callers parked until the label
+	// reaches their version.
 	seqAlloc  atomic.Uint64
-	published atomic.Uint64
+	cur       atomic.Pointer[commitCursor]
 	pubMu     sync.Mutex
 	pubCond   *sync.Cond
-
-	// Commit-order semaphore (global version space).
-	announced atomic.Uint64 // read lock-free; advanced under orderMu
-	orderMu   sync.Mutex
 	orderWait []orderWaiter
 
-	// applyGate serializes the install+announce step of *labeled*
+	// applyGate serializes the install+publish step of *labeled*
 	// commits so globally-versioned writesets always reach the row
-	// chains in announce order. In healthy operation the gate is
+	// chains in version order. In healthy operation the gate is
 	// uncontended (the proxy's merger / order semaphore already
 	// serialize labeled applies); it exists for the degraded paths —
 	// a resync racing in-flight remote appliers after lost responses
@@ -275,6 +282,7 @@ func Open(cfg Config) *Store {
 		logDisk:       cfg.LogDisk,
 	}
 	s.pubCond = sync.NewCond(&s.pubMu)
+	s.cur.Store(&commitCursor{})
 	for i := range s.shards {
 		s.shards[i].tables = make(map[string]map[string][]rowVersion)
 	}
@@ -303,28 +311,42 @@ func (s *Store) Stats() Stats {
 }
 
 // AnnouncedVersion returns the current value of the commit-order
-// semaphore (the highest globally ordered version announced by
-// CommitOrdered, or whatever SetAnnounced established at recovery).
+// semaphore: the version label of the published state (the highest
+// globally ordered version a labeled commit published, or whatever
+// SetAnnounced established at recovery).
 func (s *Store) AnnouncedVersion() uint64 {
-	return s.announced.Load()
+	return s.cur.Load().version
 }
 
-// SetAnnounced initializes the commit-order semaphore, used when a
-// recovered replica rejoins at a nonzero global version. Advancing the
-// semaphore may make deferred-publication commits eligible, so the
-// pending drain runs after.
+// SetAnnounced raises the commit-order semaphore without a commit: a
+// recovered replica rejoins at a nonzero global version, or a version
+// range with nothing to install passes. Advancing the semaphore may make
+// deferred-publication commits eligible, so the pending drain runs
+// after.
 func (s *Store) SetAnnounced(v uint64) {
-	s.advanceAnnounced(v)
+	s.publish(0, v, true)
 	s.drainPending()
 }
 
-// advanceAnnounced raises the commit-order semaphore and releases
-// waiters whose from version has been reached.
-func (s *Store) advanceAnnounced(v uint64) {
-	s.orderMu.Lock()
-	if v > s.announced.Load() {
-		s.announced.Store(v)
-		kept := s.orderWait[:0]
+// publish is the only writer of the commit cursor. It waits until
+// install sequence seq-1 is published, then moves the cursor to seq,
+// labeled version, in one store: commits become visible strictly in
+// sequence order, so a snapshot at seq sees every commit up to it
+// whole, and its label never lags or leads it. A zero seq keeps the
+// published state and only raises its label (a range with nothing to
+// install, a recovered base). Neither half moves back. wake also
+// releases the version waiters the label has reached.
+func (s *Store) publish(seq, version uint64, wake bool) {
+	s.pubMu.Lock()
+	for seq > s.cur.Load().seq+1 {
+		s.pubCond.Wait()
+	}
+	if c := s.cur.Load(); seq > c.seq || version > c.version {
+		s.cur.Store(&commitCursor{seq: max(seq, c.seq), version: max(version, c.version)})
+		s.pubCond.Broadcast()
+	}
+	if wake {
+		kept, v := s.orderWait[:0], s.AnnouncedVersion()
 		for _, w := range s.orderWait {
 			if w.from <= v {
 				close(w.ch)
@@ -334,7 +356,7 @@ func (s *Store) advanceAnnounced(v uint64) {
 		}
 		s.orderWait = kept
 	}
-	s.orderMu.Unlock()
+	s.pubMu.Unlock()
 }
 
 // ActiveTxns returns the number of in-flight transactions.
@@ -371,6 +393,9 @@ func (s *Store) consumeFailNextCommit() bool {
 }
 
 // Begin starts a transaction against the latest committed snapshot.
+// The snapshot and its version label come from one load of the commit
+// cursor, so the label (Tx.SnapshotVersion) names exactly the global
+// prefix the snapshot shows.
 func (s *Store) Begin() (*Tx, error) {
 	if s.crashed.Load() {
 		return nil, ErrCrashed
@@ -383,7 +408,8 @@ func (s *Store) Begin() (*Tx, error) {
 	// floor scans this stripe under the same lock, so it either sees
 	// this transaction or finishes its scan before the snapshot here is
 	// taken (and the snapshot is then >= the floor it pruned with).
-	tx.snapshot = s.published.Load()
+	c := s.cur.Load()
+	tx.snapshot, tx.version = c.seq, c.version
 	st.txs[id] = tx
 	st.mu.Unlock()
 	if s.crashed.Load() {
@@ -404,7 +430,7 @@ func (s *Store) pinSnapshot() (snap uint64, unpin func()) {
 	pin := &Tx{store: s, id: s.nextTxID.Add(1)}
 	st := s.activeStripeOf(pin.id)
 	st.mu.Lock()
-	pin.snapshot = s.published.Load()
+	pin.snapshot = s.cur.Load().seq
 	st.txs[pin.id] = pin
 	st.mu.Unlock()
 	return pin.snapshot, func() { s.unregister(pin.id) }
@@ -425,7 +451,7 @@ func (s *Store) unregister(txID uint64) {
 // the registry scan — see Begin for why that ordering makes the prune
 // safe against concurrently starting readers.
 func (s *Store) minActiveSnapshot() uint64 {
-	min := s.published.Load()
+	min := s.cur.Load().seq
 	for i := range s.activeStripes {
 		st := &s.activeStripes[i]
 		st.mu.Lock()
@@ -702,14 +728,14 @@ func (s *Store) WaitAnnouncedOr(v uint64, timeout time.Duration, interrupt <-cha
 		if s.crashed.Load() {
 			return ErrCrashed
 		}
-		s.orderMu.Lock()
-		if s.announced.Load() >= v {
-			s.orderMu.Unlock()
+		s.pubMu.Lock()
+		if s.AnnouncedVersion() >= v {
+			s.pubMu.Unlock()
 			return nil
 		}
 		w := orderWaiter{from: v, ch: make(chan struct{})}
 		s.orderWait = append(s.orderWait, w)
-		s.orderMu.Unlock()
+		s.pubMu.Unlock()
 		if timer == nil {
 			timer = time.NewTimer(time.Until(deadline))
 		} else {
@@ -724,31 +750,25 @@ func (s *Store) WaitAnnouncedOr(v uint64, timeout time.Duration, interrupt <-cha
 			// Crash may have swept the waiter list before we
 			// registered; without this case we would sleep out the
 			// full timeout on a dead store.
-			s.orderMu.Lock()
-			s.removeOrderWaiterLocked(w)
-			s.orderMu.Unlock()
+			s.removeOrderWaiter(w)
 			return ErrCrashed
 		case <-interrupt:
-			s.orderMu.Lock()
-			s.removeOrderWaiterLocked(w)
-			s.orderMu.Unlock()
+			s.removeOrderWaiter(w)
 			return ErrWaitInterrupted
 		case <-timer.C:
-			s.orderMu.Lock()
-			s.removeOrderWaiterLocked(w)
-			cur := s.announced.Load()
-			s.orderMu.Unlock()
-			if cur >= v {
-				return nil
+			s.removeOrderWaiter(w)
+			if cur := s.AnnouncedVersion(); cur < v {
+				return fmt.Errorf("%w: waiting for announced version %d, at %d", ErrOrderTimeout, v, cur)
 			}
-			return fmt.Errorf("%w: waiting for announced version %d, at %d", ErrOrderTimeout, v, cur)
+			return nil
 		}
 	}
 }
 
-// removeOrderWaiterLocked drops w from the order-wait list. Caller
-// holds s.orderMu.
-func (s *Store) removeOrderWaiterLocked(w orderWaiter) {
+// removeOrderWaiter drops w from the order-wait list.
+func (s *Store) removeOrderWaiter(w orderWaiter) {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
 	for i := range s.orderWait {
 		if s.orderWait[i].ch == w.ch {
 			s.orderWait = append(s.orderWait[:i], s.orderWait[i+1:]...)
@@ -825,12 +845,12 @@ func (s *Store) Crash() (walImage []byte, corrupt bool) {
 }
 
 func (s *Store) wakeAllOrderWaiters() {
-	s.orderMu.Lock()
+	s.pubMu.Lock()
 	for _, w := range s.orderWait {
 		close(w.ch)
 	}
 	s.orderWait = nil
-	s.orderMu.Unlock()
+	s.pubMu.Unlock()
 }
 
 func (s *Store) corrupt() bool {

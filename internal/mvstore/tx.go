@@ -39,7 +39,8 @@ const (
 type Tx struct {
 	store    *Store
 	id       uint64
-	snapshot uint64
+	snapshot uint64                        // install sequence the snapshot reads
+	version  uint64                        // global version label of the snapshot
 	writes   map[core.ItemID]*pendingWrite // owner goroutine only; nil until first write
 	ws       core.Writeset                 // capture order preserved
 	hook     WriteHook
@@ -52,9 +53,11 @@ type Tx struct {
 // ID returns the transaction identifier (used with Store.Kill).
 func (tx *Tx) ID() uint64 { return tx.id }
 
-// Snapshot returns the internal MVCC sequence this transaction reads
-// from.
-func (tx *Tx) Snapshot() uint64 { return tx.snapshot }
+// SnapshotVersion returns the global version label of the snapshot:
+// the snapshot shows exactly the commits of the versions up to it.
+// Begin reads it from the same commit cursor as the snapshot, so it is
+// exact: the highest label GSI allows (paper §6.2).
+func (tx *Tx) SnapshotVersion() uint64 { return tx.version }
 
 // SetWriteHook installs the per-write observer. It must be set before
 // the first write.
@@ -266,7 +269,7 @@ func (tx *Tx) CommitLabeled(from, to uint64) error {
 		s.unregister(tx.id)
 		return nil
 	}
-	if to > 0 && tx.store.announced.Load() >= to {
+	if to > 0 && tx.store.AnnouncedVersion() >= to {
 		// Superseded before the WAL write: skip the record too, so a
 		// recovery replay never sees this stale range after newer ones.
 		return tx.finishSuperseded()
@@ -290,7 +293,7 @@ func (tx *Tx) CommitOrdered(from, to uint64) error {
 	if err := tx.checkLabeledUpdate("CommitOrdered", from, to); err != nil {
 		return err
 	}
-	if tx.store.announced.Load() >= to {
+	if tx.store.AnnouncedVersion() >= to {
 		// A catch-up resync already carried the state past this range;
 		// the record that covered it is in the log already.
 		return tx.finishSuperseded()
@@ -375,16 +378,17 @@ func (s *Store) LogCommitRecords(recs []CommitRecord) (LogTicket, error) {
 
 // applyCommit is the shared tail of every update commit: latch the
 // state against Kill, allocate the install sequence, install every row
-// version stamped with it, publish the sequence in order (so readers
-// never observe a torn commit), release write locks
-// (first-committer-wins), and finally advance the commit-order
-// semaphore to announceTo (0 = unlabeled commit, no-op).
+// version stamped with it, publish the sequence in order — labeled
+// announceTo, which raises the commit-order semaphore with it (0 =
+// unlabeled commit, the label stays) — so readers never observe a torn
+// commit or a label behind it, and release write locks
+// (first-committer-wins).
 //
 // Labeled commits (announceTo > 0) additionally pass the store's apply
-// gate: installation and the announce advance form one critical
-// section, and a commit whose range was announced past while it waited
-// (a catch-up resync overtook it) skips installation entirely instead
-// of writing stale row versions over newer ones.
+// gate: installation and publication form one critical section, and a
+// commit whose range was announced past while it waited (a catch-up
+// resync overtook it) skips installation entirely instead of writing
+// stale row versions over newer ones.
 func (tx *Tx) applyCommit(announceTo uint64) error {
 	s := tx.store
 	if s.crashed.Load() {
@@ -409,7 +413,7 @@ func (tx *Tx) applyCommit(announceTo uint64) error {
 	gated := announceTo > 0
 	if gated {
 		s.applyGate.Lock()
-		if s.announced.Load() >= announceTo {
+		if s.AnnouncedVersion() >= announceTo {
 			s.applyGate.Unlock()
 			return tx.finishSupersededLatched(held)
 		}
@@ -423,19 +427,8 @@ func (tx *Tx) applyCommit(announceTo uint64) error {
 	for item, pw := range tx.writes {
 		s.installWrite(item, pw, seq, minSnap)
 	}
-	// Publish strictly in sequence order: seq becomes visible to new
-	// snapshots only after commits 1..seq-1 are fully installed and
-	// published, so a snapshot at v sees every commit <= v completely
-	// or not at all.
-	s.pubMu.Lock()
-	for s.published.Load() != seq-1 {
-		s.pubCond.Wait()
-	}
-	s.published.Store(seq)
-	s.pubCond.Broadcast()
-	s.pubMu.Unlock()
+	s.publish(seq, announceTo, gated)
 	if gated {
-		s.advanceAnnounced(announceTo)
 		s.applyGate.Unlock()
 	}
 	s.stats.commits.Add(1)
@@ -477,7 +470,7 @@ func (tx *Tx) finishSupersededLatched(held []core.ItemID) error {
 	s.stats.superseded.Add(1)
 	s.stats.commits.Add(1)
 	// The state that covers the range is published already.
-	s.releaseItems(tx.id, held, s.published.Load())
+	s.releaseItems(tx.id, held, s.cur.Load().seq)
 	s.unregister(tx.id)
 	return nil
 }

@@ -589,7 +589,7 @@ func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, part
 		resps[i], errs[i] = m.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
 			GID:          gid,
 			Origin:       p.cfg.ReplicaID,
-			StartVersion: m.topo.Map.GroupVersion(pid, t.start),
+			StartVersion: m.topo.Map.GroupVersion(pid, t.SnapshotVersion()),
 			Involved:     involved,
 			WSBytes:      parts[i].WS.Encode(nil),
 		})

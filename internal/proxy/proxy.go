@@ -278,32 +278,19 @@ func (p *Proxy) ReplicaVersion() uint64 {
 type Tx struct {
 	p     *Proxy
 	inner *mvstore.Tx
-	start uint64
-	// observed is the announced version sampled *after* the snapshot
-	// was taken: an upper bound on everything the snapshot can expose.
-	// The conservative start label is what certification wants, but a
-	// session's causal token must cover the snapshot's actual content —
-	// a commit announced between the two samples is visible in the
-	// snapshot yet above start.
-	observed uint64
-	done     bool
+	done  bool
 	// commitVersion is the transaction's position in the global commit
 	// order, recorded on a successful commit. Read-only transactions
-	// record their observed version: the causal token of a session that
-	// only read must still cover everything the snapshot exposed.
+	// record their snapshot's version: the causal token of a session
+	// that only read covers exactly what the snapshot showed.
 	commitVersion uint64
 }
 
-// SnapshotVersion returns the replica version the transaction's
-// snapshot was labeled with at BEGIN.
-func (t *Tx) SnapshotVersion() uint64 { return t.start }
-
-// ObservedVersion returns the version ceiling of the transaction's
-// snapshot — the announced version sampled just after the snapshot was
-// taken. Sessions use it to advance their causal token on reads and
-// aborts: it covers everything the snapshot exposed, at worst
-// over-approximating (which only lengthens a later causal wait).
-func (t *Tx) ObservedVersion() uint64 { return t.observed }
+// SnapshotVersion returns the global version the transaction's snapshot
+// shows exactly: every commit up to it and none above. It is the start
+// label certification checks against and, after reads and aborts, the
+// session's causal token.
+func (t *Tx) SnapshotVersion() uint64 { return t.inner.SnapshotVersion() }
 
 // CommitVersion returns the global version assigned to the
 // transaction by certification (its snapshot version for read-only
@@ -312,11 +299,13 @@ func (t *Tx) ObservedVersion() uint64 { return t.observed }
 func (t *Tx) CommitVersion() uint64 { return t.commitVersion }
 
 // Begin intercepts BEGIN: the transaction receives the latest local
-// snapshot, labeled with the replica version (sampled *before* the
-// snapshot so the label is conservative, which is safe under GSI —
-// paper §6.2 "Conservative assigning of versions"). In partitioned mode
-// the label is a merged version, and each group's start label is read
-// off it (partition.Map.GroupVersion), conservative for the same reason.
+// snapshot, labeled with the replica version the store published with
+// it (mvstore.Tx.SnapshotVersion). The label is exact: GSI would accept
+// one below what the snapshot shows (paper §6.2, conservative
+// labeling), but the same label is the session's causal token after a
+// read, which must cover everything the snapshot showed. In partitioned
+// mode the label is a merged version, and each group's start label is
+// read off it (partition.Map.GroupVersion).
 func (p *Proxy) Begin() (*Tx, error) {
 	p.mu.Lock()
 	if p.closed {
@@ -324,12 +313,11 @@ func (p *Proxy) Begin() (*Tx, error) {
 		return nil, ErrProxyClosed
 	}
 	p.mu.Unlock()
-	start := p.cfg.Store.AnnouncedVersion()
 	inner, err := p.cfg.Store.Begin()
 	if err != nil {
 		return nil, err
 	}
-	tx := &Tx{p: p, inner: inner, start: start, observed: p.cfg.Store.AnnouncedVersion()}
+	tx := &Tx{p: p, inner: inner}
 	inner.SetWriteHook(p.preCertHook(inner))
 	return tx, nil
 }
@@ -414,7 +402,7 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 		if err := t.inner.Commit(); err != nil {
 			return err
 		}
-		t.commitVersion = t.observed
+		t.commitVersion = t.SnapshotVersion()
 		p.addStat(func(st *Stats) { st.ReadOnlyCommits++ })
 		return nil
 	}
@@ -427,7 +415,7 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 
 	// Local certification (§6.2): a conflict with an already-received
 	// remote writeset aborts without bothering the certifier.
-	if p.m.localCert() && p.localConflict(ws, t.start) {
+	if p.m.localCert() && p.localConflict(ws, t.SnapshotVersion()) {
 		t.inner.Abort()
 		p.addStat(func(st *Stats) { st.LocalCertAborts++ })
 		return fmt.Errorf("%w (local certification)", ErrCertificationAbort)
@@ -435,7 +423,7 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 
 	resp, err := p.certify(ctx, t, g, certifier.Request{
 		Origin:         p.cfg.ReplicaID,
-		StartVersion:   p.topo.Map.GroupVersion(g, t.start),
+		StartVersion:   p.topo.Map.GroupVersion(g, t.SnapshotVersion()),
 		ReplicaVersion: p.m.replicaVersion(g),
 		WSBytes:        ws.Encode(nil),
 		Deadline:       deadlineNano(ctx),

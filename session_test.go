@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -15,10 +16,19 @@ import (
 // TestSessionReadYourWritesAcrossReplicas commits through a session
 // and immediately reads back on the next (round-robin) replica, under
 // a nonzero disk profile so replicas genuinely lag: the causal token
-// must make Begin wait until the chosen replica has the write.
+// must make Begin wait until the chosen replica has the write. A
+// background writer increments a counter meanwhile, and every read of
+// the session also reads the counter, which must never go backwards
+// (monotonic reads across replicas).
 func TestSessionReadYourWritesAcrossReplicas(t *testing.T) {
+	for _, mode := range []tashkent.Mode{tashkent.ModeTashkentMW, tashkent.ModeTashkentAPI} {
+		t.Run(mode.String(), func(t *testing.T) { testSessionAcrossReplicas(t, mode) })
+	}
+}
+
+func testSessionAcrossReplicas(t *testing.T, mode tashkent.Mode) {
 	db, err := tashkent.Start(tashkent.Config{
-		Mode:        tashkent.ModeTashkentMW,
+		Mode:        mode,
 		Replicas:    3,
 		DiskProfile: tashkent.PaperDisks(16), // 500 µs fsyncs: real propagation delay
 		Seed:        42,
@@ -29,9 +39,33 @@ func TestSessionReadYourWritesAcrossReplicas(t *testing.T) {
 	defer db.Close()
 
 	ctx := context.Background()
+	stopWriter := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() { writerDone <- incrementCounter(stopWriter, db.Session()) }()
+	defer func() {
+		close(stopWriter)
+		if err := <-writerDone; err != nil {
+			t.Errorf("counter writer: %v", err)
+		}
+	}()
+
 	sess := db.Session() // round-robin: consecutive Begins rotate replicas
-	var lastToken uint64
+	var lastToken, lastCount uint64
 	crossReplica := 0
+	// readCounter reads the counter in tx's snapshot and checks it did
+	// not go backwards since the session's previous read.
+	readCounter := func(what string, tx *tashkent.Tx) {
+		t.Helper()
+		n, err := counterValue(tx)
+		if err != nil {
+			t.Fatalf("%s: counter read on replica %d: %v", what, tx.Replica(), err)
+		}
+		if n < lastCount {
+			t.Fatalf("%s: counter went backwards on replica %d: %d after %d (snapshot v%d, token %d)",
+				what, tx.Replica(), n, lastCount, tx.SnapshotVersion(), sess.Token())
+		}
+		lastCount = n
+	}
 	for round := 0; round < 6; round++ {
 		want := fmt.Sprintf("v%d", round)
 		wtx, err := sess.Begin(ctx)
@@ -41,6 +75,7 @@ func TestSessionReadYourWritesAcrossReplicas(t *testing.T) {
 		if err := wtx.Update("t", "k", map[string][]byte{"v": []byte(want)}); err != nil {
 			t.Fatal(err)
 		}
+		readCounter(fmt.Sprintf("round %d write", round), wtx)
 		if err := wtx.Commit(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +92,21 @@ func TestSessionReadYourWritesAcrossReplicas(t *testing.T) {
 			t.Fatalf("round %d: read on replica %d after write on replica %d: got %q ok=%v err=%v, want %q",
 				round, rtx.Replica(), wtx.Replica(), got, ok, err, want)
 		}
+		readCounter(fmt.Sprintf("round %d read", round), rtx)
 		rtx.Abort()
+
+		// Read-only rounds between the writes: each lands on the next
+		// replica, which may lag the one before.
+		for i := 0; i < 5; i++ {
+			tx, err := sess.Begin(ctx, tashkent.ReadOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			readCounter(fmt.Sprintf("round %d read-only %d", round, i), tx)
+			if err := tx.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
 
 		// Monotonic reads: the causal token never moves backwards.
 		if tok := sess.Token(); tok < lastToken {
@@ -69,6 +118,42 @@ func TestSessionReadYourWritesAcrossReplicas(t *testing.T) {
 	if crossReplica == 0 {
 		t.Fatal("round-robin never placed read and write on different replicas")
 	}
+	if lastCount == 0 {
+		t.Fatal("the session never saw the background writer's counter move")
+	}
+}
+
+// incrementCounter bumps the counter row through sess until stop is
+// closed. It stops between transactions, never cancelling a commit in
+// flight.
+func incrementCounter(stop <-chan struct{}, sess *tashkent.Session) error {
+	for {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		err := sess.RunTx(context.Background(), func(tx *tashkent.Tx) error {
+			n, err := counterValue(tx)
+			if err != nil {
+				return err
+			}
+			return tx.Update("t", "ctr", map[string][]byte{"n": []byte(strconv.FormatUint(n+1, 10))})
+		})
+		if err != nil && !tashkent.IsAborted(err) {
+			return err
+		}
+	}
+}
+
+// counterValue reads the counter row in tx's snapshot (0 before the
+// first increment).
+func counterValue(tx *tashkent.Tx) (uint64, error) {
+	v, ok, err := tx.ReadCol("t", "ctr", "n")
+	if err != nil || !ok {
+		return 0, err
+	}
+	return strconv.ParseUint(string(v), 10, 64)
 }
 
 // TestRunTxRetriesCertificationAborts injects certification aborts and

@@ -505,18 +505,14 @@ type Tx struct {
 func (t *Tx) Replica() int { return t.replica }
 
 // finish settles session bookkeeping exactly once: the causal token
-// advances to the commit version (the snapshot's observed ceiling for
-// reads and aborts — the session saw that much state) and the
-// balancer's in-flight charge is released.
+// advances to the commit version (the snapshot's version for reads and
+// aborts — the session saw exactly that state) and the balancer's
+// in-flight charge is released.
 func (t *Tx) finish() {
 	if !t.done.CompareAndSwap(false, true) {
 		return
 	}
-	if v := t.inner.CommitVersion(); v > 0 {
-		t.sess.observe(v)
-	} else {
-		t.sess.observe(t.inner.ObservedVersion())
-	}
+	t.sess.observe(max(t.inner.CommitVersion(), t.inner.SnapshotVersion()))
 	t.release()
 }
 
@@ -602,13 +598,9 @@ func (t *Tx) CommitAsync(ctx context.Context) <-chan error {
 func (t *Tx) CommitVersion() uint64 { return t.inner.CommitVersion() }
 
 // SnapshotVersion returns the global version this transaction's
-// snapshot was taken at.
+// snapshot shows: exactly the commits up to it, none above. It is the
+// causal token a read or an abort leaves its session with.
 func (t *Tx) SnapshotVersion() uint64 { return t.inner.SnapshotVersion() }
-
-// ObservedVersion returns the freshest version the replica had applied
-// when the snapshot was taken — with SnapshotVersion, the staleness
-// window the chaos checker's SI invariant verifies reads against.
-func (t *Tx) ObservedVersion() uint64 { return t.inner.ObservedVersion() }
 
 // ensure the session transaction satisfies the workload driver's
 // client interface (compile-time check; workload cannot import this
