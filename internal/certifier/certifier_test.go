@@ -549,9 +549,12 @@ func TestRequestCostIndependentOfLogLength(t *testing.T) {
 			}
 		})
 		prepare = medianAllocPerCall(101, func(i int) {
+			// The replica is caught up, as its pull above: the yes ships
+			// the prepare alone.
+			head := srv.committedCap()
 			resp, err := srv.Prepare(PrepareRequest{
-				GID: uint64(i + 1), Origin: 1, StartVersion: srv.committedCap(), Involved: []int{0, 1},
-				WSBytes: wsBytes(fmt.Sprintf("k%d", i)),
+				GID: uint64(i + 1), Origin: 1, StartVersion: head, Involved: []int{0, 1},
+				WSBytes: wsBytes(fmt.Sprintf("k%d", i)), ReplicaVersion: head,
 			})
 			if err != nil || !resp.Prepared {
 				t.Fatalf("prepare at %d entries: %+v %v", entries, resp, err)

@@ -95,11 +95,17 @@ func (c *Client) PrepareCtx(ctx context.Context, req PrepareRequest) (PrepareRes
 	return resp, err
 }
 
-// Resolve runs phase 2 (commit or abort decision) against this
-// group's leader. Safe to retry: the first decision marker wins.
+// Resolve appends a decision marker, or casts a veto, at this group's
+// leader (see ResolveRequest). Safe to retry: the first record for the
+// gid wins.
 func (c *Client) Resolve(req ResolveRequest) (ResolveResponse, error) {
+	return c.ResolveCtx(context.Background(), req)
+}
+
+// ResolveCtx is Resolve bounded by the caller's context.
+func (c *Client) ResolveCtx(ctx context.Context, req ResolveRequest) (ResolveResponse, error) {
 	var resp ResolveResponse
-	err := c.call(context.Background(), MethodResolve, &req, &resp)
+	err := c.call(ctx, MethodResolve, &req, &resp)
 	return resp, err
 }
 

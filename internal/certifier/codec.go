@@ -224,13 +224,14 @@ func (r *PullResponse) DecodeBinary(data []byte) error {
 }
 
 // PrepareRequest: u64 gid | u32 origin | u64 start | u64 replicaVersion
-// | u16 nInvolved | u16 pid ... | u32 wsLen | ws. Partition ids are
-// 16-bit here as in the log-entry payload.
+// | u64 fillTo | u16 nInvolved | u16 pid ... | u32 wsLen | ws. Partition
+// ids are 16-bit here as in the log-entry payload.
 func (r *PrepareRequest) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.GID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Origin))
 	buf = binary.BigEndian.AppendUint64(buf, r.StartVersion)
 	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
+	buf = binary.BigEndian.AppendUint64(buf, r.FillTo)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Involved)))
 	for _, pid := range r.Involved {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(pid))
@@ -239,15 +240,16 @@ func (r *PrepareRequest) AppendBinary(buf []byte) []byte {
 }
 
 func (r *PrepareRequest) DecodeBinary(data []byte) error {
-	if len(data) < 30 {
+	if len(data) < 38 {
 		return errShortMessage
 	}
 	r.GID = binary.BigEndian.Uint64(data)
 	r.Origin = int(binary.BigEndian.Uint32(data[8:]))
 	r.StartVersion = binary.BigEndian.Uint64(data[12:])
 	r.ReplicaVersion = binary.BigEndian.Uint64(data[20:])
-	n := int(binary.BigEndian.Uint16(data[28:]))
-	data = data[30:]
+	r.FillTo = binary.BigEndian.Uint64(data[28:])
+	n := int(binary.BigEndian.Uint16(data[36:]))
+	data = data[38:]
 	if len(data) < 2*n {
 		return errShortMessage
 	}
@@ -270,6 +272,7 @@ func (r *PrepareRequest) DecodeBinary(data []byte) error {
 }
 
 // PrepareResponse: u8 flags(prepared) | u64 index | u64 systemVersion
+// | remotes
 func (r *PrepareResponse) AppendBinary(buf []byte) []byte {
 	var flags byte
 	if r.Prepared {
@@ -277,11 +280,12 @@ func (r *PrepareResponse) AppendBinary(buf []byte) []byte {
 	}
 	buf = append(buf, flags)
 	buf = binary.BigEndian.AppendUint64(buf, r.Index)
-	return binary.BigEndian.AppendUint64(buf, r.SystemVersion)
+	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
+	return appendRemotes(buf, r.Remote)
 }
 
 func (r *PrepareResponse) DecodeBinary(data []byte) error {
-	if len(data) != 17 {
+	if len(data) < 17 {
 		return errShortMessage
 	}
 	if err := checkFlags(data[0], 1); err != nil {
@@ -290,15 +294,27 @@ func (r *PrepareResponse) DecodeBinary(data []byte) error {
 	r.Prepared = data[0]&1 != 0
 	r.Index = binary.BigEndian.Uint64(data[1:])
 	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
+	remote, rest, err := takeRemotes(data[17:])
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("certifier: %d trailing bytes after PrepareResponse", len(rest))
+	}
+	r.Remote = remote
 	return nil
 }
 
-// ResolveRequest: u64 gid | u8 flags(commit) | u64 replicaVersion
+// ResolveRequest: u64 gid | u8 flags(bit0 commit, bit1 veto; never
+// both) | u64 replicaVersion
 func (r *ResolveRequest) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.GID)
 	var flags byte
 	if r.Commit {
 		flags |= 1
+	}
+	if r.Veto {
+		flags |= 2
 	}
 	buf = append(buf, flags)
 	return binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
@@ -308,29 +324,43 @@ func (r *ResolveRequest) DecodeBinary(data []byte) error {
 	if len(data) != 17 {
 		return errShortMessage
 	}
-	if err := checkFlags(data[8], 1); err != nil {
+	if err := checkFlags(data[8], 3); err != nil {
 		return err
+	}
+	if data[8] == 3 {
+		return errors.New("certifier: resolve both commits and vetoes")
 	}
 	r.GID = binary.BigEndian.Uint64(data)
 	r.Commit = data[8]&1 != 0
+	r.Veto = data[8]&2 != 0
 	r.ReplicaVersion = binary.BigEndian.Uint64(data[9:])
 	return nil
 }
 
-// ResolveResponse: u64 index | u64 systemVersion | remotes
+// ResolveResponse: u8 flags(prepared) | u64 index | u64 systemVersion
+// | remotes
 func (r *ResolveResponse) AppendBinary(buf []byte) []byte {
+	var flags byte
+	if r.Prepared {
+		flags |= 1
+	}
+	buf = append(buf, flags)
 	buf = binary.BigEndian.AppendUint64(buf, r.Index)
 	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
 	return appendRemotes(buf, r.Remote)
 }
 
 func (r *ResolveResponse) DecodeBinary(data []byte) error {
-	if len(data) < 16 {
+	if len(data) < 17 {
 		return errShortMessage
 	}
-	r.Index = binary.BigEndian.Uint64(data)
-	r.SystemVersion = binary.BigEndian.Uint64(data[8:])
-	remote, rest, err := takeRemotes(data[16:])
+	if err := checkFlags(data[0], 1); err != nil {
+		return err
+	}
+	r.Prepared = data[0]&1 != 0
+	r.Index = binary.BigEndian.Uint64(data[1:])
+	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
+	remote, rest, err := takeRemotes(data[17:])
 	if err != nil {
 		return err
 	}

@@ -138,6 +138,7 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			Involved:       randInvolved(rng),
 			WSBytes:        randBytes(rng, 256),
 			ReplicaVersion: rng.Uint64(),
+			FillTo:         rng.Uint64(),
 		}
 		gotPrep := roundTrip(t, prep).(*PrepareRequest)
 		prep.WSBytes, gotPrep.WSBytes = normWS(prep.WSBytes), normWS(gotPrep.WSBytes)
@@ -145,17 +146,21 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			t.Fatalf("PrepareRequest round trip: %+v != %+v", gotPrep, prep)
 		}
 
-		prepResp := &PrepareResponse{Prepared: rng.Intn(2) == 0, Index: rng.Uint64(), SystemVersion: rng.Uint64()}
-		if got := roundTrip(t, prepResp).(*PrepareResponse); !reflect.DeepEqual(prepResp, got) {
-			t.Fatalf("PrepareResponse round trip: %+v != %+v", got, prepResp)
+		prepResp := &PrepareResponse{Prepared: rng.Intn(2) == 0, Index: rng.Uint64(), SystemVersion: rng.Uint64(), Remote: randRemotes(rng)}
+		gotPrepResp := roundTrip(t, prepResp).(*PrepareResponse)
+		prepResp.Remote, gotPrepResp.Remote = normRemotes(prepResp.Remote), normRemotes(gotPrepResp.Remote)
+		if !reflect.DeepEqual(prepResp, gotPrepResp) {
+			t.Fatalf("PrepareResponse round trip: %+v != %+v", gotPrepResp, prepResp)
 		}
 
-		res := &ResolveRequest{GID: rng.Uint64(), Commit: rng.Intn(2) == 0, ReplicaVersion: rng.Uint64()}
+		// Commit, veto or a plain abort: never both flags.
+		kind := rng.Intn(3)
+		res := &ResolveRequest{GID: rng.Uint64(), Commit: kind == 1, Veto: kind == 2, ReplicaVersion: rng.Uint64()}
 		if got := roundTrip(t, res).(*ResolveRequest); !reflect.DeepEqual(res, got) {
 			t.Fatalf("ResolveRequest round trip: %+v != %+v", got, res)
 		}
 
-		resResp := &ResolveResponse{Index: rng.Uint64(), SystemVersion: rng.Uint64(), Remote: randRemotes(rng)}
+		resResp := &ResolveResponse{Index: rng.Uint64(), SystemVersion: rng.Uint64(), Prepared: rng.Intn(2) == 0, Remote: randRemotes(rng)}
 		gotRes := roundTrip(t, resResp).(*ResolveResponse)
 		resResp.Remote, gotRes.Remote = normRemotes(resResp.Remote), normRemotes(gotRes.Remote)
 		if !reflect.DeepEqual(resResp, gotRes) {
@@ -248,10 +253,13 @@ func TestCodecTruncation(t *testing.T) {
 	// The 2PC and fill messages: every strict prefix must fail, wherever
 	// the cut falls (header, involved list, writeset).
 	for _, msg := range []interface{}{
-		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4},
+		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6},
 		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9},
+		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8}, {Version: 9, WSBytes: randBytes(rng, 40)}}},
 		&ResolveRequest{GID: 7, Commit: true, ReplicaVersion: 4},
+		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
 		&ResolveResponse{Index: 9, SystemVersion: 9},
+		&ResolveResponse{Index: 9, SystemVersion: 9, Prepared: true},
 		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 5}, {Version: 9, WSBytes: randBytes(rng, 40)}}},
 		&FillRequest{Target: 12},
 		&FillResponse{Head: 12},
@@ -276,6 +284,8 @@ func TestCodecTruncation(t *testing.T) {
 		&PullResponse{Busy: true},
 		&PrepareResponse{Prepared: true},
 		&ResolveRequest{Commit: true},
+		&ResolveRequest{Veto: true},
+		&ResolveResponse{Prepared: true},
 	} {
 		full, err := transport.EncodeMessage(msg)
 		if err != nil {
@@ -305,6 +315,13 @@ func TestCodecTruncation(t *testing.T) {
 	full[1+28] = 1
 	if err := transport.DecodeMessage(full, &req); err == nil {
 		t.Error("Request with flag bit 0 set decoded without error")
+	}
+	// A resolve is a commit, a veto or a plain abort, never two of them.
+	var res ResolveRequest
+	both := (&ResolveRequest{Commit: true}).AppendBinary(nil)
+	both[8] |= 2
+	if err := res.DecodeBinary(both); err == nil {
+		t.Errorf("ResolveRequest with both commit and veto decoded to %+v", res)
 	}
 	var pull PullRequest
 	if err := pull.DecodeBinary((&PullRequest{IncludeOwn: true}).AppendBinary(nil)[:12:12]); err == nil {
@@ -468,22 +485,27 @@ func FuzzDecodeLogEntry(f *testing.F) {
 }
 
 // FuzzDecodeCertifierMessages: the decoders of what a replica reads from
-// a certifier (Response, PullResponse, ResolveResponse) and of the
-// prepare a certifier reads from a replica never panic, and whatever one
-// accepts re-encodes to the bytes it came from.
+// a certifier (Response, PullResponse, ResolveResponse, PrepareResponse)
+// and of the prepare and resolve a certifier reads from a replica never
+// panic, and whatever one accepts re-encodes to the bytes it came from.
 func FuzzDecodeCertifierMessages(f *testing.F) {
 	decoders := []func() transport.BinaryMessage{
 		func() transport.BinaryMessage { return &Response{} },
 		func() transport.BinaryMessage { return &PullResponse{} },
 		func() transport.BinaryMessage { return &ResolveResponse{} },
 		func() transport.BinaryMessage { return &PrepareRequest{} },
+		func() transport.BinaryMessage { return &PrepareResponse{} },
+		func() transport.BinaryMessage { return &ResolveRequest{} },
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range []transport.BinaryMessage{
 		&Response{Committed: true, CommitVersion: 9, SystemVersion: 9, Remote: randRemotes(rng)},
 		&PullResponse{Busy: true, SystemVersion: 9, Remote: randRemotes(rng)},
 		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},
-		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40)},
+		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6},
+		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
+		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
+		&ResolveResponse{Index: 9, SystemVersion: 9, Prepared: true, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
 	} {
 		b := m.AppendBinary(nil)
 		for k := range decoders {

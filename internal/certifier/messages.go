@@ -101,50 +101,79 @@ type PullResponse struct {
 
 // PrepareRequest is phase 1 of a cross-partition commit: certify and
 // lock this group's slice of the writeset under a cluster-wide
-// transaction id. The prepare is durable (its own paxos commit) before
-// the response returns.
+// transaction id. The answer is this group's vote, and it is durable
+// before the response returns: the prepare entry (yes) or, for a
+// refusal, an abort marker (no).
 type PrepareRequest struct {
 	GID          uint64
 	Origin       int
 	StartVersion uint64 // the transaction's snapshot, in this group's version space
 	Involved     []int  // partition ids participating in the transaction
 	WSBytes      []byte // this group's slice of the writeset
-	// ReplicaVersion is neither set by the proxy nor read by the server:
-	// the committed suffix rides on the commit marker's response instead
-	// (ResolveResponse.Remote), which is the answer the coordinator's
-	// merge waits behind. The field stays only because bench/probes.go
-	// names it; it goes with the next benchmark change.
-	ReplicaVersion uint64
-}
-
-// PrepareResponse reports the phase-1 outcome.
-type PrepareResponse struct {
-	Prepared      bool
-	Index         uint64 // the prepare entry's log index when Prepared
-	SystemVersion uint64
-}
-
-// ResolveRequest is phase 2: append the commit or abort decision
-// marker for a previously prepared transaction. Resolve is idempotent
-// — a retry returns the first marker's index.
-type ResolveRequest struct {
-	GID    uint64
-	Commit bool
 	// ReplicaVersion is the coordinator's frontier in this group: the
-	// highest contiguous index its merge has received. A commit's
-	// response ships the entries after it.
+	// highest contiguous index its merge has received. A yes answer
+	// ships the entries after it (see PrepareResponse.Remote).
+	ReplicaVersion uint64
+	// FillTo is the coordinator's highest frontier over all groups. A
+	// group whose log is shorter pads it with fill no-ops up to FillTo
+	// before it logs a yes, in the same batch. The transaction's
+	// prepares then land at about the same index in every group, so the
+	// merge can reach the union position (the last group's prepare) with
+	// the entries the round itself produced, instead of waiting for a
+	// lagging group's next batch.
+	FillTo uint64
+}
+
+// PrepareResponse reports the group's vote for the gid: the first
+// record its log holds for it, whatever the request found.
+type PrepareResponse struct {
+	Prepared      bool   // the vote: yes (a prepare) or no (an abort marker)
+	Index         uint64 // the log index of the record that holds the vote
+	SystemVersion uint64
+	// Remote is, for a yes, the group's entries after ReplicaVersion
+	// through the prepare and the rest of the batch that logged it: what
+	// the coordinator's merge needs from this group to reach the union
+	// without a pull. A prepare appended by an earlier batch or term
+	// ships only the committed part of (ReplicaVersion, Index]. Empty for
+	// a no.
+	Remote []RemoteWS
+}
+
+// ResolveRequest appends a decision marker for gid, or asks for the
+// group's vote. Resolve is idempotent — a retry returns the first
+// marker's index.
+type ResolveRequest struct {
+	GID uint64
+	// Commit asks for a commit marker: the coordinator holds a yes from
+	// every involved group.
+	Commit bool
+	// Veto asks for the group's vote, and casts a no if it has none yet:
+	// on a gid without a record the abort marker is appended, and on a
+	// prepared gid nothing is (the answer is the prepare's yes). A
+	// coordinator that lacks a group's answer vetoes it to learn the vote.
+	// Neither Commit nor Veto: a plain abort marker, which a coordinator
+	// sends only while it holds a no from some group.
+	Veto bool
+	// ReplicaVersion is the coordinator's frontier in this group: the
+	// highest contiguous index its merge has received. A commit's, or a
+	// veto's yes, response ships the entries after it.
 	ReplicaVersion uint64
 }
 
-// ResolveResponse reports the decision marker's log index.
+// ResolveResponse reports the decision marker's log index, or for a
+// veto the record that holds the group's vote.
 type ResolveResponse struct {
 	Index         uint64
 	SystemVersion uint64
+	// Prepared is, for a veto, the group's vote: yes if its first record
+	// for the gid is a prepare (at Index).
+	Prepared bool
 	// Remote is, for a commit, the group's entries in (ReplicaVersion,
 	// Index], the marker included: everything the coordinator's merge
-	// needs from this group to reach the marker, so the committing
-	// client does not wait for a pull. A marker appended by an earlier
-	// batch or term ships only its committed part. Empty for an abort.
+	// needs from this group to reach the marker without a pull. A veto
+	// that finds a yes ships the same through the prepare. A record
+	// appended by an earlier batch or term ships only its committed part.
+	// Empty for an abort or a no.
 	Remote []RemoteWS
 }
 

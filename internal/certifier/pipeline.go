@@ -33,16 +33,17 @@ import (
 //
 // Every entry the leader adds to the log goes this way: certifications,
 // both phases of a cross-partition commit, fills and barriers are task
-// kinds of the one queue. Refusals and errors resolve at step 2; they
-// never wait for the disk.
+// kinds of the one queue. Refused certifications and errors resolve at
+// step 2 and never wait for the disk; a refused prepare is a vote, whose
+// abort marker the batch logs (see checkLocked).
 
 // taskKind is what an admitted task asks of the log.
 type taskKind uint8
 
 const (
 	kindCertify taskKind = iota // certify a writeset and commit it
-	kindPrepare                 // phase 1 of a cross-partition commit: certify and lock
-	kindResolve                 // phase 2: the decision marker
+	kindPrepare                 // phase 1 of a cross-partition commit: certify and lock, or refuse
+	kindResolve                 // a decision marker, or a veto
 	kindFill                    // no-ops until the log holds a target length
 	kindBarrier                 // one no-op
 )
@@ -64,16 +65,18 @@ type task struct {
 	// repeats.
 	entry    core.LogEntry
 	req      Request   // kindCertify: the request
-	after    uint64    // kindResolve: the replica's frontier in this group
-	target   uint64    // kindFill: the log length wanted
+	veto     bool      // kindResolve: a veto (entry is its abort marker)
+	after    uint64    // kindPrepare, kindResolve: the replica's frontier in this group
+	target   uint64    // kindFill, kindPrepare: the log length wanted
 	enqueued time.Time // when the task entered the admission queue
 	deadline time.Time // caller's context deadline (zero = none)
 
 	// Filled by the certification loop.
-	index  uint64     // the log index the answer stands on (0 = none: a refusal)
-	resp   Response   // kindCertify
-	remote []RemoteWS // kindResolve of a commit: the suffix through the marker
-	err    error
+	index    uint64     // the log index the answer stands on (0 = none: a refused certification)
+	prepared bool       // kindPrepare, veto: the group's vote is yes (index is the prepare's)
+	resp     Response   // kindCertify
+	remote   []RemoteWS // a yes vote or a commit marker: the suffix through index
+	err      error
 
 	done chan struct{} // closed when the outcome is final
 }
@@ -453,7 +456,7 @@ func (s *Server) processBatch(batch []*task) {
 		}
 		n := len(datas)
 		datas = s.checkLocked(t, datas)
-		if t.kind.fromClient() && len(datas) > n {
+		if t.kind.fromClient() && len(datas) > n && (t.kind != kindPrepare || t.prepared) {
 			commits++
 		}
 	}
@@ -502,11 +505,19 @@ func (s *Server) processBatch(batch []*task) {
 				Committed: inBatch, CommitVersion: t.index,
 				Remote: s.remotesLocked(t.req.Origin, true, t.req.ReplicaVersion, upTo),
 			}
-		case t.kind == kindResolve && t.entry.Kind == core.KindCommitMarker:
-			// The suffix through the marker, so that the coordinator's
-			// merge has what it waits for without pulling. A marker of an
-			// earlier batch or term ships only what is already committed.
+		case t.prepared || t.kind == kindResolve && !t.veto && t.entry.Kind == core.KindCommitMarker:
+			// The suffix through the yes vote or the marker, so that the
+			// coordinator's merge has what it waits for without pulling. A
+			// yes logged by this batch ships the whole batch: the union
+			// applies where the last group's prepare merges, and the merge
+			// reaches that position only with this group's entries up to
+			// the same index, which are often the ones the batch holds
+			// after this prepare. A record of an earlier batch or term
+			// ships only what is already committed.
 			upTo := t.index
+			if t.prepared && inBatch {
+				upTo = head + uint64(len(datas))
+			}
 			if !inBatch {
 				upTo = min(upTo, s.committedCap())
 			}
@@ -517,7 +528,7 @@ func (s *Server) processBatch(batch []*task) {
 
 	// Refusals, errors and answers standing on older entries resolve
 	// without touching the disk. The fan-out counts the client tasks it
-	// will answer and awaits the markers of the prepares among them.
+	// will answer and awaits the markers of the prepares it accepted.
 	var durable []*task
 	var answered int64
 	var awaited map[uint64]struct{}
@@ -530,7 +541,7 @@ func (s *Server) processBatch(batch []*task) {
 		if t.kind.fromClient() {
 			answered++
 		}
-		if t.kind == kindPrepare {
+		if t.kind == kindPrepare && t.prepared {
 			if awaited == nil {
 				awaited = make(map[uint64]struct{})
 			}
@@ -577,22 +588,34 @@ func (s *Server) checkLocked(t *task, datas [][]byte) [][]byte {
 		}
 		return s.addLocked(t, datas, t.entry)
 	case kindPrepare:
-		// Idempotent: a retry of a prepared gid answers with its entry.
-		if v, ok := s.engine.PreparedAt(gid); ok {
-			t.index = uint64(v)
-			return datas
-		}
-		// The decision marker is already in the log (a coordinator retry
-		// raced its own abort): this gid can never prepare again.
-		if _, _, ok := s.engine.Resolution(gid); ok {
-			s.stats.Aborts++
+		// The group's vote is the first record its log holds for the gid,
+		// so a retry, or a late duplicate of a prepare the coordinator
+		// vetoed meanwhile, is answered with the vote already cast.
+		if v, yes, ok := s.engine.Vote(gid); ok {
+			t.index, t.prepared = uint64(v), yes
+			if !yes {
+				s.stats.Aborts++
+			}
 			return datas
 		}
 		if s.refuseLocked(t) {
-			return datas
+			// A refusal is a no that must outlive this answer: its abort
+			// marker is the vote, answered after the batch's barrier.
+			return s.addLocked(t, datas, emptyEntry(core.KindAbortMarker, gid))
 		}
+		t.prepared = true
+		datas = s.padLocked(t, datas, t.target)
 		return s.addLocked(t, datas, t.entry)
 	case kindResolve:
+		// A veto answers with the vote already cast, and otherwise casts a
+		// no: its abort marker.
+		if t.veto {
+			if v, yes, ok := s.engine.Vote(gid); ok {
+				t.index, t.prepared = uint64(v), yes
+				return datas
+			}
+			return s.addLocked(t, datas, t.entry)
+		}
 		// Idempotent: the first marker wins and retries get its index.
 		if v, _, ok := s.engine.Resolution(gid); ok {
 			t.index = uint64(v)
@@ -607,18 +630,28 @@ func (s *Server) checkLocked(t *task, datas [][]byte) [][]byte {
 		}
 		return s.addLocked(t, datas, t.entry)
 	case kindFill:
-		head := uint64(s.engine.SystemVersion())
-		if head >= t.target {
+		if uint64(s.engine.SystemVersion()) >= t.target {
 			t.index = t.target
 			return datas
 		}
-		for n := min(t.target-head, maxFill); n > 0 && t.err == nil; n-- {
-			datas = s.addLocked(t, datas, t.entry)
-		}
-		return datas
+		return s.padLocked(t, datas, t.target)
 	default: // kindBarrier
 		return s.addLocked(t, datas, t.entry)
 	}
+}
+
+// padLocked appends fill no-ops on t's behalf, at most maxFill of them,
+// until the log holds target entries, and returns datas with their
+// payloads.
+func (s *Server) padLocked(t *task, datas [][]byte, target uint64) [][]byte {
+	head := uint64(s.engine.SystemVersion())
+	if head >= target {
+		return datas
+	}
+	for n := min(target-head, maxFill); n > 0 && t.err == nil; n-- {
+		datas = s.addLocked(t, datas, noop)
+	}
+	return datas
 }
 
 // refuseLocked is the certification test of a certify or prepare task:

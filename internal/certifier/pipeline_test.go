@@ -653,17 +653,18 @@ func TestTwoPhaseThroughTheLoop(t *testing.T) {
 			t.Fatalf("gid %d: %v", tk.entry.GID, tk.err)
 		}
 	}
-	if first.index == 0 {
+	if !first.prepared {
 		t.Fatal("the first prepare was refused")
 	}
-	if dup.index != first.index {
-		t.Errorf("duplicate in the same batch answered index %d, want the first's %d", dup.index, first.index)
+	if !dup.prepared || dup.index != first.index {
+		t.Errorf("duplicate in the same batch answered index %d (yes %v), want the first's %d", dup.index, dup.prepared, first.index)
 	}
-	if over.index != 0 {
-		t.Errorf("a prepare over an item prepared earlier in the batch was accepted at %d", over.index)
+	// The refusal is a vote: its abort marker is the next entry.
+	if over.prepared || over.index != first.index+1 {
+		t.Errorf("a prepare over an item prepared earlier in the batch answered index %d (yes %v), want a no at %d", over.index, over.prepared, first.index+1)
 	}
-	if other.index != first.index+1 {
-		t.Errorf("prepare over another item answered index %d, want %d", other.index, first.index+1)
+	if !other.prepared || other.index != first.index+2 {
+		t.Errorf("prepare over another item answered index %d (yes %v), want %d", other.index, other.prepared, first.index+2)
 	}
 	// A duplicate in a later batch.
 	if resp, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")}); err != nil || !resp.Prepared || resp.Index != first.index {
@@ -711,6 +712,115 @@ func TestTwoPhaseThroughTheLoop(t *testing.T) {
 	if r, err := g.client.Certify(Request{Origin: 1, StartVersion: resp.SystemVersion, ReplicaVersion: commit.index - 1, WSBytes: wsBytes("d")}); err != nil ||
 		!r.Committed || len(r.Remote) == 0 || r.Remote[0].Version != commit.index || r.Remote[len(r.Remote)-1].Version != r.CommitVersion {
 		t.Errorf("first certify after the 2PC traffic: %+v, %v; want the log (%d, commit]", r, err, commit.index-1)
+	}
+}
+
+// TestVotesAreFirstRecords pins a group's vote for a gid as the first
+// record its log holds for it. A refused prepare logs an abort marker —
+// a no that outlives the answer — and a later duplicate of the prepare
+// gets that no although its item is free by then. A veto on a gid
+// without a record appends an abort marker; on a prepared gid it
+// appends nothing and answers yes with the prepare's index, and ships
+// the entries after the replica's frontier through the prepare, as the
+// prepare's own answer does.
+func TestVotesAreFirstRecords(t *testing.T) {
+	g := newTestGroup(t, 1, nil)
+	s := g.waitLeader(t)
+	logLen := func() uint64 { return s.node.LogLength() }
+
+	held, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")})
+	if err != nil || !held.Prepared {
+		t.Fatalf("prepare of gid 1: %+v, %v", held, err)
+	}
+	if n := len(held.Remote); n == 0 || held.Remote[n-1].Version != held.Index {
+		t.Errorf("the yes ships %+v, want the log through the prepare at %d", held.Remote, held.Index)
+	}
+
+	// gid 2 meets gid 1's lock: refused, and the refusal is logged.
+	before := logLen()
+	refused, err := s.Prepare(PrepareRequest{GID: 2, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), ReplicaVersion: held.Index})
+	if err != nil || refused.Prepared || refused.Index != before+1 || len(refused.Remote) != 0 {
+		t.Fatalf("prepare over a locked item: %+v, %v; want a no at %d", refused, err, before+1)
+	}
+	s.mu.Lock()
+	e, err := s.engine.Entry(core.Version(refused.Index))
+	s.mu.Unlock()
+	if err != nil || e.Kind != core.KindAbortMarker || e.GID != 2 {
+		t.Fatalf("entry %d = %+v (%v), want gid 2's abort marker", refused.Index, e, err)
+	}
+	// Free the item; a late duplicate of the refused prepare still gets
+	// the no, and logs nothing.
+	if _, err := s.Resolve(ResolveRequest{GID: 1, Commit: true}); err != nil {
+		t.Fatal(err)
+	}
+	before = logLen()
+	dup, err := s.Prepare(PrepareRequest{GID: 2, Origin: 1, StartVersion: before, Involved: []int{0, 1}, WSBytes: wsBytes("a")})
+	if err != nil || dup.Prepared || dup.Index != refused.Index || logLen() != before {
+		t.Errorf("late duplicate of the refused prepare: %+v, %v (log %d -> %d); want the no at %d", dup, err, before, logLen(), refused.Index)
+	}
+
+	// A veto on a gid without a record casts the no.
+	before = logLen()
+	veto, err := s.Resolve(ResolveRequest{GID: 3, Veto: true})
+	if err != nil || veto.Prepared || veto.Index != before+1 {
+		t.Fatalf("veto of an unknown gid: %+v, %v; want a no at %d", veto, err, before+1)
+	}
+	if p, err := s.Prepare(PrepareRequest{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("c")}); err != nil || p.Prepared || p.Index != veto.Index {
+		t.Errorf("prepare after its veto: %+v, %v; want the veto's no at %d", p, err, veto.Index)
+	}
+
+	// A veto on a prepared gid appends nothing and answers its yes.
+	yes, err := s.Prepare(PrepareRequest{GID: 4, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("d")})
+	if err != nil || !yes.Prepared {
+		t.Fatalf("prepare of gid 4: %+v, %v", yes, err)
+	}
+	before = logLen()
+	veto, err = s.Resolve(ResolveRequest{GID: 4, Veto: true, ReplicaVersion: yes.Index - 1})
+	if err != nil || !veto.Prepared || veto.Index != yes.Index || logLen() != before {
+		t.Errorf("veto of a prepared gid: %+v, %v (log %d -> %d); want the yes at %d and no entry", veto, err, before, logLen(), yes.Index)
+	}
+	if len(veto.Remote) != 1 || veto.Remote[0].Version != yes.Index {
+		t.Errorf("the veto's yes ships %+v, want the prepare alone", veto.Remote)
+	}
+	s.mu.Lock()
+	oldest := s.engine.OldestPrepared()
+	s.mu.Unlock()
+	if oldest != core.Version(yes.Index) {
+		t.Errorf("oldest unresolved prepare %d, want gid 4's at %d: a veto must not resolve a yes", oldest, yes.Index)
+	}
+	if _, err := s.Resolve(ResolveRequest{GID: 4, Commit: true, Veto: true}); err == nil {
+		t.Error("a resolve that both commits and vetoes was served")
+	}
+}
+
+// TestPreparePadsToFillTo: a yes pads the group's log with fill no-ops
+// up to the coordinator's FillTo in the same batch, so the prepare lands
+// right after it; a log already that long, or a refusal, pads nothing.
+func TestPreparePadsToFillTo(t *testing.T) {
+	g := newTestGroup(t, 1, nil)
+	s := g.waitLeader(t)
+	head := s.node.LogLength()
+	p, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 3})
+	if err != nil || !p.Prepared || p.Index != head+4 || s.node.LogLength() != head+4 {
+		t.Fatalf("prepare with FillTo %d over a log of %d: %+v, %v (log %d); want a yes at %d", head+3, head, p, err, s.node.LogLength(), head+4)
+	}
+	s.mu.Lock()
+	for v := head + 1; v <= head+3; v++ {
+		if e, err := s.engine.Entry(core.Version(v)); err != nil || e.Kind != core.KindData || !e.WS.Empty() {
+			t.Errorf("entry %d = %+v (%v), want a fill no-op", v, e, err)
+		}
+	}
+	s.mu.Unlock()
+	if n := len(p.Remote); n < 4 || p.Remote[n-1].Version != p.Index {
+		t.Errorf("the yes ships %d entries, want the fills and the prepare last", n)
+	}
+	head = s.node.LogLength()
+	if p, err := s.Prepare(PrepareRequest{GID: 2, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("b"), FillTo: head - 2}); err != nil || p.Index != head+1 {
+		t.Errorf("prepare with FillTo below the head: %+v, %v; want a yes at %d", p, err, head+1)
+	}
+	head = s.node.LogLength()
+	if p, err := s.Prepare(PrepareRequest{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 5}); err != nil || p.Prepared || p.Index != head+1 {
+		t.Errorf("refused prepare with FillTo %d: %+v, %v; want a no at %d and no fill", head+5, p, err, head+1)
 	}
 }
 

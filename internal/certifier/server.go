@@ -512,37 +512,48 @@ func (s *Server) certify(req Request) (Response, error) {
 	return t.resp, nil
 }
 
-// Prepare serves phase 1 of a cross-partition commit: conflict-check
-// this group's slice of the writeset, lock its items under the
-// transaction's gid, and append a durable prepare entry. Idempotent:
-// a retry of an already-prepared gid returns the existing entry.
+// Prepare serves phase 1 of a cross-partition commit and answers with
+// the group's durable vote. Yes: this group's slice of the writeset
+// passed the conflict check, its items are locked under the
+// transaction's gid, and the prepare entry is logged. No: the refusal is
+// logged as an abort marker for the gid. A gid that already has a record
+// gets the vote that record holds. A yes first pads the log with fill
+// no-ops up to req.FillTo, and ships the group's entries after
+// req.ReplicaVersion (see PrepareResponse.Remote).
 func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
 	entry, err := newLogEntry(core.KindPrepare, req.Origin, req.StartVersion, req.GID, req.Involved, req.WSBytes)
 	if err != nil {
 		return PrepareResponse{}, fmt.Errorf("certifier: prepare writeset: %w", err)
 	}
 	t := newTask(kindPrepare, entry)
+	t.after = req.ReplicaVersion
+	t.target = req.FillTo
 	if err := s.submit(t); err != nil {
 		return PrepareResponse{}, err
 	}
-	return PrepareResponse{Prepared: t.index != 0, Index: t.index, SystemVersion: s.committedCap()}, nil
+	return PrepareResponse{Prepared: t.prepared, Index: t.index, SystemVersion: s.committedCap(), Remote: t.remote}, nil
 }
 
-// Resolve serves phase 2: append the commit or abort decision marker
-// for a prepared gid. Idempotent — the first marker wins and retries
-// return its index. A commit's response carries the group's entries
-// after req.ReplicaVersion through the marker.
+// Resolve appends the commit or abort decision marker for a gid, or
+// serves a veto (see ResolveRequest). Idempotent — the first marker wins
+// and retries return its index. A commit's response, and a veto's that
+// finds a yes, carries the group's entries after req.ReplicaVersion
+// through the record it stands on.
 func (s *Server) Resolve(req ResolveRequest) (ResolveResponse, error) {
+	if req.Commit && req.Veto {
+		return ResolveResponse{}, fmt.Errorf("certifier: resolve of gid %d both commits and vetoes", req.GID)
+	}
 	kind := core.KindAbortMarker
 	if req.Commit {
 		kind = core.KindCommitMarker
 	}
 	t := newTask(kindResolve, emptyEntry(kind, req.GID))
+	t.veto = req.Veto
 	t.after = req.ReplicaVersion
 	if err := s.submit(t); err != nil {
 		return ResolveResponse{}, err
 	}
-	return ResolveResponse{Index: t.index, SystemVersion: s.committedCap(), Remote: t.remote}, nil
+	return ResolveResponse{Index: t.index, SystemVersion: s.committedCap(), Prepared: t.prepared, Remote: t.remote}, nil
 }
 
 // maxFill bounds one fill request; a merge that is further behind asks

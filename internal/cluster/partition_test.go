@@ -13,6 +13,7 @@ import (
 	"tashkent/internal/core"
 	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
+	"tashkent/internal/transport"
 )
 
 // keyInPartition finds a key that the n-way map assigns to pid.
@@ -404,39 +405,44 @@ func waitNoPrepareUnresolved(t *testing.T, c *Cluster) {
 	}
 }
 
-// TestCrossPartitionCommitIsTwoRounds holds group 0's prepare until
-// group 1's has been sent, and group 0's resolve until group 1's has
-// been sent: a coordinator that talks to its groups one after the other
-// never sends the second message while the first is outstanding, so only
-// one that prepares every group at once, and resolves every group at
-// once, gets through without a hold expiring.
-func TestCrossPartitionCommitIsTwoRounds(t *testing.T) {
+// TestCrossPartitionCommitIsOneRound holds group 0's prepare until
+// group 1's has been sent, so only a coordinator that prepares every
+// group at once gets through without a hold expiring; and it holds
+// every Resolve of replica 0 until the commit has returned, so only a
+// commit that the prepare round alone decides returns at all. The held
+// markers then land, and the replicas converge.
+func TestCrossPartitionCommitIsOneRound(t *testing.T) {
 	const parts = 2
 	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
 		cfg.Partitions = parts
 	})
-	prepareSent, resolveSent := newEvent(), newEvent()
-	var expired atomic.Int32
+	prepareSent, returned := newEvent(), newEvent()
+	var expired, resolves atomic.Int32
 	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
 		if from == ReplicaName(0) {
 			switch g := groupOf(to); {
 			case g == 1 && method == certifier.MethodPrepare:
 				prepareSent.fire()
-			case g == 1 && method == certifier.MethodResolve:
-				resolveSent.fire()
 			case g == 0 && method == certifier.MethodPrepare:
 				hold(&expired, prepareSent)
-			case g == 0 && method == certifier.MethodResolve:
-				hold(&expired, resolveSent)
+			case g >= 0 && method == certifier.MethodResolve:
+				resolves.Add(1)
+				hold(&expired, returned)
 			}
 		}
 		return deliver()
 	}))
-	if err := crossCommit(t, c, 0, parts, []int{0, 1}, 8000, "two-rounds"); err != nil {
+	err := crossCommit(t, c, 0, parts, []int{0, 1}, 8000, "one-round")
+	returned.fire()
+	if err != nil {
 		t.Fatalf("cross-partition commit: %v", err)
 	}
 	if n := expired.Load(); n != 0 {
-		t.Fatalf("%d of group 0's messages waited out the hold: group 1's was not sent while group 0's was outstanding", n)
+		t.Fatalf("%d of replica 0's messages waited out the hold: its prepares were not sent at once, or its commit waited for a marker", n)
+	}
+	waitNoPrepareUnresolved(t, c)
+	if n := resolves.Load(); n < parts {
+		t.Errorf("replica 0 sent %d resolves, want a commit marker to each of %d groups", n, parts)
 	}
 	if err := c.ConvergeAll(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -446,12 +452,12 @@ func TestCrossPartitionCommitIsTwoRounds(t *testing.T) {
 	}
 }
 
-// TestCrossPartitionCommitNeedsNoPull: a commit marker's answer carries
-// its group's log through the marker, so on a quiet cluster the
-// coordinator's merge reaches its own commit without a pull. The
-// interposer counts replica 0's pulls between the end of the resolve
-// round and the return of the commit; a coordinator that waited for
-// the merger to pull the markers makes at least one there.
+// TestCrossPartitionCommitNeedsNoPull: a yes vote's answer carries its
+// group's log through the prepare, so on a quiet cluster the
+// coordinator's merge reaches the union without a pull. The interposer
+// counts replica 0's pulls between the end of the prepare round and the
+// return of the commit; a coordinator that waited for the merger to
+// pull the prepares makes at least one there.
 func TestCrossPartitionCommitNeedsNoPull(t *testing.T) {
 	const parts = 2
 	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
@@ -461,17 +467,17 @@ func TestCrossPartitionCommitNeedsNoPull(t *testing.T) {
 	if err := crossCommit(t, c, 0, parts, []int{0, 1}, 8300, "warm"); err != nil {
 		t.Fatal(err)
 	}
-	var resolved, pulls atomic.Int32
+	var prepared, pulls atomic.Int32
 	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
 		if from != ReplicaName(0) {
 			return deliver()
 		}
-		if method == certifier.MethodPull && resolved.Load() == parts {
+		if method == certifier.MethodPull && prepared.Load() == parts {
 			pulls.Add(1)
 		}
 		resp, err := deliver()
-		if method == certifier.MethodResolve && err == nil {
-			resolved.Add(1)
+		if method == certifier.MethodPrepare && err == nil {
+			prepared.Add(1)
 		}
 		return resp, err
 	}))
@@ -479,15 +485,93 @@ func TestCrossPartitionCommitNeedsNoPull(t *testing.T) {
 		if err := c.ConvergeAll(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		resolved.Store(0)
+		waitNoPrepareUnresolved(t, c)
+		prepared.Store(0)
 		err := crossCommit(t, c, 0, parts, []int{0, 1}, 8301+i, fmt.Sprintf("quiet-%d", i))
-		resolved.Store(0)
+		prepared.Store(0)
 		if err != nil {
 			t.Fatalf("cross-partition commit %d: %v", i, err)
 		}
 	}
 	if n := pulls.Load(); n != 0 {
-		t.Errorf("replica 0 pulled %d times between its resolve rounds and the return of its commits, want 0", n)
+		t.Errorf("replica 0 pulled %d times between its prepare rounds and the return of its commits, want 0", n)
+	}
+}
+
+// TestCrossPartitionLostPrepareAnswerIsVetoed delivers group 1's prepare
+// but replaces its answer with an error the certifier client does not
+// retry, so the coordinator lacks the answer. The vote exists, and only the
+// group knows it: the coordinator's veto must learn the yes instead of
+// casting a no, and the commit lands. The client hears success or an
+// error, never a certification abort, which would claim an outcome the
+// logs contradict; every prepare is resolved and the replicas converge
+// on the committed values.
+func TestCrossPartitionLostPrepareAnswerIsVetoed(t *testing.T) {
+	const parts, salt = 2, 8400
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+	})
+	var lost, vetoes atomic.Int32
+	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		if from != ReplicaName(0) || groupOf(to) != 1 {
+			return deliver()
+		}
+		resp, err := deliver()
+		switch method {
+		case certifier.MethodPrepare:
+			if err == nil && lost.CompareAndSwap(0, 1) {
+				// An error the failover client surfaces rather than retries.
+				return nil, &transport.RemoteError{Msg: "injected: prepare answer lost"}
+			}
+		case certifier.MethodResolve:
+			var r certifier.ResolveRequest
+			if transport.DecodeMessage(req, &r) == nil && r.Veto {
+				vetoes.Add(1)
+			}
+		}
+		return resp, err
+	}))
+	err := crossCommit(t, c, 0, parts, []int{0, 1}, salt, "landed")
+	if errors.Is(err, proxy.ErrCertificationAbort) {
+		t.Fatalf("commit returned %v: a certification abort although every group voted yes", err)
+	}
+	if lost.Load() == 0 {
+		t.Fatal("no prepare answer was dropped")
+	}
+	if vetoes.Load() == 0 {
+		t.Error("the coordinator never vetoed the group whose answer it lacked")
+	}
+	waitNoPrepareUnresolved(t, c)
+	for g := 0; g < parts; g++ {
+		eng, log := groupEngine(t, c, g)
+		var gid uint64
+		for _, e := range log {
+			if e.Kind == core.KindPrepare {
+				gid = e.GID
+			}
+		}
+		if _, commit, ok := eng.Resolution(gid); gid == 0 || !ok || !commit {
+			t.Errorf("group %d: gid %d resolution (commit %v, present %v), want its prepare and a commit marker", g, gid, commit, ok)
+		}
+	}
+	c.Fabric().SetInterposer(nil)
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fps := c.Fingerprints(); fps[0] != fps[1] {
+		t.Fatalf("replicas diverged: %v", fps)
+	}
+	for rep := 0; rep < 2; rep++ {
+		tx, err := c.Begin(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pid := 0; pid < parts; pid++ {
+			if v, ok, err := tx.ReadCol("t", keyInPartition(parts, pid, salt), "v"); err != nil || !ok || string(v) != "landed" {
+				t.Errorf("replica %d partition %d = %q %v %v, want the committed value", rep, pid, v, ok, err)
+			}
+		}
+		tx.Abort()
 	}
 }
 
@@ -535,6 +619,138 @@ func TestSinglePartitionCommitNeedsNoPull(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCrossPartitionRefusalReleasesAnUnansweredGroup: group 0 refuses
+// the prepare while group 1 logs its yes but its answer is lost. The
+// refusal alone decides the abort, so the coordinator needs no veto, but
+// group 1 holds a prepare the coordinator never heard of: the abort
+// marker must reach it too, or its lock leaks.
+func TestCrossPartitionRefusalReleasesAnUnansweredGroup(t *testing.T) {
+	const parts, salt = 2, 8600
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+	})
+	k0, k1 := keyInPartition(parts, 0, salt), keyInPartition(parts, 1, salt)
+	tx, err := c.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{k0, k1} {
+		if err := tx.Update("t", k, map[string][]byte{"v": []byte("loser")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Replica 1 commits k0 after the snapshot: group 0 must now refuse.
+	if err := clusterCommit(t, c, 1, k0, "winner"); err != nil {
+		t.Fatal(err)
+	}
+	var lost atomic.Int32
+	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		resp, err := deliver()
+		if from == ReplicaName(0) && groupOf(to) == 1 && method == certifier.MethodPrepare && err == nil && lost.CompareAndSwap(0, 1) {
+			return nil, &transport.RemoteError{Msg: "injected: prepare answer lost"}
+		}
+		return resp, err
+	}))
+	if err := tx.Commit(); !errors.Is(err, proxy.ErrCertificationAbort) {
+		t.Fatalf("commit returned %v, want a certification abort", err)
+	}
+	if lost.Load() == 0 {
+		t.Fatal("group 1's prepare answer was not dropped")
+	}
+	waitNoPrepareUnresolved(t, c)
+	c.Fabric().SetInterposer(nil)
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := crossCommit(t, c, 0, parts, []int{0, 1}, salt, "after"); err != nil {
+		t.Fatalf("transaction over the same pair after the abort: %v (a lock leaked)", err)
+	}
+}
+
+// TestCrossPartitionUnionMergedBeforeTheAnswers holds group 1's answer
+// to replica 0's prepare while a single-partition commit on replica 0
+// makes its merger pull both groups past the transaction's prepares:
+// every vote is durable, so that merge applies the union before the
+// coordinator has its last answer, with no waiter registered. The
+// coordinator must find the union applied when it ingests the answers
+// and return the commit at the union's merged version, instead of
+// waiting 30 s for a waiter the merge will never take.
+func TestCrossPartitionUnionMergedBeforeTheAnswers(t *testing.T) {
+	const parts, salt = 2, 8500
+	c := newTestCluster(t, proxy.TashkentMW, 2, func(cfg *Config) {
+		cfg.Partitions = parts
+	})
+	// Let every certifier client find its group's leader first.
+	if err := crossCommit(t, c, 0, parts, []int{0, 1}, salt+1, "warm"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitNoPrepareUnresolved(t, c)
+	delivered, merged := newEvent(), newEvent()
+	var expired atomic.Int32
+	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		if from != ReplicaName(0) || groupOf(to) != 1 || method != certifier.MethodPrepare {
+			return deliver()
+		}
+		resp, err := deliver()
+		delivered.fire()
+		hold(&expired, merged)
+		return resp, err
+	}))
+	tx, err := c.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := 0; pid < parts; pid++ {
+		if err := tx.Update("t", keyInPartition(parts, pid, salt), map[string][]byte{"v": []byte("raced")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- tx.Commit() }()
+	<-delivered.ch
+	// This commit lands in group 0 after the prepare, so its merge
+	// passes the union's position.
+	err = clusterCommit(t, c, 0, keyInPartition(parts, 0, salt+2), "after")
+	merged.fire()
+	if err != nil {
+		t.Fatalf("single-partition commit behind the prepares: %v", err)
+	}
+	select {
+	case err := <-committed:
+		if err != nil {
+			t.Fatalf("cross-partition commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cross-partition commit did not return within 5 s of its answers")
+	}
+	if n := expired.Load(); n != 0 {
+		t.Fatalf("the held answer waited out its hold: the single-partition commit did not merge past the union")
+	}
+	if tx.CommitVersion() == 0 {
+		t.Error("the commit returned no merged version")
+	}
+	waitNoPrepareUnresolved(t, c)
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if fps := c.Fingerprints(); fps[0] != fps[1] {
+		t.Fatalf("replicas diverged: %v", fps)
+	}
+	check, err := c.Begin(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer check.Abort()
+	for pid := 0; pid < parts; pid++ {
+		if v, ok, err := check.ReadCol("t", keyInPartition(parts, pid, salt), "v"); err != nil || !ok || string(v) != "raced" {
+			t.Errorf("replica 1 partition %d = %q %v %v, want the committed value", pid, v, ok, err)
+		}
+	}
 }
 
 // TestCrossPartitionCrossedPrepares races two transactions over one key

@@ -131,8 +131,9 @@ type Engine struct {
 	// version and its locked items.
 	prepared map[uint64]preparedTx
 	// resolved memoizes 2PC decisions: gid → the first decision
-	// marker's version and outcome. It makes Resolve idempotent and
-	// rejects a prepare retry that raced its own abort marker.
+	// marker's version and outcome, and the prepare it resolved. It makes
+	// Resolve idempotent and keeps each gid's vote (see Vote) after its
+	// prepare is resolved.
 	resolved map[uint64]resolution
 }
 
@@ -144,6 +145,7 @@ type preparedTx struct {
 type resolution struct {
 	version Version
 	commit  bool
+	prepare Version // the resolved prepare's version (0: the marker came first)
 }
 
 // NewEngine returns an empty engine at system version 0.
@@ -226,6 +228,26 @@ func (e *Engine) PreparedAt(gid uint64) (Version, bool) {
 func (e *Engine) Resolution(gid uint64) (v Version, commit, ok bool) {
 	r, found := e.resolved[gid]
 	return r.version, r.commit, found
+}
+
+// Vote returns the first record this log holds for gid: a prepare is a
+// yes vote, an abort marker (a refused prepare or a veto) a no. ok is
+// false while the log holds neither. The first record never changes, so
+// the vote is irrevocable. A commit marker whose prepare was truncated
+// away stands for its yes.
+func (e *Engine) Vote(gid uint64) (v Version, yes, ok bool) {
+	if p, found := e.prepared[gid]; found {
+		return p.version, true, true
+	}
+	r, found := e.resolved[gid]
+	switch {
+	case !found:
+		return 0, false, false
+	case r.prepare != 0:
+		return r.prepare, true, true
+	default:
+		return r.version, r.commit, true
+	}
 }
 
 // OldestPrepared returns the lowest version among unresolved prepare
@@ -313,7 +335,8 @@ func (e *Engine) append(entry LogEntry) {
 		}
 		e.prepared[entry.GID] = preparedTx{version: entry.Version, items: items}
 	case KindCommitMarker:
-		if p, ok := e.prepared[entry.GID]; ok {
+		p, ok := e.prepared[entry.GID]
+		if ok {
 			// Publish the prepared items at the marker's own version:
 			// a transaction whose snapshot predates the marker now
 			// conflicts with the cross-partition commit, even though
@@ -337,12 +360,13 @@ func (e *Engine) append(entry LogEntry) {
 			}
 		}
 		if _, seen := e.resolved[entry.GID]; !seen {
-			e.resolved[entry.GID] = resolution{version: entry.Version, commit: true}
+			e.resolved[entry.GID] = resolution{version: entry.Version, commit: true, prepare: p.version}
 		}
 		e.log = append(e.log, entry)
 		return
 	case KindAbortMarker:
-		if p, ok := e.prepared[entry.GID]; ok {
+		p, ok := e.prepared[entry.GID]
+		if ok {
 			for _, id := range p.items {
 				if e.locks[id] == entry.GID {
 					delete(e.locks, id)
@@ -351,7 +375,7 @@ func (e *Engine) append(entry LogEntry) {
 			delete(e.prepared, entry.GID)
 		}
 		if _, seen := e.resolved[entry.GID]; !seen {
-			e.resolved[entry.GID] = resolution{version: entry.Version, commit: false}
+			e.resolved[entry.GID] = resolution{version: entry.Version, commit: false, prepare: p.version}
 		}
 	default:
 		for _, id := range entry.WS.Items() {

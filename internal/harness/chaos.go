@@ -576,8 +576,8 @@ func dumpChaosDiff(c *cluster.Cluster, log []chaos.LogEntry) {
 // order rebuilt from the group leaders' committed logs, exactly as a
 // replica's assembler would — with one group, the log in index order.
 // Versions are merged versions; entries that install nothing (barrier
-// and fill no-ops, prepares, markers past the first) are omitted, so the
-// version sequence has gaps the checker tolerates.
+// and fill no-ops, prepares and markers other than a union's position)
+// are omitted, so the version sequence has gaps the checker tolerates.
 func groundTruthLog(c *cluster.Cluster) ([]chaos.LogEntry, error) {
 	asm := partition.NewAssembler(c.Groups())
 	total := 0

@@ -20,30 +20,50 @@ type Topology struct {
 // cluster and identical on every replica.
 //
 // WS is nil for steps that install nothing (fill/barrier no-ops,
-// prepares, duplicate or abort markers): the replica just announces
-// MV. For a data entry WS is its writeset; for the first commit
-// marker of a cross-partition transaction WS is the union of all its
-// prepared parts, applied atomically at the marker's merged version.
+// prepares and markers other than the one at the union's position): the
+// replica just announces MV. For a data entry WS is its writeset; at a
+// cross-partition transaction's union position WS is the union of all
+// its prepared parts, applied atomically at that merged version.
+//
+// The union position P of a transaction every involved group voted yes
+// for is the earlier of (a) the merge position of its last involved
+// group's prepare and (b) the position of its first commit marker. A
+// group's vote is the first record its log holds for the gid — a
+// prepare is yes, an abort marker no — and no group accepts a second
+// vote, so once every involved group's prepare is merged the outcome is
+// fixed: the union applies there, one round after the client began to
+// commit, and the commit markers that follow only announce. A union with
+// a no vote never reaches (a), its groups carry no commit marker, and
+// its parts are dropped at its first abort marker.
+//
+// (b) stays because a group's certifier publishes a committed union's
+// items at its marker, not at its prepare: a snapshot that does not see
+// the union must stand below every group's marker in that group's
+// version space, or a later writer of those items could certify against
+// it without a conflict. P ≤ the first marker guarantees that. (b) comes
+// first only when the groups' index spaces are skewed — one group's
+// marker merging before another group's prepare.
 type Action struct {
 	MV     uint64
 	Group  int
 	Index  uint64
 	Origin int
 	// GID is nonzero when this action commits a cross-partition
-	// transaction (the union-applying first commit marker).
+	// transaction (the union position).
 	GID uint64
 	WS  *core.Writeset
 }
 
-// gidState accumulates a cross-partition transaction's parts until
-// its first commit marker emits, then tombstones it until every
-// involved group's marker has passed.
+// gidState accumulates a cross-partition transaction's parts until its
+// union applies, and then stays as a tombstone until every involved
+// group's commit marker has passed. An abort marker drops it.
 type gidState struct {
 	parts    map[int]*core.Writeset
 	origin   int
 	involved []int
-	done     bool // first decision marker emitted (applied or aborted)
-	markers  int
+	applied  uint64 // merged version the union applied at (0: not yet)
+	votes    int    // involved groups whose prepare is merged
+	markers  int    // commit markers merged
 }
 
 // Assembler rebuilds the single merged apply order from N per-group
@@ -85,7 +105,7 @@ func NewAssembler(n int) *Assembler {
 // register immediately on receipt (not on emission): a commit marker
 // in a fast group may reach its merge position long before the slow
 // group's prepare entry does, and the union must not wait for the
-// prepare's own — much later — merge position.
+// prepare's own — much later — merge position (rule (b) at Action).
 func (a *Assembler) Offer(g int, index uint64, raw []byte) error {
 	if g < 0 || g >= a.n {
 		return fmt.Errorf("partition: offer to group %d of %d", g, a.n)
@@ -119,8 +139,8 @@ func (a *Assembler) registerPart(g int, e certifier.Entry) {
 		st = &gidState{parts: make(map[int]*core.Writeset)}
 		a.gids[e.GID] = st
 	}
-	if st.done {
-		return // decision already emitted; late part is irrelevant
+	if st.applied != 0 {
+		return // the union is applied; a late part is irrelevant
 	}
 	if st.parts[g] == nil {
 		st.parts[g] = e.WS
@@ -147,6 +167,19 @@ func (a *Assembler) Pending() bool {
 // group g — the ReplicaVersion a pull for more of g's stream should
 // carry.
 func (a *Assembler) Frontier(g int) uint64 { return a.frontier[g] }
+
+// Applied returns the merged version at which the union of the
+// cross-partition transaction gid applied, if it has and its commit
+// markers have not all merged since. A coordinator that registers its
+// client's waiter only once it holds every vote asks it whether a pull
+// raced the answers: until the coordinator sends its commit markers, a
+// union it finds applied is still here.
+func (a *Assembler) Applied(gid uint64) (mv uint64, ok bool) {
+	if st := a.gids[gid]; st != nil && st.applied != 0 {
+		return st.applied, true
+	}
+	return 0, false
+}
 
 // MergedVersion returns how many merged versions have been emitted.
 func (a *Assembler) MergedVersion() uint64 { return a.merged }
@@ -193,51 +226,44 @@ func (a *Assembler) Next() (Action, bool) {
 			act.WS = e.WS
 		}
 	case core.KindPrepare:
-		// Registered at Offer time; its merge position announces only.
+		// Registered at Offer time. The last involved group's prepare is
+		// rule (a): every vote is yes and all parts are in hand.
+		if st := a.gids[e.GID]; st != nil {
+			st.votes++
+			if st.applied == 0 && st.votes == len(st.involved) {
+				a.applyUnion(&act, e.GID, st)
+			}
+		}
 	case core.KindCommitMarker:
 		st := a.gids[e.GID]
 		if st == nil {
-			// A commit marker implies this group prepared the gid, and
-			// the same-group prepare (lower index) has already been
-			// offered and registered. Reaching here means the streams
-			// are corrupt; fail safe by treating it as a no-op rather
-			// than diverging.
+			// A commit marker implies this group prepared the gid, and the
+			// same-group prepare (lower index) has been merged and
+			// registered. Reaching here means the streams are corrupt; fail
+			// safe by treating it as a no-op rather than diverging.
 			break
 		}
-		if !st.done {
+		if st.applied == 0 {
+			// Rule (b): the first commit marker, before the last prepare.
 			for _, pid := range st.involved {
 				if st.parts[pid] == nil {
-					// The union is not assembled yet: the missing part
-					// is committed in group pid's log (phase 1 finished
-					// before any marker was proposed), just not received
-					// — pull that group forward.
+					// The missing part is committed in group pid's log (every
+					// vote was cast before any marker was proposed), just not
+					// received — pull that group forward.
 					a.blockGroup, a.blockIndex = pid, a.frontier[pid]+1
 					return Action{}, false
 				}
 			}
-			union := &core.Writeset{}
-			for _, pid := range st.involved {
-				union.Merge(st.parts[pid])
-			}
-			act.WS = union
-			act.GID = e.GID
-			act.Origin = st.origin
-			st.done = true
-			st.parts = nil
+			a.applyUnion(&act, e.GID, st)
 		}
 		st.markers++
-		if st.markers >= len(st.involved) && len(st.involved) > 0 {
+		if st.markers >= len(st.involved) {
 			delete(a.gids, e.GID)
 		}
 	case core.KindAbortMarker:
-		if st := a.gids[e.GID]; st != nil {
-			st.done = true
-			st.parts = nil
-			st.markers++
-			if st.markers >= len(st.involved) && len(st.involved) > 0 {
-				delete(a.gids, e.GID)
-			}
-		}
+		// Some vote is no: the union never applies. A part received later
+		// registers again, and its group's own abort marker drops it.
+		delete(a.gids, e.GID)
 	}
 
 	delete(a.buf[g], idx)
@@ -245,4 +271,18 @@ func (a *Assembler) Next() (Action, bool) {
 	a.merged++
 	a.blockGroup, a.blockIndex = -1, 0
 	return act, true
+}
+
+// applyUnion makes act the union position of gid: it carries the union
+// of the parts, in ascending partition id, and the transaction's origin.
+func (a *Assembler) applyUnion(act *Action, gid uint64, st *gidState) {
+	union := &core.Writeset{}
+	for _, pid := range st.involved {
+		union.Merge(st.parts[pid])
+	}
+	act.WS = union
+	act.GID = gid
+	act.Origin = st.origin
+	st.applied = act.MV
+	st.parts = nil
 }

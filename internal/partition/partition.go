@@ -6,14 +6,16 @@
 //
 // A transaction whose writeset falls entirely in one partition
 // certifies against that group alone (the fast path — one round, one
-// group fsync). A cross-partition transaction runs a two-phase
-// protocol: phase 1 appends a durable *prepare* entry (this group's
-// slice of the writeset, conflict-checked and locked) in every involved
-// group at once; phase 2 appends a *decision marker* (commit or abort)
-// in each group, again all at once. Replicas rebuild one total
-// apply order by deterministically interleaving the per-group logs
-// (see Assembler), so every replica announces the same merged version
-// for the same entry without any cross-group coordination.
+// group fsync). A cross-partition transaction asks every involved group
+// at once for its vote: a durable *prepare* entry (this group's slice of
+// the writeset, conflict-checked and locked) is yes, an abort marker no.
+// Once every group has voted yes the transaction is committed — the
+// replicas apply its union where the last prepare merges (see Action) —
+// and the *decision markers* that follow in each group only release its
+// locks. Replicas rebuild one total apply order by deterministically
+// interleaving the per-group logs (see Assembler), so every replica
+// announces the same merged version for the same entry without any
+// cross-group coordination.
 package partition
 
 import (

@@ -194,12 +194,13 @@ func TestAssemblerCrossPartitionUnion(t *testing.T) {
 	if len(acts) != 4 {
 		t.Fatalf("emitted %d actions, want 4", len(acts))
 	}
-	// prepares announce only.
-	if acts[0].WS != nil || acts[1].WS != nil {
-		t.Error("prepare actions must not carry a writeset")
+	// The first prepare announces only.
+	if acts[0].WS != nil {
+		t.Error("the first prepare carries a writeset")
 	}
-	// first marker (group 0 index 2) applies the union.
-	u := acts[2]
+	// The last prepare (group 1 index 1) is the last yes vote: the union
+	// applies there, before any marker.
+	u := acts[1]
 	if u.GID != gid || u.WS == nil || len(u.WS.Items()) != 2 || u.Origin != 5 {
 		t.Fatalf("union action = %+v", u)
 	}
@@ -207,9 +208,14 @@ func TestAssemblerCrossPartitionUnion(t *testing.T) {
 	if !reflect.DeepEqual(items[0], item("a")) || !reflect.DeepEqual(items[1], item("b")) {
 		t.Fatalf("union items = %v (want part order by ascending pid)", items)
 	}
-	// second marker is a no-op.
-	if acts[3].WS != nil || acts[3].GID != 0 {
-		t.Fatalf("duplicate marker applied again: %+v", acts[3])
+	// The markers only announce.
+	for _, m := range acts[2:] {
+		if m.WS != nil || m.GID != 0 {
+			t.Fatalf("a marker applied the union again: %+v", m)
+		}
+	}
+	if len(a.gids) != 0 {
+		t.Errorf("gid state not garbage-collected after the markers: %d left", len(a.gids))
 	}
 }
 
@@ -250,22 +256,33 @@ func TestAssemblerMarkerWaitsForPartReceipt(t *testing.T) {
 	}
 }
 
+// TestAssemblerAbortDropsParts: group 0 votes yes and group 1 no (its
+// first record for the gid is an abort marker), then the coordinator's
+// abort marker releases group 0. Nothing applies, and no state is left,
+// whichever group's records arrive first.
 func TestAssemblerAbortDropsParts(t *testing.T) {
 	a := NewAssembler(2)
 	gid := uint64(902)
-	if err := a.Offer(0, 1, rawPrepare(5, gid, []int{0, 1}, ws("a"))); err != nil {
+	if err := a.Offer(1, 1, rawMarker(false, gid)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Offer(1, 1, rawPrepare(5, gid, []int{0, 1}, ws("b"))); err != nil {
+	if err := a.Offer(1, 2, rawData(0, &core.Writeset{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Offer(0, 2, rawMarker(false, gid)); err != nil {
+	if err := a.Offer(0, 1, rawData(0, &core.Writeset{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Offer(1, 2, rawMarker(false, gid)); err != nil {
+	if err := a.Offer(0, 2, rawPrepare(5, gid, []int{0, 1}, ws("a"))); err != nil {
 		t.Fatal(err)
 	}
-	for _, act := range drain(a) {
+	if err := a.Offer(0, 3, rawMarker(false, gid)); err != nil {
+		t.Fatal(err)
+	}
+	acts := drain(a)
+	if len(acts) != 5 {
+		t.Fatalf("emitted %d actions, want 5", len(acts))
+	}
+	for _, act := range acts {
 		if act.WS != nil {
 			t.Fatalf("aborted transaction leaked a writeset: %+v", act)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,11 +118,11 @@ func (m *merger) replicaVersion(g int) uint64 {
 // version in (start, now] that a local writeset overlaps is one the
 // certifier will find committed after the transaction's snapshot — proof
 // of an abort. With several it is not: a cross-partition union is
-// applied at its first commit marker's merged position, which can come
-// before the union's part's position in the group that certifies a local
-// writeset over it. The replica's window (start, now] and that group's
-// window (GroupVersion(g, start), head] then disagree on what the
-// snapshot could have seen.
+// applied at its union position (partition.Action), which can come
+// before the merged position of its commit marker in the group that
+// certifies a local writeset over it. The replica's window (start, now]
+// and that group's window (GroupVersion(g, start), head] then disagree
+// on what the snapshot could have seen.
 func (m *merger) localCert() bool {
 	return len(m.topo.Groups) == 1
 }
@@ -147,15 +148,7 @@ func (m *merger) resolve(g int, resp certifier.Response, tx *mvstore.Tx, ws *cor
 	if m.ingest(g, resp.Remote, w) {
 		_, err = m.await(w)
 	} else {
-		// The response raced the stream: the entry is already in a run,
-		// which installs it by writeset.
-		if tx != nil {
-			tx.Abort()
-		}
-		err = p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, p.stopCh)
-		if errors.Is(err, mvstore.ErrWaitInterrupted) {
-			err = m.closedErr()
-		}
+		err = m.awaitRaced(mv, tx)
 	}
 	if err != nil {
 		if tx != nil {
@@ -205,7 +198,7 @@ func (m *merger) resync() error {
 }
 
 // ingest feeds raw committed entries of group g to the assembler and
-// wakes the merger. w, if set, is the client waiting for one of them: it
+// wakes the merger. w, if set, is the client waiting for an action: it
 // is registered in the same critical section as the offers, so the
 // merger cannot drain its action as a stranger's first. ingest reports
 // whether it registered w — false when the merge had already passed w's
@@ -215,7 +208,7 @@ func (m *merger) ingest(g int, remote []certifier.RemoteWS, w *ownWait) (registe
 	for _, r := range remote {
 		m.asm.Offer(g, r.Version, r.WSBytes)
 	}
-	if w != nil && m.asm.MergedVersion() < m.topo.Map.MergedVersion(w.key.g, w.key.idx) {
+	if w != nil && !m.passedLocked(w.key) {
 		m.waiters[w.key] = w
 		registered = true
 	}
@@ -232,6 +225,17 @@ func (m *merger) ingest(g int, remote []certifier.RemoteWS, w *ownWait) (registe
 		m.nudge()
 	}
 	return registered
+}
+
+// passedLocked reports whether the merge has emitted the action k
+// addresses: an entry by its merged version, a cross-partition union by
+// the assembler's record of it. Caller holds m.mu.
+func (m *merger) passedLocked(k waitKey) bool {
+	if k.g < 0 {
+		_, applied := m.asm.Applied(k.idx)
+		return applied
+	}
+	return m.asm.MergedVersion() >= m.topo.Map.MergedVersion(k.g, k.idx)
 }
 
 // nudge wakes the merger goroutine if it is parked.
@@ -527,7 +531,7 @@ func (m *merger) await(w *ownWait) (uint64, error) {
 		t = m.withdraw(w, errUnresolved)
 	}
 	if errors.Is(t.err, errUnresolved) {
-		t.err = m.closedErr()
+		t.err = m.closedErr(w.tx)
 	}
 	if t.err == nil && t.finish != nil {
 		t.err = t.finish()
@@ -550,25 +554,87 @@ func (m *merger) withdraw(w *ownWait, err error) ownTurn {
 	return <-w.ch
 }
 
+// awaitRaced waits for a commit whose action the merge took before the
+// client's waiter was registered: a run has it, and installs it by
+// writeset at merged version mv. The client's handle tx is given up.
+func (m *merger) awaitRaced(mv uint64, tx *mvstore.Tx) error {
+	if tx != nil {
+		tx.Abort()
+	}
+	err := m.p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, m.p.stopCh)
+	if errors.Is(err, mvstore.ErrWaitInterrupted) {
+		err = m.closedErr(tx)
+	}
+	return err
+}
+
 // closedErr is what a client whose commit the proxy closed under is
-// told. The proxy's owner takes the store down with it (Replica.Crash,
-// Replica.Close), so the client waits for that and hears the store's
-// ErrCrashed — outcome unknown, as for any commit on a replica that went
-// down under it — or errUnresolved if the store lives on.
-func (m *merger) closedErr() error {
+// told; tx is its handle. The proxy's owner takes the store down with
+// it (Replica.Crash, Replica.Close), so the client waits for that and
+// hears the store's ErrCrashed — outcome unknown, as for any commit on a
+// replica that went down under it — or errUnresolved if the store lives
+// on. A detached finisher (tx nil: its client gave up) has nobody to
+// tell and is told errUnresolved at once. It runs under the proxy's
+// wait group, and the owner takes the store down only after Close has
+// waited for that group.
+func (m *merger) closedErr(tx *mvstore.Tx) error {
+	if tx == nil {
+		return errUnresolved
+	}
 	if err := m.p.cfg.Store.WaitAnnouncedOr(math.MaxUint64, 30*time.Second, nil); errors.Is(err, mvstore.ErrCrashed) {
 		return err
 	}
 	return errUnresolved
 }
 
-// commitCross runs two-phase commit in two certifier rounds: a durable
-// prepare in every involved group at once, then — all having
-// acknowledged — the commit marker to every group at once; replicas
-// apply the union of the parts atomically at the first commit marker's
-// merged position. Prepare locks never wait (a held item refuses the
-// prepare), so no lock order is needed; two transactions that collide
-// in two groups may refuse each other, and both then abort and retry.
+// vote is what a coordinator knows of one group's vote for its gid: the
+// first record the group's log holds for it (see certifier.Engine.Vote).
+type vote uint8
+
+const (
+	voteUnknown vote = iota // no answer yet
+	voteYes                 // a prepare
+	voteNo                  // an abort marker: a refusal or a veto
+)
+
+// decided reports whether votes fix the outcome, and which one it is:
+// commit needs every yes, and a single no aborts.
+func decided(votes []vote) (commit, ok bool) {
+	ok = true
+	for _, v := range votes {
+		switch v {
+		case voteNo:
+			return false, true
+		case voteUnknown:
+			ok = false
+		}
+	}
+	return ok, ok
+}
+
+// commitCross commits a cross-partition transaction in one durable
+// round. It prepares in every involved group at once, and each answer is
+// that group's vote, logged before it is sent: a prepare is yes, an
+// abort marker no. Every replica's merge applies the union of the parts
+// atomically where the last yes merges (partition.Action), so once all
+// the votes are yes the transaction is committed, and the client waits
+// only for its own merge to get there. Each yes ships its group's
+// entries from this replica's frontier through the batch that logged
+// it, and each prepare asks its group to pad its log level with this
+// replica's highest frontier first (PrepareRequest.FillTo), so the merge
+// usually reaches the union with what the round itself returned. The
+// commit markers follow off the client's path: they release the groups'
+// locks and publish the items to later certifications. Prepare locks
+// never wait (a held item refuses the
+// prepare), so no lock order is needed; two transactions that collide in
+// two groups may refuse each other, and both then abort and retry.
+//
+// A group whose answer is missing — a transport error, a shed, a
+// cancelled ctx — is vetoed: the veto casts a no unless the group
+// already voted, and then returns that vote. The client hears
+// ErrCertificationAbort only if some group refused, and an error if its
+// own veto cast the no or a vote stays unknown; a detached resolver then
+// learns the missing votes and drives the outcome to every group.
 func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, parts []partition.Part) error {
 	p := m.p
 	gid := uint64(p.cfg.ReplicaID)<<40 | (gidCounter.Add(1) & (1<<40 - 1))
@@ -577,56 +643,74 @@ func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, part
 		involved[i] = part.PID
 	}
 
-	// ctx is honored through phase 1 only: a cancellation while
-	// preparing aborts the whole transaction (the abort decision is
-	// delivered by the detached resolver, so no group's locks leak).
-	// Once every prepare has acknowledged, the decision is commit and
-	// the remaining work completes regardless of ctx.
-	resps := make([]certifier.PrepareResponse, len(parts))
+	var fillTo uint64
+	for g := range m.topo.Groups {
+		fillTo = max(fillTo, m.replicaVersion(g))
+	}
+
+	votes := make([]vote, len(parts))
+	remotes := make([][]certifier.RemoteWS, len(parts))
 	errs := make([]error, len(parts))
 	fanOut(len(parts), func(i int) {
 		pid := parts[i].PID
-		resps[i], errs[i] = m.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
-			GID:          gid,
-			Origin:       p.cfg.ReplicaID,
-			StartVersion: m.topo.Map.GroupVersion(pid, t.SnapshotVersion()),
-			Involved:     involved,
-			WSBytes:      parts[i].WS.Encode(nil),
+		resp, err := m.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
+			GID:            gid,
+			Origin:         p.cfg.ReplicaID,
+			StartVersion:   m.topo.Map.GroupVersion(pid, t.SnapshotVersion()),
+			Involved:       involved,
+			WSBytes:        parts[i].WS.Encode(nil),
+			ReplicaVersion: m.replicaVersion(pid),
+			FillTo:         fillTo,
 		})
+		switch {
+		case err != nil:
+			errs[i] = err
+		case resp.Prepared:
+			votes[i], remotes[i] = voteYes, resp.Remote
+		default:
+			votes[i] = voteNo
+		}
 	})
-	for i, part := range parts {
-		if errs[i] == nil && resps[i].Prepared {
-			continue
-		}
-		// Abort the whole transaction, in every involved group: each was
-		// asked, so each may hold a durable prepare (on a transport error
-		// it may have landed), and where it was refused the marker is
-		// what keeps a duplicated late delivery of it from locking. An
-		// abort marker for a never-prepared gid is otherwise a no-op.
-		m.resolveDetached(gid, involved, false)
+	refused := slices.Contains(votes, voteNo)
+	if _, ok := decided(votes); !ok && ctx.Err() == nil {
+		m.vetoAll(ctx, gid, involved, votes, remotes)
+	}
+
+	commit, _ := decided(votes)
+	if !commit {
 		t.inner.Abort()
-		if errs[i] != nil {
-			return fmt.Errorf("proxy: prepare in partition %d: %w", part.PID, certError(errs[i]))
+		m.resolveDetached(gid, involved, votes)
+		if refused {
+			p.addStat(func(st *Stats) { st.CertAborts++; st.CrossPartAborts++ })
+			return ErrCertificationAbort
 		}
-		p.addStat(func(st *Stats) { st.CertAborts++; st.CrossPartAborts++ })
-		return ErrCertificationAbort
+		i := slices.IndexFunc(errs, func(err error) bool { return err != nil })
+		return fmt.Errorf("proxy: prepare in partition %d: %w", involved[i], certError(errs[i]))
 	}
 
-	// Register the waiter before any marker can exist, then resolve.
+	// Every vote is yes. The waiter is registered in the critical section
+	// that offers the first group's entries: a pull may have brought every
+	// prepare to the merge before the answers did, and then the union has
+	// already applied and no marker exists yet to retire its record.
 	w := &ownWait{key: waitKey{-1, gid}, tx: t.inner, ws: ws, ch: make(chan ownTurn, 1)}
-	m.mu.Lock()
-	m.waiters[w.key] = w
-	m.mu.Unlock()
-	m.nudge()
-
-	if pending := m.resolveAll(gid, involved, true); len(pending) > 0 {
-		// Some group is unreachable; a detached resolver keeps
-		// retrying (the prepares are durable — the decision must
-		// reach every group or its locks stay held).
-		m.resolveDetached(gid, pending, true)
+	registered := m.ingest(involved[0], remotes[0], w)
+	for i := 1; i < len(involved); i++ {
+		m.ingest(involved[i], remotes[i], nil)
 	}
+	var mv uint64
+	if !registered {
+		m.mu.Lock()
+		mv, _ = m.asm.Applied(gid) // read before the markers can retire it
+		m.mu.Unlock()
+	}
+	m.resolveDetached(gid, involved, votes)
 
-	mv, err := m.await(w)
+	var err error
+	if registered {
+		mv, err = m.await(w)
+	} else {
+		err = m.awaitRaced(mv, t.inner)
+	}
 	if err != nil {
 		t.inner.Abort() // a no-op on a handle the commit finished
 		return err
@@ -636,11 +720,32 @@ func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, part
 	return nil
 }
 
+// vetoAll vetoes, at once, every group of pids whose vote is unknown and
+// records what each answer says; a yes's entries land in remotes. A
+// group whose veto fails stays unknown.
+func (m *merger) vetoAll(ctx context.Context, gid uint64, pids []int, votes []vote, remotes [][]certifier.RemoteWS) {
+	fanOut(len(pids), func(i int) {
+		if votes[i] != voteUnknown {
+			return
+		}
+		g := pids[i]
+		resp, err := m.topo.Groups[g].ResolveCtx(ctx, certifier.ResolveRequest{
+			GID: gid, Veto: true, ReplicaVersion: m.replicaVersion(g),
+		})
+		switch {
+		case err != nil:
+		case resp.Prepared:
+			votes[i], remotes[i] = voteYes, resp.Remote
+		default:
+			votes[i] = voteNo
+		}
+	})
+}
+
 // resolveAll sends the decision to every group in pids at once and
 // returns the groups that did not acknowledge it. A commit's answer
 // carries the group's entries from this replica's frontier through the
-// marker, which go straight to the assembler: the merge then holds
-// everything it needs to reach the first marker without a pull.
+// marker, which go straight to the assembler.
 func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 	failed := make([]bool, len(pids))
 	fanOut(len(pids), func(i int) {
@@ -662,31 +767,58 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 	return pending
 }
 
-// resolveDetached completes the decision protocol in the background:
-// it retries until every group has the marker. It touches only
-// certifier clients (never the store), so it is safe across a
-// simulated replica crash; it stops when the decision landed
-// everywhere or the proxy shuts down. On shutdown an unresolved
-// decision leaves the prepared groups' locks held, and nothing
-// re-resolves it: no code finds an orphaned prepare, so every later
-// conflicting certification aborts for good. That costs liveness on
+// resolveDetached drives a cross-partition transaction's outcome to its
+// groups (pids, with what the coordinator knows of their votes, which it
+// takes over) in the background, off the client's path. Unless some
+// group voted no, it first vetoes every group whose vote is unknown until
+// each has answered. Then, if every vote is yes, it sends the commit
+// markers to every group, and otherwise an abort marker to each group
+// that did not vote no: one that did holds its abort marker already, and
+// one whose answer is missing may hold a prepare. Markers release the groups' locks: a commit's
+// also publishes the items to later certifications. Each round retries
+// every pending group at once. It touches only certifier clients (never
+// the store), so it is safe across a simulated replica crash; it stops
+// when the decision landed everywhere or the proxy shuts down. On
+// shutdown an undelivered decision leaves prepared groups' locks held,
+// and nothing re-resolves it: no code finds an orphaned prepare, so every
+// later conflicting certification aborts for good. That costs liveness on
 // those items, never safety. The missing termination protocol is open
 // item 4 of ROADMAP.md ("Cross-partition commit").
-func (m *merger) resolveDetached(gid uint64, pids []int, commit bool) {
+func (m *merger) resolveDetached(gid uint64, pids []int, votes []vote) {
 	p := m.p
 	p.detach(func() {
 		backoff := 5 * time.Millisecond
-		for pending := pids; ; {
-			if pending = m.resolveAll(gid, pending, commit); len(pending) == 0 {
-				return
-			}
+		retry := func() bool {
 			select {
 			case <-p.stopCh:
-				return
+				return false
 			case <-time.After(backoff):
 			}
 			if backoff < 500*time.Millisecond {
 				backoff *= 2
+			}
+			return true
+		}
+		commit, known := decided(votes)
+		for !known {
+			remotes := make([][]certifier.RemoteWS, len(pids))
+			m.vetoAll(context.Background(), gid, pids, votes, remotes)
+			for i, r := range remotes {
+				m.ingest(pids[i], r, nil)
+			}
+			if commit, known = decided(votes); !known && !retry() {
+				return
+			}
+		}
+		var pending []int
+		for i, g := range pids {
+			if commit || votes[i] != voteNo {
+				pending = append(pending, g)
+			}
+		}
+		for len(pending) > 0 {
+			if pending = m.resolveAll(gid, pending, commit); len(pending) > 0 && !retry() {
+				return
 			}
 		}
 	})

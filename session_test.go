@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"tashkent"
+	"tashkent/internal/certifier"
 	"tashkent/internal/mvstore"
 	"tashkent/internal/workload"
 )
@@ -255,6 +257,75 @@ func TestCommitHonorsCancelledContextAllModes(t *testing.T) {
 				t.Fatalf("session unusable after cancelled commit: %v", err)
 			}
 		})
+	}
+}
+
+// steerFunc adapts a function to transport.Interposer.
+type steerFunc func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error)
+
+func (f steerFunc) Call(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+	return f(from, to, method, req, deliver)
+}
+
+// TestCloseWithCancelledCommitInFlight: a commit whose context is
+// cancelled mid-certification leaves a detached finisher behind, which
+// takes the certifier's answer whenever it comes. Here it comes after
+// Close has begun. The finisher has no client to tell that the proxy
+// closed under the commit, so it must not wait for the store to go down
+// — the store goes down only after Close has waited for the finisher —
+// and Close returns at once instead of sleeping out a 30 s wait.
+func TestCloseWithCancelledCommitInFlight(t *testing.T) {
+	db, err := tashkent.Start(tashkent.Config{Mode: tashkent.ModeTashkentMW, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			db.Close()
+		}
+	}()
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	db.Cluster().Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		if method == certifier.MethodCertify {
+			once.Do(func() { close(held) })
+			select {
+			case <-release:
+			case <-time.After(5 * time.Second):
+			}
+		}
+		return deliver()
+	}))
+
+	tx, err := db.Session().Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("t", "k", map[string][]byte{"v": []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	committed := make(chan error, 1)
+	go func() { committed <- tx.Commit(ctx) }()
+	<-held
+	cancel()
+	if err := <-committed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled commit returned %v, want context.Canceled", err)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		db.Close()
+		close(done)
+	}()
+	time.Sleep(20 * time.Millisecond) // Close has stopped the proxy
+	close(release)
+	select {
+	case <-done:
+		closed = true
+	case <-time.After(time.Second):
+		t.Fatal("db.Close did not return within 1 s of the held answer's release")
 	}
 }
 
