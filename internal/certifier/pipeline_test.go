@@ -73,14 +73,7 @@ func expectCohort(s *Server, at time.Time, w time.Duration) {
 // fanOutNow publishes a fan-out of answered client tasks, the prepares
 // of awaited among them, whose window stays open for w.
 func fanOutNow(s *Server, w time.Duration, answered int64, awaited ...uint64) {
-	var set map[uint64]struct{}
-	for _, gid := range awaited {
-		if set == nil {
-			set = make(map[uint64]struct{})
-		}
-		set[gid] = struct{}{}
-	}
-	s.publishFanout(time.Now().Add(-lingerShare*w), answered, set)
+	s.publishFanout(time.Now().Add(-lingerShare*w), answered, awaited)
 }
 
 // enqueue admits a certify task the way submit does, without waiting
@@ -319,41 +312,47 @@ func TestGatherStaleFanoutNoLinger(t *testing.T) {
 }
 
 // TestGatherHoldsWindowPastMarker: a fan-out that answered the prepares
-// of gids 7 and 8 holds the next batch open until W after the first of
-// their markers, past its own window: gid 7's marker arrives 150 ms into
-// a 200 ms window and gid 8's at 300 ms. The batch stays open to the end
-// with both markers in hand, so that a group closes in step with its
-// partner, not on a count of its own.
+// of gids 7 to 10 holds the next batch open until W after the marker
+// that brings in half of them, past its own window: gid 7's marker
+// arrives 100 ms into a 200 ms window, gid 8's abort marker at 150 ms
+// and gid 9's at 300 ms. The batch stays open to the end with all three
+// markers in hand, so that a group closes in step with its partners'
+// round, not on a count of its own.
 func TestGatherHoldsWindowPastMarker(t *testing.T) {
 	const w = 200 * time.Millisecond
 	s := idleServer(t)
-	fanOutNow(s, w, 2, 7, 8)
+	fanOutNow(s, w, 4, 7, 8, 9, 10)
 	f := s.fanout.Load()
 	go func() {
-		time.Sleep(150 * time.Millisecond)
+		time.Sleep(100 * time.Millisecond)
 		enqueueTask(s, resolveTask(7, true))
-		time.Sleep(150 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond)
 		enqueueTask(s, resolveTask(8, false))
+		time.Sleep(150 * time.Millisecond)
+		enqueueTask(s, resolveTask(9, true))
 	}()
 	batch := s.gatherBatch(bareTask())
 	end := time.Since(f.at)
-	if len(batch) != 3 {
-		t.Fatalf("gather took %d tasks, want the first and both markers", len(batch))
+	if len(batch) != 4 {
+		t.Fatalf("gather took %d tasks, want the first and three markers", len(batch))
 	}
-	marker := time.Unix(0, f.marker.Load())
-	if want := marker.Add(w).Sub(f.at); end < want || end > want+2*time.Second {
-		t.Errorf("gather ended %v after the fan-out, want W after gid 7's marker (%v)", end, want)
+	anchor := time.Unix(0, f.anchor.Load())
+	if !anchor.Equal(batch[2].enqueued) {
+		t.Errorf("anchored at %v, want gid 8's marker (%v)", anchor, batch[2].enqueued)
+	}
+	if want := anchor.Add(w).Sub(f.at); end < want || end > want+2*time.Second {
+		t.Errorf("gather ended %v after the fan-out, want W after gid 8's marker (%v)", end, want)
 	}
 }
 
 // TestGatherLateMarkerReopensWindow: when the partner group answers after
-// the window has closed, the first awaited marker starts a gather that
+// the hold has ended, the first awaited marker starts a gather that
 // lingers W for the rest of the partner's answers.
 func TestGatherLateMarkerReopensWindow(t *testing.T) {
-	const w = 100 * time.Millisecond
+	const w = 50 * time.Millisecond
 	s := idleServer(t)
 	fanOutNow(s, w, 2, 7, 8)
-	time.Sleep(3 * w)
+	time.Sleep(lingerShare / holdShare * w * 3 / 2)
 	enqueueTask(s, resolveTask(7, true))
 	first := <-s.admitCh
 	s.releaseSlot()
@@ -371,9 +370,11 @@ func TestGatherLateMarkerReopensWindow(t *testing.T) {
 }
 
 // TestGatherUnawaitedMarkerNoLonger: a marker for a gid the fan-out does
-// not await, or no marker at all, leaves the linger to its window W.
+// not await is no anchor. With it or with no marker at all, a fan-out
+// that answered a prepare holds the batch for half a cycle (four
+// windows), and no longer.
 func TestGatherUnawaitedMarkerNoLonger(t *testing.T) {
-	const w = 200 * time.Millisecond
+	const w = 50 * time.Millisecond
 	for _, marker := range []bool{true, false} {
 		s := idleServer(t)
 		fanOutNow(s, w, 1, 7)
@@ -388,10 +389,70 @@ func TestGatherUnawaitedMarkerNoLonger(t *testing.T) {
 		if len(batch) != want {
 			t.Errorf("marker %v: gather took %d tasks, want %d", marker, len(batch), want)
 		}
-		if end < w || end > w+2*time.Second {
-			t.Errorf("marker %v: gather ended %v after the fan-out, want at W = %v", marker, end, w)
+		if hold := lingerShare / holdShare * w; end < hold || end > hold+2*time.Second {
+			t.Errorf("marker %v: gather ended %v after the fan-out, want at half the cycle (%v)", marker, end, hold)
 		}
 	}
+}
+
+// TestFanoutAnchor drives admission's view of a fan-out that answered
+// eight prepares with stamped admission times: the window's end moves
+// only with the marker that brings in half of the awaited gids.
+func TestFanoutAnchor(t *testing.T) {
+	const cycle = 80 * time.Millisecond
+	const w, hold = cycle / lingerShare, cycle / holdShare
+	at := time.Unix(1000, 0)
+	gids := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	marker := func(f *fanout, gid uint64, commit bool, after time.Duration) {
+		m := resolveTask(gid, commit)
+		m.enqueued = at.Add(after)
+		f.admitted(m)
+	}
+	wantEnd := func(t *testing.T, f *fanout, want time.Duration) {
+		t.Helper()
+		if got := f.windowEnd().Sub(at); got != want {
+			t.Errorf("window ends %v after the fan-out, want %v", got, want)
+		}
+	}
+
+	t.Run("straggler", func(t *testing.T) {
+		// A coordinator whose prepares straddled two rounds sends its
+		// marker right after this group's fan-out.
+		f := newFanout(at, cycle, 8, gids)
+		marker(f, 3, true, 100*time.Microsecond)
+		wantEnd(t, f, hold)
+	})
+	t.Run("half", func(t *testing.T) {
+		f := newFanout(at, cycle, 8, gids)
+		marker(f, 1, true, time.Millisecond)
+		marker(f, 2, false, 2*time.Millisecond) // an abort marker counts too
+		marker(f, 3, true, 3*time.Millisecond)
+		wantEnd(t, f, hold)
+		marker(f, 4, true, 15*time.Millisecond) // half of eight: the anchor
+		wantEnd(t, f, 15*time.Millisecond+w)
+		marker(f, 5, true, 30*time.Millisecond)
+		wantEnd(t, f, 15*time.Millisecond+w)
+
+		// Of two awaited gids, one marker is half.
+		f = newFanout(at, cycle, 2, gids[:2])
+		marker(f, 2, true, time.Millisecond)
+		wantEnd(t, f, time.Millisecond+w)
+	})
+	t.Run("duplicate", func(t *testing.T) {
+		f := newFanout(at, cycle, 8, gids)
+		for i := 1; i <= 4; i++ { // a retried marker
+			marker(f, 6, true, time.Duration(i)*time.Millisecond)
+		}
+		marker(f, 9, true, 5*time.Millisecond) // not awaited
+		wantEnd(t, f, hold)
+		if n := f.markers.Load(); n != 1 {
+			t.Errorf("%d markers counted, want 1", n)
+		}
+	})
+	t.Run("no marker", func(t *testing.T) {
+		wantEnd(t, newFanout(at, cycle, 8, gids), hold)
+		wantEnd(t, newFanout(at, cycle, 8, nil), w) // no prepares: the window alone
+	})
 }
 
 // TestGatherOpenLoopNoLinger: a fan-out that answered many tasks, behind
@@ -638,6 +699,142 @@ func TestGatherTwoGroupRounds(t *testing.T) {
 	}
 }
 
+// TestGatherOneRoundTwoGroups: eight coordinators prepare in two groups
+// at once, as a partitioned replica's commit does, hand the commit
+// markers to a goroutine and prepare again at once; one of them
+// straggles by a quarter cycle before each round. The disks take 40 ms
+// ± 5 ms, so one group often fans out more than W (≈ 5 ms) before the
+// other. Each group holds for the markers and anchors its next batch on
+// their bulk, which traces the partner's fan-out, so the groups flush in
+// step and a round costs one cycle and a linger. A group that closed W
+// after its own fan-out, before its late partner's markers came, or on
+// the straggler's marker, would drift from its partner, and a round
+// would then wait out a flush in one of them.
+func TestGatherOneRoundTwoGroups(t *testing.T) {
+	const fsync = 40 * time.Millisecond
+	var mu sync.Mutex
+	measuring := atomic.Bool{}
+	var flushes [2][]time.Time // per group: fsync starts while measuring
+	var groups []*testGroup
+	for g := range 2 {
+		groups = append(groups, newTestGroup(t, 1, func(i int, cfg *Config) {
+			cfg.Disk = simdisk.New(simdisk.Profile{FsyncLatency: fsync, FsyncJitter: fsync / 8}, int64(g))
+			cfg.Disk.SetHook(func(op simdisk.Op, _, _ int) {
+				if op == simdisk.OpFsync && measuring.Load() {
+					mu.Lock()
+					flushes[g] = append(flushes[g], time.Now())
+					mu.Unlock()
+				}
+			})
+		}))
+	}
+	var leaders []*Server
+	for _, g := range groups {
+		leaders = append(leaders, g.waitLeader(t))
+	}
+	// inBoth runs call against both groups at once and returns the first
+	// error.
+	inBoth := func(call func(c *Client) error) error {
+		errs := make([]error, len(groups))
+		var wg sync.WaitGroup
+		for i, g := range groups {
+			wg.Add(1)
+			go func(i int, c *Client) {
+				defer wg.Done()
+				errs[i] = call(c)
+			}(i, g.client)
+		}
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+	var gids atomic.Uint64
+	var rounds []time.Duration
+	var wg, markers sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(i) * time.Millisecond)
+			for k := 0; ; k++ {
+				if i == 0 {
+					time.Sleep(fsync / 4)
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+				gid := gids.Add(1)
+				start := time.Now()
+				err := inBoth(func(c *Client) error {
+					p, err := c.Prepare(PrepareRequest{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+						WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
+					if err == nil && !p.Prepared {
+						err = fmt.Errorf("prepare refused: %+v", p)
+					}
+					return err
+				})
+				if err != nil {
+					t.Errorf("coordinator %d: %v", i, err)
+					return
+				}
+				if measuring.Load() {
+					mu.Lock()
+					rounds = append(rounds, time.Since(start))
+					mu.Unlock()
+				}
+				markers.Add(1)
+				go func() {
+					defer markers.Done()
+					if err := inBoth(func(c *Client) error {
+						_, err := c.Resolve(ResolveRequest{GID: gid, Commit: true})
+						return err
+					}); err != nil {
+						t.Errorf("coordinator %d: resolve: %v", i, err)
+					}
+				}()
+			}
+		}(i)
+	}
+	time.Sleep(10 * fsync) // the echo ratio and the cycle build up
+	measuring.Store(true)
+	time.Sleep(30 * fsync)
+	measuring.Store(false)
+	var cycle time.Duration // the slower group's last drain-to-durability cycle
+	for _, ld := range leaders {
+		cycle = max(cycle, time.Duration(ld.cycle.Load()))
+	}
+	close(done)
+	wg.Wait()
+	markers.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(rounds) == 0 || len(flushes[0]) == 0 || len(flushes[1]) == 0 {
+		t.Fatalf("%d rounds and %d / %d flushes measured", len(rounds), len(flushes[0]), len(flushes[1]))
+	}
+	// The offset of each of group 0's flushes from group 1's nearest.
+	var offsets []time.Duration
+	for _, a := range flushes[0] {
+		near := time.Duration(1<<63 - 1)
+		for _, b := range flushes[1] {
+			near = min(near, max(a.Sub(b), b.Sub(a)))
+		}
+		offsets = append(offsets, near)
+	}
+	slices.Sort(offsets)
+	slices.Sort(rounds)
+	offset, round := offsets[len(offsets)/2], rounds[len(rounds)/2]
+	w := cycle / lingerShare
+	t.Logf("flush-start offset p50 %v over %d flushes; round p50 %v over %d rounds; cycle %v", offset, len(offsets), round, len(rounds), cycle)
+	if offset > w {
+		t.Errorf("the groups' flush starts are %v apart at the median, want within W = %v", offset, w)
+	}
+	if limit := 13 * cycle / 10; round > limit {
+		t.Errorf("round p50 %v, want at most 1.3 cycles (%v)", round, limit)
+	}
+}
+
 // TestTwoPhaseThroughTheLoop pins prepare and resolve semantics as stage
 // 2 of the batch loop applies them, within one batch and across batches.
 func TestTwoPhaseThroughTheLoop(t *testing.T) {
@@ -732,8 +929,8 @@ func TestVotesAreFirstRecords(t *testing.T) {
 	if err != nil || !held.Prepared {
 		t.Fatalf("prepare of gid 1: %+v, %v", held, err)
 	}
-	if n := len(held.Remote); n == 0 || held.Remote[n-1].Version != held.Index {
-		t.Errorf("the yes ships %+v, want the log through the prepare at %d", held.Remote, held.Index)
+	if n := len(held.Remote); n == 0 || held.Remote[n-1].Version != held.Index+alignPad {
+		t.Errorf("the yes ships %+v, want the log through the prepare at %d and its batch's pad", held.Remote, held.Index)
 	}
 
 	// gid 2 meets gid 1's lock: refused, and the refusal is logged.
@@ -794,33 +991,38 @@ func TestVotesAreFirstRecords(t *testing.T) {
 }
 
 // TestPreparePadsToFillTo: a yes pads the group's log with fill no-ops
-// up to the coordinator's FillTo in the same batch, so the prepare lands
-// right after it; a log already that long, or a refusal, pads nothing.
+// up to FillTo before its prepare, and its batch ends alignPad no-ops
+// past its last entry; the yes ships them all. A FillTo below the head
+// pads nothing before the prepare, and a refusal pads nothing at all.
 func TestPreparePadsToFillTo(t *testing.T) {
 	g := newTestGroup(t, 1, nil)
 	s := g.waitLeader(t)
 	head := s.node.LogLength()
 	p, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 3})
-	if err != nil || !p.Prepared || p.Index != head+4 || s.node.LogLength() != head+4 {
-		t.Fatalf("prepare with FillTo %d over a log of %d: %+v, %v (log %d); want a yes at %d", head+3, head, p, err, s.node.LogLength(), head+4)
+	if err != nil || !p.Prepared || p.Index != head+4 || s.node.LogLength() != head+4+alignPad {
+		t.Fatalf("prepare with FillTo %d over a log of %d: %+v, %v (log %d); want a yes at %d and a log of %d",
+			head+3, head, p, err, s.node.LogLength(), head+4, head+4+alignPad)
 	}
 	s.mu.Lock()
-	for v := head + 1; v <= head+3; v++ {
+	for v := head + 1; v <= p.Index+alignPad; v++ {
+		if v == p.Index {
+			continue
+		}
 		if e, err := s.engine.Entry(core.Version(v)); err != nil || e.Kind != core.KindData || !e.WS.Empty() {
 			t.Errorf("entry %d = %+v (%v), want a fill no-op", v, e, err)
 		}
 	}
 	s.mu.Unlock()
-	if n := len(p.Remote); n < 4 || p.Remote[n-1].Version != p.Index {
-		t.Errorf("the yes ships %d entries, want the fills and the prepare last", n)
+	if n := len(p.Remote); n != 4+alignPad || p.Remote[3].Version != p.Index || p.Remote[n-1].Version != p.Index+alignPad {
+		t.Errorf("the yes ships %d entries, want the fills, the prepare and the pad", n)
 	}
 	head = s.node.LogLength()
 	if p, err := s.Prepare(PrepareRequest{GID: 2, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("b"), FillTo: head - 2}); err != nil || p.Index != head+1 {
 		t.Errorf("prepare with FillTo below the head: %+v, %v; want a yes at %d", p, err, head+1)
 	}
 	head = s.node.LogLength()
-	if p, err := s.Prepare(PrepareRequest{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 5}); err != nil || p.Prepared || p.Index != head+1 {
-		t.Errorf("refused prepare with FillTo %d: %+v, %v; want a no at %d and no fill", head+5, p, err, head+1)
+	if p, err := s.Prepare(PrepareRequest{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 5}); err != nil || p.Prepared || p.Index != head+1 || s.node.LogLength() != head+1 {
+		t.Errorf("refused prepare with FillTo %d: %+v, %v (log %d); want a no at %d and no fill", head+5, p, err, s.node.LogLength(), head+1)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 // Stats is a snapshot of certifier activity.
 type Stats struct {
-	Requests       int64 // certify, prepare and resolve requests the batch loop checked
+	Requests       int64 // certify, prepare and veto requests the batch loop checked
 	Commits        int64 // of those, the ones whose entry reached the log
 	Aborts         int64
 	InjectedAborts int64
@@ -95,7 +95,7 @@ type Server struct {
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	loopWG     sync.WaitGroup
-	batchSizes metrics.Distribution // client entries (certify, prepare, resolve) proposed per batch
+	batchSizes metrics.Distribution // client entries (certifications, yes prepares) proposed per batch
 
 	// Admission-control observability: queue depth at admit time,
 	// queue wait at drain time, and the shed/expired totals — the data
@@ -491,25 +491,33 @@ func (s *Server) waitIndexCommitted(index uint64) error {
 // certify serves one certification request: the writeset certifies in
 // the next batch and commits at the batch's barrier.
 func (s *Server) certify(req Request) (Response, error) {
-	// The entry, payload included, is built here on the handler's own
-	// goroutine, so the certification loop only conflict-checks and
-	// proposes.
-	entry, err := newLogEntry(core.KindData, req.Origin, req.StartVersion, 0, nil, req.WSBytes)
+	t, err := newCertifyTask(req)
 	if err != nil {
 		return Response{}, err
 	}
+	if err := s.submit(t); err != nil {
+		return Response{}, err
+	}
+	return t.resp, nil
+}
+
+// newCertifyTask is the task a certification submits. The entry, payload
+// included, is built on the handler's own goroutine, so the
+// certification loop only conflict-checks and proposes.
+func newCertifyTask(req Request) (*task, error) {
+	entry, err := newLogEntry(core.KindData, req.Origin, req.StartVersion, 0, nil, req.WSBytes)
+	if err != nil {
+		return nil, err
+	}
 	if entry.WS.Empty() {
-		return Response{}, errors.New("certifier: empty writeset (read-only transactions commit at the replica)")
+		return nil, errors.New("certifier: empty writeset (read-only transactions commit at the replica)")
 	}
 	t := newTask(kindCertify, entry)
 	t.req = req
 	if req.Deadline != 0 {
 		t.deadline = time.Unix(0, req.Deadline)
 	}
-	if err := s.submit(t); err != nil {
-		return Response{}, err
-	}
-	return t.resp, nil
+	return t, nil
 }
 
 // Prepare serves phase 1 of a cross-partition commit and answers with
@@ -518,20 +526,35 @@ func (s *Server) certify(req Request) (Response, error) {
 // transaction's gid, and the prepare entry is logged. No: the refusal is
 // logged as an abort marker for the gid. A gid that already has a record
 // gets the vote that record holds. A yes first pads the log with fill
-// no-ops up to req.FillTo, and ships the group's entries after
-// req.ReplicaVersion (see PrepareResponse.Remote).
+// no-ops up to req.FillTo, its batch ends alignPad no-ops past its last
+// entry, and it ships the group's entries after req.ReplicaVersion (see
+// PrepareResponse.Remote).
 func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
+	t, err := newPrepareTask(req)
+	if err != nil {
+		return PrepareResponse{}, err
+	}
+	if err := s.submit(t); err != nil {
+		return PrepareResponse{}, err
+	}
+	return s.prepareResponse(t), nil
+}
+
+// newPrepareTask is the task a Prepare submits.
+func newPrepareTask(req PrepareRequest) (*task, error) {
 	entry, err := newLogEntry(core.KindPrepare, req.Origin, req.StartVersion, req.GID, req.Involved, req.WSBytes)
 	if err != nil {
-		return PrepareResponse{}, fmt.Errorf("certifier: prepare writeset: %w", err)
+		return nil, fmt.Errorf("certifier: prepare writeset: %w", err)
 	}
 	t := newTask(kindPrepare, entry)
 	t.after = req.ReplicaVersion
 	t.target = req.FillTo
-	if err := s.submit(t); err != nil {
-		return PrepareResponse{}, err
-	}
-	return PrepareResponse{Prepared: t.prepared, Index: t.index, SystemVersion: s.committedCap(), Remote: t.remote}, nil
+	return t, nil
+}
+
+// prepareResponse is the answer to a Prepare whose task is finished.
+func (s *Server) prepareResponse(t *task) PrepareResponse {
+	return PrepareResponse{Prepared: t.prepared, Index: t.index, SystemVersion: s.committedCap(), Remote: t.remote}
 }
 
 // Resolve appends the commit or abort decision marker for a gid, or

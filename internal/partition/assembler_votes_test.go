@@ -212,6 +212,16 @@ func FuzzAssemblerVotes(f *testing.F) {
 	f.Add([]byte{1, 0, 63, 130, 2, 3, 3, 3, 1, 6, 11, 4, 4, 4, 0, 5})
 	f.Add([]byte{0, 1, 9, 10, 2, 3, 4, 3, 4, 1, 6, 2, 3, 0, 3, 4, 4})
 	f.Add([]byte{1, 2, 50, 138, 3, 3, 3, 4, 4, 4, 18, 3, 3, 4, 4, 7, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4})
+	// A round whose short group ends its batch two fill no-ops past its
+	// prepare (the certifier's yes pad): the partner holds one, two or
+	// three more entries before its prepare, in the same batch or as a
+	// head above the short group's (group 1 starting two fills ahead),
+	// and group 0 or group 1 is the short one.
+	f.Add([]byte{0, 0, 0, 2, 5, 3, 3, 1, 1, 4, 4})
+	f.Add([]byte{0, 0, 0, 2, 5, 5, 3, 3, 1, 1, 4, 4})
+	f.Add([]byte{0, 0, 0, 2, 5, 5, 5, 3, 3, 1, 1, 4, 4})
+	f.Add([]byte{0, 0, 0, 2, 0, 0, 3, 3, 6, 4, 4})
+	f.Add([]byte{0, 1, 2, 2, 3, 3, 1, 1, 4, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := buildVoteScript(data)
 		h := fnv.New64a()

@@ -774,8 +774,12 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 // each has answered. Then, if every vote is yes, it sends the commit
 // markers to every group, and otherwise an abort marker to each group
 // that did not vote no: one that did holds its abort marker already, and
-// one whose answer is missing may hold a prepare. Markers release the groups' locks: a commit's
-// also publishes the items to later certifications. Each round retries
+// one whose answer is missing may hold a prepare. Markers release the
+// groups' locks: a commit's also publishes the items to later
+// certifications. No client waits on a marker, so a group does not count
+// it as a request or an echo; it paces the group's next batch instead,
+// since a marker follows the last group's answer (see the certifier's
+// gatherBatch). Each round retries
 // every pending group at once. It touches only certifier clients (never
 // the store), so it is safe across a simulated replica crash; it stops
 // when the decision landed everywhere or the proxy shuts down. On
