@@ -47,7 +47,7 @@ func main() {
 	if _, err := db.Replica(0).DumpNow(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("dump taken at version", db.Replica(0).Proxy().ReplicaVersion())
+	fmt.Println("dump taken at version", db.Replica(0).Store().AnnouncedVersion())
 
 	// More commits after the dump — these exist only in the
 	// certifier's durable log (replica WAL is disabled under MW).

@@ -41,19 +41,20 @@ var (
 const dumpChunkRows = 256
 
 // Dump produces a consistent snapshot copy of the database labeled
-// with coveredVersion (the replica's global version at the time the
-// middleware requested the dump). The call charges page reads to the
-// data disk in chunks; concurrent transactions only ever contend on
-// brief per-shard read locks. The dump registers a read-only
-// placeholder in the active-transaction registry so inline GC cannot
-// prune the versions its snapshot still needs.
-func (s *Store) Dump(coveredVersion uint64) ([]byte, error) {
+// with the global version that snapshot shows: both come from one load
+// of the commit cursor, so the label covers exactly what the dump holds
+// — never a version still installing when the dump began. The call
+// charges page reads to the data disk in chunks; concurrent transactions
+// only ever contend on brief per-shard read locks. The dump registers a
+// read-only placeholder in the active-transaction registry so inline GC
+// cannot prune the versions its snapshot still needs.
+func (s *Store) Dump() ([]byte, error) {
 	if s.crashed.Load() {
 		return nil, ErrCrashed
 	}
 	// Pin the snapshot for the duration so inline GC cannot prune the
 	// versions it still needs.
-	snap, unpin := s.pinSnapshot()
+	snap, coveredVersion, unpin := s.pinSnapshot()
 	defer unpin()
 
 	// One pass over the shards collects each live row's version map —

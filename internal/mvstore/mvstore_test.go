@@ -691,8 +691,9 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	tx.Delete("t", "k010")
 	tx.Commit()
 
+	s.SetAnnounced(42) // the dump's label is the published version
 	fp := s.Fingerprint()
-	dump, err := s.Dump(42)
+	dump, err := s.Dump()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -739,7 +740,7 @@ func TestDumpConsistentUnderConcurrentWrites(t *testing.T) {
 			i++
 		}
 	}()
-	dump, err := s.Dump(1)
+	dump, err := s.Dump()
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -756,7 +757,7 @@ func TestDumpConsistentUnderConcurrentWrites(t *testing.T) {
 func TestValidateDumpRejectsCorruption(t *testing.T) {
 	s := openInstant(t)
 	set(t, s, "t", "k", "v", "1")
-	dump, _ := s.Dump(1)
+	dump, _ := s.Dump()
 	for _, cut := range []int{0, 1, len(dump) / 2, len(dump) - 1} {
 		if _, err := ValidateDump(dump[:cut]); !errors.Is(err, ErrBadDump) {
 			t.Errorf("truncated dump (%d bytes) accepted: %v", cut, err)

@@ -177,7 +177,7 @@ func (s *Store) latestRows(snap uint64) map[string]map[string]map[string][]byte 
 // applied the same global prefix produce identical fingerprints; the
 // property tests lean on this heavily.
 func (s *Store) Fingerprint() uint32 {
-	snap, unpin := s.pinSnapshot()
+	snap, _, unpin := s.pinSnapshot()
 	tables := s.latestRows(snap)
 	unpin()
 	h := crc32.NewIEEE()
@@ -221,7 +221,7 @@ func (s *Store) Fingerprint() uint32 {
 // RowCount returns the number of live rows in a table at the latest
 // committed state.
 func (s *Store) RowCount(tableName string) int {
-	snap, unpin := s.pinSnapshot()
+	snap, _, unpin := s.pinSnapshot()
 	defer unpin()
 	n := 0
 	for i := range s.shards {

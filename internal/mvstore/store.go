@@ -423,17 +423,19 @@ func (s *Store) Begin() (*Tx, error) {
 
 // pinSnapshot registers a read-only placeholder in the active
 // registry (same protocol as Begin, so the GC-floor ordering argument
-// applies) and returns the pinned snapshot. Long multi-shard scans —
-// Dump, Fingerprint, RowCount — use it so prune-on-commit cannot drop
-// versions their snapshot still needs mid-scan. unpin releases it.
-func (s *Store) pinSnapshot() (snap uint64, unpin func()) {
+// applies) and returns the pinned snapshot with its version label, both
+// from one load of the commit cursor. Long multi-shard scans — Dump,
+// Fingerprint, RowCount — use it so prune-on-commit cannot drop versions
+// their snapshot still needs mid-scan. unpin releases it.
+func (s *Store) pinSnapshot() (snap, version uint64, unpin func()) {
 	pin := &Tx{store: s, id: s.nextTxID.Add(1)}
 	st := s.activeStripeOf(pin.id)
 	st.mu.Lock()
-	pin.snapshot = s.cur.Load().seq
+	c := s.cur.Load()
+	pin.snapshot, pin.version = c.seq, c.version
 	st.txs[pin.id] = pin
 	st.mu.Unlock()
-	return pin.snapshot, func() { s.unregister(pin.id) }
+	return pin.snapshot, pin.version, func() { s.unregister(pin.id) }
 }
 
 // unregister removes a finished transaction from the active registry.

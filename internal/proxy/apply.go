@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"errors"
 	"fmt"
 
 	"tashkent/internal/core"
@@ -31,16 +30,19 @@ func (o *ownCommit) dropHandle() {
 // then at most one local commit, own, above them all. The merger calls
 // it for every run of the merged stream, one run at a time.
 //
-// The paper's three systems differ in two policies, both chosen from
-// cfg.Mode here and nowhere else:
+// Every mode applies the run as entries of the scheduler's window, each
+// installed by applyScheduler.install, whose failed attempts the workers
+// retry (§8.1 soft recovery). The paper's three systems differ in the
+// entries and in who commits them, chosen from cfg.Mode here and nowhere
+// else:
 //
-//   - how the remote writesets are installed: Base and Tashkent-MW
-//     (§6.2 step C4) as one merged, synchronous labeled commit — an
-//     unsharable WAL flush in Base, a memory operation in Tashkent-MW;
-//     Tashkent-API (§5.2) as chunks handed to the dependency scheduler.
-//   - how the local transaction commits: Base and Tashkent-MW (C5) by
-//     CommitLabeled after the remote batch (Base's second unsharable
-//     flush), here; Tashkent-API by an ordered commit that the waiting
+//   - Base and Tashkent-MW (§6.2 steps C4–C5) submit serially: the
+//     run's remotes merged into one entry, which the merger installs by
+//     CommitLabeled — an unsharable WAL flush in Base, a memory operation
+//     in Tashkent-MW — and once it has published, the local transaction,
+//     which the merger commits by CommitLabeled through finishOwn.
+//   - Tashkent-API (§5.2) submits the remotes as chunks for the worker
+//     pool and the local commit as an ordered commit that the waiting
 //     client finishes itself (the returned finish), concurrent with the
 //     chunks, while the merger goes on to the next run.
 //
@@ -49,125 +51,113 @@ func (o *ownCommit) dropHandle() {
 // commit as one batch before anything is submitted, so they reach the
 // log in global order and share one fsync (§5.2: the local commit record
 // and the remote writesets before it under one group commit). The local
-// commit enters the scheduler's dependency window as an entry of its
-// own, held for its client: a later chunk on one of its rows waits until
-// it publishes, as a later remote writeset on a row always waits for the
-// earlier one (§5.2.1's artificial conflicts). A local commit whose
-// handle is gone is an entry like any chunk, installed by writeset.
+// commit's entry is held for its client: a later chunk on one of its
+// rows waits until it publishes, as a later remote writeset on a row
+// always waits for the earlier one (§5.2.1's artificial conflicts). A
+// local commit whose handle is gone is an entry like any chunk,
+// installed by writeset.
 //
 // applyRun finishes own's handle on every path — committed, handed back
 // in finish, or aborted. On an error the run may be partly applied
 // (Tashkent-API: its chunks scheduled, the local commit not); whatever of
 // it the store has announced by then must not be applied again.
 func (p *Proxy) applyRun(basis uint64, remotes []RemoteEntry, own *ownCommit) (finish func() error, err error) {
-	// maxRemote is where the remote batch leaves the replica; top is
-	// where the whole run does.
-	maxRemote := basis
+	serial := p.cfg.Mode != TashkentAPI
+	// top is where the run leaves the replica.
+	top := basis
+	var entries []*applyEntry
 	if n := len(remotes); n > 0 {
-		maxRemote = remotes[n-1].Version
+		top = remotes[n-1].Version
+		if serial {
+			merged := &core.Writeset{}
+			for _, r := range remotes {
+				merged.Merge(r.WS)
+			}
+			entries = []*applyEntry{{from: basis, to: top, ws: merged}}
+		} else {
+			entries = buildChunks(remotes)
+		}
 	}
-	top := maxRemote
-	if own != nil && own.cv > top {
-		top = own.cv
+	chunks := len(entries)
+	var ownE *applyEntry
+	if own != nil {
+		ownE = &applyEntry{from: own.cv - 1, to: own.cv, ws: own.ws, held: own.tx != nil}
+		entries = append(entries, ownE)
+		top = max(top, own.cv)
 	}
-	// noteRemotes counts the writesets the run installs and the
-	// transactions (chunks) that install them; hollow entries are neither.
-	noteRemotes := func(chunks int) {
-		n := p.recordRemotes(remotes)
+	for _, e := range entries {
+		e.serial, e.held = serial, e.held || serial
+		if e.held {
+			e.done = make(chan mvstore.PendingOutcome, 1)
+		}
+	}
+	if !serial {
+		if err := p.logRun(entries, p.cfg.Store.AnnouncedVersion()); err != nil {
+			own.dropHandle()
+			return nil, err
+		}
+	}
+	p.advanceRV(top)
+	// Count the writesets the run installs and the transactions (chunks)
+	// that install them; hollow entries are neither.
+	if n := p.recordRemotes(remotes); n > 0 {
 		p.addStat(func(st *Stats) {
 			st.RemoteApplied += int64(n)
 			st.RemoteChunks += int64(min(chunks, n))
 		})
 	}
 
-	if p.cfg.Mode == TashkentAPI {
-		announced := p.cfg.Store.AnnouncedVersion()
-		entries := buildChunks(remotes)
-		chunks := len(entries)
-		var held *applyEntry
-		if own != nil {
-			e := &applyEntry{from: own.cv - 1, to: own.cv, ws: own.ws, held: own.tx != nil}
-			if e.held {
-				held = e
-			}
-			entries = append(entries, e)
-		}
-		if err := p.logRun(entries, announced); err != nil {
-			own.dropHandle()
-			return nil, err
-		}
-		p.advanceRV(top)
-		if len(remotes) > 0 {
-			noteRemotes(chunks)
-		}
+	if !serial {
 		// The scheduler's dependency analysis needs its windows in
 		// ascending version order: the merger submits one run at a time.
-		p.sched.submit(entries)
-		if held == nil {
+		p.sched.submit(entries...)
+		if ownE == nil || !ownE.held {
 			return nil, nil
 		}
-		return func() error { return p.finishOwn(held, own.tx) }, nil
+		return func() error { return p.finishOwn(ownE, own.tx) }, nil
 	}
-
-	// Base and Tashkent-MW.
-	if len(remotes) > 0 {
-		merged := &core.Writeset{}
-		for _, r := range remotes {
-			merged.Merge(r.WS)
+	for _, e := range entries {
+		p.sched.submit(e)
+		if e == ownE && own.tx != nil {
+			err = p.finishOwn(e, own.tx)
+		} else {
+			p.sched.install(e)
+			err = p.sched.wait(e)
 		}
-		if err := p.applyBatchWithRecovery(merged, basis, maxRemote, (*mvstore.Tx).CommitLabeled); err != nil {
-			own.dropHandle()
+		if err != nil {
+			own.dropHandle() // a no-op on a handle finishOwn finished
 			return nil, err
 		}
-		noteRemotes(1)
 	}
-	if own != nil {
-		var cerr error
-		if own.tx != nil {
-			if cerr = own.tx.CommitLabeled(maxRemote, own.cv); cerr != nil {
-				// A commit refused before it latched the handle leaves it
-				// holding the rows the re-apply needs.
-				own.tx.Abort()
-				p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-			}
-		}
-		if own.tx == nil || cerr != nil {
-			// Soft recovery (§8.1): the database refused the commit (or the
-			// client took its handle away), but the transaction is globally
-			// committed — re-apply its writeset as a fresh transaction.
-			if err := p.applyBatchWithRecovery(own.ws, maxRemote, own.cv, (*mvstore.Tx).CommitLabeled); err != nil {
-				return nil, fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", own.cv, cerr, err)
-			}
-		}
-	}
-	p.advanceRV(top)
 	return nil, nil
 }
 
-// finishOwn is the part of a Tashkent-API local commit its client runs:
-// the ordered commit over e's range behind the record the run logged,
-// or, if the database refuses it, the re-apply of the writeset by a
-// fresh transaction (§8.1 soft recovery). Either way it then resolves e,
-// which releases the later entries waiting for it in the scheduler's
-// window.
+// finishOwn commits a run's local transaction tx over the range of e,
+// the entry held for it: under Base and Tashkent-MW by CommitLabeled on
+// the merger, under Tashkent-API by the ordered commit its client runs
+// behind the record the run logged. A commit the database refuses is
+// handed to the workers, which re-apply the writeset by a fresh
+// transaction (§8.1 soft recovery), and finishOwn waits for that. Either
+// way e resolves, which releases the later entries waiting for it in the
+// scheduler's window.
 func (p *Proxy) finishOwn(e *applyEntry, tx *mvstore.Tx) error {
-	commit := func(tx *mvstore.Tx, from, to uint64) error {
-		if e.logged == nil {
-			return tx.CommitOrdered(from, to) // superseded when the run began
-		}
-		return tx.CommitOrderedLogged(from, to, e.logged)
+	var cerr error
+	if e.serial || e.logged == nil { // no ticket: superseded when the run began
+		cerr = tx.CommitLabeled(e.from, e.to)
+	} else {
+		cerr = tx.CommitOrderedLogged(e.from, e.to, e.logged)
 	}
-	if cerr := commit(tx, e.from, e.to); cerr != nil {
-		// A commit refused before it latched the handle (an order wait
-		// that ran out) leaves it holding the rows the re-apply needs.
-		tx.Abort()
-		p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-		if err := p.applyBatchWithRecovery(e.ws, e.from, e.to, commit); err != nil {
-			p.sched.resolve(e, outcomeOf(err))
-			return fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", e.to, cerr, err)
-		}
+	if cerr == nil {
+		p.sched.resolve(e, mvstore.PendingPublished)
+		return nil
 	}
-	p.sched.resolve(e, mvstore.PendingPublished)
+	// A commit refused before it latched the handle (an order wait that
+	// ran out) leaves it holding the rows the re-apply needs.
+	tx.Abort()
+	p.sched.requeue(e)
+	if err := p.sched.wait(e); err != nil {
+		return fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", e.to, cerr, err)
+	}
 	return nil
 }
 
@@ -230,65 +220,6 @@ func buildChunks(remotes []RemoteEntry) []*applyEntry {
 		out = append(out, cur)
 	}
 	return out
-}
-
-// applyBatchWithRecovery applies a merged writeset as one transaction,
-// retrying transient failures (lock conflicts with doomed local
-// transactions, database-side commit rejections) — the §8.1 soft
-// recovery loop. commit finishes each attempt's applier transaction
-// over (from, to]: (*mvstore.Tx).CommitLabeled everywhere except
-// finishOwn's re-apply of a Tashkent-API local commit.
-func (p *Proxy) applyBatchWithRecovery(ws *core.Writeset, from, to uint64, commit func(tx *mvstore.Tx, from, to uint64) error) error {
-	p.markInFlight(ws, to, true)
-	defer p.markInFlight(ws, to, false)
-	var lastErr error
-	for attempt := 0; attempt < maxInstallAttempts; attempt++ {
-		if attempt > 0 {
-			p.addStat(func(st *Stats) { st.SoftRecoveries++ })
-			// Let predecessors finish so conflicting locks drain.
-			p.cfg.Store.WaitAnnounced(from, p.cfg.ChunkWaitTimeout)
-		}
-		p.killConflictingLocals(ws, 0)
-		lastErr = p.applyBatchOnce(ws, from, to, commit)
-		if lastErr == nil {
-			return nil
-		}
-		if errors.Is(lastErr, mvstore.ErrCrashed) {
-			return lastErr
-		}
-	}
-	return fmt.Errorf("proxy: applying remote writesets (%d,%d]: %w", from, to, lastErr)
-}
-
-func (p *Proxy) applyBatchOnce(ws *core.Writeset, from, to uint64, commit func(tx *mvstore.Tx, from, to uint64) error) error {
-	if ws.Empty() {
-		// A certifier barrier (no-op) version: nothing to install, but
-		// the announce chain must still advance through it or every
-		// later version would wait forever. (Only the synchronous
-		// labeled callers get here; a local commit is never empty.)
-		p.cfg.Store.SetAnnounced(to)
-		return nil
-	}
-	return p.applyOnce(ws, func(tx *mvstore.Tx) error { return commit(tx, from, to) })
-}
-
-// applyOnce is one attempt at installing committed global state: a
-// fresh applier transaction takes ws's locks and finishes through
-// commit. On error nothing was committed and the caller may retry.
-func (p *Proxy) applyOnce(ws *core.Writeset, commit func(*mvstore.Tx) error) error {
-	tx, err := p.cfg.Store.Begin()
-	if err != nil {
-		return err
-	}
-	p.markApplier(tx.ID(), true)
-	defer p.markApplier(tx.ID(), false)
-	if err = tx.ApplyWriteset(ws); err == nil {
-		err = commit(tx)
-	}
-	if err != nil {
-		tx.Abort()
-	}
-	return err
 }
 
 // SetReplicaVersion initializes the planning cursor after recovery

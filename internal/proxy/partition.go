@@ -185,15 +185,6 @@ func (m *merger) resync() error {
 	case err != nil:
 		return fmt.Errorf("proxy: resync stuck below merged version %d: %w", target, err)
 	}
-	// A Base or Tashkent-MW run is announced before the merger counts it
-	// and moves the planning cursor past it; the caller reads both.
-	for p.ReplicaVersion() < target {
-		select {
-		case <-p.stopCh:
-			return ErrProxyClosed
-		case <-time.After(100 * time.Microsecond):
-		}
-	}
 	return nil
 }
 
@@ -454,10 +445,11 @@ func (m *merger) takeWaiterLocked(act partition.Action) *ownWait {
 // from wherever the store has announced by then; only a store crash or
 // shutdown stops it, and then w is told why and false returned.
 //
-// Under Base and Tashkent-MW the merger commits the client's transaction
-// itself, so their own commits are serialized; under Tashkent-API it
-// hands the ordered commit back to the client (ownTurn.finish) and goes
-// on to the next run.
+// Under Base and Tashkent-MW the merger installs the run's entries and
+// commits the client's transaction itself, each after the one before it
+// has published, so their own commits are serialized; under Tashkent-API
+// it submits the run to the scheduler's workers, hands the ordered commit
+// back to the client (ownTurn.finish) and goes on to the next run.
 func (m *merger) apply(run []partition.Action, w *ownWait) bool {
 	p := m.p
 	first, top := run[0].MV, run[len(run)-1].MV
@@ -519,6 +511,8 @@ var errUnresolved = fmt.Errorf("%w: commit outcome unresolved at shutdown", ErrP
 // the part of the commit the answer leaves to it, and returns the merged
 // commit version. A waiter the merger has not taken is withdrawn after
 // 30 s or when the proxy closes; one it has taken is always answered.
+// Either part may end unresolved at shutdown; closedErr then says what
+// the client is told.
 func (m *merger) await(w *ownWait) (uint64, error) {
 	timeout := time.NewTimer(30 * time.Second)
 	defer timeout.Stop()
@@ -530,11 +524,11 @@ func (m *merger) await(w *ownWait) (uint64, error) {
 	case <-m.p.stopCh:
 		t = m.withdraw(w, errUnresolved)
 	}
-	if errors.Is(t.err, errUnresolved) {
-		t.err = m.closedErr(w.tx)
-	}
 	if t.err == nil && t.finish != nil {
 		t.err = t.finish()
+	}
+	if errors.Is(t.err, errUnresolved) {
+		t.err = m.closedErr(w.tx)
 	}
 	return t.mv, t.err
 }

@@ -137,9 +137,9 @@ type Config struct {
 	// (see schedule.go), 0 = 8: labeled remote writesets are
 	// conflict-analyzed per store stripe, installed concurrently by
 	// this many workers (one is the serial gate) and published strictly
-	// in global order. The pool serves Tashkent-API, classic or
-	// partitioned, and nothing else: Base and Tashkent-MW install their
-	// remote batches synchronously (see applyRun) and leave it idle.
+	// in global order. Under Tashkent-API the pool installs every chunk;
+	// under Base and Tashkent-MW the merger installs each entry itself
+	// (see applyRun), and the pool only retries a failed attempt.
 	ApplyWorkers int
 }
 
@@ -173,8 +173,8 @@ type Proxy struct {
 	// store's labeled-commit gate instead.
 	applierTxs map[uint64]struct{}
 
-	// sched is the dependency scheduler, the only applier of labeled
-	// remote writesets outside the synchronous catch-up paths.
+	// sched is the dependency scheduler: every run of the merged stream
+	// is applied as entries of its window, in every mode.
 	sched *applyScheduler
 
 	stopCh chan struct{}
@@ -561,9 +561,10 @@ type inFlightMark struct {
 }
 
 // remoteInFlightConflicts reports whether an item collides with a
-// remote writeset currently being applied (set by the scheduler and the
-// synchronous batch applier). A mark stops counting the moment the store
-// announces its version, not when its applier gets round to clearing it:
+// remote writeset currently being applied (set by the scheduler's
+// install, whichever goroutine runs it, in every mode). A mark stops
+// counting the moment the store announces its version, not when its
+// applier gets round to clearing it:
 // whoever was told that version is applied (a causal wait, Converge)
 // must be able to write the item.
 func (p *Proxy) remoteInFlightConflicts(item core.ItemID) bool {

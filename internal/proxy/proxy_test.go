@@ -499,17 +499,24 @@ func TestStalenessBoundPullsAutomatically(t *testing.T) {
 	t.Fatal("staleness bound never propagated the update")
 }
 
+// TestSoftRecoveryOnCommitRejection: in every mode, a local commit the
+// database refuses is re-applied by writeset (§8.1) and the client hears
+// success.
 func TestSoftRecoveryOnCommitRejection(t *testing.T) {
-	r := newRig(t, 1, Base, nil)
-	r.stores[0].FailNextCommit(1)
-	if err := commitUpdate(t, r.proxies[0], "t", "x", "v1"); err != nil {
-		t.Fatalf("commit with injected rejection should soft-recover: %v", err)
-	}
-	if v, ok := readVal(t, r.proxies[0], "t", "x"); !ok || v != "v1" {
-		t.Errorf("after soft recovery x = %q %v", v, ok)
-	}
-	if r.proxies[0].Stats().SoftRecoveries == 0 {
-		t.Error("soft recovery not recorded")
+	for _, mode := range []Mode{Base, TashkentMW, TashkentAPI} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig(t, 1, mode, nil)
+			r.stores[0].FailNextCommit(1)
+			if err := commitUpdate(t, r.proxies[0], "t", "x", "v1"); err != nil {
+				t.Fatalf("commit with injected rejection should soft-recover: %v", err)
+			}
+			if v, ok := readVal(t, r.proxies[0], "t", "x"); !ok || v != "v1" {
+				t.Errorf("after soft recovery x = %q %v", v, ok)
+			}
+			if r.proxies[0].Stats().SoftRecoveries == 0 {
+				t.Error("soft recovery not recorded")
+			}
+		})
 	}
 }
 

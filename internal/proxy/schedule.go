@@ -1,13 +1,12 @@
 package proxy
 
-// Dependency-tracked applier: the path by which Tashkent-API's chunks of
-// remote writesets reach the store — applyRun builds them from a run of
-// the merged stream, with a held entry for the run's local commit — plus
-// ApplyRemoteEntries. Base and Tashkent-MW install their
-// remote batches synchronously at any partition count and leave the pool
-// idle. One labeled commit at a time through the store's order semaphore
-// makes the replica's apply path the freshness bottleneck once the disk
-// is in it; that discipline is the pool size 1.
+// Dependency-tracked applier: the one path by which the runs applyRun
+// builds from the merged stream reach the store, in every mode. install
+// is the one routine that installs a writeset, and a failed attempt goes
+// back to the window for the workers to retry (§8.1 soft recovery). One
+// labeled commit at a time through the store's order semaphore makes the
+// replica's apply path the freshness bottleneck once the disk is in it;
+// that discipline is the pool size 1.
 //
 // The scheduler is a pipeline: labeled remote writesets are
 // conflict-analyzed against the live window using stripe signatures
@@ -45,6 +44,7 @@ package proxy
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -56,7 +56,7 @@ import (
 // Entry lifecycle.
 const (
 	entryWaiting = iota // in window: not ready, or ready with no worker yet
-	entryRunning        // a worker is installing it
+	entryRunning        // a worker or its holder is installing it
 	entryDone           // published / superseded / given up
 )
 
@@ -75,10 +75,18 @@ type applyEntry struct {
 	waitBy   time.Time
 	attempts int  // failed install attempts so far
 	marked   bool // ws items registered in-flight (first attempt → resolve)
-	// held marks a Tashkent-API local commit: no worker installs it; its
-	// client commits the transaction and resolves the entry (finishOwn),
-	// and until then a later entry on its rows waits for it.
-	held  bool
+	// held marks an entry its submitter makes the first attempt at, so no
+	// worker takes it until that attempt fails: the merger installs a
+	// serial entry, a client commits its own transaction (finishOwn). Until
+	// it resolves, a later entry on its rows waits for it, and its holder
+	// waits on done.
+	held bool
+	// serial marks a Base or Tashkent-MW entry: every attempt commits with
+	// the synchronous CommitLabeled, published when it returns.
+	serial bool
+	// done, which applyRun makes for a held entry, receives its outcome
+	// from resolve.
+	done  chan mvstore.PendingOutcome
 	sig   mvstore.StripeSig
 	deps  int // unpublished predecessors with intersecting signatures
 	succs []*applyEntry
@@ -126,8 +134,7 @@ type applyScheduler struct {
 	wg sync.WaitGroup
 }
 
-// maxInstallAttempts bounds the §8.1 soft-recovery retries of one
-// writeset, in the scheduler and in applyBatchWithRecovery alike.
+// maxInstallAttempts bounds the §8.1 soft-recovery retries of one entry.
 const maxInstallAttempts = 8
 
 func newApplyScheduler(p *Proxy, workers int) *applyScheduler {
@@ -143,7 +150,8 @@ func newApplyScheduler(p *Proxy, workers int) *applyScheduler {
 
 // stop drains the worker pool. Entries still in the window are
 // abandoned (the process is shutting down; durable state lives in the
-// certifier log).
+// certifier log); one that waits for a worker is given up, so a holder
+// that handed it over is answered.
 func (s *applyScheduler) stop() {
 	s.mu.Lock()
 	s.closed = true
@@ -151,6 +159,18 @@ func (s *applyScheduler) stop() {
 	s.mu.Unlock()
 	s.kickWatch()
 	s.wg.Wait()
+	s.mu.Lock()
+	var waiting []*applyEntry
+	for _, e := range s.window {
+		if e.state == entryWaiting {
+			e.state = entryDone
+			waiting = append(waiting, e)
+		}
+	}
+	s.mu.Unlock()
+	for _, e := range waiting {
+		s.resolve(e, 0)
+	}
 }
 
 func (s *applyScheduler) kickWatch() {
@@ -164,12 +184,14 @@ func (s *applyScheduler) kickWatch() {
 // them. Entries must be in ascending version order, and concurrent
 // submitters must already be ordered against each other (the merger) —
 // the analysis assumes every window entry precedes every new
-// entry in version order.
-func (s *applyScheduler) submit(entries []*applyEntry) {
+// entry in version order. Held entries alone wake neither the pool nor
+// the version waiter: no worker may take them.
+func (s *applyScheduler) submit(entries ...*applyEntry) {
 	if len(entries) == 0 {
 		return
 	}
 	store := s.p.cfg.Store
+	wake := false
 	s.mu.Lock()
 	for _, e := range entries {
 		for len(s.window) >= maxApplyWindow && !s.closed {
@@ -186,7 +208,9 @@ func (s *applyScheduler) submit(entries []*applyEntry) {
 		e.sig = store.Signature(e.ws)
 		e.state = entryWaiting
 		if e.held {
-			e.state = entryRunning // in its client's hands, never a worker's
+			e.state = entryRunning // in its holder's hands, not a worker's
+		} else {
+			wake = true
 		}
 		e.start = time.Now()
 		if e.sig != 0 {
@@ -206,9 +230,13 @@ func (s *applyScheduler) submit(entries []*applyEntry) {
 	}
 	s.windows++
 	s.windowDist.Observe(int64(len(entries)))
-	s.cond.Broadcast()
+	if wake {
+		s.cond.Broadcast()
+	}
 	s.mu.Unlock()
-	s.kickWatch()
+	if wake {
+		s.kickWatch()
+	}
 }
 
 // worker picks the lowest-version ready entry (dependencies published,
@@ -295,13 +323,14 @@ func (s *applyScheduler) watch() {
 	}
 }
 
-// install runs one attempt at an entry on a pool worker: install the
-// writeset with the kill discipline of the serial path (§8.2 eager
-// kills) and commit with deferred publication (CommitLabeledAsync, or
-// CommitLoggedAsync behind the record its response already logged), so
-// the entry's versions publish at their global turn while this worker
-// moves on. A failed attempt (§8.1 soft recovery) puts the entry back in
-// the window, ready again once its predecessors have published.
+// install runs one attempt at an entry — on a pool worker, or on the
+// holder of a serial entry: install the writeset with the eager kills of
+// §8.2 and commit it. A serial entry commits with the synchronous
+// CommitLabeled and resolves at once; any other commits with deferred
+// publication (CommitLabeledAsync, or CommitLoggedAsync behind the record
+// its run already logged), so the entry's versions publish at their
+// global turn while the worker moves on. A failed attempt goes back to
+// the window (requeue).
 func (s *applyScheduler) install(e *applyEntry) {
 	p := s.p
 	cb := func(oc mvstore.PendingOutcome) { s.resolve(e, oc) }
@@ -318,14 +347,29 @@ func (s *applyScheduler) install(e *applyEntry) {
 		e.marked = true
 	}
 	p.killConflictingLocals(e.ws, 0)
-	err := p.applyOnce(e.ws, func(tx *mvstore.Tx) error {
-		if e.logged != nil {
-			return tx.CommitLoggedAsync(e.from, e.to, e.logged, cb)
-		}
-		return tx.CommitLabeledAsync(e.from, e.to, cb)
-	})
+	tx, err := p.cfg.Store.Begin()
 	if err == nil {
-		// The commit is pending publication or already resolved
+		p.markApplier(tx.ID(), true)
+		if err = tx.ApplyWriteset(e.ws); err == nil {
+			switch {
+			case e.serial:
+				err = tx.CommitLabeled(e.from, e.to)
+			case e.logged != nil:
+				err = tx.CommitLoggedAsync(e.from, e.to, e.logged, cb)
+			default:
+				err = tx.CommitLabeledAsync(e.from, e.to, cb)
+			}
+		}
+		if err != nil {
+			tx.Abort()
+		}
+		p.markApplier(tx.ID(), false)
+	}
+	if err == nil {
+		if e.serial {
+			cb(mvstore.PendingPublished)
+		}
+		// Otherwise the commit is pending publication or already resolved
 		// (superseded fast path); cb owns the rest.
 		return
 	}
@@ -334,13 +378,44 @@ func (s *applyScheduler) install(e *applyEntry) {
 		cb(outcomeOf(err))
 		return
 	}
-	p.addStat(func(st *Stats) { st.SoftRecoveries++ })
+	s.requeue(e)
+}
+
+// requeue hands an entry whose attempt failed to the workers (§8.1 soft
+// recovery): it is ready again once its predecessors have published and
+// the store has announced its from, so conflicting locks drain first.
+func (s *applyScheduler) requeue(e *applyEntry) {
+	s.p.addStat(func(st *Stats) { st.SoftRecoveries++ })
 	s.mu.Lock()
-	e.waitFor, e.waitBy = e.from, time.Now().Add(p.cfg.ChunkWaitTimeout)
+	if s.closed {
+		s.mu.Unlock()
+		s.resolve(e, 0) // no worker is left to retry it
+		return
+	}
+	e.waitFor, e.waitBy = e.from, time.Now().Add(s.p.cfg.ChunkWaitTimeout)
 	e.state = entryWaiting
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.kickWatch()
+}
+
+// wait blocks a held entry's holder until the entry resolves: nil once
+// its range is published or covered by newer state, else why it was
+// given up — errUnresolved if the proxy closed first.
+func (s *applyScheduler) wait(e *applyEntry) error {
+	switch <-e.done {
+	case mvstore.PendingPublished, mvstore.PendingSuperseded:
+		return nil
+	case mvstore.PendingCrashed:
+		return mvstore.ErrCrashed
+	}
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return errUnresolved
+	}
+	return fmt.Errorf("proxy: installing (%d,%d] gave up after %d failed attempts", e.from, e.to, e.attempts)
 }
 
 // outcomeOf maps an install failure to the terminal outcome recorded
@@ -388,8 +463,13 @@ func (s *applyScheduler) resolve(e *applyEntry, oc mvstore.PendingOutcome) {
 			break
 		}
 	}
-	s.cond.Broadcast()
+	if len(s.window) > 0 {
+		s.cond.Broadcast() // an empty window has nothing for a worker
+	}
 	s.mu.Unlock()
+	if e.done != nil {
+		e.done <- oc
+	}
 	if watched {
 		s.kickWatch()
 	}
@@ -452,29 +532,10 @@ func (p *Proxy) ApplyStats() ApplyStats {
 }
 
 // RemoteEntry is one labeled remote writeset: an action of the merged
-// stream, or fed directly into the apply path by harness experiments
-// and tests. Own marks a writeset this replica originated.
+// stream in a run handed to applyRun. Own marks a writeset this replica
+// originated.
 type RemoteEntry struct {
 	Version uint64
 	WS      *core.Writeset
 	Own     bool
-}
-
-// ApplyRemoteEntries feeds labeled remote writesets (ascending
-// versions) to the scheduler without a certification round trip; tests
-// drive the apply path with it. The call
-// returns once the entries are scheduled — wait on Store.WaitAnnounced
-// for completion.
-func (p *Proxy) ApplyRemoteEntries(entries []RemoteEntry) error {
-	ents := make([]*applyEntry, 0, len(entries))
-	var top uint64
-	for _, e := range entries {
-		ents = append(ents, &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS})
-		if e.Version > top {
-			top = e.Version
-		}
-	}
-	p.sched.submit(ents)
-	p.advanceRV(top)
-	return nil
 }

@@ -22,15 +22,21 @@ func upEntry(v uint64, key string, cols ...core.ColUpdate) RemoteEntry {
 	}}}
 }
 
-// submitWaiting schedules entries as ApplyRemoteEntries does, except that
-// the entry at version v waits for the store to announce waitFor[v]
-// before it takes its locks — the version wait of a requeued install.
+// submitRemotes hands labeled writesets (ascending versions) to p's
+// scheduler without a certification round trip, one entry each, and
+// returns once they are scheduled: wait on Store.WaitAnnounced for
+// completion.
+func submitRemotes(p *Proxy, entries []RemoteEntry) { submitWaiting(p, entries, nil) }
+
+// submitWaiting is submitRemotes, except that the entry at version v
+// waits for the store to announce waitFor[v] before it takes its locks —
+// the version wait of a requeued install.
 func submitWaiting(p *Proxy, entries []RemoteEntry, waitFor map[uint64]uint64) {
 	ents := make([]*applyEntry, len(entries))
 	for i, e := range entries {
 		ents[i] = &applyEntry{from: e.Version - 1, to: e.Version, ws: e.WS, waitFor: waitFor[e.Version]}
 	}
-	p.sched.submit(ents)
+	p.sched.submit(ents...)
 	p.advanceRV(entries[len(entries)-1].Version)
 }
 
@@ -64,9 +70,7 @@ func TestParallelApplyDisjointParallelizes(t *testing.T) {
 	for v := uint64(1); v <= n; v++ {
 		entries = append(entries, upEntry(v, fmt.Sprintf("k%03d", v)))
 	}
-	if err := p.ApplyRemoteEntries(entries); err != nil {
-		t.Fatal(err)
-	}
+	submitRemotes(p, entries)
 	if err := r.stores[0].WaitAnnounced(n, 10*time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(%d): %v", n, err)
 	}
@@ -104,9 +108,7 @@ func TestParallelApplyOverlappingSerializes(t *testing.T) {
 		entries = append(entries, upEntry(v, "hot",
 			core.ColUpdate{Col: fmt.Sprintf("c%02d", v), Value: []byte(fmt.Sprintf("%d", v))}))
 	}
-	if err := p.ApplyRemoteEntries(entries); err != nil {
-		t.Fatal(err)
-	}
+	submitRemotes(p, entries)
 	if err := r.stores[0].WaitAnnounced(n, 10*time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(%d): %v", n, err)
 	}
@@ -185,9 +187,7 @@ func TestParallelApplyPublicationOrderTotal(t *testing.T) {
 		}
 	}()
 
-	if err := p.ApplyRemoteEntries(entries); err != nil {
-		t.Fatal(err)
-	}
+	submitRemotes(p, entries)
 	if err := store.WaitAnnounced(n, 10*time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(%d): %v", n, err)
 	}
@@ -203,29 +203,35 @@ func TestParallelApplyPublicationOrderTotal(t *testing.T) {
 }
 
 func TestParallelApplyMatchesSerialState(t *testing.T) {
-	// The pool must reach exactly the state the synchronous catch-up
-	// applier reaches one version at a time on a conflicted stream
-	// (same-key versions serialize through dependency edges; disjoint
-	// ones commute via absolute values). The reference shares no
-	// scheduling code with the scheduler.
-	r := newRig(t, 2, TashkentAPI, nil)
+	// The pool must reach exactly the state a bare store reaches applying
+	// the stream one version at a time on a conflicted stream (same-key
+	// versions serialize through dependency edges; disjoint ones commute
+	// via absolute values). The reference shares no proxy code.
+	r := newRig(t, 1, TashkentAPI, nil)
 	const n = 150
 	entries := make([]RemoteEntry, 0, n)
 	for v := uint64(1); v <= n; v++ {
 		entries = append(entries, upEntry(v, fmt.Sprintf("k%02d", (v*7)%30)))
 	}
-	if err := r.proxies[0].ApplyRemoteEntries(entries); err != nil {
-		t.Fatal(err)
-	}
+	submitRemotes(r.proxies[0], entries)
 	if err := r.stores[0].WaitAnnounced(n, 10*time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(%d): %v", n, err)
 	}
+	ref := mvstore.Open(mvstore.Config{})
+	defer ref.Close()
 	for _, e := range entries {
-		if err := r.proxies[1].applyBatchWithRecovery(e.WS, e.Version-1, e.Version, (*mvstore.Tx).CommitLabeled); err != nil {
+		tx, err := ref.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.ApplyWriteset(e.WS); err != nil {
 			t.Fatalf("serial apply of v%d: %v", e.Version, err)
 		}
+		if err := tx.CommitLabeled(e.Version-1, e.Version); err != nil {
+			t.Fatalf("serial commit of v%d: %v", e.Version, err)
+		}
 	}
-	if a, b := r.stores[0].Fingerprint(), r.stores[1].Fingerprint(); a != b {
+	if a, b := r.stores[0].Fingerprint(), ref.Fingerprint(); a != b {
 		t.Fatalf("parallel fingerprint %08x != serial fingerprint %08x", a, b)
 	}
 }
@@ -240,13 +246,13 @@ func TestApplySubmitLargerThanWindow(t *testing.T) {
 	for v := uint64(1); v <= n; v++ {
 		entries = append(entries, upEntry(v, fmt.Sprintf("k%04d", v)))
 	}
-	submitted := make(chan error, 1)
-	go func() { submitted <- p.ApplyRemoteEntries(entries) }()
+	submitted := make(chan struct{})
+	go func() {
+		submitRemotes(p, entries)
+		close(submitted)
+	}()
 	select {
-	case err := <-submitted:
-		if err != nil {
-			t.Fatal(err)
-		}
+	case <-submitted:
 	case <-time.After(20 * time.Second):
 		t.Fatalf("submit of %d entries never returned (stats %+v)", n, p.ApplyStats())
 	}
@@ -299,9 +305,7 @@ func TestApplyOneWorkerIsSerialGate(t *testing.T) {
 	for v := uint64(1); v <= n; v++ {
 		entries = append(entries, upEntry(v, fmt.Sprintf("k%03d", v)))
 	}
-	if err := p.ApplyRemoteEntries(entries); err != nil {
-		t.Fatal(err)
-	}
+	submitRemotes(p, entries)
 	if err := r.stores[0].WaitAnnounced(n, 10*time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(%d): %v", n, err)
 	}
@@ -405,7 +409,7 @@ func TestCloseLetsFinishersSubmit(t *testing.T) {
 		defer p.wg.Done()
 		<-p.stopCh
 		time.Sleep(20 * time.Millisecond) // Close is past whatever it does first
-		p.ApplyRemoteEntries(entries)
+		submitRemotes(p, entries)
 		finished <- store.WaitAnnounced(n, time.Second)
 	}()
 	p.Close()

@@ -162,17 +162,17 @@ func (r *Replica) DataDisk() *simdisk.Disk { return r.dataDisk }
 func (r *Replica) LogDisk() *simdisk.Disk { return r.logDisk }
 
 // DumpNow takes a database copy for Tashkent-MW recovery, labeled with
-// the replica's current version, and retains the two most recent
-// copies. The database keeps serving transactions while dumping.
+// the global version its snapshot shows (mvstore.Store.Dump), and
+// retains the two most recent copies. The database keeps serving
+// transactions while dumping.
 func (r *Replica) DumpNow() (int, error) {
 	r.mu.Lock()
-	store, p, crashed := r.store, r.proxy, r.crashed
+	store, crashed := r.store, r.crashed
 	r.mu.Unlock()
 	if crashed {
 		return 0, ErrCrashed
 	}
-	covered := p.ReplicaVersion()
-	dump, err := store.Dump(covered)
+	dump, err := store.Dump()
 	if err != nil {
 		return 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tashkent/internal/certifier"
+	"tashkent/internal/mvstore"
 	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
 	"tashkent/internal/simdisk"
@@ -77,6 +78,74 @@ func TestReplicaDumpKeepsTwoCopies(t *testing.T) {
 	r.mu.Unlock()
 	if n != 2 {
 		t.Errorf("kept %d dumps, want 2 (paper keeps last two copies)", n)
+	}
+}
+
+// TestDumpLabelIsTheSnapshotVersion: a dump is labeled with the global
+// version its snapshot shows. A Tashkent-API run moves the planning
+// cursor (Proxy.ReplicaVersion) when it is submitted, before it
+// publishes; a dump taken in between must not claim the run, or a
+// recovery from it would skip the run's versions for good.
+func TestDumpLabelIsTheSnapshotVersion(t *testing.T) {
+	parts := newCertGroup(t)
+	r := Open(Config{ID: 1, Mode: proxy.TashkentAPI, Parts: parts, IO: IOConfig{Dedicated: true}})
+	defer r.Close()
+	commit := func(key string) error {
+		tx, err := r.Begin()
+		if err != nil {
+			return err
+		}
+		if err := tx.Update("t", key, map[string][]byte{"v": []byte("x")}); err != nil {
+			return err
+		}
+		return tx.Commit()
+	}
+	if err := commit("a"); err != nil { // version 1, published
+		t.Fatal(err)
+	}
+	reached, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	r.LogDisk().SetHook(func(op simdisk.Op, _, _ int) {
+		if op == simdisk.OpFsync {
+			first.Do(func() {
+				close(reached)
+				<-release
+			})
+		}
+	})
+	committed := make(chan error, 1)
+	go func() { committed <- commit("b") }()
+	<-reached // version 2's run is logged and its fsync held
+	deadline := time.Now().Add(3 * time.Second)
+	for r.Proxy().ReplicaVersion() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("version 2's run was never submitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_, err := r.DumpNow()
+	shown := r.Store().AnnouncedVersion()
+	close(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	r.LogDisk().SetHook(nil)
+	if shown != 1 {
+		t.Fatalf("the store published version %d with the run's fsync held, want 1", shown)
+	}
+	r.mu.Lock()
+	dump := r.dumps[len(r.dumps)-1]
+	r.mu.Unlock()
+	restored, covered, err := mvstore.RestoreDump(mvstore.Config{}, dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if covered != shown || restored.RowCount("t") != 1 {
+		t.Errorf("dump labeled %d holds %d rows; its snapshot shows version %d (1 row)", covered, restored.RowCount("t"), shown)
 	}
 }
 
