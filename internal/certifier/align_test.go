@@ -47,20 +47,20 @@ func unionFromAnswers(t *testing.T, short, k int, earlier, covered bool) {
 		certs = append(certs, certifier.Request{Origin: 2, StartVersion: fillTo, WSBytes: certifier.WSBytes(fmt.Sprintf("single-%d", i))})
 	}
 	if earlier {
-		certifier.InOneBatch(t, groups[partner], certs, nil)
+		certifier.InOneBatch(t, groups[partner], certs)
 		certs = nil
 	}
 	asm := partition.NewAssembler(2)
 	var index [2]uint64
 	for g, s := range groups {
-		prep := certifier.PrepareRequest{GID: 1, Origin: 1, StartVersion: fillTo, Involved: []int{0, 1},
+		prep := certifier.Request{GID: 1, Origin: 1, StartVersion: fillTo, Involved: []int{0, 1},
 			WSBytes: certifier.WSBytes(fmt.Sprintf("part-%d", g)), FillTo: fillTo}
 		var batchCerts []certifier.Request
 		if g == partner {
 			batchCerts = certs
 		}
-		ans := certifier.InOneBatch(t, s, batchCerts, []certifier.PrepareRequest{prep})[0]
-		if !ans.Prepared {
+		ans := certifier.InOneBatch(t, s, append(batchCerts, prep))[len(batchCerts)]
+		if !ans.Yes {
 			t.Fatalf("group %d refused the prepare: %+v", g, ans)
 		}
 		index[g] = ans.Index

@@ -95,8 +95,8 @@ func TestCertifyCommitAndVersions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("certify %d: %v", i, err)
 		}
-		if !resp.Committed || resp.CommitVersion != uint64(i) {
-			t.Fatalf("certify %d: committed=%v version=%d", i, resp.Committed, resp.CommitVersion)
+		if !resp.Yes || resp.Index != uint64(i) {
+			t.Fatalf("certify %d: committed=%v version=%d", i, resp.Yes, resp.Index)
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestCertifyCommitAndVersions(t *testing.T) {
 func TestCertifyConflictAborts(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
 	r1, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("x")})
-	if err != nil || !r1.Committed {
+	if err != nil || !r1.Yes {
 		t.Fatalf("first: %v %v", r1, err)
 	}
 	// Same start version, same key, different replica: conflict.
@@ -112,12 +112,12 @@ func TestCertifyConflictAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Committed {
+	if r2.Yes {
 		t.Error("conflicting writeset committed")
 	}
 	// Starting after the conflict commits cleanly.
 	r3, err := g.client.Certify(Request{Origin: 2, StartVersion: 1, ReplicaVersion: 1, WSBytes: wsBytes("x")})
-	if err != nil || !r3.Committed {
+	if err != nil || !r3.Yes {
 		t.Fatalf("post-conflict: %v %v", r3, err)
 	}
 }
@@ -135,7 +135,7 @@ func TestRemoteWritesetsExcludeOwn(t *testing.T) {
 	// carries v2 (origin 2) and v3, the commit itself, but not v1 (its
 	// own, below the replica's version).
 	resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 2, ReplicaVersion: 1, WSBytes: wsBytes("k3")})
-	if err != nil || !resp.Committed {
+	if err != nil || !resp.Yes {
 		t.Fatalf("certify: %v %v", resp, err)
 	}
 	if len(resp.Remote) != 2 || resp.Remote[0].Version != 2 || resp.Remote[1].Version != 3 {
@@ -171,7 +171,7 @@ func TestAbortInjectionAfterFullCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Committed {
+	if resp.Yes {
 		t.Fatal("100% abort rate still committed")
 	}
 	ld := g.waitLeader(t)
@@ -182,7 +182,7 @@ func TestAbortInjectionAfterFullCheck(t *testing.T) {
 	// Rate change takes effect.
 	ld.SetAbortRate(0)
 	resp, err = g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("x")})
-	if err != nil || !resp.Committed {
+	if err != nil || !resp.Yes {
 		t.Fatalf("after rate reset: %v %v", resp, err)
 	}
 }
@@ -247,7 +247,7 @@ func TestPipelineBatchesConcurrentCertifications(t *testing.T) {
 			})
 			if err != nil {
 				t.Errorf("certify %d: %v", i, err)
-			} else if !resp.Committed {
+			} else if !resp.Yes {
 				t.Errorf("certify %d aborted (disjoint writesets cannot conflict)", i)
 			}
 		}()
@@ -272,7 +272,7 @@ func TestPipelineBatchesConcurrentCertifications(t *testing.T) {
 func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
 	r1, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("a")})
-	if err != nil || !r1.Committed {
+	if err != nil || !r1.Yes {
 		t.Fatalf("pre-failover: %+v %v", r1, err)
 	}
 	g.waitLeader(t).Stop()
@@ -292,8 +292,8 @@ func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 	}
 	// The new leader's answer runs through the commit, the old term's
 	// entry before it included.
-	if n := len(r2.Remote); !r2.Committed || n < 2 || r2.Remote[n-1].Version != r2.CommitVersion {
-		t.Errorf("post-failover commit ships %+v, want the log through its own version %d", r2.Remote, r2.CommitVersion)
+	if n := len(r2.Remote); !r2.Yes || n < 2 || r2.Remote[n-1].Version != r2.Index {
+		t.Errorf("post-failover commit ships %+v, want the log through its own version %d", r2.Remote, r2.Index)
 	}
 
 	// A pull served by the new leader ships only majority-durable
@@ -352,7 +352,7 @@ func TestFollowerRedirects(t *testing.T) {
 	}
 	// The retrying client handles it transparently.
 	resp, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("y")})
-	if err != nil || !resp.Committed {
+	if err != nil || !resp.Yes {
 		t.Fatalf("client certify: %v %v", resp, err)
 	}
 }
@@ -360,7 +360,7 @@ func TestFollowerRedirects(t *testing.T) {
 func TestLeaderFailoverPreservesLog(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
 	r1, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("a")})
-	if err != nil || !r1.Committed {
+	if err != nil || !r1.Yes {
 		t.Fatalf("pre-failover: %v %v", r1, err)
 	}
 	ld := g.waitLeader(t)
@@ -378,7 +378,7 @@ func TestLeaderFailoverPreservesLog(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !r2.Committed || r2.CommitVersion != 2 {
+	if !r2.Yes || r2.Index != 2 {
 		t.Fatalf("post-failover: %+v", r2)
 	}
 	// The new leader still knows version 1's writeset: a conflicting
@@ -387,7 +387,7 @@ func TestLeaderFailoverPreservesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Committed {
+	if r3.Yes {
 		t.Error("new leader lost conflict state from before failover")
 	}
 }
@@ -536,7 +536,7 @@ func medianAllocPerCall(rounds int, fn func(i int)) uint64 {
 }
 
 // TestRequestCostIndependentOfLogLength pins the certifier request path
-// at O(1) in committed history: a Pull and a Prepare against a
+// at O(1) in committed history: a Pull and a prepare against a
 // 20 000-entry log allocate no more than twice what they do against a
 // 200-entry log. A request path that copies the paxos log to read role
 // and term misses this by two orders of magnitude.
@@ -552,11 +552,11 @@ func TestRequestCostIndependentOfLogLength(t *testing.T) {
 			// The replica is caught up, as its pull above: the yes ships
 			// the prepare alone.
 			head := srv.committedCap()
-			resp, err := srv.Prepare(PrepareRequest{
+			resp, err := srv.Certify(Request{
 				GID: uint64(i + 1), Origin: 1, StartVersion: head, Involved: []int{0, 1},
 				WSBytes: wsBytes(fmt.Sprintf("k%d", i)), ReplicaVersion: head,
 			})
-			if err != nil || !resp.Prepared {
+			if err != nil || !resp.Yes {
 				t.Fatalf("prepare at %d entries: %+v %v", entries, resp, err)
 			}
 		})
@@ -603,13 +603,13 @@ func TestBytesAfterWritesetNeverEnterLog(t *testing.T) {
 	if resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 1, WSBytes: append(wsBytes("b"), smuggled...)}); err == nil {
 		t.Errorf("certify with bytes after the writeset answered %+v", resp)
 	}
-	if resp, err := srv.Prepare(PrepareRequest{GID: 9, Origin: 1, StartVersion: 1, Involved: []int{0, 1},
+	if resp, err := srv.Certify(Request{GID: 9, Origin: 1, StartVersion: 1, Involved: []int{0, 1},
 		WSBytes: append(wsBytes("c"), smuggled...)}); err == nil {
 		t.Errorf("prepare with bytes after the writeset answered %+v", resp)
 	}
 	// The group still works, and the next version is 2.
 	resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 1, WSBytes: wsBytes("d")})
-	if err != nil || !resp.Committed || resp.CommitVersion != 2 {
+	if err != nil || !resp.Yes || resp.Index != 2 {
 		t.Fatalf("certify after the refusals: %+v, %v", resp, err)
 	}
 	_, _, log := srv.Node().SnapshotLog()
@@ -635,7 +635,7 @@ func TestPullAllocationsDoNotGrowWithEntries(t *testing.T) {
 	srv := g.servers[0]
 	const entries = 200
 	for i := 0; i < entries; i++ {
-		if _, err := srv.certify(Request{Origin: 1 + i%3, StartVersion: uint64(i), WSBytes: wsBytes(fmt.Sprintf("k%d", i))}); err != nil {
+		if _, err := srv.Certify(Request{Origin: 1 + i%3, StartVersion: uint64(i), WSBytes: wsBytes(fmt.Sprintf("k%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,7 +56,10 @@ func NewClient(nodes []transport.Client, timeout time.Duration) *Client {
 	return &Client{nodes: nodes, timeout: timeout}
 }
 
-// Certify runs one certification request against the group leader.
+// Certify runs one commit request against the group leader. Safe to
+// retry: a cross-partition request is idempotent per gid, and a
+// duplicated one-group commit only adds a log entry with the same
+// absolute-valued writeset, which replicas apply idempotently.
 func (c *Client) Certify(req Request) (Response, error) {
 	return c.CertifyCtx(context.Background(), req)
 }
@@ -72,26 +75,8 @@ func (c *Client) CertifyCtx(ctx context.Context, req Request) (Response, error) 
 
 // Pull fetches missing remote writesets (staleness bounding).
 func (c *Client) Pull(req PullRequest) (PullResponse, error) {
-	return c.PullCtx(context.Background(), req)
-}
-
-// PullCtx is Pull bounded by the caller's context.
-func (c *Client) PullCtx(ctx context.Context, req PullRequest) (PullResponse, error) {
 	var resp PullResponse
-	err := c.call(ctx, MethodPull, &req, &resp)
-	return resp, err
-}
-
-// Prepare runs phase 1 of a cross-partition commit against this
-// group's leader. Safe to retry: the server is idempotent per gid.
-func (c *Client) Prepare(req PrepareRequest) (PrepareResponse, error) {
-	return c.PrepareCtx(context.Background(), req)
-}
-
-// PrepareCtx is Prepare bounded by the caller's context.
-func (c *Client) PrepareCtx(ctx context.Context, req PrepareRequest) (PrepareResponse, error) {
-	var resp PrepareResponse
-	err := c.call(ctx, MethodPrepare, &req, &resp)
+	err := c.call(context.Background(), MethodPull, &req, &resp)
 	return resp, err
 }
 

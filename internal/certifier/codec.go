@@ -1,9 +1,9 @@
 package certifier
 
-// Binary wire codecs for every replica↔certifier message: certify and
-// pull on every update commit and staleness pull, prepare/resolve on
-// every cross-partition commit, fill whenever a merge waits on an idle
-// group. Each has a hand-written fixed-layout encoding
+// Binary wire codecs for every replica↔certifier message: the commit
+// request on every update commit, one-group and cross-partition alike,
+// pull on every staleness pull, resolve on every cross-partition commit,
+// fill whenever a merge waits on an idle group. Each has a hand-written fixed-layout encoding
 // (transport.BinaryMessage), the only wire form the transport takes.
 //
 // All integers are big-endian fixed width. Writesets ride as opaque
@@ -24,8 +24,6 @@ var (
 	_ transport.BinaryMessage = (*Response)(nil)
 	_ transport.BinaryMessage = (*PullRequest)(nil)
 	_ transport.BinaryMessage = (*PullResponse)(nil)
-	_ transport.BinaryMessage = (*PrepareRequest)(nil)
-	_ transport.BinaryMessage = (*PrepareResponse)(nil)
 	_ transport.BinaryMessage = (*ResolveRequest)(nil)
 	_ transport.BinaryMessage = (*ResolveResponse)(nil)
 	_ transport.BinaryMessage = (*FillRequest)(nil)
@@ -63,36 +61,46 @@ func takeBytes(data []byte) ([]byte, []byte, error) {
 	return data[:n], data[n:], nil
 }
 
-// Request: u32 origin | u64 start | u64 replicaVersion | i64 deadline
-// | u8 flags (none defined) | u32 wsLen | ws
+// Request: u64 gid | u32 origin | u64 start | u64 replicaVersion
+// | u64 fillTo | i64 deadline | u8 flags (none defined) | u16 nInvolved
+// | u16 pid ... | u32 wsLen | ws. Partition ids are 16-bit here as in
+// the log-entry payload.
 func (r *Request) AppendBinary(buf []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, r.GID)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Origin))
 	buf = binary.BigEndian.AppendUint64(buf, r.StartVersion)
 	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
+	buf = binary.BigEndian.AppendUint64(buf, r.FillTo)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Deadline))
 	buf = append(buf, 0)
-	return appendBytes(buf, r.WSBytes)
+	return appendBytes(appendInvolved(buf, r.Involved), r.WSBytes)
 }
 
 func (r *Request) DecodeBinary(data []byte) error {
-	if len(data) < 29 {
+	if len(data) < 45 {
 		return errShortMessage
 	}
-	if err := checkFlags(data[28], 0); err != nil {
+	if err := checkFlags(data[44], 0); err != nil {
 		return err
 	}
-	r.Origin = int(binary.BigEndian.Uint32(data))
-	r.StartVersion = binary.BigEndian.Uint64(data[4:])
-	r.ReplicaVersion = binary.BigEndian.Uint64(data[12:])
-	r.Deadline = int64(binary.BigEndian.Uint64(data[20:]))
-	ws, rest, err := takeBytes(data[29:])
+	r.GID = binary.BigEndian.Uint64(data)
+	r.Origin = int(binary.BigEndian.Uint32(data[8:]))
+	r.StartVersion = binary.BigEndian.Uint64(data[12:])
+	r.ReplicaVersion = binary.BigEndian.Uint64(data[20:])
+	r.FillTo = binary.BigEndian.Uint64(data[28:])
+	r.Deadline = int64(binary.BigEndian.Uint64(data[36:]))
+	involved, data, err := takeInvolved(data[45:])
+	if err != nil {
+		return err
+	}
+	ws, rest, err := takeBytes(data)
 	if err != nil {
 		return err
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("certifier: %d trailing bytes after Request", len(rest))
 	}
-	r.WSBytes = ws
+	r.Involved, r.WSBytes = involved, ws
 	return nil
 }
 
@@ -133,15 +141,14 @@ func takeRemotes(data []byte) ([]RemoteWS, []byte, error) {
 	return out, data, nil
 }
 
-// Response: u8 flags(committed) | u64 commitVersion | u64
-// systemVersion | remotes
+// Response: u8 flags(yes) | u64 index | u64 systemVersion | remotes
 func (r *Response) AppendBinary(buf []byte) []byte {
 	var flags byte
-	if r.Committed {
+	if r.Yes {
 		flags |= 1
 	}
 	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint64(buf, r.CommitVersion)
+	buf = binary.BigEndian.AppendUint64(buf, r.Index)
 	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
 	return appendRemotes(buf, r.Remote)
 }
@@ -153,8 +160,8 @@ func (r *Response) DecodeBinary(data []byte) error {
 	if err := checkFlags(data[0], 1); err != nil {
 		return err
 	}
-	r.Committed = data[0]&1 != 0
-	r.CommitVersion = binary.BigEndian.Uint64(data[1:])
+	r.Yes = data[0]&1 != 0
+	r.Index = binary.BigEndian.Uint64(data[1:])
 	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
 	remote, rest, err := takeRemotes(data[17:])
 	if err != nil {
@@ -218,88 +225,6 @@ func (r *PullResponse) DecodeBinary(data []byte) error {
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("certifier: %d trailing bytes after PullResponse", len(rest))
-	}
-	r.Remote = remote
-	return nil
-}
-
-// PrepareRequest: u64 gid | u32 origin | u64 start | u64 replicaVersion
-// | u64 fillTo | u16 nInvolved | u16 pid ... | u32 wsLen | ws. Partition
-// ids are 16-bit here as in the log-entry payload.
-func (r *PrepareRequest) AppendBinary(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, r.GID)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Origin))
-	buf = binary.BigEndian.AppendUint64(buf, r.StartVersion)
-	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
-	buf = binary.BigEndian.AppendUint64(buf, r.FillTo)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Involved)))
-	for _, pid := range r.Involved {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(pid))
-	}
-	return appendBytes(buf, r.WSBytes)
-}
-
-func (r *PrepareRequest) DecodeBinary(data []byte) error {
-	if len(data) < 38 {
-		return errShortMessage
-	}
-	r.GID = binary.BigEndian.Uint64(data)
-	r.Origin = int(binary.BigEndian.Uint32(data[8:]))
-	r.StartVersion = binary.BigEndian.Uint64(data[12:])
-	r.ReplicaVersion = binary.BigEndian.Uint64(data[20:])
-	r.FillTo = binary.BigEndian.Uint64(data[28:])
-	n := int(binary.BigEndian.Uint16(data[36:]))
-	data = data[38:]
-	if len(data) < 2*n {
-		return errShortMessage
-	}
-	r.Involved = nil
-	if n > 0 {
-		r.Involved = make([]int, n)
-		for i := range r.Involved {
-			r.Involved[i] = int(binary.BigEndian.Uint16(data[2*i:]))
-		}
-	}
-	ws, rest, err := takeBytes(data[2*n:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("certifier: %d trailing bytes after PrepareRequest", len(rest))
-	}
-	r.WSBytes = ws
-	return nil
-}
-
-// PrepareResponse: u8 flags(prepared) | u64 index | u64 systemVersion
-// | remotes
-func (r *PrepareResponse) AppendBinary(buf []byte) []byte {
-	var flags byte
-	if r.Prepared {
-		flags |= 1
-	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint64(buf, r.Index)
-	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
-	return appendRemotes(buf, r.Remote)
-}
-
-func (r *PrepareResponse) DecodeBinary(data []byte) error {
-	if len(data) < 17 {
-		return errShortMessage
-	}
-	if err := checkFlags(data[0], 1); err != nil {
-		return err
-	}
-	r.Prepared = data[0]&1 != 0
-	r.Index = binary.BigEndian.Uint64(data[1:])
-	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
-	remote, rest, err := takeRemotes(data[17:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("certifier: %d trailing bytes after PrepareResponse", len(rest))
 	}
 	r.Remote = remote
 	return nil

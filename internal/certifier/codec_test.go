@@ -87,10 +87,13 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		req := &Request{
+			GID:            rng.Uint64(),
 			Origin:         rng.Intn(1 << 16),
 			StartVersion:   rng.Uint64(),
-			ReplicaVersion: rng.Uint64(),
+			Involved:       randInvolved(rng),
 			WSBytes:        randBytes(rng, 256),
+			ReplicaVersion: rng.Uint64(),
+			FillTo:         rng.Uint64(),
 			Deadline:       rng.Int63() - rng.Int63(),
 		}
 		got := roundTrip(t, req).(*Request)
@@ -100,8 +103,8 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 		}
 
 		resp := &Response{
-			Committed:     rng.Intn(2) == 0,
-			CommitVersion: rng.Uint64(),
+			Yes:           rng.Intn(2) == 0,
+			Index:         rng.Uint64(),
 			SystemVersion: rng.Uint64(),
 			Remote:        randRemotes(rng),
 		}
@@ -129,28 +132,6 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 		presp.Remote, gotP.Remote = normRemotes(presp.Remote), normRemotes(gotP.Remote)
 		if !reflect.DeepEqual(presp, gotP) {
 			t.Fatalf("PullResponse round trip: %+v != %+v", gotP, presp)
-		}
-
-		prep := &PrepareRequest{
-			GID:            rng.Uint64(),
-			Origin:         rng.Intn(1 << 16),
-			StartVersion:   rng.Uint64(),
-			Involved:       randInvolved(rng),
-			WSBytes:        randBytes(rng, 256),
-			ReplicaVersion: rng.Uint64(),
-			FillTo:         rng.Uint64(),
-		}
-		gotPrep := roundTrip(t, prep).(*PrepareRequest)
-		prep.WSBytes, gotPrep.WSBytes = normWS(prep.WSBytes), normWS(gotPrep.WSBytes)
-		if !reflect.DeepEqual(prep, gotPrep) {
-			t.Fatalf("PrepareRequest round trip: %+v != %+v", gotPrep, prep)
-		}
-
-		prepResp := &PrepareResponse{Prepared: rng.Intn(2) == 0, Index: rng.Uint64(), SystemVersion: rng.Uint64(), Remote: randRemotes(rng)}
-		gotPrepResp := roundTrip(t, prepResp).(*PrepareResponse)
-		prepResp.Remote, gotPrepResp.Remote = normRemotes(prepResp.Remote), normRemotes(gotPrepResp.Remote)
-		if !reflect.DeepEqual(prepResp, gotPrepResp) {
-			t.Fatalf("PrepareResponse round trip: %+v != %+v", gotPrepResp, prepResp)
 		}
 
 		// Commit, veto or a plain abort: never both flags.
@@ -235,7 +216,7 @@ func TestCodecBinarySmallerThanGob(t *testing.T) {
 func TestCodecTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	full, err := transport.EncodeMessage(&Response{
-		Committed: true, CommitVersion: 9, Remote: randRemotes(rng),
+		Yes: true, Index: 9, Remote: randRemotes(rng),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,12 +231,14 @@ func TestCodecTruncation(t *testing.T) {
 			}
 		}
 	}
-	// The 2PC and fill messages: every strict prefix must fail, wherever
-	// the cut falls (header, involved list, writeset).
+	// The requests, the answers with a fixed tail, and the 2PC and fill
+	// messages: every strict prefix must fail, wherever the cut falls
+	// (header, involved list, writeset).
 	for _, msg := range []interface{}{
-		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6},
-		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9},
-		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8}, {Version: 9, WSBytes: randBytes(rng, 40)}}},
+		&Request{Origin: 1, StartVersion: 5, Involved: []int{2}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, Deadline: 3},
+		&Request{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6, Deadline: 3},
+		&Response{Yes: true, Index: 9, SystemVersion: 9},
+		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8}, {Version: 9, WSBytes: randBytes(rng, 40)}}},
 		&ResolveRequest{GID: 7, Commit: true, ReplicaVersion: 4},
 		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
 		&ResolveResponse{Index: 9, SystemVersion: 9},
@@ -279,10 +262,9 @@ func TestCodecTruncation(t *testing.T) {
 	// re-encodes to the same bytes.
 	for _, msg := range []interface{}{
 		&Request{WSBytes: []byte{1}},
-		&Response{Committed: true},
+		&Response{Yes: true},
 		&PullRequest{IncludeOwn: true},
 		&PullResponse{Busy: true},
-		&PrepareResponse{Prepared: true},
 		&ResolveRequest{Commit: true},
 		&ResolveRequest{Veto: true},
 		&ResolveResponse{Prepared: true},
@@ -312,7 +294,7 @@ func TestCodecTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full[1+28] = 1
+	full[1+44] = 1
 	if err := transport.DecodeMessage(full, &req); err == nil {
 		t.Error("Request with flag bit 0 set decoded without error")
 	}
@@ -484,28 +466,34 @@ func FuzzDecodeLogEntry(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCertifierMessages: the decoders of what a replica reads from
-// a certifier (Response, PullResponse, ResolveResponse, PrepareResponse)
-// and of the prepare and resolve a certifier reads from a replica never
-// panic, and whatever one accepts re-encodes to the bytes it came from.
+// FuzzDecodeCertifierMessages: the decoders of every certifier message —
+// the requests a certifier reads from a replica and the answers a replica
+// reads from a certifier — never panic, and whatever one accepts
+// re-encodes to the bytes it came from.
 func FuzzDecodeCertifierMessages(f *testing.F) {
 	decoders := []func() transport.BinaryMessage{
+		func() transport.BinaryMessage { return &Request{} },
 		func() transport.BinaryMessage { return &Response{} },
+		func() transport.BinaryMessage { return &PullRequest{} },
 		func() transport.BinaryMessage { return &PullResponse{} },
-		func() transport.BinaryMessage { return &ResolveResponse{} },
-		func() transport.BinaryMessage { return &PrepareRequest{} },
-		func() transport.BinaryMessage { return &PrepareResponse{} },
 		func() transport.BinaryMessage { return &ResolveRequest{} },
+		func() transport.BinaryMessage { return &ResolveResponse{} },
+		func() transport.BinaryMessage { return &FillRequest{} },
+		func() transport.BinaryMessage { return &FillResponse{} },
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, m := range []transport.BinaryMessage{
-		&Response{Committed: true, CommitVersion: 9, SystemVersion: 9, Remote: randRemotes(rng)},
+		&Request{Origin: 1, StartVersion: 5, Involved: []int{1}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, Deadline: 3},
+		&Request{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6, Deadline: 3},
+		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: randRemotes(rng)},
+		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
+		&PullRequest{Origin: 1, ReplicaVersion: 4, IncludeOwn: true},
 		&PullResponse{Busy: true, SystemVersion: 9, Remote: randRemotes(rng)},
-		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},
-		&PrepareRequest{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6},
-		&PrepareResponse{Prepared: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
 		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
+		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},
 		&ResolveResponse{Index: 9, SystemVersion: 9, Prepared: true, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
+		&FillRequest{Target: 12},
+		&FillResponse{Head: 12},
 	} {
 		b := m.AppendBinary(nil)
 		for k := range decoders {

@@ -16,33 +16,25 @@ func StartLeader(t *testing.T) *Server { return newTestGroup(t, 1, nil).waitLead
 // WSBytes encodes a writeset that updates each of keys.
 func WSBytes(keys ...string) []byte { return wsBytes(keys...) }
 
-// InOneBatch runs certs and then preps through stages 2–5 of s's
-// pipeline as one batch, in that order, and returns the prepares'
-// answers. The caller keeps every other request away meanwhile.
-func InOneBatch(t *testing.T, s *Server, certs []Request, preps []PrepareRequest) []PrepareResponse {
+// InOneBatch runs reqs through stages 2–5 of s's pipeline as one batch,
+// in that order, and returns their answers. The caller keeps every other
+// request away meanwhile.
+func InOneBatch(t *testing.T, s *Server, reqs []Request) []Response {
 	t.Helper()
-	var tasks, prepared []*task
-	for _, req := range certs {
-		ct, err := newCertifyTask(req)
-		if err != nil {
+	tasks := make([]*task, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if tasks[i], err = newCommitTask(req); err != nil {
 			t.Fatal(err)
 		}
-		tasks = append(tasks, ct)
-	}
-	for _, req := range preps {
-		pt, err := newPrepareTask(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks, prepared = append(tasks, pt), append(prepared, pt)
 	}
 	inOneBatch(s, tasks...)
-	var answers []PrepareResponse
-	for _, pt := range prepared {
-		if pt.err != nil {
-			t.Fatal(pt.err)
+	answers := make([]Response, len(tasks))
+	for i, task := range tasks {
+		if task.err != nil {
+			t.Fatal(task.err)
 		}
-		answers = append(answers, s.prepareResponse(pt))
+		answers[i] = s.response(task)
 	}
 	return answers
 }

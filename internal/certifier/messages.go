@@ -12,6 +12,11 @@
 // ("the certifier ... is very efficient at batching all outstanding
 // writesets to disk via a single fsync call").
 //
+// A commit asks with one message, Request, whatever the number of
+// groups it involves (see internal/partition): one group's answer is the
+// decision, and each of several groups' answers is its vote in a
+// cross-partition commit, which Resolve then decides.
+//
 // This file holds the messages of the certification API and the one
 // definition of a log entry's bytes (see "Log-entry payload" below):
 // the leader encodes an entry once, from the request's own writeset
@@ -35,26 +40,50 @@ const (
 	MethodPull    = "cert.pull"
 	// Partitioned-certification methods (one certifier group per
 	// keyspace partition; see internal/partition).
-	MethodPrepare = "cert.prepare"
 	MethodResolve = "cert.resolve"
 	MethodFill    = "cert.fill"
 )
 
-// Request is one certification request: the writeset and start version
-// of a committing update transaction (paper §6.1), plus the replica's
-// current version so the certifier knows which remote writesets to
-// ship back.
+// Request is the one commit request (paper §6.1): the writeset and
+// start version of a committing update transaction, plus the replica's
+// current version so the certifier knows which remote writesets to ship
+// back. It asks one group for its part of a transaction that involves
+// the groups in Involved.
+//
+// With fewer than two groups involved the group alone decides: a commit
+// is a data entry in its log, and a refusal logs nothing. With two or
+// more the request is phase 1 of a cross-partition commit, under the
+// cluster-wide transaction id GID: the group certifies and locks its
+// slice of the writeset, and its answer is its vote, durable before the
+// response returns — the prepare entry (yes) or, for a refusal, an abort
+// marker (no). A gid that already has a record gets the vote that record
+// holds, so a retry is safe.
 type Request struct {
-	Origin         int
-	StartVersion   uint64
+	GID          uint64 // cross-partition only
+	Origin       int
+	StartVersion uint64 // the transaction's snapshot, in this group's version space
+	Involved     []int  // partition ids participating in the transaction
+	WSBytes      []byte // this group's slice of the writeset
+	// ReplicaVersion is the replica's frontier in this group: the
+	// highest contiguous index its merge has received. A yes answer
+	// ships the entries after it (see Response.Remote).
 	ReplicaVersion uint64
-	WSBytes        []byte
+	// FillTo is, for a cross-partition request, the coordinator's highest
+	// frontier over all groups. A shorter log is padded with fill no-ops
+	// up to it before the yes, in the same batch, so the transaction's
+	// prepares land at about the same index in every group and the merge
+	// reaches the union with the entries the round itself produced.
+	FillTo uint64
 	// Deadline is the caller's context deadline in UnixNano (0 = none).
 	// The certifier drops the request before conflict-checking and
 	// proposing if the deadline has passed — a dead client's work must
 	// not occupy batch slots or paxos log entries.
 	Deadline int64
 }
+
+// PrepareRequest is Request under its cross-partition name, which the
+// benchmark's codec probe uses.
+type PrepareRequest = Request
 
 // RemoteWS is one remote writeset shipped to a replica.
 type RemoteWS struct {
@@ -66,15 +95,25 @@ type RemoteWS struct {
 	WSBytes []byte
 }
 
-// Response carries the certification outputs of paper §6.1: the remote
-// writesets, the decision, and the commit version. A commit's Remote
-// runs through the committed entry itself, so the replica's merge holds
-// everything up to its own commit without a pull.
+// Response is the group's answer to a Request (paper §6.1's outputs):
+// the decision, the log index it stands on, and the remote writesets.
 type Response struct {
-	Committed     bool
-	CommitVersion uint64
-	Remote        []RemoteWS
+	// Yes is the decision: for one group a commit, for several the
+	// group's vote (a prepare).
+	Yes bool
+	// Index is the log index of the record that holds the answer: the
+	// committed entry, the prepare, or a no vote's abort marker. 0 for a
+	// refused one-group commit, which logs nothing.
+	Index         uint64
 	SystemVersion uint64 // committed system version at response time
+	// Remote is the group's entries after ReplicaVersion, so that the
+	// replica's merge has what it waits for without a pull. A one-group
+	// commit ships through its own entry, and a refusal everything
+	// committed. A yes vote ships through the prepare and the rest of the
+	// batch that logged it. A record appended by an earlier batch or term
+	// ships only the committed part of (ReplicaVersion, Index]. Empty for
+	// a no vote.
+	Remote []RemoteWS
 }
 
 // PullRequest proactively fetches remote writesets (the staleness
@@ -93,50 +132,10 @@ type PullResponse struct {
 	Remote        []RemoteWS
 	SystemVersion uint64
 	// Busy reports whether the group had admitted-but-unresolved
-	// certifications (or prepares/resolves) when the pull was served:
-	// more log entries are imminent. A partitioned replica's merger
-	// uses it to fill only genuinely idle groups.
+	// commit requests or resolves when the pull was served: more log
+	// entries are imminent. A partitioned replica's merger uses it to
+	// fill only genuinely idle groups.
 	Busy bool
-}
-
-// PrepareRequest is phase 1 of a cross-partition commit: certify and
-// lock this group's slice of the writeset under a cluster-wide
-// transaction id. The answer is this group's vote, and it is durable
-// before the response returns: the prepare entry (yes) or, for a
-// refusal, an abort marker (no).
-type PrepareRequest struct {
-	GID          uint64
-	Origin       int
-	StartVersion uint64 // the transaction's snapshot, in this group's version space
-	Involved     []int  // partition ids participating in the transaction
-	WSBytes      []byte // this group's slice of the writeset
-	// ReplicaVersion is the coordinator's frontier in this group: the
-	// highest contiguous index its merge has received. A yes answer
-	// ships the entries after it (see PrepareResponse.Remote).
-	ReplicaVersion uint64
-	// FillTo is the coordinator's highest frontier over all groups. A
-	// group whose log is shorter pads it with fill no-ops up to FillTo
-	// before it logs a yes, in the same batch. The transaction's
-	// prepares then land at about the same index in every group, so the
-	// merge can reach the union position (the last group's prepare) with
-	// the entries the round itself produced, instead of waiting for a
-	// lagging group's next batch.
-	FillTo uint64
-}
-
-// PrepareResponse reports the group's vote for the gid: the first
-// record its log holds for it, whatever the request found.
-type PrepareResponse struct {
-	Prepared      bool   // the vote: yes (a prepare) or no (an abort marker)
-	Index         uint64 // the log index of the record that holds the vote
-	SystemVersion uint64
-	// Remote is, for a yes, the group's entries after ReplicaVersion
-	// through the prepare and the rest of the batch that logged it: what
-	// the coordinator's merge needs from this group to reach the union
-	// without a pull. A prepare appended by an earlier batch or term
-	// ships only the committed part of (ReplicaVersion, Index]. Empty for
-	// a no.
-	Remote []RemoteWS
 }
 
 // ResolveRequest appends a decision marker for gid, or asks for the
@@ -318,13 +317,40 @@ func encodePayload(kind core.EntryKind, origin int, start, gid uint64, involved 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(origin))
 	buf = binary.BigEndian.AppendUint64(buf, start)
 	if kind != core.KindData {
-		buf = binary.BigEndian.AppendUint64(buf, gid)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(involved)))
-		for _, pid := range involved {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(pid))
-		}
+		buf = appendInvolved(binary.BigEndian.AppendUint64(buf, gid), involved)
 	}
 	return append(buf, wsBytes...)
+}
+
+// appendInvolved lays out a list of partition ids, as a log entry and a
+// commit request carry it: uint16 n | uint16 pid ...
+func appendInvolved(buf []byte, involved []int) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(involved)))
+	for _, pid := range involved {
+		buf = binary.BigEndian.AppendUint16(buf, uint16(pid))
+	}
+	return buf
+}
+
+// takeInvolved reads what appendInvolved wrote at the start of data, an
+// empty list as nil, and returns the bytes after it.
+func takeInvolved(data []byte) ([]int, []byte, error) {
+	if len(data) < 2 {
+		return nil, nil, errShortMessage
+	}
+	n := int(binary.BigEndian.Uint16(data))
+	data = data[2:]
+	if len(data) < 2*n {
+		return nil, nil, fmt.Errorf("certifier: truncated involved list (%d of %d pids)", len(data)/2, n)
+	}
+	var involved []int
+	if n > 0 {
+		involved = make([]int, n)
+		for i := range involved {
+			involved[i] = int(binary.BigEndian.Uint16(data[2*i:]))
+		}
+	}
+	return involved, data[2*n:], nil
 }
 
 // newLogEntry turns a request into the log entry it proposes: the
@@ -377,19 +403,11 @@ func DecodeLogEntry(data []byte) (Entry, error) {
 		if len(rest) < 10 {
 			return e, fmt.Errorf("certifier: short 2pc log entry (%d bytes)", len(data))
 		}
-		e.GID = binary.BigEndian.Uint64(rest[0:8])
-		n := int(binary.BigEndian.Uint16(rest[8:10]))
-		rest = rest[10:]
-		if len(rest) < 2*n {
-			return e, fmt.Errorf("certifier: truncated involved list (%d of %d pids)", len(rest)/2, n)
+		e.GID = binary.BigEndian.Uint64(rest)
+		var err error
+		if e.Involved, rest, err = takeInvolved(rest[8:]); err != nil {
+			return e, err
 		}
-		if n > 0 {
-			e.Involved = make([]int, n)
-			for i := range e.Involved {
-				e.Involved[i] = int(binary.BigEndian.Uint16(rest[2*i:]))
-			}
-		}
-		rest = rest[2*n:]
 	}
 	ws, n, err := core.DecodeWriteset(rest)
 	if err != nil {

@@ -31,19 +31,18 @@ import (
 //  5. fans responses — remote-writeset fills, commit versions, log
 //     indices — back to all waiters.
 //
-// Every entry the leader adds to the log goes this way: certifications,
-// both phases of a cross-partition commit, fills and barriers are task
-// kinds of the one queue. Refused certifications and errors resolve at
-// step 2 and never wait for the disk; a refused prepare is a vote, whose
-// abort marker the batch logs (see checkLocked). A batch that logs a yes
-// vote ends with a few fill no-ops (see alignPad).
+// Every entry the leader adds to the log goes this way: commit requests,
+// one-group and cross-partition alike, decision markers, fills and
+// barriers are task kinds of the one queue. Refused one-group commits and
+// errors resolve at step 2 and never wait for the disk; a refused prepare
+// is a vote, whose abort marker the batch logs (see checkLocked). A batch
+// that logs a yes vote ends with a few fill no-ops (see alignPad).
 
 // taskKind is what an admitted task asks of the log.
 type taskKind uint8
 
 const (
-	kindCertify taskKind = iota // certify a writeset and commit it
-	kindPrepare                 // phase 1 of a cross-partition commit: certify and lock, or refuse
+	kindCommit  taskKind = iota // a commit request: certify and commit, or for several groups certify and lock, or refuse
 	kindResolve                 // a decision marker, or a veto
 	kindFill                    // no-ops until the log holds a target length
 	kindBarrier                 // one no-op
@@ -55,35 +54,36 @@ const (
 func (k taskKind) fromReplica() bool { return k <= kindResolve }
 
 // fromClient reports whether a client's transaction waits on the task:
-// a certification, a prepare or a veto. Those are counted as requests,
-// echoes and commits. A decision marker is not: a detached resolver
-// sends it once the client has its answer.
-func (t *task) fromClient() bool { return t.kind <= kindPrepare || t.veto }
+// a commit request or a veto. Those are counted as requests, echoes and
+// commits. A decision marker is not: a detached resolver sends it once
+// the client has its answer.
+func (t *task) fromClient() bool { return t.kind == kindCommit || t.veto }
+
+// prepare reports whether the task is a cross-partition commit request.
+func (t *task) prepare() bool { return t.entry.Kind == core.KindPrepare }
 
 // sheddable reports whether admission control may turn the task away.
 // A decision marker may not: it is what releases a prepare's locks.
-func (k taskKind) sheddable() bool { return k <= kindPrepare }
+func (k taskKind) sheddable() bool { return k == kindCommit }
 
 // task carries one admitted request through the pipeline.
 type task struct {
 	kind taskKind
 	// entry is what the task appends if it survives (see newLogEntry): the
-	// writeset to certify, the prepare, the marker, or the no-op a fill
-	// repeats.
+	// data entry of a one-group commit, the prepare, the marker, or the
+	// no-op a fill repeats.
 	entry    core.LogEntry
-	req      Request   // kindCertify: the request
 	veto     bool      // kindResolve: a veto (entry is its abort marker)
-	after    uint64    // kindPrepare, kindResolve: the replica's frontier in this group
-	target   uint64    // kindFill, kindPrepare: the log length wanted
+	after    uint64    // kindCommit, kindResolve: the replica's frontier in this group
+	target   uint64    // kindFill, a prepare: the log length wanted
 	enqueued time.Time // when the task entered the admission queue
 	deadline time.Time // caller's context deadline (zero = none)
 
 	// Filled by the certification loop.
-	index    uint64     // the log index the answer stands on (0 = none: a refused certification)
-	prepared bool       // kindPrepare, veto: the group's vote is yes (index is the prepare's)
-	resp     Response   // kindCertify
-	remote   []RemoteWS // a yes vote or a commit marker: the suffix through index
-	err      error
+	index  uint64     // the log index the answer stands on (0 = none: a refused one-group commit)
+	yes    bool       // kindCommit, veto: a one-group commit, or the group's vote is yes (index is the prepare's)
+	remote []RemoteWS // the answer's suffix (see Response.Remote)
+	err    error
 
 	done chan struct{} // closed when the outcome is final
 }
@@ -486,7 +486,7 @@ func (s *Server) processBatch(batch []*task) {
 	head := uint64(s.engine.SystemVersion())
 	var datas [][]byte
 	var commits int64 // client tasks whose entries the batch proposes
-	var yes bool      // the batch logs a yes vote
+	var pad bool      // the batch logs a yes vote
 	drainedAt := time.Now()
 	for _, t := range batch {
 		wait := drainedAt.Sub(t.enqueued)
@@ -517,12 +517,12 @@ func (s *Server) processBatch(batch []*task) {
 		}
 		n := len(datas)
 		datas = s.checkLocked(t, datas)
-		if t.fromClient() && len(datas) > n && (t.kind == kindCertify || t.prepared) {
+		if t.fromClient() && len(datas) > n && t.yes {
 			commits++
-			yes = yes || t.prepared
+			pad = pad || t.prepare()
 		}
 	}
-	if yes {
+	if pad {
 		// A batch that logs a yes ends alignPad no-ops past its last entry
 		// (see alignPad). The pad is no task's answer.
 		datas = s.padLocked(&task{}, datas, uint64(s.engine.SystemVersion())+alignPad)
@@ -552,27 +552,24 @@ func (s *Server) processBatch(batch []*task) {
 			continue
 		}
 		switch {
-		case t.kind == kindCertify:
-			// A commit ships the group's entries through its own: earlier
-			// entries of this same batch are included, and all will be
-			// durable by the time the response leaves (the batch barrier
+		case t.kind == kindCommit && !t.prepare():
+			// A one-group commit ships the group's entries through its own:
+			// earlier entries of this same batch are included, and all will
+			// be durable by the time the response leaves (the batch barrier
 			// covers them), so the replica's merge holds the client's own
 			// entry the moment the response is in instead of pulling for
 			// it. The fill includes the origin's own earlier writesets too:
 			// in the window above the replica's reported version, "own"
 			// entries exist only if their responses were lost, and a
 			// response that makes the replica announce past them must carry
-			// their data or the replica is left with a permanent hole. An
-			// abort ships everything committed.
+			// their data or the replica is left with a permanent hole. A
+			// refusal ships everything committed.
 			upTo := s.committedCap()
 			if inBatch {
 				upTo = t.index
 			}
-			t.resp = Response{
-				Committed: inBatch, CommitVersion: t.index,
-				Remote: s.remotesLocked(t.req.Origin, true, t.req.ReplicaVersion, upTo),
-			}
-		case t.prepared || t.kind == kindResolve && !t.veto && t.entry.Kind == core.KindCommitMarker:
+			t.remote = s.remotesLocked(core.BarrierOrigin, true, t.after, upTo)
+		case t.yes || t.kind == kindResolve && !t.veto && t.entry.Kind == core.KindCommitMarker:
 			// The suffix through the yes vote or the marker, so that the
 			// coordinator's merge has what it waits for without pulling. A
 			// yes logged by this batch ships the whole batch: the union
@@ -582,7 +579,7 @@ func (s *Server) processBatch(batch []*task) {
 			// after this prepare. A record of an earlier batch or term
 			// ships only what is already committed.
 			upTo := t.index
-			if t.prepared && inBatch {
+			if t.yes && inBatch {
 				upTo = head + uint64(len(datas))
 			}
 			if !inBatch {
@@ -608,7 +605,7 @@ func (s *Server) processBatch(batch []*task) {
 		if t.fromClient() {
 			answered++
 		}
-		if t.kind == kindPrepare && t.prepared {
+		if t.prepare() && t.yes {
 			awaited = append(awaited, t.entry.GID)
 		}
 	}
@@ -630,12 +627,8 @@ func (s *Server) processBatch(batch []*task) {
 	// Stage 5: fan out. Every index <= lastIdx is majority durable now.
 	// The fan-out is published before the first waiter wakes, so its
 	// client's next request can count as an echo.
-	sysv := s.node.CommitIndex()
 	s.publishFanout(drainedAt, answered, awaited)
 	for _, t := range durable {
-		if t.kind == kindCertify {
-			t.resp.SystemVersion = sysv
-		}
 		t.finish()
 	}
 }
@@ -645,18 +638,19 @@ func (s *Server) processBatch(batch []*task) {
 // datas, which it returns.
 func (s *Server) checkLocked(t *task, datas [][]byte) [][]byte {
 	gid := t.entry.GID
-	switch t.kind {
-	case kindCertify:
+	switch {
+	case t.kind == kindCommit && !t.prepare():
 		if s.refuseLocked(t) {
 			return datas // response built once the propose outcome is known
 		}
+		t.yes = true
 		return s.addLocked(t, datas, t.entry)
-	case kindPrepare:
+	case t.kind == kindCommit:
 		// The group's vote is the first record its log holds for the gid,
 		// so a retry, or a late duplicate of a prepare the coordinator
 		// vetoed meanwhile, is answered with the vote already cast.
 		if v, yes, ok := s.engine.Vote(gid); ok {
-			t.index, t.prepared = uint64(v), yes
+			t.index, t.yes = uint64(v), yes
 			if !yes {
 				s.stats.Aborts++
 			}
@@ -667,15 +661,15 @@ func (s *Server) checkLocked(t *task, datas [][]byte) [][]byte {
 			// marker is the vote, answered after the batch's barrier.
 			return s.addLocked(t, datas, emptyEntry(core.KindAbortMarker, gid))
 		}
-		t.prepared = true
+		t.yes = true
 		datas = s.padLocked(t, datas, t.target)
 		return s.addLocked(t, datas, t.entry)
-	case kindResolve:
+	case t.kind == kindResolve:
 		// A veto answers with the vote already cast, and otherwise casts a
 		// no: its abort marker.
 		if t.veto {
 			if v, yes, ok := s.engine.Vote(gid); ok {
-				t.index, t.prepared = uint64(v), yes
+				t.index, t.yes = uint64(v), yes
 				return datas
 			}
 			return s.addLocked(t, datas, t.entry)
@@ -693,7 +687,7 @@ func (s *Server) checkLocked(t *task, datas [][]byte) [][]byte {
 			return datas
 		}
 		return s.addLocked(t, datas, t.entry)
-	case kindFill:
+	case t.kind == kindFill:
 		if uint64(s.engine.SystemVersion()) >= t.target {
 			t.index = t.target
 			return datas
@@ -718,7 +712,7 @@ func (s *Server) padLocked(t *task, datas [][]byte, target uint64) [][]byte {
 	return datas
 }
 
-// refuseLocked is the certification test of a certify or prepare task:
+// refuseLocked is the certification test of a commit task:
 // the full conflict check (committed writers after its snapshot, and
 // items locked by unresolved prepares, those of earlier tasks in the
 // batch included), then the injected aborts of Config.AbortRate, which

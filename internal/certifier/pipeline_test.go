@@ -507,14 +507,15 @@ func TestGatherWholeCohort(t *testing.T) {
 	}
 }
 
-// prepareTask is the task a Prepare of gid over keys submits.
+// prepareTask is the task a cross-partition commit request of gid over
+// keys submits.
 func prepareTask(t *testing.T, gid uint64, keys ...string) *task {
 	t.Helper()
 	entry, err := newLogEntry(core.KindPrepare, 1, 0, gid, []int{0, 1}, wsBytes(keys...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTask(kindPrepare, entry)
+	return newTask(kindCommit, entry)
 }
 
 // resolveTask is the task a Resolve of gid submits.
@@ -564,9 +565,9 @@ func TestGatherTwoPhaseRounds(t *testing.T) {
 				default:
 				}
 				gid := gids.Add(1)
-				p, err := g.client.Prepare(PrepareRequest{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+				p, err := g.client.Certify(Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
 					WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
-				if err != nil || !p.Prepared {
+				if err != nil || !p.Yes {
 					t.Errorf("coordinator %d: prepare %+v, %v", i, p, err)
 					return
 				}
@@ -641,9 +642,9 @@ func TestGatherTwoGroupRounds(t *testing.T) {
 				gid := gids.Add(1)
 				start := time.Now()
 				err := inBoth(func(c *Client) error {
-					p, err := c.Prepare(PrepareRequest{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+					p, err := c.Certify(Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
 						WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
-					if err == nil && !p.Prepared {
+					if err == nil && !p.Yes {
 						err = fmt.Errorf("prepare refused: %+v", p)
 					}
 					return err
@@ -768,9 +769,9 @@ func TestGatherOneRoundTwoGroups(t *testing.T) {
 				gid := gids.Add(1)
 				start := time.Now()
 				err := inBoth(func(c *Client) error {
-					p, err := c.Prepare(PrepareRequest{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+					p, err := c.Certify(Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
 						WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
-					if err == nil && !p.Prepared {
+					if err == nil && !p.Yes {
 						err = fmt.Errorf("prepare refused: %+v", p)
 					}
 					return err
@@ -850,21 +851,21 @@ func TestTwoPhaseThroughTheLoop(t *testing.T) {
 			t.Fatalf("gid %d: %v", tk.entry.GID, tk.err)
 		}
 	}
-	if !first.prepared {
+	if !first.yes {
 		t.Fatal("the first prepare was refused")
 	}
-	if !dup.prepared || dup.index != first.index {
-		t.Errorf("duplicate in the same batch answered index %d (yes %v), want the first's %d", dup.index, dup.prepared, first.index)
+	if !dup.yes || dup.index != first.index {
+		t.Errorf("duplicate in the same batch answered index %d (yes %v), want the first's %d", dup.index, dup.yes, first.index)
 	}
 	// The refusal is a vote: its abort marker is the next entry.
-	if over.prepared || over.index != first.index+1 {
-		t.Errorf("a prepare over an item prepared earlier in the batch answered index %d (yes %v), want a no at %d", over.index, over.prepared, first.index+1)
+	if over.yes || over.index != first.index+1 {
+		t.Errorf("a prepare over an item prepared earlier in the batch answered index %d (yes %v), want a no at %d", over.index, over.yes, first.index+1)
 	}
-	if !other.prepared || other.index != first.index+2 {
-		t.Errorf("prepare over another item answered index %d (yes %v), want %d", other.index, other.prepared, first.index+2)
+	if !other.yes || other.index != first.index+2 {
+		t.Errorf("prepare over another item answered index %d (yes %v), want %d", other.index, other.yes, first.index+2)
 	}
 	// A duplicate in a later batch.
-	if resp, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")}); err != nil || !resp.Prepared || resp.Index != first.index {
+	if resp, err := s.Certify(Request{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")}); err != nil || !resp.Yes || resp.Index != first.index {
 		t.Errorf("duplicate in a later batch: %+v, %v; want index %d", resp, err, first.index)
 	}
 
@@ -873,7 +874,7 @@ func TestTwoPhaseThroughTheLoop(t *testing.T) {
 	if _, err := s.Resolve(ResolveRequest{GID: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := s.Prepare(PrepareRequest{GID: 4, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("c")}); err != nil || resp.Prepared {
+	if resp, err := s.Certify(Request{GID: 4, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("c")}); err != nil || resp.Yes {
 		t.Errorf("prepare after its gid's abort marker: %+v, %v; want a refusal", resp, err)
 	}
 	// A commit decision for a gid this group never prepared is an error.
@@ -907,7 +908,7 @@ func TestTwoPhaseThroughTheLoop(t *testing.T) {
 	// A certify answer ships the log after the replica's version through
 	// its own entry: the markers before it, and itself.
 	if r, err := g.client.Certify(Request{Origin: 1, StartVersion: resp.SystemVersion, ReplicaVersion: commit.index - 1, WSBytes: wsBytes("d")}); err != nil ||
-		!r.Committed || len(r.Remote) == 0 || r.Remote[0].Version != commit.index || r.Remote[len(r.Remote)-1].Version != r.CommitVersion {
+		!r.Yes || len(r.Remote) == 0 || r.Remote[0].Version != commit.index || r.Remote[len(r.Remote)-1].Version != r.Index {
 		t.Errorf("first certify after the 2PC traffic: %+v, %v; want the log (%d, commit]", r, err, commit.index-1)
 	}
 }
@@ -925,8 +926,8 @@ func TestVotesAreFirstRecords(t *testing.T) {
 	s := g.waitLeader(t)
 	logLen := func() uint64 { return s.node.LogLength() }
 
-	held, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")})
-	if err != nil || !held.Prepared {
+	held, err := s.Certify(Request{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")})
+	if err != nil || !held.Yes {
 		t.Fatalf("prepare of gid 1: %+v, %v", held, err)
 	}
 	if n := len(held.Remote); n == 0 || held.Remote[n-1].Version != held.Index+alignPad {
@@ -935,8 +936,8 @@ func TestVotesAreFirstRecords(t *testing.T) {
 
 	// gid 2 meets gid 1's lock: refused, and the refusal is logged.
 	before := logLen()
-	refused, err := s.Prepare(PrepareRequest{GID: 2, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), ReplicaVersion: held.Index})
-	if err != nil || refused.Prepared || refused.Index != before+1 || len(refused.Remote) != 0 {
+	refused, err := s.Certify(Request{GID: 2, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), ReplicaVersion: held.Index})
+	if err != nil || refused.Yes || refused.Index != before+1 || len(refused.Remote) != 0 {
 		t.Fatalf("prepare over a locked item: %+v, %v; want a no at %d", refused, err, before+1)
 	}
 	s.mu.Lock()
@@ -951,8 +952,8 @@ func TestVotesAreFirstRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = logLen()
-	dup, err := s.Prepare(PrepareRequest{GID: 2, Origin: 1, StartVersion: before, Involved: []int{0, 1}, WSBytes: wsBytes("a")})
-	if err != nil || dup.Prepared || dup.Index != refused.Index || logLen() != before {
+	dup, err := s.Certify(Request{GID: 2, Origin: 1, StartVersion: before, Involved: []int{0, 1}, WSBytes: wsBytes("a")})
+	if err != nil || dup.Yes || dup.Index != refused.Index || logLen() != before {
 		t.Errorf("late duplicate of the refused prepare: %+v, %v (log %d -> %d); want the no at %d", dup, err, before, logLen(), refused.Index)
 	}
 
@@ -962,13 +963,13 @@ func TestVotesAreFirstRecords(t *testing.T) {
 	if err != nil || veto.Prepared || veto.Index != before+1 {
 		t.Fatalf("veto of an unknown gid: %+v, %v; want a no at %d", veto, err, before+1)
 	}
-	if p, err := s.Prepare(PrepareRequest{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("c")}); err != nil || p.Prepared || p.Index != veto.Index {
+	if p, err := s.Certify(Request{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("c")}); err != nil || p.Yes || p.Index != veto.Index {
 		t.Errorf("prepare after its veto: %+v, %v; want the veto's no at %d", p, err, veto.Index)
 	}
 
 	// A veto on a prepared gid appends nothing and answers its yes.
-	yes, err := s.Prepare(PrepareRequest{GID: 4, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("d")})
-	if err != nil || !yes.Prepared {
+	yes, err := s.Certify(Request{GID: 4, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("d")})
+	if err != nil || !yes.Yes {
 		t.Fatalf("prepare of gid 4: %+v, %v", yes, err)
 	}
 	before = logLen()
@@ -998,8 +999,8 @@ func TestPreparePadsToFillTo(t *testing.T) {
 	g := newTestGroup(t, 1, nil)
 	s := g.waitLeader(t)
 	head := s.node.LogLength()
-	p, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 3})
-	if err != nil || !p.Prepared || p.Index != head+4 || s.node.LogLength() != head+4+alignPad {
+	p, err := s.Certify(Request{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 3})
+	if err != nil || !p.Yes || p.Index != head+4 || s.node.LogLength() != head+4+alignPad {
 		t.Fatalf("prepare with FillTo %d over a log of %d: %+v, %v (log %d); want a yes at %d and a log of %d",
 			head+3, head, p, err, s.node.LogLength(), head+4, head+4+alignPad)
 	}
@@ -1017,12 +1018,34 @@ func TestPreparePadsToFillTo(t *testing.T) {
 		t.Errorf("the yes ships %d entries, want the fills, the prepare and the pad", n)
 	}
 	head = s.node.LogLength()
-	if p, err := s.Prepare(PrepareRequest{GID: 2, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("b"), FillTo: head - 2}); err != nil || p.Index != head+1 {
+	if p, err := s.Certify(Request{GID: 2, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("b"), FillTo: head - 2}); err != nil || p.Index != head+1 {
 		t.Errorf("prepare with FillTo below the head: %+v, %v; want a yes at %d", p, err, head+1)
 	}
 	head = s.node.LogLength()
-	if p, err := s.Prepare(PrepareRequest{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 5}); err != nil || p.Prepared || p.Index != head+1 || s.node.LogLength() != head+1 {
+	if p, err := s.Certify(Request{GID: 3, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a"), FillTo: head + 5}); err != nil || p.Yes || p.Index != head+1 || s.node.LogLength() != head+1 {
 		t.Errorf("refused prepare with FillTo %d: %+v, %v (log %d); want a no at %d and no fill", head+5, p, err, s.node.LogLength(), head+1)
+	}
+}
+
+// TestExpiredRequestLogsNothing: a commit request whose caller's
+// deadline has passed fails with the expired error before it is checked,
+// one-group and cross-partition alike: nothing of it enters the log, and
+// admission counts it as expired.
+func TestExpiredRequestLogsNothing(t *testing.T) {
+	s := StartLeader(t)
+	past := time.Now().Add(-time.Second).UnixNano()
+	for i, involved := range [][]int{nil, {0, 1}} {
+		before := s.node.LogLength()
+		resp, err := s.Certify(Request{GID: uint64(i + 1), Origin: 1, Involved: involved, WSBytes: wsBytes("k"), Deadline: past})
+		if !errors.Is(err, errDeadlineExpired) {
+			t.Errorf("involved %v: expired request answered %+v, %v; want the expired error", involved, resp, err)
+		}
+		if n := s.node.LogLength(); n != before {
+			t.Errorf("involved %v: the log grew from %d to %d entries", involved, before, n)
+		}
+		if n := s.QueueStats().Expired; n != int64(i+1) {
+			t.Errorf("involved %v: %d requests counted expired, want %d", involved, n, i+1)
+		}
 	}
 }
 
@@ -1061,7 +1084,7 @@ func TestFailedProposeFailsEveryPrepare(t *testing.T) {
 	if oldest != 0 {
 		t.Errorf("the rebuilt engine holds an unresolved prepare at %d", oldest)
 	}
-	if resp, err := s.Prepare(PrepareRequest{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")}); err != nil || !resp.Prepared || resp.Index != 1 {
+	if resp, err := s.Certify(Request{GID: 1, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("a")}); err != nil || !resp.Yes || resp.Index != 1 {
 		t.Errorf("prepare after the failed batch: %+v, %v; want index 1", resp, err)
 	}
 }
@@ -1075,7 +1098,7 @@ func TestResolveLandsThroughFullQueue(t *testing.T) {
 		cfg.MaxBatch, cfg.QueueDepth, cfg.AdmitTimeout = 1, 1, time.Millisecond
 	})
 	ld := g.waitLeader(t)
-	if p, err := g.client.Prepare(PrepareRequest{GID: 7, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("held")}); err != nil || !p.Prepared {
+	if p, err := g.client.Certify(Request{GID: 7, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("held")}); err != nil || !p.Yes {
 		t.Fatalf("prepare: %+v, %v", p, err)
 	}
 	var wg sync.WaitGroup

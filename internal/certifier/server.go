@@ -19,7 +19,7 @@ import (
 
 // Stats is a snapshot of certifier activity.
 type Stats struct {
-	Requests       int64 // certify, prepare and veto requests the batch loop checked
+	Requests       int64 // commit requests and vetoes the batch loop checked
 	Commits        int64 // of those, the ones whose entry reached the log
 	Aborts         int64
 	InjectedAborts int64
@@ -49,14 +49,14 @@ type Config struct {
 	// drains into a single replication round and durability barrier
 	// (<=0 selects the default of 256).
 	MaxBatch int
-	// AdmitTimeout is the admission-control budget: a certify or
-	// prepare request that cannot get a queue slot within this budget
-	// is shed with an OVERLOADED/retry-after response instead of
-	// queueing without bound, and one that has already waited twice the
-	// budget in the queue when a batch drains (drain collapse) is shed
-	// under the same contract. Decision markers, fills and barriers are
-	// never shed. Zero selects the default of 1s; negative disables
-	// shedding (requests block as before).
+	// AdmitTimeout is the admission-control budget: a commit request
+	// that cannot get a queue slot within this budget is shed with an
+	// OVERLOADED/retry-after response instead of queueing without bound,
+	// and one that has already waited twice the budget in the queue when
+	// a batch drains (drain collapse) is shed under the same contract.
+	// Decision markers, fills and barriers are never shed. Zero selects
+	// the default of 1s; negative disables shedding (requests block as
+	// before).
 	AdmitTimeout time.Duration
 	// QueueDepth caps the admission queue (<=0 selects 4*MaxBatch).
 	// Size it to roughly one AdmitTimeout of drain so an admitted
@@ -81,8 +81,8 @@ const defaultMaxBatch = 256
 //
 // Certification runs as a staged pipeline: RPC handlers enqueue onto
 // the admission queue and wait; a dedicated certification loop drains
-// all waiting tasks — certifications, prepares, decision markers, fills
-// and barriers — checks them in order, proposes every entry they add as
+// all waiting tasks — commit requests, decision markers, fills and
+// barriers — checks them in order, proposes every entry they add as
 // one batched log append, takes one durability barrier per batch, and
 // fans the responses back (see pipeline.go).
 type Server struct {
@@ -95,7 +95,7 @@ type Server struct {
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	loopWG     sync.WaitGroup
-	batchSizes metrics.Distribution // client entries (certifications, yes prepares) proposed per batch
+	batchSizes metrics.Distribution // client entries (one-group commits, yes prepares) proposed per batch
 
 	// Admission-control observability: queue depth at admit time,
 	// queue wait at drain time, and the shed/expired totals — the data
@@ -108,7 +108,7 @@ type Server struct {
 	// (see ensureEngineLocked).
 	barrierInFlight atomic.Bool
 	// inFlight counts admitted-but-unresolved log-appending requests
-	// (certifications, prepares, resolves). Pull responses report it so
+	// (commit requests and resolves). Pull responses report it so
 	// a partitioned replica's merger can tell a group that is about to
 	// commit more entries from one that is genuinely idle and needs a
 	// fill to unblock the merge.
@@ -306,7 +306,7 @@ func (s *Server) Handle(method string, req []byte) ([]byte, error) {
 		if err := transport.DecodeMessage(req, &r); err != nil {
 			return nil, err
 		}
-		resp, err := s.certify(r)
+		resp, err := s.Certify(r)
 		if err != nil {
 			return nil, err
 		}
@@ -317,16 +317,6 @@ func (s *Server) Handle(method string, req []byte) ([]byte, error) {
 			return nil, err
 		}
 		resp, err := s.pull(r)
-		if err != nil {
-			return nil, err
-		}
-		return transport.EncodeMessage(&resp)
-	case method == MethodPrepare:
-		var r PrepareRequest
-		if err := transport.DecodeMessage(req, &r); err != nil {
-			return nil, err
-		}
-		resp, err := s.Prepare(r)
 		if err != nil {
 			return nil, err
 		}
@@ -488,73 +478,51 @@ func (s *Server) waitIndexCommitted(index uint64) error {
 	return err
 }
 
-// certify serves one certification request: the writeset certifies in
-// the next batch and commits at the batch's barrier.
-func (s *Server) certify(req Request) (Response, error) {
-	t, err := newCertifyTask(req)
+// Certify serves one commit request (see Request) and answers once its
+// outcome is final. A one-group commit certifies in the next batch and
+// commits as a data entry at the batch's barrier. A cross-partition one
+// is answered by the group's durable vote: a yes locks the slice's items
+// under the gid, is preceded by fill no-ops up to req.FillTo, and ends
+// its batch alignPad no-ops past the batch's last entry. Response.Remote
+// says what each answer ships.
+func (s *Server) Certify(req Request) (Response, error) {
+	t, err := newCommitTask(req)
 	if err != nil {
 		return Response{}, err
 	}
 	if err := s.submit(t); err != nil {
 		return Response{}, err
 	}
-	return t.resp, nil
+	return s.response(t), nil
 }
 
-// newCertifyTask is the task a certification submits. The entry, payload
+// newCommitTask is the task a commit request submits. The entry, payload
 // included, is built on the handler's own goroutine, so the
 // certification loop only conflict-checks and proposes.
-func newCertifyTask(req Request) (*task, error) {
-	entry, err := newLogEntry(core.KindData, req.Origin, req.StartVersion, 0, nil, req.WSBytes)
+func newCommitTask(req Request) (*task, error) {
+	kind, gid, involved := core.KindData, uint64(0), []int(nil)
+	if len(req.Involved) > 1 {
+		kind, gid, involved = core.KindPrepare, req.GID, req.Involved
+	}
+	entry, err := newLogEntry(kind, req.Origin, req.StartVersion, gid, involved, req.WSBytes)
 	if err != nil {
 		return nil, err
 	}
 	if entry.WS.Empty() {
 		return nil, errors.New("certifier: empty writeset (read-only transactions commit at the replica)")
 	}
-	t := newTask(kindCertify, entry)
-	t.req = req
+	t := newTask(kindCommit, entry)
+	t.after = req.ReplicaVersion
+	t.target = req.FillTo
 	if req.Deadline != 0 {
 		t.deadline = time.Unix(0, req.Deadline)
 	}
 	return t, nil
 }
 
-// Prepare serves phase 1 of a cross-partition commit and answers with
-// the group's durable vote. Yes: this group's slice of the writeset
-// passed the conflict check, its items are locked under the
-// transaction's gid, and the prepare entry is logged. No: the refusal is
-// logged as an abort marker for the gid. A gid that already has a record
-// gets the vote that record holds. A yes first pads the log with fill
-// no-ops up to req.FillTo, its batch ends alignPad no-ops past its last
-// entry, and it ships the group's entries after req.ReplicaVersion (see
-// PrepareResponse.Remote).
-func (s *Server) Prepare(req PrepareRequest) (PrepareResponse, error) {
-	t, err := newPrepareTask(req)
-	if err != nil {
-		return PrepareResponse{}, err
-	}
-	if err := s.submit(t); err != nil {
-		return PrepareResponse{}, err
-	}
-	return s.prepareResponse(t), nil
-}
-
-// newPrepareTask is the task a Prepare submits.
-func newPrepareTask(req PrepareRequest) (*task, error) {
-	entry, err := newLogEntry(core.KindPrepare, req.Origin, req.StartVersion, req.GID, req.Involved, req.WSBytes)
-	if err != nil {
-		return nil, fmt.Errorf("certifier: prepare writeset: %w", err)
-	}
-	t := newTask(kindPrepare, entry)
-	t.after = req.ReplicaVersion
-	t.target = req.FillTo
-	return t, nil
-}
-
-// prepareResponse is the answer to a Prepare whose task is finished.
-func (s *Server) prepareResponse(t *task) PrepareResponse {
-	return PrepareResponse{Prepared: t.prepared, Index: t.index, SystemVersion: s.committedCap(), Remote: t.remote}
+// response is the answer to a commit request whose task is finished.
+func (s *Server) response(t *task) Response {
+	return Response{Yes: t.yes, Index: t.index, SystemVersion: s.committedCap(), Remote: t.remote}
 }
 
 // Resolve appends the commit or abort decision marker for a gid, or
@@ -576,7 +544,7 @@ func (s *Server) Resolve(req ResolveRequest) (ResolveResponse, error) {
 	if err := s.submit(t); err != nil {
 		return ResolveResponse{}, err
 	}
-	return ResolveResponse{Index: t.index, SystemVersion: s.committedCap(), Prepared: t.prepared, Remote: t.remote}, nil
+	return ResolveResponse{Index: t.index, SystemVersion: s.committedCap(), Prepared: t.yes, Remote: t.remote}, nil
 }
 
 // maxFill bounds one fill request; a merge that is further behind asks

@@ -370,7 +370,7 @@ func TestShippedWritesetIsTheLogEntry(t *testing.T) {
 	probe.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: "probe", Cols: []core.ColUpdate{{Col: "v", Value: []byte("p")}}})
 	var certified certifier.Response
 	call(certifier.MethodCertify, &certifier.Request{Origin: 99, StartVersion: pulled.SystemVersion, WSBytes: probe.Encode(nil)}, &certified)
-	if !certified.Committed {
+	if !certified.Yes {
 		t.Fatal("probe transaction aborted")
 	}
 
@@ -405,8 +405,8 @@ func TestShippedWritesetIsTheLogEntry(t *testing.T) {
 	check("pull", pulled.Remote)
 	// A commit's answer runs through its own entry: versions 1..5, then 6.
 	n := len(certified.Remote)
-	if n == 0 || certified.CommitVersion != 6 || certified.Remote[n-1].Version != 6 {
-		t.Fatalf("certify shipped %d writesets up to its commit at %d, want versions 1..6", n, certified.CommitVersion)
+	if n == 0 || certified.Index != 6 || certified.Remote[n-1].Version != 6 {
+		t.Fatalf("certify shipped %d writesets up to its commit at %d, want versions 1..6", n, certified.Index)
 	}
 	check("certify", certified.Remote[:n-1])
 	// The replicas applied the same stream: no-op and all.

@@ -347,6 +347,13 @@ func hold(expired *atomic.Int32, events ...*event) {
 	}
 }
 
+// isPrepare reports whether a steered message is a cross-partition
+// commit request — a prepare — rather than a one-group commit.
+func isPrepare(method string, req []byte) bool {
+	var r certifier.Request
+	return method == certifier.MethodCertify && transport.DecodeMessage(req, &r) == nil && len(r.Involved) > 1
+}
+
 // groupOf parses the certifier group out of a partitioned cluster's
 // fabric endpoint name (-1 if to is not a group certifier).
 func groupOf(to string) int {
@@ -421,9 +428,9 @@ func TestCrossPartitionCommitIsOneRound(t *testing.T) {
 	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
 		if from == ReplicaName(0) {
 			switch g := groupOf(to); {
-			case g == 1 && method == certifier.MethodPrepare:
+			case g == 1 && isPrepare(method, req):
 				prepareSent.fire()
-			case g == 0 && method == certifier.MethodPrepare:
+			case g == 0 && isPrepare(method, req):
 				hold(&expired, prepareSent)
 			case g >= 0 && method == certifier.MethodResolve:
 				resolves.Add(1)
@@ -476,7 +483,7 @@ func TestCrossPartitionCommitNeedsNoPull(t *testing.T) {
 			pulls.Add(1)
 		}
 		resp, err := deliver()
-		if method == certifier.MethodPrepare && err == nil {
+		if isPrepare(method, req) && err == nil {
 			prepared.Add(1)
 		}
 		return resp, err
@@ -517,13 +524,13 @@ func TestCrossPartitionLostPrepareAnswerIsVetoed(t *testing.T) {
 			return deliver()
 		}
 		resp, err := deliver()
-		switch method {
-		case certifier.MethodPrepare:
+		switch {
+		case isPrepare(method, req):
 			if err == nil && lost.CompareAndSwap(0, 1) {
 				// An error the failover client surfaces rather than retries.
 				return nil, &transport.RemoteError{Msg: "injected: prepare answer lost"}
 			}
-		case certifier.MethodResolve:
+		case method == certifier.MethodResolve:
 			var r certifier.ResolveRequest
 			if transport.DecodeMessage(req, &r) == nil && r.Veto {
 				vetoes.Add(1)
@@ -648,7 +655,7 @@ func TestCrossPartitionRefusalReleasesAnUnansweredGroup(t *testing.T) {
 	var lost atomic.Int32
 	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
 		resp, err := deliver()
-		if from == ReplicaName(0) && groupOf(to) == 1 && method == certifier.MethodPrepare && err == nil && lost.CompareAndSwap(0, 1) {
+		if from == ReplicaName(0) && groupOf(to) == 1 && isPrepare(method, req) && err == nil && lost.CompareAndSwap(0, 1) {
 			return nil, &transport.RemoteError{Msg: "injected: prepare answer lost"}
 		}
 		return resp, err
@@ -693,7 +700,7 @@ func TestCrossPartitionUnionMergedBeforeTheAnswers(t *testing.T) {
 	delivered, merged := newEvent(), newEvent()
 	var expired atomic.Int32
 	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
-		if from != ReplicaName(0) || groupOf(to) != 1 || method != certifier.MethodPrepare {
+		if from != ReplicaName(0) || groupOf(to) != 1 || !isPrepare(method, req) {
 			return deliver()
 		}
 		resp, err := deliver()
@@ -794,8 +801,8 @@ func TestCrossPartitionCrossedPrepares(t *testing.T) {
 		if r < 0 || g < 0 {
 			return deliver()
 		}
-		switch method {
-		case certifier.MethodPrepare:
+		switch {
+		case isPrepare(method, req):
 			if g != r {
 				hold(&expired, answered[1-r][g]) // the other transaction locks here first
 			}
@@ -804,7 +811,7 @@ func TestCrossPartitionCrossedPrepares(t *testing.T) {
 				answered[r][g].fire()
 			}
 			return resp, err
-		case certifier.MethodResolve:
+		case method == certifier.MethodResolve:
 			hold(&expired, answered[0][1], answered[1][0]) // both second prepares have met their lock
 		}
 		return deliver()
@@ -926,11 +933,11 @@ func TestCrossPartitionRefusedPrepareIsFenced(t *testing.T) {
 	ws := &core.Writeset{}
 	ws.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: k0, Cols: []core.ColUpdate{{Col: "v", Value: []byte("late")}}})
 	leader0 := c.GroupLeader(0)
-	resp, err := leader0.Prepare(certifier.PrepareRequest{
+	resp, err := leader0.Certify(certifier.Request{
 		GID: gid, Origin: 1, StartVersion: leader0.Node().CommitIndex(), Involved: []int{0, 1}, WSBytes: ws.Encode(nil),
 	})
-	if err != nil || resp.Prepared {
-		t.Errorf("late duplicate of the refused prepare: prepared=%v err=%v, want a refusal", resp.Prepared, err)
+	if err != nil || resp.Yes {
+		t.Errorf("late duplicate of the refused prepare: prepared=%v err=%v, want a refusal", resp.Yes, err)
 	}
 	// With replica 0 caught up to the write that beat it, the same pair
 	// commits: the abort left no lock behind.

@@ -78,8 +78,8 @@ func TestTopologyOneClientPerGroup(t *testing.T) {
 }
 
 // TestTopologyCancelledCommitResolvesDetached: a commit whose ctx is
-// cancelled while its certify request is in flight returns ctx's error,
-// and the detached finisher lands the decision the certifier made.
+// cancelled while its commit request is in flight returns ctx's error,
+// and the round it leaves behind lands the decision the certifier made.
 func TestTopologyCancelledCommitResolvesDetached(t *testing.T) {
 	forTopologies(t, func(t *testing.T, parts int) {
 		c := newTopologyCluster(t, parts)
@@ -114,7 +114,7 @@ func TestTopologyCancelledCommitResolvesDetached(t *testing.T) {
 		}
 		release.fire()
 		if !chaos.WaitUntil(5*time.Second, func() bool { return c.Replica(0).Proxy().Stats().Commits == 2 }) {
-			t.Fatalf("the detached finisher never committed the certified transaction (%d commits)", c.Replica(0).Proxy().Stats().Commits)
+			t.Fatalf("the detached round never committed the certified transaction (%d commits)", c.Replica(0).Proxy().Stats().Commits)
 		}
 		if n := expired.Load(); n != 0 {
 			t.Fatalf("%d steered messages waited out the hold", n)
@@ -124,6 +124,54 @@ func TestTopologyCancelledCommitResolvesDetached(t *testing.T) {
 		}
 		requireRows(t, c, map[string]string{acked: "acked", cancelled: "cancelled"})
 	})
+}
+
+// TestCrossPartitionCancelledCommitReturnsAtOnce: a cross-partition
+// commit whose ctx is cancelled while group 1 holds its request returns
+// ctx's error at once, before the hold is released, and the round it
+// leaves behind still lands: both parts commit on every replica, and
+// every prepare gets its decision marker.
+func TestCrossPartitionCancelledCommitReturnsAtOnce(t *testing.T) {
+	const parts = 2
+	c := newTopologyCluster(t, parts)
+	k0, k1 := keyInPartition(parts, 0, 12), keyInPartition(parts, 1, 12)
+	reached, release := newEvent(), newEvent()
+	var expired atomic.Int32
+	c.Fabric().SetInterposer(steerFunc(func(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+		if from == ReplicaName(0) && groupOf(to) == 1 && isPrepare(method, req) {
+			reached.fire()
+			hold(&expired, release)
+		}
+		return deliver()
+	}))
+	defer c.Fabric().SetInterposer(nil)
+	tx, err := c.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{k0, k1} {
+		if err := tx.Update("t", key, map[string][]byte{"v": []byte("cancelled")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-reached.ch
+		cancel()
+	}()
+	err = tx.CommitCtx(ctx)
+	release.fire()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled cross-partition commit returned %v, want context.Canceled", err)
+	}
+	if n := expired.Load(); n != 0 {
+		t.Fatalf("%d steered messages waited out the hold: the commit did not return at the cancel", n)
+	}
+	if err := c.ConvergeAll(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	requireRows(t, c, map[string]string{k0: "cancelled", k1: "cancelled"})
+	waitNoPrepareUnresolved(t, c)
 }
 
 // TestTopologyPullOnceCatchesUpIdleReplica: a replica that received

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -573,4 +574,74 @@ func BenchmarkProposeBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestLeaderDoesNotSpinOnCutFollower: a leader whose appends to one
+// follower fail at once retries that follower on its heartbeats and
+// proposals, not in a loop of its own. The follower is cut both ways, so
+// it cannot depose the leader by campaigning; the bound counts one
+// attempt per heartbeat and per proposal in the window, plus slack.
+func TestLeaderDoesNotSpinOnCutFollower(t *testing.T) {
+	const nodes, proposals = 3, 5
+	const electionTimeout = 40 * time.Millisecond
+	errCut := errors.New("link cut")
+	var cut atomic.Int32
+	cut.Store(-1)
+	var attempts atomic.Int64
+	fabric := transport.NewLocalFabric(0)
+	g := &group{fabric: fabric}
+	for i := 0; i < nodes; i++ {
+		peers := make(map[int]transport.Client)
+		for j := 0; j < nodes; j++ {
+			if j != i {
+				peers[j] = fabric.Dial(fmt.Sprintf("cert%d", j))
+			}
+		}
+		g.nodes = append(g.nodes, NewNode(Config{
+			ID:              i,
+			Peers:           peers,
+			Disk:            simdisk.New(simdisk.Instant(), int64(i)),
+			ElectionTimeout: electionTimeout,
+			Seed:            int64(i) + 1,
+			CallHook: func(peer int, method string) error {
+				switch c := int(cut.Load()); {
+				case c < 0:
+					return nil
+				case i == c:
+					return errCut
+				case peer == c && method == MethodAppend:
+					attempts.Add(1)
+					return errCut
+				}
+				return nil
+			},
+		}))
+		g.servers = append(g.servers, fabric.Serve(fmt.Sprintf("cert%d", i), g.nodes[i].HandleRPC))
+	}
+	for _, node := range g.nodes {
+		node.Start()
+	}
+	t.Cleanup(func() {
+		for _, node := range g.nodes {
+			node.Stop()
+		}
+	})
+	ld := g.waitLeader(t)
+	leader := g.nodes[ld]
+	start := time.Now()
+	cut.Store(int32((ld + 1) % nodes))
+	for i := 0; i < proposals; i++ {
+		proposeAndWait(t, leader, fmt.Sprintf("p%d", i))
+	}
+	time.Sleep(300 * time.Millisecond)
+	window := time.Since(start)
+	n := attempts.Load()
+	if r, _ := leader.Role(); r != Leader {
+		t.Fatalf("node %d lost the lead during the window", ld)
+	}
+	heartbeats := int64(window/(electionTimeout/3)) + 1
+	if bound := heartbeats + proposals + 10; n > bound {
+		t.Errorf("%d append attempts to the cut follower in %v, want at most %d (%d heartbeats, %d proposals)", n, window.Round(time.Millisecond), bound, heartbeats, proposals)
+	}
+	t.Logf("%d append attempts to the cut follower in %v", n, window.Round(time.Millisecond))
 }

@@ -427,7 +427,10 @@ func (n *Node) broadcastAppend() {
 }
 
 // replicateTo sends one append round to a peer, retrying backwards on
-// log mismatch until it lands or leadership is lost.
+// log mismatch until it lands or leadership is lost. A round whose last
+// call got an answer goes again while the peer is behind; one that got
+// none leaves the peer to the next heartbeat or proposal, so a cut link
+// is not retried in a loop.
 func (n *Node) replicateTo(peer int) {
 	n.mu.Lock()
 	if n.inflight == nil {
@@ -439,10 +442,11 @@ func (n *Node) replicateTo(peer int) {
 	}
 	n.inflight[peer] = true
 	n.mu.Unlock()
+	answered := false
 	defer func() {
 		n.mu.Lock()
 		n.inflight[peer] = false
-		more := n.role == Leader && !n.stopped && n.nextIndex[peer] <= uint64(len(n.log))
+		more := answered && n.role == Leader && !n.stopped && n.nextIndex[peer] <= uint64(len(n.log))
 		n.mu.Unlock()
 		if more {
 			go n.replicateTo(peer)
@@ -478,6 +482,7 @@ func (n *Node) replicateTo(peer int) {
 		if err != nil {
 			return
 		}
+		answered = false
 		respB, err := n.callPeer(peer, client, MethodAppend, req)
 		if err != nil {
 			return // peer down; heartbeat will retry
@@ -486,6 +491,7 @@ func (n *Node) replicateTo(peer int) {
 		if err := transport.DecodeMessage(respB, &resp); err != nil {
 			return
 		}
+		answered = true
 
 		n.mu.Lock()
 		if n.lastAck != nil {

@@ -17,22 +17,22 @@ import (
 )
 
 // The ordering point (see internal/partition): the proxy talks to the
-// certifier groups of its topology — one in the classic system. Commits
-// route by partition — a single-partition writeset certifies in one
-// round against its group; a cross-partition writeset runs the
-// prepare/resolve protocol across its groups. All application goes
-// through one merger goroutine that interleaves the per-group committed
-// streams into the deterministic merged order and applies it run by run
-// through applyRun — the policy cfg.Mode picks — so every replica
-// installs the same state at the same merged version.
+// certifier groups of its topology — one in the classic system. A commit
+// sends one request to each group its writeset touches (merger.commit):
+// one group's answer is the decision, and several groups' answers are
+// votes, resolved by decision markers off the client's path. All
+// application goes through one merger goroutine that interleaves the
+// per-group committed streams into the deterministic merged order and
+// applies it run by run through applyRun — the policy cfg.Mode picks — so
+// every replica installs the same state at the same merged version.
 //
 // Entries are addressed by (group, index), the assembler deduplicates
 // and orders them, and the merge is strict round-robin, so an entry's
 // merged version and a snapshot's position in each group's version space
 // are arithmetic (partition.Map.MergedVersion / GroupVersion), not state;
-// with one group both are the identity. A certify response carries its
+// with one group both are the identity. A commit's answer carries its
 // group's entries through the committed one, so the merge holds the
-// client's own entry as soon as the response is in.
+// client's own entry as soon as the answer is in.
 
 // waitKey addresses the action a committing client waits for: a
 // single-partition commit's entry by its group and log index, a
@@ -127,39 +127,6 @@ func (m *merger) localCert() bool {
 	return len(m.topo.Groups) == 1
 }
 
-// resolve feeds group g's certify response to the assembler and, if it
-// committed the client's transaction, waits for the merger to commit
-// that at its merged position. ctx bounded only the certification round
-// trip: a client that gave up mid-certify (tx nil) is finished the same
-// way, by writeset.
-func (m *merger) resolve(g int, resp certifier.Response, tx *mvstore.Tx, ws *core.Writeset) (uint64, error) {
-	p := m.p
-	if !resp.Committed {
-		m.ingest(g, resp.Remote, nil)
-		if tx != nil {
-			tx.Abort()
-		}
-		p.addStat(func(st *Stats) { st.CertAborts++ })
-		return 0, ErrCertificationAbort
-	}
-	w := &ownWait{key: waitKey{g, resp.CommitVersion}, tx: tx, ws: ws, ch: make(chan ownTurn, 1)}
-	mv := m.topo.Map.MergedVersion(g, resp.CommitVersion)
-	var err error
-	if m.ingest(g, resp.Remote, w) {
-		_, err = m.await(w)
-	} else {
-		err = m.awaitRaced(mv, tx)
-	}
-	if err != nil {
-		if tx != nil {
-			tx.Abort() // a no-op on a handle the commit finished
-		}
-		return 0, err
-	}
-	p.addStat(func(st *Stats) { st.Commits++ })
-	return mv, nil
-}
-
 // resync brings a recovered replica up to the certifier tier. The merger
 // replays every group's stream from index 1 (apply drops the actions the
 // store already covers), so resync pulls every group once and waits
@@ -192,16 +159,19 @@ func (m *merger) resync() error {
 // wakes the merger. w, if set, is the client waiting for an action: it
 // is registered in the same critical section as the offers, so the
 // merger cannot drain its action as a stranger's first. ingest reports
-// whether it registered w — false when the merge had already passed w's
-// action.
-func (m *merger) ingest(g int, remote []certifier.RemoteWS, w *ownWait) (registered bool) {
+// whether it registered w, and if the merge had already passed w's
+// action instead, the merged version the action took.
+func (m *merger) ingest(g int, remote []certifier.RemoteWS, w *ownWait) (registered bool, mv uint64) {
 	m.mu.Lock()
 	for _, r := range remote {
 		m.asm.Offer(g, r.Version, r.WSBytes)
 	}
-	if w != nil && !m.passedLocked(w.key) {
-		m.waiters[w.key] = w
-		registered = true
+	if w != nil {
+		var passed bool
+		if mv, passed = m.mergedLocked(w.key); !passed {
+			m.waiters[w.key] = w
+			registered = true
+		}
 	}
 	m.mu.Unlock()
 	if len(remote) > 0 {
@@ -215,18 +185,19 @@ func (m *merger) ingest(g int, remote []certifier.RemoteWS, w *ownWait) (registe
 		// may be parked with nothing else to do).
 		m.nudge()
 	}
-	return registered
+	return registered, mv
 }
 
-// passedLocked reports whether the merge has emitted the action k
-// addresses: an entry by its merged version, a cross-partition union by
-// the assembler's record of it. Caller holds m.mu.
-func (m *merger) passedLocked(k waitKey) bool {
+// mergedLocked reports whether the merge has emitted the action k
+// addresses, and at which merged version: an entry's is arithmetic, a
+// cross-partition union's the assembler's record of it. Caller holds
+// m.mu.
+func (m *merger) mergedLocked(k waitKey) (mv uint64, passed bool) {
 	if k.g < 0 {
-		_, applied := m.asm.Applied(k.idx)
-		return applied
+		return m.asm.Applied(k.idx)
 	}
-	return m.asm.MergedVersion() >= m.topo.Map.MergedVersion(k.g, k.idx)
+	mv = m.topo.Map.MergedVersion(k.g, k.idx)
+	return mv, m.asm.MergedVersion() >= mv
 }
 
 // nudge wakes the merger goroutine if it is parked.
@@ -567,7 +538,7 @@ func (m *merger) awaitRaced(mv uint64, tx *mvstore.Tx) error {
 // it (Replica.Crash, Replica.Close), so the client waits for that and
 // hears the store's ErrCrashed — outcome unknown, as for any commit on a
 // replica that went down under it — or errUnresolved if the store lives
-// on. A detached finisher (tx nil: its client gave up) has nobody to
+// on. A detached commit round (tx nil: its client gave up) has nobody to
 // tell and is told errUnresolved at once. It runs under the proxy's
 // wait group, and the owner takes the store down only after Close has
 // waited for that group.
@@ -583,20 +554,30 @@ func (m *merger) closedErr(tx *mvstore.Tx) error {
 
 // vote is what a coordinator knows of one group's vote for its gid: the
 // first record the group's log holds for it (see certifier.Engine.Vote).
+// A one-group commit's answer is its decision, read the same way.
 type vote uint8
 
 const (
 	voteUnknown vote = iota // no answer yet
-	voteYes                 // a prepare
-	voteNo                  // an abort marker: a refusal or a veto
+	voteYes                 // a commit, or a prepare
+	voteNo                  // a refusal, or an abort marker: a refused prepare or a veto
 )
 
-// decided reports whether votes fix the outcome, and which one it is:
+// answer is what the coordinator holds of one group's answer to its
+// commit request.
+type answer struct {
+	vote   vote
+	index  uint64               // the log index the answer stands on
+	remote []certifier.RemoteWS // the entries it shipped, until ingested
+	err    error                // why the request failed, if it did
+}
+
+// decided reports whether answers fix the outcome, and which one it is:
 // commit needs every yes, and a single no aborts.
-func decided(votes []vote) (commit, ok bool) {
+func decided(answers []answer) (commit, ok bool) {
 	ok = true
-	for _, v := range votes {
-		switch v {
+	for _, a := range answers {
+		switch a.vote {
 		case voteNo:
 			return false, true
 		case voteUnknown:
@@ -606,120 +587,237 @@ func decided(votes []vote) (commit, ok bool) {
 	return ok, ok
 }
 
-// commitCross commits a cross-partition transaction in one durable
-// round. It prepares in every involved group at once, and each answer is
-// that group's vote, logged before it is sent: a prepare is yes, an
-// abort marker no. Every replica's merge applies the union of the parts
-// atomically where the last yes merges (partition.Action), so once all
-// the votes are yes the transaction is committed, and the client waits
-// only for its own merge to get there. Each yes ships its group's
-// entries from this replica's frontier through the batch that logged
-// it, and each prepare asks its group to pad its log level with this
-// replica's highest frontier first (PrepareRequest.FillTo), so the merge
-// usually reaches the union with what the round itself returned. The
-// commit markers follow off the client's path: they release the groups'
-// locks and publish the items to later certifications. Prepare locks
-// never wait (a held item refuses the
-// prepare), so no lock order is needed; two transactions that collide in
-// two groups may refuse each other, and both then abort and retry.
-//
-// A group whose answer is missing — a transport error, a shed, a
-// cancelled ctx — is vetoed: the veto casts a no unless the group
-// already voted, and then returns that vote. The client hears
-// ErrCertificationAbort only if some group refused, and an error if its
-// own veto cast the no or a vote stays unknown; a detached resolver then
-// learns the missing votes and drives the outcome to every group.
-func (m *merger) commitCross(ctx context.Context, t *Tx, ws *core.Writeset, parts []partition.Part) error {
-	p := m.p
-	gid := uint64(p.cfg.ReplicaID)<<40 | (gidCounter.Add(1) & (1<<40 - 1))
-	involved := make([]int, len(parts))
+// round is one commit's requests to the groups its writeset's parts
+// touch, and their answers. A cross-partition round has a gid; a
+// one-group round keeps its group and answer inline.
+type round struct {
+	parts    []partition.Part
+	pids     []int // the parts' partition ids
+	answers  []answer
+	gid      uint64 // 0: one group
+	fillTo   uint64 // a cross-partition round's FillTo (certifier.Request)
+	start    uint64 // the transaction's snapshot, a merged version
+	deadline int64  // the caller's deadline in UnixNano (0 = none)
+
+	pid    [1]int
+	answer [1]answer
+}
+
+// newRound is the round that commits the parts of a writeset whose
+// snapshot is start.
+func (m *merger) newRound(parts []partition.Part, start uint64) *round {
+	r := &round{parts: parts, start: start}
+	if len(parts) == 1 {
+		r.pid[0] = parts[0].PID
+		r.pids, r.answers = r.pid[:], r.answer[:]
+		return r
+	}
+	r.gid = uint64(m.p.cfg.ReplicaID)<<40 | (gidCounter.Add(1) & (1<<40 - 1))
+	r.pids, r.answers = make([]int, len(parts)), make([]answer, len(parts))
 	for i, part := range parts {
-		involved[i] = part.PID
+		r.pids[i] = part.PID
 	}
-
-	var fillTo uint64
 	for g := range m.topo.Groups {
-		fillTo = max(fillTo, m.replicaVersion(g))
+		r.fillTo = max(r.fillTo, m.replicaVersion(g))
 	}
+	return r
+}
 
-	votes := make([]vote, len(parts))
-	remotes := make([][]certifier.RemoteWS, len(parts))
-	errs := make([]error, len(parts))
-	fanOut(len(parts), func(i int) {
-		pid := parts[i].PID
-		resp, err := m.topo.Groups[pid].PrepareCtx(ctx, certifier.PrepareRequest{
-			GID:            gid,
-			Origin:         p.cfg.ReplicaID,
-			StartVersion:   m.topo.Map.GroupVersion(pid, t.SnapshotVersion()),
-			Involved:       involved,
-			WSBytes:        parts[i].WS.Encode(nil),
-			ReplicaVersion: m.replicaVersion(pid),
-			FillTo:         fillTo,
-		})
-		switch {
-		case err != nil:
-			errs[i] = err
-		case resp.Prepared:
-			votes[i], remotes[i] = voteYes, resp.Remote
-		default:
-			votes[i] = voteNo
+// certifyGrace is how far past the caller's deadline a commit's requests
+// keep trying to learn the real decision after the caller has been
+// answered with its context's error.
+const certifyGrace = 500 * time.Millisecond
+
+// commit commits t, whose writeset ws splits into parts, in one durable
+// round: one commit request (certifier.Request) to every group the parts
+// touch, all at once. With one part the answer is the decision. With
+// several each answer is the group's durable vote, and every replica's
+// merge applies the union of the parts where the last yes merges
+// (partition.Action), so once all the votes are yes the transaction is
+// committed. Either way the answers ship what the merge needs to reach
+// the commit, and the client waits only for its own merge to get there.
+// A prepare's locks never wait (a held item refuses it), so the groups
+// need no order; two transactions that collide in two groups may refuse
+// each other, and both abort and retry.
+//
+// The requests run on a context the caller's cancel cannot kill, bounded
+// by the caller's deadline plus certifyGrace: a decision may exist, and
+// the merged stream needs it. A caller that gives up hears ctx.Err() at
+// once, and the round finishes detached, without the client's handle;
+// the caller must treat the outcome as unknown.
+func (m *merger) commit(ctx context.Context, t *Tx, ws *core.Writeset, parts []partition.Part) error {
+	r := m.newRound(parts, t.SnapshotVersion())
+	d, bounded := ctx.Deadline()
+	if bounded {
+		r.deadline = d.UnixNano()
+	}
+	if ctx.Done() == nil {
+		m.run(ctx, r)
+	} else {
+		callCtx, cancel := context.WithoutCancel(ctx), context.CancelFunc(func() {})
+		if bounded {
+			callCtx, cancel = context.WithDeadline(callCtx, d.Add(certifyGrace))
 		}
-	})
-	refused := slices.Contains(votes, voteNo)
-	if _, ok := decided(votes); !ok && ctx.Err() == nil {
-		m.vetoAll(ctx, gid, involved, votes, remotes)
-	}
-
-	commit, _ := decided(votes)
-	if !commit {
-		t.inner.Abort()
-		m.resolveDetached(gid, involved, votes)
-		if refused {
-			p.addStat(func(st *Stats) { st.CertAborts++; st.CrossPartAborts++ })
-			return ErrCertificationAbort
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			defer cancel()
+			m.run(callCtx, r)
+		}()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			t.inner.Abort()
+			m.p.detach(func() {
+				<-done
+				m.settle(r, nil, ws)
+			})
+			return ctx.Err()
 		}
-		i := slices.IndexFunc(errs, func(err error) bool { return err != nil })
-		return fmt.Errorf("proxy: prepare in partition %d: %w", involved[i], certError(errs[i]))
+	}
+	mv, err := m.settle(r, t.inner, ws)
+	if err == nil {
+		t.commitVersion = mv
+	}
+	return err
+}
+
+// run sends r's requests and records the answers. A cross-partition round
+// then vetoes every group whose answer is missing — a transport error, a
+// shed, an expired deadline: the veto casts a no unless the group already
+// voted, and then returns that vote.
+func (m *merger) run(ctx context.Context, r *round) {
+	if r.gid == 0 {
+		m.ask(ctx, r, 0)
+		return
+	}
+	fanOut(len(r.pids), func(i int) { m.ask(ctx, r, i) })
+	if _, ok := decided(r.answers); !ok {
+		m.vetoAll(ctx, r.gid, r.pids, r.answers)
+	}
+}
+
+// ask sends r's request to its i-th group and records the answer.
+func (m *merger) ask(ctx context.Context, r *round, i int) {
+	pid := r.pids[i]
+	req := certifier.Request{
+		GID:            r.gid,
+		Origin:         m.p.cfg.ReplicaID,
+		StartVersion:   m.topo.Map.GroupVersion(pid, r.start),
+		WSBytes:        r.parts[i].WS.Encode(nil),
+		ReplicaVersion: m.replicaVersion(pid),
+		FillTo:         r.fillTo,
+		Deadline:       r.deadline,
+	}
+	if r.gid != 0 {
+		req.Involved = r.pids
+	}
+	resp, err := m.topo.Groups[pid].CertifyCtx(ctx, req)
+	a := &r.answers[i]
+	switch {
+	case err != nil:
+		a.err = err
+	case resp.Yes:
+		a.vote, a.index, a.remote = voteYes, resp.Index, resp.Remote
+	default:
+		a.vote, a.remote = voteNo, resp.Remote
+	}
+}
+
+// settle turns r's answers into the commit's outcome. tx is the client's
+// handle, nil when the client gave up: a commit is then installed by
+// writeset at its merged position, and a failure has nobody to tell. A
+// cross-partition round hands its decision to resolveDetached. The
+// client hears ErrCertificationAbort only if some group refused, and an
+// error if a request failed and no group refused: a vote may then be
+// unknown, and the detached resolver learns it and drives the outcome to
+// every group.
+func (m *merger) settle(r *round, tx *mvstore.Tx, ws *core.Writeset) (uint64, error) {
+	p := m.p
+	cross := r.gid != 0
+	if commit, _ := decided(r.answers); !commit {
+		if tx != nil {
+			tx.Abort()
+		}
+		m.ingestAnswers(r.pids, r.answers, nil) // a refusal ships what is committed
+		err := ErrCertificationAbort
+		// A group that refused answered its request; a veto's no stands
+		// where the request failed.
+		if slices.ContainsFunc(r.answers, func(a answer) bool { return a.vote == voteNo && a.err == nil }) {
+			p.addStat(func(st *Stats) {
+				st.CertAborts++
+				if cross {
+					st.CrossPartAborts++
+				}
+			})
+		} else {
+			i := slices.IndexFunc(r.answers, func(a answer) bool { return a.err != nil })
+			err = fmt.Errorf("proxy: partition %d: %w", r.pids[i], certError(r.answers[i].err))
+		}
+		if cross {
+			m.resolveDetached(r.gid, r.pids, r.answers)
+		}
+		return 0, err
 	}
 
-	// Every vote is yes. The waiter is registered in the critical section
-	// that offers the first group's entries: a pull may have brought every
-	// prepare to the merge before the answers did, and then the union has
-	// already applied and no marker exists yet to retire its record.
-	w := &ownWait{key: waitKey{-1, gid}, tx: t.inner, ws: ws, ch: make(chan ownTurn, 1)}
-	registered := m.ingest(involved[0], remotes[0], w)
-	for i := 1; i < len(involved); i++ {
-		m.ingest(involved[i], remotes[i], nil)
+	// The waiter is registered in the critical section that offers the
+	// first group's entries: a pull may have brought the commit to the
+	// merge before the answers did, and for a cross-partition commit then
+	// the union has already applied and no marker exists yet to retire its
+	// record.
+	key := waitKey{r.pids[0], r.answers[0].index}
+	if cross {
+		key = waitKey{-1, r.gid}
 	}
-	var mv uint64
-	if !registered {
-		m.mu.Lock()
-		mv, _ = m.asm.Applied(gid) // read before the markers can retire it
-		m.mu.Unlock()
+	w := &ownWait{key: key, tx: tx, ws: ws, ch: make(chan ownTurn, 1)}
+	// A union's merged version is read before the markers can retire it.
+	registered, mv := m.ingestAnswers(r.pids, r.answers, w)
+	if cross {
+		m.resolveDetached(r.gid, r.pids, r.answers)
 	}
-	m.resolveDetached(gid, involved, votes)
-
 	var err error
 	if registered {
 		mv, err = m.await(w)
 	} else {
-		err = m.awaitRaced(mv, t.inner)
+		err = m.awaitRaced(mv, tx)
 	}
 	if err != nil {
-		t.inner.Abort() // a no-op on a handle the commit finished
-		return err
+		if tx != nil {
+			tx.Abort() // a no-op on a handle the commit finished
+		}
+		return 0, err
 	}
-	t.commitVersion = mv
-	p.addStat(func(st *Stats) { st.Commits++; st.CrossPartCommits++ })
-	return nil
+	p.addStat(func(st *Stats) {
+		st.Commits++
+		if cross {
+			st.CrossPartCommits++
+		}
+	})
+	return mv, nil
+}
+
+// ingestAnswers feeds the entries the answers shipped to the assembler
+// and drops them from the answers. w, if set, goes with the first
+// group's entries, and ingestAnswers reports what ingest did with it.
+func (m *merger) ingestAnswers(pids []int, answers []answer, w *ownWait) (registered bool, mv uint64) {
+	for i := range answers {
+		if i == 0 {
+			registered, mv = m.ingest(pids[i], answers[i].remote, w)
+		} else {
+			m.ingest(pids[i], answers[i].remote, nil)
+		}
+		answers[i].remote = nil
+	}
+	return registered, mv
 }
 
 // vetoAll vetoes, at once, every group of pids whose vote is unknown and
-// records what each answer says; a yes's entries land in remotes. A
+// records what each answer says; a yes's entries land in its answer. A
 // group whose veto fails stays unknown.
-func (m *merger) vetoAll(ctx context.Context, gid uint64, pids []int, votes []vote, remotes [][]certifier.RemoteWS) {
+func (m *merger) vetoAll(ctx context.Context, gid uint64, pids []int, answers []answer) {
 	fanOut(len(pids), func(i int) {
-		if votes[i] != voteUnknown {
+		a := &answers[i]
+		if a.vote != voteUnknown {
 			return
 		}
 		g := pids[i]
@@ -729,9 +827,9 @@ func (m *merger) vetoAll(ctx context.Context, gid uint64, pids []int, votes []vo
 		switch {
 		case err != nil:
 		case resp.Prepared:
-			votes[i], remotes[i] = voteYes, resp.Remote
+			a.vote, a.index, a.remote = voteYes, resp.Index, resp.Remote
 		default:
-			votes[i] = voteNo
+			a.vote = voteNo
 		}
 	})
 }
@@ -762,8 +860,8 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 }
 
 // resolveDetached drives a cross-partition transaction's outcome to its
-// groups (pids, with what the coordinator knows of their votes, which it
-// takes over) in the background, off the client's path. Unless some
+// groups (pids, with what the coordinator knows of their answers, which
+// it takes over) in the background, off the client's path. Unless some
 // group voted no, it first vetoes every group whose vote is unknown until
 // each has answered. Then, if every vote is yes, it sends the commit
 // markers to every group, and otherwise an abort marker to each group
@@ -773,8 +871,7 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 // certifications. No client waits on a marker, so a group does not count
 // it as a request or an echo; it paces the group's next batch instead,
 // since a marker follows the last group's answer (see the certifier's
-// gatherBatch). Each round retries
-// every pending group at once. It touches only certifier clients (never
+// gatherBatch). Each round retries every pending group at once. It touches only certifier clients (never
 // the store), so it is safe across a simulated replica crash; it stops
 // when the decision landed everywhere or the proxy shuts down. On
 // shutdown an undelivered decision leaves prepared groups' locks held,
@@ -782,7 +879,7 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 // later conflicting certification aborts for good. That costs liveness on
 // those items, never safety. The missing termination protocol is open
 // item 4 of ROADMAP.md ("Cross-partition commit").
-func (m *merger) resolveDetached(gid uint64, pids []int, votes []vote) {
+func (m *merger) resolveDetached(gid uint64, pids []int, answers []answer) {
 	p := m.p
 	p.detach(func() {
 		backoff := 5 * time.Millisecond
@@ -797,20 +894,17 @@ func (m *merger) resolveDetached(gid uint64, pids []int, votes []vote) {
 			}
 			return true
 		}
-		commit, known := decided(votes)
+		commit, known := decided(answers)
 		for !known {
-			remotes := make([][]certifier.RemoteWS, len(pids))
-			m.vetoAll(context.Background(), gid, pids, votes, remotes)
-			for i, r := range remotes {
-				m.ingest(pids[i], r, nil)
-			}
-			if commit, known = decided(votes); !known && !retry() {
+			m.vetoAll(context.Background(), gid, pids, answers)
+			m.ingestAnswers(pids, answers, nil)
+			if commit, known = decided(answers); !known && !retry() {
 				return
 			}
 		}
 		var pending []int
 		for i, g := range pids {
-			if commit || votes[i] != voteNo {
+			if commit || answers[i].vote != voteNo {
 				pending = append(pending, g)
 			}
 		}

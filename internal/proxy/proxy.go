@@ -92,15 +92,6 @@ func certError(err error) error {
 	return fmt.Errorf("proxy: certification: %w", err)
 }
 
-// deadlineNano converts ctx's deadline to the wire representation
-// (UnixNano, 0 = none).
-func deadlineNano(ctx context.Context) int64 {
-	if d, ok := ctx.Deadline(); ok {
-		return d.UnixNano()
-	}
-	return 0
-}
-
 // Stats is a snapshot of proxy activity.
 type Stats struct {
 	Commits             int64
@@ -253,8 +244,8 @@ func (p *Proxy) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	close(p.stopCh)
-	// Submitters first: a detached finisher may be waiting on a version
-	// that is still in the scheduler's window.
+	// Submitters first: a detached commit round may be waiting on a
+	// version that is still in the scheduler's window.
 	p.wg.Wait()
 	p.sched.stop()
 }
@@ -379,14 +370,14 @@ func (t *Tx) Commit() error { return t.CommitCtx(context.Background()) }
 // certification and the mode's commit strategy.
 //
 // Cancellation semantics: ctx is honored before and during the
-// certification round trip. If ctx expires while certification is in
-// flight, CommitCtx aborts the local handle and returns ctx.Err(),
-// but — as with any distributed commit — the certifier may still have
-// committed the transaction; the proxy then finishes applying it in
-// the background so the merged stream stays whole, and the caller
-// must treat the outcome as unknown. Once the certifier's decision has
-// arrived the remaining local work completes regardless of ctx (it is
-// bounded by the proxy's own timeouts).
+// certification round trip, at any number of groups. If ctx ends while
+// certification is in flight, CommitCtx aborts the local handle and
+// returns ctx.Err() at once, but — as with any distributed commit — the
+// certifier tier may still commit the transaction; the proxy then
+// finishes the round in the background so the merged stream stays whole
+// (see merger.commit), and the caller must treat the outcome as unknown.
+// Once the decision has arrived the remaining local work completes
+// regardless of ctx (it is bounded by the proxy's own timeouts).
 func (t *Tx) CommitCtx(ctx context.Context) error {
 	if t.done {
 		return mvstore.ErrTxDone
@@ -407,12 +398,6 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 		return nil
 	}
 
-	parts := p.topo.Map.Split(ws)
-	if len(parts) > 1 {
-		return p.m.commitCross(ctx, t, ws, parts)
-	}
-	g := parts[0].PID
-
 	// Local certification (§6.2): a conflict with an already-received
 	// remote writeset aborts without bothering the certifier.
 	if p.m.localCert() && p.localConflict(ws, t.SnapshotVersion()) {
@@ -420,82 +405,7 @@ func (t *Tx) CommitCtx(ctx context.Context) error {
 		p.addStat(func(st *Stats) { st.LocalCertAborts++ })
 		return fmt.Errorf("%w (local certification)", ErrCertificationAbort)
 	}
-
-	resp, err := p.certify(ctx, t, g, certifier.Request{
-		Origin:         p.cfg.ReplicaID,
-		StartVersion:   p.topo.Map.GroupVersion(g, t.SnapshotVersion()),
-		ReplicaVersion: p.m.replicaVersion(g),
-		WSBytes:        ws.Encode(nil),
-		Deadline:       deadlineNano(ctx),
-	})
-	if err != nil {
-		return err
-	}
-	cv, err := p.m.resolve(g, resp, t.inner, ws)
-	if err != nil {
-		return err
-	}
-	t.commitVersion = cv
-	return nil
-}
-
-// certifyGrace is how far past the caller's deadline the detached
-// certification RPC keeps trying to learn the real decision before
-// giving up (the caller has already been answered with ctx.Err()).
-const certifyGrace = 500 * time.Millisecond
-
-// certify runs the certification round trip to group g, honoring ctx.
-// On cancellation the local handle is aborted and the eventual response
-// — which may carry a commit decision — is resolved by a detached
-// finisher so no sequence gap or lost writeset results.
-func (p *Proxy) certify(ctx context.Context, t *Tx, g int, req certifier.Request) (certifier.Response, error) {
-	client := p.topo.Groups[g]
-	answered := func(resp certifier.Response, err error) (certifier.Response, error) {
-		if err != nil {
-			t.inner.Abort()
-			return resp, certError(err)
-		}
-		return resp, nil
-	}
-	if ctx.Done() == nil {
-		return answered(client.Certify(req))
-	}
-	// The RPC runs on a context of its own: an explicit caller cancel
-	// must not kill the call mid-flight (the decision may exist and the
-	// detached finisher needs it), but a caller deadline bounds it with
-	// a small grace — the server drops the request at the deadline too,
-	// so spinning out the client's full retry budget for a dead caller
-	// would only occupy a failover slot.
-	callCtx := context.Background()
-	cancel := func() {}
-	if d, ok := ctx.Deadline(); ok {
-		callCtx, cancel = context.WithDeadline(context.Background(), d.Add(certifyGrace))
-	}
-	type outcome struct {
-		resp certifier.Response
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer cancel()
-		resp, err := client.CertifyCtx(callCtx, req)
-		ch <- outcome{resp, err}
-	}()
-	select {
-	case o := <-ch:
-		return answered(o.resp, o.err)
-	case <-ctx.Done():
-		ws := t.inner.Writeset()
-		t.inner.Abort()
-		p.detach(func() {
-			// The response's entries reach the merger like any other, and a
-			// commit is installed by writeset at its merged position.
-			if o := <-ch; o.err == nil {
-				p.m.resolve(g, o.resp, nil, ws)
-			}
-		})
-		return certifier.Response{}, ctx.Err()
-	}
+	return p.m.commit(ctx, t, ws, p.topo.Map.Split(ws))
 }
 
 // localConflict checks ws against remote writesets received with

@@ -268,12 +268,12 @@ func (f steerFunc) Call(from, to, method string, req []byte, deliver func() ([]b
 }
 
 // TestCloseWithCancelledCommitInFlight: a commit whose context is
-// cancelled mid-certification leaves a detached finisher behind, which
-// takes the certifier's answer whenever it comes. Here it comes after
-// Close has begun. The finisher has no client to tell that the proxy
+// cancelled mid-certification leaves its round to finish detached, and
+// the round takes the certifier's answer whenever it comes. Here it comes
+// after Close has begun. The round has no client to tell that the proxy
 // closed under the commit, so it must not wait for the store to go down
-// — the store goes down only after Close has waited for the finisher —
-// and Close returns at once instead of sleeping out a 30 s wait.
+// — the store goes down only after Close has waited for the round — and
+// Close returns at once instead of sleeping out a 30 s wait.
 func TestCloseWithCancelledCommitInFlight(t *testing.T) {
 	db, err := tashkent.Start(tashkent.Config{Mode: tashkent.ModeTashkentMW, Replicas: 1})
 	if err != nil {
