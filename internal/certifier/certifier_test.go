@@ -153,7 +153,7 @@ func TestPull(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := g.client.Pull(PullRequest{Origin: 3, ReplicaVersion: 1})
+	resp, err := g.client.Pull(PullRequest{ReplicaVersion: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 
 	// A pull served by the new leader ships only majority-durable
 	// versions: everything it returns is <= its reported SystemVersion.
-	pull, err := g.client.Pull(PullRequest{Origin: 9, ReplicaVersion: 0})
+	pull, err := g.client.Pull(PullRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestRequestCostIndependentOfLogLength(t *testing.T) {
 	measure := func(entries uint64) (pull, prepare uint64) {
 		srv := longLogLeader(t, entries)
 		pull = medianAllocPerCall(101, func(int) {
-			if _, err := srv.pull(PullRequest{Origin: 1, ReplicaVersion: srv.committedCap(), IncludeOwn: true}); err != nil {
+			if _, err := srv.pull(PullRequest{ReplicaVersion: srv.committedCap()}); err != nil {
 				t.Fatalf("pull at %d entries: %v", entries, err)
 			}
 		})
@@ -579,7 +579,7 @@ func TestRequestCostIndependentOfLogLength(t *testing.T) {
 // entries.
 func BenchmarkPullLongLog(b *testing.B) {
 	srv := longLogLeader(b, 20000)
-	req := PullRequest{Origin: 1, ReplicaVersion: srv.committedCap(), IncludeOwn: true}
+	req := PullRequest{ReplicaVersion: srv.committedCap()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -640,7 +640,7 @@ func TestPullAllocationsDoNotGrowWithEntries(t *testing.T) {
 		}
 	}
 	_, _, log := srv.Node().SnapshotLog()
-	req := PullRequest{Origin: 9, IncludeOwn: true}
+	req := PullRequest{}
 	allocs := testing.AllocsPerRun(50, func() {
 		resp, err := srv.pull(req)
 		if err != nil || len(resp.Remote) != entries {

@@ -174,28 +174,16 @@ func (r *Response) DecodeBinary(data []byte) error {
 	return nil
 }
 
-// PullRequest: u32 origin | u64 replicaVersion | u8 flags
-// (bit1 includeOwn)
+// PullRequest: u64 replicaVersion
 func (r *PullRequest) AppendBinary(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Origin))
-	buf = binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
-	var flags byte
-	if r.IncludeOwn {
-		flags |= 2
-	}
-	return append(buf, flags)
+	return binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
 }
 
 func (r *PullRequest) DecodeBinary(data []byte) error {
-	if len(data) != 13 {
+	if len(data) != 8 {
 		return errShortMessage
 	}
-	if err := checkFlags(data[12], 2); err != nil {
-		return err
-	}
-	r.Origin = int(binary.BigEndian.Uint32(data))
-	r.ReplicaVersion = binary.BigEndian.Uint64(data[4:])
-	r.IncludeOwn = data[12]&2 != 0
+	r.ReplicaVersion = binary.BigEndian.Uint64(data)
 	return nil
 }
 

@@ -114,11 +114,7 @@ func TestCodecRoundTripFuzz(t *testing.T) {
 			t.Fatalf("Response round trip: %+v != %+v", gotR, resp)
 		}
 
-		pr := &PullRequest{
-			Origin:         rng.Intn(1 << 16),
-			ReplicaVersion: rng.Uint64(),
-			IncludeOwn:     rng.Intn(2) == 0,
-		}
+		pr := &PullRequest{ReplicaVersion: rng.Uint64()}
 		if got := roundTrip(t, pr).(*PullRequest); !reflect.DeepEqual(pr, got) {
 			t.Fatalf("PullRequest round trip: %+v != %+v", got, pr)
 		}
@@ -239,6 +235,7 @@ func TestCodecTruncation(t *testing.T) {
 		&Request{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6, Deadline: 3},
 		&Response{Yes: true, Index: 9, SystemVersion: 9},
 		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8}, {Version: 9, WSBytes: randBytes(rng, 40)}}},
+		&PullRequest{ReplicaVersion: 4},
 		&ResolveRequest{GID: 7, Commit: true, ReplicaVersion: 4},
 		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
 		&ResolveResponse{Index: 9, SystemVersion: 9},
@@ -263,7 +260,6 @@ func TestCodecTruncation(t *testing.T) {
 	for _, msg := range []interface{}{
 		&Request{WSBytes: []byte{1}},
 		&Response{Yes: true},
-		&PullRequest{IncludeOwn: true},
 		&PullResponse{Busy: true},
 		&ResolveRequest{Commit: true},
 		&ResolveRequest{Veto: true},
@@ -287,8 +283,7 @@ func TestCodecTruncation(t *testing.T) {
 			}
 		}
 	}
-	// A request has no flag bit, and a pull request only bit 1: any
-	// other bit is unknown.
+	// A request has no flag bit: any bit is unknown.
 	var req Request
 	full, err = transport.EncodeMessage(&Request{WSBytes: []byte{1}})
 	if err != nil {
@@ -306,11 +301,8 @@ func TestCodecTruncation(t *testing.T) {
 		t.Errorf("ResolveRequest with both commit and veto decoded to %+v", res)
 	}
 	var pull PullRequest
-	if err := pull.DecodeBinary((&PullRequest{IncludeOwn: true}).AppendBinary(nil)[:12:12]); err == nil {
-		t.Error("PullRequest cut before its flags decoded without error")
-	}
-	if err := pull.DecodeBinary(append((&PullRequest{}).AppendBinary(nil)[:12], 3)); err == nil {
-		t.Error("PullRequest with flag bit 0 set decoded without error")
+	if err := pull.DecodeBinary(append((&PullRequest{ReplicaVersion: 4}).AppendBinary(nil), 0)); err == nil {
+		t.Error("PullRequest with a trailing byte decoded without error")
 	}
 	if err := transport.DecodeMessage([]byte{0x01, 0x00}, &req); err == nil {
 		t.Error("2-byte Request decoded without error")
@@ -487,7 +479,7 @@ func FuzzDecodeCertifierMessages(f *testing.F) {
 		&Request{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6, Deadline: 3},
 		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: randRemotes(rng)},
 		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
-		&PullRequest{Origin: 1, ReplicaVersion: 4, IncludeOwn: true},
+		&PullRequest{ReplicaVersion: 4},
 		&PullResponse{Busy: true, SystemVersion: 9, Remote: randRemotes(rng)},
 		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
 		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},

@@ -116,15 +116,13 @@ type Response struct {
 	Remote []RemoteWS
 }
 
-// PullRequest proactively fetches remote writesets (the staleness
-// bound of §6.2: an idle replica asks for updates).
+// PullRequest proactively fetches the writesets above ReplicaVersion
+// (the staleness bound of §6.2: an idle replica asks for updates). It
+// ships the replica's own writesets too: a recovering replica lost them
+// in the crash and the certifier log is their durable home (§7.2), and
+// the merged stream holds every version.
 type PullRequest struct {
-	Origin         int
 	ReplicaVersion uint64
-	// IncludeOwn disables the own-writeset filter. A recovering
-	// replica needs its own transactions back too — it lost them in
-	// the crash and the certifier log is their durable home (§7.2).
-	IncludeOwn bool
 }
 
 // PullResponse returns the requested remote writesets.

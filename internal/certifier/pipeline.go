@@ -568,7 +568,7 @@ func (s *Server) processBatch(batch []*task) {
 			if inBatch {
 				upTo = t.index
 			}
-			t.remote = s.remotesLocked(core.BarrierOrigin, true, t.after, upTo)
+			t.remote = s.remotesLocked(t.after, upTo)
 		case t.yes || t.kind == kindResolve && !t.veto && t.entry.Kind == core.KindCommitMarker:
 			// The suffix through the yes vote or the marker, so that the
 			// coordinator's merge has what it waits for without pulling. A
@@ -585,7 +585,7 @@ func (s *Server) processBatch(batch []*task) {
 			if !inBatch {
 				upTo = min(upTo, s.committedCap())
 			}
-			t.remote = s.remotesLocked(core.BarrierOrigin, true, t.after, upTo)
+			t.remote = s.remotesLocked(t.after, upTo)
 		}
 	}
 	s.mu.Unlock()

@@ -1056,7 +1056,7 @@ func TestExpiredRequestLogsNothing(t *testing.T) {
 func TestFailedProposeFailsEveryPrepare(t *testing.T) {
 	g := newTestGroup(t, 1, nil)
 	s := g.waitLeader(t)
-	if _, err := s.pull(PullRequest{Origin: 1}); err != nil { // builds the engine
+	if _, err := s.pull(PullRequest{}); err != nil { // builds the engine
 		t.Fatal(err)
 	}
 	// Skew the engine one entry ahead of the log, as a propose that
@@ -1075,7 +1075,7 @@ func TestFailedProposeFailsEveryPrepare(t *testing.T) {
 			t.Errorf("prepare %d of the batch answered index %d after a failed propose", i, tk.index)
 		}
 	}
-	if _, err := s.pull(PullRequest{Origin: 1}); err != nil { // rebuilds the engine
+	if _, err := s.pull(PullRequest{}); err != nil { // rebuilds the engine
 		t.Fatal(err)
 	}
 	s.mu.Lock()

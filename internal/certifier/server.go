@@ -436,11 +436,8 @@ func (s *Server) Barrier() (uint64, error) {
 	return s.node.CommitIndex(), nil
 }
 
-// remotesLocked collects the writesets in (after, upTo] that did not
-// originate at the requesting replica — or every writeset in the range
-// when includeOwn is set (replica recovery needs its own transactions
-// back too).
-func (s *Server) remotesLocked(origin int, includeOwn bool, after, upTo uint64) []RemoteWS {
+// remotesLocked collects the writesets in (after, upTo].
+func (s *Server) remotesLocked(after, upTo uint64) []RemoteWS {
 	entries, err := s.engine.EntriesSince(core.Version(after), core.Version(upTo))
 	if err != nil {
 		// Horizon truncated below the replica's version; the replica
@@ -449,9 +446,6 @@ func (s *Server) remotesLocked(origin int, includeOwn bool, after, upTo uint64) 
 	}
 	remote := make([]RemoteWS, 0, len(entries))
 	for _, e := range entries {
-		if e.Origin == origin && !includeOwn {
-			continue
-		}
 		// The log entry's own payload, as it is: the replica merges the
 		// whole entry (kind and 2PC metadata) into its stream.
 		remote = append(remote, RemoteWS{Version: uint64(e.Version), WSBytes: e.Payload})
@@ -576,7 +570,7 @@ func (s *Server) pull(req PullRequest) (PullResponse, error) {
 	s.stats.Pulls++
 	upTo := s.committedCap()
 	return PullResponse{
-		Remote:        s.remotesLocked(req.Origin, req.IncludeOwn, req.ReplicaVersion, upTo),
+		Remote:        s.remotesLocked(req.ReplicaVersion, upTo),
 		SystemVersion: upTo,
 		Busy:          s.inFlight.Load() > 0,
 	}, nil

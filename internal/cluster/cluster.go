@@ -80,7 +80,10 @@ type Config struct {
 	PageMissEvery   int
 	CheckpointEvery int
 	LockTimeout     time.Duration
-	OrderTimeout    time.Duration
+	// OrderTimeout is ignored: a Tashkent-API local commit publishes
+	// through the store's pending list, and its client waits at most
+	// the proxy's ChunkWaitTimeout. It stays only because bench/ sets it.
+	OrderTimeout time.Duration
 	// LocalCertification and EagerPreCert are ignored: local
 	// certification (with one certifier group) and eager
 	// pre-certification are always on. They stay only because bench/
@@ -208,7 +211,6 @@ func New(cfg Config) (*Cluster, error) {
 			PageMissEvery:   cfg.PageMissEvery,
 			CheckpointEvery: cfg.CheckpointEvery,
 			LockTimeout:     cfg.LockTimeout,
-			OrderTimeout:    cfg.OrderTimeout,
 			StalenessBound:  cfg.StalenessBound,
 			ApplyWorkers:    cfg.ApplyWorkers,
 		})

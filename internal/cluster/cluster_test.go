@@ -21,12 +21,11 @@ import (
 func newTestCluster(t *testing.T, mode proxy.Mode, replicas int, mutate func(*Config)) *Cluster {
 	t.Helper()
 	cfg := Config{
-		Mode:         mode,
-		Replicas:     replicas,
-		Certifiers:   3,
-		IOProfile:    simdisk.Instant(),
-		LockTimeout:  time.Second,
-		OrderTimeout: 2 * time.Second,
+		Mode:        mode,
+		Replicas:    replicas,
+		Certifiers:  3,
+		IOProfile:   simdisk.Instant(),
+		LockTimeout: time.Second,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -365,7 +364,7 @@ func TestShippedWritesetIsTheLogEntry(t *testing.T) {
 	}
 	// Origin 99 is no replica of the cluster: every entry is remote to it.
 	var pulled certifier.PullResponse
-	call(certifier.MethodPull, &certifier.PullRequest{Origin: 99}, &pulled)
+	call(certifier.MethodPull, &certifier.PullRequest{}, &pulled)
 	probe := &core.Writeset{}
 	probe.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: "probe", Cols: []core.ColUpdate{{Col: "v", Value: []byte("p")}}})
 	var certified certifier.Response

@@ -65,7 +65,7 @@ func TestTopologyOneClientPerGroup(t *testing.T) {
 				t.Fatalf("replica %d holds %d clients over a %d-way map, want %d", i, len(topo.Groups), topo.Map.N, parts)
 			}
 			for g, client := range topo.Groups {
-				resp, err := client.Pull(certifier.PullRequest{Origin: 99})
+				resp, err := client.Pull(certifier.PullRequest{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,6 +166,11 @@ func TestCrossPartitionCancelledCommitReturnsAtOnce(t *testing.T) {
 	}
 	if n := expired.Load(); n != 0 {
 		t.Fatalf("%d steered messages waited out the hold: the commit did not return at the cancel", n)
+	}
+	// Convergence covers only what the groups have committed: wait for
+	// the detached round first.
+	if !chaos.WaitUntil(5*time.Second, func() bool { return c.Replica(0).Proxy().Stats().CrossPartCommits == 1 }) {
+		t.Fatalf("the detached round never committed the certified transaction (%+v)", c.Replica(0).Proxy().Stats())
 	}
 	if err := c.ConvergeAll(10 * time.Second); err != nil {
 		t.Fatal(err)

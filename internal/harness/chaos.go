@@ -254,7 +254,6 @@ func runChaosPlan(plan chaosPlan, o Options) (ChaosResult, error) {
 			FsyncJitter:  100 * time.Microsecond,
 		},
 		LockTimeout:    time.Second,
-		OrderTimeout:   2 * time.Second,
 		CertTimeout:    2 * time.Second,
 		StalenessBound: 100 * time.Millisecond,
 		// The chaos suite doubles as the dependency scheduler's

@@ -112,7 +112,6 @@ func chaosDrillCluster(t *testing.T, mode proxy.Mode, replicas, groups int) *clu
 			FsyncJitter:  200 * time.Microsecond,
 		},
 		LockTimeout:    time.Second,
-		OrderTimeout:   2 * time.Second,
 		CertTimeout:    3 * time.Second,
 		StalenessBound: 100 * time.Millisecond,
 		Seed:           7,

@@ -141,7 +141,6 @@ func clusterFor(sys System, replicas int, dedicated bool, abortRate float64, o O
 		AbortRate:    abortRate,
 		CertMaxBatch: o.CertMaxBatch,
 		LockTimeout:  5 * time.Second,
-		OrderTimeout: 10 * time.Second,
 		Seed:         o.Seed,
 	}
 	switch sys {

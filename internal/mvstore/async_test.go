@@ -180,9 +180,9 @@ func TestAnnounceAsync(t *testing.T) {
 	}
 }
 
-func TestAsyncMixedWithSyncCommitOrdered(t *testing.T) {
+func TestAsyncMixedWithSyncCommitLabeled(t *testing.T) {
 	// Deferred-publication commits interleave with gated sync commits on
-	// the same announce chain: a sync CommitOrdered advance must release
+	// the same announce chain: a sync CommitLabeled advance must release
 	// pendings queued behind it, and vice versa.
 	s := openInstant(t)
 	var log outcomeLog
@@ -192,26 +192,27 @@ func TestAsyncMixedWithSyncCommitOrdered(t *testing.T) {
 	if err := tx.Update("t", "s1", map[string][]byte{"v": []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.CommitOrdered(0, 1); err != nil { // sync v1 releases a2
-		t.Fatalf("CommitOrdered: %v", err)
+	if err := tx.CommitLabeled(0, 1); err != nil { // sync v1 releases a2
+		t.Fatalf("CommitLabeled: %v", err)
 	}
 	if err := s.WaitAnnounced(2, time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(2): %v", err)
 	}
 
-	// And a sync commit queued behind a pending drains when it publishes.
+	// And a sync commit after a pending publishes on top of it.
 	asyncUpdate(t, s, "a3", 2, 3, log.cb("a3"))
 	if err := s.WaitAnnounced(3, time.Second); err != nil {
 		t.Fatalf("WaitAnnounced(3): %v", err)
 	}
-	done := make(chan error, 1)
 	tx2 := mustBegin(t, s)
 	if err := tx2.Update("t", "s4", map[string][]byte{"v": []byte("4")}); err != nil {
 		t.Fatal(err)
 	}
-	go func() { done <- tx2.CommitOrdered(3, 4) }()
-	if err := <-done; err != nil {
+	if err := tx2.CommitLabeled(3, 4); err != nil {
 		t.Fatalf("sync commit behind published pending: %v", err)
+	}
+	if s.AnnouncedVersion() != 4 {
+		t.Errorf("AnnouncedVersion = %d, want 4", s.AnnouncedVersion())
 	}
 	for _, k := range []string{"s1", "a2", "a3", "s4"} {
 		if _, ok := get(t, s, "t", k, "v"); !ok {

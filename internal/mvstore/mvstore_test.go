@@ -404,15 +404,15 @@ func TestTxDoneErrors(t *testing.T) {
 	}
 }
 
-func TestCommitOrderedAnnouncesInOrder(t *testing.T) {
+func TestCommitLabeledAsyncAnnouncesInOrder(t *testing.T) {
 	s := openInstant(t)
-	// Submit commits for versions 3,2,1 concurrently in reverse order;
-	// they must become visible as 1,2,3.
+	// Commit versions 3,2,1 concurrently in reverse order; they must
+	// become visible as 1,2,3. The publication callbacks record the
+	// order: a committer's return is not its publication.
 	var mu sync.Mutex
 	var announceOrder []uint64
 	var wg sync.WaitGroup
 	for _, v := range []uint64{3, 2, 1} {
-		v := v
 		tx := mustBegin(t, s)
 		key := fmt.Sprintf("k%d", v)
 		if err := tx.Update("t", key, map[string][]byte{"v": []byte{byte(v)}}); err != nil {
@@ -421,33 +421,34 @@ func TestCommitOrderedAnnouncesInOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := tx.CommitOrdered(v-1, v); err != nil {
-				t.Errorf("CommitOrdered(%d): %v", v, err)
-				return
+			err := tx.CommitLabeledAsync(v-1, v, func(oc PendingOutcome) {
+				if oc != PendingPublished {
+					t.Errorf("version %d resolved %v, want published", v, oc)
+				}
+				mu.Lock()
+				announceOrder = append(announceOrder, v)
+				mu.Unlock()
+			})
+			if err != nil {
+				t.Errorf("CommitLabeledAsync(%d): %v", v, err)
 			}
-			mu.Lock()
-			announceOrder = append(announceOrder, v)
-			mu.Unlock()
 		}()
 		time.Sleep(5 * time.Millisecond) // stagger submissions, later versions first
 	}
 	wg.Wait()
-	if len(announceOrder) != 3 {
-		t.Fatalf("announced %v", announceOrder)
+	if err := s.WaitAnnounced(3, time.Second); err != nil {
+		t.Fatal(err)
 	}
-	for i, v := range announceOrder {
-		if v != uint64(i+1) {
-			t.Fatalf("announce order %v, want [1 2 3]", announceOrder)
-		}
-	}
-	if s.AnnouncedVersion() != 3 {
-		t.Errorf("AnnouncedVersion = %d, want 3", s.AnnouncedVersion())
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(announceOrder) != "[1 2 3]" {
+		t.Fatalf("announce order %v, want [1 2 3]", announceOrder)
 	}
 }
 
-func TestCommitOrderedGroupsFsyncs(t *testing.T) {
-	// Concurrent ordered commits must share fsyncs — the whole point
-	// of Tashkent-API.
+func TestCommitLabeledAsyncGroupsFsyncs(t *testing.T) {
+	// Concurrent labeled commits must share fsyncs — the whole point of
+	// Tashkent-API.
 	logDisk := simdisk.New(simdisk.Profile{FsyncLatency: 5 * time.Millisecond}, 1)
 	s := Open(Config{LogDisk: logDisk})
 	defer s.Close()
@@ -460,69 +461,69 @@ func TestCommitOrderedGroupsFsyncs(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := txs[i].CommitOrdered(uint64(i), uint64(i+1)); err != nil {
-				t.Errorf("CommitOrdered(%d): %v", i, err)
+			if err := txs[i].CommitLabeledAsync(uint64(i), uint64(i+1), nil); err != nil {
+				t.Errorf("CommitLabeledAsync(%d): %v", i, err)
 			}
 		}()
 	}
 	wg.Wait()
+	if err := s.WaitAnnounced(n, time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if f := logDisk.Stats().Fsyncs; f >= n/2 {
-		t.Errorf("%d fsyncs for %d concurrent ordered commits; expected grouping", f, n)
+		t.Errorf("%d fsyncs for %d concurrent labeled commits; expected grouping", f, n)
 	}
 }
 
-func TestCommitOrderedGapTimesOut(t *testing.T) {
-	s := Open(Config{OrderTimeout: 40 * time.Millisecond})
-	defer s.Close()
-	tx, _ := s.Begin()
-	tx.Update("t", "k", map[string][]byte{"v": []byte{1}})
-	// COMMIT 9 without COMMIT 1-8: the documented misuse.
-	err := tx.CommitOrdered(8, 9)
-	if !errors.Is(err, ErrOrderTimeout) {
-		t.Fatalf("err = %v, want ErrOrderTimeout", err)
-	}
-}
-
-func TestCommitOrderedValidation(t *testing.T) {
+func TestCommitLabeledAsyncValidation(t *testing.T) {
 	s := openInstant(t)
 	tx := mustBegin(t, s)
 	tx.Update("t", "k", map[string][]byte{"v": []byte{1}})
-	if err := tx.CommitOrdered(5, 5); err == nil {
+	if err := tx.CommitLabeledAsync(5, 5, nil); err == nil {
 		t.Error("empty version range accepted")
+	}
+	if err := tx.CommitLoggedAsync(5, 5, func() error { return nil }, nil); err == nil {
+		t.Error("empty version range accepted behind a logged record")
 	}
 	tx.Abort()
 	ro := mustBegin(t, s)
-	if err := ro.CommitOrdered(0, 1); err == nil {
-		t.Error("read-only ordered commit accepted")
+	if err := ro.CommitLabeledAsync(0, 1, nil); err == nil {
+		t.Error("read-only labeled commit accepted")
 	}
 	ro.Abort()
+	if s.AnnouncedVersion() != 0 || s.PendingApplies() != 0 {
+		t.Errorf("refused commits left announced %d, %d pending", s.AnnouncedVersion(), s.PendingApplies())
+	}
 }
 
-func TestCommitOrderedBatchRange(t *testing.T) {
+func TestCommitLabeledAsyncBatchRange(t *testing.T) {
 	s := openInstant(t)
 	// A grouped remote batch covering versions (0,3], then a local
 	// commit at (3,4].
 	batch := mustBegin(t, s)
 	batch.Update("t", "a", map[string][]byte{"v": []byte("batch")})
-	done := make(chan error, 1)
+	done := make(chan PendingOutcome, 1)
 	local := mustBegin(t, s)
 	local.Update("t", "b", map[string][]byte{"v": []byte("local")})
-	go func() { done <- local.CommitOrdered(3, 4) }()
-	time.Sleep(10 * time.Millisecond)
+	if err := local.CommitLabeledAsync(3, 4, func(oc PendingOutcome) { done <- oc }); err != nil {
+		t.Fatal(err)
+	}
 	select {
-	case err := <-done:
-		t.Fatalf("local commit finished before batch announced: %v", err)
+	case oc := <-done:
+		t.Fatalf("local commit resolved (%v) before the batch was announced", oc)
 	default:
 	}
-	if err := batch.CommitOrdered(0, 3); err != nil {
+	if _, ok := get(t, s, "t", "b", "v"); ok {
+		t.Fatal("local commit visible before the batch was announced")
+	}
+	if err := batch.CommitLabeledAsync(0, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if oc := <-done; oc != PendingPublished {
+		t.Fatalf("local commit resolved %v, want published", oc)
 	}
 	if s.AnnouncedVersion() != 4 {
 		t.Errorf("AnnouncedVersion = %d, want 4", s.AnnouncedVersion())
@@ -541,8 +542,12 @@ func TestSetAnnounced(t *testing.T) {
 	}
 	tx := mustBegin(t, s)
 	tx.Update("t", "k", map[string][]byte{"v": []byte{1}})
-	if err := tx.CommitOrdered(10, 11); err != nil {
-		t.Fatalf("ordered commit after SetAnnounced: %v", err)
+	var oc PendingOutcome
+	if err := tx.CommitLabeledAsync(10, 11, func(o PendingOutcome) { oc = o }); err != nil {
+		t.Fatalf("labeled commit after SetAnnounced: %v", err)
+	}
+	if oc != PendingPublished || s.AnnouncedVersion() != 11 {
+		t.Errorf("labeled commit at its turn resolved %v, announced %d; want published at once, 11", oc, s.AnnouncedVersion())
 	}
 }
 

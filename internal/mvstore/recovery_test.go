@@ -167,10 +167,11 @@ func TestLogCommitRecordsOneFsyncInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcome := make(chan PendingOutcome, 1)
+	outcome := make(chan PendingOutcome, 2)
+	cb := func(oc PendingOutcome) { outcome <- oc }
 	done := make(chan error, 2)
-	go func() { done <- remote.CommitLoggedAsync(0, 2, logged, func(oc PendingOutcome) { outcome <- oc }) }()
-	go func() { done <- own.CommitOrderedLogged(2, 3, logged) }()
+	go func() { done <- remote.CommitLoggedAsync(0, 2, logged, cb) }()
+	go func() { done <- own.CommitLoggedAsync(2, 3, logged, cb) }()
 	<-reached
 	if got := s.AnnouncedVersion(); got != 0 {
 		t.Errorf("announced %d while the batch's fsync was still in flight", got)
@@ -186,8 +187,10 @@ func TestLogCommitRecordsOneFsyncInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if oc := <-outcome; oc != PendingPublished {
-		t.Errorf("remote outcome = %v", oc)
+	for i := 0; i < 2; i++ {
+		if oc := <-outcome; oc != PendingPublished {
+			t.Errorf("outcome = %v, want both commits published", oc)
+		}
 	}
 	if got := s.AnnouncedVersion(); got != 3 {
 		t.Errorf("announced = %d, want 3", got)

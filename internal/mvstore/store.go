@@ -21,10 +21,12 @@
 //     local transaction.
 //   - A write-ahead log with group commit; synchronous commits can be
 //     enabled (Base, Tashkent-API) or disabled (Tashkent-MW).
-//   - The extended commit API: CommitOrdered(from, to) writes the
-//     commit record immediately (groupable with concurrent commits)
-//     but announces the commit only when the database version reaches
-//     `from` — the 20-line semaphore change of paper §8.3.
+//   - The extended commit API: CommitLabeledAsync(from, to) writes the
+//     commit record immediately (groupable with concurrent commits) and
+//     installs the rows invisibly, but publishes the commit only when
+//     the database version reaches `from` — the 20-line semaphore
+//     change of paper §8.3. CommitLoggedAsync is the same commit behind
+//     a record LogCommitRecords already logged.
 //   - DUMP/RESTORE for middleware-driven recovery, WAL replay
 //     recovery, and crash simulation with or without physical data
 //     integrity (paper §7.1 cases 1 and 2).
@@ -63,9 +65,9 @@ var (
 	// the escape hatch for deadlocks spanning the commit-order
 	// semaphore which the waits-for graph cannot observe.
 	ErrLockTimeout = errors.New("mvstore: lock wait timeout")
-	// ErrOrderTimeout reports a CommitOrdered wait that never became
-	// eligible — the misuse case of the extended API (e.g. COMMIT 9
-	// without COMMIT 1-8, paper §5.2).
+	// ErrOrderTimeout reports a WaitAnnouncedOr that ran out before the
+	// store announced the awaited version — e.g. a wait for 9 without
+	// COMMIT 1-8 (paper §5.2).
 	ErrOrderTimeout = errors.New("mvstore: commit-order wait timeout")
 	// ErrTxDone reports use of a finished transaction handle.
 	ErrTxDone = errors.New("mvstore: transaction already finished")
@@ -110,18 +112,13 @@ type Config struct {
 	CheckpointEvery int
 	// LockTimeout bounds write-lock waits (0 = a generous default).
 	LockTimeout time.Duration
-	// OrderTimeout bounds CommitOrdered announce waits (0 = default).
-	OrderTimeout time.Duration
 	// Stripes sets the data-shard / lock-stripe count, rounded up to a
 	// power of two (0 = 64). Lowering it is only useful in tests that
 	// want to force cross-shard interleavings onto few stripes.
 	Stripes int
 }
 
-const (
-	defaultLockTimeout  = 10 * time.Second
-	defaultOrderTimeout = 10 * time.Second
-)
+const defaultLockTimeout = 10 * time.Second
 
 // lockWaiter is one transaction blocked on a write lock.
 type lockWaiter struct {
@@ -136,8 +133,8 @@ type lockState struct {
 	waiters []lockWaiter
 }
 
-// orderWaiter is one WaitAnnouncedOr call (a CommitOrdered among them)
-// blocked on the announce semaphore.
+// orderWaiter is one WaitAnnouncedOr call blocked on the announce
+// semaphore.
 type orderWaiter struct {
 	from uint64
 	ch   chan struct{} // closed when the cursor's version reaches from
@@ -258,9 +255,6 @@ func Open(cfg Config) *Store {
 	}
 	if cfg.LockTimeout == 0 {
 		cfg.LockTimeout = defaultLockTimeout
-	}
-	if cfg.OrderTimeout == 0 {
-		cfg.OrderTimeout = defaultOrderTimeout
 	}
 	stripes := cfg.Stripes
 	if stripes <= 0 {
@@ -707,9 +701,8 @@ func (s *Store) ConflictingActiveTxns(ws *core.Writeset, excludeTx uint64) []uin
 }
 
 // WaitAnnounced blocks until the commit-order semaphore reaches at
-// least v (or the timeout elapses, or the store crashes). CommitOrdered
-// waits for its turn here, and the proxy for the versions its appliers
-// depend on (paper §5.2.1).
+// least v (or the timeout elapses, or the store crashes). The proxy
+// waits here for the versions its appliers depend on (paper §5.2.1).
 func (s *Store) WaitAnnounced(v uint64, timeout time.Duration) error {
 	return s.WaitAnnouncedOr(v, timeout, nil)
 }

@@ -281,55 +281,8 @@ func (tx *Tx) CommitLabeled(from, to uint64) error {
 	return tx.applyCommit(to)
 }
 
-// CommitOrdered finishes an update transaction under the extended API
-// of paper §8.3: the commit covers global versions (from, to]. The
-// commit record is written (and group-committed) immediately, then the
-// commit waits on the order semaphore until the database has announced
-// version from, and announcing it advances the semaphore to to.
-// Concurrent CommitOrdered calls therefore share fsyncs while still
-// becoming visible in the exact global order. It is CommitOrderedLogged
-// behind a one-record LogCommitRecords batch of its own.
-func (tx *Tx) CommitOrdered(from, to uint64) error {
-	if err := tx.checkLabeledUpdate("CommitOrdered", from, to); err != nil {
-		return err
-	}
-	if tx.store.AnnouncedVersion() >= to {
-		// A catch-up resync already carried the state past this range;
-		// the record that covered it is in the log already.
-		return tx.finishSuperseded()
-	}
-	logged, err := tx.store.LogCommitRecords([]CommitRecord{{From: from, To: to, WS: &tx.ws}})
-	if err != nil {
-		return err
-	}
-	return tx.CommitOrderedLogged(from, to, logged)
-}
-
-// CommitOrderedLogged is CommitOrdered for a transaction whose commit
-// record is already in the log: logged is the ticket of the
-// LogCommitRecords batch that carried it. The commit waits for that
-// batch to be durable, then for its turn on the order semaphore, so
-// durability still precedes visibility, the announce and the caller's
-// acknowledgement.
-func (tx *Tx) CommitOrderedLogged(from, to uint64, logged LogTicket) error {
-	if err := tx.checkLabeledUpdate("CommitOrderedLogged", from, to); err != nil {
-		return err
-	}
-	if err := logged(); err != nil {
-		return ErrCrashed
-	}
-	// A kill or crash during the waits surfaces in applyCommit, which
-	// latches the state against both (and resolves a range announced past
-	// in the meantime as superseded).
-	if err := tx.store.WaitAnnounced(from, tx.store.cfg.OrderTimeout); err != nil {
-		return err
-	}
-	return tx.applyCommit(to)
-}
-
 // checkLabeledUpdate validates the handle and the arguments of the
-// ordered and deferred-publication commits (op names the caller in the
-// error).
+// deferred-publication commits (op names the caller in the error).
 func (tx *Tx) checkLabeledUpdate(op string, from, to uint64) error {
 	if err := tx.check(); err != nil {
 		return err
@@ -352,14 +305,14 @@ type LogTicket func() error
 // LogCommitRecords appends the commit records of recs to the log as one
 // batch, in the order given, and returns as soon as they hold their
 // places in the log order — before they are durable. It is the one
-// routine that logs a labeled ordered or deferred-publication commit:
-// CommitOrdered and CommitLabeledAsync log a batch of one through it,
-// and the proxy logs every record of a Tashkent-API certifier response
-// (remote chunks and the local commit, ascending global versions) in
-// one call, so the records reach the log in global order and share one
-// fsync however far apart their installers run. Each record's commit is
-// then finished with CommitOrderedLogged or CommitLoggedAsync, which
-// wait on the ticket where they would have waited on their own append.
+// routine that logs a deferred-publication commit: CommitLabeledAsync
+// logs a batch of one through it, and the proxy logs every record of a
+// Tashkent-API certifier response (remote chunks and the local commit,
+// ascending global versions) in one call, so the records reach the log
+// in global order and share one fsync however far apart their
+// installers run. Each record's commit is then finished with
+// CommitLoggedAsync, which waits on the ticket where it would have
+// waited on its own append.
 //
 // A record may be in the log while its installer holds no lock yet, is
 // retried, or gives up; recovery orders replay by label for that reason
@@ -376,13 +329,14 @@ func (s *Store) LogCommitRecords(recs []CommitRecord) (LogTicket, error) {
 	return wait, nil
 }
 
-// applyCommit is the shared tail of every update commit: latch the
-// state against Kill, allocate the install sequence, install every row
-// version stamped with it, publish the sequence in order — labeled
-// announceTo, which raises the commit-order semaphore with it (0 =
-// unlabeled commit, the label stays) — so readers never observe a torn
-// commit or a label behind it, and release write locks
-// (first-committer-wins).
+// applyCommit is the tail of the synchronous update commits (Commit,
+// CommitLabeled): latch the state against Kill, allocate the install
+// sequence, install every row version stamped with it, publish the
+// sequence in order — labeled announceTo, which raises the commit-order
+// semaphore with it (0 = unlabeled commit, the label stays) — so readers
+// never observe a torn commit or a label behind it, and release write
+// locks (first-committer-wins). The deferred-publication commits install
+// and publish through the pending list instead (see async.go).
 //
 // Labeled commits (announceTo > 0) additionally pass the store's apply
 // gate: installation and publication form one critical section, and a

@@ -234,6 +234,55 @@ func TestAPIOwnCommitHeldInTheWindow(t *testing.T) {
 	}
 }
 
+// TestAPIOwnCommitWaitIsBounded: a Tashkent-API local commit publishes
+// only at its turn, so one whose predecessor never publishes would park
+// its client for good. Its client gives up after ChunkWaitTimeout with
+// the outcome unknown, and a late publish still resolves the entry.
+func TestAPIOwnCommitWaitIsBounded(t *testing.T) {
+	const bound = 150 * time.Millisecond
+	r := newRig(t, 1, TashkentAPI, func(_ int, cfg *Config, _ *mvstore.Config) {
+		cfg.ChunkWaitTimeout = bound
+	})
+	p, store := r.proxies[0], r.stores[0]
+	tx, err := store.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("t", "x", map[string][]byte{"v": []byte("own")}); err != nil {
+		t.Fatal(err)
+	}
+	// The local commit at (1,2], logged as its run would log it; (0,1]
+	// is never announced.
+	e := &applyEntry{from: 1, to: 2, ws: tx.Writeset(), held: true, done: make(chan mvstore.PendingOutcome, 1)}
+	if err := p.logRun([]*applyEntry{e}, store.AnnouncedVersion()); err != nil || e.logged == nil {
+		t.Fatalf("logRun: %v (ticket %v)", err, e.logged != nil)
+	}
+	p.sched.submit(e)
+	start := time.Now()
+	err = p.finishOwn(e, tx)
+	if took := time.Since(start); err == nil || took > bound+500*time.Millisecond {
+		t.Fatalf("finishOwn returned %v after %v, want an error within %v", err, took, bound)
+	}
+	if got := store.AnnouncedVersion(); got != 0 {
+		t.Fatalf("announced %d behind a (0,1] that never came", got)
+	}
+	if _, ok := readVal(t, p, "t", "x"); ok {
+		t.Fatal("the local commit is visible before its turn")
+	}
+
+	// (0,1] lands late: the held commit publishes after it.
+	commitVersion1(t, store)
+	if err := store.WaitAnnounced(2, time.Second); err != nil {
+		t.Fatalf("the local commit did not publish once (0,1] landed: %v", err)
+	}
+	if v, ok := readVal(t, p, "t", "x"); !ok || v != "own" {
+		t.Errorf("x = %q %v after the late publish, want own", v, ok)
+	}
+	if st := settledStats(p, 1); st.Published != 1 || st.GaveUp != 0 {
+		t.Errorf("Published = %d GaveUp = %d, want the held entry resolved once, published", st.Published, st.GaveUp)
+	}
+}
+
 // TestAPICrashBetweenAppendAndFsync: a response's batch is in the log
 // queue and its fsync is held; nothing of the response is visible or
 // acknowledged; the replica crashes there. Recovery replays a log whose
@@ -309,7 +358,7 @@ func TestAPICrashBetweenAppendAndFsync(t *testing.T) {
 
 	// Standard recovery (replica.Recover): replay, announce the chain,
 	// resync from the certifier log.
-	scfg := mvstore.Config{LockTimeout: 500 * time.Millisecond, OrderTimeout: 2 * time.Second}
+	scfg := mvstore.Config{LockTimeout: 500 * time.Millisecond}
 	recovered, info, err := mvstore.RecoverFromWAL(scfg, img, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -42,9 +42,13 @@ func (o *ownCommit) dropHandle() {
 //     in Tashkent-MW — and once it has published, the local transaction,
 //     which the merger commits by CommitLabeled through finishOwn.
 //   - Tashkent-API (§5.2) submits the remotes as chunks for the worker
-//     pool and the local commit as an ordered commit that the waiting
-//     client finishes itself (the returned finish), concurrent with the
-//     chunks, while the merger goes on to the next run.
+//     pool and the local commit as an entry that the waiting client
+//     commits itself (the returned finish) like any chunk: installed at
+//     once and published at its turn, concurrent with the chunks, while
+//     the merger goes on to the next run. No earlier entry in the window
+//     writes its rows — certification refused any writeset between its
+//     snapshot and its version that did — so its install never overtakes
+//     a predecessor on a row.
 //
 // Under Tashkent-API the run is also the unit of the replica log:
 // logRun appends the commit records of the chunks and of the local
@@ -122,7 +126,7 @@ func (p *Proxy) applyRun(basis uint64, remotes []RemoteEntry, own *ownCommit) (f
 			err = p.finishOwn(e, own.tx)
 		} else {
 			p.sched.install(e)
-			err = p.sched.wait(e)
+			err = p.sched.wait(e, 0) // unbounded: install published e, or requeued it to bounded retries
 		}
 		if err != nil {
 			own.dropHandle() // a no-op on a handle finishOwn finished
@@ -133,32 +137,29 @@ func (p *Proxy) applyRun(basis uint64, remotes []RemoteEntry, own *ownCommit) (f
 }
 
 // finishOwn commits a run's local transaction tx over the range of e,
-// the entry held for it: under Base and Tashkent-MW by CommitLabeled on
-// the merger, under Tashkent-API by the ordered commit its client runs
-// behind the record the run logged. A commit the database refuses is
-// handed to the workers, which re-apply the writeset by a fresh
-// transaction (§8.1 soft recovery), and finishOwn waits for that. Either
-// way e resolves, which releases the later entries waiting for it in the
-// scheduler's window.
+// the entry held for it, through the scheduler's one commit routine: under
+// Base and Tashkent-MW by CommitLabeled on the merger, under Tashkent-API
+// by its client, like every chunk of its run — installed behind the
+// record the run logged and published from the pending list at its turn.
+// A commit the database refuses is handed to the workers, which re-apply
+// the writeset by a fresh transaction (§8.1 soft recovery). Either way e
+// resolves, which releases the later entries waiting for it in the
+// scheduler's window. finishOwn waits for that at most ChunkWaitTimeout:
+// an entry whose predecessor never publishes leaves its client with the
+// outcome unknown, not parked for good.
 func (p *Proxy) finishOwn(e *applyEntry, tx *mvstore.Tx) error {
-	var cerr error
-	if e.serial || e.logged == nil { // no ticket: superseded when the run began
-		cerr = tx.CommitLabeled(e.from, e.to)
-	} else {
-		cerr = tx.CommitOrderedLogged(e.from, e.to, e.logged)
+	cerr := p.sched.commit(e, tx)
+	if cerr != nil {
+		// A refused commit that did not latch the handle leaves it
+		// holding the rows the re-apply needs.
+		tx.Abort()
+		p.sched.requeue(e)
 	}
-	if cerr == nil {
-		p.sched.resolve(e, mvstore.PendingPublished)
-		return nil
+	err := p.sched.wait(e, p.cfg.ChunkWaitTimeout)
+	if err != nil && cerr != nil {
+		err = fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", e.to, cerr, err)
 	}
-	// A commit refused before it latched the handle (an order wait that
-	// ran out) leaves it holding the rows the re-apply needs.
-	tx.Abort()
-	p.sched.requeue(e)
-	if err := p.sched.wait(e); err != nil {
-		return fmt.Errorf("proxy: re-applying local commit v%d by writeset (handle: %v): %w", e.to, cerr, err)
-	}
-	return nil
+	return err
 }
 
 // logRun appends the commit records a Tashkent-API run leaves at this

@@ -364,9 +364,7 @@ func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 		return false // already received; the merger just has not run yet
 	}
 	client := m.topo.Groups[g]
-	resp, err := client.Pull(certifier.PullRequest{
-		Origin: m.p.cfg.ReplicaID, ReplicaVersion: frontier, IncludeOwn: true,
-	})
+	resp, err := client.Pull(certifier.PullRequest{ReplicaVersion: frontier})
 	if err != nil {
 		return false
 	}
@@ -385,9 +383,7 @@ func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 		if _, err := client.Fill(fillTo); err != nil {
 			return after > frontier
 		}
-		resp, err = client.Pull(certifier.PullRequest{
-			Origin: m.p.cfg.ReplicaID, ReplicaVersion: m.replicaVersion(g), IncludeOwn: true,
-		})
+		resp, err = client.Pull(certifier.PullRequest{ReplicaVersion: m.replicaVersion(g)})
 		if err == nil {
 			m.ingest(g, resp.Remote, nil)
 			after = m.replicaVersion(g)
@@ -419,7 +415,7 @@ func (m *merger) takeWaiterLocked(act partition.Action) *ownWait {
 // Under Base and Tashkent-MW the merger installs the run's entries and
 // commits the client's transaction itself, each after the one before it
 // has published, so their own commits are serialized; under Tashkent-API
-// it submits the run to the scheduler's workers, hands the ordered commit
+// it submits the run to the scheduler's workers, hands the local commit
 // back to the client (ownTurn.finish) and goes on to the next run.
 func (m *merger) apply(run []partition.Action, w *ownWait) bool {
 	p := m.p

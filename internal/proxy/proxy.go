@@ -577,11 +577,7 @@ func (p *Proxy) stalenessLoop() {
 func (p *Proxy) PullOnce() error {
 	errs := make([]error, len(p.topo.Groups))
 	fanOut(len(p.topo.Groups), func(g int) {
-		resp, err := p.topo.Groups[g].Pull(certifier.PullRequest{
-			Origin:         p.cfg.ReplicaID,
-			ReplicaVersion: p.m.replicaVersion(g),
-			IncludeOwn:     true,
-		})
+		resp, err := p.topo.Groups[g].Pull(certifier.PullRequest{ReplicaVersion: p.m.replicaVersion(g)})
 		if err == nil {
 			p.m.ingest(g, resp.Remote, nil)
 		}

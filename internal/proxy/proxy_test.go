@@ -45,8 +45,7 @@ func newRig(t *testing.T, n int, mode Mode, mutate func(i int, cfg *Config, scfg
 	}
 	for i := 0; i < n; i++ {
 		scfg := mvstore.Config{
-			LockTimeout:  500 * time.Millisecond,
-			OrderTimeout: 2 * time.Second,
+			LockTimeout: 500 * time.Millisecond,
 		}
 		if mode == TashkentMW {
 			scfg.WALMode = wal.NoSync

@@ -31,9 +31,9 @@ package proxy
 // version. Workers therefore never block on a version: a pool parked
 // in version waits while the entry they wait for sits runnable with
 // nobody to run it is a deadlock, not a slowdown. Versions announced by
-// the scheduler's own entries re-evaluate readiness in resolve; the
-// ones announced by other code (a client's CommitOrdered, a resync)
-// reach it through the single version waiter in watch.
+// the scheduler's own entries — a client's own commit among them —
+// re-evaluate readiness in resolve; the ones announced by other code (a
+// resync) reach it through the single version waiter in watch.
 //
 // Submissions must arrive in ascending version order — applyRun submits
 // from the single merger goroutine, one run at a time — so "submitted
@@ -325,19 +325,15 @@ func (s *applyScheduler) watch() {
 
 // install runs one attempt at an entry — on a pool worker, or on the
 // holder of a serial entry: install the writeset with the eager kills of
-// §8.2 and commit it. A serial entry commits with the synchronous
-// CommitLabeled and resolves at once; any other commits with deferred
-// publication (CommitLabeledAsync, or CommitLoggedAsync behind the record
-// its run already logged), so the entry's versions publish at their
-// global turn while the worker moves on. A failed attempt goes back to
-// the window (requeue).
+// §8.2 and commit it. A failed attempt goes back to the window
+// (requeue).
 func (s *applyScheduler) install(e *applyEntry) {
 	p := s.p
-	cb := func(oc mvstore.PendingOutcome) { s.resolve(e, oc) }
 	if e.ws == nil || e.ws.Empty() {
 		// Hollow range (certifier barrier / fill no-ops): nothing to
 		// install, the announce chain just advances through it in turn.
-		if err := p.cfg.Store.AnnounceAsync(e.from, e.to, cb); err != nil {
+		err := p.cfg.Store.AnnounceAsync(e.from, e.to, func(oc mvstore.PendingOutcome) { s.resolve(e, oc) })
+		if err != nil {
 			s.resolve(e, mvstore.PendingCrashed)
 		}
 		return
@@ -351,14 +347,7 @@ func (s *applyScheduler) install(e *applyEntry) {
 	if err == nil {
 		p.markApplier(tx.ID(), true)
 		if err = tx.ApplyWriteset(e.ws); err == nil {
-			switch {
-			case e.serial:
-				err = tx.CommitLabeled(e.from, e.to)
-			case e.logged != nil:
-				err = tx.CommitLoggedAsync(e.from, e.to, e.logged, cb)
-			default:
-				err = tx.CommitLabeledAsync(e.from, e.to, cb)
-			}
+			err = s.commit(e, tx)
 		}
 		if err != nil {
 			tx.Abort()
@@ -366,19 +355,39 @@ func (s *applyScheduler) install(e *applyEntry) {
 		p.markApplier(tx.ID(), false)
 	}
 	if err == nil {
-		if e.serial {
-			cb(mvstore.PendingPublished)
-		}
-		// Otherwise the commit is pending publication or already resolved
-		// (superseded fast path); cb owns the rest.
 		return
 	}
 	e.attempts++
 	if errors.Is(err, mvstore.ErrCrashed) || e.attempts == maxInstallAttempts {
-		cb(outcomeOf(err))
+		s.resolve(e, outcomeOf(err))
 		return
 	}
 	s.requeue(e)
+}
+
+// commit commits tx, which holds e's writeset, over e's range: the one
+// commit of every attempt at an entry, a worker's install or a client's
+// own transaction (finishOwn). A serial entry commits with the
+// synchronous CommitLabeled and resolves when it returns. Any other
+// commits with deferred publication — CommitLoggedAsync behind the record
+// its run already logged, else CommitLabeledAsync, which logs its own —
+// so its versions publish at their global turn and the store's
+// publication callback resolves it (at once on the superseded fast
+// path). On an error e is unresolved and tx left to the caller.
+func (s *applyScheduler) commit(e *applyEntry, tx *mvstore.Tx) error {
+	cb := func(oc mvstore.PendingOutcome) { s.resolve(e, oc) }
+	switch {
+	case e.serial:
+		err := tx.CommitLabeled(e.from, e.to)
+		if err == nil {
+			cb(mvstore.PendingPublished)
+		}
+		return err
+	case e.logged != nil:
+		return tx.CommitLoggedAsync(e.from, e.to, e.logged, cb)
+	default:
+		return tx.CommitLabeledAsync(e.from, e.to, cb)
+	}
 }
 
 // requeue hands an entry whose attempt failed to the workers (§8.1 soft
@@ -401,9 +410,23 @@ func (s *applyScheduler) requeue(e *applyEntry) {
 
 // wait blocks a held entry's holder until the entry resolves: nil once
 // its range is published or covered by newer state, else why it was
-// given up — errUnresolved if the proxy closed first.
-func (s *applyScheduler) wait(e *applyEntry) error {
-	switch <-e.done {
+// given up — errUnresolved if the proxy closed first. A nonzero bound
+// caps the wait: past it the holder gives up with the outcome unknown,
+// and the entry still resolves into its buffered done when it lands.
+func (s *applyScheduler) wait(e *applyEntry, bound time.Duration) error {
+	var expired <-chan time.Time
+	if bound > 0 {
+		t := time.NewTimer(bound)
+		defer t.Stop()
+		expired = t.C
+	}
+	var oc mvstore.PendingOutcome
+	select {
+	case oc = <-e.done:
+	case <-expired:
+		return fmt.Errorf("proxy: (%d,%d] not published within %v; outcome unknown", e.from, e.to, bound)
+	}
+	switch oc {
 	case mvstore.PendingPublished, mvstore.PendingSuperseded:
 		return nil
 	case mvstore.PendingCrashed:

@@ -394,8 +394,8 @@ func TestCloseLetsFinishersSubmit(t *testing.T) {
 	// A goroutine Close waits for (a detached commit finisher) may still
 	// hand remote writesets to the scheduler and then wait for a version
 	// among them. Close must stop the pool after such goroutines, not
-	// before: a finisher submitting into a stopped scheduler waits out
-	// OrderTimeout on every retry for a version nobody will install.
+	// before: a finisher submitting into a stopped scheduler waits on
+	// every retry for a version nobody will install.
 	r := newRig(t, 1, TashkentAPI, nil)
 	p, store := r.proxies[0], r.stores[0]
 	const n = 8

@@ -50,7 +50,6 @@ type Config struct {
 	PageMissEvery   int
 	CheckpointEvery int
 	LockTimeout     time.Duration
-	OrderTimeout    time.Duration
 	StoreStripes    int // data-shard / lock-stripe count (0 = engine default)
 
 	// Middleware options.
@@ -94,7 +93,6 @@ func (cfg *Config) storeConfig(data, log *simdisk.Disk) mvstore.Config {
 		PageMissEvery:   cfg.PageMissEvery,
 		CheckpointEvery: cfg.CheckpointEvery,
 		LockTimeout:     cfg.LockTimeout,
-		OrderTimeout:    cfg.OrderTimeout,
 		Stripes:         cfg.StoreStripes,
 	}
 	if cfg.Mode == proxy.TashkentMW {
