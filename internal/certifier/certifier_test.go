@@ -2,6 +2,7 @@ package certifier
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -88,7 +89,7 @@ func wsBytes(keys ...string) []byte {
 func TestCertifyCommitAndVersions(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
 	for i := 1; i <= 5; i++ {
-		resp, err := g.client.Certify(Request{
+		resp, err := g.client.CertifyCtx(context.Background(), Request{
 			Origin: 1, StartVersion: uint64(i - 1), ReplicaVersion: uint64(i - 1),
 			WSBytes: wsBytes(fmt.Sprintf("k%d", i)),
 		})
@@ -103,12 +104,12 @@ func TestCertifyCommitAndVersions(t *testing.T) {
 
 func TestCertifyConflictAborts(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
-	r1, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("x")})
+	r1, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("x")})
 	if err != nil || !r1.Yes {
 		t.Fatalf("first: %v %v", r1, err)
 	}
 	// Same start version, same key, different replica: conflict.
-	r2, err := g.client.Certify(Request{Origin: 2, StartVersion: 0, WSBytes: wsBytes("x")})
+	r2, err := g.client.CertifyCtx(context.Background(), Request{Origin: 2, StartVersion: 0, WSBytes: wsBytes("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestCertifyConflictAborts(t *testing.T) {
 		t.Error("conflicting writeset committed")
 	}
 	// Starting after the conflict commits cleanly.
-	r3, err := g.client.Certify(Request{Origin: 2, StartVersion: 1, ReplicaVersion: 1, WSBytes: wsBytes("x")})
+	r3, err := g.client.CertifyCtx(context.Background(), Request{Origin: 2, StartVersion: 1, ReplicaVersion: 1, WSBytes: wsBytes("x")})
 	if err != nil || !r3.Yes {
 		t.Fatalf("post-conflict: %v %v", r3, err)
 	}
@@ -125,16 +126,16 @@ func TestCertifyConflictAborts(t *testing.T) {
 func TestRemoteWritesetsExcludeOwn(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
 	// Replica 1 commits k1; replica 2 commits k2.
-	if _, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("k1")}); err != nil {
+	if _, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("k1")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.client.Certify(Request{Origin: 2, StartVersion: 1, WSBytes: wsBytes("k2")}); err != nil {
+	if _, err := g.client.CertifyCtx(context.Background(), Request{Origin: 2, StartVersion: 1, WSBytes: wsBytes("k2")}); err != nil {
 		t.Fatal(err)
 	}
 	// Replica 1 commits k3 from a replica view at version 1: the answer
 	// carries v2 (origin 2) and v3, the commit itself, but not v1 (its
 	// own, below the replica's version).
-	resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 2, ReplicaVersion: 1, WSBytes: wsBytes("k3")})
+	resp, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: 2, ReplicaVersion: 1, WSBytes: wsBytes("k3")})
 	if err != nil || !resp.Yes {
 		t.Fatalf("certify: %v %v", resp, err)
 	}
@@ -147,7 +148,7 @@ func TestPull(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
 	for i := 1; i <= 4; i++ {
 		origin := 1 + i%2
-		if _, err := g.client.Certify(Request{
+		if _, err := g.client.CertifyCtx(context.Background(), Request{
 			Origin: origin, StartVersion: uint64(i - 1), WSBytes: wsBytes(fmt.Sprintf("k%d", i)),
 		}); err != nil {
 			t.Fatal(err)
@@ -167,7 +168,7 @@ func TestPull(t *testing.T) {
 
 func TestAbortInjectionAfterFullCheck(t *testing.T) {
 	g := newTestGroup(t, 1, func(i int, cfg *Config) { cfg.AbortRate = 1.0 })
-	resp, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("x")})
+	resp, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestAbortInjectionAfterFullCheck(t *testing.T) {
 	}
 	// Rate change takes effect.
 	ld.SetAbortRate(0)
-	resp, err = g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("x")})
+	resp, err = g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("x")})
 	if err != nil || !resp.Yes {
 		t.Fatalf("after rate reset: %v %v", resp, err)
 	}
@@ -205,7 +206,7 @@ func TestGroupCommitBatchesWritesets(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := g.client.Certify(Request{
+			_, err := g.client.CertifyCtx(context.Background(), Request{
 				Origin: 1 + i%4, StartVersion: 0, WSBytes: wsBytes(fmt.Sprintf("k%d", i)),
 			})
 			if err != nil {
@@ -242,7 +243,7 @@ func TestPipelineBatchesConcurrentCertifications(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := g.client.Certify(Request{
+			resp, err := g.client.CertifyCtx(context.Background(), Request{
 				Origin: 1 + i%4, StartVersion: 0, WSBytes: wsBytes(fmt.Sprintf("k%d", i)),
 			})
 			if err != nil {
@@ -271,7 +272,7 @@ func TestPipelineBatchesConcurrentCertifications(t *testing.T) {
 
 func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
-	r1, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("a")})
+	r1, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("a")})
 	if err != nil || !r1.Yes {
 		t.Fatalf("pre-failover: %+v %v", r1, err)
 	}
@@ -281,7 +282,7 @@ func TestLeadershipChangeReanchorsSequencing(t *testing.T) {
 	var r2 Response
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r2, err = g.client.Certify(Request{Origin: 1, StartVersion: 1, WSBytes: wsBytes("b")})
+		r2, err = g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: 1, WSBytes: wsBytes("b")})
 		if err == nil {
 			break
 		}
@@ -320,7 +321,7 @@ func TestDisableDurabilitySkipsFsyncs(t *testing.T) {
 		cfg.DisableDurability = true
 	})
 	for i := 0; i < 5; i++ {
-		if _, err := g.client.Certify(Request{Origin: 1, StartVersion: uint64(i), WSBytes: wsBytes(fmt.Sprintf("k%d", i))}); err != nil {
+		if _, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: uint64(i), WSBytes: wsBytes(fmt.Sprintf("k%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +352,7 @@ func TestFollowerRedirects(t *testing.T) {
 		t.Errorf("follower reply %q is not a redirect", rerr.Msg)
 	}
 	// The retrying client handles it transparently.
-	resp, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("y")})
+	resp, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("y")})
 	if err != nil || !resp.Yes {
 		t.Fatalf("client certify: %v %v", resp, err)
 	}
@@ -359,7 +360,7 @@ func TestFollowerRedirects(t *testing.T) {
 
 func TestLeaderFailoverPreservesLog(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
-	r1, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("a")})
+	r1, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("a")})
 	if err != nil || !r1.Yes {
 		t.Fatalf("pre-failover: %v %v", r1, err)
 	}
@@ -369,7 +370,7 @@ func TestLeaderFailoverPreservesLog(t *testing.T) {
 	var r2 Response
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r2, err = g.client.Certify(Request{Origin: 2, StartVersion: 1, WSBytes: wsBytes("b")})
+		r2, err = g.client.CertifyCtx(context.Background(), Request{Origin: 2, StartVersion: 1, WSBytes: wsBytes("b")})
 		if err == nil {
 			break
 		}
@@ -383,7 +384,7 @@ func TestLeaderFailoverPreservesLog(t *testing.T) {
 	}
 	// The new leader still knows version 1's writeset: a conflicting
 	// request from version 0 must abort.
-	r3, err := g.client.Certify(Request{Origin: 2, StartVersion: 0, WSBytes: wsBytes("a")})
+	r3, err := g.client.CertifyCtx(context.Background(), Request{Origin: 2, StartVersion: 0, WSBytes: wsBytes("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestLeaderFailoverPreservesLog(t *testing.T) {
 func TestCertifierRecoveryStateTransfer(t *testing.T) {
 	g := newTestGroup(t, 3, nil)
 	for i := 0; i < 6; i++ {
-		if _, err := g.client.Certify(Request{Origin: 1, StartVersion: uint64(i), WSBytes: wsBytes(fmt.Sprintf("k%d", i))}); err != nil {
+		if _, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: uint64(i), WSBytes: wsBytes(fmt.Sprintf("k%d", i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,7 +426,7 @@ func TestCertifierRecoveryStateTransfer(t *testing.T) {
 	revived.Start()
 	defer revived.Stop()
 
-	if _, err := g.client.Certify(Request{Origin: 1, StartVersion: 6, WSBytes: wsBytes("post")}); err != nil {
+	if _, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: 6, WSBytes: wsBytes("post")}); err != nil {
 		t.Fatal(err)
 	}
 	// The leader replicates its log on traffic, so a quiet group can
@@ -440,7 +441,7 @@ func TestCertifierRecoveryStateTransfer(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		if time.Since(lastNudge) > 200*time.Millisecond {
 			lastNudge = time.Now()
-			g.client.Certify(Request{Origin: 1, StartVersion: uint64(nudge),
+			g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: uint64(nudge),
 				WSBytes: wsBytes(fmt.Sprintf("nudge%d", nudge))})
 			nudge++
 		}
@@ -489,7 +490,7 @@ func TestParseNotLeader(t *testing.T) {
 
 func TestCertifyEmptyWritesetRejected(t *testing.T) {
 	g := newTestGroup(t, 1, nil)
-	_, err := g.client.Certify(Request{Origin: 1, WSBytes: (&core.Writeset{}).Encode(nil)})
+	_, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: (&core.Writeset{}).Encode(nil)})
 	if err == nil {
 		t.Error("empty writeset certification accepted")
 	}
@@ -596,11 +597,11 @@ func BenchmarkPullLongLog(b *testing.B) {
 func TestBytesAfterWritesetNeverEnterLog(t *testing.T) {
 	g := newTestGroup(t, 1, nil)
 	srv := g.servers[0]
-	if _, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("a")}); err != nil {
+	if _, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("a")}); err != nil {
 		t.Fatal(err)
 	}
 	smuggled := []byte("SMUGGLED")
-	if resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 1, WSBytes: append(wsBytes("b"), smuggled...)}); err == nil {
+	if resp, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: 1, WSBytes: append(wsBytes("b"), smuggled...)}); err == nil {
 		t.Errorf("certify with bytes after the writeset answered %+v", resp)
 	}
 	if resp, err := srv.Certify(Request{GID: 9, Origin: 1, StartVersion: 1, Involved: []int{0, 1},
@@ -608,7 +609,7 @@ func TestBytesAfterWritesetNeverEnterLog(t *testing.T) {
 		t.Errorf("prepare with bytes after the writeset answered %+v", resp)
 	}
 	// The group still works, and the next version is 2.
-	resp, err := g.client.Certify(Request{Origin: 1, StartVersion: 1, WSBytes: wsBytes("d")})
+	resp, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: 1, WSBytes: wsBytes("d")})
 	if err != nil || !resp.Yes || resp.Index != 2 {
 		t.Fatalf("certify after the refusals: %+v, %v", resp, err)
 	}

@@ -56,17 +56,12 @@ func NewClient(nodes []transport.Client, timeout time.Duration) *Client {
 	return &Client{nodes: nodes, timeout: timeout}
 }
 
-// Certify runs one commit request against the group leader. Safe to
-// retry: a cross-partition request is idempotent per gid, and a
-// duplicated one-group commit only adds a log entry with the same
-// absolute-valued writeset, which replicas apply idempotently.
-func (c *Client) Certify(req Request) (Response, error) {
-	return c.CertifyCtx(context.Background(), req)
-}
-
-// CertifyCtx is Certify bounded by the caller's context: the failover
-// loop stops at the earlier of ctx's deadline and the client timeout,
-// and backoff sleeps wake on cancellation.
+// CertifyCtx runs one commit request against the group leader, bounded
+// by the caller's context: the failover loop stops at the earlier of
+// ctx's deadline and the client timeout, and backoff sleeps wake on
+// cancellation. Safe to retry: a cross-partition request is idempotent
+// per gid, and a duplicated one-group commit only adds a log entry with
+// the same absolute-valued writeset, which replicas apply idempotently.
 func (c *Client) CertifyCtx(ctx context.Context, req Request) (Response, error) {
 	var resp Response
 	err := c.call(ctx, MethodCertify, &req, &resp)

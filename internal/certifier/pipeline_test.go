@@ -1,6 +1,7 @@
 package certifier
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -40,7 +41,7 @@ func runClients(t *testing.T, c *Client, n int, think time.Duration) (stop func(
 					return
 				default:
 				}
-				resp, err := c.Certify(Request{Origin: 1 + i%3, StartVersion: seen, ReplicaVersion: seen,
+				resp, err := c.CertifyCtx(context.Background(), Request{Origin: 1 + i%3, StartVersion: seen, ReplicaVersion: seen,
 					WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
 				if err != nil {
 					t.Errorf("client %d: %v", i, err)
@@ -299,7 +300,7 @@ func TestGatherStaleFanoutNoLinger(t *testing.T) {
 	}
 
 	ld.ResetActivityStats()
-	if _, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes("after")}); err != nil {
+	if _, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes("after")}); err != nil {
 		t.Fatal(err)
 	}
 	qs := ld.QueueStats()
@@ -565,7 +566,7 @@ func TestGatherTwoPhaseRounds(t *testing.T) {
 				default:
 				}
 				gid := gids.Add(1)
-				p, err := g.client.Certify(Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+				p, err := g.client.CertifyCtx(context.Background(), Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
 					WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
 				if err != nil || !p.Yes {
 					t.Errorf("coordinator %d: prepare %+v, %v", i, p, err)
@@ -642,7 +643,7 @@ func TestGatherTwoGroupRounds(t *testing.T) {
 				gid := gids.Add(1)
 				start := time.Now()
 				err := inBoth(func(c *Client) error {
-					p, err := c.Certify(Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+					p, err := c.CertifyCtx(context.Background(), Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
 						WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
 					if err == nil && !p.Yes {
 						err = fmt.Errorf("prepare refused: %+v", p)
@@ -769,7 +770,7 @@ func TestGatherOneRoundTwoGroups(t *testing.T) {
 				gid := gids.Add(1)
 				start := time.Now()
 				err := inBoth(func(c *Client) error {
-					p, err := c.Certify(Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
+					p, err := c.CertifyCtx(context.Background(), Request{GID: gid, Origin: 1 + i%2, Involved: []int{0, 1},
 						WSBytes: wsBytes(fmt.Sprintf("c%d-%d", i, k))})
 					if err == nil && !p.Yes {
 						err = fmt.Errorf("prepare refused: %+v", p)
@@ -907,7 +908,7 @@ func TestTwoPhaseThroughTheLoop(t *testing.T) {
 	}
 	// A certify answer ships the log after the replica's version through
 	// its own entry: the markers before it, and itself.
-	if r, err := g.client.Certify(Request{Origin: 1, StartVersion: resp.SystemVersion, ReplicaVersion: commit.index - 1, WSBytes: wsBytes("d")}); err != nil ||
+	if r, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, StartVersion: resp.SystemVersion, ReplicaVersion: commit.index - 1, WSBytes: wsBytes("d")}); err != nil ||
 		!r.Yes || len(r.Remote) == 0 || r.Remote[0].Version != commit.index || r.Remote[len(r.Remote)-1].Version != r.Index {
 		t.Errorf("first certify after the 2PC traffic: %+v, %v; want the log (%d, commit]", r, err, commit.index-1)
 	}
@@ -1098,7 +1099,7 @@ func TestResolveLandsThroughFullQueue(t *testing.T) {
 		cfg.MaxBatch, cfg.QueueDepth, cfg.AdmitTimeout = 1, 1, time.Millisecond
 	})
 	ld := g.waitLeader(t)
-	if p, err := g.client.Certify(Request{GID: 7, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("held")}); err != nil || !p.Yes {
+	if p, err := g.client.CertifyCtx(context.Background(), Request{GID: 7, Origin: 1, Involved: []int{0, 1}, WSBytes: wsBytes("held")}); err != nil || !p.Yes {
 		t.Fatalf("prepare: %+v, %v", p, err)
 	}
 	var wg sync.WaitGroup
@@ -1113,7 +1114,7 @@ func TestResolveLandsThroughFullQueue(t *testing.T) {
 					return
 				default:
 				}
-				_, err := g.client.Certify(Request{Origin: 1, WSBytes: wsBytes(fmt.Sprintf("f%d-%d", i, k))})
+				_, err := g.client.CertifyCtx(context.Background(), Request{Origin: 1, WSBytes: wsBytes(fmt.Sprintf("f%d-%d", i, k))})
 				if err != nil && !errors.Is(err, ErrOverloaded) {
 					t.Errorf("flood %d: %v", i, err)
 					return

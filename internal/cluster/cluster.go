@@ -15,7 +15,6 @@ import (
 
 	"tashkent/internal/certifier"
 	"tashkent/internal/chaos"
-	"tashkent/internal/mvstore"
 	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
 	"tashkent/internal/replica"
@@ -127,27 +126,9 @@ type Cluster struct {
 	certUp   []bool
 	groups   int
 	replicas []*replica.Replica
-	// pullGates coalesces concurrent WaitVersion catch-up pulls, one
-	// gate per replica: N sessions waiting on the same lagging replica
-	// produce one Pull RPC, not N.
-	pullGates []pullGate
 
 	hookMu            sync.Mutex
 	replicaCrashHooks []func(i int)
-}
-
-// pullGate is a single-flight latch around one replica's PullOnce.
-// The result travels with the flight so a waiter always reads the
-// outcome of the pull it joined, never a later flight's.
-type pullGate struct {
-	mu       sync.Mutex
-	inflight *pullFlight // non-nil while a pull is running
-}
-
-// pullFlight is one in-progress pull and its result.
-type pullFlight struct {
-	done chan struct{}
-	err  error // written before done closes
 }
 
 // New builds and starts a cluster, waiting for a certifier leader.
@@ -216,37 +197,7 @@ func New(cfg Config) (*Cluster, error) {
 		})
 		c.replicas = append(c.replicas, r)
 	}
-	c.pullGates = make([]pullGate, len(c.replicas))
 	return c, nil
-}
-
-// pullShared runs replica i's PullOnce with single-flight semantics:
-// a caller arriving while a pull is already running waits for that
-// pull's result instead of issuing a duplicate RPC at the certifier.
-func (c *Cluster) pullShared(ctx context.Context, i int) error {
-	g := &c.pullGates[i]
-	g.mu.Lock()
-	f := g.inflight
-	if f == nil {
-		f = &pullFlight{done: make(chan struct{})}
-		g.inflight = f
-		// The pull runs detached so an early ctx return of the caller
-		// that started it cannot strand later waiters on the gate.
-		go func() {
-			f.err = c.replicas[i].Proxy().PullOnce()
-			g.mu.Lock()
-			g.inflight = nil
-			g.mu.Unlock()
-			close(f.done)
-		}()
-	}
-	g.mu.Unlock()
-	select {
-	case <-f.done:
-		return f.err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // certName returns flat node i's fabric identity: nodes are named by
@@ -390,45 +341,18 @@ func (c *Cluster) Begin(i int) (*proxy.Tx, error) {
 
 // WaitVersion blocks until replica i's announced version reaches v or
 // ctx expires — the causal wait behind a session's monotonic-read /
-// read-your-writes guarantee. A lagging replica is nudged with an
-// immediate writeset pull instead of waiting out the staleness bound.
+// read-your-writes guarantee. The replica's merger pulls what it lacks at
+// once (proxy.Proxy.WaitVersion) instead of waiting out the staleness
+// bound.
 func (c *Cluster) WaitVersion(ctx context.Context, i int, v uint64) error {
 	if err := c.checkReplica(i); err != nil {
 		return err
 	}
-	r := c.replicas[i]
-	if v == 0 || r.Store().AnnouncedVersion() >= v {
-		return nil
+	err := c.replicas[i].Proxy().WaitVersion(ctx, v)
+	if err != nil && err != ctx.Err() {
+		err = fmt.Errorf("cluster: replica %d: %w", i, err)
 	}
-	// Wait in growing slices, pulling only when a slice times out: in
-	// steady state the missing writeset is already in flight on the
-	// normal response path and lands within the first few milliseconds,
-	// so most causal waits cost no certifier Pull at all. The slice
-	// only bounds how often we re-pull and re-check ctx —
-	// WaitAnnounced returns the moment the version lands — and backing
-	// off keeps a long catch-up (recovery replay) from hammering the
-	// certifier with a pull every few milliseconds per waiter.
-	slice := 5 * time.Millisecond
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		err := r.Store().WaitAnnounced(v, slice)
-		if err == nil {
-			return nil
-		}
-		if errors.Is(err, mvstore.ErrCrashed) {
-			return fmt.Errorf("cluster: replica %d: %w", i, err)
-		}
-		// Timed out: normal propagation did not deliver our versions;
-		// pull them rather than wait out the staleness bound.
-		if err := c.pullShared(ctx, i); err != nil {
-			return fmt.Errorf("cluster: catching replica %d up to version %d: %w", i, v, err)
-		}
-		if slice *= 2; slice > 50*time.Millisecond {
-			slice = 50 * time.Millisecond
-		}
-	}
+	return err
 }
 
 // Groups returns the certifier group (partition) count.
@@ -597,61 +521,25 @@ func (c *Cluster) SetAbortRate(r float64) {
 
 // ConvergeAll drives a quiesced cluster to one common state and waits
 // for every replica to announce it — used between a measurement and a
-// state comparison. Every group's committed head is read at once; the
-// deterministic merge emits only up to the shortest group, so short
-// groups are padded to the highest head until all are level at H; then
-// every replica, all at once, pulls and waits until it has announced the
-// merged version of the last group's entry at H (H itself with one
-// group).
+// state comparison. Every group's committed head is read at once, and
+// every replica waits, all at once, for the merged version of the last
+// group's entry at the highest head H. The deterministic merge emits only
+// up to the shortest group, so a replica's merger pads short idle groups
+// level with the highest as it pulls (see proxy's merger.loop).
 func (c *Cluster) ConvergeAll(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	heads := make([]uint64, c.groups)
-	for {
-		err := c.eachGroup(func(g int) (err error) {
-			heads[g], err = c.groupHead(g, time.Until(deadline))
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		high := slices.Max(heads)
-		if slices.Min(heads) == high {
-			break
-		}
-		if time.Now().After(deadline) {
-			return errors.New("cluster: group heads never equalized")
-		}
-		// Re-read after filling: a straggling commit may have landed
-		// mid-fill.
-		err = c.eachGroup(func(g int) error {
-			if heads[g] == high {
-				return nil
-			}
-			leader := c.GroupLeader(g)
-			if leader == nil {
-				return fmt.Errorf("cluster: group %d lost its leader during convergence", g)
-			}
-			if _, err := leader.FillTo(high); err != nil {
-				return fmt.Errorf("cluster: filling group %d to %d: %w", g, high, err)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	target := partition.Map{N: c.groups}.MergedVersion(c.groups-1, heads[0])
-	// A lagging replica pulls at once — a replica that heard nothing has
-	// nothing in flight — and then waits as a causal wait does.
-	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
+	deadline, _ := ctx.Deadline()
+	heads := make([]uint64, c.groups)
+	err := c.eachGroup(func(g int) (err error) {
+		heads[g], err = c.groupHead(g, time.Until(deadline))
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	target := partition.Map{N: c.groups}.MergedVersion(c.groups-1, slices.Max(heads))
 	return parallel(len(c.replicas), func(i int) error {
-		if c.replicas[i].Store().AnnouncedVersion() >= target {
-			return nil
-		}
-		if err := c.pullShared(ctx, i); err != nil {
-			return fmt.Errorf("cluster: converging replica %d: %w", i, err)
-		}
 		if err := c.WaitVersion(ctx, i, target); err != nil {
 			return fmt.Errorf("cluster: converging replica %d to version %d: %w", i, target, err)
 		}

@@ -274,3 +274,80 @@ func TestTopologyConvergeAfterGroupLeaderCrash(t *testing.T) {
 		requireRows(t, c, rows)
 	})
 }
+
+// TestTopologyWaitVersionCoalescesPulls: 32 causal waits on one lagging
+// replica for the same version share its merger's pull rounds. The
+// groups serve a few pulls, not one per waiter.
+func TestTopologyWaitVersionCoalescesPulls(t *testing.T) {
+	forTopologies(t, func(t *testing.T, parts int) {
+		c := newTopologyCluster(t, parts)
+		for i := 0; i < 6; i++ {
+			if err := clusterCommit(t, c, 0, keyInPartition(parts, i%parts, 50+i), "v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		target := c.Replica(0).Store().AnnouncedVersion()
+		if v := c.Replica(1).Store().AnnouncedVersion(); v >= target {
+			t.Fatalf("replica 1 at version %d before the waits, want below %d", v, target)
+		}
+		pulls := func() (n int64) {
+			for g := 0; g < parts; g++ {
+				n += c.GroupLeader(g).Stats().Pulls
+			}
+			return n
+		}
+		before := pulls()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		const waiters = 32
+		errs := make(chan error, waiters)
+		for k := 0; k < waiters; k++ {
+			go func() { errs <- c.WaitVersion(ctx, 1, target) }()
+		}
+		for k := 0; k < waiters; k++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := pulls() - before; n > 3*int64(parts) {
+			t.Errorf("%d waiters cost %d pulls over %d groups, want at most 3 rounds", waiters, n, parts)
+		}
+	})
+}
+
+// TestTopologyWaitVersionBeyondHeadFillsNothing: a causal wait for a
+// version nothing has committed pulls, but pads no log. It ends with its
+// ctx, and no group's commit index moves.
+func TestTopologyWaitVersionBeyondHeadFillsNothing(t *testing.T) {
+	forTopologies(t, func(t *testing.T, parts int) {
+		c := newTopologyCluster(t, parts)
+		for i := 0; i < 4; i++ {
+			if err := clusterCommit(t, c, i%2, keyInPartition(parts, i%parts, 60+i), "v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.ConvergeAll(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		heads := make([]uint64, parts)
+		for g := range heads {
+			heads[g] = c.GroupLeader(g).Node().CommitIndex()
+		}
+		p := c.Replica(1).Proxy()
+		pulled := p.Stats().StalenessPulls
+		v := c.Replica(1).Store().AnnouncedVersion() + 5
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		if err := c.WaitVersion(ctx, 1, v); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("wait for version %d beyond the head: %v, want %v", v, err, context.DeadlineExceeded)
+		}
+		if p.Stats().StalenessPulls == pulled {
+			t.Error("the wait never pulled")
+		}
+		for g, head := range heads {
+			if got := c.GroupLeader(g).Node().CommitIndex(); got != head {
+				t.Errorf("group %d commit index %d after the wait, was %d", g, got, head)
+			}
+		}
+	})
+}

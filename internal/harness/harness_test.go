@@ -90,18 +90,27 @@ func TestBaseScalesLinearlyWithReplicas(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	o := fastOptions(&buf)
-	o.ReplicaCounts = []int{1, 2, 4}
+	// Other packages' tests may take the CPU for part of the run: the 2-
+	// and 4-replica points are measured in alternating short windows, so
+	// that contention lands on both, and compared by their sums.
+	o.ReplicaCounts = []int{1, 2, 4, 2, 4, 2, 4, 2, 4}
+	o.Measure = 150 * time.Millisecond
 	series, err := ThroughputExperiment("base scaling", newAllUpdates, false, []System{SysBase}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pts := series[0].Points
+	tput := map[int]float64{}
+	for _, pt := range pts {
+		tput[pt.Replicas] += pt.Result.Throughput
+	}
+	t.Logf("base over four windows: %.0f at 2 replicas, %.0f at 4 (%.2fx)", tput[2], tput[4], tput[4]/tput[2])
 	// From 2 replicas on, every Base commit pays two serial fsyncs
 	// (remote batch + local), so capacity grows linearly with replica
 	// count within that regime: 4 replicas ≈ 2× the 2-replica rate.
-	if got, want := pts[2].Result.Throughput, 1.5*pts[1].Result.Throughput; got < want {
-		t.Errorf("base at 4 replicas %.0f, at 2 replicas %.0f: expected near-linear growth",
-			pts[2].Result.Throughput, pts[1].Result.Throughput)
+	if got, want := tput[4], 1.5*tput[2]; got < want {
+		t.Errorf("base over four windows at 4 replicas %.0f, at 2 replicas %.0f: expected near-linear growth",
+			tput[4], tput[2])
 	}
 	// The paper's 1→2 replica response-time jump: the second fsync.
 	if pts[1].Result.RT.Mean < pts[0].Result.RT.Mean {

@@ -73,6 +73,11 @@ type merger struct {
 	// drains their action from the assembler, so an action at or below
 	// asm.MergedVersion() has been looked up for good.
 	waiters map[waitKey]*ownWait
+	// targets counts the WaitVersion callers waiting for each merged
+	// version. One the merge has not emitted is a reason to pull, and
+	// pullNow says a new one arrived: pull at once, without the stall wait.
+	targets map[uint64]int
+	pullNow bool
 
 	wake chan struct{} // nudges the merger after new offers
 }
@@ -102,6 +107,7 @@ func newMerger(p *Proxy) *merger {
 		topo:    p.topo,
 		asm:     partition.NewAssembler(len(p.topo.Groups)),
 		waiters: make(map[waitKey]*ownWait),
+		targets: make(map[uint64]int),
 		wake:    make(chan struct{}, 1),
 	}
 }
@@ -146,7 +152,7 @@ func (m *merger) resync() error {
 	}
 	m.mu.Unlock()
 	target := m.topo.Map.MergedVersion(lackG, lack) - 1
-	switch err := p.cfg.Store.WaitAnnouncedOr(target, 30*time.Second, p.stopCh); {
+	switch err := p.cfg.Store.WaitAnnouncedOr(target, 30*time.Second, p.life.Done()); {
 	case errors.Is(err, mvstore.ErrWaitInterrupted):
 		return ErrProxyClosed
 	case err != nil:
@@ -174,12 +180,6 @@ func (m *merger) ingest(g int, remote []certifier.RemoteWS, w *ownWait) (registe
 		}
 	}
 	m.mu.Unlock()
-	if len(remote) > 0 {
-		p := m.p
-		p.mu.Lock()
-		p.lastRemote = time.Now()
-		p.mu.Unlock()
-	}
 	if len(remote) > 0 || registered {
 		// A registered waiter is a reason for the merger to advance too (it
 		// may be parked with nothing else to do).
@@ -200,6 +200,33 @@ func (m *merger) mergedLocked(k waitKey) (mv uint64, passed bool) {
 	return mv, m.asm.MergedVersion() >= mv
 }
 
+// want adds (n = 1) or withdraws (n = -1) a WaitVersion caller's target
+// v. A target the merge has not emitted makes the merger pull at once.
+func (m *merger) want(v uint64, n int) {
+	m.mu.Lock()
+	m.targets[v] += n
+	if m.targets[v] == 0 {
+		delete(m.targets, v)
+	}
+	lacks := n > 0 && v > m.asm.MergedVersion()
+	m.pullNow = m.pullNow || lacks
+	m.mu.Unlock()
+	if lacks {
+		m.nudge()
+	}
+}
+
+// lacksTargetLocked reports whether some WaitVersion caller waits for a
+// merged version the merge has not emitted. Caller holds m.mu.
+func (m *merger) lacksTargetLocked() bool {
+	for v := range m.targets {
+		if v > m.asm.MergedVersion() {
+			return true
+		}
+	}
+	return false
+}
+
 // nudge wakes the merger goroutine if it is parked.
 func (m *merger) nudge() {
 	select {
@@ -209,11 +236,15 @@ func (m *merger) nudge() {
 }
 
 // loop is the merger goroutine: it drains ready actions from the
-// assembler and applies them, run by run, in merged order. When the
-// merge stalls it pulls every group at or behind the blocked position —
-// and if the blocking group's log is genuinely shorter than the needed
-// index, asks its leader to fill (idle partitions must not stall the
-// merge).
+// assembler and applies them, run by run, in merged order. It is also the
+// replica's only puller. A blocked merge is a reason to pull while the
+// replica has something to gain: a received entry waiting to merge, a
+// local client waiting for its own commit's merge position, or a
+// WaitVersion caller waiting for a version the merge has not emitted.
+// If the blocking group's log is genuinely shorter than the needed index,
+// its leader is asked to pad it (idle partitions must not stall the
+// merge); see nudgeLagging for how far. An idle merger pulls once it has
+// been idle, and so received nothing, for StalenessBound (§6.2).
 //
 // Two pacing rules keep the merge from becoming the system
 // bottleneck. First, the nudge deadline is tracked across wake-ups:
@@ -226,7 +257,7 @@ func (m *merger) nudge() {
 // again (paced by the pull RPC itself, not the timer): the merge
 // horizon needs entries from every group, and waiting out the nudge
 // interval per group would cap the whole replica's apply rate at
-// groups-per-interval.
+// groups-per-interval. A new version target, too, is pulled for at once.
 func (m *merger) loop() {
 	p := m.p
 	stallG := -2 // no stall being tracked
@@ -235,7 +266,7 @@ func (m *merger) loop() {
 	hot := false // last nudge round made progress; keep streaming
 	for {
 		select {
-		case <-p.stopCh:
+		case <-p.life.Done():
 			return
 		default:
 		}
@@ -254,27 +285,27 @@ func (m *merger) loop() {
 		}
 		var blockG int
 		var blockIdx uint64
-		var motive bool
+		var waiting, motive bool
 		if len(run) == 0 {
 			blockG, blockIdx = m.asm.Blocking()
-			motive = m.asm.Pending() || len(m.waiters) > 0
+			waiting = m.asm.Pending() || len(m.waiters) > 0
+			lacks := m.lacksTargetLocked()
+			motive = waiting || lacks
+			hot = hot || m.pullNow && lacks
+			m.pullNow = false
 		}
 		m.mu.Unlock()
 
 		if len(run) == 0 {
-			// Progress gate: nudges and fills are warranted only while
-			// this replica has something to gain — a received entry
-			// waiting to merge, or a local client waiting for its own
-			// commit's merge position. Without the gate a quiescent
-			// cluster would fill forever: the merge is always "blocked"
-			// on the index after the last entry, and padding it just
-			// moves the block one index up.
+			// Progress gate: pull and fill only with a motive. Without the
+			// gate a quiescent cluster would fill forever: the merge is
+			// always "blocked" on the index after the last entry, and
+			// padding it just moves the block one index up.
 			if !motive {
 				stallG, hot = -2, false
-				select {
-				case <-p.stopCh:
-					return
-				case <-m.wake:
+				if m.idle() {
+					m.nudgeLagging(blockG, blockIdx, false, false)
+					p.addStat(func(st *Stats) { st.StalenessPulls++ })
 				}
 				continue
 			}
@@ -288,14 +319,17 @@ func (m *merger) loop() {
 			}
 			if wait := mergeStallNudge - now.Sub(stallSince); wait > 0 && !hot {
 				select {
-				case <-p.stopCh:
+				case <-p.life.Done():
 					return
 				case <-m.wake:
 				case <-time.After(wait):
 				}
 				continue
 			}
-			hot = m.nudgeLagging(blockG, blockIdx, now.Sub(stallFirst) >= mergeFillPatience)
+			hot = m.nudgeLagging(blockG, blockIdx, waiting, now.Sub(stallFirst) >= mergeFillPatience)
+			if !waiting {
+				p.addStat(func(st *Stats) { st.StalenessPulls++ })
+			}
 			stallSince = time.Now() // re-arm: give the pulled data time to land
 			continue
 		}
@@ -306,21 +340,40 @@ func (m *merger) loop() {
 	}
 }
 
+// idle parks the merger until it is nudged or the proxy closes. Every
+// received entry nudges it, so a merger parked for StalenessBound has
+// received nothing for that long: idle then reports the replica stale.
+func (m *merger) idle() (stale bool) {
+	var bound <-chan time.Time
+	if d := m.p.cfg.StalenessBound; d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		bound = t.C
+	}
+	select {
+	case <-m.p.life.Done():
+	case <-m.wake:
+	case <-bound:
+		return true
+	}
+	return false
+}
+
 // nudgeLagging unblocks a stalled merge: every group whose received
 // prefix is at or behind the blocked position is pulled forward, in
 // parallel — after the blocking group is resolved the merge would
 // immediately block on the next-laggiest group at the same position,
 // so pulling them one stall interval at a time would serialize the
-// whole merge on the nudge timer. A pulled group whose committed log
-// is genuinely shorter than the index the merge needs is asked to pad
-// itself with fill no-ops — but only if its pull response says it is
-// idle (no certifications in flight), or the force flag is set
-// because the same position has been blocked past the patience
-// window. Filling a busy group would be poison: the no-ops
-// group's index, which in turn makes every other group look short, so
-// an eager fill cascades into groups padding each other forever.
+// whole merge on the nudge timer. A pulled group whose committed log is
+// genuinely shorter than the index the merge needs is asked to pad itself
+// with fill no-ops — but only if its pull response says it is idle (no
+// certifications in flight), or force is set because the same position
+// has been blocked past the patience window. Filling a busy group would
+// be poison: the no-ops advance the group's index, which in turn makes
+// every other group look short, so an eager fill cascades into groups
+// padding each other forever.
 // Returns whether any pull ingested new entries.
-func (m *merger) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
+func (m *merger) nudgeLagging(blockG int, blockIdx uint64, waiting, force bool) bool {
 	if blockG < 0 {
 		return false
 	}
@@ -335,29 +388,33 @@ func (m *merger) nudgeLagging(blockG int, blockIdx uint64, fill bool) bool {
 	// just to the blocked row: every group must eventually supply an
 	// entry at each index up to the leader's frontier anyway, so one
 	// fill round (one fsync) covers the whole idle episode instead of
-	// one fsync per merged row.
-	fillTo := blockIdx
-	for _, f := range frontiers {
-		if f > fillTo {
-			fillTo = f
-		}
+	// one fsync per merged row. A received entry or an own commit waiting
+	// to merge (waiting) pads at least to the blocked row. A version target
+	// or the staleness bound alone pads only to an index some group holds,
+	// and not at all if none holds the blocked row: a target nothing has
+	// committed must not grow the logs. 0 fills nothing.
+	fillTo := slices.Max(frontiers)
+	if waiting {
+		fillTo = max(fillTo, blockIdx)
+	} else if fillTo < blockIdx {
+		fillTo = 0
 	}
 	fanOut(len(m.topo.Groups), func(g int) {
 		if frontiers[g] > blockIdx {
 			return // already past the merge horizon
 		}
-		if m.pullGroup(g, blockIdx, fillTo, fill && g == blockG) {
+		if m.pullGroup(g, blockIdx, fillTo, force && g == blockG) {
 			progressed.Store(true)
 		}
 	})
 	return progressed.Load()
 }
 
-// pullGroup pulls one group up toward needIdx, padding a genuinely
-// short group with fill no-ops when its pull response reports it idle
-// (or unconditionally when force is set — the patience fallback for a
-// group stuck busy under fault injection). Returns whether new
-// entries were ingested.
+// pullGroup pulls one group up toward needIdx. If fillTo is set, it pads
+// a genuinely short group to fillTo with fill no-ops when its pull
+// response reports it idle (or unconditionally when force is set — the
+// patience fallback for a group stuck busy under fault injection).
+// Returns whether new entries were ingested.
 func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 	frontier := m.replicaVersion(g)
 	if needIdx < frontier {
@@ -373,13 +430,10 @@ func (m *merger) pullGroup(g int, needIdx, fillTo uint64, force bool) bool {
 	if needIdx < after {
 		return after > frontier
 	}
-	if resp.SystemVersion < needIdx && (!resp.Busy || force) {
+	if fillTo > 0 && resp.SystemVersion < needIdx && (!resp.Busy || force) {
 		// The group is genuinely short: it has no entry at needIdx and
 		// nothing in flight to produce one. Pad it so the merge can
 		// pass this position.
-		if fillTo < needIdx {
-			fillTo = needIdx
-		}
 		if _, err := client.Fill(fillTo); err != nil {
 			return after > frontier
 		}
@@ -461,7 +515,7 @@ func (m *merger) apply(run []partition.Action, w *ownWait) bool {
 			return false
 		}
 		select {
-		case <-p.stopCh:
+		case <-p.life.Done():
 			answer(ownTurn{err: errUnresolved})
 			return false
 		case <-time.After(time.Millisecond):
@@ -488,7 +542,7 @@ func (m *merger) await(w *ownWait) (uint64, error) {
 	case t = <-w.ch:
 	case <-timeout.C:
 		t = m.withdraw(w, errors.New("proxy: merged apply of own commit timed out"))
-	case <-m.p.stopCh:
+	case <-m.p.life.Done():
 		t = m.withdraw(w, errUnresolved)
 	}
 	if t.err == nil && t.finish != nil {
@@ -522,7 +576,7 @@ func (m *merger) awaitRaced(mv uint64, tx *mvstore.Tx) error {
 	if tx != nil {
 		tx.Abort()
 	}
-	err := m.p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, m.p.stopCh)
+	err := m.p.cfg.Store.WaitAnnouncedOr(mv, 30*time.Second, m.p.life.Done())
 	if errors.Is(err, mvstore.ErrWaitInterrupted) {
 		err = m.closedErr(tx)
 	}
@@ -881,7 +935,7 @@ func (m *merger) resolveDetached(gid uint64, pids []int, answers []answer) {
 		backoff := 5 * time.Millisecond
 		retry := func() bool {
 			select {
-			case <-p.stopCh:
+			case <-p.life.Done():
 				return false
 			case <-time.After(backoff):
 			}

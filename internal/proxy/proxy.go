@@ -24,13 +24,18 @@
 //
 // The proxy also implements the paper's optimizations: local
 // certification (§6.2), eager pre-certification for deadlock avoidance
-// (§8.2), staleness bounding (§6.2), and soft recovery (§8.1).
+// (§8.2), staleness bounding (§6.2), and soft recovery (§8.1). A replica
+// learns remote writesets from its own certification answers; otherwise
+// the merger pulls them, and it is the replica's only puller: for a
+// stalled merge, for a causal wait (WaitVersion), and when the replica
+// has received nothing for StalenessBound.
 package proxy
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -104,7 +109,7 @@ type Stats struct {
 	EagerKills          int64 // local transactions killed to admit remote writesets
 	SoftRecoveries      int64 // §8.1 soft-recovery rounds
 	Resyncs             int64 // full pull-based resynchronizations
-	StalenessPulls      int64
+	StalenessPulls      int64 // pull rounds for causal waits, the staleness bound and PullOnce
 	CrossPartCommits    int64 // cross-partition transactions committed (partitioned mode)
 	CrossPartAborts     int64 // cross-partition transactions aborted in prepare
 }
@@ -118,8 +123,8 @@ type Config struct {
 	// map and one failover client per certifier group. The classic system
 	// is one group. Required.
 	Parts *partition.Topology
-	// StalenessBound, if nonzero, pulls remote writesets from the
-	// certifier after this much idle time.
+	// StalenessBound, if nonzero, makes the merger pull remote writesets
+	// once it has been idle, having received none, for this long.
 	StalenessBound time.Duration
 	// ChunkWaitTimeout bounds how long an install waits for the version
 	// it follows before it is given up (0 = 5 s).
@@ -139,11 +144,10 @@ type Proxy struct {
 	cfg  Config
 	topo *partition.Topology
 
-	mu         sync.Mutex
-	rvPlanned  uint64 // highest global version scheduled for application
-	lastRemote time.Time
-	stats      Stats
-	closed     bool
+	mu        sync.Mutex
+	rvPlanned uint64 // highest global version scheduled for application
+	stats     Stats
+	closed    bool
 
 	// m is the ordering point: where certifier responses take their
 	// place in the replica's global order.
@@ -168,8 +172,10 @@ type Proxy struct {
 	// is applied as entries of its window, in every mode.
 	sched *applyScheduler
 
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	// life ends when Close begins.
+	life context.Context
+	stop context.CancelFunc
+	wg   sync.WaitGroup
 }
 
 type remoteRecord struct {
@@ -187,9 +193,8 @@ const maxRecent = 4096
 // records into shared fsyncs only if several installs are in flight.
 const defaultApplyWorkers = 8
 
-// New creates a proxy and starts its merger and its staleness-bounding
-// loop. A config without one client per group of its map is a wiring bug
-// and panics.
+// New creates a proxy and starts its merger. A config without one client
+// per group of its map is a wiring bug and panics.
 func New(cfg Config) *Proxy {
 	if cfg.Parts == nil || len(cfg.Parts.Groups) != max(cfg.Parts.Map.N, 1) {
 		panic("proxy: Config.Parts must hold one certifier client per group of its map")
@@ -202,9 +207,8 @@ func New(cfg Config) *Proxy {
 		topo:          cfg.Parts,
 		inFlightItems: make(map[core.ItemID]inFlightMark),
 		applierTxs:    make(map[uint64]struct{}),
-		lastRemote:    time.Now(),
-		stopCh:        make(chan struct{}),
 	}
+	p.life, p.stop = context.WithCancel(context.Background())
 	workers := cfg.ApplyWorkers
 	if workers <= 0 {
 		workers = defaultApplyWorkers
@@ -212,9 +216,6 @@ func New(cfg Config) *Proxy {
 	p.sched = newApplyScheduler(p, workers)
 	p.m = newMerger(p)
 	p.detach(p.m.loop)
-	if cfg.StalenessBound > 0 {
-		p.detach(p.stalenessLoop)
-	}
 	return p
 }
 
@@ -243,7 +244,7 @@ func (p *Proxy) Close() {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	close(p.stopCh)
+	p.stop()
 	// Submitters first: a detached commit round may be waiting on a
 	// version that is still in the scheduler's window.
 	p.wg.Wait()
@@ -456,9 +457,6 @@ func (p *Proxy) recordRemotes(remotes []RemoteEntry) (installed int) {
 		p.recent = p.recent[:kept]
 	}
 	p.logMu.Unlock()
-	p.mu.Lock()
-	p.lastRemote = time.Now()
-	p.mu.Unlock()
 	return installed
 }
 
@@ -543,26 +541,28 @@ func (p *Proxy) isApplierTx(id uint64) bool {
 	return ok
 }
 
-// stalenessLoop implements bounding staleness (§6.2): if the replica
-// has not received remote writesets for the configured bound, pull
-// them proactively.
-func (p *Proxy) stalenessLoop() {
-	tick := time.NewTicker(p.cfg.StalenessBound)
-	defer tick.Stop()
-	for {
-		select {
-		case <-p.stopCh:
-			return
-		case <-tick.C:
-		}
-		p.mu.Lock()
-		idle := time.Since(p.lastRemote)
-		p.mu.Unlock()
-		if idle < p.cfg.StalenessBound {
-			continue
-		}
-		p.PullOnce()
+// WaitVersion blocks until the replica has announced merged version v:
+// the causal wait behind a session's read-your-writes. It registers v with
+// the merger, which pulls what the replica lacks of it (see merger.loop).
+// It returns ctx's error if ctx ends first, ErrProxyClosed if the proxy
+// closes and mvstore.ErrCrashed if the store crashes.
+func (p *Proxy) WaitVersion(ctx context.Context, v uint64) error {
+	store := p.cfg.Store
+	if store.AnnouncedVersion() >= v {
+		return nil
 	}
+	p.m.want(v, 1)
+	defer p.m.want(v, -1)
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(p.life, cancel)()
+	err := store.WaitAnnouncedOr(v, math.MaxInt64, wctx.Done())
+	if errors.Is(err, mvstore.ErrWaitInterrupted) {
+		if err = ctx.Err(); err == nil {
+			err = ErrProxyClosed
+		}
+	}
+	return err
 }
 
 // PullOnce fetches every group's missing writesets once, all groups at

@@ -407,7 +407,7 @@ func TestCloseLetsFinishersSubmit(t *testing.T) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		<-p.stopCh
+		<-p.life.Done()
 		time.Sleep(20 * time.Millisecond) // Close is past whatever it does first
 		submitRemotes(p, entries)
 		finished <- store.WaitAnnounced(n, time.Second)

@@ -50,7 +50,6 @@ type Config struct {
 	PageMissEvery   int
 	CheckpointEvery int
 	LockTimeout     time.Duration
-	StoreStripes    int // data-shard / lock-stripe count (0 = engine default)
 
 	// Middleware options.
 	StalenessBound time.Duration
@@ -93,7 +92,6 @@ func (cfg *Config) storeConfig(data, log *simdisk.Disk) mvstore.Config {
 		PageMissEvery:   cfg.PageMissEvery,
 		CheckpointEvery: cfg.CheckpointEvery,
 		LockTimeout:     cfg.LockTimeout,
-		Stripes:         cfg.StoreStripes,
 	}
 	if cfg.Mode == proxy.TashkentMW {
 		// Disable all synchronous WAL writes: durability moves to the
