@@ -341,8 +341,11 @@ func TestTopologyWaitVersionBeyondHeadFillsNothing(t *testing.T) {
 		if err := c.WaitVersion(ctx, 1, v); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("wait for version %d beyond the head: %v, want %v", v, err, context.DeadlineExceeded)
 		}
-		if p.Stats().StalenessPulls == pulled {
+		switch rounds := p.Stats().StalenessPulls - pulled; {
+		case rounds == 0:
 			t.Error("the wait never pulled")
+		case rounds > 8:
+			t.Errorf("the wait ran %d pull rounds in 100 ms, want at most 8: rounds that ingest nothing must back off", rounds)
 		}
 		for g, head := range heads {
 			if got := c.GroupLeader(g).Node().CommitIndex(); got != head {

@@ -248,7 +248,7 @@ func RunSlowDiskDrill(seed int64, o Options) (SlowDiskDrillResult, error) {
 	defer heal() // a failed drill must not shut down through the stalled disk
 	t0 := time.Now()
 	ejected := chaos.WaitUntil(10*time.Second, func() bool {
-		state, _, _ := db.RouterCounters().Health(slowReplica)
+		state, _, _, _ := db.RouterCounters().Health(slowReplica)
 		return state == "open"
 	})
 	res.EjectAfter = time.Since(t0)
@@ -271,7 +271,7 @@ func RunSlowDiskDrill(seed int64, o Options) (SlowDiskDrillResult, error) {
 	// Heal the disk; a half-open probe should fold the replica back.
 	heal()
 	res.Recovered = chaos.WaitUntil(10*time.Second, func() bool {
-		state, _, _ := db.RouterCounters().Health(slowReplica)
+		state, _, _, _ := db.RouterCounters().Health(slowReplica)
 		return state == "closed"
 	})
 	cancel()

@@ -95,10 +95,15 @@ var gidCounter atomic.Uint64
 // the merge). mergeFillPatience is the fallback for a group that
 // reports busy without committing anything for that long — under
 // fault injection an in-flight request can linger for seconds on
-// retries, and the merge must not wait it out.
+// retries, and the merge must not wait it out. A round no received
+// entry and no own commit waits on — only a version target — that
+// ingests nothing doubles the wait before the next, up to
+// mergeTargetPaceCap: a target beyond every group's head may stay
+// unmet for as long as its caller waits.
 const (
-	mergeStallNudge   = 2 * time.Millisecond
-	mergeFillPatience = 25 * time.Millisecond
+	mergeStallNudge    = 2 * time.Millisecond
+	mergeFillPatience  = 25 * time.Millisecond
+	mergeTargetPaceCap = 50 * time.Millisecond
 )
 
 func newMerger(p *Proxy) *merger {
@@ -257,13 +262,15 @@ func (m *merger) nudge() {
 // again (paced by the pull RPC itself, not the timer): the merge
 // horizon needs entries from every group, and waiting out the nudge
 // interval per group would cap the whole replica's apply rate at
-// groups-per-interval. A new version target, too, is pulled for at once.
+// groups-per-interval. A new version target, too, is pulled for at once;
+// later rounds for targets alone back off (mergeTargetPaceCap).
 func (m *merger) loop() {
 	p := m.p
 	stallG := -2 // no stall being tracked
 	var stallIdx uint64
 	var stallFirst, stallSince time.Time
-	hot := false // last nudge round made progress; keep streaming
+	hot := false                  // last nudge round made progress; keep streaming
+	targetPace := mergeStallNudge // wait between target-only rounds
 	for {
 		select {
 		case <-p.life.Done():
@@ -313,11 +320,16 @@ func (m *merger) loop() {
 			if blockG != stallG || blockIdx != stallIdx {
 				stallG, stallIdx = blockG, blockIdx
 				stallFirst = now
+				targetPace = mergeStallNudge
 				if !hot {
 					stallSince = now
 				}
 			}
-			if wait := mergeStallNudge - now.Sub(stallSince); wait > 0 && !hot {
+			pace := mergeStallNudge
+			if !waiting {
+				pace = targetPace
+			}
+			if wait := pace - now.Sub(stallSince); wait > 0 && !hot {
 				select {
 				case <-p.life.Done():
 					return
@@ -329,6 +341,10 @@ func (m *merger) loop() {
 			hot = m.nudgeLagging(blockG, blockIdx, waiting, now.Sub(stallFirst) >= mergeFillPatience)
 			if !waiting {
 				p.addStat(func(st *Stats) { st.StalenessPulls++ })
+				targetPace = mergeStallNudge
+				if !hot {
+					targetPace = min(2*pace, mergeTargetPaceCap)
+				}
 			}
 			stallSince = time.Now() // re-arm: give the pulled data time to land
 			continue

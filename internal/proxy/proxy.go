@@ -290,6 +290,10 @@ func (t *Tx) SnapshotVersion() uint64 { return t.inner.SnapshotVersion() }
 // causal token for read-your-writes routing.
 func (t *Tx) CommitVersion() uint64 { return t.commitVersion }
 
+// Wrote reports whether the transaction has written: the class the
+// router's breaker judges its latency in, whatever the caller declared.
+func (t *Tx) Wrote() bool { return !t.inner.Writeset().Empty() }
+
 // Begin intercepts BEGIN: the transaction receives the latest local
 // snapshot, labeled with the replica version the store published with
 // it (mvstore.Tx.SnapshotVersion). The label is exact: GSI would accept

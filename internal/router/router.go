@@ -69,15 +69,17 @@ type counterSlot struct {
 }
 
 // Circuit-breaker tuning. A replica is ejected (breaker opens) when,
-// with at least breakerMinSamples observations since it last closed,
-// its error EWMA crosses breakerErrTrip or its latency EWMA exceeds
-// breakerLatFactor times the best healthy peer's (and the absolute
-// floor, which suppresses microsecond-scale noise). After
-// breakerCooldown one half-open probe transaction is admitted; a failure,
-// or a success slow enough to trip a closed breaker, re-opens it, and
-// any other success closes it. An unclaimed or lost probe
-// token expires after breakerProbeExpiry so a policy that routed the
-// probe elsewhere cannot wedge the replica open forever.
+// with at least breakerMinSamples outcomes since it last closed, its
+// error EWMA crosses breakerErrTrip, or when, with that many samples of
+// one transaction class, its latency EWMA for the class exceeds
+// breakerLatFactor times the best healthy peer's for the same class
+// (and the absolute floor, which suppresses microsecond-scale noise).
+// After breakerCooldown the next transaction routed to the replica
+// carries the one half-open probe; its failure, or a success slow
+// enough to trip a closed breaker, re-opens it, and any other success
+// closes it. A probe token that is never judged or handed back expires
+// after breakerProbeExpiry so a lost transaction cannot wedge the
+// replica open forever.
 const (
 	breakerAlpha       = 0.15
 	breakerMinSamples  = 16
@@ -95,63 +97,119 @@ const (
 	breakerHalfOpen
 )
 
-// health is one replica's gray-failure score: EWMA latency and error
-// rate plus the breaker state machine. Distinct from the Excluded
-// mechanism, which handles crashed (clean-failure) replicas: a gray
-// replica still answers, just badly, so only its trend betrays it.
+// Class is the latency class a transaction is judged in. A snapshot
+// read finishes in microseconds while an update pays certification and
+// a log flush, so one latency average over both swings with whichever
+// class finished last; the breaker compares a replica's reads with its
+// peers' reads and its updates with their updates.
+type Class int
+
+// Transaction classes: whether the transaction wrote.
+const (
+	ReadOnly Class = iota
+	Update
+	numClasses
+)
+
+// health is one replica's gray-failure score: a latency EWMA per
+// transaction class, one error-rate EWMA and the breaker state machine.
+// Distinct from the Excluded mechanism, which handles crashed
+// (clean-failure) replicas: a gray replica still answers, just badly,
+// so only its trend betrays it.
 type health struct {
 	mu       sync.Mutex
-	ewmaLat  float64 // seconds
+	lat      [numClasses]latScore
 	ewmaErr  float64 // failure rate in [0,1]
-	samples  int64   // observations since the breaker last closed
+	samples  int64   // outcomes, failures included, since the breaker last closed
 	state    int
 	openedAt time.Time
 	probeOut bool
-	probeAt  time.Time
+	probeAt  time.Time // when the probe token was claimed
 }
 
-// admit reports whether the replica may take new transactions, running
-// the open → half-open transition and claiming the single probe token.
-func (h *health) admit() bool {
+// latScore is one class's latency EWMA.
+type latScore struct {
+	ewma    float64 // seconds
+	samples int64   // successes of the class since the breaker last closed
+}
+
+// clear forgets every score and closes the breaker.
+func (h *health) clear() {
+	h.lat = [numClasses]latScore{}
+	h.ewmaErr, h.samples = 0, 0
+	h.state = breakerClosed
+	h.openedAt, h.probeAt = time.Time{}, time.Time{}
+	h.probeOut = false
+}
+
+// probeFree reports whether an ejected replica's probe may be claimed:
+// its cooldown is over and no unexpired probe is out.
+func (h *health) probeFree(now time.Time) bool {
+	return now.Sub(h.openedAt) >= breakerCooldown &&
+		(!h.probeOut || now.Sub(h.probeAt) >= breakerProbeExpiry)
+}
+
+// admissible reports whether the replica may take a new transaction:
+// its breaker is closed or its probe is free. It claims nothing, so a
+// replica the policy then passes over keeps its probe for the next pick.
+func (h *health) admissible() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	switch h.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if time.Since(h.openedAt) < breakerCooldown {
-			return false
-		}
-		h.state = breakerHalfOpen
+	return h.state == breakerClosed || h.probeFree(time.Now())
+}
+
+// claim takes the probe token of an ejected replica for the transaction
+// just routed to it and returns the claim's time; ok is false when the
+// breaker is closed or the probe is not free (a concurrent pick won it,
+// or every replica was out and the pick failed open).
+func (h *health) claim() (at time.Time, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	now := time.Now()
+	if h.state == breakerClosed || !h.probeFree(now) {
+		return time.Time{}, false
 	}
-	// Half-open: one probe at a time.
-	if h.probeOut && time.Since(h.probeAt) < breakerProbeExpiry {
-		return false
+	h.state = breakerHalfOpen
+	h.probeOut, h.probeAt = true, now
+	return now, true
+}
+
+// unclaim hands back the probe claimed at at if no outcome judged it —
+// the probe aborted, or its outcome was not the replica's to answer
+// for — so the next pick probes at once instead of after
+// breakerProbeExpiry.
+func (h *health) unclaim(at time.Time) {
+	h.mu.Lock()
+	if h.probeOut && h.probeAt.Equal(at) {
+		h.probeOut = false
 	}
-	h.probeOut = true
-	h.probeAt = time.Now()
-	return true
+	h.mu.Unlock()
 }
 
 // observe folds one transaction outcome in. peerLat is the best (lowest)
-// latency EWMA among scoreable peers, 0 when there is none.
-func (h *health) observe(lat time.Duration, failed bool, peerLat float64) {
+// latency EWMA of the class among scoreable peers, 0 when there is none.
+func (h *health) observe(class Class, lat time.Duration, failed bool, peerLat float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.probeOut {
-		// Treat the first outcome after a probe was admitted as the
-		// probe's verdict, judged by the rule that trips a closed
-		// breaker: a success as slow as the ejected trend re-opens it.
+	if h.state != breakerClosed {
+		// Only the probe is judged while the replica is out, by the rule
+		// that trips a closed breaker: a success as slow as the ejected
+		// trend re-opens it. The probe began after its token was claimed;
+		// a straggler admitted before the ejection began earlier and
+		// says nothing about the replica now. (A pick that lost the token
+		// race, or was made while every replica was out, also began after
+		// the claim and may answer in the probe's place: it measures the
+		// replica as it is now, too.)
+		if !h.probeOut || time.Now().Add(-lat).Before(h.probeAt) {
+			return
+		}
 		h.probeOut = false
 		if failed || tooSlow(lat.Seconds(), peerLat) {
 			h.state = breakerOpen
 			h.openedAt = time.Now()
 			return
 		}
-		h.state = breakerClosed
-		h.samples = 0
-		h.ewmaErr = 0
-		h.ewmaLat = lat.Seconds()
+		h.clear()
 		return
 	}
 	e := 0.0
@@ -159,17 +217,23 @@ func (h *health) observe(lat time.Duration, failed bool, peerLat float64) {
 		e = 1.0
 	}
 	if h.samples == 0 {
-		h.ewmaLat = lat.Seconds()
 		h.ewmaErr = e
 	} else {
-		h.ewmaLat += breakerAlpha * (lat.Seconds() - h.ewmaLat)
 		h.ewmaErr += breakerAlpha * (e - h.ewmaErr)
 	}
 	h.samples++
-	if h.state != breakerClosed || h.samples < breakerMinSamples {
-		return
+	trip := h.samples >= breakerMinSamples && h.ewmaErr > breakerErrTrip
+	if !failed {
+		s := &h.lat[class]
+		if s.samples == 0 {
+			s.ewma = lat.Seconds()
+		} else {
+			s.ewma += breakerAlpha * (lat.Seconds() - s.ewma)
+		}
+		s.samples++
+		trip = trip || s.samples >= breakerMinSamples && tooSlow(s.ewma, peerLat)
 	}
-	if h.ewmaErr > breakerErrTrip || tooSlow(h.ewmaLat, peerLat) {
+	if trip {
 		h.state = breakerOpen
 		h.openedAt = time.Now()
 	}
@@ -181,15 +245,16 @@ func tooSlow(lat, peerLat float64) bool {
 	return peerLat > 0 && lat > breakerLatFactor*peerLat && lat > breakerLatFloor
 }
 
-// score returns the latency EWMA when this replica is a valid latency
-// baseline (closed, warmed up, mostly error-free).
-func (h *health) score() (float64, bool) {
+// score returns the class's latency EWMA when this replica is a valid
+// baseline for it (closed, warmed up in the class, mostly error-free).
+func (h *health) score(class Class) (float64, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.state != breakerClosed || h.samples < breakerMinSamples || h.ewmaErr > breakerErrTrip {
+	s := h.lat[class]
+	if h.state != breakerClosed || s.samples < breakerMinSamples || h.ewmaErr > breakerErrTrip {
 		return 0, false
 	}
-	return h.ewmaLat, true
+	return s.ewma, true
 }
 
 // NewCounters builds a counter set over n replicas.
@@ -222,37 +287,35 @@ func (c *Counters) Reset(i int) {
 	// starts with a clean score.
 	h := &c.slots[i].health
 	h.mu.Lock()
-	h.ewmaLat, h.ewmaErr, h.samples = 0, 0, 0
-	h.state = breakerClosed
-	h.openedAt, h.probeAt = time.Time{}, time.Time{}
-	h.probeOut = false
+	h.clear()
 	h.mu.Unlock()
 }
 
-// Observe feeds replica i's health score with one finished
-// transaction: its end-to-end latency and whether it failed for a
-// replica-attributable reason (certification aborts, overload shedding
-// and caller cancellations are not the replica's fault and must be
-// reported with failed=false). Sessions call this on every commit and
-// abort; it is what lets the breaker eject a gray replica that still
-// answers, slowly.
-func (c *Counters) Observe(i int, lat time.Duration, failed bool) {
-	if i < 0 || i >= len(c.slots) {
+// Observe feeds replica i's health score with one finished transaction
+// of the given class. A success — a commit, or an abort the
+// certification decided — adds lat to the class's latency EWMA and a
+// zero to the error EWMA; failed=true marks a replica-attributable
+// failure, which adds a one to the error EWMA and no latency. Outcomes
+// that say nothing about the replica (an abort the client chose, a
+// shed or a cancelled commit) are not to be reported. This is what lets
+// the breaker eject a gray replica that still answers, slowly.
+func (c *Counters) Observe(i int, class Class, lat time.Duration, failed bool) {
+	if i < 0 || i >= len(c.slots) || class < 0 || class >= numClasses {
 		return
 	}
-	c.slots[i].health.observe(lat, failed, c.bestPeerLat(i))
+	c.slots[i].health.observe(class, lat, failed, c.bestPeerLat(i, class))
 }
 
-// bestPeerLat returns the lowest latency EWMA among scoreable replicas
-// other than i (0 when none qualifies) — the baseline a suspected gray
-// replica is judged against.
-func (c *Counters) bestPeerLat(i int) float64 {
+// bestPeerLat returns the lowest class latency EWMA among scoreable
+// replicas other than i (0 when none qualifies) — the baseline a
+// suspected gray replica is judged against.
+func (c *Counters) bestPeerLat(i int, class Class) float64 {
 	best := 0.0
 	for j := range c.slots {
 		if j == i {
 			continue
 		}
-		if lat, ok := c.slots[j].health.score(); ok && (best == 0 || lat < best) {
+		if lat, ok := c.slots[j].health.score(class); ok && (best == 0 || lat < best) {
 			best = lat
 		}
 	}
@@ -260,10 +323,11 @@ func (c *Counters) bestPeerLat(i int) float64 {
 }
 
 // Health reports replica i's breaker state ("closed", "open" or
-// "half-open"), latency EWMA and error-rate EWMA.
-func (c *Counters) Health(i int) (state string, ewmaLat time.Duration, errRate float64) {
+// "half-open"), its latency EWMAs for read-only and update transactions
+// and its error-rate EWMA.
+func (c *Counters) Health(i int) (state string, readLat, updateLat time.Duration, errRate float64) {
 	if i < 0 || i >= len(c.slots) {
-		return "closed", 0, 0
+		return "closed", 0, 0, 0
 	}
 	h := &c.slots[i].health
 	h.mu.Lock()
@@ -276,33 +340,33 @@ func (c *Counters) Health(i int) (state string, ewmaLat time.Duration, errRate f
 	default:
 		state = "closed"
 	}
-	return state, time.Duration(h.ewmaLat * float64(time.Second)), h.ewmaErr
+	secs := func(s latScore) time.Duration { return time.Duration(s.ewma * float64(time.Second)) }
+	return state, secs(h.lat[ReadOnly]), secs(h.lat[Update]), h.ewmaErr
 }
 
-// mergeUnhealthy folds open breakers into the caller's exclusion mask.
-// It fails open: when every replica would be excluded the original mask
-// is returned unchanged — a degraded replica beats none at all.
+// mergeUnhealthy folds ejected replicas without a free probe into the
+// caller's exclusion mask. It fails open: when every replica would be
+// excluded the original mask is returned unchanged — a degraded replica
+// beats none at all.
 func (c *Counters) mergeUnhealthy(excluded []bool) []bool {
 	n := len(c.slots)
-	merged := make([]bool, n)
+	var merged []bool
 	candidates := 0
-	ejected := false
 	for i := 0; i < n; i++ {
 		if excluded != nil && i < len(excluded) && excluded[i] {
-			merged[i] = true
 			continue
 		}
-		if c.slots[i].health.admit() {
+		if c.slots[i].health.admissible() {
 			candidates++
-		} else {
-			merged[i] = true
-			ejected = true
+			continue
 		}
+		if merged == nil {
+			merged = make([]bool, n)
+			copy(merged, excluded)
+		}
+		merged[i] = true
 	}
-	if !ejected {
-		return excluded
-	}
-	if candidates == 0 {
+	if merged == nil || candidates == 0 {
 		return excluded
 	}
 	return merged
@@ -343,9 +407,11 @@ func (b *Balancer) InFlight(i int) int64 { return b.counters.Get(i) }
 
 // Acquire picks a replica for one transaction and charges its
 // in-flight counter. The returned release must be called exactly once
-// when the transaction finishes (commit or abort); it is idempotence-
-// guarded by the caller, not here. excluded, if non-nil, marks
-// replicas to avoid.
+// when the transaction finishes (commit or abort), after its outcome
+// has been reported to Counters.Observe; it is idempotence-guarded by
+// the caller, not here. excluded, if non-nil, marks replicas to avoid.
+// A pick that lands on an ejected replica whose cooldown is over makes
+// the transaction that replica's half-open probe.
 func (b *Balancer) Acquire(readOnly bool, excluded []bool) (int, func()) {
 	n := b.counters.N()
 	i := b.policy.Pick(View{
@@ -358,11 +424,15 @@ func (b *Balancer) Acquire(readOnly bool, excluded []bool) (int, func()) {
 		i = 0
 	}
 	slot := &b.counters.slots[i]
+	probeAt, probe := slot.health.claim()
 	gen := slot.gen.Load()
 	slot.inflight.Add(1)
 	return i, func() {
 		if slot.gen.Load() != gen {
 			return // replica crashed since; Reset already dropped this charge
+		}
+		if probe {
+			slot.health.unclaim(probeAt)
 		}
 		if n := slot.inflight.Add(-1); n < 0 {
 			// A release racing the reset itself; repair the undershoot.

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -257,6 +258,173 @@ func TestCountersResetOnCrash(t *testing.T) {
 	}
 }
 
+// pinned is a test policy that always picks one replica.
+type pinned int
+
+func (pinned) Name() string    { return "pinned" }
+func (p pinned) Pick(View) int { return int(p) }
+
+// state returns replica i's breaker state.
+func state(c *Counters, i int) string {
+	s, _, _, _ := c.Health(i)
+	return s
+}
+
+// eject opens replica i's breaker with a cooldown that ended long ago,
+// so its probe is free.
+func eject(c *Counters, i int) {
+	h := &c.slots[i].health
+	h.mu.Lock()
+	h.state = breakerOpen
+	h.openedAt = time.Now().Add(-time.Hour)
+	h.mu.Unlock()
+}
+
+// mixLat draws one outcome of a healthy Base replica under the TPC-W
+// shopping mix: 80 % snapshot reads of about 0.05 ms, 20 % updates of
+// 28–44 ms (certification plus a queued log flush).
+func mixLat(r *rand.Rand) (Class, time.Duration) {
+	if r.Float64() < 0.8 {
+		return ReadOnly, time.Duration(40+r.Intn(20)) * time.Microsecond
+	}
+	return Update, time.Duration(28+r.Intn(17)) * time.Millisecond
+}
+
+// TestBreakerMixedClassesNeverTrip: two healthy replicas serving an
+// 80/20 stream of 0.05 ms reads and 30 ms updates, with the classes and
+// the replicas interleaved in varying orders, keep their breakers
+// closed. One latency average over both classes swings by 600x with
+// whichever class finished last and ejects a healthy replica whose peer
+// just served reads.
+func TestBreakerMixedClassesNeverTrip(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		c := NewCounters(2)
+		for k := 0; k < 2000; k++ {
+			i := r.Intn(2)
+			if k%50 < 10 {
+				i = 0 // runs of one replica, as a busy merger delivers them
+			}
+			class, lat := mixLat(r)
+			c.Observe(i, class, lat, false)
+			for j := 0; j < 2; j++ {
+				if s := state(c, j); s != "closed" {
+					t.Fatalf("seed %d, outcome %d: healthy replica %d is %q", seed, k, j, s)
+				}
+			}
+		}
+	}
+}
+
+// TestBreakerSlowUpdatesTrip: a replica whose updates take ten times
+// its peer's is ejected even while its reads stay as fast as the peer's.
+func TestBreakerSlowUpdatesTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	c := NewCounters(2)
+	for k := 0; k < 400 && state(c, 1) == "closed"; k++ {
+		class, lat := mixLat(r)
+		c.Observe(0, class, lat, false)
+		class, lat = mixLat(r)
+		if class == Update {
+			lat *= 10
+		}
+		c.Observe(1, class, lat, false)
+	}
+	if s := state(c, 1); s != "open" {
+		t.Fatalf("replica 1 with 10x slower updates is %q, want open", s)
+	}
+	if s := state(c, 0); s != "closed" {
+		t.Errorf("healthy replica 0 is %q, want closed", s)
+	}
+}
+
+// TestBreakerSlowReadsTrip: slow reads alone eject a replica — a gray
+// data disk slows its snapshot reads while its updates, dominated by
+// certification and the log flush, look normal.
+func TestBreakerSlowReadsTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	c := NewCounters(2)
+	for k := 0; k < 400 && state(c, 1) == "closed"; k++ {
+		class, lat := mixLat(r)
+		c.Observe(0, class, lat, false)
+		class, lat = mixLat(r)
+		if class == ReadOnly {
+			lat = 3 * time.Millisecond
+		}
+		c.Observe(1, class, lat, false)
+	}
+	if s := state(c, 1); s != "open" {
+		t.Fatalf("replica 1 with 3 ms reads is %q, want open", s)
+	}
+}
+
+// TestBreakerFailureMovesNoLatency: a failure moves the error rate only
+// — a failed Begin reports no latency worth averaging — and enough of
+// them eject the replica.
+func TestBreakerFailureMovesNoLatency(t *testing.T) {
+	c := NewCounters(2)
+	c.Observe(0, Update, 30*time.Millisecond, false)
+	c.Observe(0, ReadOnly, 50*time.Microsecond, false)
+	for k := 0; k < breakerMinSamples; k++ {
+		c.Observe(0, Update, 0, true)
+		c.Observe(0, ReadOnly, 0, true)
+	}
+	s, readLat, updateLat, errRate := c.Health(0)
+	if readLat != 50*time.Microsecond || updateLat != 30*time.Millisecond {
+		t.Errorf("failures moved the latency EWMAs to %v / %v, want 50µs / 30ms", readLat, updateLat)
+	}
+	if errRate <= breakerErrTrip || s != "open" {
+		t.Errorf("after %d failures: error rate %.2f, state %q; want above %.1f and open",
+			2*breakerMinSamples, errRate, s, breakerErrTrip)
+	}
+}
+
+// TestBreakerProbeClaimedOnlyWhenPicked: building the exclusion mask
+// claims no probe, so an ejected replica the policy passes over keeps
+// its probe for the next pick instead of staying out until the token
+// expires. Only the probe's own outcome is judged: a straggler that
+// began before the claim is not, and a probe released unjudged (an
+// explicit abort) hands its token back.
+func TestBreakerProbeClaimedOnlyWhenPicked(t *testing.T) {
+	c := NewCounters(2)
+	eject(c, 1)
+	h := &c.slots[1].health
+
+	other := NewSharedBalancer(c, pinned(0))
+	i, release := other.Acquire(false, nil)
+	release()
+	if i != 0 || h.probeOut || state(c, 1) != "open" {
+		t.Fatalf("a pick of replica %d claimed replica 1's probe (out %v, state %q)", i, h.probeOut, state(c, 1))
+	}
+
+	victim := NewSharedBalancer(c, pinned(1))
+	i, release = victim.Acquire(false, nil)
+	if i != 1 || !h.probeOut || state(c, 1) != "half-open" {
+		t.Fatalf("the pick of replica 1 claimed no probe (out %v, state %q)", h.probeOut, state(c, 1))
+	}
+	// A straggler admitted before the ejection finishes now, slowly.
+	c.Observe(1, Update, time.Hour, false)
+	if !h.probeOut || state(c, 1) != "half-open" {
+		t.Fatalf("a straggler's outcome judged the probe (out %v, state %q)", h.probeOut, state(c, 1))
+	}
+	// The probe aborts: its release hands the token back at once.
+	release()
+	if h.probeOut {
+		t.Fatal("an unjudged probe kept its token after release")
+	}
+	if !h.admissible() {
+		t.Fatal("replica 1 not admissible after its probe came back")
+	}
+
+	// The next probe commits fast and closes the breaker.
+	_, release = victim.Acquire(false, nil)
+	c.Observe(1, Update, 0, false)
+	release()
+	if s := state(c, 1); s != "closed" {
+		t.Fatalf("after a fast probe replica 1 is %q, want closed", s)
+	}
+}
+
 // TestBreakerProbeJudgedByLatency: a half-open probe that succeeds as
 // slowly as the trend that ejected the replica re-opens the breaker, so
 // a still-gray replica is not re-admitted for breakerMinSamples more
@@ -264,25 +432,27 @@ func TestCountersResetOnCrash(t *testing.T) {
 func TestBreakerProbeJudgedByLatency(t *testing.T) {
 	c := NewCounters(2)
 	for i := 0; i < breakerMinSamples; i++ {
-		c.Observe(0, time.Millisecond, false)
+		c.Observe(0, Update, time.Millisecond, false)
 	}
 	for i := 0; i < breakerMinSamples; i++ {
-		c.Observe(1, 50*time.Millisecond, false)
+		c.Observe(1, Update, 50*time.Millisecond, false)
 	}
-	if state, _, _ := c.Health(1); state != "open" {
-		t.Fatalf("slow replica 1 is %q, want open", state)
+	if s := state(c, 1); s != "open" {
+		t.Fatalf("slow replica 1 is %q, want open", s)
 	}
 	probe := func(lat time.Duration) string {
 		h := &c.slots[1].health
 		h.mu.Lock()
 		h.openedAt = time.Now().Add(-2 * breakerCooldown) // cooldown over
 		h.mu.Unlock()
-		if !h.admit() {
+		if _, ok := h.claim(); !ok {
 			t.Fatal("cooled-down breaker admitted no probe")
 		}
-		c.Observe(1, lat, false)
-		state, _, _ := c.Health(1)
-		return state
+		h.mu.Lock()
+		h.probeAt = h.probeAt.Add(-lat) // the probe has run for lat
+		h.mu.Unlock()
+		c.Observe(1, Update, lat, false)
+		return state(c, 1)
 	}
 	if got := probe(50 * time.Millisecond); got != "open" {
 		t.Errorf("after a slow successful probe Health = %q, want open", got)

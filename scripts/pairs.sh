@@ -10,11 +10,14 @@
 # line per pair, each side's median, the parent's interquartile range,
 # and how many pairs the change won in the metric's "better" direction.
 #
-# Usage: scripts/pairs.sh <parent> <change> <workload> <first-seed> <count> [seconds]
+# Usage: scripts/pairs.sh <parent> <change> <workload> <first-seed> <count> [seconds [keep-dir]]
 #
-# seconds defaults to BENCHMARK.json's run_seconds. Needs git, jq and
-# awk. The worktrees and the raw outputs live in a temporary directory,
-# which is removed on exit; nothing is written under bench/.
+# seconds defaults to BENCHMARK.json's run_seconds (pass "" to keep the
+# default and still name keep-dir). Needs git, jq and awk. The worktrees
+# live in a temporary directory, which is removed on exit; nothing is
+# written under bench/. Each run's full output — every per-layer value
+# beside the end-to-end ones — is kept as <side>.<seed>.out in keep-dir
+# when it is given, and is removed with the worktrees otherwise.
 set -euo pipefail
 
 if [ $# -lt 5 ]; then
@@ -36,6 +39,8 @@ for side in parent change; do
     git -C "$repo" worktree add --quiet --detach "$work/$side" "${!side}"
 done
 seconds=${6:-$(jq -r .run_seconds "$work/change/BENCHMARK.json")}
+outs=${7:-$work}
+mkdir -p "$outs"
 
 for ((i = 0; i < count; i++)); do
     seed=$((first + i))
@@ -44,9 +49,9 @@ for ((i = 0; i < count; i++)); do
     for side in $order; do
         echo "# pair $((i + 1))/$count, seed $seed: $side" >&2
         bash "$work/$side/bench/run.sh" --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace 0 >"$work/$side.out"
+            --seconds "$seconds" --trace 0 >"$outs/$side.$seed.out"
         # The last line of a run is its result object.
-        tail -n 1 "$work/$side.out" >"$work/$side.$seed.json"
+        tail -n 1 "$outs/$side.$seed.out" >"$work/$side.$seed.json"
         jq -r '"#   \(.attempted) operations, \(.failed) failed, correct: \(.correct)"' \
             "$work/$side.$seed.json" >&2
     done

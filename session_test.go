@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"tashkent"
 	"tashkent/internal/certifier"
 	"tashkent/internal/mvstore"
+	"tashkent/internal/simdisk"
 	"tashkent/internal/workload"
 )
 
@@ -449,5 +451,124 @@ func TestPooledPopulateThroughOneSession(t *testing.T) {
 		if want := alone.Fingerprint(); fp != want {
 			t.Errorf("replica %d fingerprint %08x, standalone load %08x", i, fp, want)
 		}
+	}
+}
+
+// TestSessionMixedLoadKeepsBreakersClosed drives the TPC-W shopping mix
+// — snapshot reads of well under a millisecond beside updates that each
+// pay certification and a 5 ms log flush — through two sessions over
+// two healthy Base replicas. Neither replica's breaker may open: the
+// router judges a replica's reads against its peer's reads and its
+// updates against its peer's updates, so the mix itself never looks
+// like a gray replica.
+func TestSessionMixedLoadKeepsBreakersClosed(t *testing.T) {
+	db, err := tashkent.Start(tashkent.Config{
+		Mode:             tashkent.ModeBase,
+		Replicas:         2,
+		DiskProfile:      simdisk.Profile{FsyncLatency: 5 * time.Millisecond},
+		DedicatedLogDisk: true,
+		Seed:             42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	gen := &workload.TPCW{Items: 400, CPUWork: 200}
+	begins := []workload.BeginFunc{db.Session().WorkloadBegin(), db.Session().WorkloadBegin()}
+	if err := gen.Populate(ctx, begins[0]); err != nil {
+		t.Fatal(err)
+	}
+	const clientsPerSession, txnsPerClient = 4, 50
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var opened []string
+	for s := range begins {
+		for cl := 0; cl < clientsPerSession; cl++ {
+			s, cl := s, cl
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(s<<8 | cl)))
+				for k := 0; k < txnsPerClient; k++ {
+					run, readOnly := gen.Next(r, s, cl)
+					tx, err := begins[s](ctx, readOnly)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := run(tx); err != nil {
+						tx.Abort()
+					} else if err := tx.Commit(ctx); err != nil && !tashkent.IsAborted(err) {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < db.Replicas(); i++ {
+						if state, _, _, _ := db.RouterCounters().Health(i); state != "closed" {
+							mu.Lock()
+							opened = append(opened, fmt.Sprintf("replica %d %s after transaction %d of client %d/%d", i, state, k, s, cl))
+							mu.Unlock()
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if len(opened) > 0 {
+		t.Errorf("%d breaker readings not closed under a healthy mix; first: %s", len(opened), opened[0])
+	}
+	for i := 0; i < db.Replicas(); i++ {
+		state, readLat, updateLat, errRate := db.RouterCounters().Health(i)
+		t.Logf("replica %d: %s, read EWMA %v, update EWMA %v, error rate %.2f", i, state, readLat, updateLat, errRate)
+	}
+}
+
+// TestSessionAbortAndFailedBeginMoveNoLatency: the router's latency
+// averages hear only outcomes the replica answers for. An explicit
+// Abort is the client's choice and reports nothing; a Begin that fails
+// on a crashed replica moves its error rate and no latency.
+func TestSessionAbortAndFailedBeginMoveNoLatency(t *testing.T) {
+	db, err := tashkent.Start(tashkent.Config{Mode: tashkent.ModeTashkentMW, Replicas: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := context.Background()
+	sess := db.Session()
+	for k := 0; k < 4; k++ {
+		tx, err := sess.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Update("t", "k", map[string][]byte{"v": []byte("1")}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+		tx.Abort()
+	}
+	for i := 0; i < db.Replicas(); i++ {
+		if _, readLat, updateLat, errRate := db.RouterCounters().Health(i); readLat != 0 || updateLat != 0 || errRate != 0 {
+			t.Errorf("aborts moved replica %d's score: read %v, update %v, error rate %.2f", i, readLat, updateLat, errRate)
+		}
+	}
+
+	db.Cluster().CrashReplica(0)
+	for k := 0; k < 2; k++ {
+		tx, err := sess.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tx.Replica() != 1 {
+			t.Fatalf("Begin landed on crashed replica %d", tx.Replica())
+		}
+		tx.Abort()
+	}
+	_, readLat, updateLat, errRate := db.RouterCounters().Health(0)
+	if errRate == 0 {
+		t.Error("a failed Begin on the crashed replica did not count as a failure")
+	}
+	if readLat != 0 || updateLat != 0 {
+		t.Errorf("a failed Begin moved replica 0's latency EWMAs to %v / %v", readLat, updateLat)
 	}
 }

@@ -381,13 +381,15 @@ func (s *Session) Begin(ctx context.Context, opts ...TxOption) (*Tx, error) {
 		if err == nil {
 			return &Tx{inner: inner, sess: s, replica: i, release: release, started: time.Now()}, nil
 		}
-		release()
 		if ctx.Err() != nil {
+			release()
 			return nil, ctx.Err()
 		}
 		// A replica that cannot even open a transaction is a failure
-		// signal for its health score as well as for this attempt.
-		s.db.counters.Observe(i, 0, true)
+		// signal for its health score as well as for this attempt. A
+		// failure moves the error rate only, whatever its class.
+		s.db.counters.Observe(i, router.Update, 0, true)
+		release()
 		lastErr = err
 		if excluded == nil {
 			excluded = make([]bool, n)
@@ -547,26 +549,39 @@ func (t *Tx) Delete(table, key string) error {
 }
 
 // observeOutcome feeds the shared router health score with this
-// transaction's end-to-end latency. Only replica-attributable failures
-// count against the replica: certification aborts are workload
-// contention, overload/degradation is the certifier tier's state, and
-// a cancellation is the caller's doing — ejecting a healthy replica
-// for any of those would amplify the incident instead of containing
-// it.
+// commit's outcome, in the latency class of whether the transaction
+// wrote. A commit, or an abort the commit decided (certification
+// conflict, deadlock victim, middleware kill), is a latency sample. A
+// replica-attributable failure moves only the error rate. An outcome
+// that is not the replica's doing — overload shedding and degradation
+// are the certifier tier's state, a cancellation is the caller's — is
+// not reported: ejecting a healthy replica for any of those would
+// amplify the incident instead of containing it.
 func (t *Tx) observeOutcome(ctx context.Context, err error) {
-	if t.started.IsZero() || t.done.Load() {
+	if t.done.Load() {
 		return
 	}
-	failed := err != nil && !IsAborted(err) && !IsDegraded(err) &&
-		!errors.Is(err, ErrOverloaded) && (ctx == nil || ctx.Err() == nil)
-	t.sess.db.counters.Observe(t.replica, time.Since(t.started), failed)
+	failed := false
+	switch {
+	case err == nil || IsAborted(err):
+	case IsDegraded(err) || errors.Is(err, ErrOverloaded) || ctx.Err() != nil:
+		return
+	default:
+		failed = true
+	}
+	class := router.ReadOnly
+	if t.inner.Wrote() {
+		class = router.Update
+	}
+	t.sess.db.counters.Observe(t.replica, class, time.Since(t.started), failed)
 }
 
 // Abort rolls the transaction back. The session still observes the
-// snapshot version, keeping reads monotonic.
+// snapshot version, keeping reads monotonic. The router's health score
+// hears nothing: the client chose the abort, and its latency is the
+// client's think time and lock waits, not the replica's speed.
 func (t *Tx) Abort() error {
 	err := t.inner.Abort()
-	t.observeOutcome(nil, nil)
 	t.finish()
 	return err
 }
