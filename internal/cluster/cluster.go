@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -169,11 +170,16 @@ func New(cfg Config) (*Cluster, error) {
 	// are brand new: member 0 of each group campaigns at once, so the
 	// group is led after one election round instead of after the shortest
 	// of its jittered election timeouts (which still covers a lost round).
-	c.eachGroup(func(g int) error {
+	// New waits for the first win each group announces, so every member
+	// that can be reached has answered the leader's first append round
+	// and knows its term: a voter whose request was still on its way
+	// when the majority granted has caught up too.
+	if err := c.eachGroup(func(g int) error {
+		wins := c.announced(g) // taken before the campaign it must see
 		c.certs[g*cfg.Certifiers].Node().Campaign()
-		return nil
-	})
-	if err := c.eachGroup(func(g int) error { _, err := c.waitLeader(g, 5*time.Second); return err }); err != nil {
+		_, err := c.waitLeader(g, 5*time.Second, wins)
+		return err
+	}); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -267,13 +273,40 @@ func parallel(n int, f func(i int) error) error {
 // eachGroup runs f for every certifier group at once (see parallel).
 func (c *Cluster) eachGroup(f func(g int) error) error { return parallel(c.groups, f) }
 
-// waitLeader waits up to timeout for group g to have a live leader.
-func (c *Cluster) waitLeader(g int, timeout time.Duration) (*certifier.Server, error) {
-	var leader *certifier.Server
-	if !chaos.WaitUntil(timeout, func() bool { leader = c.GroupLeader(g); return leader != nil }) {
-		return nil, fmt.Errorf("cluster: certifier group %d has no leader", g)
+// announced returns, for each live member of group g, the channel it
+// closes when it next announces an election win (paxos.Node.Announced).
+func (c *Cluster) announced(g int) []<-chan struct{} {
+	var out []<-chan struct{}
+	for i := g * c.cfg.Certifiers; i < (g+1)*c.cfg.Certifiers; i++ {
+		if c.certUp[i] {
+			out = append(out, c.certs[i].Node().Announced())
+		}
 	}
-	return leader, nil
+	return out
+}
+
+// waitLeader waits up to timeout for group g to have a live leader. It
+// looks again each time a member announces a win, not on a poll. Given
+// the channels of announced taken before an election started, it waits
+// for one of them to close before it looks at all.
+func (c *Cluster) waitLeader(g int, timeout time.Duration, before []<-chan struct{}) (*certifier.Server, error) {
+	expiry := time.NewTimer(timeout)
+	defer expiry.Stop()
+	for wins := before; ; wins = nil {
+		if wins == nil {
+			wins = c.announced(g)
+			if leader := c.GroupLeader(g); leader != nil {
+				return leader, nil
+			}
+		}
+		cases := []reflect.SelectCase{{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(expiry.C)}}
+		for _, ch := range wins {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)})
+		}
+		if chosen, _, _ := reflect.Select(cases); chosen == 0 {
+			return nil, fmt.Errorf("cluster: certifier group %d has no leader", g)
+		}
+	}
 }
 
 // Mode returns the configured system variant.
@@ -553,7 +586,7 @@ func (c *Cluster) ConvergeAll(timeout time.Duration) error {
 // previous term's, after a failover — so only that group pays a barrier;
 // a healthy group is read for free.
 func (c *Cluster) groupHead(g int, timeout time.Duration) (uint64, error) {
-	leader, err := c.waitLeader(g, timeout)
+	leader, err := c.waitLeader(g, timeout, nil)
 	if err != nil {
 		return 0, err
 	}

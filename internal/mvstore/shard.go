@@ -26,6 +26,7 @@ package mvstore
 // its snapshot are simply skipped during chain scans.
 
 import (
+	"maps"
 	"sync"
 
 	"tashkent/internal/core"
@@ -178,10 +179,26 @@ func pruneChain(t map[string][]rowVersion, key string, minSnap uint64) {
 	t[key] = versions[:len(kept)]
 }
 
+// namesAll reports whether cols holds every column of row.
+func namesAll(cols, row map[string][]byte) bool {
+	if len(cols) < len(row) {
+		return false
+	}
+	for c := range row {
+		if _, ok := cols[c]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // installWrite appends one committed row version stamped seq and
 // prunes the chain, under the owning shard's write lock. For updates
 // the new version's columns are the previous visible version's columns
 // merged with the modified ones (full-row versions keep reads O(1)).
+// A pending write that already names every column of the row (an
+// insert, or an update of every column) becomes the version's immutable
+// map as it is: its transaction has committed and writes it no more.
 func (s *Store) installWrite(item core.ItemID, pw *pendingWrite, seq, minSnap uint64) {
 	sh := s.dataShardOf(item.Table, item.Key)
 	sh.mu.Lock()
@@ -192,20 +209,16 @@ func (s *Store) installWrite(item core.ItemID, pw *pendingWrite, seq, minSnap ui
 	}
 	rv := rowVersion{seq: seq, deleted: pw.deleted}
 	if !pw.deleted {
-		base := map[string][]byte{}
+		rv.cols = pw.cols
 		if pw.kind == core.OpUpdate {
 			// Same-key installs are serialized by the row write lock,
 			// so every earlier version of this key is already present.
-			if prev, ok := visibleVersion(t[item.Key], seq-1); ok {
-				for c, v := range prev.cols {
-					base[c] = v
-				}
+			if prev, ok := visibleVersion(t[item.Key], seq-1); ok && !namesAll(pw.cols, prev.cols) {
+				rv.cols = make(map[string][]byte, len(prev.cols)+len(pw.cols))
+				maps.Copy(rv.cols, prev.cols)
+				maps.Copy(rv.cols, pw.cols)
 			}
 		}
-		for c, v := range pw.cols {
-			base[c] = v
-		}
-		rv.cols = base
 	}
 	t[item.Key] = append(t[item.Key], rv)
 	pruneChain(t, item.Key, minSnap)

@@ -149,14 +149,14 @@ func (tx *Tx) write(op core.WriteOp) error {
 	}
 	pw := tx.writes[item]
 	if pw == nil {
-		pw = &pendingWrite{cols: map[string][]byte{}}
+		pw = &pendingWrite{}
 		tx.writes[item] = pw
 	}
 	switch op.Kind {
 	case core.OpInsert:
 		pw.kind = core.OpInsert
 		pw.deleted = false
-		pw.cols = map[string][]byte{}
+		pw.cols = make(map[string][]byte, len(op.Cols))
 		for _, c := range op.Cols {
 			pw.cols[c.Col] = append([]byte(nil), c.Value...)
 		}
@@ -165,13 +165,16 @@ func (tx *Tx) write(op core.WriteOp) error {
 			pw.kind = core.OpUpdate
 		}
 		pw.deleted = false
+		if pw.cols == nil {
+			pw.cols = make(map[string][]byte, len(op.Cols))
+		}
 		for _, c := range op.Cols {
 			pw.cols[c.Col] = append([]byte(nil), c.Value...)
 		}
 	case core.OpDelete:
 		pw.kind = core.OpDelete
 		pw.deleted = true
-		pw.cols = map[string][]byte{}
+		pw.cols = nil
 	default:
 		return fmt.Errorf("mvstore: invalid op kind %d", op.Kind)
 	}

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,5 +279,182 @@ func TestVoteSurvivesVoterCrash(t *testing.T) {
 	}
 	if r := ask(restored, 1); !r.Granted {
 		t.Errorf("restored voter refused the candidate it had voted for: %+v", r)
+	}
+}
+
+// holdFsyncs makes every fsync on disk wait until the returned release
+// is called (release is idempotent and also runs at cleanup, before the
+// group stops: Stop drains the WAL and would otherwise wait on the hook).
+// held is closed when the first fsync is being held.
+func holdFsyncs(t *testing.T, disk *simdisk.Disk) (held <-chan struct{}, release func()) {
+	t.Helper()
+	heldCh, gate := make(chan struct{}), make(chan struct{})
+	var heldOnce, releaseOnce sync.Once
+	disk.SetHook(func(op simdisk.Op, _, _ int) {
+		if op != simdisk.OpFsync {
+			return
+		}
+		heldOnce.Do(func() { close(heldCh) })
+		<-gate
+	})
+	release = func() { releaseOnce.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return heldCh, release
+}
+
+// durableVote reads the term and vote a crash of n would leave.
+func durableVote(t *testing.T, n *Node) (term uint64, votedFor int) {
+	t.Helper()
+	restored := NewNode(Config{ID: n.cfg.ID})
+	defer restored.Stop()
+	if err := restored.RestoreFromImage(n.WALImage()); err != nil {
+		t.Fatal(err)
+	}
+	return restored.term, restored.votedFor
+}
+
+// campaignHeld campaigns node 0 of g with its meta fsync held and waits
+// until both peers hold a durable vote for it in term 1. Campaign must
+// return without waiting for its own flush.
+func campaignHeld(t *testing.T, g *group) (release func()) {
+	t.Helper()
+	held, release := holdFsyncs(t, g.nodes[0].cfg.Disk)
+	returned := make(chan struct{})
+	go func() {
+		g.nodes[0].Campaign()
+		close(returned)
+	}()
+	select {
+	case <-held:
+	case <-time.After(time.Second):
+		t.Fatal("the candidate's meta fsync never started")
+	}
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("Campaign waited for the candidate's own flush")
+	}
+	for _, peer := range g.nodes[1:] {
+		waitFor(t, fmt.Sprintf("node %d grants node 0 durably while its flush is held", peer.cfg.ID), func() bool {
+			term, vote := durableVote(t, peer)
+			return term == 1 && vote == 0
+		})
+	}
+	return release
+}
+
+func TestCampaignAsksBeforeOwnVoteIsDurable(t *testing.T) {
+	g := newQuietGroup(t, 3)
+	release := campaignHeld(t, g)
+	// Both grants are in (or on their way): a majority without the
+	// candidate's own vote, which is not durable yet, so no leader.
+	for i := 0; i < 20; i++ {
+		if isLeader(g.nodes[0]) {
+			t.Fatal("candidate leads before its own vote is durable")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if term, _ := durableVote(t, g.nodes[0]); term != 0 {
+		t.Fatalf("candidate's durable term %d while its flush is held, want 0", term)
+	}
+	release()
+	waitFor(t, "node 0 leads once its vote is durable", func() bool { return isLeader(g.nodes[0]) })
+	if term, vote := durableVote(t, g.nodes[0]); term != 1 || vote != 0 {
+		t.Errorf("leader's durable meta: term %d vote %d, want term 1 vote 0", term, vote)
+	}
+	if idx := proposeAndWait(t, g.nodes[0], "barrier"); idx != 1 {
+		t.Errorf("first entry at index %d, want 1", idx)
+	}
+}
+
+// A candidate that crashes while its own vote is still in flight comes
+// back below the term it asked for and never led in it; the votes it
+// collected stay durable at the voters, and the group goes on electing
+// one leader per term.
+func TestCampaignCrashBeforeOwnVoteIsDurable(t *testing.T) {
+	g := newQuietGroup(t, 3)
+
+	// Every role every node reports, sampled until the test ends.
+	var mu sync.Mutex
+	leaders := map[uint64]map[int]bool{} // term -> ids seen leading it
+	done := make(chan struct{})
+	sampled := make(chan struct{})
+	nodes := func() []*Node { mu.Lock(); defer mu.Unlock(); return append([]*Node(nil), g.nodes...) }
+	go func() {
+		defer close(sampled)
+		for {
+			for id, n := range nodes() {
+				if role, term := n.Role(); role == Leader {
+					mu.Lock()
+					if leaders[term] == nil {
+						leaders[term] = map[int]bool{}
+					}
+					leaders[term][id] = true
+					mu.Unlock()
+				}
+			}
+			select {
+			case <-done:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+
+	release := campaignHeld(t, g)
+	image := g.nodes[0].WALImage() // what a crash before the flush leaves
+	crashed := make(chan struct{})
+	go func() {
+		g.nodes[0].Stop()
+		close(crashed)
+	}()
+	waitFor(t, "node 0 stops", g.nodes[0].Stopped)
+	release()
+	<-crashed
+	g.servers[0].Close()
+
+	restored := NewNode(quietConfig(g.fabric, 0, 3))
+	if err := restored.RestoreFromImage(image); err != nil {
+		t.Fatal(err)
+	}
+	if role, term := restored.Role(); role != Follower || term != 0 {
+		t.Fatalf("restored candidate is %v at term %d, want a follower below term 1", role, term)
+	}
+	mu.Lock()
+	g.nodes[0] = restored
+	mu.Unlock()
+	g.servers[0] = g.fabric.Serve("cert0", restored.HandleRPC)
+	restored.Start()
+
+	// Node 1 times out: term 2, and the group elects it.
+	g.nodes[1].mu.Lock()
+	g.nodes[1].startElectionLocked()
+	waitFor(t, "node 1 leads", func() bool { return isLeader(g.nodes[1]) })
+	if idx := proposeAndWait(t, g.nodes[1], "after"); idx != 1 {
+		t.Errorf("first entry at index %d, want 1", idx)
+	}
+	waitFor(t, "every node follows term 2", func() bool {
+		for _, n := range nodes() {
+			if _, term := n.Role(); term != 2 {
+				return false
+			}
+		}
+		return true
+	})
+
+	close(done)
+	<-sampled
+	mu.Lock()
+	defer mu.Unlock()
+	if len(leaders[1]) != 0 {
+		t.Errorf("term 1 had leaders %v; its candidate crashed before its vote was durable", leaders[1])
+	}
+	for term, ids := range leaders {
+		if len(ids) > 1 {
+			t.Errorf("term %d had %d leaders: %v", term, len(ids), ids)
+		}
+	}
+	if !leaders[2][1] {
+		t.Errorf("node 1 never seen leading term 2: %v", leaders)
 	}
 }

@@ -133,6 +133,10 @@ type Node struct {
 	// heartbeats must start now, not when that wait runs out. One pending
 	// poke is enough, whatever number of wins it stands for.
 	elected chan struct{}
+	// announced is closed, and replaced, once a win has been announced:
+	// the new leader's first append round has come back from every peer
+	// (see Announced).
+	announced chan struct{}
 }
 
 // NewNode creates a node. Call Start to run its timers.
@@ -158,6 +162,7 @@ func NewNode(cfg Config) *Node {
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<16)),
 		stopCh:     make(chan struct{}),
 		elected:    make(chan struct{}, 1),
+		announced:  make(chan struct{}),
 		lastHeard:  time.Now(),
 	}
 	n.cond = sync.NewCond(&n.mu)
@@ -221,7 +226,8 @@ func (n *Node) Start() {
 // never depose) an existing leader, and its empty log never wins the
 // up-to-date check against a node that holds entries; if the election
 // is lost the timer path takes over unchanged. It returns once the
-// candidacy is durable and the vote requests are on their way.
+// vote requests are on their way; the candidacy's own flush runs beside
+// them (see startElectionLocked).
 func (n *Node) Campaign() {
 	n.mu.Lock()
 	if !n.started || n.stopped || n.role != Follower || n.term != 0 || len(n.log) != 0 {
@@ -264,6 +270,17 @@ func (n *Node) Role() (Role, uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.role, n.term
+}
+
+// Announced returns a channel that is closed the next time this node
+// wins an election and its first append round has come back from every
+// peer, answered or failed. Such a round costs no fsync, and every peer
+// that answered it knows the new term. Take the channel before the
+// election it should see, or before looking at Role.
+func (n *Node) Announced() <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.announced
 }
 
 // LeaderHint returns the last known leader id (-1 if unknown).
@@ -557,7 +574,7 @@ func (n *Node) timerLoop() {
 				continue
 			}
 			n.mu.Unlock()
-			n.broadcastAppend()
+			go n.broadcastAppend()
 		case Follower, Candidate:
 			if time.Since(n.lastHeard) >= timeout {
 				n.startElectionLocked() // unlocks

@@ -305,6 +305,17 @@ func Fetch(peer interface {
 
 // startElectionLocked transitions to candidate and solicits votes.
 // Called with n.mu held; it unlocks.
+//
+// The candidate's own term and self-vote are flushed alongside the vote
+// requests, not before them: the meta record takes its WAL slot in the
+// lock hold that raises the term, the requests leave at once, and the
+// self-vote counts only once its flush has returned. An election thus
+// costs the later of the candidate's flush and the voters' (plus one
+// round trip), not their sum. A candidate that crashes before its flush
+// restarts below the term and never led in it, and the voters that
+// granted it hold durable votes for it, so the term still elects at
+// most one leader. A higher term seen meanwhile is persisted after the
+// self-vote in WAL order, so replay ends at the higher term.
 func (n *Node) startElectionLocked() {
 	n.role = Candidate
 	n.term++
@@ -316,24 +327,42 @@ func (n *Node) startElectionLocked() {
 	if lastIdx > 0 {
 		lastTerm = n.log[lastIdx-1].Term
 	}
-	n.persistMetaLocked()
+	waitSelf, err := n.wal.AppendBatchAsync([][]byte{metaRecord(term, n.cfg.ID)})
 	peers := n.cfg.Peers
 	n.mu.Unlock()
+	if err != nil {
+		return // WAL closed: the node is stopping
+	}
+
+	// count tallies one vote: the candidate's own once its record is
+	// durable, a peer's once granted. The candidate leads on a majority
+	// that includes its own vote, even when its peers alone would make one.
+	var mu sync.Mutex
+	votes, selfDurable, won := 0, false, false
+	count := func(self bool) {
+		mu.Lock()
+		votes++
+		selfDurable = selfDurable || self
+		win := !won && selfDurable && votes >= n.majority()
+		won = won || win
+		mu.Unlock()
+		if win {
+			n.becomeLeader(term)
+		}
+	}
+	go func() {
+		if waitSelf() == nil {
+			count(true)
+		}
+	}()
 
 	args := voteArgs{Term: term, Candidate: n.cfg.ID, LastIndex: lastIdx, LastTerm: lastTerm}
 	req, err := transport.EncodeMessage(&args)
 	if err != nil {
 		return
 	}
-	var mu sync.Mutex
-	votes := 1 // self
-	decided := false
-	var wg sync.WaitGroup
 	for id, client := range peers {
-		id, client := id, client
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			respB, err := n.callPeer(id, client, MethodVote, req)
 			if err != nil {
 				return
@@ -352,30 +381,16 @@ func (n *Node) startElectionLocked() {
 				return
 			}
 			n.mu.Unlock()
-			if !resp.Granted {
-				return
-			}
-			mu.Lock()
-			votes++
-			win := votes >= n.majority() && !decided
-			if win {
-				decided = true
-			}
-			mu.Unlock()
-			_ = id
-			if win {
-				n.becomeLeader(term)
+			if resp.Granted {
+				count(false)
 			}
 		}()
 	}
-	// Single-node group: immediate win.
-	if len(peers) == 0 {
-		n.becomeLeader(term)
-	}
-	go wg.Wait()
 }
 
-// becomeLeader installs leader state if still a candidate for term.
+// becomeLeader installs leader state if still a candidate for term,
+// sends the first append round and, once it has come back from every
+// peer, announces the win (see Announced).
 func (n *Node) becomeLeader(term uint64) {
 	n.mu.Lock()
 	if n.stopped || n.role != Candidate || n.term != term {
@@ -404,12 +419,19 @@ func (n *Node) becomeLeader(term uint64) {
 	default:
 	}
 	n.broadcastAppend()
+	n.mu.Lock()
+	if n.role == Leader && n.term == term {
+		close(n.announced)
+		n.announced = make(chan struct{})
+	}
+	n.mu.Unlock()
 }
 
 // broadcastAppend pushes outstanding entries (or a heartbeat) to every
-// peer. Per-peer sends are serialized by an inflight flag so a slow
-// follower gets one batched catch-up rather than a pile of overlapping
-// RPCs.
+// peer and returns once each peer's round has come back. Per-peer sends
+// are serialized by an inflight flag so a slow follower gets one batched
+// catch-up rather than a pile of overlapping RPCs; a peer whose earlier
+// round is still out is not waited for.
 func (n *Node) broadcastAppend() {
 	n.mu.Lock()
 	if n.role != Leader || n.stopped {
@@ -421,9 +443,15 @@ func (n *Node) broadcastAppend() {
 		peers = append(peers, id)
 	}
 	n.mu.Unlock()
+	var wg sync.WaitGroup
 	for _, id := range peers {
-		go n.replicateTo(id)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.replicateTo(id)
+		}()
 	}
+	wg.Wait()
 }
 
 // replicateTo sends one append round to a peer, retrying backwards on

@@ -488,10 +488,14 @@ func (p *Proxy) remoteInFlightConflicts(item core.ItemID) bool {
 
 // markInFlight registers (or unregisters) the items of a remote
 // writeset being applied, which leaves the replica at version to.
+// An item written twice is marked twice and unmarked twice.
 func (p *Proxy) markInFlight(ws *core.Writeset, to uint64, on bool) {
-	items := ws.Items()
+	if ws == nil {
+		return
+	}
 	p.logMu.Lock()
-	for _, it := range items {
+	for i := range ws.Ops {
+		it := ws.Ops[i].Item()
 		m := p.inFlightItems[it]
 		if on {
 			m.n++
