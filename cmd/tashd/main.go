@@ -45,6 +45,7 @@ import (
 	"tashkent/internal/partition"
 	"tashkent/internal/proxy"
 	"tashkent/internal/replica"
+	"tashkent/internal/retry"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/transport"
 )
@@ -202,8 +203,7 @@ func runTxn(ctx context.Context, rep *replica.Replica, r kvwire.TxnReq) ([]byte,
 // budget or ctx is spent, and returns non-benign errors immediately.
 func commitRetried(ctx context.Context, rep *replica.Replica, fn func(*proxy.Tx) error) (aborted bool, err error) {
 	const maxRetries = 8
-	backoff := time.Millisecond
-	const backoffCap = 64 * time.Millisecond
+	backoff := retry.Backoff{Min: time.Millisecond, Max: 64 * time.Millisecond}
 	for attempt := 0; ; attempt++ {
 		tx, err := rep.Begin()
 		if err != nil {
@@ -222,15 +222,10 @@ func commitRetried(ctx context.Context, rep *replica.Replica, fn func(*proxy.Tx)
 		case attempt == maxRetries:
 			return true, nil
 		}
-		select {
-		case <-ctx.Done():
+		if err := backoff.Wait(ctx); err != nil {
 			// A deadline expiry is not a certification conflict; report
 			// it as an error so the client can tell the cases apart.
-			return false, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > backoffCap {
-			backoff = backoffCap
+			return false, err
 		}
 	}
 }

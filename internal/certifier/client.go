@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tashkent/internal/retry"
 	"tashkent/internal/transport"
 )
 
@@ -21,8 +22,8 @@ var ErrNoCertifier = errors.New("certifier: no certifier available")
 // full failover cycles exhausted) that further calls fail fast instead
 // of hanging for the full retry budget. Replicas keep serving snapshot
 // reads at their last merged version; writes surface this error
-// immediately. A half-open probe re-tests the group periodically and
-// any success closes the breaker.
+// immediately. A half-open probe re-tests the group periodically; its
+// success closes the breaker.
 var ErrDegraded = errors.New("certifier: group degraded (no quorum reachable)")
 
 // Consecutive ErrNoCertifier outcomes that open the group breaker, and
@@ -40,10 +41,9 @@ type Client struct {
 	nodes   []transport.Client // indexed by certifier id
 	timeout time.Duration
 
-	// Group-degradation breaker state (see ErrDegraded).
-	failStreak    atomic.Int32
-	degradedUntil atomic.Int64 // unix-nano; 0 = closed
-	probing       atomic.Bool
+	// The group breaker (see ErrDegraded) and its trip rule's count.
+	br         retry.Breaker
+	failStreak atomic.Int32
 }
 
 // NewClient builds a client over per-node transports (indexed by
@@ -53,7 +53,7 @@ func NewClient(nodes []transport.Client, timeout time.Duration) *Client {
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	return &Client{nodes: nodes, timeout: timeout}
+	return &Client{nodes: nodes, timeout: timeout, br: retry.Breaker{Cooldown: degradeProbeInterval}}
 }
 
 // CertifyCtx runs one commit request against the group leader, bounded
@@ -97,42 +97,18 @@ func (c *Client) Fill(target uint64) (FillResponse, error) {
 	return resp, err
 }
 
-// Degraded reports whether the group breaker is currently open.
-func (c *Client) Degraded() bool {
-	until := c.degradedUntil.Load()
-	return until != 0 && time.Now().UnixNano() < until
-}
-
-// breakerAdmit gates a call on the group breaker. It returns an error
-// when the call should fail fast, and a release func (nil when no
-// probe token was taken).
-func (c *Client) breakerAdmit() (func(), error) {
-	until := c.degradedUntil.Load()
-	if until == 0 {
-		return nil, nil
-	}
-	if time.Now().UnixNano() < until {
-		return nil, fmt.Errorf("%w: retrying in %v", ErrDegraded, time.Until(time.Unix(0, until)).Round(time.Millisecond))
-	}
-	// Cooldown elapsed: half-open. Admit a single probe; everyone else
-	// keeps failing fast until the probe reports.
-	if !c.probing.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("%w: probe in flight", ErrDegraded)
-	}
-	return func() { c.probing.Store(false) }, nil
-}
-
-// noteOutcome feeds the breaker: reachable leaders (success or an
-// application-level error) close it, a fully exhausted failover cycle
-// counts toward opening it.
-func (c *Client) noteOutcome(reachable bool) {
-	if reachable {
+// noteOutcome feeds the breaker with the outcome of a call that began
+// at began: a reachable leader (success or an application-level error)
+// closes a breaker whose probe this call is, and a fully exhausted
+// failover cycle re-opens it, or counts toward opening a closed one.
+func (c *Client) noteOutcome(began time.Time, reachable bool) {
+	now := time.Now()
+	switch {
+	case reachable:
 		c.failStreak.Store(0)
-		c.degradedUntil.Store(0)
-		return
-	}
-	if c.failStreak.Add(1) >= degradeThreshold {
-		c.degradedUntil.Store(time.Now().Add(degradeProbeInterval).UnixNano())
+		c.br.Judge(began, now, true)
+	case !c.br.Judge(began, now, false) && c.failStreak.Add(1) >= degradeThreshold:
+		c.br.Trip(now)
 	}
 }
 
@@ -141,28 +117,19 @@ func (c *Client) call(ctx context.Context, method string, req, resp interface{})
 	if err != nil {
 		return err
 	}
-	release, err := c.breakerAdmit()
-	if err != nil {
-		return err
+	began := time.Now()
+	probeAt, ok := c.br.Claim(began)
+	if !ok {
+		return ErrDegraded
 	}
-	if release != nil {
-		defer release()
-	}
-	deadline := time.Now().Add(c.timeout)
+	defer c.br.Release(probeAt)
+	deadline := began.Add(c.timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
 	target := int(c.leader.Load())
 	var lastErr error
-	backoff := time.Millisecond
-	// Reusable backoff timer: time.After in the retry select would leak
-	// a live timer on every ctx wakeup (same fix mvstore got in PR 3).
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+	backoff := retry.Backoff{Min: time.Millisecond, Max: 64 * time.Millisecond}
 	for time.Now().Before(deadline) {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -176,62 +143,42 @@ func (c *Client) call(ctx context.Context, method string, req, resp interface{})
 		respB, err := transport.CallWithDeadline(c.nodes[target], method, payload, deadline)
 		if err == nil {
 			c.leader.Store(int64(target))
-			c.noteOutcome(true)
+			c.noteOutcome(began, true)
 			return transport.DecodeMessage(respB, resp)
 		}
 		lastErr = err
+		next := (target + 1) % len(c.nodes)
 		var rerr *transport.RemoteError
-		switch {
-		case errors.As(err, &rerr):
+		if errors.As(err, &rerr) {
 			if hint, isRedirect := parseNotLeader(rerr.Msg); isRedirect {
 				if hint >= 0 && hint < len(c.nodes) && hint != target {
-					target = hint
-				} else {
-					target = (target + 1) % len(c.nodes)
+					next = hint
 				}
 			} else if ra, shed := parseOverloaded(rerr.Msg); shed {
 				// Load shed by the leader. Not a failover signal —
 				// only the leader certifies — so surface it with the
 				// retry-after hint and let the session back off.
-				c.noteOutcome(true)
+				c.noteOutcome(began, true)
 				return &OverloadedError{RetryAfter: ra}
-			} else if strings.Contains(rerr.Msg, "paxos:") {
-				// Transient replication failure (leadership churn
-				// mid-proposal): retrying is safe — a duplicated
-				// certification only produces an extra log entry with
-				// the same absolute-valued writeset, which replicas
-				// apply idempotently.
-				target = (target + 1) % len(c.nodes)
-			} else {
+			} else if !strings.Contains(rerr.Msg, "paxos:") {
 				// Application error from the leader: surface it. The
-				// leader is reachable, so the group is not degraded.
-				c.noteOutcome(true)
+				// leader is reachable, so the group is not degraded. A
+				// "paxos:" error is leadership churn mid-proposal, safe
+				// to retry: a duplicated certification only adds a log
+				// entry with the same absolute-valued writeset, which
+				// replicas apply idempotently.
+				c.noteOutcome(began, true)
 				return err
 			}
-		case errors.Is(err, transport.ErrUnavailable):
-			target = (target + 1) % len(c.nodes)
-		default:
-			target = (target + 1) % len(c.nodes)
 		}
-		if timer == nil {
-			timer = time.NewTimer(backoff)
-		} else {
-			// Safe to Reset without draining: the only path that loops is
-			// the one that received from timer.C below.
-			timer.Reset(backoff)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-timer.C:
-		}
-		if backoff < 50*time.Millisecond {
-			backoff *= 2
+		target = next
+		if err := backoff.Wait(ctx); err != nil {
+			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.noteOutcome(false)
+	c.noteOutcome(began, false)
 	return fmt.Errorf("%w: %v", ErrNoCertifier, lastErr)
 }

@@ -354,3 +354,32 @@ func TestTopologyWaitVersionBeyondHeadFillsNothing(t *testing.T) {
 		}
 	})
 }
+
+// TestTopologyWaitVersionLongHoldBacksOff: a causal wait for a version
+// nothing has committed, held for a second, makes no more pull rounds
+// than the target-only backoff allows: 2 ms doubling to 50 ms is about
+// 24 rounds, where a round per 2 ms stall nudge made hundreds.
+func TestTopologyWaitVersionLongHoldBacksOff(t *testing.T) {
+	forTopologies(t, func(t *testing.T, parts int) {
+		c := newTopologyCluster(t, parts)
+		if err := clusterCommit(t, c, 0, keyInPartition(parts, 0, 70), "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ConvergeAll(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		p := c.Replica(1).Proxy()
+		pulled := p.Stats().StalenessPulls
+		v := c.Replica(1).Store().AnnouncedVersion() + 5
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if err := c.WaitVersion(ctx, 1, v); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("wait for version %d beyond the head: %v, want %v", v, err, context.DeadlineExceeded)
+		}
+		rounds := p.Stats().StalenessPulls - pulled
+		t.Logf("%d pull rounds in 1 s", rounds)
+		if rounds > 25 {
+			t.Errorf("the wait ran %d pull rounds in 1 s, want at most 25", rounds)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package mvstore
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -812,6 +813,85 @@ func TestApplyWritesetReplaysOps(t *testing.T) {
 	}
 	if v, _ := get(t, s, "t", "a", "v"); v != "2" {
 		t.Errorf("applied value = %q", v)
+	}
+}
+
+// TestUpdateAfterDeleteStartsFromEmptyRow: a transaction that deletes a
+// row and then updates it writes a row holding only the updated
+// columns. The transaction's own read, the committed row, a replay of
+// its writeset on a second store and a recovery from its log must all
+// agree; when the update merged over the pre-delete version, the first
+// two kept the deleted columns that replay and recovery drop, and a
+// recovered replica diverged from its live peers.
+func TestUpdateAfterDeleteStartsFromEmptyRow(t *testing.T) {
+	s := Open(Config{})
+	first := mustBegin(t, s)
+	if err := first.Insert("t", "k", map[string][]byte{"a": []byte("1"), "b": []byte("2")}); err != nil {
+		t.Fatal(err)
+	}
+	firstWS := first.Writeset().Clone()
+	if err := first.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := mustBegin(t, s)
+	if err := tx.Delete("t", "k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("t", "k", map[string][]byte{"a": []byte("9")}); err != nil {
+		t.Fatal(err)
+	}
+	ws := tx.Writeset().Clone()
+	readRow := func(s *Store) map[string][]byte {
+		t.Helper()
+		r := mustBegin(t, s)
+		defer r.Abort()
+		cols, _, err := r.Read("t", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cols
+	}
+	own, _, err := tx.Read("t", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	committed := readRow(s)
+
+	replayed := openInstant(t)
+	for _, w := range []*core.Writeset{firstWS, ws} {
+		rtx := mustBegin(t, replayed)
+		if err := rtx.ApplyWriteset(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := rtx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	img, _ := s.Crash()
+	recovered, _, err := RecoverFromWAL(Config{}, img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+
+	want := map[string][]byte{"a": []byte("9")}
+	for _, got := range []struct {
+		name string
+		cols map[string][]byte
+	}{
+		{"own read", own},
+		{"committed read", committed},
+		{"replayed writeset", readRow(replayed)},
+		{"recovered from the log", readRow(recovered)},
+	} {
+		if !reflect.DeepEqual(got.cols, want) {
+			t.Errorf("%s: row %q, want %q", got.name, got.cols, want)
+		}
 	}
 }
 

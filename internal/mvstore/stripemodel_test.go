@@ -133,7 +133,9 @@ func (t *modelTx) write(op core.WriteOp) {
 		pw.deleted = false
 		pw.cols = map[string][]byte{}
 	case core.OpUpdate:
-		if pw.kind != core.OpInsert {
+		if pw.kind == core.OpDelete {
+			pw.kind = core.OpInsert // an update of a deleted row starts empty
+		} else if pw.kind != core.OpInsert {
 			pw.kind = core.OpUpdate
 		}
 		pw.deleted = false

@@ -161,7 +161,11 @@ func (tx *Tx) write(op core.WriteOp) error {
 			pw.cols[c.Col] = append([]byte(nil), c.Value...)
 		}
 	case core.OpUpdate:
-		if pw.kind != core.OpInsert {
+		if pw.kind == core.OpDelete {
+			// The row is gone in this transaction: the update starts from
+			// an empty row, as recovery's replay of the two ops does.
+			pw.kind = core.OpInsert
+		} else if pw.kind != core.OpInsert {
 			pw.kind = core.OpUpdate
 		}
 		pw.deleted = false

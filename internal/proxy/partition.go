@@ -14,6 +14,7 @@ import (
 	"tashkent/internal/core"
 	"tashkent/internal/mvstore"
 	"tashkent/internal/partition"
+	"tashkent/internal/retry"
 )
 
 // The ordering point (see internal/partition): the proxy talks to the
@@ -269,8 +270,9 @@ func (m *merger) loop() {
 	stallG := -2 // no stall being tracked
 	var stallIdx uint64
 	var stallFirst, stallSince time.Time
-	hot := false                  // last nudge round made progress; keep streaming
-	targetPace := mergeStallNudge // wait between target-only rounds
+	hot := false // last nudge round made progress; keep streaming
+	// The wait between target-only rounds; its timer serves every wait.
+	pace := retry.Backoff{Min: mergeStallNudge, Max: mergeTargetPaceCap}
 	for {
 		select {
 		case <-p.life.Done():
@@ -310,7 +312,7 @@ func (m *merger) loop() {
 			// padding it just moves the block one index up.
 			if !motive {
 				stallG, hot = -2, false
-				if m.idle() {
+				if m.idle(&pace) {
 					m.nudgeLagging(blockG, blockIdx, false, false)
 					p.addStat(func(st *Stats) { st.StalenessPulls++ })
 				}
@@ -320,30 +322,26 @@ func (m *merger) loop() {
 			if blockG != stallG || blockIdx != stallIdx {
 				stallG, stallIdx = blockG, blockIdx
 				stallFirst = now
-				targetPace = mergeStallNudge
+				pace.Reset()
 				if !hot {
 					stallSince = now
 				}
 			}
-			pace := mergeStallNudge
+			wait := mergeStallNudge
 			if !waiting {
-				pace = targetPace
+				wait = pace.Delay()
 			}
-			if wait := pace - now.Sub(stallSince); wait > 0 && !hot {
-				select {
-				case <-p.life.Done():
-					return
-				case <-m.wake:
-				case <-time.After(wait):
-				}
+			if wait -= now.Sub(stallSince); wait > 0 && !hot {
+				pace.Sleep(p.life, m.wake, wait)
 				continue
 			}
 			hot = m.nudgeLagging(blockG, blockIdx, waiting, now.Sub(stallFirst) >= mergeFillPatience)
 			if !waiting {
 				p.addStat(func(st *Stats) { st.StalenessPulls++ })
-				targetPace = mergeStallNudge
-				if !hot {
-					targetPace = min(2*pace, mergeTargetPaceCap)
+				if hot {
+					pace.Reset()
+				} else {
+					pace.Next()
 				}
 			}
 			stallSince = time.Now() // re-arm: give the pulled data time to land
@@ -359,20 +357,12 @@ func (m *merger) loop() {
 // idle parks the merger until it is nudged or the proxy closes. Every
 // received entry nudges it, so a merger parked for StalenessBound has
 // received nothing for that long: idle then reports the replica stale.
-func (m *merger) idle() (stale bool) {
-	var bound <-chan time.Time
+func (m *merger) idle(timer *retry.Backoff) (stale bool) {
+	bound := time.Duration(math.MaxInt64) // none: park until nudged
 	if d := m.p.cfg.StalenessBound; d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		bound = t.C
+		bound = d
 	}
-	select {
-	case <-m.p.life.Done():
-	case <-m.wake:
-	case <-bound:
-		return true
-	}
-	return false
+	return timer.Sleep(m.p.life, m.wake, bound)
 }
 
 // nudgeLagging unblocks a stalled merge: every group whose received
@@ -948,23 +938,12 @@ func (m *merger) resolveAll(gid uint64, pids []int, commit bool) []int {
 func (m *merger) resolveDetached(gid uint64, pids []int, answers []answer) {
 	p := m.p
 	p.detach(func() {
-		backoff := 5 * time.Millisecond
-		retry := func() bool {
-			select {
-			case <-p.life.Done():
-				return false
-			case <-time.After(backoff):
-			}
-			if backoff < 500*time.Millisecond {
-				backoff *= 2
-			}
-			return true
-		}
+		backoff := retry.Backoff{Min: 5 * time.Millisecond, Max: 640 * time.Millisecond}
 		commit, known := decided(answers)
 		for !known {
 			m.vetoAll(context.Background(), gid, pids, answers)
 			m.ingestAnswers(pids, answers, nil)
-			if commit, known = decided(answers); !known && !retry() {
+			if commit, known = decided(answers); !known && backoff.Wait(p.life) != nil {
 				return
 			}
 		}
@@ -975,7 +954,7 @@ func (m *merger) resolveDetached(gid uint64, pids []int, answers []answer) {
 			}
 		}
 		for len(pending) > 0 {
-			if pending = m.resolveAll(gid, pending, commit); len(pending) > 0 && !retry() {
+			if pending = m.resolveAll(gid, pending, commit); len(pending) > 0 && backoff.Wait(p.life) != nil {
 				return
 			}
 		}

@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tashkent/internal/retry"
 )
 
 // View is the cluster snapshot a Policy sees when picking a replica.
@@ -90,13 +92,6 @@ const (
 	breakerProbeExpiry = 4 * breakerCooldown
 )
 
-// Breaker states.
-const (
-	breakerClosed = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
 // Class is the latency class a transaction is judged in. A snapshot
 // read finishes in microseconds while an update pays certification and
 // a log flush, so one latency average over both swings with whichever
@@ -112,19 +107,16 @@ const (
 )
 
 // health is one replica's gray-failure score: a latency EWMA per
-// transaction class, one error-rate EWMA and the breaker state machine.
+// transaction class, one error-rate EWMA and the breaker they trip.
 // Distinct from the Excluded mechanism, which handles crashed
 // (clean-failure) replicas: a gray replica still answers, just badly,
 // so only its trend betrays it.
 type health struct {
-	mu       sync.Mutex
-	lat      [numClasses]latScore
-	ewmaErr  float64 // failure rate in [0,1]
-	samples  int64   // outcomes, failures included, since the breaker last closed
-	state    int
-	openedAt time.Time
-	probeOut bool
-	probeAt  time.Time // when the probe token was claimed
+	mu      sync.Mutex // guards the scores; the breaker has its own
+	lat     [numClasses]latScore
+	ewmaErr float64 // failure rate in [0,1]
+	samples int64   // outcomes, failures included, since the breaker last closed
+	br      retry.Breaker
 }
 
 // latScore is one class's latency EWMA.
@@ -137,53 +129,7 @@ type latScore struct {
 func (h *health) clear() {
 	h.lat = [numClasses]latScore{}
 	h.ewmaErr, h.samples = 0, 0
-	h.state = breakerClosed
-	h.openedAt, h.probeAt = time.Time{}, time.Time{}
-	h.probeOut = false
-}
-
-// probeFree reports whether an ejected replica's probe may be claimed:
-// its cooldown is over and no unexpired probe is out.
-func (h *health) probeFree(now time.Time) bool {
-	return now.Sub(h.openedAt) >= breakerCooldown &&
-		(!h.probeOut || now.Sub(h.probeAt) >= breakerProbeExpiry)
-}
-
-// admissible reports whether the replica may take a new transaction:
-// its breaker is closed or its probe is free. It claims nothing, so a
-// replica the policy then passes over keeps its probe for the next pick.
-func (h *health) admissible() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state == breakerClosed || h.probeFree(time.Now())
-}
-
-// claim takes the probe token of an ejected replica for the transaction
-// just routed to it and returns the claim's time; ok is false when the
-// breaker is closed or the probe is not free (a concurrent pick won it,
-// or every replica was out and the pick failed open).
-func (h *health) claim() (at time.Time, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	now := time.Now()
-	if h.state == breakerClosed || !h.probeFree(now) {
-		return time.Time{}, false
-	}
-	h.state = breakerHalfOpen
-	h.probeOut, h.probeAt = true, now
-	return now, true
-}
-
-// unclaim hands back the probe claimed at at if no outcome judged it —
-// the probe aborted, or its outcome was not the replica's to answer
-// for — so the next pick probes at once instead of after
-// breakerProbeExpiry.
-func (h *health) unclaim(at time.Time) {
-	h.mu.Lock()
-	if h.probeOut && h.probeAt.Equal(at) {
-		h.probeOut = false
-	}
-	h.mu.Unlock()
+	h.br.Reset()
 }
 
 // observe folds one transaction outcome in. peerLat is the best (lowest)
@@ -191,25 +137,16 @@ func (h *health) unclaim(at time.Time) {
 func (h *health) observe(class Class, lat time.Duration, failed bool, peerLat float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.state != breakerClosed {
-		// Only the probe is judged while the replica is out, by the rule
-		// that trips a closed breaker: a success as slow as the ejected
-		// trend re-opens it. The probe began after its token was claimed;
-		// a straggler admitted before the ejection began earlier and
-		// says nothing about the replica now. (A pick that lost the token
-		// race, or was made while every replica was out, also began after
-		// the claim and may answer in the probe's place: it measures the
-		// replica as it is now, too.)
-		if !h.probeOut || time.Now().Add(-lat).Before(h.probeAt) {
-			return
+	now := time.Now()
+	if h.br.State() != retry.Closed {
+		// Only the probe is judged while the replica is out. A pick that
+		// lost the token race, or was made while every replica was out,
+		// began after the claim too and may answer in the probe's place:
+		// it measures the replica as it is now.
+		healthy := !failed && !tooSlow(lat.Seconds(), peerLat)
+		if h.br.Judge(now.Add(-lat), now, healthy) && healthy {
+			h.clear()
 		}
-		h.probeOut = false
-		if failed || tooSlow(lat.Seconds(), peerLat) {
-			h.state = breakerOpen
-			h.openedAt = time.Now()
-			return
-		}
-		h.clear()
 		return
 	}
 	e := 0.0
@@ -234,8 +171,7 @@ func (h *health) observe(class Class, lat time.Duration, failed bool, peerLat fl
 		trip = trip || s.samples >= breakerMinSamples && tooSlow(s.ewma, peerLat)
 	}
 	if trip {
-		h.state = breakerOpen
-		h.openedAt = time.Now()
+		h.br.Trip(now)
 	}
 }
 
@@ -251,7 +187,7 @@ func (h *health) score(class Class) (float64, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := h.lat[class]
-	if h.state != breakerClosed || s.samples < breakerMinSamples || h.ewmaErr > breakerErrTrip {
+	if h.br.State() != retry.Closed || s.samples < breakerMinSamples || h.ewmaErr > breakerErrTrip {
 		return 0, false
 	}
 	return s.ewma, true
@@ -262,7 +198,11 @@ func NewCounters(n int) *Counters {
 	if n < 1 {
 		n = 1
 	}
-	return &Counters{slots: make([]counterSlot, n)}
+	c := &Counters{slots: make([]counterSlot, n)}
+	for i := range c.slots {
+		c.slots[i].health.br = retry.Breaker{Cooldown: breakerCooldown, ProbeExpiry: breakerProbeExpiry}
+	}
+	return c
 }
 
 // N returns the replica count.
@@ -332,31 +272,25 @@ func (c *Counters) Health(i int) (state string, readLat, updateLat time.Duration
 	h := &c.slots[i].health
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	switch h.state {
-	case breakerOpen:
-		state = "open"
-	case breakerHalfOpen:
-		state = "half-open"
-	default:
-		state = "closed"
-	}
 	secs := func(s latScore) time.Duration { return time.Duration(s.ewma * float64(time.Second)) }
-	return state, secs(h.lat[ReadOnly]), secs(h.lat[Update]), h.ewmaErr
+	return h.br.State().String(), secs(h.lat[ReadOnly]), secs(h.lat[Update]), h.ewmaErr
 }
 
 // mergeUnhealthy folds ejected replicas without a free probe into the
-// caller's exclusion mask. It fails open: when every replica would be
-// excluded the original mask is returned unchanged — a degraded replica
-// beats none at all.
+// caller's exclusion mask. It claims no probe, so a replica the policy
+// then passes over keeps its probe for the next pick. It fails open:
+// when every replica would be excluded the original mask is returned
+// unchanged — a degraded replica beats none at all.
 func (c *Counters) mergeUnhealthy(excluded []bool) []bool {
 	n := len(c.slots)
 	var merged []bool
 	candidates := 0
+	now := time.Now()
 	for i := 0; i < n; i++ {
 		if excluded != nil && i < len(excluded) && excluded[i] {
 			continue
 		}
-		if c.slots[i].health.admissible() {
+		if c.slots[i].health.br.Admissible(now) {
 			candidates++
 			continue
 		}
@@ -424,16 +358,18 @@ func (b *Balancer) Acquire(readOnly bool, excluded []bool) (int, func()) {
 		i = 0
 	}
 	slot := &b.counters.slots[i]
-	probeAt, probe := slot.health.claim()
+	// A refused claim (a concurrent pick holds the probe, or every
+	// replica was out and the pick failed open) proceeds unjudged.
+	probeAt, _ := slot.health.br.Claim(time.Now())
 	gen := slot.gen.Load()
 	slot.inflight.Add(1)
 	return i, func() {
 		if slot.gen.Load() != gen {
 			return // replica crashed since; Reset already dropped this charge
 		}
-		if probe {
-			slot.health.unclaim(probeAt)
-		}
+		// An unjudged probe (an abort, or an outcome not the replica's to
+		// answer for) hands its token back: the next pick probes at once.
+		slot.health.br.Release(probeAt)
 		if n := slot.inflight.Add(-1); n < 0 {
 			// A release racing the reset itself; repair the undershoot.
 			slot.inflight.CompareAndSwap(n, 0)

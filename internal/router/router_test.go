@@ -273,11 +273,7 @@ func state(c *Counters, i int) string {
 // eject opens replica i's breaker with a cooldown that ended long ago,
 // so its probe is free.
 func eject(c *Counters, i int) {
-	h := &c.slots[i].health
-	h.mu.Lock()
-	h.state = breakerOpen
-	h.openedAt = time.Now().Add(-time.Hour)
-	h.mu.Unlock()
+	c.slots[i].health.br.Trip(time.Now().Add(-time.Hour))
 }
 
 // mixLat draws one outcome of a healthy Base replica under the TPC-W
@@ -393,26 +389,26 @@ func TestBreakerProbeClaimedOnlyWhenPicked(t *testing.T) {
 	other := NewSharedBalancer(c, pinned(0))
 	i, release := other.Acquire(false, nil)
 	release()
-	if i != 0 || h.probeOut || state(c, 1) != "open" {
-		t.Fatalf("a pick of replica %d claimed replica 1's probe (out %v, state %q)", i, h.probeOut, state(c, 1))
+	if i != 0 || state(c, 1) != "open" {
+		t.Fatalf("a pick of replica %d claimed replica 1's probe (state %q)", i, state(c, 1))
 	}
 
 	victim := NewSharedBalancer(c, pinned(1))
 	i, release = victim.Acquire(false, nil)
-	if i != 1 || !h.probeOut || state(c, 1) != "half-open" {
-		t.Fatalf("the pick of replica 1 claimed no probe (out %v, state %q)", h.probeOut, state(c, 1))
+	if i != 1 || state(c, 1) != "half-open" {
+		t.Fatalf("the pick of replica 1 claimed no probe (state %q)", state(c, 1))
 	}
 	// A straggler admitted before the ejection finishes now, slowly.
 	c.Observe(1, Update, time.Hour, false)
-	if !h.probeOut || state(c, 1) != "half-open" {
-		t.Fatalf("a straggler's outcome judged the probe (out %v, state %q)", h.probeOut, state(c, 1))
+	if state(c, 1) != "half-open" {
+		t.Fatalf("a straggler's outcome judged the probe (state %q)", state(c, 1))
 	}
 	// The probe aborts: its release hands the token back at once.
 	release()
-	if h.probeOut {
+	if state(c, 1) != "open" {
 		t.Fatal("an unjudged probe kept its token after release")
 	}
-	if !h.admissible() {
+	if !h.br.Admissible(time.Now()) {
 		t.Fatal("replica 1 not admissible after its probe came back")
 	}
 
@@ -441,16 +437,13 @@ func TestBreakerProbeJudgedByLatency(t *testing.T) {
 		t.Fatalf("slow replica 1 is %q, want open", s)
 	}
 	probe := func(lat time.Duration) string {
-		h := &c.slots[1].health
-		h.mu.Lock()
-		h.openedAt = time.Now().Add(-2 * breakerCooldown) // cooldown over
-		h.mu.Unlock()
-		if _, ok := h.claim(); !ok {
+		br := &c.slots[1].health.br
+		now := time.Now()
+		br.Trip(now.Add(-2 * breakerCooldown)) // cooldown over
+		// Claimed lat ago: the probe has run for lat.
+		if at, _ := br.Claim(now.Add(-lat)); at.IsZero() {
 			t.Fatal("cooled-down breaker admitted no probe")
 		}
-		h.mu.Lock()
-		h.probeAt = h.probeAt.Add(-lat) // the probe has run for lat
-		h.mu.Unlock()
 		c.Observe(1, Update, lat, false)
 		return state(c, 1)
 	}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tashkent/internal/retry"
 )
 
 // --- TCP fabric ---
@@ -44,13 +46,6 @@ const reqHeaderLen = 8 + 8 + 2
 
 // tcpPoolSize is how many multiplexed connections one client keeps.
 const tcpPoolSize = 4
-
-// Reconnect backoff bounds: after a failed dial the affected pool slot
-// fails fast until the backoff elapses, then redials.
-const (
-	redialBackoffMin = 5 * time.Millisecond
-	redialBackoffMax = 250 * time.Millisecond
-)
 
 // WireStats counts a client's traffic.
 type WireStats struct {
@@ -222,7 +217,7 @@ type tcpClient struct {
 	// Reconnect backoff, shared across slots: a down server fails every
 	// slot, and one cooldown clock for all of them keeps a burst of
 	// callers from stampeding the dial path.
-	backoff   time.Duration
+	redial    retry.Backoff
 	downUntil time.Time
 
 	calls    atomic.Int64
@@ -235,7 +230,7 @@ type tcpClient struct {
 // Connections are established lazily and re-established with backoff
 // after failures.
 func DialTCP(addr string) Client {
-	return &tcpClient{addr: addr}
+	return &tcpClient{addr: addr, redial: retry.Backoff{Min: 5 * time.Millisecond, Max: 250 * time.Millisecond}}
 }
 
 // Stats reports the client's cumulative wire traffic.
@@ -332,19 +327,14 @@ func (c *tcpClient) conn() (*muxConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
-		if c.backoff == 0 {
-			c.backoff = redialBackoffMin
-		} else if c.backoff *= 2; c.backoff > redialBackoffMax {
-			c.backoff = redialBackoffMax
-		}
-		c.downUntil = time.Now().Add(c.backoff)
+		c.downUntil = time.Now().Add(c.redial.Next())
 		return nil, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
 	if c.closed {
 		conn.Close()
 		return nil, ErrUnavailable
 	}
-	c.backoff = 0
+	c.redial.Reset()
 	c.downUntil = time.Time{}
 	if wasDown {
 		c.redials.Add(1)

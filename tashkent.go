@@ -54,6 +54,7 @@ import (
 	"tashkent/internal/cluster"
 	"tashkent/internal/proxy"
 	"tashkent/internal/replica"
+	"tashkent/internal/retry"
 	"tashkent/internal/router"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/workload"
@@ -249,8 +250,7 @@ type SessionOption func(*sessionOpts)
 type sessionOpts struct {
 	policy     Policy
 	maxRetries int
-	backoff    time.Duration
-	backoffCap time.Duration
+	backoff    retry.Backoff // copied by each RunTx
 }
 
 // WithPolicy selects the session's routing policy (default
@@ -268,7 +268,7 @@ func WithMaxRetries(n int) SessionOption {
 // WithBackoff sets RunTx's retry backoff: the first retry waits base,
 // doubling up to cap (defaults 1 ms and 64 ms).
 func WithBackoff(base, cap time.Duration) SessionOption {
-	return func(o *sessionOpts) { o.backoff, o.backoffCap = base, cap }
+	return func(o *sessionOpts) { o.backoff = retry.Backoff{Min: base, Max: cap} }
 }
 
 // Session is a client's ordered view of the database. Each Begin
@@ -293,8 +293,7 @@ type Session struct {
 func (db *DB) Session(opts ...SessionOption) *Session {
 	o := sessionOpts{
 		maxRetries: 8,
-		backoff:    time.Millisecond,
-		backoffCap: 64 * time.Millisecond,
+		backoff:    retry.Backoff{Min: time.Millisecond, Max: 64 * time.Millisecond},
 	}
 	for _, fn := range opts {
 		fn(&o)
@@ -302,15 +301,11 @@ func (db *DB) Session(opts ...SessionOption) *Session {
 	if o.policy == nil {
 		o.policy = RoundRobin()
 	}
-	if o.maxRetries < 0 {
-		o.maxRetries = 0
+	o.maxRetries = max(o.maxRetries, 0)
+	if o.backoff.Min <= 0 {
+		o.backoff.Min = time.Millisecond
 	}
-	if o.backoff <= 0 {
-		o.backoff = time.Millisecond
-	}
-	if o.backoffCap < o.backoff {
-		o.backoffCap = o.backoff
-	}
+	o.backoff.Max = max(o.backoff.Max, o.backoff.Min)
 	return &Session{
 		db:   db,
 		bal:  router.NewSharedBalancer(db.counters, o.policy),
@@ -412,35 +407,23 @@ func (s *Session) RunTx(ctx context.Context, fn func(*Tx) error, opts ...TxOptio
 	var lastErr error
 	for attempt := 0; attempt <= s.opts.maxRetries; attempt++ {
 		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > s.opts.backoffCap {
-				backoff = s.opts.backoffCap
+			if err := backoff.Wait(ctx); err != nil {
+				return err
 			}
 		}
 		tx, err := s.Begin(ctx, opts...)
 		if err != nil {
 			return err
 		}
-		err = s.runAttempt(ctx, tx, fn)
-		if err == nil {
+		if err = s.runAttempt(ctx, tx, fn); err == nil {
 			return nil
 		}
-		if !IsAborted(err) {
-			if ra, ok := certifier.RetryAfter(err); ok {
-				// Load shed by the certifier: retryable, but never
-				// faster than the server's retry-after hint — hammering
-				// an overloaded certifier is how goodput collapses.
-				if ra > backoff {
-					backoff = ra
-				}
-				lastErr = err
-				continue
-			}
+		if ra, ok := certifier.RetryAfter(err); ok {
+			// Load shed by the certifier: retryable, but never faster
+			// than the server's retry-after hint — hammering an
+			// overloaded certifier is how goodput collapses.
+			backoff.Floor(ra)
+		} else if !IsAborted(err) {
 			return err
 		}
 		lastErr = err
