@@ -30,7 +30,7 @@ func newTestGroup(t *testing.T, n int, mutate func(i int, cfg *Config)) *testGro
 		peers := make(map[int]transport.Client)
 		for j := 0; j < n; j++ {
 			if j != i {
-				peers[j] = g.fabric.Dial(fmt.Sprintf("cert%d", j))
+				peers[j] = g.fabric.DialFrom(fmt.Sprintf("cert%d", i), fmt.Sprintf("cert%d", j))
 			}
 		}
 		cfg := Config{

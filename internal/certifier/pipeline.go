@@ -25,7 +25,7 @@ import (
 //     serialized,
 //  3. proposes every entry the survivors add as ONE batched log append
 //     (paxos.ProposeBatchAt: one replication round; followers persist
-//     the round via wal.AppendBatch, one fsync),
+//     the round via wal.AppendBatchAsync, one fsync),
 //  4. takes ONE durability barrier (WaitCommitted on the batch's last
 //     index) for the whole batch, and
 //  5. fans responses — remote-writeset fills, commit versions, log

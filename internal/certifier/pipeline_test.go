@@ -254,15 +254,15 @@ func TestGatherStaleFanoutNoLinger(t *testing.T) {
 	// and wins it back.
 	var isolated [3]atomic.Bool
 	errIsolated := errors.New("isolated")
-	g := newTestGroup(t, 3, func(i int, cfg *Config) {
-		slowDisk(i, cfg)
-		cfg.PaxosCallHook = func(int, string) error {
-			if isolated[i].Load() {
+	g := newTestGroup(t, 3, slowDisk)
+	g.fabric.SetInterposer(isolator(func(from string) error {
+		for i := range isolated {
+			if isolated[i].Load() && from == fmt.Sprintf("cert%d", i) {
 				return errIsolated
 			}
-			return nil
 		}
-	})
+		return nil
+	}))
 	ld := g.waitLeader(t)
 	stop := runClients(t, g.client, 12, 0)
 	time.Sleep(200 * time.Millisecond)
@@ -1138,4 +1138,15 @@ func TestResolveLandsThroughFullQueue(t *testing.T) {
 	if oldest != 0 {
 		t.Errorf("the prepare at %d is still unresolved", oldest)
 	}
+}
+
+// isolator adapts a per-caller filter to transport.Interposer: a non-nil
+// error cuts every call from that endpoint before it is delivered.
+type isolator func(from string) error
+
+func (f isolator) Call(from, _, _ string, _ []byte, deliver func() ([]byte, error)) ([]byte, error) {
+	if err := f(from); err != nil {
+		return nil, err
+	}
+	return deliver()
 }

@@ -62,10 +62,6 @@ type Config struct {
 	// Size it to roughly one AdmitTimeout of drain so an admitted
 	// request's queue wait stays inside the budget.
 	QueueDepth int
-	// PaxosCallHook, if set, filters this node's outgoing replication
-	// RPCs (see paxos.Config.CallHook) — the chaos harness's handle for
-	// isolating a certifier from its peers.
-	PaxosCallHook func(peer int, method string) error
 	// ElectionTimeout/Seed tune the underlying replication group.
 	ElectionTimeout time.Duration
 	Seed            int64
@@ -168,7 +164,6 @@ func New(cfg Config) *Server {
 		Peers:           cfg.Peers,
 		Disk:            cfg.Disk,
 		WALMode:         mode,
-		CallHook:        cfg.PaxosCallHook,
 		ElectionTimeout: cfg.ElectionTimeout,
 		Seed:            cfg.Seed,
 	})

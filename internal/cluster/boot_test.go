@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,16 +42,20 @@ func TestBootCampaignLeadsEveryGroupInOneRound(t *testing.T) {
 }
 
 // Member 0 cannot reach its peers: its campaign gets no votes and the
-// other members elect one of themselves when their timers run out.
+// other members elect one of themselves when their timers run out. The
+// cut holds from construction, before the campaign, and spares every
+// link that is not between two certifiers.
 func TestBootFallsBackToElectionTimeout(t *testing.T) {
 	cut := errors.New("link cut")
+	member0 := GroupCertifierName(0, 0)
+	isCert := func(name string) bool { return strings.HasPrefix(name, "cert-") }
 	c := newTestCluster(t, proxy.TashkentMW, 1, func(cfg *Config) {
-		cfg.PaxosCallHook = func(from, to int, _ string) error {
-			if from == 0 || to == 0 {
-				return cut
+		cfg.Interposer = steerFunc(func(from, to, _ string, _ []byte, deliver func() ([]byte, error)) ([]byte, error) {
+			if isCert(from) && isCert(to) && (from == member0 || to == member0) {
+				return nil, cut
 			}
-			return nil
-		}
+			return deliver()
+		})
 	})
 	if ld := c.GroupLeaderIndex(0); ld != 1 && ld != 2 {
 		t.Fatalf("leader is node %d, want 1 or 2", ld)
@@ -88,5 +93,14 @@ func TestPooledPopulateOnPartitionedCluster(t *testing.T) {
 	}
 	if got := c.Replica(1).Store().RowCount("accounts"); got != 12*20 {
 		t.Errorf("replica 1 holds %d accounts, want %d", got, 12*20)
+	}
+}
+
+// An interposer is local-only: New refuses one over TCP.
+func TestInterposerNeedsLocalTransport(t *testing.T) {
+	pass := steerFunc(func(_, _, _ string, _ []byte, deliver func() ([]byte, error)) ([]byte, error) { return deliver() })
+	_, err := New(Config{Mode: proxy.TashkentMW, Transport: "tcp", Interposer: pass})
+	if err == nil {
+		t.Fatal("New accepted an interposer over tcp")
 	}
 }

@@ -72,10 +72,11 @@ type Config struct {
 	// SeqObserver is never called: no ordering point numbers certifier
 	// responses any more. It stays only because bench/ sets it.
 	SeqObserver func(replica int, epoch, seq uint64, outcome string)
-	// PaxosCallHook, if set, filters certifier replication RPCs
-	// (from/to certifier ids); returning an error suppresses the send.
-	// Chaos drills use it to isolate certifiers from their peers.
-	PaxosCallHook func(from, to int, method string) error
+	// Interposer, if set, is installed on the local fabric before the
+	// certifier groups campaign, so its faults hold from the first
+	// message (Fabric().SetInterposer replaces it later). Interposers
+	// are local-only: New refuses one over "tcp".
+	Interposer transport.Interposer
 	// Storage and middleware tuning, applied to every replica.
 	PageMissEvery   int
 	CheckpointEvery int
@@ -146,8 +147,12 @@ func New(cfg Config) (*Cluster, error) {
 	switch cfg.Transport {
 	case "", "local":
 		c.localFab = transport.NewLocalFabric(0)
+		c.localFab.SetInterposer(cfg.Interposer)
 		c.fabric = c.localFab
 	case "tcp":
+		if cfg.Interposer != nil {
+			return nil, errors.New("cluster: an interposer needs the local transport")
+		}
 		c.tcpFab = transport.NewTCPFabric(0)
 		c.fabric = c.tcpFab
 	default:
@@ -218,20 +223,6 @@ func GroupCertifierName(g, k int) string { return fmt.Sprintf("cert-g%d-%d", g, 
 
 // ReplicaName returns the fabric-side identity of replica i (0-based).
 func ReplicaName(i int) string { return fmt.Sprintf("replica-%d", i) }
-
-// paxosHookFor curries the configured certifier-link filter for one
-// node (nil when unconfigured). Paxos peer ids are group-local; the
-// hook surfaces flat node indices so one rule vocabulary covers both
-// classic and partitioned clusters.
-func (c *Cluster) paxosHookFor(global int) func(peer int, method string) error {
-	if c.cfg.PaxosCallHook == nil {
-		return nil
-	}
-	base := (global / c.cfg.Certifiers) * c.cfg.Certifiers
-	return func(peer int, method string) error {
-		return c.cfg.PaxosCallHook(global, base+peer, method)
-	}
-}
 
 // newTopology builds replica i's view of the certifier tier: the hash
 // map plus one failover client per group — one group in the classic
@@ -480,7 +471,6 @@ func (c *Cluster) newCertifier(i int, incarnation int64) *certifier.Server {
 		MaxBatch:          c.cfg.CertMaxBatch,
 		AdmitTimeout:      c.cfg.CertAdmitTimeout,
 		QueueDepth:        c.cfg.CertQueueDepth,
-		PaxosCallHook:     c.paxosHookFor(i),
 		ElectionTimeout:   200 * time.Millisecond,
 		Seed:              c.cfg.Seed + int64(i) + 1000*incarnation,
 	})

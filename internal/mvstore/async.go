@@ -1,17 +1,17 @@
 package mvstore
 
-// Deferred-publication labeled commits. CommitLabeledAsync is the
-// install side of the parallel-apply split: the transaction's row
-// versions are installed into the chains immediately — concurrently
-// with other installers — but stamped with a provisional sequence no
-// snapshot can see. Publication (allocating the real commit sequence,
-// flipping the versions visible, advancing the commit-order semaphore
-// and releasing the write locks) is deferred until the semaphore
-// reaches the commit's from version, and happens strictly in global
-// version order under the store's apply gate. Readers therefore never
-// observe a torn commit or an out-of-order snapshot: visibility is
-// exactly the sync-path invariant, only the expensive install work has
-// moved off the ordered critical section.
+// Labeled commits. Every commit that carries a global version range —
+// CommitLabeledAsync, CommitLoggedAsync, and CommitLabeled, which waits
+// on CommitLabeledAsync — goes through the pending list: the
+// transaction's row versions are installed into the chains immediately —
+// concurrently with other installers — but stamped with a provisional
+// sequence no snapshot can see. Publication (allocating the real commit
+// sequence, flipping the versions visible, advancing the commit-order
+// semaphore and releasing the write locks) is deferred until the
+// semaphore reaches the commit's from version, and happens strictly in
+// global version order under the store's apply gate. Readers therefore
+// never observe a torn commit or an out-of-order snapshot; only the
+// expensive install work runs off the ordered critical section.
 //
 // The caller (the proxy's dependency scheduler) guarantees that two
 // commits writing the same key are never installed concurrently or out
@@ -24,7 +24,6 @@ package mvstore
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"tashkent/internal/core"
 )
@@ -50,14 +49,13 @@ const (
 )
 
 // pendingCommit is one installed-but-unpublished labeled commit
-// awaiting its publication turn.
+// awaiting its publication turn. A transaction's lives in its handle
+// (Tx.pend), so registering it allocates nothing.
 type pendingCommit struct {
 	txID     uint64
 	from, to uint64
-	token    uint64 // provisional seq its row versions carry
-	items    []core.ItemID
-	held     []core.ItemID
-	rows     int
+	token    uint64        // provisional seq its row versions carry
+	held     []core.ItemID // the written rows: each write locks its row first
 	cb       func(PendingOutcome)
 
 	outcome PendingOutcome // set by the drain before callbacks run
@@ -65,6 +63,8 @@ type pendingCommit struct {
 	// own, or for a superseded commit the newer state's: lock waiters
 	// with a snapshot below it are first-committer-wins losers.
 	seq uint64
+	// next links the commits one drain resolves, for their callbacks.
+	next *pendingCommit
 }
 
 // AnnounceAsync registers a hollow pending commit: nothing to install,
@@ -83,38 +83,39 @@ func (s *Store) AnnounceAsync(from, to uint64, cb func(PendingOutcome)) error {
 	return nil
 }
 
-// CommitLabeledAsync is CommitLabeled with publication deferred to the
-// commit-order semaphore: the commit record is logged and the row
-// versions installed now (group-committable and parallelizable with
-// concurrent installers), but they become visible — and the semaphore
-// advances to to — only when the store's announced version reaches
-// from, in strict global order. The write locks stay held until
-// publication, preserving first-committer-wins. cb reports the final
-// outcome; it may run synchronously (a range already superseded
-// resolves before return) or from whichever goroutine drives the
-// publication cascade. A range with nothing to install goes through
-// AnnounceAsync instead.
+// CommitLabeledAsync commits the update transaction over global versions
+// (from, to] — the label recovery reports (paper §7.2) — with
+// publication deferred to the commit-order semaphore (paper §8.3): the
+// commit record is logged and the row versions installed now
+// (group-committable and parallelizable with concurrent installers), but
+// they become visible — and the semaphore advances to to — only when the
+// store's announced version reaches from, in strict global order. The
+// write locks stay held until publication, preserving
+// first-committer-wins. cb reports the final outcome; it may run
+// synchronously (a range already superseded resolves before return) or
+// from whichever goroutine drives the publication cascade. A range with
+// nothing to install goes through AnnounceAsync instead.
 //
-// It is CommitLoggedAsync behind a one-record LogCommitRecords batch of
-// its own. Callers must ensure no concurrent installer holds an earlier
-// version of any written key un-published (see the package comment
-// above).
+// It is CommitLoggedAsync behind a one-record log append of its own.
+// Callers must ensure no concurrent installer holds an earlier version
+// of any written key un-published (see the package comment above).
 func (tx *Tx) CommitLabeledAsync(from, to uint64, cb func(PendingOutcome)) error {
 	if err := tx.checkLabeledUpdate("CommitLabeledAsync", from, to); err != nil {
 		return err
 	}
 	if tx.store.AnnouncedVersion() >= to {
-		// Superseded before the WAL write, exactly like the sync path:
-		// the record that covered the range is in the log already.
+		// Superseded before the WAL write: the record that covered the
+		// range is in the log already, and a recovery replay must never
+		// see this stale range after newer ones.
 		if err := tx.finishSuperseded(); err != nil {
 			return err
 		}
 		cb(PendingSuperseded)
 		return nil
 	}
-	logged, err := tx.store.LogCommitRecords([]CommitRecord{{From: from, To: to, WS: &tx.ws}})
+	logged, err := tx.store.log.AppendBatchAsync([][]byte{encodeCommitRecord(from, to, &tx.ws)})
 	if err != nil {
-		return err
+		return ErrCrashed
 	}
 	return tx.CommitLoggedAsync(from, to, logged, cb)
 }
@@ -148,18 +149,21 @@ func (tx *Tx) CommitLoggedAsync(from, to uint64, logged LogTicket, cb func(Pendi
 		s.unregister(tx.id)
 		return ErrCommitRejected
 	}
-	token := provisionalBit | s.pendTok.Add(1)
-	pc := &pendingCommit{
+	pc := &tx.pend
+	*pc = pendingCommit{
 		txID:  tx.id,
 		from:  from,
 		to:    to,
-		token: token,
-		items: make([]core.ItemID, 0, len(tx.writes)),
+		token: provisionalBit | s.pendTok.Add(1),
 		held:  held,
-		rows:  len(tx.writes),
 		cb:    cb,
 	}
-	s.installProvisional(tx, pc)
+	// Installed under the provisional token, the rows stay invisible
+	// until the drain stamps them with the commit's real sequence.
+	minSnap := s.minActiveSnapshot()
+	for item, pw := range tx.writes {
+		s.installWrite(item, pw, pc.token, minSnap)
+	}
 	// Out of the registry now: the pending holds row locks, not a
 	// snapshot, so it must not depress the GC floor for its whole
 	// pendency.
@@ -171,58 +175,6 @@ func (tx *Tx) CommitLoggedAsync(from, to uint64, logged LogTicket, cb func(Pendi
 	}
 	s.drainPending()
 	return nil
-}
-
-// asyncFanoutMin is the writeset size above which a provisional
-// install fans out across shard groups.
-const asyncFanoutMin = 64
-
-// asyncFanoutWorkers bounds the helper goroutines of one fanned-out
-// install.
-const asyncFanoutWorkers = 4
-
-// installProvisional installs every buffered write stamped with the
-// pending's provisional token. Large writesets are split by data shard
-// and installed by a few helpers in parallel — installs of different
-// shards share no lock (stripe-level install parallelism).
-func (s *Store) installProvisional(tx *Tx, pc *pendingCommit) {
-	minSnap := s.minActiveSnapshot()
-	for item := range tx.writes {
-		pc.items = append(pc.items, item)
-	}
-	if len(pc.items) < asyncFanoutMin {
-		for _, item := range pc.items {
-			s.installWrite(item, tx.writes[item], pc.token, minSnap)
-		}
-		return
-	}
-	groups := make(map[uint32][]core.ItemID)
-	for _, item := range pc.items {
-		sh := itemHash(item.Table, item.Key) & s.stripeMask
-		groups[sh] = append(groups[sh], item)
-	}
-	work := make(chan []core.ItemID, len(groups))
-	for _, g := range groups {
-		work <- g
-	}
-	close(work)
-	var wg sync.WaitGroup
-	n := asyncFanoutWorkers
-	if n > len(groups) {
-		n = len(groups)
-	}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range work {
-				for _, item := range g {
-					s.installWrite(item, tx.writes[item], pc.token, minSnap)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // registerPending inserts pc into the pending list (sorted by from).
@@ -260,9 +212,9 @@ func (s *Store) takeReadyPending(cur uint64) *pendingCommit {
 
 // drainPending publishes every pending commit whose turn has come, in
 // global version order, cascading through consecutive ranges. It is
-// called after anything that advances the announce semaphore (a gated
-// sync commit, SetAnnounced, a new registration against an
-// already-reached from). Each pending publishes its sequence and its
+// called after anything that advances the announce semaphore
+// (SetAnnounced, a new registration against an already-reached from).
+// Each pending publishes its sequence and its
 // label together, a hollow one its label over the same sequence, so a
 // snapshot taken mid-run is labeled exactly. The order-semaphore
 // waiters are woken once, at the end of the run, instead of once per
@@ -276,7 +228,8 @@ func (s *Store) drainPending() {
 	}
 	cur := s.AnnouncedVersion()
 	start := cur
-	var done []*pendingCommit
+	var done *pendingCommit
+	tail := &done
 	for {
 		pc := s.takeReadyPending(cur)
 		if pc == nil {
@@ -292,7 +245,7 @@ func (s *Store) drainPending() {
 				s.stats.superseded.Add(1)
 				s.stats.commits.Add(1)
 			}
-			done = append(done, pc)
+			*tail, tail = pc, &pc.next
 			continue
 		}
 		if pc.token != 0 {
@@ -303,20 +256,20 @@ func (s *Store) drainPending() {
 		s.publish(pc.seq, pc.to, false)
 		pc.outcome = PendingPublished
 		cur = pc.to
-		done = append(done, pc)
+		*tail, tail = pc, &pc.next
 	}
 	if cur > start {
 		s.publish(0, cur, true)
 	}
 	s.applyGate.Unlock()
-	for _, pc := range done {
+	for pc := done; pc != nil; pc = pc.next {
 		if pc.token != 0 {
 			// Locks release as committed either way: a superseded
 			// pending's effects are covered by the newer state, so
 			// first-committer-wins competitors must still abort.
 			s.releaseItems(pc.txID, pc.held, pc.seq)
 			if pc.outcome == PendingPublished {
-				s.chargeCheckpoint(pc.rows)
+				s.chargeCheckpoint(len(pc.held))
 			}
 		}
 		if pc.cb != nil {
@@ -347,22 +300,13 @@ func (s *Store) discardProvisional(pc *pendingCommit) {
 }
 
 // forEachProvisional locates each of pc's provisional row versions and
-// applies f to it, one shard lock per shard group. f returns the
-// chain's new contents.
+// applies f to it under the owning shard's lock. f returns the chain's
+// new contents.
 func (s *Store) forEachProvisional(pc *pendingCommit, f func(versions []rowVersion, i int) []rowVersion) {
-	byShard := make(map[uint32][]core.ItemID)
-	for _, item := range pc.items {
-		sh := itemHash(item.Table, item.Key) & s.stripeMask
-		byShard[sh] = append(byShard[sh], item)
-	}
-	for shIdx, items := range byShard {
-		sh := &s.shards[shIdx]
+	for _, item := range pc.held {
+		sh := s.dataShardOf(item.Table, item.Key)
 		sh.mu.Lock()
-		for _, item := range items {
-			t := sh.tables[item.Table]
-			if t == nil {
-				continue
-			}
+		if t := sh.tables[item.Table]; t != nil {
 			versions := t[item.Key]
 			for i := len(versions) - 1; i >= 0; i-- {
 				if versions[i].seq == pc.token {

@@ -181,9 +181,9 @@ func TestAnnounceAsync(t *testing.T) {
 }
 
 func TestAsyncMixedWithSyncCommitLabeled(t *testing.T) {
-	// Deferred-publication commits interleave with gated sync commits on
-	// the same announce chain: a sync CommitLabeled advance must release
-	// pendings queued behind it, and vice versa.
+	// Deferred-publication commits interleave with waited-on
+	// CommitLabeled commits on the same announce chain: a CommitLabeled
+	// advance must release pendings queued behind it, and vice versa.
 	s := openInstant(t)
 	var log outcomeLog
 

@@ -131,8 +131,9 @@ func TestBeginLabelCoversSnapshot(t *testing.T) {
 			t.Fatalf("after the drain: announced %d, %d published; want %d", got, published.Load(), labelRows)
 		}
 	})
-	// The synchronous labeled path the Base and Tashkent-MW merger
-	// takes: gated CommitLabeled commits, one version each.
+	// Commits handed over one at a time, as the Base and Tashkent-MW
+	// merger hands them: CommitLabeled, one version each, each
+	// published before the next begins.
 	t.Run("sync", func(t *testing.T) {
 		s := openInstant(t)
 		stop := startLabelReaders(t, s)

@@ -662,13 +662,24 @@ func TestRecoverNoSyncLosesCommits(t *testing.T) {
 
 func TestRecoveryCoverageChain(t *testing.T) {
 	s := Open(Config{})
-	// Labeled records: (0,3], (3,4], then a gap (7,8].
-	for _, r := range [][2]uint64{{0, 3}, {3, 4}, {7, 8}} {
+	// Labeled records: (0,3], (3,4], then a gap (7,8]. Nothing announces
+	// 7, so the gap record is logged directly, as a Tashkent-API run logs
+	// ranges whose installers have not run yet.
+	for _, r := range [][2]uint64{{0, 3}, {3, 4}} {
 		tx, _ := s.Begin()
 		tx.Update("t", fmt.Sprintf("k%d", r[1]), map[string][]byte{"v": []byte{1}})
 		if err := tx.CommitLabeled(r[0], r[1]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	gap := &core.Writeset{}
+	gap.Add(core.WriteOp{Kind: core.OpUpdate, Table: "t", Key: "k8", Cols: []core.ColUpdate{{Col: "v", Value: []byte{1}}}})
+	logged, err := s.LogCommitRecords([]CommitRecord{{From: 7, To: 8, WS: gap}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := logged(); err != nil {
+		t.Fatal(err)
 	}
 	img, _ := s.Crash()
 	r, info, err := RecoverFromWAL(Config{}, img, 0)
@@ -962,5 +973,68 @@ func TestCheckpointChargesDataDisk(t *testing.T) {
 			t.Fatalf("PageOps = %d, want >= 10 (checkpointer is async)", dd.Stats().PageOps)
 		case <-time.After(time.Millisecond):
 		}
+	}
+}
+
+// TestCommitLabeledSuperseded: a labeled commit whose range the store has
+// already announced past — a catch-up carried the state beyond it —
+// finishes as committed without touching the log or the rows, and its
+// locks release as a commit's, so a competitor that ran concurrently
+// still loses first-committer-wins.
+func TestCommitLabeledSuperseded(t *testing.T) {
+	s := Open(Config{})
+	set(t, s, "t", "k", "v", "old")
+	rival := mustBegin(t, s) // its snapshot predates the state announced below
+	set(t, s, "t", "other", "v", "x")
+	s.SetAnnounced(5)
+	before := s.Stats().SupersededCommits
+
+	tx := mustBegin(t, s)
+	if err := tx.Update("t", "k", map[string][]byte{"v": []byte("stale")}); err != nil {
+		t.Fatal(err)
+	}
+	rivalErr := make(chan error, 1)
+	go func() { rivalErr <- rival.Update("t", "k", map[string][]byte{"v": []byte("rival")}) }()
+	item := core.ItemID{Table: "t", Key: "k"}
+	st := s.lockStripeOf(item)
+	for queued := 0; queued < 1; time.Sleep(time.Millisecond) {
+		st.mu.Lock()
+		if ls := st.locks[item]; ls != nil {
+			queued = len(ls.waiters)
+		}
+		st.mu.Unlock()
+	}
+	if err := tx.CommitLabeled(3, 4); err != nil {
+		t.Fatalf("superseded CommitLabeled: %v", err)
+	}
+	if err := <-rivalErr; !errors.Is(err, ErrWriteConflict) {
+		t.Errorf("competitor blocked behind the superseded commit: %v, want ErrWriteConflict", err)
+	}
+	rival.Abort()
+	if v, _ := get(t, s, "t", "k", "v"); v != "old" {
+		t.Errorf("row after the superseded commit = %q, want old", v)
+	}
+	if got := s.Stats().SupersededCommits - before; got != 1 {
+		t.Errorf("SupersededCommits rose by %d, want 1", got)
+	}
+	img, _ := s.Crash()
+	r, info, err := RecoverFromWAL(Config{}, img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if info.Records != 2 {
+		t.Errorf("crash image replays %d records, want the 2 unlabeled commits", info.Records)
+	}
+
+	// A store shut down under an open transaction refuses its commit.
+	s2 := Open(Config{})
+	tx2 := mustBegin(t, s2)
+	if err := tx2.Update("t", "k", map[string][]byte{"v": []byte("1")}); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	if err := tx2.CommitLabeled(0, 1); !errors.Is(err, ErrCrashed) {
+		t.Errorf("CommitLabeled on a closed store: %v, want ErrCrashed", err)
 	}
 }

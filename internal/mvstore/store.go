@@ -25,8 +25,11 @@
 //     commit record immediately (groupable with concurrent commits) and
 //     installs the rows invisibly, but publishes the commit only when
 //     the database version reaches `from` — the 20-line semaphore
-//     change of paper §8.3. CommitLoggedAsync is the same commit behind
-//     a record LogCommitRecords already logged.
+//     change of paper §8.3. It is the store's one labeled commit:
+//     CommitLoggedAsync is the same commit behind a record
+//     LogCommitRecords already logged, and CommitLabeled waits on it.
+//     Base and Tashkent-MW hand their commits over one at a time, so
+//     theirs publish at once; Commit is the unlabeled standalone path.
 //   - DUMP/RESTORE for middleware-driven recovery, WAL replay
 //     recovery, and crash simulation with or without physical data
 //     integrity (paper §7.1 cases 1 and 2).
@@ -201,21 +204,17 @@ type Store struct {
 	pubCond   *sync.Cond
 	orderWait []orderWaiter
 
-	// applyGate serializes the install+publish step of *labeled*
-	// commits so globally-versioned writesets always reach the row
-	// chains in version order. In healthy operation the gate is
-	// uncontended (the proxy's merger / order semaphore already
-	// serialize labeled applies); it exists for the degraded paths —
-	// a resync racing in-flight remote appliers after lost responses
-	// or a certifier failover — where two appliers can hold
-	// overlapping version ranges. The loser of the gate finds its
-	// range already announced and skips (supersededCommits), instead
-	// of installing stale values over newer ones.
+	// applyGate serializes the pending-list drains, so labeled commits
+	// publish strictly in version order and each drain judges a
+	// pending's range against the label the previous one left. A
+	// resync racing in-flight appliers (lost responses, a certifier
+	// failover) can announce past a pending range; the drain then
+	// discards its invisible versions (supersededCommits) instead of
+	// publishing stale values over newer ones.
 	applyGate sync.Mutex
 
-	// Deferred-publication labeled commits (CommitLabeledAsync):
-	// installed with a provisional sequence, awaiting their announce
-	// turn. pendList is sorted by from; drainPending publishes ready
+	// Labeled commits installed with a provisional sequence, awaiting
+	// their announce turn. pendList is sorted by from; drainPending publishes ready
 	// prefixes under applyGate. See async.go.
 	pendMu   sync.Mutex
 	pendList []*pendingCommit

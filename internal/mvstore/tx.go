@@ -48,6 +48,8 @@ type Tx struct {
 	state atomic.Int32
 	mu    sync.Mutex // guards held against Kill/ConflictingActiveTxns
 	held  []core.ItemID
+
+	pend pendingCommit // its labeled commit awaiting publication (async.go)
 }
 
 // ID returns the transaction identifier (used with Store.Kill).
@@ -247,20 +249,10 @@ func (tx *Tx) Abort() error {
 
 // Commit finishes the transaction with standalone-database semantics:
 // read-only transactions finish immediately; update transactions write
-// a commit record (group-committed with concurrent committers) and are
-// announced in whatever order they complete. Equivalent to
-// CommitLabeled with zero labels.
-func (tx *Tx) Commit() error { return tx.CommitLabeled(0, 0) }
-
-// CommitLabeled is Commit with a recovery label attached to the commit
-// record: the transaction covers global versions (from, to]. The
-// middleware proxy uses labels so WAL recovery can report which global
-// versions survived (paper §7.2). Announce order is arrival order —
-// callers (Base/Tashkent-MW proxies) serialize externally. A labeled
-// commit whose range the store has already announced past skips
-// installation (see applyCommit): a catch-up resync carried the state
-// beyond it, and installing now would regress newer row versions.
-func (tx *Tx) CommitLabeled(from, to uint64) error {
+// an unlabeled commit record (group-committed with concurrent
+// committers) and are published in whatever order they complete, under
+// the label the store has already announced.
+func (tx *Tx) Commit() error {
 	if err := tx.check(); err != nil {
 		return err
 	}
@@ -276,16 +268,28 @@ func (tx *Tx) CommitLabeled(from, to uint64) error {
 		s.unregister(tx.id)
 		return nil
 	}
-	if to > 0 && tx.store.AnnouncedVersion() >= to {
-		// Superseded before the WAL write: skip the record too, so a
-		// recovery replay never sees this stale range after newer ones.
-		return tx.finishSuperseded()
-	}
-	rec := encodeCommitRecord(from, to, &tx.ws)
-	if err := tx.store.log.Append(rec); err != nil {
+	if err := tx.store.log.Append(encodeCommitRecord(0, 0, &tx.ws)); err != nil {
 		return ErrCrashed
 	}
-	return tx.applyCommit(to)
+	return tx.applyCommit()
+}
+
+// CommitLabeled is CommitLabeledAsync waited on: the update transaction
+// covers global versions (from, to], a label recovery reports (paper
+// §7.2), and the call returns once the commit has published — which it
+// does only when the store has announced from, so a caller that skips a
+// version waits until something announces it. A range the store has
+// already announced past finishes as superseded (see CommitLabeledAsync)
+// and returns nil.
+func (tx *Tx) CommitLabeled(from, to uint64) error {
+	done := make(chan PendingOutcome, 1)
+	if err := tx.CommitLabeledAsync(from, to, func(oc PendingOutcome) { done <- oc }); err != nil {
+		return err
+	}
+	if <-done == PendingCrashed {
+		return ErrCrashed
+	}
+	return nil
 }
 
 // checkLabeledUpdate validates the handle and the arguments of the
@@ -311,15 +315,13 @@ type LogTicket func() error
 
 // LogCommitRecords appends the commit records of recs to the log as one
 // batch, in the order given, and returns as soon as they hold their
-// places in the log order — before they are durable. It is the one
-// routine that logs a deferred-publication commit: CommitLabeledAsync
-// logs a batch of one through it, and the proxy logs every record of a
-// Tashkent-API certifier response (remote chunks and the local commit,
-// ascending global versions) in one call, so the records reach the log
-// in global order and share one fsync however far apart their
-// installers run. Each record's commit is then finished with
-// CommitLoggedAsync, which waits on the ticket where it would have
-// waited on its own append.
+// places in the log order — before they are durable. The proxy logs
+// every record of a Tashkent-API certifier response (remote chunks and
+// the local commit, ascending global versions) in one call, so the
+// records reach the log in global order and share one fsync however far
+// apart their installers run. Each record's commit is then finished with
+// CommitLoggedAsync, which waits on the ticket where CommitLabeledAsync
+// waits on its own one-record append.
 //
 // A record may be in the log while its installer holds no lock yet, is
 // retried, or gives up; recovery orders replay by label for that reason
@@ -336,21 +338,13 @@ func (s *Store) LogCommitRecords(recs []CommitRecord) (LogTicket, error) {
 	return wait, nil
 }
 
-// applyCommit is the tail of the synchronous update commits (Commit,
-// CommitLabeled): latch the state against Kill, allocate the install
-// sequence, install every row version stamped with it, publish the
-// sequence in order — labeled announceTo, which raises the commit-order
-// semaphore with it (0 = unlabeled commit, the label stays) — so readers
-// never observe a torn commit or a label behind it, and release write
-// locks (first-committer-wins). The deferred-publication commits install
-// and publish through the pending list instead (see async.go).
-//
-// Labeled commits (announceTo > 0) additionally pass the store's apply
-// gate: installation and publication form one critical section, and a
-// commit whose range was announced past while it waited (a catch-up
-// resync overtook it) skips installation entirely instead of writing
-// stale row versions over newer ones.
-func (tx *Tx) applyCommit(announceTo uint64) error {
+// applyCommit is the tail of Commit: latch the state against Kill,
+// allocate the install sequence, install every row version stamped with
+// it, publish the sequence in order — readers never observe a torn
+// commit — and release write locks (first-committer-wins). Labeled
+// commits install and publish through the pending list instead (see
+// async.go).
+func (tx *Tx) applyCommit() error {
 	s := tx.store
 	if s.crashed.Load() {
 		return ErrCrashed
@@ -371,14 +365,6 @@ func (tx *Tx) applyCommit(announceTo uint64) error {
 		s.unregister(tx.id)
 		return ErrCommitRejected
 	}
-	gated := announceTo > 0
-	if gated {
-		s.applyGate.Lock()
-		if s.AnnouncedVersion() >= announceTo {
-			s.applyGate.Unlock()
-			return tx.finishSupersededLatched(held)
-		}
-	}
 	// From here the commit must complete unconditionally: a stall
 	// between sequence allocation and publication would wedge every
 	// later committer's publication wait. Everything below is pure
@@ -388,20 +374,11 @@ func (tx *Tx) applyCommit(announceTo uint64) error {
 	for item, pw := range tx.writes {
 		s.installWrite(item, pw, seq, minSnap)
 	}
-	s.publish(seq, announceTo, gated)
-	if gated {
-		s.applyGate.Unlock()
-	}
+	s.publish(seq, 0, false)
 	s.stats.commits.Add(1)
 	s.releaseItems(tx.id, held, seq)
 	s.unregister(tx.id)
 	s.chargeCheckpoint(len(tx.writes))
-	if gated {
-		// The announce advance may have made deferred-publication
-		// commits (CommitLabeledAsync) eligible; publish them now that
-		// the gate is free.
-		s.drainPending()
-	}
 	return nil
 }
 
@@ -421,12 +398,6 @@ func (tx *Tx) finishSuperseded() error {
 	held := tx.held
 	tx.held = nil
 	tx.mu.Unlock()
-	return tx.finishSupersededLatched(held)
-}
-
-// finishSupersededLatched is the tail of finishSuperseded for callers
-// that already latched the state and collected the held locks.
-func (tx *Tx) finishSupersededLatched(held []core.ItemID) error {
 	s := tx.store
 	s.stats.superseded.Add(1)
 	s.stats.commits.Add(1)

@@ -216,7 +216,11 @@ func voterWithEntry(t *testing.T, disk *simdisk.Disk) *Node {
 	t.Helper()
 	w := wal.New(simdisk.New(simdisk.Instant(), 1), wal.SyncCommits)
 	defer w.Close()
-	w.AppendBatch(entryRecords([]Entry{{Index: 1, Term: 1, Data: []byte("e")}}))
+	wait, err := w.AppendBatchAsync(entryRecords([]Entry{{Index: 1, Term: 1, Data: []byte("e")}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
 	n := NewNode(Config{ID: 0, Disk: disk})
 	if err := n.RestoreFromImage(w.CrashImage(0)); err != nil {
 		t.Fatal(err)

@@ -253,7 +253,11 @@ func walImage(t *testing.T, recs ...[]byte) []byte {
 	t.Helper()
 	w := wal.New(simdisk.New(simdisk.Instant(), 1), wal.SyncCommits)
 	defer w.Close()
-	if err := w.AppendBatch(recs); err != nil {
+	wait, err := w.AppendBatchAsync(recs)
+	if err == nil {
+		err = wait()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return w.CrashImage(0)

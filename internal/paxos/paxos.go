@@ -89,12 +89,6 @@ type Config struct {
 	// NoSync for the paper's tashAPInoCERT ablation, where the
 	// certifier performs certification but skips disk writes.
 	WALMode wal.Mode
-	// CallHook, if set, is consulted before every outgoing peer RPC
-	// (votes, appends); returning a non-nil error suppresses the send,
-	// which the protocol treats like an unreachable peer. The chaos
-	// harness uses it to cut a node's replication links without
-	// touching the transport fabric.
-	CallHook func(peer int, method string) error
 	// ElectionTimeout is the base follower timeout (jittered per
 	// node); HeartbeatInterval the leader's idle append cadence.
 	ElectionTimeout   time.Duration

@@ -588,13 +588,26 @@ func TestLeaderDoesNotSpinOnCutFollower(t *testing.T) {
 	var cut atomic.Int32
 	cut.Store(-1)
 	var attempts atomic.Int64
+	name := func(i int) string { return fmt.Sprintf("cert%d", i) }
 	fabric := transport.NewLocalFabric(0)
+	fabric.SetInterposer(linkFunc(func(from, to, method string) error {
+		switch c := int(cut.Load()); {
+		case c < 0:
+			return nil
+		case from == name(c):
+			return errCut
+		case to == name(c) && method == MethodAppend:
+			attempts.Add(1)
+			return errCut
+		}
+		return nil
+	}))
 	g := &group{fabric: fabric}
 	for i := 0; i < nodes; i++ {
 		peers := make(map[int]transport.Client)
 		for j := 0; j < nodes; j++ {
 			if j != i {
-				peers[j] = fabric.Dial(fmt.Sprintf("cert%d", j))
+				peers[j] = fabric.DialFrom(name(i), name(j))
 			}
 		}
 		g.nodes = append(g.nodes, NewNode(Config{
@@ -603,20 +616,8 @@ func TestLeaderDoesNotSpinOnCutFollower(t *testing.T) {
 			Disk:            simdisk.New(simdisk.Instant(), int64(i)),
 			ElectionTimeout: electionTimeout,
 			Seed:            int64(i) + 1,
-			CallHook: func(peer int, method string) error {
-				switch c := int(cut.Load()); {
-				case c < 0:
-					return nil
-				case i == c:
-					return errCut
-				case peer == c && method == MethodAppend:
-					attempts.Add(1)
-					return errCut
-				}
-				return nil
-			},
 		}))
-		g.servers = append(g.servers, fabric.Serve(fmt.Sprintf("cert%d", i), g.nodes[i].HandleRPC))
+		g.servers = append(g.servers, fabric.Serve(name(i), g.nodes[i].HandleRPC))
 	}
 	for _, node := range g.nodes {
 		node.Start()
@@ -644,4 +645,15 @@ func TestLeaderDoesNotSpinOnCutFollower(t *testing.T) {
 		t.Errorf("%d append attempts to the cut follower in %v, want at most %d (%d heartbeats, %d proposals)", n, window.Round(time.Millisecond), bound, heartbeats, proposals)
 	}
 	t.Logf("%d append attempts to the cut follower in %v", n, window.Round(time.Millisecond))
+}
+
+// linkFunc adapts a per-link filter to transport.Interposer: a non-nil
+// error cuts the call before it is delivered.
+type linkFunc func(from, to, method string) error
+
+func (f linkFunc) Call(from, to, method string, req []byte, deliver func() ([]byte, error)) ([]byte, error) {
+	if err := f(from, to, method); err != nil {
+		return nil, err
+	}
+	return deliver()
 }

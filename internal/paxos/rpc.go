@@ -92,18 +92,6 @@ func (n *Node) HandleRPC(method string, req []byte) ([]byte, error) {
 	}
 }
 
-// callPeer sends one RPC to a peer, consulting the pluggable call hook
-// first: a hook error suppresses the send, which every caller already
-// treats as an unreachable peer (chaos link cuts, targeted isolation).
-func (n *Node) callPeer(peer int, client transport.Client, method string, req []byte) ([]byte, error) {
-	if h := n.cfg.CallHook; h != nil {
-		if err := h(peer, method); err != nil {
-			return nil, err
-		}
-	}
-	return client.Call(method, req)
-}
-
 // persistMetaLocked writes term/vote durably. Called with n.mu held;
 // temporarily releases it around the disk write.
 func (n *Node) persistMetaLocked() {
@@ -361,9 +349,9 @@ func (n *Node) startElectionLocked() {
 	if err != nil {
 		return
 	}
-	for id, client := range peers {
+	for _, client := range peers {
 		go func() {
-			respB, err := n.callPeer(id, client, MethodVote, req)
+			respB, err := client.Call(MethodVote, req)
 			if err != nil {
 				return
 			}
@@ -511,7 +499,7 @@ func (n *Node) replicateTo(peer int) {
 			return
 		}
 		answered = false
-		respB, err := n.callPeer(peer, client, MethodAppend, req)
+		respB, err := client.Call(MethodAppend, req)
 		if err != nil {
 			return // peer down; heartbeat will retry
 		}

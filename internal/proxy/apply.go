@@ -37,10 +37,12 @@ func (o *ownCommit) dropHandle() {
 // else:
 //
 //   - Base and Tashkent-MW (§6.2 steps C4–C5) submit serially: the
-//     run's remotes merged into one entry, which the merger installs by
-//     CommitLabeled — an unsharable WAL flush in Base, a memory operation
-//     in Tashkent-MW — and once it has published, the local transaction,
-//     which the merger commits by CommitLabeled through finishOwn.
+//     run's remotes merged into one entry, which the merger installs —
+//     an unsharable WAL flush in Base, a memory operation in Tashkent-MW
+//     — and once it has published, the local transaction, which the
+//     merger commits through finishOwn. Each entry's from is announced
+//     when the merger hands it over, so it publishes before its commit
+//     returns.
 //   - Tashkent-API (§5.2) submits the remotes as chunks for the worker
 //     pool and the local commit as an entry that the waiting client
 //     commits itself (the returned finish) like any chunk: installed at
@@ -90,7 +92,7 @@ func (p *Proxy) applyRun(basis uint64, remotes []RemoteEntry, own *ownCommit) (f
 		top = max(top, own.cv)
 	}
 	for _, e := range entries {
-		e.serial, e.held = serial, e.held || serial
+		e.held = e.held || serial
 		if e.held {
 			e.done = make(chan mvstore.PendingOutcome, 1)
 		}
@@ -138,9 +140,9 @@ func (p *Proxy) applyRun(basis uint64, remotes []RemoteEntry, own *ownCommit) (f
 
 // finishOwn commits a run's local transaction tx over the range of e,
 // the entry held for it, through the scheduler's one commit routine: under
-// Base and Tashkent-MW by CommitLabeled on the merger, under Tashkent-API
-// by its client, like every chunk of its run — installed behind the
-// record the run logged and published from the pending list at its turn.
+// Base and Tashkent-MW on the merger, under Tashkent-API by its client,
+// like every chunk of its run — installed behind the record the run
+// logged and published from the pending list at its turn.
 // A commit the database refuses is handed to the workers, which re-apply
 // the writeset by a fresh transaction (§8.1 soft recovery). Either way e
 // resolves, which releases the later entries waiting for it in the

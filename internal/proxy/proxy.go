@@ -132,8 +132,8 @@ type Config struct {
 	// ApplyWorkers is the pool size of the dependency-tracked applier
 	// (see schedule.go), 0 = 8: labeled remote writesets are
 	// conflict-analyzed per store stripe, installed concurrently by
-	// this many workers (one is the serial gate) and published strictly
-	// in global order. Under Tashkent-API the pool installs every chunk;
+	// this many workers (one installs them one at a time) and published
+	// strictly in global order. Under Tashkent-API the pool installs every chunk;
 	// under Base and Tashkent-MW the merger installs each entry itself
 	// (see applyRun), and the pool only retries a failed attempt.
 	ApplyWorkers int

@@ -77,13 +77,10 @@ type applyEntry struct {
 	marked   bool // ws items registered in-flight (first attempt → resolve)
 	// held marks an entry its submitter makes the first attempt at, so no
 	// worker takes it until that attempt fails: the merger installs a
-	// serial entry, a client commits its own transaction (finishOwn). Until
-	// it resolves, a later entry on its rows waits for it, and its holder
-	// waits on done.
+	// Base or Tashkent-MW entry, a client commits its own transaction
+	// (finishOwn). Until it resolves, a later entry on its rows waits for
+	// it, and its holder waits on done.
 	held bool
-	// serial marks a Base or Tashkent-MW entry: every attempt commits with
-	// the synchronous CommitLabeled, published when it returns.
-	serial bool
 	// done, which applyRun makes for a held entry, receives its outcome
 	// from resolve.
 	done  chan mvstore.PendingOutcome
@@ -324,7 +321,7 @@ func (s *applyScheduler) watch() {
 }
 
 // install runs one attempt at an entry — on a pool worker, or on the
-// holder of a serial entry: install the writeset with the eager kills of
+// merger for a Base or Tashkent-MW entry: install the writeset with the eager kills of
 // §8.2 and commit it. A failed attempt goes back to the window
 // (requeue).
 func (s *applyScheduler) install(e *applyEntry) {
@@ -366,28 +363,21 @@ func (s *applyScheduler) install(e *applyEntry) {
 }
 
 // commit commits tx, which holds e's writeset, over e's range: the one
-// commit of every attempt at an entry, a worker's install or a client's
-// own transaction (finishOwn). A serial entry commits with the
-// synchronous CommitLabeled and resolves when it returns. Any other
-// commits with deferred publication — CommitLoggedAsync behind the record
-// its run already logged, else CommitLabeledAsync, which logs its own —
-// so its versions publish at their global turn and the store's
-// publication callback resolves it (at once on the superseded fast
-// path). On an error e is unresolved and tx left to the caller.
+// commit of every attempt at an entry, a worker's install, the merger's
+// or a client's own transaction (finishOwn). It commits with deferred
+// publication — CommitLoggedAsync behind the record its run already
+// logged, else CommitLabeledAsync, which logs its own — so its versions
+// publish at their global turn and the store's publication callback
+// resolves it: before commit returns when the store has announced e's
+// from already, as it has for every Base and Tashkent-MW entry, which
+// the merger hands over one at a time. On an error e is unresolved and
+// tx left to the caller.
 func (s *applyScheduler) commit(e *applyEntry, tx *mvstore.Tx) error {
 	cb := func(oc mvstore.PendingOutcome) { s.resolve(e, oc) }
-	switch {
-	case e.serial:
-		err := tx.CommitLabeled(e.from, e.to)
-		if err == nil {
-			cb(mvstore.PendingPublished)
-		}
-		return err
-	case e.logged != nil:
+	if e.logged != nil {
 		return tx.CommitLoggedAsync(e.from, e.to, e.logged, cb)
-	default:
-		return tx.CommitLabeledAsync(e.from, e.to, cb)
 	}
+	return tx.CommitLabeledAsync(e.from, e.to, cb)
 }
 
 // requeue hands an entry whose attempt failed to the workers (§8.1 soft

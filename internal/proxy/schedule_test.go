@@ -206,7 +206,9 @@ func TestParallelApplyMatchesSerialState(t *testing.T) {
 	// The pool must reach exactly the state a bare store reaches applying
 	// the stream one version at a time on a conflicted stream (same-key
 	// versions serialize through dependency edges; disjoint ones commute
-	// via absolute values). The reference shares no proxy code.
+	// via absolute values). The reference shares no proxy code and
+	// commits unlabeled, so it does not go through the pending list it
+	// judges; labels do not enter the fingerprint.
 	r := newRig(t, 1, TashkentAPI, nil)
 	const n = 150
 	entries := make([]RemoteEntry, 0, n)
@@ -227,7 +229,7 @@ func TestParallelApplyMatchesSerialState(t *testing.T) {
 		if err := tx.ApplyWriteset(e.WS); err != nil {
 			t.Fatalf("serial apply of v%d: %v", e.Version, err)
 		}
-		if err := tx.CommitLabeled(e.Version-1, e.Version); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatalf("serial commit of v%d: %v", e.Version, err)
 		}
 	}

@@ -86,27 +86,17 @@ func New(disk *simdisk.Disk, mode Mode) *WAL {
 	return w
 }
 
-// Append adds one record to the log. In SyncCommits mode it returns
-// only after the record is durable; any records queued by concurrent
-// callers in the meantime share the same fsync (group commit). In
-// NoSync mode it returns immediately after buffering.
+// Append adds one record to the log: a one-record AppendBatchAsync and
+// its wait. In SyncCommits mode it returns only after the record is
+// durable; any records queued by concurrent callers in the meantime
+// share the same fsync (group commit). In NoSync mode it returns
+// immediately after buffering.
 func (w *WAL) Append(payload []byte) error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
+	wait, err := w.AppendBatchAsync([][]byte{payload})
+	if err != nil {
+		return err
 	}
-	if w.mode == NoSync {
-		w.appendFrameLocked(payload)
-		w.mu.Unlock()
-		return nil
-	}
-	req := appendReq{payload: payload, done: make(chan struct{})}
-	w.pending = append(w.pending, req)
-	w.cond.Signal()
-	w.mu.Unlock()
-	<-req.done
-	return nil
+	return wait()
 }
 
 // appendFrameLocked encodes payload into the volatile image.
@@ -171,24 +161,14 @@ func (w *WAL) writerLoop() {
 	}
 }
 
-// AppendBatch adds several records as one unit: in SyncCommits mode
-// all of them are queued together so the writer covers the whole batch
-// (plus any concurrent appends) with a single fsync; it returns when
-// every record is durable. A paxos follower persisting the entries of
-// one replication round uses this to pay one disk flush, not N.
-func (w *WAL) AppendBatch(payloads [][]byte) error {
-	wait, err := w.AppendBatchAsync(payloads)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// AppendBatchAsync is AppendBatch split at its ordering point: it
-// returns as soon as the records occupy their slots in the log order,
-// and the returned wait function blocks until every one of them is
-// durable. A caller that must keep consecutive batches in log order
-// without serializing on fsync completion (a replication leader
+// AppendBatchAsync adds several records as one unit and returns as soon
+// as they occupy their slots in the log order; the returned wait
+// function blocks until every one of them is durable. In SyncCommits
+// mode the records are queued together, so the writer covers the whole
+// batch (plus any concurrent appends) with a single fsync: a paxos
+// follower persisting the entries of one replication round pays one
+// disk flush, not N. A caller that must keep consecutive batches in log
+// order without serializing on fsync completion (a replication leader
 // persisting back-to-back rounds, a replica logging the commit records
 // of one certifier response) enqueues each batch in order and waits
 // afterwards — batches still share fsyncs through the writer's group
