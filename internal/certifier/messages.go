@@ -276,8 +276,8 @@ func parseOverloaded(msg string) (retryAfter time.Duration, ok bool) {
 //
 // The leader makes it once per entry (newLogEntry) and every holder
 // shares that slice by reference: it is the paxos Entry.Data, the body
-// of the node's WAL record, the Payload the engine keeps, and the
-// WSBytes of every RemoteWS shipped to a replica in either deployment.
+// of the node's WAL record, and the WSBytes of every RemoteWS shipped
+// to a replica in either deployment.
 // Nobody writes to it, and it never aliases a transport frame — the
 // log outlives every frame. encodePayload is the only function that
 // writes the layout and DecodeLogEntry the only one that reads it.

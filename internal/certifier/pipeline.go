@@ -543,9 +543,9 @@ func (s *Server) processBatch(batch []*task) {
 		}
 	}
 
-	// Answers are built now, in admission order, from the engine as the
-	// batch left it; tasks doomed by a propose failure get none (they fail
-	// with an error below).
+	// Answers are built now, in admission order, from the paxos log as
+	// the batch's propose left it; tasks doomed by a propose failure get
+	// none (they fail with an error below).
 	for _, t := range batch {
 		inBatch := t.index > head
 		if t.err != nil || inBatch && proposeErr != nil {

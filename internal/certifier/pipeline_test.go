@@ -941,9 +941,7 @@ func TestVotesAreFirstRecords(t *testing.T) {
 	if err != nil || refused.Yes || refused.Index != before+1 || len(refused.Remote) != 0 {
 		t.Fatalf("prepare over a locked item: %+v, %v; want a no at %d", refused, err, before+1)
 	}
-	s.mu.Lock()
-	e, err := s.engine.Entry(core.Version(refused.Index))
-	s.mu.Unlock()
+	e, err := DecodeLogEntry(s.node.Entries(refused.Index-1, refused.Index)[0].Data)
 	if err != nil || e.Kind != core.KindAbortMarker || e.GID != 2 {
 		t.Fatalf("entry %d = %+v (%v), want gid 2's abort marker", refused.Index, e, err)
 	}
@@ -1005,16 +1003,14 @@ func TestPreparePadsToFillTo(t *testing.T) {
 		t.Fatalf("prepare with FillTo %d over a log of %d: %+v, %v (log %d); want a yes at %d and a log of %d",
 			head+3, head, p, err, s.node.LogLength(), head+4, head+4+alignPad)
 	}
-	s.mu.Lock()
 	for v := head + 1; v <= p.Index+alignPad; v++ {
 		if v == p.Index {
 			continue
 		}
-		if e, err := s.engine.Entry(core.Version(v)); err != nil || e.Kind != core.KindData || !e.WS.Empty() {
+		if e, err := DecodeLogEntry(s.node.Entries(v-1, v)[0].Data); err != nil || e.Kind != core.KindData || !e.WS.Empty() {
 			t.Errorf("entry %d = %+v (%v), want a fill no-op", v, e, err)
 		}
 	}
-	s.mu.Unlock()
 	if n := len(p.Remote); n != 4+alignPad || p.Remote[3].Version != p.Index || p.Remote[n-1].Version != p.Index+alignPad {
 		t.Errorf("the yes ships %d entries, want the fills, the prepare and the pad", n)
 	}

@@ -220,10 +220,6 @@ func (s *Server) Disk() *simdisk.Disk { return s.disk }
 // writesets-per-fsync figure the paper reports.
 func (s *Server) DiskStats() simdisk.Stats { return s.disk.Stats() }
 
-// DiskUtilization reports the log channel's busy fraction since the
-// last stats reset.
-func (s *Server) DiskUtilization() float64 { return s.disk.Utilization() }
-
 // BatchStats summarizes the certification pipeline's batch sizes: how
 // many commits shared one replication round and durability barrier.
 func (s *Server) BatchStats() metrics.DistSummary { return s.batchSizes.Summarize() }
@@ -431,21 +427,20 @@ func (s *Server) Barrier() (uint64, error) {
 	return s.node.CommitIndex(), nil
 }
 
-// remotesLocked collects the writesets in (after, upTo].
+// remotesLocked collects the log entries in (after, upTo] from the
+// paxos log, each as the payload it holds: the replica merges the whole
+// entry (kind and 2PC metadata) into its stream. The log may hold an
+// uncommitted suffix that a new leader later overwrites, but no answer
+// ships one: every upTo above committedCap comes from the batch just
+// proposed, and its tasks are answered only once WaitCommitted(lastIdx,
+// term) has confirmed that batch in this term (see processBatch).
 func (s *Server) remotesLocked(after, upTo uint64) []RemoteWS {
-	entries, err := s.engine.EntriesSince(core.Version(after), core.Version(upTo))
-	if err != nil {
-		// Horizon truncated below the replica's version; the replica
-		// must do a full resync. Ship nothing.
-		return nil
-	}
+	entries := s.node.Entries(after, upTo)
 	remote := make([]RemoteWS, 0, len(entries))
 	for _, e := range entries {
-		// The log entry's own payload, as it is: the replica merges the
-		// whole entry (kind and 2PC metadata) into its stream.
-		remote = append(remote, RemoteWS{Version: uint64(e.Version), WSBytes: e.Payload})
-		s.stats.RemoteShipped++
+		remote = append(remote, RemoteWS{Version: e.Index, WSBytes: e.Data})
 	}
+	s.stats.RemoteShipped += int64(len(entries))
 	return remote
 }
 

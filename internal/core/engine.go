@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // EntryKind distinguishes the entry types a partitioned certifier
 // group appends to its log. Single-group deployments only ever use
@@ -68,10 +64,9 @@ type LogEntry struct {
 	// replicas know which groups' parts form the full writeset.
 	Involved []int
 	// Payload is the entry as the certifier encoded it once for its
-	// replicated log (layout in certifier/messages.go). The engine never
-	// reads it; it keeps the slice by reference so that a response
-	// shipping the entry to a replica sends those bytes instead of
-	// encoding WS again. Nobody may write to it.
+	// replicated log (layout in certifier/messages.go): the bytes the
+	// certifier proposes. The engine never reads or keeps it. Nobody may
+	// write to it.
 	Payload []byte
 }
 
@@ -99,28 +94,21 @@ func (d Decision) String() string {
 	}
 }
 
-// ErrTruncated reports that a requested log range has been garbage
-// collected below the engine's truncation horizon.
-var ErrTruncated = errors.New("core: log range truncated")
-
-// Engine is the pure certification engine: it maintains the global log
-// of committed writesets, the per-item last-writer index used for fast
-// intersection tests, and the global system version. It is not safe
+// Engine is the pure certification index over the certifier's log: it
+// keeps, per item, the version of its last writer, the items locked by
+// unresolved cross-partition prepares, the 2PC votes and decisions, and
+// the global system version. The log itself lives in the paxos node;
+// the engine reads each entry once, as it is appended. It is not safe
 // for concurrent use; the certifier server serializes access.
 type Engine struct {
-	// log[i] holds the entry for version trunc+1+i.
-	log []LogEntry
-	// trunc is the highest garbage-collected version: entries with
-	// Version <= trunc are gone. Initially 0 (nothing collected; the
-	// log conceptually starts at version 1).
-	trunc Version
 	// system is the global system version: the version of the most
 	// recently committed update transaction.
 	system Version
-	// writers maps an item to the ascending list of versions that
-	// wrote it: the certification test asks whether one is newer than a
-	// snapshot.
-	writers map[ItemID][]Version
+	// writers maps an item to the version of its last writer. Every
+	// certification test asks whether an item was written in
+	// (start, system], which is whether its last writer is newer than
+	// start.
+	writers map[ItemID]Version
 	// locks maps an item to the gid of the cross-partition transaction
 	// that holds it prepared-but-unresolved. Any certification or
 	// prepare touching a locked item conflicts, whatever its snapshot:
@@ -151,7 +139,7 @@ type resolution struct {
 // NewEngine returns an empty engine at system version 0.
 func NewEngine() *Engine {
 	return &Engine{
-		writers:  make(map[ItemID][]Version),
+		writers:  make(map[ItemID]Version),
 		locks:    make(map[ItemID]uint64),
 		prepared: make(map[uint64]preparedTx),
 		resolved: make(map[uint64]resolution),
@@ -162,17 +150,10 @@ func NewEngine() *Engine {
 // transaction.
 func (e *Engine) SystemVersion() Version { return e.system }
 
-// TruncatedBelow returns the highest garbage-collected version; log
-// entries are retained for versions strictly greater than this.
-func (e *Engine) TruncatedBelow() Version { return e.trunc }
-
-// Len returns the number of retained log entries.
-func (e *Engine) Len() int { return len(e.log) }
-
 // Certify performs the paper's certification test for a transaction
 // that started at version start with writeset ws: ws is intersected
 // against every writeset committed at a version greater than start. On
-// success the writeset is appended to the log at a fresh version and
+// success the writeset is indexed at a fresh version and
 // (newVersion, Commit) is returned; on conflict (0, Abort).
 //
 // An empty writeset always commits but consumes no version; callers
@@ -182,7 +163,7 @@ func (e *Engine) Certify(start Version, ws *Writeset, origin int) (Version, Deci
 	if ws.Empty() {
 		panic("core: Certify called with empty writeset (read-only transactions commit locally)")
 	}
-	if e.conflicts(ws, start, e.system) || e.lockConflict(ws) {
+	if e.Conflicts(start, ws) {
 		return 0, Abort
 	}
 	e.system++
@@ -198,7 +179,7 @@ func (e *Engine) Certify(start Version, ws *Writeset, origin int) (Version, Deci
 // between testing and appending) use Conflicts + Append instead of
 // Certify.
 func (e *Engine) Conflicts(start Version, ws *Writeset) bool {
-	return e.conflicts(ws, start, e.system) || e.lockConflict(ws)
+	return e.conflicts(ws, start) || e.lockConflict(ws)
 }
 
 // lockConflict reports whether ws touches an item held by an
@@ -233,8 +214,7 @@ func (e *Engine) Resolution(gid uint64) (v Version, commit, ok bool) {
 // Vote returns the first record this log holds for gid: a prepare is a
 // yes vote, an abort marker (a refused prepare or a veto) a no. ok is
 // false while the log holds neither. The first record never changes, so
-// the vote is irrevocable. A commit marker whose prepare was truncated
-// away stands for its yes.
+// the vote is irrevocable.
 func (e *Engine) Vote(gid uint64) (v Version, yes, ok bool) {
 	if p, found := e.prepared[gid]; found {
 		return p.version, true, true
@@ -251,9 +231,8 @@ func (e *Engine) Vote(gid uint64) (v Version, yes, ok bool) {
 }
 
 // OldestPrepared returns the lowest version among unresolved prepare
-// entries, or 0 if none are pending. Truncation must not cross it:
-// the prepare's writeset is the only record of what its decision
-// marker will publish.
+// entries, or 0 if none are pending: the oldest lock still waiting for
+// its decision marker.
 func (e *Engine) OldestPrepared() Version {
 	var oldest Version
 	for _, p := range e.prepared {
@@ -303,20 +282,11 @@ func (e *Engine) Append(entry LogEntry) error {
 	return nil
 }
 
-// conflicts reports whether ws intersects any writeset committed in the
-// half-open version interval (lo, hi].
-func (e *Engine) conflicts(ws *Writeset, lo, hi Version) bool {
-	if lo >= hi {
-		return false
-	}
+// conflicts reports whether ws writes an item whose last writer is
+// newer than start.
+func (e *Engine) conflicts(ws *Writeset, start Version) bool {
 	for i := range ws.Ops {
-		vs := e.writers[ws.Ops[i].Item()]
-		if len(vs) == 0 {
-			continue
-		}
-		// Find the first writer version > lo; conflict if it is <= hi.
-		idx := sort.Search(len(vs), func(k int) bool { return vs[k] > lo })
-		if idx < len(vs) && vs[idx] <= hi {
+		if e.writers[ws.Ops[i].Item()] > start {
 			return true
 		}
 	}
@@ -326,48 +296,26 @@ func (e *Engine) conflicts(ws *Writeset, lo, hi Version) bool {
 func (e *Engine) append(entry LogEntry) {
 	switch entry.Kind {
 	case KindPrepare:
-		// The part is logged but stays out of the writer index: it
-		// conflicts with later transactions through the lock map until
-		// its decision marker resolves it.
+		// The part stays out of the writer index: it conflicts with later
+		// transactions through the lock map until its decision marker
+		// resolves it.
 		items := entry.WS.Items()
 		for _, id := range items {
 			e.locks[id] = entry.GID
 		}
 		e.prepared[entry.GID] = preparedTx{version: entry.Version, items: items}
-	case KindCommitMarker:
+	case KindCommitMarker, KindAbortMarker:
+		commit := entry.Kind == KindCommitMarker
 		p, ok := e.prepared[entry.GID]
 		if ok {
-			// Publish the prepared items at the marker's own version:
-			// a transaction whose snapshot predates the marker now
-			// conflicts with the cross-partition commit, even though
-			// its snapshot may postdate the prepare.
-			prep, err := e.Entry(p.version)
-			if err == nil {
-				entry.WS = prep.WS
-			}
 			for _, id := range p.items {
-				e.writers[id] = append(e.writers[id], entry.Version)
-				if e.locks[id] == entry.GID {
-					delete(e.locks, id)
+				if commit {
+					// Publish the prepared items at the marker's own
+					// version: a transaction whose snapshot predates the
+					// marker now conflicts with the cross-partition commit,
+					// even though its snapshot may postdate the prepare.
+					e.writers[id] = entry.Version
 				}
-			}
-			delete(e.prepared, entry.GID)
-		} else if !entry.WS.Empty() {
-			// Restore from a snapshot whose marker already carries the
-			// synthesized writeset.
-			for _, id := range entry.WS.Items() {
-				e.writers[id] = append(e.writers[id], entry.Version)
-			}
-		}
-		if _, seen := e.resolved[entry.GID]; !seen {
-			e.resolved[entry.GID] = resolution{version: entry.Version, commit: true, prepare: p.version}
-		}
-		e.log = append(e.log, entry)
-		return
-	case KindAbortMarker:
-		p, ok := e.prepared[entry.GID]
-		if ok {
-			for _, id := range p.items {
 				if e.locks[id] == entry.GID {
 					delete(e.locks, id)
 				}
@@ -375,115 +323,13 @@ func (e *Engine) append(entry LogEntry) {
 			delete(e.prepared, entry.GID)
 		}
 		if _, seen := e.resolved[entry.GID]; !seen {
-			e.resolved[entry.GID] = resolution{version: entry.Version, commit: false, prepare: p.version}
+			e.resolved[entry.GID] = resolution{version: entry.Version, commit: commit, prepare: p.version}
 		}
 	default:
-		for _, id := range entry.WS.Items() {
-			e.writers[id] = append(e.writers[id], entry.Version)
-		}
-	}
-	e.log = append(e.log, entry)
-}
-
-// entryIndex converts a version to an index into e.log, or -1 if the
-// version is truncated or in the future.
-func (e *Engine) entryIndex(v Version) int {
-	if v <= e.trunc || v > e.system {
-		return -1
-	}
-	return int(v - e.trunc - 1)
-}
-
-// Entry returns the log entry committed at version v.
-func (e *Engine) Entry(v Version) (LogEntry, error) {
-	i := e.entryIndex(v)
-	if i < 0 {
-		return LogEntry{}, fmt.Errorf("%w: version %d (horizon %d, system %d)", ErrTruncated, v, e.trunc, e.system)
-	}
-	return e.log[i], nil
-}
-
-// EntriesSince returns the log entries with versions in (after, upTo].
-// These are exactly the "remote writesets the replica has not received
-// yet" that the certifier ships back with a certification response.
-func (e *Engine) EntriesSince(after, upTo Version) ([]LogEntry, error) {
-	if upTo > e.system {
-		upTo = e.system
-	}
-	if after >= upTo {
-		return nil, nil
-	}
-	if after < e.trunc {
-		return nil, fmt.Errorf("%w: need entries after %d but horizon is %d", ErrTruncated, after, e.trunc)
-	}
-	lo := int(after - e.trunc)
-	hi := int(upTo - e.trunc)
-	out := make([]LogEntry, hi-lo)
-	copy(out, e.log[lo:hi])
-	return out, nil
-}
-
-// Truncate garbage-collects log entries with Version <= below. It is
-// called once every replica has acknowledged receipt of those versions.
-// Truncating beyond the system version is an error.
-func (e *Engine) Truncate(below Version) error {
-	if below > e.system {
-		return fmt.Errorf("core: truncate(%d) beyond system version %d", below, e.system)
-	}
-	// Never collect an unresolved prepare: its writeset is the only
-	// record of what the decision marker will publish.
-	if oldest := e.OldestPrepared(); oldest != 0 && below >= oldest {
-		below = oldest - 1
-	}
-	if below <= e.trunc {
-		return nil
-	}
-	cut := int(below - e.trunc)
-	dropped := e.log[:cut]
-	e.log = append([]LogEntry(nil), e.log[cut:]...)
-	e.trunc = below
-	for _, entry := range dropped {
-		for _, id := range entry.WS.Items() {
-			vs := e.writers[id]
-			idx := sort.Search(len(vs), func(k int) bool { return vs[k] > below })
-			if idx == 0 {
-				continue
-			}
-			if idx == len(vs) {
-				delete(e.writers, id)
-			} else {
-				e.writers[id] = append([]Version(nil), vs[idx:]...)
+		if entry.WS != nil {
+			for i := range entry.WS.Ops {
+				e.writers[entry.WS.Ops[i].Item()] = entry.Version
 			}
 		}
 	}
-	return nil
-}
-
-// Restore rebuilds the engine from a log prefix, used during certifier
-// recovery: entries must be dense starting at trunc+1.
-func (e *Engine) Restore(trunc Version, entries []LogEntry) error {
-	e.log = nil
-	e.trunc = trunc
-	e.system = trunc
-	e.writers = make(map[ItemID][]Version)
-	e.locks = make(map[ItemID]uint64)
-	e.prepared = make(map[uint64]preparedTx)
-	e.resolved = make(map[uint64]resolution)
-	for i := range entries {
-		want := trunc + Version(i) + 1
-		if entries[i].Version != want {
-			return fmt.Errorf("core: restore: entry %d has version %d, want %d", i, entries[i].Version, want)
-		}
-		e.append(entries[i])
-		e.system = want
-	}
-	return nil
-}
-
-// Snapshot returns a copy of the retained log, for state transfer to a
-// recovering certifier peer.
-func (e *Engine) Snapshot() (trunc Version, entries []LogEntry) {
-	out := make([]LogEntry, len(e.log))
-	copy(out, e.log)
-	return e.trunc, out
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,113 +55,6 @@ func TestCertifyEmptyWritesetPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().Certify(0, &Writeset{}, 0)
-}
-
-func TestEntriesSince(t *testing.T) {
-	e := NewEngine()
-	for _, k := range []string{"a", "b", "c", "d"} {
-		e.Certify(e.SystemVersion(), wsOf(k), 0)
-	}
-	got, err := e.EntriesSince(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Version != 2 || got[1].Version != 3 {
-		t.Errorf("EntriesSince(1,3) = %v", got)
-	}
-	// upTo beyond system clamps.
-	got, err = e.EntriesSince(2, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].Version != 4 {
-		t.Errorf("clamped EntriesSince = %v", got)
-	}
-	if got, _ := e.EntriesSince(4, 4); got != nil {
-		t.Errorf("empty range should be nil, got %v", got)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	e := NewEngine()
-	for _, k := range []string{"a", "b", "a", "c"} {
-		e.Certify(e.SystemVersion(), wsOf(k), 0)
-	}
-	if err := e.Truncate(2); err != nil {
-		t.Fatal(err)
-	}
-	if e.TruncatedBelow() != 2 || e.Len() != 2 {
-		t.Fatalf("after truncate: horizon %d len %d", e.TruncatedBelow(), e.Len())
-	}
-	if _, err := e.EntriesSince(1, 4); !errors.Is(err, ErrTruncated) {
-		t.Errorf("EntriesSince below horizon: err=%v, want ErrTruncated", err)
-	}
-	if _, err := e.Entry(2); !errors.Is(err, ErrTruncated) {
-		t.Errorf("Entry(2): err=%v, want ErrTruncated", err)
-	}
-	if ent, err := e.Entry(3); err != nil || ent.Version != 3 {
-		t.Errorf("Entry(3) = %v, %v", ent, err)
-	}
-	// Conflict detection must still work across the horizon: "a" was
-	// last written at version 3 which is retained.
-	if _, d := e.Certify(2, wsOf("a"), 0); d != Abort {
-		t.Error("conflict with retained post-truncation writer must abort")
-	}
-	if err := e.Truncate(99); err == nil {
-		t.Error("truncate beyond system version should error")
-	}
-	if err := e.Truncate(1); err != nil {
-		t.Errorf("idempotent truncate below horizon: %v", err)
-	}
-}
-
-func TestRestoreRebuildsEngine(t *testing.T) {
-	e := NewEngine()
-	e.Certify(0, wsOf("a"), 0)
-	e.Certify(1, wsOf("b"), 0)
-	e.Certify(2, wsOf("a"), 0)
-	trunc, entries := e.Snapshot()
-
-	r := NewEngine()
-	if err := r.Restore(trunc, entries); err != nil {
-		t.Fatal(err)
-	}
-	if r.SystemVersion() != e.SystemVersion() {
-		t.Errorf("restored system version %d, want %d", r.SystemVersion(), e.SystemVersion())
-	}
-	// Conflict behaviour must be identical after restore.
-	if _, d := r.Certify(2, wsOf("a"), 0); d != Abort {
-		t.Error("restored engine lost conflict state")
-	}
-	if _, d := r.Certify(3, wsOf("c"), 0); d != Commit {
-		t.Error("restored engine rejects clean writeset")
-	}
-
-	bad := []LogEntry{{Version: 5, WS: wsOf("q")}}
-	if err := NewEngine().Restore(0, bad); err == nil {
-		t.Error("restore with non-dense versions should error")
-	}
-}
-
-func TestRestoreAfterTruncate(t *testing.T) {
-	e := NewEngine()
-	for _, k := range []string{"a", "b", "c", "d", "e"} {
-		e.Certify(e.SystemVersion(), wsOf(k), 0)
-	}
-	if err := e.Truncate(3); err != nil {
-		t.Fatal(err)
-	}
-	trunc, entries := e.Snapshot()
-	if trunc != 3 || len(entries) != 2 {
-		t.Fatalf("snapshot trunc=%d len=%d", trunc, len(entries))
-	}
-	r := NewEngine()
-	if err := r.Restore(trunc, entries); err != nil {
-		t.Fatal(err)
-	}
-	if r.SystemVersion() != 5 {
-		t.Errorf("system version %d, want 5", r.SystemVersion())
-	}
 }
 
 // TestQuickGSISafety is the core safety property: for any interleaving,
@@ -236,8 +128,66 @@ func BenchmarkCertifyNoConflict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws := &Writeset{Ops: []WriteOp{{Kind: OpUpdate, Table: "t", Key: string(rune(i))}}}
 		e.Certify(e.SystemVersion(), ws, 0)
-		if i%4096 == 0 && e.SystemVersion() > 4096 {
-			e.Truncate(e.SystemVersion() - 1024)
+	}
+}
+
+// TestEngineMarkerPublishesAtItsVersion pins the writer index's
+// semantics: the last writer of an item decides, a prepare locks its
+// items against every snapshot, a commit marker publishes them at its
+// own version, and an abort marker publishes nothing.
+func TestEngineMarkerPublishesAtItsVersion(t *testing.T) {
+	e := NewEngine()
+	for _, k := range []string{"x", "y", "x"} {
+		if _, d := e.Certify(e.SystemVersion(), wsOf(k), 1); d != Commit {
+			t.Fatalf("write of %s refused", k)
+		}
+	}
+	if !e.Conflicts(2, wsOf("x")) {
+		t.Error("start 2 must conflict with x's last write at 3")
+	}
+	if e.Conflicts(3, wsOf("x")) {
+		t.Error("start 3 must not conflict: x's last write is 3")
+	}
+	if !e.Conflicts(1, wsOf("y")) || e.Conflicts(2, wsOf("y")) {
+		t.Error("y was written at 2 only")
+	}
+
+	add := func(entry LogEntry) Version {
+		t.Helper()
+		entry.Version = e.SystemVersion() + 1
+		if err := e.Append(entry); err != nil {
+			t.Fatal(err)
+		}
+		return entry.Version
+	}
+	p := add(LogEntry{Kind: KindPrepare, GID: 7, WS: wsOf("a", "b"), Start: 3, Origin: 1, Involved: []int{0, 1}})
+	for _, start := range []Version{0, p, p + 5} {
+		if !e.Conflicts(start, wsOf("a")) || !e.Conflicts(start, wsOf("b")) {
+			t.Errorf("start %d: prepared items must be locked", start)
+		}
+	}
+	if e.Conflicts(p, wsOf("c")) {
+		t.Error("an item the prepare does not hold is free")
+	}
+	add(LogEntry{Kind: KindData, WS: wsOf("c"), Start: p, Origin: 2})
+	m := add(LogEntry{Kind: KindCommitMarker, GID: 7})
+	for start := p; start < m; start++ {
+		if !e.Conflicts(start, wsOf("a")) || !e.Conflicts(start, wsOf("b")) {
+			t.Errorf("start %d before the marker at %d must conflict", start, m)
+		}
+	}
+	if e.Conflicts(m, wsOf("a", "b")) || e.Conflicts(m+1, wsOf("b")) {
+		t.Errorf("a start at or after the marker at %d must not conflict", m)
+	}
+
+	q := add(LogEntry{Kind: KindPrepare, GID: 8, WS: wsOf("d"), Start: m, Origin: 1, Involved: []int{0, 1}})
+	if !e.Conflicts(q, wsOf("d")) {
+		t.Error("second prepare must lock d")
+	}
+	add(LogEntry{Kind: KindAbortMarker, GID: 8})
+	for _, start := range []Version{0, q} {
+		if e.Conflicts(start, wsOf("d")) {
+			t.Errorf("start %d: an aborted prepare publishes nothing", start)
 		}
 	}
 }

@@ -200,7 +200,7 @@ func runPoint(sys System, replicas int, dedicated bool, wl workload.Generator, o
 	pt := Point{System: sys, Replicas: replicas, Result: res}
 	if leader := c.GroupLeader(0); leader != nil {
 		pt.GroupRatio = leader.DiskStats().GroupRatio()
-		pt.CertUtil = leader.DiskUtilization()
+		pt.CertUtil = leader.Disk().Utilization()
 		pt.Batch = leader.BatchStats()
 	}
 	return pt, nil

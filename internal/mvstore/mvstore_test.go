@@ -593,21 +593,15 @@ func TestCrashDoomsEverything(t *testing.T) {
 }
 
 func TestCrashCorruptionModes(t *testing.T) {
-	// Case 1: NoSync without integrity — corrupt after commits.
+	// Paper §7.1 case 1: NoSync corrupts the data files after commits.
 	s := Open(Config{WALMode: wal.NoSync})
 	set(t, s, "t", "k", "v", "1")
 	if _, corrupt := s.Crash(); !corrupt {
 		t.Error("NoSync crash with commits should corrupt data files")
 	}
-	// Case 2: NoSync with KeepIntegrity — consistent but lossy.
-	s2 := Open(Config{WALMode: wal.NoSync, KeepIntegrity: true})
-	set(t, s2, "t", "k", "v", "1")
-	if _, corrupt := s2.Crash(); corrupt {
-		t.Error("KeepIntegrity crash should not corrupt")
-	}
 	// No commits: nothing to corrupt.
-	s3 := Open(Config{WALMode: wal.NoSync})
-	if _, corrupt := s3.Crash(); corrupt {
+	s2 := Open(Config{WALMode: wal.NoSync})
+	if _, corrupt := s2.Crash(); corrupt {
 		t.Error("crash with no commits should not corrupt")
 	}
 }
@@ -644,12 +638,9 @@ func TestRecoverFromWALRestoresState(t *testing.T) {
 }
 
 func TestRecoverNoSyncLosesCommits(t *testing.T) {
-	s := Open(Config{WALMode: wal.NoSync, KeepIntegrity: true})
+	s := Open(Config{WALMode: wal.NoSync})
 	set(t, s, "t", "a", "v", "1")
-	img, corrupt := s.Crash()
-	if corrupt {
-		t.Fatal("KeepIntegrity should not corrupt")
-	}
+	img, _ := s.Crash()
 	r, info, err := RecoverFromWAL(Config{}, img, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,8 @@
 //     Base and Tashkent-MW hand their commits over one at a time, so
 //     theirs publish at once; Commit is the unlabeled standalone path.
 //   - DUMP/RESTORE for middleware-driven recovery, WAL replay
-//     recovery, and crash simulation with or without physical data
-//     integrity (paper §7.1 cases 1 and 2).
+//     recovery, and crash simulation, where a NoSync store loses its
+//     data files' integrity (paper §7.1 case 1).
 //
 // Internally the engine is lock-striped: row version chains and the
 // write-lock manager are hash-striped across shards with independent
@@ -98,12 +98,6 @@ type Config struct {
 	// WALMode selects synchronous (SyncCommits) or asynchronous
 	// (NoSync) commit records.
 	WALMode wal.Mode
-	// KeepIntegrity, meaningful with WALMode == NoSync, selects the
-	// paper's §7.1 case 2: page writes still obey write-ahead rules so
-	// a crash loses recent commits but never corrupts pages. Without
-	// it (case 1), a crash with unsynced activity corrupts the data
-	// files and recovery must come from a dump.
-	KeepIntegrity bool
 	// PageMissEvery makes every Nth row read cost one data-page IO,
 	// modelling buffer-pool misses (0 disables; AllUpdates and TPC-B
 	// run essentially from memory, TPC-W does not).
@@ -803,9 +797,9 @@ func (s *Store) chargeCheckpoint(rowWrites int) {
 }
 
 // Crash simulates a machine/process crash: all in-flight transactions
-// die, the volatile WAL suffix is lost, and — in NoSync mode without
-// KeepIntegrity — the data files are marked corrupt (paper §7.1 case
-// 1). It returns the surviving WAL image and the corruption flag. The
+// die, the volatile WAL suffix is lost, and — in NoSync mode, once
+// anything committed — the data files are marked corrupt (paper §7.1
+// case 1: recovery must come from a dump). It returns the surviving WAL image and the corruption flag. The
 // store is unusable afterwards; recover with RecoverFromWAL or
 // RestoreDump.
 func (s *Store) Crash() (walImage []byte, corrupt bool) {
@@ -848,7 +842,7 @@ func (s *Store) wakeAllOrderWaiters() {
 }
 
 func (s *Store) corrupt() bool {
-	return s.cfg.WALMode == wal.NoSync && !s.cfg.KeepIntegrity && s.stats.commits.Load() > 0
+	return s.cfg.WALMode == wal.NoSync && s.stats.commits.Load() > 0
 }
 
 // Close shuts the store down cleanly (no crash semantics).

@@ -27,12 +27,12 @@ func quietConfig(fabric *transport.LocalFabric, id, n int) Config {
 		}
 	}
 	return Config{
-		ID:                id,
-		Peers:             peers,
-		Disk:              simdisk.New(simdisk.Instant(), int64(id)),
-		ElectionTimeout:   quietTimeout,
-		HeartbeatInterval: 5 * time.Millisecond,
-		Seed:              int64(id) + 1,
+		ID:              id,
+		Peers:           peers,
+		Disk:            simdisk.New(simdisk.Instant(), int64(id)),
+		ElectionTimeout: quietTimeout,
+		Seed:            int64(id) + 1,
+		heartbeat:       5 * time.Millisecond,
 	}
 }
 
@@ -384,9 +384,16 @@ func TestCampaignCrashBeforeOwnVoteIsDurable(t *testing.T) {
 	done := make(chan struct{})
 	sampled := make(chan struct{})
 	nodes := func() []*Node { mu.Lock(); defer mu.Unlock(); return append([]*Node(nil), g.nodes...) }
+	// The last pass comes after done: a sampler starved of CPU for the
+	// whole test still sees the group as the test leaves it.
 	go func() {
 		defer close(sampled)
-		for {
+		for finished := false; !finished; {
+			select {
+			case <-done:
+				finished = true
+			case <-time.After(50 * time.Microsecond):
+			}
 			for id, n := range nodes() {
 				if role, term := n.Role(); role == Leader {
 					mu.Lock()
@@ -396,11 +403,6 @@ func TestCampaignCrashBeforeOwnVoteIsDurable(t *testing.T) {
 					leaders[term][id] = true
 					mu.Unlock()
 				}
-			}
-			select {
-			case <-done:
-				return
-			case <-time.After(50 * time.Microsecond):
 			}
 		}
 	}()

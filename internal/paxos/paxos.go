@@ -90,11 +90,13 @@ type Config struct {
 	// certifier performs certification but skips disk writes.
 	WALMode wal.Mode
 	// ElectionTimeout is the base follower timeout (jittered per
-	// node); HeartbeatInterval the leader's idle append cadence.
-	ElectionTimeout   time.Duration
-	HeartbeatInterval time.Duration
+	// node); a leader appends to idle followers every third of it.
+	ElectionTimeout time.Duration
 	// Seed randomizes election jitter deterministically.
 	Seed int64
+	// heartbeat overrides the leader's idle append cadence. Tests whose
+	// election timers must stay silent still want a prompt cadence.
+	heartbeat time.Duration
 }
 
 // Node is one member of the replicated-log group.
@@ -144,8 +146,8 @@ func NewNode(cfg Config) *Node {
 	if cfg.ElectionTimeout == 0 {
 		cfg.ElectionTimeout = 150 * time.Millisecond
 	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = cfg.ElectionTimeout / 3
+	if cfg.heartbeat == 0 {
+		cfg.heartbeat = cfg.ElectionTimeout / 3
 	}
 	n := &Node{
 		cfg:        cfg,
@@ -299,6 +301,19 @@ func (n *Node) LogLength() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return uint64(len(n.log))
+}
+
+// Entries returns a copy of the local log entries with indexes in
+// (after, upTo], clamped to the log: nil when that range is empty. The
+// entries' Data slices are shared, and nobody writes to them.
+func (n *Node) Entries(after, upTo uint64) []Entry {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	upTo = min(upTo, uint64(len(n.log)))
+	if after >= upTo {
+		return nil
+	}
+	return append([]Entry(nil), n.log[after:upTo]...)
 }
 
 // ErrLogChanged reports a ProposeBatchAt whose expected log length no
@@ -538,7 +553,7 @@ func (n *Node) timerLoop() {
 
 		var wait time.Duration
 		if role == Leader {
-			wait = n.cfg.HeartbeatInterval
+			wait = n.cfg.heartbeat
 		} else {
 			wait = time.Until(lastHeard.Add(timeout))
 			if wait < time.Millisecond {

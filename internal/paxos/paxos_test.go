@@ -98,6 +98,44 @@ func TestSingleNodeCommits(t *testing.T) {
 	}
 }
 
+// TestEntriesBoundsAndCopies: Entries returns the log's (after, upTo]
+// clamped to the log, nil for an empty range, and a copy that neither
+// later appends to the log nor writes to the result reach through.
+func TestEntriesBoundsAndCopies(t *testing.T) {
+	g := newGroup(t, 1, wal.SyncCommits)
+	n := g.nodes[g.waitLeader(t)]
+	for i := 1; i <= 5; i++ {
+		proposeAndWait(t, n, fmt.Sprintf("e%d", i))
+	}
+	check := func(got []Entry, first, last uint64) {
+		t.Helper()
+		if uint64(len(got)) != last-first+1 {
+			t.Fatalf("got %d entries, want %d..%d", len(got), first, last)
+		}
+		for i, e := range got {
+			idx := first + uint64(i)
+			if e.Index != idx || string(e.Data) != fmt.Sprintf("e%d", idx) {
+				t.Errorf("entry %d = {%d %q}, want {%d e%d}", i, e.Index, e.Data, idx, idx)
+			}
+		}
+	}
+	check(n.Entries(1, 3), 2, 3)
+	check(n.Entries(0, 5), 1, 5)
+	check(n.Entries(3, 99), 4, 5)
+	for _, r := range [][2]uint64{{5, 5}, {3, 2}, {5, 99}, {99, 100}} {
+		if got := n.Entries(r[0], r[1]); got != nil {
+			t.Errorf("Entries(%d, %d) = %v, want nil", r[0], r[1], got)
+		}
+	}
+
+	got := n.Entries(2, 5)
+	proposeAndWait(t, n, "e6")
+	check(got, 3, 5)
+	got[0] = Entry{Index: 99}
+	_ = append(got[:1], Entry{Index: 98})
+	check(n.Entries(0, 6), 1, 6)
+}
+
 func TestThreeNodeReplication(t *testing.T) {
 	g := newGroup(t, 3, wal.SyncCommits)
 	ld := g.waitLeader(t)

@@ -609,7 +609,7 @@ func (m *merger) closedErr(tx *mvstore.Tx) error {
 }
 
 // vote is what a coordinator knows of one group's vote for its gid: the
-// first record the group's log holds for it (see certifier.Engine.Vote).
+// first record the group's log holds for it (see core.Engine.Vote).
 // A one-group commit's answer is its decision, read the same way.
 type vote uint8
 
