@@ -3,19 +3,23 @@ package certifier
 // Binary wire codecs for every replica↔certifier message: the commit
 // request on every update commit, one-group and cross-partition alike,
 // pull on every staleness pull, resolve on every cross-partition commit,
-// fill whenever a merge waits on an idle group. Each has a hand-written fixed-layout encoding
-// (transport.BinaryMessage), the only wire form the transport takes.
+// fill whenever a merge waits on an idle group. Each has a hand-written
+// fixed layout (transport.BinaryMessage), the only wire form the
+// transport takes, read with a wire.Reader; a message with bytes left
+// over, or a flag bit no encoder sets, is refused.
 //
 // All integers are big-endian fixed width. Writesets ride as opaque
-// length-prefixed byte strings: a request's is already core.Writeset's
-// compact binary encoding, a RemoteWS's is the log entry's payload as
-// the leader encoded it once (messages.go).
+// length-prefixed byte strings, which the decoded message aliases (a
+// transport frame is a per-message allocation): a request's is already
+// core.Writeset's compact binary encoding, a RemoteWS's is the log
+// entry's payload as the leader encoded it once (messages.go).
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
+
 	"tashkent/internal/transport"
+	"tashkent/internal/wire"
 )
 
 // Interface checks: a message without these methods cannot be sent.
@@ -30,36 +34,17 @@ var (
 	_ transport.BinaryMessage = (*FillResponse)(nil)
 )
 
-var errShortMessage = errors.New("certifier: short binary message")
-
-// checkFlags refuses a flags byte with a bit outside known: every
+// readFlags reads a flags byte and refuses a bit outside known: every
 // decoded message then re-encodes to the bytes it came from.
-func checkFlags(flags, known byte) error {
+func readFlags(r *wire.Reader, known byte) byte {
+	flags := r.U8()
 	if flags&^known != 0 {
-		return fmt.Errorf("certifier: unknown flag bits %#x", flags&^known)
+		r.Fail(errUnknownFlags)
 	}
-	return nil
+	return flags
 }
 
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-// takeBytes slices a length-prefixed byte string out of data without
-// copying (the decoded message may retain it; transport frames are
-// per-message allocations, so aliasing is safe).
-func takeBytes(data []byte) ([]byte, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, errShortMessage
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if len(data) < n {
-		return nil, nil, errShortMessage
-	}
-	return data[:n], data[n:], nil
-}
+var errUnknownFlags = errors.New("certifier: unknown flag bits")
 
 // Request: u64 gid | u32 origin | u64 start | u64 replicaVersion
 // | u64 fillTo | i64 deadline | u8 flags (none defined) | u16 nInvolved
@@ -73,35 +58,17 @@ func (r *Request) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.FillTo)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Deadline))
 	buf = append(buf, 0)
-	return appendBytes(appendInvolved(buf, r.Involved), r.WSBytes)
+	return wire.AppendBytes32(appendInvolved(buf, r.Involved), r.WSBytes)
 }
 
 func (r *Request) DecodeBinary(data []byte) error {
-	if len(data) < 45 {
-		return errShortMessage
-	}
-	if err := checkFlags(data[44], 0); err != nil {
-		return err
-	}
-	r.GID = binary.BigEndian.Uint64(data)
-	r.Origin = int(binary.BigEndian.Uint32(data[8:]))
-	r.StartVersion = binary.BigEndian.Uint64(data[12:])
-	r.ReplicaVersion = binary.BigEndian.Uint64(data[20:])
-	r.FillTo = binary.BigEndian.Uint64(data[28:])
-	r.Deadline = int64(binary.BigEndian.Uint64(data[36:]))
-	involved, data, err := takeInvolved(data[45:])
-	if err != nil {
-		return err
-	}
-	ws, rest, err := takeBytes(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("certifier: %d trailing bytes after Request", len(rest))
-	}
-	r.Involved, r.WSBytes = involved, ws
-	return nil
+	rd := wire.NewReader(data)
+	r.GID, r.Origin, r.StartVersion = rd.U64(), int(rd.U32()), rd.U64()
+	r.ReplicaVersion, r.FillTo, r.Deadline = rd.U64(), rd.U64(), rd.I64()
+	readFlags(&rd, 0)
+	r.Involved = readInvolved(&rd)
+	r.WSBytes = rd.Bytes32()
+	return rd.Done()
 }
 
 // appendRemotes: u32 count | per entry u64 version | u32 wsLen | ws
@@ -109,69 +76,37 @@ func appendRemotes(buf []byte, remote []RemoteWS) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(remote)))
 	for i := range remote {
 		buf = binary.BigEndian.AppendUint64(buf, remote[i].Version)
-		buf = appendBytes(buf, remote[i].WSBytes)
+		buf = wire.AppendBytes32(buf, remote[i].WSBytes)
 	}
 	return buf
 }
 
-func takeRemotes(data []byte) ([]RemoteWS, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, errShortMessage
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
+// readRemotes reads what appendRemotes wrote, an empty list as nil.
+func readRemotes(r *wire.Reader) []RemoteWS {
+	n := r.Count(12) // each entry is at least 12 bytes
 	if n == 0 {
-		return nil, data, nil
-	}
-	if n > len(data)/12 { // each entry is at least 12 bytes; cheap sanity bound
-		return nil, nil, fmt.Errorf("certifier: remote count %d exceeds payload", n)
+		return nil
 	}
 	out := make([]RemoteWS, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 8 {
-			return nil, nil, errShortMessage
-		}
-		out[i].Version = binary.BigEndian.Uint64(data)
-		var err error
-		out[i].WSBytes, data, err = takeBytes(data[8:])
-		if err != nil {
-			return nil, nil, err
-		}
+	for i := range out {
+		out[i] = RemoteWS{Version: r.U64(), WSBytes: r.Bytes32()}
 	}
-	return out, data, nil
+	return out
 }
 
 // Response: u8 flags(yes) | u64 index | u64 systemVersion | remotes
 func (r *Response) AppendBinary(buf []byte) []byte {
-	var flags byte
-	if r.Yes {
-		flags |= 1
-	}
-	buf = append(buf, flags)
+	buf = append(buf, boolByte(r.Yes))
 	buf = binary.BigEndian.AppendUint64(buf, r.Index)
 	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
 	return appendRemotes(buf, r.Remote)
 }
 
 func (r *Response) DecodeBinary(data []byte) error {
-	if len(data) < 17 {
-		return errShortMessage
-	}
-	if err := checkFlags(data[0], 1); err != nil {
-		return err
-	}
-	r.Yes = data[0]&1 != 0
-	r.Index = binary.BigEndian.Uint64(data[1:])
-	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
-	remote, rest, err := takeRemotes(data[17:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("certifier: %d trailing bytes after Response", len(rest))
-	}
-	r.Remote = remote
-	return nil
+	rd := wire.NewReader(data)
+	r.Yes = readFlags(&rd, 1) == 1
+	r.Index, r.SystemVersion, r.Remote = rd.U64(), rd.U64(), readRemotes(&rd)
+	return rd.Done()
 }
 
 // PullRequest: u64 replicaVersion
@@ -180,108 +115,58 @@ func (r *PullRequest) AppendBinary(buf []byte) []byte {
 }
 
 func (r *PullRequest) DecodeBinary(data []byte) error {
-	if len(data) != 8 {
-		return errShortMessage
-	}
-	r.ReplicaVersion = binary.BigEndian.Uint64(data)
-	return nil
+	rd := wire.NewReader(data)
+	r.ReplicaVersion = rd.U64()
+	return rd.Done()
 }
 
 // PullResponse: u8 flags(busy) | u64 systemVersion | remotes
 func (r *PullResponse) AppendBinary(buf []byte) []byte {
-	var flags byte
-	if r.Busy {
-		flags |= 1
-	}
-	buf = append(buf, flags)
+	buf = append(buf, boolByte(r.Busy))
 	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
 	return appendRemotes(buf, r.Remote)
 }
 
 func (r *PullResponse) DecodeBinary(data []byte) error {
-	if len(data) < 9 {
-		return errShortMessage
-	}
-	if err := checkFlags(data[0], 1); err != nil {
-		return err
-	}
-	r.Busy = data[0]&1 != 0
-	r.SystemVersion = binary.BigEndian.Uint64(data[1:])
-	remote, rest, err := takeRemotes(data[9:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("certifier: %d trailing bytes after PullResponse", len(rest))
-	}
-	r.Remote = remote
-	return nil
+	rd := wire.NewReader(data)
+	r.Busy = readFlags(&rd, 1) == 1
+	r.SystemVersion, r.Remote = rd.U64(), readRemotes(&rd)
+	return rd.Done()
 }
 
 // ResolveRequest: u64 gid | u8 flags(bit0 commit, bit1 veto; never
 // both) | u64 replicaVersion
 func (r *ResolveRequest) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, r.GID)
-	var flags byte
-	if r.Commit {
-		flags |= 1
-	}
-	if r.Veto {
-		flags |= 2
-	}
-	buf = append(buf, flags)
+	buf = append(buf, boolByte(r.Commit)|boolByte(r.Veto)<<1)
 	return binary.BigEndian.AppendUint64(buf, r.ReplicaVersion)
 }
 
 func (r *ResolveRequest) DecodeBinary(data []byte) error {
-	if len(data) != 17 {
-		return errShortMessage
+	rd := wire.NewReader(data)
+	r.GID = rd.U64()
+	flags := readFlags(&rd, 3)
+	r.Commit, r.Veto, r.ReplicaVersion = flags&1 != 0, flags&2 != 0, rd.U64()
+	if flags == 3 {
+		rd.Fail(errors.New("certifier: resolve both commits and vetoes"))
 	}
-	if err := checkFlags(data[8], 3); err != nil {
-		return err
-	}
-	if data[8] == 3 {
-		return errors.New("certifier: resolve both commits and vetoes")
-	}
-	r.GID = binary.BigEndian.Uint64(data)
-	r.Commit = data[8]&1 != 0
-	r.Veto = data[8]&2 != 0
-	r.ReplicaVersion = binary.BigEndian.Uint64(data[9:])
-	return nil
+	return rd.Done()
 }
 
 // ResolveResponse: u8 flags(prepared) | u64 index | u64 systemVersion
 // | remotes
 func (r *ResolveResponse) AppendBinary(buf []byte) []byte {
-	var flags byte
-	if r.Prepared {
-		flags |= 1
-	}
-	buf = append(buf, flags)
+	buf = append(buf, boolByte(r.Prepared))
 	buf = binary.BigEndian.AppendUint64(buf, r.Index)
 	buf = binary.BigEndian.AppendUint64(buf, r.SystemVersion)
 	return appendRemotes(buf, r.Remote)
 }
 
 func (r *ResolveResponse) DecodeBinary(data []byte) error {
-	if len(data) < 17 {
-		return errShortMessage
-	}
-	if err := checkFlags(data[0], 1); err != nil {
-		return err
-	}
-	r.Prepared = data[0]&1 != 0
-	r.Index = binary.BigEndian.Uint64(data[1:])
-	r.SystemVersion = binary.BigEndian.Uint64(data[9:])
-	remote, rest, err := takeRemotes(data[17:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("certifier: %d trailing bytes after ResolveResponse", len(rest))
-	}
-	r.Remote = remote
-	return nil
+	rd := wire.NewReader(data)
+	r.Prepared = readFlags(&rd, 1) == 1
+	r.Index, r.SystemVersion, r.Remote = rd.U64(), rd.U64(), readRemotes(&rd)
+	return rd.Done()
 }
 
 // FillRequest: u64 target
@@ -290,11 +175,9 @@ func (r *FillRequest) AppendBinary(buf []byte) []byte {
 }
 
 func (r *FillRequest) DecodeBinary(data []byte) error {
-	if len(data) != 8 {
-		return errShortMessage
-	}
-	r.Target = binary.BigEndian.Uint64(data)
-	return nil
+	rd := wire.NewReader(data)
+	r.Target = rd.U64()
+	return rd.Done()
 }
 
 // FillResponse: u64 head
@@ -303,9 +186,14 @@ func (r *FillResponse) AppendBinary(buf []byte) []byte {
 }
 
 func (r *FillResponse) DecodeBinary(data []byte) error {
-	if len(data) != 8 {
-		return errShortMessage
+	rd := wire.NewReader(data)
+	r.Head = rd.U64()
+	return rd.Done()
+}
+
+func boolByte(b bool) byte {
+	if b {
+		return 1
 	}
-	r.Head = binary.BigEndian.Uint64(data)
-	return nil
+	return 0
 }

@@ -458,6 +458,25 @@ func FuzzDecodeLogEntry(f *testing.F) {
 	})
 }
 
+// messageSeeds are FuzzDecodeCertifierMessages' corpus messages, which
+// the golden vectors pin too.
+func messageSeeds() []transport.BinaryMessage {
+	rng := rand.New(rand.NewSource(5))
+	return []transport.BinaryMessage{
+		&Request{Origin: 1, StartVersion: 5, Involved: []int{1}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, Deadline: 3},
+		&Request{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6, Deadline: 3},
+		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: randRemotes(rng)},
+		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
+		&PullRequest{ReplicaVersion: 4},
+		&PullResponse{Busy: true, SystemVersion: 9, Remote: randRemotes(rng)},
+		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
+		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},
+		&ResolveResponse{Index: 9, SystemVersion: 9, Prepared: true, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
+		&FillRequest{Target: 12},
+		&FillResponse{Head: 12},
+	}
+}
+
 // FuzzDecodeCertifierMessages: the decoders of every certifier message —
 // the requests a certifier reads from a replica and the answers a replica
 // reads from a certifier — never panic, and whatever one accepts
@@ -473,20 +492,7 @@ func FuzzDecodeCertifierMessages(f *testing.F) {
 		func() transport.BinaryMessage { return &FillRequest{} },
 		func() transport.BinaryMessage { return &FillResponse{} },
 	}
-	rng := rand.New(rand.NewSource(5))
-	for _, m := range []transport.BinaryMessage{
-		&Request{Origin: 1, StartVersion: 5, Involved: []int{1}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, Deadline: 3},
-		&Request{GID: 7, Origin: 1, StartVersion: 5, Involved: []int{0, 3}, WSBytes: randBytes(rng, 40), ReplicaVersion: 4, FillTo: 6, Deadline: 3},
-		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: randRemotes(rng)},
-		&Response{Yes: true, Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
-		&PullRequest{ReplicaVersion: 4},
-		&PullResponse{Busy: true, SystemVersion: 9, Remote: randRemotes(rng)},
-		&ResolveRequest{GID: 7, Veto: true, ReplicaVersion: 4},
-		&ResolveResponse{Index: 9, SystemVersion: 9, Remote: []RemoteWS{{Version: 8, WSBytes: randBytes(rng, 32)}, {Version: 9}}},
-		&ResolveResponse{Index: 9, SystemVersion: 9, Prepared: true, Remote: []RemoteWS{{Version: 9, WSBytes: randBytes(rng, 32)}}},
-		&FillRequest{Target: 12},
-		&FillResponse{Head: 12},
-	} {
+	for _, m := range messageSeeds() {
 		b := m.AppendBinary(nil)
 		for k := range decoders {
 			f.Add(uint8(k), b)

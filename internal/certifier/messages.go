@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"tashkent/internal/core"
+	"tashkent/internal/wire"
 )
 
 // Method names on the transport.
@@ -330,25 +331,18 @@ func appendInvolved(buf []byte, involved []int) []byte {
 	return buf
 }
 
-// takeInvolved reads what appendInvolved wrote at the start of data, an
-// empty list as nil, and returns the bytes after it.
-func takeInvolved(data []byte) ([]int, []byte, error) {
-	if len(data) < 2 {
-		return nil, nil, errShortMessage
+// readInvolved reads what appendInvolved wrote, an empty list as nil.
+func readInvolved(r *wire.Reader) []int {
+	n := int(r.U16())
+	if n == 0 {
+		return nil
 	}
-	n := int(binary.BigEndian.Uint16(data))
-	data = data[2:]
-	if len(data) < 2*n {
-		return nil, nil, fmt.Errorf("certifier: truncated involved list (%d of %d pids)", len(data)/2, n)
+	pids := wire.NewReader(r.Bytes(2 * n))
+	involved := make([]int, pids.Len()/2)
+	for i := range involved {
+		involved[i] = int(pids.U16())
 	}
-	var involved []int
-	if n > 0 {
-		involved = make([]int, n)
-		for i := range involved {
-			involved[i] = int(binary.BigEndian.Uint16(data[2*i:]))
-		}
-	}
-	return involved, data[2*n:], nil
+	return involved
 }
 
 // newLogEntry turns a request into the log entry it proposes: the
@@ -386,35 +380,18 @@ func EncodeEntry(e Entry) []byte {
 // reads committed logs with it. Every length is checked, and bytes left
 // over after the writeset are an error.
 func DecodeLogEntry(data []byte) (Entry, error) {
-	var e Entry
-	if len(data) < entryHeaderLen {
-		return e, fmt.Errorf("certifier: short log entry (%d bytes)", len(data))
-	}
-	e.Kind = core.EntryKind(data[0])
+	r := wire.NewReader(data)
+	e := Entry{Kind: core.EntryKind(r.U8()), Origin: int(r.U32()), Start: r.U64()}
 	if e.Kind > core.KindAbortMarker {
-		return e, fmt.Errorf("certifier: unknown log entry kind %d", data[0])
+		r.Fail(fmt.Errorf("certifier: unknown log entry kind %d", e.Kind))
 	}
-	e.Origin = int(binary.BigEndian.Uint32(data[1:5]))
-	e.Start = binary.BigEndian.Uint64(data[5:13])
-	rest := data[entryHeaderLen:]
 	if e.Kind != core.KindData {
-		if len(rest) < 10 {
-			return e, fmt.Errorf("certifier: short 2pc log entry (%d bytes)", len(data))
-		}
-		e.GID = binary.BigEndian.Uint64(rest)
-		var err error
-		if e.Involved, rest, err = takeInvolved(rest[8:]); err != nil {
-			return e, err
-		}
+		e.GID, e.Involved = r.U64(), readInvolved(&r)
 	}
-	ws, n, err := core.DecodeWriteset(rest)
-	if err != nil {
-		return e, err
+	e.WS = core.ReadWriteset(&r)
+	if err := r.Done(); err != nil {
+		return Entry{}, fmt.Errorf("certifier: log entry: %w", err)
 	}
-	if n != len(rest) {
-		return e, fmt.Errorf("certifier: %d bytes after the log entry's writeset", len(rest)-n)
-	}
-	e.WS = ws
 	return e, nil
 }
 

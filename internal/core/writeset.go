@@ -14,8 +14,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
 	"strings"
+
+	"tashkent/internal/wire"
 )
 
 // Version counts database snapshots. The initial database state is
@@ -217,123 +220,104 @@ func (ws *Writeset) String() string {
 //	uint32 opCount
 //	per op:
 //	  uint8  kind
-//	  uint16 len(table) | table bytes
-//	  uint16 len(key)   | key bytes
+//	  str16 table | str16 key     (uint16 length | bytes)
 //	  uint16 colCount
-//	  per col: uint16 len(name) | name | uint32 len(value) | value
+//	  per col: str16 name | uint32 len(value) | value
+//
+// The 16-bit lengths bound what one operation may carry; CheckEncodable
+// says whether an operation fits, and the store refuses one that does
+// not before it can reach a writeset.
 
 var (
 	// ErrCorruptWriteset reports a malformed writeset encoding.
 	ErrCorruptWriteset = errors.New("core: corrupt writeset encoding")
-	// errShort is wrapped into ErrCorruptWriteset by decode helpers.
-	errShort = errors.New("short buffer")
+	// ErrOpTooLarge reports a write operation the encoding cannot carry:
+	// a table, key or column name longer than 65 535 bytes, or more than
+	// 65 535 columns.
+	ErrOpTooLarge = errors.New("core: write operation too large for a writeset")
 )
 
+// CheckEncodable reports, with ErrOpTooLarge, whether op has a name or a
+// column count its 16-bit length cannot state.
+func (op *WriteOp) CheckEncodable() error {
+	if len(op.Cols) > math.MaxUint16 {
+		return fmt.Errorf("%w: %d columns", ErrOpTooLarge, len(op.Cols))
+	}
+	long := max(len(op.Table), len(op.Key))
+	for i := range op.Cols {
+		long = max(long, len(op.Cols[i].Col))
+	}
+	if long > math.MaxUint16 {
+		return fmt.Errorf("%w: a %d-byte name", ErrOpTooLarge, long)
+	}
+	return nil
+}
+
 // Encode appends the binary encoding of ws to buf and returns the
-// extended slice.
+// extended slice. It panics on an operation CheckEncodable refuses.
 func (ws *Writeset) Encode(buf []byte) []byte {
 	var n int
 	if ws != nil {
 		n = len(ws.Ops)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	if ws == nil {
-		return buf
-	}
-	for i := range ws.Ops {
+	for i := 0; i < n; i++ {
 		op := &ws.Ops[i]
+		if len(op.Cols) > math.MaxUint16 {
+			panic(fmt.Sprintf("core: %d columns under a 16-bit count", len(op.Cols)))
+		}
 		buf = append(buf, byte(op.Kind))
-		buf = appendStr16(buf, op.Table)
-		buf = appendStr16(buf, op.Key)
+		buf = wire.AppendStr16(buf, op.Table)
+		buf = wire.AppendStr16(buf, op.Key)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(op.Cols)))
 		for j := range op.Cols {
-			buf = appendStr16(buf, op.Cols[j].Col)
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Cols[j].Value)))
-			buf = append(buf, op.Cols[j].Value...)
+			buf = wire.AppendStr16(buf, op.Cols[j].Col)
+			buf = wire.AppendBytes32(buf, op.Cols[j].Value)
 		}
 	}
 	return buf
 }
 
-// DecodeWriteset parses a writeset from buf, returning the writeset and
-// the number of bytes consumed.
-func DecodeWriteset(buf []byte) (*Writeset, int, error) {
-	if len(buf) < 4 {
-		return nil, 0, fmt.Errorf("%w: header: %v", ErrCorruptWriteset, errShort)
-	}
-	n := int(binary.BigEndian.Uint32(buf))
-	pos := 4
-	if n > len(buf) { // cheap sanity bound: each op needs ≥1 byte
-		return nil, 0, fmt.Errorf("%w: implausible op count %d", ErrCorruptWriteset, n)
-	}
-	ws := &Writeset{Ops: make([]WriteOp, 0, n)}
-	for i := 0; i < n; i++ {
-		if pos >= len(buf) {
-			return nil, 0, fmt.Errorf("%w: op %d kind: %v", ErrCorruptWriteset, i, errShort)
-		}
-		op := WriteOp{Kind: OpKind(buf[pos])}
-		pos++
+// minOpSize is the encoded size of an operation with empty names and no
+// columns.
+const minOpSize = 7
+
+// ReadWriteset reads one writeset off r, the layout Encode writes.
+// Column values are copied: a decoded writeset outlives the buffer.
+func ReadWriteset(r *wire.Reader) *Writeset {
+	ws := &Writeset{Ops: make([]WriteOp, r.Count(minOpSize))}
+	for i := range ws.Ops {
+		op := &ws.Ops[i]
+		op.Kind = OpKind(r.U8())
 		if op.Kind < OpInsert || op.Kind > OpDelete {
-			return nil, 0, fmt.Errorf("%w: op %d bad kind %d", ErrCorruptWriteset, i, op.Kind)
+			r.Fail(fmt.Errorf("op %d: bad kind %d", i, op.Kind))
 		}
-		var err error
-		if op.Table, pos, err = readStr16(buf, pos); err != nil {
-			return nil, 0, fmt.Errorf("%w: op %d table: %v", ErrCorruptWriteset, i, err)
-		}
-		if op.Key, pos, err = readStr16(buf, pos); err != nil {
-			return nil, 0, fmt.Errorf("%w: op %d key: %v", ErrCorruptWriteset, i, err)
-		}
-		if pos+2 > len(buf) {
-			return nil, 0, fmt.Errorf("%w: op %d colcount: %v", ErrCorruptWriteset, i, errShort)
-		}
-		nc := int(binary.BigEndian.Uint16(buf[pos:]))
-		pos += 2
-		if nc > 0 {
-			op.Cols = make([]ColUpdate, 0, nc)
-		}
-		for j := 0; j < nc; j++ {
-			var col ColUpdate
-			if col.Col, pos, err = readStr16(buf, pos); err != nil {
-				return nil, 0, fmt.Errorf("%w: op %d col %d name: %v", ErrCorruptWriteset, i, j, err)
+		op.Table, op.Key = r.Str16(), r.Str16()
+		if nc := int(r.U16()); nc > 0 {
+			op.Cols = make([]ColUpdate, nc)
+			for j := range op.Cols {
+				op.Cols[j] = ColUpdate{Col: r.Str16(), Value: r.Bytes32Copy()}
 			}
-			if pos+4 > len(buf) {
-				return nil, 0, fmt.Errorf("%w: op %d col %d vlen: %v", ErrCorruptWriteset, i, j, errShort)
-			}
-			vl := int(binary.BigEndian.Uint32(buf[pos:]))
-			pos += 4
-			if pos+vl > len(buf) {
-				return nil, 0, fmt.Errorf("%w: op %d col %d value: %v", ErrCorruptWriteset, i, j, errShort)
-			}
-			col.Value = append([]byte(nil), buf[pos:pos+vl]...)
-			pos += vl
-			op.Cols = append(op.Cols, col)
 		}
-		ws.Ops = append(ws.Ops, op)
 	}
-	return ws, pos, nil
+	return ws
+}
+
+// DecodeWriteset parses a writeset from the front of buf, returning the
+// writeset and the number of bytes consumed.
+func DecodeWriteset(buf []byte) (*Writeset, int, error) {
+	r := wire.NewReader(buf)
+	ws := ReadWriteset(&r)
+	if err := r.Err(); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrCorruptWriteset, err)
+	}
+	return ws, len(buf) - r.Len(), nil
 }
 
 // Checksum returns a CRC-32 over the canonical encoding, used by tests
 // and the dump file format to validate writeset integrity end to end.
 func (ws *Writeset) Checksum() uint32 {
 	return crc32.ChecksumIEEE(ws.Encode(nil))
-}
-
-func appendStr16(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-func readStr16(buf []byte, pos int) (string, int, error) {
-	if pos+2 > len(buf) {
-		return "", pos, errShort
-	}
-	n := int(binary.BigEndian.Uint16(buf[pos:]))
-	pos += 2
-	if pos+n > len(buf) {
-		return "", pos, errShort
-	}
-	return string(buf[pos : pos+n]), pos + n, nil
 }
 
 // SortItems sorts a slice of item identities, for deterministic output

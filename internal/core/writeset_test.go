@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -269,4 +270,47 @@ func TestWritesetString(t *testing.T) {
 	if empty.String() != "{}" {
 		t.Errorf("empty String() = %q", empty.String())
 	}
+}
+
+// TestCheckEncodable: an op is refused exactly when a name or its
+// column count is longer than a 16-bit length states.
+func TestCheckEncodable(t *testing.T) {
+	long := strings.Repeat("n", 1<<16-1)
+	for _, c := range []struct {
+		op WriteOp
+		ok bool
+	}{
+		{WriteOp{Kind: OpUpdate, Table: long, Key: long, Cols: []ColUpdate{{Col: long}}}, true},
+		{WriteOp{Kind: OpUpdate, Table: long + "n"}, false},
+		{WriteOp{Kind: OpUpdate, Key: long + "n"}, false},
+		{WriteOp{Kind: OpUpdate, Cols: []ColUpdate{{Col: "a"}, {Col: long + "n"}}}, false},
+		{WriteOp{Kind: OpUpdate, Cols: make([]ColUpdate, 1<<16-1)}, true},
+		{WriteOp{Kind: OpUpdate, Cols: make([]ColUpdate, 1<<16)}, false},
+	} {
+		err := c.op.CheckEncodable()
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrOpTooLarge)) {
+			t.Errorf("table %d, key %d bytes, %d cols: %v", len(c.op.Table), len(c.op.Key), len(c.op.Cols), err)
+		}
+	}
+}
+
+// FuzzDecodeWriteset: DecodeWriteset never panics, and whatever it
+// decodes re-encodes to the bytes it consumed.
+func FuzzDecodeWriteset(f *testing.F) {
+	for _, ws := range goldenWritesets() {
+		b := ws.Encode(nil)
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})                             // 2^32-1 ops, none present
+	f.Add([]byte{0, 0, 0, 1, byte(OpUpdate), 0, 0, 0, 0, 0xFF, 0xFF}) // 65535 columns, none present
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		ws, n, err := DecodeWriteset(buf)
+		if err != nil {
+			return
+		}
+		if again := ws.Encode(nil); !bytes.Equal(again, buf[:n]) {
+			t.Fatalf("re-encoded writeset differs:\n%x\n%x", again, buf[:n])
+		}
+	})
 }

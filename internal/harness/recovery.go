@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tashkent/internal/cluster"
-	"tashkent/internal/paxos"
 	"tashkent/internal/proxy"
 	"tashkent/internal/workload"
 )
@@ -14,7 +13,7 @@ import (
 // RecoveryReport reproduces the §9.6 measurements: dump cost and
 // throughput degradation while dumping (Tashkent-MW), restore time,
 // WAL-based recovery (Base/Tashkent-API), the writeset re-application
-// rate, and certifier state-transfer size/time.
+// rate, and a crashed certifier's catch-up size/time.
 type RecoveryReport struct {
 	// Tashkent-MW dump/restore.
 	DumpBytes              int
@@ -31,7 +30,9 @@ type RecoveryReport struct {
 	// Writeset re-application rate (all systems).
 	ApplyRate float64 // writesets per second
 
-	// Certifier recovery.
+	// Certifier recovery: the entries a restarted follower gained from
+	// the leader, their payload bytes, and the time until its commit
+	// index reached the leader's.
 	CertTransferEntries  int
 	CertTransferBytes    int
 	CertTransferDuration time.Duration
@@ -135,7 +136,7 @@ func RunRecoveryExperiment(o Options) (RecoveryReport, error) {
 	}
 	rep.ApplyRate = rate
 
-	// --- Certifier state transfer.
+	// --- Certifier catch-up.
 	if err := measureCertTransfer(o, &rep); err != nil {
 		return rep, err
 	}
@@ -148,7 +149,7 @@ func RunRecoveryExperiment(o Options) (RecoveryReport, error) {
 	fmt.Fprintf(o.Out, "Base WAL recovery: %d records in %v\n",
 		rep.WALRecords, rep.WALRecoverDuration.Round(time.Millisecond))
 	fmt.Fprintf(o.Out, "writeset apply rate: %.0f ws/s\n", rep.ApplyRate)
-	fmt.Fprintf(o.Out, "certifier state transfer: %d entries (%d bytes) in %v\n",
+	fmt.Fprintf(o.Out, "certifier catch-up: %d entries (%d bytes) in %v\n",
 		rep.CertTransferEntries, rep.CertTransferBytes, rep.CertTransferDuration.Round(time.Millisecond))
 	return rep, nil
 }
@@ -186,8 +187,11 @@ func measureApplyRate(o Options) (float64, error) {
 	return n / elapsed.Seconds(), nil
 }
 
-// measureCertTransfer crashes a certifier follower after a batch of
-// certifications and times the log fetch a recovering node performs.
+// measureCertTransfer times a certifier follower's catch-up: the
+// follower crashes, the group commits a batch of updates without it,
+// and the follower restarts from its WAL image. The time runs from the
+// restart until the follower's commit index reaches the leader's, and
+// the entries it gained on the way are counted.
 func measureCertTransfer(o Options, rep *RecoveryReport) error {
 	c, err := cluster.New(cluster.Config{
 		Mode: proxy.TashkentMW, Replicas: 1, Certifiers: 3,
@@ -198,6 +202,13 @@ func measureCertTransfer(o Options, rep *RecoveryReport) error {
 		return err
 	}
 	defer c.Close()
+	leader := c.GroupLeaderIndex(0)
+	if leader < 0 {
+		return fmt.Errorf("no certifier leader")
+	}
+	follower := (leader + 1) % c.Certifiers()
+	img := c.CrashCertifier(follower)
+	had := c.Certifier(follower).Node().LogLength()
 	for i := 0; i < 200; i++ {
 		tx, err := c.Begin(0)
 		if err != nil {
@@ -211,33 +222,19 @@ func measureCertTransfer(o Options, rep *RecoveryReport) error {
 			return err
 		}
 	}
-	leader := c.GroupLeader(0)
-	if leader == nil {
-		return fmt.Errorf("no certifier leader")
-	}
+	target := c.Certifier(leader).Node().CommitIndex()
 	start := time.Now()
-	entries, _, err := paxos.Fetch(leaderClient{leader}, 1)
-	if err != nil {
+	if err := c.RecoverCertifier(follower, img); err != nil {
 		return err
 	}
+	node := c.Certifier(follower).Node()
+	if err := node.WaitCommittedIndex(target, 30*time.Second); err != nil {
+		return fmt.Errorf("certifier %d catching up to %d: %w", follower, target, err)
+	}
 	rep.CertTransferDuration = time.Since(start)
-	rep.CertTransferEntries = len(entries)
-	for _, e := range entries {
+	for _, e := range node.Entries(had, target) {
+		rep.CertTransferEntries++
 		rep.CertTransferBytes += len(e.Data)
 	}
 	return nil
-}
-
-// leaderClient adapts a certifier server to the paxos.Fetch peer
-// interface by calling its handler directly (the in-process
-// equivalent of the file transfer).
-type leaderClient struct {
-	s interface {
-		Handle(string, []byte) ([]byte, error)
-	}
-}
-
-// Call implements the fetch peer interface.
-func (l leaderClient) Call(method string, req []byte) ([]byte, error) {
-	return l.s.Handle(method, req)
 }

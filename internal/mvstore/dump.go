@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sort"
+
+	"tashkent/internal/wire"
 )
 
 // Dump support — the "DUMP DATA" command of paper §8.1. Tashkent-MW
@@ -24,6 +27,9 @@ import (
 //	  per row: str16 key | uint16 colCount | per col: str16 name, bytes32 value
 //	uint32 CRC-32 of everything above
 //
+// Tables, the rows of a table and the columns of a row appear in
+// strictly ascending order, and every table has a row, so a store has
+// one dump; RestoreDump refuses anything else, and bytes left over.
 // A torn dump (crash while dumping) fails the CRC and the middleware
 // falls back to the previous copy — which is why it always keeps two.
 
@@ -31,9 +37,9 @@ var (
 	// ErrBadDump reports a dump that fails validation (torn, truncated
 	// or corrupt).
 	ErrBadDump = errors.New("mvstore: invalid dump file")
-
-	dumpMagic = []byte("TDMP")
 )
+
+const dumpMagic = "TDMP"
 
 // dumpChunkRows controls how many rows are serialized per data-disk
 // charge while dumping; with ~16 rows per page this paces the dump's
@@ -90,7 +96,7 @@ func (s *Store) Dump() ([]byte, error) {
 	for _, name := range names {
 		live := rowsByTable[name]
 		sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
-		buf = appendDumpStr16(buf, name)
+		buf = wire.AppendStr16(buf, name)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(live)))
 
 		for start := 0; start < len(live); start += dumpChunkRows {
@@ -99,7 +105,12 @@ func (s *Store) Dump() ([]byte, error) {
 				end = len(live)
 			}
 			for _, row := range live[start:end] {
-				buf = appendDumpStr16(buf, row.key)
+				// Writes refuse an op of more columns, but a row gathers
+				// the columns of every update.
+				if len(row.cols) > math.MaxUint16 {
+					return nil, fmt.Errorf("mvstore: dump: row %s/%s has %d columns", name, row.key, len(row.cols))
+				}
+				buf = wire.AppendStr16(buf, row.key)
 				cols := make([]string, 0, len(row.cols))
 				for c := range row.cols {
 					cols = append(cols, c)
@@ -107,9 +118,8 @@ func (s *Store) Dump() ([]byte, error) {
 				sort.Strings(cols)
 				buf = binary.BigEndian.AppendUint16(buf, uint16(len(cols)))
 				for _, c := range cols {
-					buf = appendDumpStr16(buf, c)
-					buf = binary.BigEndian.AppendUint32(buf, uint32(len(row.cols[c])))
-					buf = append(buf, row.cols[c]...)
+					buf = wire.AppendStr16(buf, c)
+					buf = wire.AppendBytes32(buf, row.cols[c])
 				}
 			}
 			// Charge the sequential scan + dump write to the data disk.
@@ -124,19 +134,27 @@ func (s *Store) Dump() ([]byte, error) {
 // it, returning the covered version. The middleware uses it to pick
 // the newest intact copy after a crash.
 func ValidateDump(dump []byte) (coveredVersion uint64, err error) {
-	if len(dump) < len(dumpMagic)+12+4 {
-		return 0, fmt.Errorf("%w: too short", ErrBadDump)
+	coveredVersion, _, err = openDump(dump)
+	return coveredVersion, err
+}
+
+// openDump is ValidateDump, also returning a reader over the tables.
+func openDump(dump []byte) (uint64, wire.Reader, error) {
+	r := wire.NewReader(dump)
+	body := r.Bytes(r.Len() - 4)
+	sum := r.U32()
+	tables := wire.NewReader(body)
+	magic := tables.Bytes(len(dumpMagic))
+	covered := tables.U64()
+	switch {
+	case r.Err() != nil || tables.Err() != nil:
+		return 0, tables, fmt.Errorf("%w: too short", ErrBadDump)
+	case crc32.ChecksumIEEE(body) != sum:
+		return 0, tables, fmt.Errorf("%w: checksum mismatch", ErrBadDump)
+	case string(magic) != dumpMagic:
+		return 0, tables, fmt.Errorf("%w: bad magic", ErrBadDump)
 	}
-	body, sum := dump[:len(dump)-4], binary.BigEndian.Uint32(dump[len(dump)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, fmt.Errorf("%w: checksum mismatch", ErrBadDump)
-	}
-	for i := range dumpMagic {
-		if dump[i] != dumpMagic[i] {
-			return 0, fmt.Errorf("%w: bad magic", ErrBadDump)
-		}
-	}
-	return binary.BigEndian.Uint64(dump[len(dumpMagic):]), nil
+	return covered, tables, nil
 }
 
 // RestoreDump builds a fresh store from a dump file and returns it
@@ -145,62 +163,28 @@ func ValidateDump(dump []byte) (coveredVersion uint64, err error) {
 // semaphore at coveredVersion. The store is not shared until this
 // returns, so rows are installed without shard locks.
 func RestoreDump(cfg Config, dump []byte) (*Store, uint64, error) {
-	covered, err := ValidateDump(dump)
+	covered, r, err := openDump(dump)
 	if err != nil {
 		return nil, 0, err
 	}
 	s := Open(cfg)
-	pos := len(dumpMagic) + 8
-	body := dump[:len(dump)-4]
-	tableCount := int(binary.BigEndian.Uint32(body[pos:]))
-	pos += 4
 	s.seqAlloc.Store(1)
-	for ti := 0; ti < tableCount; ti++ {
-		var name string
-		name, pos, err = readDumpStr16(body, pos)
-		if err != nil {
-			break
+	var name string
+	for ti, nt := 0, r.Count(6); ti < nt; ti++ {
+		name = ascending(&r, ti, name, r.Str16())
+		nr := r.Count(4)
+		if nr == 0 {
+			r.Fail(fmt.Errorf("table %q without rows", name))
 		}
-		if pos+4 > len(body) {
-			err = errShortDump
-			break
-		}
-		rowCount := int(binary.BigEndian.Uint32(body[pos:]))
-		pos += 4
-		for ri := 0; ri < rowCount; ri++ {
-			var key string
-			key, pos, err = readDumpStr16(body, pos)
-			if err != nil {
-				break
-			}
-			if pos+2 > len(body) {
-				err = errShortDump
-				break
-			}
-			nc := int(binary.BigEndian.Uint16(body[pos:]))
-			pos += 2
+		var key string
+		for ri := 0; ri < nr; ri++ {
+			key = ascending(&r, ri, key, r.Str16())
+			nc := int(r.U16())
 			cols := make(map[string][]byte, nc)
+			var col string
 			for ci := 0; ci < nc; ci++ {
-				var cname string
-				cname, pos, err = readDumpStr16(body, pos)
-				if err != nil {
-					break
-				}
-				if pos+4 > len(body) {
-					err = errShortDump
-					break
-				}
-				vl := int(binary.BigEndian.Uint32(body[pos:]))
-				pos += 4
-				if pos+vl > len(body) {
-					err = errShortDump
-					break
-				}
-				cols[cname] = append([]byte(nil), body[pos:pos+vl]...)
-				pos += vl
-			}
-			if err != nil {
-				break
+				col = ascending(&r, ci, col, r.Str16())
+				cols[col] = r.Bytes32Copy()
 			}
 			sh := s.dataShardOf(name, key)
 			t := sh.tables[name]
@@ -210,11 +194,8 @@ func RestoreDump(cfg Config, dump []byte) (*Store, uint64, error) {
 			}
 			t[key] = []rowVersion{{seq: 1, cols: cols}}
 		}
-		if err != nil {
-			break
-		}
 	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		s.Close()
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadDump, err)
 	}
@@ -225,21 +206,11 @@ func RestoreDump(cfg Config, dump []byte) (*Store, uint64, error) {
 	return s, covered, nil
 }
 
-var errShortDump = errors.New("truncated body")
-
-func appendDumpStr16(buf []byte, v string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(v)))
-	return append(buf, v...)
-}
-
-func readDumpStr16(buf []byte, pos int) (string, int, error) {
-	if pos+2 > len(buf) {
-		return "", pos, errShortDump
+// ascending returns name, refusing through r one that is not above prev
+// unless it is the first (i == 0).
+func ascending(r *wire.Reader, i int, prev, name string) string {
+	if i > 0 && name <= prev {
+		r.Fail(fmt.Errorf("%q after %q", name, prev))
 	}
-	n := int(binary.BigEndian.Uint16(buf[pos:]))
-	pos += 2
-	if pos+n > len(buf) {
-		return "", pos, errShortDump
-	}
-	return string(buf[pos : pos+n]), pos + n, nil
+	return name
 }

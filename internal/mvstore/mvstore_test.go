@@ -1,8 +1,11 @@
 package mvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"tashkent/internal/core"
 	"tashkent/internal/simdisk"
 	"tashkent/internal/wal"
+	"tashkent/internal/wire"
 )
 
 func openInstant(t *testing.T) *Store {
@@ -779,6 +783,78 @@ func TestValidateDumpRejectsCorruption(t *testing.T) {
 	if _, _, err := RestoreDump(Config{}, bad); !errors.Is(err, ErrBadDump) {
 		t.Errorf("RestoreDump of corrupt dump: %v", err)
 	}
+}
+
+// withCRC returns body with the dump checksum of body appended.
+func withCRC(body []byte) []byte {
+	return binary.BigEndian.AppendUint32(body[:len(body):len(body)], crc32.ChecksumIEEE(body))
+}
+
+// TestRestoreDumpRefusesNonCanonical: a dump with a valid checksum is
+// still refused when its tables, rows or columns are out of order, a
+// table has no rows, or bytes follow the last table.
+func TestRestoreDumpRefusesNonCanonical(t *testing.T) {
+	head := append([]byte(dumpMagic), 0, 0, 0, 0, 0, 0, 0, 9)
+	table := func(name string, rows ...[]byte) []byte {
+		b := binary.BigEndian.AppendUint32(wire.AppendStr16(nil, name), uint32(len(rows)))
+		return bytes.Join(append([][]byte{b}, rows...), nil)
+	}
+	row := func(key string, cols ...string) []byte {
+		b := binary.BigEndian.AppendUint16(wire.AppendStr16(nil, key), uint16(len(cols)))
+		for _, c := range cols {
+			b = wire.AppendBytes32(wire.AppendStr16(b, c), []byte("v"))
+		}
+		return b
+	}
+	dump := func(tables ...[]byte) []byte {
+		b := binary.BigEndian.AppendUint32(append([]byte(nil), head...), uint32(len(tables)))
+		return withCRC(bytes.Join(append([][]byte{b}, tables...), nil))
+	}
+	good := dump(table("a", row("k", "c", "d"), row("l")), table("b", row("k")))
+	s, covered, err := RestoreDump(Config{}, good)
+	if err != nil || covered != 9 {
+		t.Fatalf("canonical dump: version %d, %v", covered, err)
+	}
+	s.Close()
+	for name, bad := range map[string][]byte{
+		"tables out of order":  dump(table("b", row("k")), table("a", row("k"))),
+		"duplicate table":      dump(table("a", row("k")), table("a", row("l"))),
+		"rows out of order":    dump(table("a", row("l"), row("k"))),
+		"columns out of order": dump(table("a", row("k", "d", "c"))),
+		"duplicate column":     dump(table("a", row("k", "c", "c"))),
+		"table without rows":   dump(table("a")),
+		"trailing bytes":       withCRC(append(good[:len(good)-4:len(good)-4], 0)),
+	} {
+		if _, _, err := RestoreDump(Config{}, bad); !errors.Is(err, ErrBadDump) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// FuzzRestoreDump: RestoreDump never panics on a dump, its checksum
+// fixed up or not, and a store it restores dumps to the same bytes.
+func FuzzRestoreDump(f *testing.F) {
+	_, dump := goldenDump(f)
+	body := dump[:len(dump)-4]
+	f.Add(dump, false)
+	f.Add(body[:len(body)-1], true)
+	f.Add(append(body[:len(body):len(body)], 0), true)
+	f.Add(body[:16], true)
+	f.Add(withCRC(append(body[:16:16], 0xFF, 0xFF, 0xFF, 0xFF)), false) // 2^32-1 tables, none present
+	f.Fuzz(func(t *testing.T, dump []byte, fixCRC bool) {
+		if fixCRC {
+			dump = withCRC(dump)
+		}
+		s, _, err := RestoreDump(Config{}, dump)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		again, err := s.Dump()
+		if err != nil || !bytes.Equal(again, dump) {
+			t.Fatalf("restored store dumps to other bytes (%v):\n%x\n%x", err, again, dump)
+		}
+	})
 }
 
 func TestCommitRecordRoundTrip(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"tashkent/internal/core"
+	"tashkent/internal/wire"
 )
 
 // pendingWrite is one buffered row modification of an active
@@ -126,11 +127,15 @@ func (tx *Tx) ReadCol(tableName, key, col string) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// write is the shared path of Insert/Update/Delete: run the hook
-// (eager pre-certification), take the row write lock, buffer the
-// modification, and capture the writeset entry.
+// write is the shared path of Insert/Update/Delete: refuse an op no
+// writeset can carry, run the hook (eager pre-certification), take the
+// row write lock, buffer the modification, and capture the writeset
+// entry.
 func (tx *Tx) write(op core.WriteOp) error {
 	if err := tx.check(); err != nil {
+		return err
+	}
+	if err := op.CheckEncodable(); err != nil {
 		return err
 	}
 	if tx.hook != nil {
@@ -427,20 +432,10 @@ type CommitRecord struct {
 // DecodeCommitRecord parses a WAL record payload. It accepts exactly
 // what encodeCommitRecord writes: bytes after the writeset are refused.
 func DecodeCommitRecord(payload []byte) (CommitRecord, error) {
-	if len(payload) < 16 {
-		return CommitRecord{}, fmt.Errorf("mvstore: short commit record (%d bytes)", len(payload))
+	r := wire.NewReader(payload)
+	rec := CommitRecord{From: r.U64(), To: r.U64(), WS: core.ReadWriteset(&r)}
+	if err := r.Done(); err != nil {
+		return CommitRecord{}, fmt.Errorf("mvstore: commit record: %w", err)
 	}
-	rec := CommitRecord{
-		From: binary.BigEndian.Uint64(payload[0:8]),
-		To:   binary.BigEndian.Uint64(payload[8:16]),
-	}
-	ws, n, err := core.DecodeWriteset(payload[16:])
-	if err != nil {
-		return CommitRecord{}, err
-	}
-	if 16+n != len(payload) {
-		return CommitRecord{}, fmt.Errorf("mvstore: commit record: %d bytes after the writeset", len(payload)-16-n)
-	}
-	rec.WS = ws
 	return rec, nil
 }

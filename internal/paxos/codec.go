@@ -1,31 +1,30 @@
 package paxos
 
-// Every byte layout of this package: the wire form of the vote, append
-// and fetch messages (transport.BinaryMessage) and the two WAL records.
-// All integers are big-endian fixed width.
+// Every byte layout of this package: the wire form of the vote and
+// append messages (transport.BinaryMessage) and the two WAL records,
+// read with a wire.Reader. All integers are big-endian fixed width.
 //
-// A log entry has one encoding, appendEntry/takeEntry:
+// A log entry has one encoding, appendEntry/readEntry:
 //
 //	u64 index | u64 term | u32 dataLen | data
 //
-// It is an element of the append and fetch messages and, behind its
-// kind byte, the node's durable entry record. The WAL records are
+// It is an element of the append message and, behind its kind byte,
+// the node's durable entry record. The WAL records are
 //
 //	'E' | entry                    (recEntry)
 //	'M' | u64 term | i64 votedFor  (recMeta; votedFor -1 = no vote)
 //
 // written by entryRecords/metaRecord and parsed by parseEntryRecord/
-// parseMetaRecord — nothing else in the tree knows them. Parsing checks
-// every length against the bytes at hand and refuses a record with
-// anything left over. Entry.Data is opaque here; the certifier defines
-// it (certifier/messages.go).
+// parseMetaRecord — nothing else in the tree knows them. A record or
+// message with bytes left over is refused. Entry.Data is opaque here;
+// the certifier defines it (certifier/messages.go).
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"tashkent/internal/transport"
+	"tashkent/internal/wire"
 )
 
 var (
@@ -33,11 +32,7 @@ var (
 	_ transport.BinaryMessage = (*voteReply)(nil)
 	_ transport.BinaryMessage = (*appendArgs)(nil)
 	_ transport.BinaryMessage = (*appendReply)(nil)
-	_ transport.BinaryMessage = (*fetchArgs)(nil)
-	_ transport.BinaryMessage = (*fetchReply)(nil)
 )
-
-var errShortMessage = errors.New("paxos: short binary message")
 
 // entryOverhead is the encoded size of an entry without its data.
 const entryOverhead = 20
@@ -45,26 +40,14 @@ const entryOverhead = 20
 func appendEntry(buf []byte, e *Entry) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, e.Index)
 	buf = binary.BigEndian.AppendUint64(buf, e.Term)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Data)))
-	return append(buf, e.Data...)
+	return wire.AppendBytes32(buf, e.Data)
 }
 
-// takeEntry parses one entry off the front of data and returns the
-// rest. Data is copied into a slice of its own size: entries live in
-// the node's log indefinitely and must not pin the transport frame or
-// WAL image they were read from.
-func takeEntry(data []byte) (Entry, []byte, error) {
-	if len(data) < entryOverhead {
-		return Entry{}, nil, errShortMessage
-	}
-	e := Entry{Index: binary.BigEndian.Uint64(data), Term: binary.BigEndian.Uint64(data[8:])}
-	dlen := int(binary.BigEndian.Uint32(data[16:]))
-	data = data[entryOverhead:]
-	if len(data) < dlen {
-		return Entry{}, nil, errShortMessage
-	}
-	e.Data = append([]byte(nil), data[:dlen]...)
-	return e, data[dlen:], nil
+// readEntry reads one entry. Data is copied into a slice of its own
+// size: entries live in the node's log indefinitely and must not pin
+// the transport frame or WAL image they were read from.
+func readEntry(r *wire.Reader) Entry {
+	return Entry{Index: r.U64(), Term: r.U64(), Data: r.Bytes32Copy()}
 }
 
 // WAL record kinds.
@@ -94,14 +77,9 @@ func entryRecords(entries []Entry) [][]byte {
 // parseEntryRecord parses the body of a recEntry record (the kind byte
 // already taken off).
 func parseEntryRecord(body []byte) (Entry, error) {
-	e, rest, err := takeEntry(body)
-	if err != nil {
-		return Entry{}, err
-	}
-	if len(rest) != 0 {
-		return Entry{}, fmt.Errorf("paxos: %d trailing bytes after entry record", len(rest))
-	}
-	return e, nil
+	r := wire.NewReader(body)
+	e := readEntry(&r)
+	return e, r.Done()
 }
 
 // metaRecord encodes the durable election state (term and vote), which
@@ -115,41 +93,9 @@ func metaRecord(term uint64, votedFor int) []byte {
 
 // parseMetaRecord parses the body of a recMeta record.
 func parseMetaRecord(body []byte) (term uint64, votedFor int, err error) {
-	if len(body) != 16 {
-		return 0, 0, fmt.Errorf("paxos: meta record body of %d bytes, want 16", len(body))
-	}
-	return binary.BigEndian.Uint64(body), int(int64(binary.BigEndian.Uint64(body[8:]))), nil
-}
-
-// appendEntries: u32 count | entries
-func appendEntries(buf []byte, entries []Entry) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(entries)))
-	for i := range entries {
-		buf = appendEntry(buf, &entries[i])
-	}
-	return buf
-}
-
-func takeEntries(data []byte) ([]Entry, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, errShortMessage
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if n == 0 {
-		return nil, data, nil
-	}
-	if n > len(data)/entryOverhead {
-		return nil, nil, fmt.Errorf("paxos: entry count %d exceeds payload", n)
-	}
-	out := make([]Entry, n)
-	for i := range out {
-		var err error
-		if out[i], data, err = takeEntry(data); err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, data, nil
+	r := wire.NewReader(body)
+	term, votedFor = r.U64(), int(r.I64())
+	return term, votedFor, r.Done()
 }
 
 // voteArgs: u64 term | u32 candidate | u64 lastIndex | u64 lastTerm
@@ -161,118 +107,77 @@ func (a *voteArgs) AppendBinary(buf []byte) []byte {
 }
 
 func (a *voteArgs) DecodeBinary(data []byte) error {
-	if len(data) != 28 {
-		return errShortMessage
-	}
-	a.Term = binary.BigEndian.Uint64(data)
-	a.Candidate = int(binary.BigEndian.Uint32(data[8:]))
-	a.LastIndex = binary.BigEndian.Uint64(data[12:])
-	a.LastTerm = binary.BigEndian.Uint64(data[20:])
-	return nil
+	r := wire.NewReader(data)
+	a.Term, a.Candidate, a.LastIndex, a.LastTerm = r.U64(), int(r.U32()), r.U64(), r.U64()
+	return r.Done()
 }
 
 // voteReply: u64 term | u8 granted
 func (r *voteReply) AppendBinary(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, r.Term)
-	var granted byte
-	if r.Granted {
-		granted = 1
-	}
-	return append(buf, granted)
+	return append(binary.BigEndian.AppendUint64(buf, r.Term), boolByte(r.Granted))
 }
 
 func (r *voteReply) DecodeBinary(data []byte) error {
-	if len(data) != 9 {
-		return errShortMessage
-	}
-	r.Term = binary.BigEndian.Uint64(data)
-	r.Granted = data[8]&1 != 0
-	return nil
+	rd := wire.NewReader(data)
+	r.Term, r.Granted = rd.U64(), readBool(&rd)
+	return rd.Done()
 }
 
 // appendArgs: u64 term | u32 leaderID | u64 prevIndex | u64 prevTerm |
-// u64 commit | entries
+// u64 commit | u32 count | entries
 func (a *appendArgs) AppendBinary(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, a.Term)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(a.LeaderID))
 	buf = binary.BigEndian.AppendUint64(buf, a.PrevIndex)
 	buf = binary.BigEndian.AppendUint64(buf, a.PrevTerm)
 	buf = binary.BigEndian.AppendUint64(buf, a.Commit)
-	return appendEntries(buf, a.Entries)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(a.Entries)))
+	for i := range a.Entries {
+		buf = appendEntry(buf, &a.Entries[i])
+	}
+	return buf
 }
 
 func (a *appendArgs) DecodeBinary(data []byte) error {
-	if len(data) < 36 {
-		return errShortMessage
+	r := wire.NewReader(data)
+	a.Term, a.LeaderID, a.PrevIndex, a.PrevTerm, a.Commit = r.U64(), int(r.U32()), r.U64(), r.U64(), r.U64()
+	a.Entries = nil
+	if n := r.Count(entryOverhead); n > 0 {
+		a.Entries = make([]Entry, n)
+		for i := range a.Entries {
+			a.Entries[i] = readEntry(&r)
+		}
 	}
-	a.Term = binary.BigEndian.Uint64(data)
-	a.LeaderID = int(binary.BigEndian.Uint32(data[8:]))
-	a.PrevIndex = binary.BigEndian.Uint64(data[12:])
-	a.PrevTerm = binary.BigEndian.Uint64(data[20:])
-	a.Commit = binary.BigEndian.Uint64(data[28:])
-	entries, rest, err := takeEntries(data[36:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("paxos: %d trailing bytes after appendArgs", len(rest))
-	}
-	a.Entries = entries
-	return nil
+	return r.Done()
 }
 
 // appendReply: u64 term | u8 ok | u64 match
 func (r *appendReply) AppendBinary(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, r.Term)
-	var ok byte
-	if r.OK {
-		ok = 1
-	}
-	buf = append(buf, ok)
+	buf = append(binary.BigEndian.AppendUint64(buf, r.Term), boolByte(r.OK))
 	return binary.BigEndian.AppendUint64(buf, r.Match)
 }
 
 func (r *appendReply) DecodeBinary(data []byte) error {
-	if len(data) != 17 {
-		return errShortMessage
-	}
-	r.Term = binary.BigEndian.Uint64(data)
-	r.OK = data[8]&1 != 0
-	r.Match = binary.BigEndian.Uint64(data[9:])
-	return nil
+	rd := wire.NewReader(data)
+	r.Term, r.OK, r.Match = rd.U64(), readBool(&rd), rd.U64()
+	return rd.Done()
 }
 
-// fetchArgs: u64 from
-func (a *fetchArgs) AppendBinary(buf []byte) []byte {
-	return binary.BigEndian.AppendUint64(buf, a.From)
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-func (a *fetchArgs) DecodeBinary(data []byte) error {
-	if len(data) != 8 {
-		return errShortMessage
+// readBool reads what boolByte wrote and refuses any other byte, so a
+// decoded message re-encodes to the bytes it came from.
+func readBool(r *wire.Reader) bool {
+	b := r.U8()
+	if b > 1 {
+		r.Fail(errBadBool)
 	}
-	a.From = binary.BigEndian.Uint64(data)
-	return nil
+	return b == 1
 }
 
-// fetchReply: u64 commit | entries
-func (r *fetchReply) AppendBinary(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, r.Commit)
-	return appendEntries(buf, r.Entries)
-}
-
-func (r *fetchReply) DecodeBinary(data []byte) error {
-	if len(data) < 12 {
-		return errShortMessage
-	}
-	r.Commit = binary.BigEndian.Uint64(data)
-	entries, rest, err := takeEntries(data[8:])
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("paxos: %d trailing bytes after fetchReply", len(rest))
-	}
-	r.Entries = entries
-	return nil
-}
+var errBadBool = errors.New("paxos: a bool byte other than 0 or 1")

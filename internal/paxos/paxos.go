@@ -29,6 +29,7 @@ import (
 	"tashkent/internal/simdisk"
 	"tashkent/internal/transport"
 	"tashkent/internal/wal"
+	"tashkent/internal/wire"
 )
 
 // nowFunc indirects time.Now for tests.
@@ -175,13 +176,10 @@ func (n *Node) RestoreFromImage(image []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, rec := range records {
-		if len(rec) == 0 {
-			return errors.New("paxos: restore: empty record")
-		}
-		kind, body := rec[0], rec[1:]
-		switch kind {
+		r := wire.NewReader(rec)
+		switch kind := r.U8(); kind {
 		case recEntry:
-			e, err := parseEntryRecord(body)
+			e, err := parseEntryRecord(rec[1:])
 			if err != nil {
 				return fmt.Errorf("paxos: restore entry: %w", err)
 			}
@@ -191,13 +189,13 @@ func (n *Node) RestoreFromImage(image []byte) error {
 			// An entry at index i implicitly truncates everything above.
 			n.log = append(n.log[:e.Index-1], e)
 		case recMeta:
-			term, votedFor, err := parseMetaRecord(body)
+			term, votedFor, err := parseMetaRecord(rec[1:])
 			if err != nil {
 				return fmt.Errorf("paxos: restore meta: %w", err)
 			}
 			n.term, n.votedFor = term, votedFor
 		default:
-			return fmt.Errorf("paxos: restore: unknown record kind %d", kind)
+			return fmt.Errorf("paxos: restore: record of unknown kind %d (%d bytes)", kind, len(rec))
 		}
 	}
 	n.stableIndex = uint64(len(n.log))

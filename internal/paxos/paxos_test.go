@@ -299,25 +299,6 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestStateTransferFetch(t *testing.T) {
-	g := newGroup(t, 3, wal.SyncCommits)
-	ld := g.waitLeader(t)
-	for i := 0; i < 8; i++ {
-		proposeAndWait(t, g.nodes[ld], fmt.Sprintf("e%d", i))
-	}
-	client := g.fabric.Dial(fmt.Sprintf("cert%d", ld))
-	entries, commit, err := Fetch(client, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if commit < 8 {
-		t.Errorf("fetch commit = %d", commit)
-	}
-	if len(entries) < 6 || entries[0].Index != 3 {
-		t.Errorf("fetched %d entries starting at %d", len(entries), entries[0].Index)
-	}
-}
-
 func TestMinorityCannotCommit(t *testing.T) {
 	g := newGroup(t, 3, wal.SyncCommits)
 	ld := g.waitLeader(t)

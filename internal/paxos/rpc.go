@@ -37,20 +37,10 @@ type appendReply struct {
 	Match uint64 // on success: last replicated index; on failure: a backup hint
 }
 
-type fetchArgs struct {
-	From uint64
-}
-
-type fetchReply struct {
-	Entries []Entry
-	Commit  uint64
-}
-
 // Method names on the transport.
 const (
 	MethodVote   = "paxos.vote"
 	MethodAppend = "paxos.append"
-	MethodFetch  = "paxos.fetch"
 )
 
 // HandleRPC dispatches a transport request to the protocol. The owner
@@ -79,13 +69,6 @@ func (n *Node) HandleRPC(method string, req []byte) ([]byte, error) {
 			return nil, err
 		}
 		reply := n.handleAppend(args)
-		return transport.EncodeMessage(&reply)
-	case MethodFetch:
-		var args fetchArgs
-		if err := transport.DecodeMessage(req, &args); err != nil {
-			return nil, err
-		}
-		reply := n.handleFetch(args)
 		return transport.EncodeMessage(&reply)
 	default:
 		return nil, fmt.Errorf("paxos: unknown method %q", method)
@@ -254,41 +237,6 @@ func (n *Node) handleAppend(args appendArgs) appendReply {
 	term := n.term
 	n.mu.Unlock()
 	return appendReply{Term: term, OK: true, Match: match}
-}
-
-func (n *Node) handleFetch(args fetchArgs) fetchReply {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if args.From == 0 {
-		args.From = 1
-	}
-	var out []Entry
-	if args.From <= n.commitIndex {
-		out = make([]Entry, n.commitIndex-args.From+1)
-		copy(out, n.log[args.From-1:n.commitIndex])
-	}
-	return fetchReply{Entries: out, Commit: n.commitIndex}
-}
-
-// Fetch pulls committed entries [from, commit] from a peer — the
-// recovering certifier's state transfer (paper §9.6: "essentially a
-// file transfer").
-func Fetch(peer interface {
-	Call(method string, req []byte) ([]byte, error)
-}, from uint64) ([]Entry, uint64, error) {
-	req, err := transport.EncodeMessage(&fetchArgs{From: from})
-	if err != nil {
-		return nil, 0, err
-	}
-	respB, err := peer.Call(MethodFetch, req)
-	if err != nil {
-		return nil, 0, err
-	}
-	var resp fetchReply
-	if err := transport.DecodeMessage(respB, &resp); err != nil {
-		return nil, 0, err
-	}
-	return resp.Entries, resp.Commit, nil
 }
 
 // startElectionLocked transitions to candidate and solicits votes.

@@ -1,12 +1,15 @@
 package tashkent_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"tashkent"
+	"tashkent/internal/core"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -111,6 +114,41 @@ func TestPublicAPIAllModes(t *testing.T) {
 				t.Error("replicas diverged")
 			}
 		})
+	}
+}
+
+// TestOversizedKeyRefused: a key longer than a writeset's 16-bit name
+// length is refused when written, and the replicas stay equal. This key
+// is crafted so that, cut to its first three bytes, what follows still
+// parses as the rest of the op: one column "v" whose value runs to the
+// op's real end. Encoded anyway, the origin installs the long key and
+// the other replica installs t/abc.
+func TestOversizedKeyRefused(t *testing.T) {
+	db, err := tashkent.Start(tashkent.Config{Mode: tashkent.ModeTashkentMW, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const fill = 65527 // 3 + 9 header bytes + fill = 65539, which a uint16 reads as 3
+	header := binary.BigEndian.AppendUint32([]byte{0, 1, 0, 1, 'v'}, fill+10)
+	key := "abc" + string(header) + strings.Repeat("z", fill)
+	tx, err := db.Cluster().Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err = tx.Update("t", key, map[string][]byte{"v": []byte("x")}); err == nil {
+		err = tx.Commit()
+	} else {
+		tx.Abort()
+	}
+	if !errors.Is(err, core.ErrOpTooLarge) {
+		t.Errorf("a %d-byte key: %v, want core.ErrOpTooLarge", len(key), err)
+	}
+	if err := db.Converge(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := db.Replica(0).Store().Fingerprint(), db.Replica(1).Store().Fingerprint(); a != b {
+		t.Errorf("replicas diverged: fingerprints %d and %d", a, b)
 	}
 }
 
